@@ -364,12 +364,8 @@ func BenchmarkChipRunSDM(b *testing.B) {
 	reportCycleRate(b, simCycles)
 }
 
-// BenchmarkLargeMesh measures a sequential 256-core (16×16) end-to-end
-// run — the scaling point the parallel engine targets. Shards is pinned to
-// 1 so the number is the sequential engine regardless of RC_SHARDS;
-// BenchmarkChipRunParallel is the identical run sharded, and the ratio of
-// their sim_cycles/sec is the engine's speedup (EXPERIMENTS.md tabulates
-// it across shard counts and mesh sizes).
+// BenchmarkLargeMesh measures a 256-core (16×16) end-to-end run — the
+// scaling point beyond the paper's 16- and 64-core chips.
 func BenchmarkLargeMesh(b *testing.B) {
 	b.ReportAllocs()
 	c := config.Chip256()
@@ -379,29 +375,6 @@ func BenchmarkLargeMesh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		spec := chip.DefaultSpec(c, v, w)
 		spec.MeasureOps = 3000
-		spec.Shards = 1
-		r := chip.MustRun(spec)
-		simCycles += r.SimCycles
-		b.ReportMetric(float64(r.Cycles), "cycles")
-	}
-	reportCycleRate(b, simCycles)
-}
-
-// BenchmarkChipRunParallel is BenchmarkLargeMesh on the 8-shard parallel
-// engine: bit-identical results (the golden suite asserts it), wall-clock
-// divided across the row bands. The CI bench gate pins its sim_cycles/sec,
-// so an engine change that quietly serialises the shards — or a barrier
-// that stops scaling — fails CI even though every test still passes.
-func BenchmarkChipRunParallel(b *testing.B) {
-	b.ReportAllocs()
-	c := config.Chip256()
-	v, _ := config.ByName("Complete_NoAck")
-	w := workload.Micro()
-	var simCycles int64
-	for i := 0; i < b.N; i++ {
-		spec := chip.DefaultSpec(c, v, w)
-		spec.MeasureOps = 3000
-		spec.Shards = 8
 		r := chip.MustRun(spec)
 		simCycles += r.SimCycles
 		b.ReportMetric(float64(r.Cycles), "cycles")

@@ -1,0 +1,96 @@
+package reactivenoc_test
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"testing"
+)
+
+// TestCLISmoke builds rcsim, rcsweep and rctune once and boots each on its
+// smallest real run: exit code and the output's header/row shape are the
+// contract scripts and CI steps parse. The last case pins that a removed
+// flag is rejected by the flag package instead of being silently accepted.
+func TestCLISmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs three binaries")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin, "./cmd/rcsim", "./cmd/rcsweep", "./cmd/rctune")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		bin    string
+		args   []string
+		exit   int
+		stdout []string // multi-line regexps, all must match
+		stderr string   // regexp; empty = stderr must be empty
+	}{
+		{
+			name: "rcsim", bin: "rcsim",
+			args: []string{"-chip", "16", "-variant", "Complete_NoAck", "-workload", "micro", "-warmup", "100", "-ops", "300"},
+			stdout: []string{
+				`\Achip: +16-core, variant Complete_NoAck, workload micro\n`,
+				`^cycles: +\d+ \(IPC \d\.\d+\)$`,
+				`^messages: +\d+ network `,
+				`^circuits: +built \d+, undone \d+, scrounger rides \d+, eliminated acks \d+$`,
+			},
+		},
+		{
+			name: "rcsweep", bin: "rcsweep",
+			args: []string{"-chip", "16", "-exp", "fig9", "-ops", "200", "-workloads", "micro"},
+			stdout: []string{
+				`\A==== 16-core chip \(\d+ runs x 200 ops/core\) ====\n`,
+				`^Figure 9 \(16-core\): speedup over baseline$`,
+				`^variant +speedup +stderr$`,
+				`^Complete_NoAck +[+-]\d+\.\d+% +\d+\.\d+ *$`,
+			},
+		},
+		{
+			name: "rctune", bin: "rctune",
+			args: []string{"-chip", "16", "-ops", "200", "-workloads", "micro", "-variants", "Baseline,Complete_NoAck"},
+			stdout: []string{
+				`\A==== 16-core chip, 200 ops/core, seed 1 ====\n`,
+				`^workload +best +cycles +speedup `,
+				`^micro +\S+ +\d+ +\d+\.\d+x `,
+			},
+		},
+		{
+			name: "rcsim rejects the removed -shards flag", bin: "rcsim",
+			args:   []string{"-shards", "2"},
+			exit:   2,
+			stderr: `\Aflag provided but not defined: -shards\n`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, tc.bin), tc.args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exitErr *exec.ExitError
+			if err != nil && !errors.As(err, &exitErr) {
+				t.Fatalf("run: %v", err)
+			}
+			if got := cmd.ProcessState.ExitCode(); got != tc.exit {
+				t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s", got, tc.exit, &stdout, &stderr)
+			}
+			for _, re := range tc.stdout {
+				if !regexp.MustCompile(`(?m)` + re).Match(stdout.Bytes()) {
+					t.Errorf("stdout does not match %q:\n%s", re, &stdout)
+				}
+			}
+			if tc.stderr == "" {
+				if stderr.Len() != 0 {
+					t.Errorf("unexpected stderr:\n%s", &stderr)
+				}
+			} else if !regexp.MustCompile(tc.stderr).Match(stderr.Bytes()) {
+				t.Errorf("stderr does not match %q:\n%s", tc.stderr, &stderr)
+			}
+		})
+	}
+}

@@ -28,7 +28,7 @@ var bigVariants = map[string]bool{
 
 // hotspotVariants is the adversarial-generator section: the hotspot rows
 // pin the circuit mechanisms against single-tile contended traffic on the
-// small chip (mirrored sequential-vs-parallel by the golden suite).
+// small chip.
 var hotspotVariants = map[string]bool{
 	"Baseline": true, "Reuse_NoAck": true, "Timed_NoAck": true,
 }

@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -89,17 +88,7 @@ func run() int {
 	join := flag.String("join", "", "cluster registry URL to register this node with")
 	nodeID := flag.String("node-id", "", "stable cluster identity (default: the advertise address)")
 	advertise := flag.String("advertise", "", "base URL peers and clients reach this node at (default: loopback + listen port)")
-	simShards := flag.Int("sim-shards", -1,
-		"parallel engine row-band shards per simulation (bit-identical; -shards above is the cache, not this): 0 = GOMAXPROCS, 1 = sequential, -1 = defer to RC_SHARDS")
 	flag.Parse()
-
-	// Simulation specs are built per job; the engine's shard count rides
-	// the lazily-read RC_SHARDS hook. Results and fingerprints are
-	// identical at any value, so sharded and sequential nodes still dedupe
-	// to the same cache entry.
-	if *simShards >= 0 {
-		os.Setenv("RC_SHARDS", strconv.Itoa(*simShards))
-	}
 
 	logger := log.New(os.Stderr, "rcserved: ", log.LstdFlags)
 

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"reactivenoc/internal/chip"
@@ -47,8 +46,6 @@ func main() {
 	verifyEvery := flag.Int64("verify-every", 0, "oracle cadence in cycles with -verify (0 = default)")
 	timeout := flag.Duration("timeout", 0, "wall-clock cap for the run (0 = none)")
 	nopool := flag.Bool("nopool", false, "disable flit/message recycling (bit-identical; for bisecting pool bugs)")
-	shards := flag.Int("shards", -1,
-		"parallel engine row-band shards (bit-identical): 0 = GOMAXPROCS, 1 = sequential, -1 = defer to RC_SHARDS")
 	// -trace is the message-lifecycle trace above, so the runtime execution
 	// trace lives under -exectrace here.
 	profiles := prof.Flags("exectrace")
@@ -101,12 +98,6 @@ func main() {
 	spec.Verify = *verifyRun
 	spec.VerifyEvery = sim.Cycle(*verifyEvery)
 	spec.RecordTrace = *record
-	if *shards >= 0 {
-		spec.Shards = *shards
-		if *shards == 0 {
-			spec.Shards = runtime.GOMAXPROCS(0)
-		}
-	}
 	if err := profiles.Start(); err != nil {
 		fatal("%v", err)
 	}

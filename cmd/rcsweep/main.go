@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -62,8 +61,6 @@ func run() int {
 	which := flag.String("exp", "all",
 		"experiment: all, table1, table5, table6, fig6, fig7, fig8, fig9, fig10, load, ablate, scale, compare, tail, ci")
 	chipSel := flag.Int("chip", 0, "chip size (16, 64 or 256); 0 = the paper's pair (16 and 64)")
-	shards := flag.Int("shards", -1,
-		"parallel engine row-band shards for every run (bit-identical): 0 = GOMAXPROCS, 1 = sequential, -1 = defer to RC_SHARDS")
 	ops := flag.Int64("ops", 0, "override measured operations per core")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
@@ -81,14 +78,6 @@ func run() int {
 	mdOut := flag.Bool("md", false, "emit the full evaluation as a markdown report (implies -exp all)")
 	profiles := prof.Flags("trace")
 	flag.Parse()
-
-	// Every spec in the sweep is built deep inside internal/exp; the shard
-	// count rides the lazily-read RC_SHARDS environment hook instead of
-	// threading through every experiment. Results are bit-identical at any
-	// value, so this changes wall-clock only.
-	if *shards >= 0 {
-		os.Setenv("RC_SHARDS", strconv.Itoa(*shards))
-	}
 
 	if *listPolicies {
 		for _, name := range config.PolicyNames() {

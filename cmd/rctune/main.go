@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"reactivenoc/internal/config"
@@ -36,8 +35,6 @@ func run() int {
 	ops := flag.Int64("ops", 4000, "measured operations per core per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", -1,
-		"parallel engine row-band shards for every run (bit-identical): 0 = GOMAXPROCS, 1 = sequential, -1 = defer to RC_SHARDS")
 	workloadsFlag := flag.String("workloads", "",
 		"comma-separated workload names (built-ins, generators, trace:<path>); empty = anchors + adversarial suite")
 	variantsFlag := flag.String("variants", "",
@@ -52,10 +49,6 @@ func run() int {
 		}
 		return 0
 	}
-	if *shards >= 0 {
-		os.Setenv("RC_SHARDS", strconv.Itoa(*shards))
-	}
-
 	var c config.Chip
 	switch *chipSel {
 	case 16:

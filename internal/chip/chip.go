@@ -7,10 +7,6 @@ package chip
 import (
 	"context"
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
 	"time"
 
 	"reactivenoc/internal/cache"
@@ -90,18 +86,6 @@ type Spec struct {
 	// every cycle — the reference scheduling the golden determinism suite
 	// cross-checks against.
 	DenseKernel bool
-	// Shards selects the parallel engine's tile-shard count: the mesh is
-	// split into contiguous row bands whose components step concurrently
-	// inside each kernel phase, exchanging boundary link state only at the
-	// per-cycle barrier. Results are bit-identical for every value, so it
-	// is an engine switch like DenseKernel — excluded from Fingerprint
-	// (json:"-") so result caches and cluster routing never split on it.
-	// 0 consults RC_SHARDS (itself "0" → GOMAXPROCS); 1 (or an
-	// unparsable/unset environment) runs today's sequential engine. Runs
-	// that need cross-shard mutation mid-phase fall back to 1 shard: the
-	// ideal mechanism (instant path-walking teardown), fault injection,
-	// and lifecycle tracing (one shared trace buffer).
-	Shards int `json:"-"`
 	// NoPool disables flit/message recycling (see core.Options.NoPool):
 	// the reference allocation behaviour the pooled hot path is
 	// cross-checked against. Results are bit-identical either way.
@@ -218,46 +202,6 @@ const diagTraceCap = 48
 // wall-clock deadline; cancellation latency stays under a millisecond of
 // simulation work.
 const checkEvery = 2048
-
-// envShards resolves RC_SHARDS once per process. The read is lazy (first
-// sharded spec, not package init) so `go test` cache keys only include the
-// variable for packages that actually consult it. Unset, empty or
-// unparsable → 1 (sequential engine); "0" → GOMAXPROCS; N → N.
-var envShards = sync.OnceValue(func() int {
-	v, ok := os.LookupEnv("RC_SHARDS")
-	if !ok || v == "" {
-		return 1
-	}
-	sh, err := strconv.Atoi(v)
-	if err != nil || sh < 0 {
-		return 1
-	}
-	if sh == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return sh
-})
-
-// effectiveShards resolves a spec's shard count against the run's
-// constraints. Runs whose hooks mutate cross-shard state mid-phase fall
-// back to the sequential engine: the ideal mechanism tears circuits down
-// by walking the whole path instantly, fault injection corrupts arbitrary
-// tiles from one hook, and lifecycle tracing appends to one shared ring
-// (traceCap covers both explicit TraceCap and the fault-armed diagnostic
-// tail). Everything else clamps to one row band per shard.
-func effectiveShards(spec *Spec, m mesh.Mesh, traceCap int) int {
-	sh := spec.Shards
-	if sh == 0 {
-		sh = envShards()
-	}
-	if sh <= 1 {
-		return 1
-	}
-	if spec.Variant.Opts.Mechanism == core.MechIdeal || spec.Fault != nil || traceCap > 0 {
-		return 1
-	}
-	return m.ClampShards(sh)
-}
 
 // Run executes the spec and returns its measurements.
 func Run(spec Spec) (*Results, error) { return RunCtx(context.Background(), spec) }
@@ -392,29 +336,17 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 		}
 	}
 
-	// The parallel engine partitions the mesh into row-band tiles stepped
-	// concurrently inside each kernel phase. Sharding must be wired before
-	// Register and DescribeMetrics below — both hand out per-shard counter
-	// slots that SetShards allocates.
-	shards := effectiveShards(&spec, m, traceCap)
-	if shards > 1 {
-		sys.SetShards(shards, m.ShardMap(shards))
-	}
-
-	// doneBy counts done-transitions per shard (a core's sink runs on its
-	// shard's worker) so the end-of-phase predicate is a short sum instead
-	// of an O(cores) scan every cycle; sys.Busy() (which walks the whole
-	// machine) only runs in the drain tail after the last core finishes —
-	// exactly when the seed engine's short-circuited allDone() reached it.
-	// The trace recorder, like the replayer, keeps all state per-core, so
-	// neither forces the sequential engine: a core is only ever ticked by
-	// its own shard worker.
 	var recorder *tracefeed.Recorder
 	if spec.RecordTrace != "" {
 		recorder = tracefeed.NewRecorder(spec.Workload, n, spec.Seed, spec.WarmupOps, spec.MeasureOps)
 	}
 
-	doneBy := make([]int64, shards)
+	// doneCores counts done-transitions so the end-of-phase predicate is an
+	// integer compare instead of an O(cores) scan every cycle; sys.Busy()
+	// (which walks the whole machine) only runs in the drain tail after the
+	// last core finishes — exactly when the seed engine's short-circuited
+	// allDone() reached it.
+	doneCores := 0
 	cores := make([]*cpu.Core, n)
 	coreWakers := make([]sim.Waker, n)
 	for i := 0; i < n; i++ {
@@ -432,24 +364,17 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 		if recorder != nil {
 			cores[i].SetRecorder(recorder)
 		}
-		s := m.ShardOf(mesh.NodeID(i), shards)
-		cores[i].SetDoneSink(func() { doneBy[s]++ })
+		cores[i].SetDoneSink(func() { doneCores++ })
 	}
 
 	// Registration order replicates the seed engine's tick order exactly:
-	// the system (routers, NIs, per-tile L1/L2, MCs), then the cores. Each
-	// core carries its tile's shard tag so it steps on the same worker as
-	// the caches it shares state with.
+	// the system (routers, NIs, per-tile L1/L2, MCs), then the cores.
 	kernel = sim.NewKernel()
 	kernel.SetDense(spec.DenseKernel)
-	kernel.SetShards(shards)
-	defer kernel.Close()
 	sys.Register(kernel)
 	for i, c := range cores {
-		kernel.SetShard(m.ShardOf(mesh.NodeID(i), shards))
 		coreWakers[i] = kernel.Add(c)
 	}
-	kernel.SetShard(0)
 
 	reg := sim.NewRegistry()
 	sys.DescribeMetrics(reg)
@@ -486,13 +411,7 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 		suite = verify.NewSuite(verify.Config{Sys: sys, ProgressStall: stall / 2})
 	}
 
-	allDone := func() bool {
-		var done int64
-		for _, d := range doneBy {
-			done += d
-		}
-		return done == int64(n) && !sys.Busy()
-	}
+	allDone := func() bool { return doneCores == n && !sys.Busy() }
 
 	// runPhase advances until every core finishes, with a forward-progress
 	// watchdog: if no operation retires for a long stretch, the phase is
@@ -544,9 +463,7 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 	}
 
 	resetCores := func() {
-		for s := range doneBy {
-			doneBy[s] = 0
-		}
+		doneCores = 0
 		for i, c := range cores {
 			c.ResetStats(spec.MeasureOps)
 			coreWakers[i].Wake()
@@ -614,13 +531,13 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 		res.Cycles = kernel.Now() - measureStart
 	}
 
-	res.Msgs = sys.MsgsTotal()
-	res.Lat = sys.LatTotal()
+	res.Msgs = sys.Msgs
+	res.Lat = sys.Lat
 	if sys.Mgr != nil {
-		st := sys.Mgr.StatsTotal()
+		st := sys.Mgr.Stats
 		res.Circ = &st
 	}
-	res.Events = sys.Net.EventsTotal()
+	res.Events = *sys.Net.Events()
 	res.Energy = power.NetworkEnergy(&res.Events, n, spec.Variant.Opts, int64(res.Cycles))
 	res.AreaSavings = power.AreaSavings(n, spec.Variant.Opts)
 

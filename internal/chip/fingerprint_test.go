@@ -44,17 +44,6 @@ func TestFingerprintIgnoresObservers(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresEngineKnobs: Shards picks an execution engine, not
-// an experiment — a sharded and a sequential run of the same spec produce
-// bit-identical results and must land in the same cache slot.
-func TestFingerprintIgnoresEngineKnobs(t *testing.T) {
-	a, b := testSpec(), testSpec()
-	b.Shards = 8
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("Shards leaked into the fingerprint")
-	}
-}
-
 // mutate flips one leaf field (addressed by v) to a different value,
 // returning false for kinds that intentionally do not fingerprint (funcs).
 func mutate(t *testing.T, v reflect.Value, path string) bool {

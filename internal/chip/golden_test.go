@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"strings"
 	"testing"
 
 	"reactivenoc/internal/config"
@@ -228,71 +227,6 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 				}
 				if got := unpooled.Metrics.Value(name); got != v {
 					t.Errorf("metric %s: pooled %d, unpooled %d", name, v, got)
-				}
-			}
-		})
-	}
-}
-
-// parallelRows selects the cells the sharded-engine cross-check runs: the
-// usual tricky cells, every hotspot row (adversarial traffic concentrates
-// on one tile, the worst case for shard-boundary traffic), plus (outside
-// -short) every 256-core row — the scale the parallel engine exists for.
-func parallelRows() []int {
-	rows := crossCheckRows()
-	for i, row := range goldenMatrix {
-		if row.workload == "hotspot" {
-			rows = append(rows, i)
-		}
-	}
-	if !testing.Short() {
-		for i, row := range goldenMatrix {
-			if row.chip == "256-core" {
-				rows = append(rows, i)
-			}
-		}
-	}
-	return rows
-}
-
-// TestParallelMatchesSequential cross-checks the tile-sharded engine
-// against the sequential reference at every shard count the mesh admits:
-// the pinned aggregates and the full metrics snapshot must agree bit for
-// bit. Divergence is allowed only for scheduling state (kernel/active — a
-// cross-shard wake can arrive mid-phase where the sequential engine's
-// arrived before the tick) and the per-shard pools' own bookkeeping
-// (noc/pool_*), the same carve-outs the dense and unpooled checks use.
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, i := range parallelRows() {
-		row := goldenMatrix[i]
-		t.Run(row.chip+"/"+row.workload+"/"+row.variant, func(t *testing.T) {
-			t.Parallel()
-			seq, err := Run(goldenSpec(row, t))
-			if err != nil {
-				t.Fatalf("sequential run failed: %v", err)
-			}
-			checkGolden(t, row, seq)
-			for _, shards := range []int{2, 4, 8} {
-				spec := goldenSpec(row, t)
-				if shards > spec.Chip.Height {
-					break // ClampShards would collapse this into the previous count
-				}
-				spec.Shards = shards
-				par, err := Run(spec)
-				if err != nil {
-					t.Fatalf("shards=%d run failed: %v", shards, err)
-				}
-				checkGolden(t, row, par)
-				if par.SimCycles != seq.SimCycles {
-					t.Errorf("shards=%d: SimCycles %d != sequential %d", shards, par.SimCycles, seq.SimCycles)
-				}
-				for name, v := range seq.Metrics.Vals {
-					if name == "kernel/active" || strings.HasPrefix(name, "noc/pool_") {
-						continue
-					}
-					if got := par.Metrics.Value(name); got != v {
-						t.Errorf("shards=%d: metric %s: parallel %d, sequential %d", shards, name, got, v)
-					}
 				}
 			}
 		})

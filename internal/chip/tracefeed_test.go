@@ -46,9 +46,7 @@ func sameResults(t *testing.T, label string, a, b *Results) {
 // TestRecordReplayBitIdentity is the tentpole conformance check: a
 // synthetic run recorded to a trace and replayed from it produces
 // bit-identical Results — and the recorder itself is invisible (the
-// recorded run equals the plain run). Replay is also cross-checked under
-// the parallel engine at shards 2 and 4, since all replay state is
-// per-core.
+// recorded run equals the plain run).
 func TestRecordReplayBitIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -91,22 +89,6 @@ func TestRecordReplayBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResults(t, "replayed-vs-plain", plain, replayed)
-
-			for _, shards := range []int{2, 4} {
-				shardSpec := replaySpec
-				shardSpec.Shards = shards
-				par, err := Run(shardSpec)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if par.Cycles != plain.Cycles || par.SimCycles != plain.SimCycles {
-					t.Errorf("shards=%d: cycles (%d, %d) != plain (%d, %d)",
-						shards, par.Cycles, par.SimCycles, plain.Cycles, plain.SimCycles)
-				}
-				if !reflect.DeepEqual(par.Cores, plain.Cores) {
-					t.Errorf("shards=%d: per-core stats differ from plain run", shards)
-				}
-			}
 		})
 	}
 }

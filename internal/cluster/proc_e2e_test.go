@@ -237,16 +237,22 @@ func TestClusterProcessSIGKILL(t *testing.T) {
 		}
 	}
 
-	// The registry classified the kill as an expiry.
-	resp, err := http.Get(regURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	metrics := string(body)
-	if strings.Contains(metrics, "cluster/expiries 0\n") {
-		dumpAll()
-		t.Fatalf("SIGKILL never became a TTL expiry:\n%s", metrics)
+	// The registry classifies the kill as an expiry once the dead node's
+	// heartbeat ages past the TTL — which can be after both sweeps finish,
+	// so poll rather than read once.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		resp, err := http.Get(regURL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), "cluster/expiries 0\n") {
+			return
+		}
+		if time.Now().After(deadline) {
+			dumpAll()
+			t.Fatalf("SIGKILL never became a TTL expiry:\n%s", body)
+		}
 	}
 }

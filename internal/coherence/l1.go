@@ -111,7 +111,7 @@ func (l *L1Ctrl) Quiescent() bool { return l.q.empty() }
 func (l *L1Ctrl) Tick(now sim.Cycle) {
 	for _, msg := range l.q.due(now) {
 		l.handle(msg, now)
-		l.sys.Net.FreeMessageAt(l.id, msg)
+		l.sys.Net.FreeMessage(msg)
 	}
 }
 

@@ -93,7 +93,7 @@ func (l *L2Ctrl) Quiescent() bool { return l.q.empty() && len(l.txns) == 0 }
 func (l *L2Ctrl) Tick(now sim.Cycle) {
 	for _, msg := range l.q.due(now) {
 		if l.handle(msg, now) {
-			l.sys.Net.FreeMessageAt(l.id, msg)
+			l.sys.Net.FreeMessage(msg)
 		}
 	}
 	l.BlockedCycles += int64(len(l.txns))
@@ -212,13 +212,12 @@ func (l *L2Ctrl) grantData(req *noc.Message, line *cache.Line, addr cache.Addr, 
 		Payload{Requestor: pl.Requestor, Write: write, Exclusive: exclusive || write, NoAck: noAck}, now)
 	if noAck {
 		l.sys.Mgr.NoteEliminatedAck(l.id, now)
-		// The paper counts eliminated messages at zero latency, recorded
-		// against this bank's shard like every reply it sends.
-		l.sys.latAt(l.id).OtherReplies.Add(0, 0)
+		// The paper counts eliminated messages at zero latency.
+		l.sys.Lat.OtherReplies.Add(0, 0)
 		line.Busy = false
 		l.unblock(addr, now)
 		// No ack will come back for req: the request retires here.
-		l.sys.Net.FreeMessageAt(l.id, req)
+		l.sys.Net.FreeMessage(req)
 		return
 	}
 	line.Busy = true
@@ -264,7 +263,7 @@ func (l *L2Ctrl) handleDataAck(msg *noc.Message, addr cache.Addr, now sim.Cycle)
 	}
 	l.unblock(addr, now)
 	// The ack closes the transaction; the original request retires.
-	l.sys.Net.FreeMessageAt(l.id, txn.req)
+	l.sys.Net.FreeMessage(txn.req)
 }
 
 func (l *L2Ctrl) handleInvAck(msg *noc.Message, addr cache.Addr, now sim.Cycle) {

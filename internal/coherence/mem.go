@@ -53,7 +53,7 @@ func (m *MemCtrl) Tick(now sim.Cycle) {
 		default:
 			panic(fmt.Sprintf("coherence: MC %d cannot handle %v", m.id, MsgType(msg.Type)))
 		}
-		m.sys.Net.FreeMessageAt(m.id, msg)
+		m.sys.Net.FreeMessage(msg)
 	}
 }
 

@@ -22,14 +22,6 @@ type MsgStats struct {
 // Count returns the network count for one type.
 func (s *MsgStats) Count(t MsgType) int64 { return s.Network[t] }
 
-// Add folds o's counts into s (per-shard shares merge into run totals).
-func (s *MsgStats) Add(o *MsgStats) {
-	for t := range s.Network {
-		s.Network[t] += o.Network[t]
-		s.Local[t] += o.Local[t]
-	}
-}
-
 // Totals returns total network messages and the request subset.
 func (s *MsgStats) Totals() (total, requests int64) {
 	for t := MsgType(1); t < numMsgTypes; t++ {
@@ -82,23 +74,11 @@ func (l *LatencyStats) ReplyPercentile(p float64) int64 {
 	return l.CircuitReplyHist.Percentile(p)
 }
 
-// Merge folds o into l, including the per-type anatomy and the reply
-// histogram. Cycle latencies are integers, so the float64 sample sums
-// reassociate exactly: merging per-shard halves is bit-identical to having
-// recorded every observation into one instance.
+// Merge folds o into l.
 func (l *LatencyStats) Merge(o *LatencyStats) {
 	l.Requests.Merge(&o.Requests)
 	l.CircuitReplies.Merge(&o.CircuitReplies)
 	l.OtherReplies.Merge(&o.OtherReplies)
-	for t := range l.ByType {
-		l.ByType[t].Merge(&o.ByType[t])
-	}
-	if o.CircuitReplyHist != nil {
-		if l.CircuitReplyHist == nil {
-			l.CircuitReplyHist = stats.NewHistogram(4, 128)
-		}
-		l.CircuitReplyHist.Merge(o.CircuitReplyHist)
-	}
 }
 
 // System assembles the coherent memory hierarchy over one network: an L1
@@ -114,17 +94,8 @@ type System struct {
 	L2s []*L2Ctrl
 	MCs []*MemCtrl
 
-	// Msgs and Lat hold shard 0's share under the parallel engine (the
-	// whole run's with one shard); MsgsTotal and LatTotal fold all shards.
 	Msgs MsgStats
 	Lat  LatencyStats
-
-	// Per-shard aggregation state (SetShards); slot 0 aliases the exported
-	// fields above so sequential runs and existing accessors see unchanged
-	// behaviour.
-	nshards int
-	msgsSh  []*MsgStats
-	latSh   []*LatencyStats
 
 	mcNodes   []mesh.NodeID
 	mcByTile  map[mesh.NodeID]*MemCtrl
@@ -136,9 +107,6 @@ type System struct {
 // placed on the mesh edges (the paper uses 4 for both chip sizes).
 func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 	s := &System{M: m, Opts: opts, lineBytes: 64}
-	s.nshards = 1
-	s.msgsSh = []*MsgStats{&s.Msgs}
-	s.latSh = []*LatencyStats{&s.Lat}
 	cfg := core.NetConfigFor(m, opts)
 	if opts.Enabled() {
 		s.Mgr = core.NewManager(opts, m)
@@ -171,56 +139,11 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 	return s
 }
 
-// SetShards partitions the system's aggregation state for the parallel
-// engine and cascades to the network and circuit manager. Must run before
-// Register, DescribeMetrics, and any traffic. shards <= 1 is a no-op.
-func (s *System) SetShards(shards int, shardMap []int) {
-	s.Net.SetShards(shards, shardMap)
-	if s.Mgr != nil {
-		s.Mgr.SetShards(shards, shardMap)
-	}
-	if shards <= 1 {
-		return
-	}
-	s.nshards = shards
-	s.msgsSh = make([]*MsgStats, shards)
-	s.latSh = make([]*LatencyStats, shards)
-	s.msgsSh[0] = &s.Msgs
-	s.latSh[0] = &s.Lat
-	for sh := 1; sh < shards; sh++ {
-		s.msgsSh[sh] = &MsgStats{}
-		s.latSh[sh] = &LatencyStats{}
-	}
-}
+// MsgsTotal returns a copy of Msgs; rcbench's harvest calls it.
+func (s *System) MsgsTotal() MsgStats { return s.Msgs }
 
-// msgsAt returns the message-mix counters tile's shard owns.
-func (s *System) msgsAt(tile mesh.NodeID) *MsgStats {
-	return s.msgsSh[s.Net.ShardOf(tile)]
-}
-
-// latAt returns the latency aggregates tile's shard owns.
-func (s *System) latAt(tile mesh.NodeID) *LatencyStats {
-	return s.latSh[s.Net.ShardOf(tile)]
-}
-
-// MsgsTotal folds every shard's message counts into one total.
-func (s *System) MsgsTotal() MsgStats {
-	total := s.Msgs
-	for sh := 1; sh < s.nshards; sh++ {
-		total.Add(s.msgsSh[sh])
-	}
-	return total
-}
-
-// LatTotal folds every shard's latency anatomy into one total, in shard
-// order (bit-exact: see LatencyStats.Merge).
-func (s *System) LatTotal() LatencyStats {
-	var total LatencyStats
-	for _, ls := range s.latSh {
-		total.Merge(ls)
-	}
-	return total
-}
+// LatTotal returns a copy of Lat; rcbench's harvest calls it.
+func (s *System) LatTotal() LatencyStats { return s.Lat }
 
 // HomeBank returns the tile whose L2 bank owns the line (addresses are
 // line-interleaved across all banks).
@@ -237,7 +160,7 @@ func (s *System) HomeMC(a cache.Addr) mesh.NodeID {
 // its latency anatomy first.
 func (s *System) dispatch(tile mesh.NodeID, msg *noc.Message, now sim.Cycle) {
 	if !msg.LocalHop {
-		lat := s.latAt(tile)
+		lat := &s.Lat
 		net := msg.DeliveredAt - msg.InjectedAt + msg.NetCredit
 		queue := msg.InjectedAt - msg.EnqueuedAt + msg.QueueCredit
 		t := MsgType(msg.Type)
@@ -281,7 +204,7 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 	if t.IsReply() {
 		vn = noc.VNReply
 	}
-	msg := s.Net.NewMessageAt(src)
+	msg := s.Net.NewMessage()
 	msg.Type = int(t)
 	msg.Src, msg.Dst = src, dst
 	msg.VN, msg.Size = vn, t.SizeFlits()
@@ -302,11 +225,10 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 			msg.ExpectedReplySize = rep.SizeFlits()
 		}
 	}
-	ms := s.msgsAt(src)
 	if src == dst {
-		ms.Local[t]++
+		s.Msgs.Local[t]++
 	} else {
-		ms.Network[t]++
+		s.Msgs.Network[t]++
 	}
 	s.Net.Send(msg, now)
 }
@@ -338,23 +260,16 @@ func (s *System) canEliminateAck(bank, requestor mesh.NodeID, addr cache.Addr, n
 func (s *System) Register(k *sim.Kernel) {
 	s.Net.Register(k)
 	for i := range s.L1s {
-		k.SetShard(s.Net.ShardOf(mesh.NodeID(i)))
 		s.L1s[i].wake = k.Add(s.L1s[i])
 		s.L2s[i].wake = k.Add(s.L2s[i])
 	}
 	for _, mc := range s.MCs {
-		k.SetShard(s.Net.ShardOf(mc.id))
 		mc.wake = k.Add(mc)
 	}
-	k.SetShard(0)
-	// Cycle epilogue: the circuit manager's deferred cross-tile operations
-	// apply first (teardowns there emit staged boundary credits), then the
-	// boundary links publish. Runs in every engine mode so sequential and
-	// parallel runs apply deferred work at the same point of the cycle.
+	// Cycle epilogue: the circuit manager's deferred cross-tile operations.
 	if s.Mgr != nil {
 		k.AddEpilogue(s.Mgr.FlushCycle)
 	}
-	k.AddEpilogue(s.Net.FlushBoundary)
 }
 
 // DescribeMetrics registers the system's counters and gauges with reg:
@@ -379,8 +294,7 @@ func (s *System) DescribeMetrics(reg *sim.Registry) {
 		reg.Counter("mem/writebacks", &mc.WriteBacks)
 	}
 	reg.Gauge("sys/net_msgs", func() int64 {
-		msgs := s.MsgsTotal()
-		total, _ := msgs.Totals()
+		total, _ := s.Msgs.Totals()
 		return total
 	})
 	if s.Mgr != nil {
@@ -459,12 +373,8 @@ func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
 // anatomy, power events, circuit statistics, cache counters) after a cache
 // warm-up phase, without touching architectural state.
 func (s *System) ResetStats() {
-	for _, ms := range s.msgsSh {
-		*ms = MsgStats{}
-	}
-	for _, ls := range s.latSh {
-		*ls = LatencyStats{}
-	}
+	s.Msgs = MsgStats{}
+	s.Lat = LatencyStats{}
 	s.Net.ResetEvents()
 	if s.Mgr != nil {
 		s.Mgr.ResetStats()

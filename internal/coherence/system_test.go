@@ -28,7 +28,7 @@ func newTB(t *testing.T, w, h int, opts core.Options) *tb {
 	b.kernel.Register(b.sys)
 	if b.sys.Mgr != nil {
 		// The manager's deferred cross-tile operations drain at the cycle
-		// epilogue in every engine mode, exactly as System.Register wires it.
+		// epilogue, exactly as System.Register wires it.
 		b.kernel.AddEpilogue(b.sys.Mgr.FlushCycle)
 	}
 	return b

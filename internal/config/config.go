@@ -23,8 +23,8 @@ func Chip16() Chip { return Chip{Name: "16-core", Width: 4, Height: 4, MCs: 4} }
 // Chip64 is the 64-core chip (8x8 mesh, 4 memory controllers).
 func Chip64() Chip { return Chip{Name: "64-core", Width: 8, Height: 8, MCs: 4} }
 
-// Chip256 is the 256-core chip (16x16 mesh, 4 memory controllers) — beyond
-// the paper's Table 2, the scaling point the parallel engine targets.
+// Chip256 is the 256-core chip (16x16 mesh, 4 memory controllers) — a
+// scaling point beyond the paper's Table 2.
 func Chip256() Chip { return Chip{Name: "256-core", Width: 16, Height: 16, MCs: 4} }
 
 // Nodes returns the tile count.

@@ -68,16 +68,11 @@ func (mg *Manager) AuditQuiescent(now sim.Cycle) error {
 			return fmt.Errorf("core: NI %d leaks circuit record (%d,%#x)", ni, k.dest, k.block)
 		}
 	}
-	var walks, rides int64
-	for s := 0; s < mg.nshards; s++ {
-		walks += mg.walksLive[s]
-		rides += mg.ridesLive[s]
+	if mg.walksLive != 0 {
+		return fmt.Errorf("core: %d reservation walks outstanding", mg.walksLive)
 	}
-	if walks != 0 {
-		return fmt.Errorf("core: %d reservation walks outstanding", walks)
-	}
-	if rides != 0 {
-		return fmt.Errorf("core: %d scrounger rides outstanding", rides)
+	if mg.ridesLive != 0 {
+		return fmt.Errorf("core: %d scrounger rides outstanding", mg.ridesLive)
 	}
 	return nil
 }

@@ -228,26 +228,6 @@ type Stats struct {
 	WaitedForWindow int64
 }
 
-// Add folds o's counters into s — the parallel engine's per-shard shares
-// merge into a whole-run total this way. Every field is a sum, so the fold
-// is order-independent and bit-exact.
-func (s *Stats) Add(o *Stats) {
-	for i := range s.Replies {
-		s.Replies[i] += o.Replies[i]
-	}
-	for i := range s.Ordinals {
-		s.Ordinals[i] += o.Ordinals[i]
-	}
-	s.ReserveFailedStorage += o.ReserveFailedStorage
-	s.ReserveFailedConflict += o.ReserveFailedConflict
-	s.CircuitsBuilt += o.CircuitsBuilt
-	s.CircuitsUndone += o.CircuitsUndone
-	s.ScroungerRides += o.ScroungerRides
-	s.EliminatedAcks += o.EliminatedAcks
-	s.ProbesSent += o.ProbesSent
-	s.WaitedForWindow += o.WaitedForWindow
-}
-
 // ReplyTotal returns the Figure-6 denominator: all replies including the
 // eliminated acknowledgements (counted at zero latency, as in the paper).
 func (s *Stats) ReplyTotal() int64 {

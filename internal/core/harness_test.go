@@ -66,7 +66,7 @@ func newRig(t *testing.T, w, h int, opts Options, proc sim.Cycle) *rig {
 	r.kernel.Register(tickFunc(r.drainPending))
 	if r.mgr != nil {
 		// The manager's deferred cross-tile operations drain at the cycle
-		// epilogue in every engine mode, exactly as System.Register wires it.
+		// epilogue, exactly as System.Register wires it.
 		r.kernel.AddEpilogue(r.mgr.FlushCycle)
 	}
 	return r

@@ -86,34 +86,25 @@ type Manager struct {
 
 	tables []*table
 	regs   []map[circKey]*record
-	// walkFree recycles walk objects per shard: a walk lives strictly
-	// between the first OnRequestVA on a path and recordCircuit/probe
-	// delivery, so a LIFO free-list is deterministic and keeps reservation
+	// walkFree recycles walk objects: a walk lives strictly between the
+	// first OnRequestVA on a path and recordCircuit/probe delivery, so a
+	// LIFO free-list is deterministic and keeps reservation
 	// allocation-free. The walk itself travels on Message.Walk.
-	walkFree [][]*walk
+	walkFree []*walk
 
 	// Stats aggregates the circuit-construction outcomes (Figure 6,
-	// Table 5) for the run. Under the parallel engine it holds shard 0's
-	// share; stats[s] holds shard s's (stats[0] aliases &Stats) and
-	// StatsTotal folds them.
+	// Table 5) for the run.
 	Stats Stats
-	stats []*Stats
 
-	// Parallel-engine state. nshards <= 1 means every tile maps to shard 0
-	// and the manager behaves exactly as before sharding existed.
-	nshards  int
-	shardMap []int
 	// ops holds the cross-tile mutations deferred to the cycle epilogue
 	// (FlushCycle): scrounger ride releases and probe-completion notices.
-	// Deferral runs in every engine mode, so sequential and parallel runs
-	// apply them at the same point of the cycle by construction.
-	ops [][]managerOp
-	// walksLive/ridesLive track outstanding walks and rides for the
-	// quiescence audit. A walk or ride may be created on one shard and
-	// retired on another, so individual slots can go negative; only the
-	// sum is meaningful.
-	walksLive []int64
-	ridesLive []int64
+	// Applying them at the end of the cycle, in enqueue order, is simulated
+	// behaviour the goldens pin.
+	ops []managerOp
+	// walksLive/ridesLive count outstanding walks and rides for the
+	// quiescence audit.
+	walksLive int64
+	ridesLive int64
 
 	tracer *trace.Buffer
 	fault  FaultHook
@@ -132,12 +123,6 @@ const (
 	opRideRelease uint8 = iota + 1
 	opProbeUp
 )
-
-// shardAware is implemented by policies that keep per-shard state slices;
-// the manager calls it from SetShards before any traffic exists.
-type shardAware interface {
-	setShards(mg *Manager)
-}
 
 // cycleFlusher is implemented by policies that defer work to the cycle
 // epilogue; the manager calls it from FlushCycle after its own deferred
@@ -170,112 +155,46 @@ func NewManager(opts Options, m mesh.Mesh) *Manager {
 		mg.tables[i] = &table{}
 		mg.regs[i] = map[circKey]*record{}
 	}
-	mg.nshards = 1
-	mg.stats = []*Stats{&mg.Stats}
-	mg.walkFree = make([][]*walk, 1)
-	mg.ops = make([][]managerOp, 1)
-	mg.walksLive = make([]int64, 1)
-	mg.ridesLive = make([]int64, 1)
 	mg.pol = mustPolicyFor(opts)
 	mg.pol.Attach(mg)
 	return mg
 }
 
-// SetShards partitions the manager's mutable state for the parallel
-// engine: per-shard statistics (slot 0 aliasing Stats), walk free-lists,
-// deferred-op queues and policy state. Must run before any traffic;
-// shardMap maps every tile to its shard. shards <= 1 is a no-op.
-func (mg *Manager) SetShards(shards int, shardMap []int) {
-	if shards <= 1 {
-		return
-	}
-	mg.nshards = shards
-	mg.shardMap = shardMap
-	mg.stats = make([]*Stats, shards)
-	mg.stats[0] = &mg.Stats
-	for s := 1; s < shards; s++ {
-		mg.stats[s] = &Stats{}
-	}
-	mg.walkFree = make([][]*walk, shards)
-	mg.ops = make([][]managerOp, shards)
-	mg.walksLive = make([]int64, shards)
-	mg.ridesLive = make([]int64, shards)
-	if sa, ok := mg.pol.(shardAware); ok {
-		sa.setShards(mg)
-	}
-}
+// StatsTotal returns a copy of Stats; rcbench's harvest calls it.
+func (mg *Manager) StatsTotal() Stats { return mg.Stats }
 
-// Shards returns the shard count the manager is partitioned into.
-func (mg *Manager) Shards() int { return mg.nshards }
+// ResetStats zeroes the statistics (post-warm-up measurement reset;
+// architectural circuit state is untouched).
+func (mg *Manager) ResetStats() { mg.Stats = Stats{} }
 
-// shard returns the shard owning tile id.
-func (mg *Manager) shard(id mesh.NodeID) int {
-	if mg.nshards <= 1 {
-		return 0
-	}
-	return mg.shardMap[id]
-}
+// deferOp queues a cross-tile mutation for FlushCycle.
+func (mg *Manager) deferOp(op managerOp) { mg.ops = append(mg.ops, op) }
 
-// st returns the statistics slice the hook running at tile id must update.
-func (mg *Manager) st(id mesh.NodeID) *Stats {
-	return mg.stats[mg.shard(id)]
-}
-
-// StatsTotal folds every shard's statistics into one total; with one shard
-// it is simply a copy of Stats. Shard order makes the fold deterministic
-// (the fields are sums, so it is order-independent anyway).
-func (mg *Manager) StatsTotal() Stats {
-	total := mg.Stats
-	for s := 1; s < mg.nshards; s++ {
-		total.Add(mg.stats[s])
-	}
-	return total
-}
-
-// ResetStats zeroes every shard's statistics (post-warm-up measurement
-// reset; architectural circuit state is untouched).
-func (mg *Manager) ResetStats() {
-	for _, st := range mg.stats {
-		*st = Stats{}
-	}
-}
-
-// deferOp queues a cross-tile mutation raised at tile at for FlushCycle.
-func (mg *Manager) deferOp(at mesh.NodeID, op managerOp) {
-	s := mg.shard(at)
-	mg.ops[s] = append(mg.ops[s], op)
-}
-
-// FlushCycle applies the cycle's deferred cross-tile operations, in shard
-// order and enqueue order within each shard — which, with the contiguous
-// tile bands, is ascending NI order, the same order the sequential NI
-// phase visits the raising tiles. It runs from the kernel epilogue in
-// every engine mode; unit tests driving hooks by hand call it directly.
+// FlushCycle applies the cycle's deferred cross-tile operations in enqueue
+// order — ascending NI order, the order the NI phase visits the raising
+// tiles. It runs from the kernel epilogue; unit tests driving hooks by hand
+// call it directly.
 func (mg *Manager) FlushCycle(now sim.Cycle) {
-	for s := range mg.ops {
-		ops := mg.ops[s]
-		for i := range ops {
-			op := ops[i]
-			ops[i] = managerOp{}
-			switch op.kind {
-			case opRideRelease:
-				op.rec.inUse = false
-				if op.rec.pendingUndo {
-					// The protocol undid the circuit mid-ride; tear it
-					// down now that the borrowed flits have cleared
-					// every router.
-					mg.teardown(op.rec, now)
-				}
-			case opProbeUp:
-				if rec := mg.regs[op.src][op.key]; rec != nil {
-					rec.probeUp = true
-					rec.failed = op.failed
-					rec.complete = !op.failed
-				}
+	for i := range mg.ops {
+		op := mg.ops[i]
+		mg.ops[i] = managerOp{}
+		switch op.kind {
+		case opRideRelease:
+			op.rec.inUse = false
+			if op.rec.pendingUndo {
+				// The protocol undid the circuit mid-ride; tear it down
+				// now that the borrowed flits have cleared every router.
+				mg.teardown(op.rec, now)
+			}
+		case opProbeUp:
+			if rec := mg.regs[op.src][op.key]; rec != nil {
+				rec.probeUp = true
+				rec.failed = op.failed
+				rec.complete = !op.failed
 			}
 		}
-		mg.ops[s] = ops[:0]
 	}
+	mg.ops = mg.ops[:0]
 	if f, ok := mg.pol.(cycleFlusher); ok {
 		f.flushCycle(mg, now)
 	}
@@ -314,32 +233,27 @@ func (mg *Manager) pathHops(msg *noc.Message) int {
 	return mg.m.Hops(msg.Src, msg.Dst)
 }
 
-// newWalk returns a reset walk from tile at's shard free-list (or a fresh
-// one) and counts it live.
-func (mg *Manager) newWalk(at mesh.NodeID) *walk {
-	s := mg.shard(at)
+// newWalk returns a reset walk from the free-list (or a fresh one) and
+// counts it live.
+func (mg *Manager) newWalk() *walk {
 	var w *walk
-	free := mg.walkFree[s]
-	if n := len(free); n > 0 {
-		w = free[n-1]
-		free[n-1] = nil
-		mg.walkFree[s] = free[:n-1]
+	if n := len(mg.walkFree); n > 0 {
+		w = mg.walkFree[n-1]
+		mg.walkFree[n-1] = nil
+		mg.walkFree = mg.walkFree[:n-1]
 	} else {
 		w = new(walk)
 	}
-	mg.walksLive[s]++
+	mg.walksLive++
 	*w = walk{prevVC: -1, injLo: -1 << 60, injHi: 1 << 60}
 	return w
 }
 
-// freeWalk retires w to tile at's shard free-list. A walk may start on one
-// shard (the first reserving router) and retire on another (the recording
-// NI); each side touches only its own shard's list and live counter.
-func (mg *Manager) freeWalk(at mesh.NodeID, w *walk) {
+// freeWalk retires w to the free-list.
+func (mg *Manager) freeWalk(w *walk) {
 	if w != nil {
-		s := mg.shard(at)
-		mg.walkFree[s] = append(mg.walkFree[s], w)
-		mg.walksLive[s]--
+		mg.walkFree = append(mg.walkFree, w)
+		mg.walksLive--
 	}
 }
 
@@ -354,22 +268,21 @@ func (mg *Manager) freeWalk(at mesh.NodeID, w *walk) {
 func (mg *Manager) OnRequestVA(id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, now sim.Cycle) {
 	w, _ := msg.Walk.(*walk)
 	if w == nil {
-		w = mg.newWalk(id)
+		w = mg.newWalk()
 		msg.Walk = w
 	}
 	w.routers++
 	mg.pol.Reserve(mg, id, msg, in, out, w, now)
 }
 
-func (mg *Manager) noteOrdinal(id mesh.NodeID, ord int) {
+func (mg *Manager) noteOrdinal(ord int) {
 	if ord < 1 {
 		return
 	}
-	st := mg.st(id)
-	if ord > len(st.Ordinals) {
-		ord = len(st.Ordinals)
+	if ord > len(mg.Stats.Ordinals) {
+		ord = len(mg.Stats.Ordinals)
 	}
-	st.Ordinals[ord-1]++
+	mg.Stats.Ordinals[ord-1]++
 }
 
 // Bypass implements the input-unit circuit check of Figure 3.
@@ -400,7 +313,7 @@ func (mg *Manager) Bypass(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cycl
 		if f.Tail {
 			e.built = false
 			e.inUse = nil
-			mg.net.EventsAt(id).CircuitWrites++
+			mg.net.Events().CircuitWrites++
 		}
 		return 0, 0, false
 	}
@@ -424,7 +337,7 @@ func (mg *Manager) Release(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cyc
 	e.inUse = nil
 	if !f.Msg.Scrounging {
 		e.built = false
-		mg.net.EventsAt(id).CircuitWrites++
+		mg.net.Events().CircuitWrites++
 	}
 }
 
@@ -469,7 +382,7 @@ func (mg *Manager) injectFallback(ni mesh.NodeID, msg *noc.Message, now sim.Cycl
 		if r := mg.scroungeTarget(ni, msg); r != nil {
 			r.inUse = true
 			msg.Ride = r
-			mg.ridesLive[mg.shard(ni)]++
+			mg.ridesLive++
 			msg.Scrounging = true
 			msg.FinalDst = msg.Dst
 			msg.Dst = r.key.dest
@@ -477,8 +390,8 @@ func (mg *Manager) injectFallback(ni mesh.NodeID, msg *noc.Message, now sim.Cycl
 			msg.InjectVC = r.injectVC
 			msg.CircDest = r.key.dest
 			msg.CircBlock = r.key.block
-			mg.classify(ni, msg, OutcomeScrounger)
-			mg.st(ni).ScroungerRides++
+			mg.classify(msg, OutcomeScrounger)
+			mg.Stats.ScroungerRides++
 			if mg.tracer != nil {
 				mg.tracer.Record(now, trace.Scrounge, msg.ID, ni,
 					fmt.Sprintf("rides (%d,%#x) toward %d", r.key.dest, r.key.block, msg.FinalDst))
@@ -487,9 +400,9 @@ func (mg *Manager) injectFallback(ni mesh.NodeID, msg *noc.Message, now sim.Cycl
 		}
 	}
 	if msg.OutcomeHint != 0 {
-		mg.classify(ni, msg, Outcome(msg.OutcomeHint))
+		mg.classify(msg, Outcome(msg.OutcomeHint))
 	} else {
-		mg.classify(ni, msg, OutcomeNotEligible)
+		mg.classify(msg, OutcomeNotEligible)
 	}
 	return now
 }
@@ -519,13 +432,13 @@ func (mg *Manager) scroungeTarget(ni mesh.NodeID, msg *noc.Message) *record {
 	return best
 }
 
-func (mg *Manager) classify(ni mesh.NodeID, msg *noc.Message, o Outcome) {
+func (mg *Manager) classify(msg *noc.Message, o Outcome) {
 	if msg.Classified {
 		return
 	}
 	msg.Classified = true
-	mg.st(ni).Replies[o]++
-	mg.pol.Observe(mg, ni, msg, o)
+	mg.Stats.Replies[o]++
+	mg.pol.Observe(mg, msg, o)
 }
 
 // OnDeliver finalizes a request's circuit record at the NI where its reply
@@ -548,11 +461,11 @@ func (mg *Manager) OnDeliver(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) bo
 			panic(fmt.Sprintf("core: scrounger msg %d has no ride record", msg.ID))
 		}
 		msg.Ride = nil
-		mg.ridesLive[mg.shard(ni)]--
+		mg.ridesLive--
 		// The ridden record usually lives at another tile's registry:
 		// releasing it (and any pending teardown) is deferred to the cycle
-		// epilogue so no shard mutates a neighbour's records mid-phase.
-		mg.deferOp(ni, managerOp{kind: opRideRelease, rec: rec})
+		// epilogue, after the borrowed flits cleared every router.
+		mg.deferOp(managerOp{kind: opRideRelease, rec: rec})
 		// Preserve the latency already spent, then continue toward the
 		// real destination as a fresh injection.
 		msg.QueueCredit += msg.InjectedAt - msg.EnqueuedAt
@@ -576,9 +489,9 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 	msg.Walk = nil
 	if w == nil {
 		// Zero-hop paths never touched a router; synthesize an empty walk.
-		w = mg.newWalk(ni)
+		w = mg.newWalk()
 	}
-	defer mg.freeWalk(ni, w)
+	defer mg.freeWalk(w)
 	key := circKey{dest: msg.Src, block: msg.Block}
 	path := mg.pathHops(msg) + 1
 	rec := &record{key: key, path: path, src: ni}
@@ -616,7 +529,7 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 	if !mg.pol.UndoEligible(rec) {
 		return false // nothing built (or already torn down) to undo
 	}
-	mg.st(ni).CircuitsUndone++
+	mg.Stats.CircuitsUndone++
 	if mg.tracer != nil {
 		mg.tracer.Record(now, trace.CircuitUndone, 0, ni,
 			fmt.Sprintf("dest=%d block=%#x (forwarded request)", dest, block))
@@ -644,7 +557,7 @@ func (mg *Manager) clearPath(from, dest mesh.NodeID, block uint64, now sim.Cycle
 			in = dirBetween(mg.m, node, path[i-1])
 		}
 		if mg.tables[node].clear(in, dest, block, now) != nil {
-			mg.net.EventsAt(node).CircuitWrites++
+			mg.net.Events().CircuitWrites++
 		}
 	}
 }
@@ -677,8 +590,8 @@ func (mg *Manager) HasCircuit(ni mesh.NodeID, dest mesh.NodeID, block uint64, no
 // NoteEliminatedAck counts an L1_DATA_ACK removed by the NoAck
 // optimization at NI ni; the paper counts these replies at zero latency.
 func (mg *Manager) NoteEliminatedAck(ni mesh.NodeID, now sim.Cycle) {
-	mg.st(ni).Replies[OutcomeEliminated]++
-	mg.st(ni).EliminatedAcks++
+	mg.Stats.Replies[OutcomeEliminated]++
+	mg.Stats.EliminatedAcks++
 	if mg.tracer != nil {
 		mg.tracer.Record(now, trace.AckEliminated, 0, ni, "")
 	}
@@ -714,18 +627,14 @@ func (mg *Manager) OpenCircuits(now sim.Cycle) int64 {
 // under the circ/ scope. The occupancy gauge needs the current cycle and is
 // registered by the chip layer, which owns the kernel.
 func (mg *Manager) DescribeMetrics(reg *sim.Registry) {
-	// Per-shard slices register under the same names; the registry sums
-	// same-named counters, so snapshots report totals independent of the
-	// shard count (stats[0] aliases Stats).
-	for _, st := range mg.stats {
-		reg.Counter("circ/built", &st.CircuitsBuilt)
-		reg.Counter("circ/undone", &st.CircuitsUndone)
-		reg.Counter("circ/scrounger_rides", &st.ScroungerRides)
-		reg.Counter("circ/eliminated_acks", &st.EliminatedAcks)
-		reg.Counter("circ/probes", &st.ProbesSent)
-		reg.Counter("circ/reserve_failed_storage", &st.ReserveFailedStorage)
-		reg.Counter("circ/reserve_failed_conflict", &st.ReserveFailedConflict)
-		reg.Counter("circ/waited_for_window", &st.WaitedForWindow)
-	}
+	st := &mg.Stats
+	reg.Counter("circ/built", &st.CircuitsBuilt)
+	reg.Counter("circ/undone", &st.CircuitsUndone)
+	reg.Counter("circ/scrounger_rides", &st.ScroungerRides)
+	reg.Counter("circ/eliminated_acks", &st.EliminatedAcks)
+	reg.Counter("circ/probes", &st.ProbesSent)
+	reg.Counter("circ/reserve_failed_storage", &st.ReserveFailedStorage)
+	reg.Counter("circ/reserve_failed_conflict", &st.ReserveFailedConflict)
+	reg.Counter("circ/waited_for_window", &st.WaitedForWindow)
 	mg.pol.DescribeMetrics(reg)
 }

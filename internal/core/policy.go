@@ -75,10 +75,8 @@ type Policy interface {
 	// Teardown reclaims a built circuit's router entries.
 	Teardown(mg *Manager, rec *record, now sim.Cycle)
 	// Observe feeds every reply's final outcome back to the policy
-	// (profiling policies learn from it; most ignore it). ni is the tile
-	// where the classification fired — under the parallel engine the
-	// policy must shard any mutable state it touches by it.
-	Observe(mg *Manager, ni mesh.NodeID, msg *noc.Message, o Outcome)
+	// (profiling policies learn from it; most ignore it).
+	Observe(mg *Manager, msg *noc.Message, o Outcome)
 
 	// GapTolerant: a reply expecting a circuit that finds no entry re-enters
 	// the normal pipeline instead of violating an invariant.
@@ -201,7 +199,7 @@ func (basePolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.
 	if e == nil {
 		return 0, false
 	}
-	mg.net.EventsAt(id).CircuitWrites++
+	mg.net.Events().CircuitWrites++
 	return e.out, true
 }
 
@@ -211,7 +209,7 @@ func (basePolicy) UndoEligible(rec *record) bool { return !rec.failed }
 // undo-credit walk down the reply path for the rest.
 func (basePolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
 	if e := mg.tables[rec.src].clear(mesh.Local, rec.key.dest, rec.key.block, now); e != nil {
-		mg.net.EventsAt(rec.src).CircuitWrites++
+		mg.net.Events().CircuitWrites++
 		if e.out != mesh.Local {
 			tok := &noc.UndoToken{Dest: rec.key.dest, Block: rec.key.block}
 			mg.net.Router(rec.src).SendUndoCredit(e.out, tok, now)
@@ -219,7 +217,7 @@ func (basePolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
 	}
 }
 
-func (basePolicy) Observe(*Manager, mesh.NodeID, *noc.Message, Outcome) {}
+func (basePolicy) Observe(*Manager, *noc.Message, Outcome) {}
 func (basePolicy) GapTolerant() bool                       { return false }
 func (basePolicy) BypassBuffered() bool                    { return false }
 func (basePolicy) ConflictChecked() bool                   { return false }

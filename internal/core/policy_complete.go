@@ -29,7 +29,7 @@ func (completeFamily) Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, rec
 	rec.failed = msg.BuildFailed
 	rec.injectVC = mg.circuitVC()
 	if rec.complete {
-		mg.st(ni).CircuitsBuilt++
+		mg.Stats.CircuitsBuilt++
 	}
 	if mg.opts.Timed && rec.complete {
 		rec.timed = true
@@ -47,7 +47,7 @@ func (completeFamily) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now 
 	}
 	if rec.failed {
 		delete(mg.regs[ni], key)
-		mg.classify(ni, msg, OutcomeFailed)
+		mg.classify(msg, OutcomeFailed)
 		return now
 	}
 	if rec.inUse {
@@ -58,8 +58,8 @@ func (completeFamily) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now 
 			// Missed the slot (cache delays, blocked lines): undo the
 			// circuit and use the normal pipeline (Section 4.7).
 			delete(mg.regs[ni], key)
-			mg.st(ni).CircuitsUndone++
-			mg.classify(ni, msg, OutcomeUndone)
+			mg.Stats.CircuitsUndone++
+			mg.classify(msg, OutcomeUndone)
 			if mg.tracer != nil {
 				mg.tracer.Record(now, trace.CircuitUndone, msg.ID, ni,
 					fmt.Sprintf("missed window [%d,%d]", rec.injStart, rec.injEnd))
@@ -67,7 +67,7 @@ func (completeFamily) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now 
 			return now
 		}
 		if now < rec.injStart {
-			mg.st(ni).WaitedForWindow++
+			mg.Stats.WaitedForWindow++
 			return rec.injStart
 		}
 	}
@@ -76,7 +76,7 @@ func (completeFamily) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now 
 	msg.InjectVC = rec.injectVC
 	msg.CircDest = msg.Dst
 	msg.CircBlock = msg.Block
-	mg.classify(ni, msg, OutcomeCircuit)
+	mg.classify(msg, OutcomeCircuit)
 	if mg.tracer != nil {
 		mg.tracer.Record(now, trace.CircuitRide, msg.ID, ni,
 			fmt.Sprintf("dest=%d block=%#x", msg.Dst, msg.Block))
@@ -142,11 +142,11 @@ func (mg *Manager) reserveComplete(id mesh.NodeID, msg *noc.Message, in, out mes
 		var ok bool
 		winStart, winEnd, injLo, injHi, ok = mg.timedWindow(id, msg, out, in, w, now)
 		if !ok {
-			mg.failCircuit(id, msg, in, now, &mg.st(id).ReserveFailedConflict)
+			mg.failCircuit(id, msg, in, now, &mg.Stats.ReserveFailedConflict)
 			return
 		}
 	} else if tb.conflict(out, in, winStart, winEnd, now) {
-		mg.failCircuit(id, msg, in, now, &mg.st(id).ReserveFailedConflict)
+		mg.failCircuit(id, msg, in, now, &mg.Stats.ReserveFailedConflict)
 		return
 	}
 
@@ -158,7 +158,7 @@ func (mg *Manager) reserveComplete(id mesh.NodeID, msg *noc.Message, in, out mes
 	}
 	ins, ord := tb.insert(out, e, mg.opts.MaxCircuitsPerPort, now)
 	if ins == nil {
-		mg.failCircuit(id, msg, in, now, &mg.st(id).ReserveFailedStorage)
+		mg.failCircuit(id, msg, in, now, &mg.Stats.ReserveFailedStorage)
 		return
 	}
 	if mg.fault != nil {
@@ -171,8 +171,8 @@ func (mg *Manager) reserveComplete(id mesh.NodeID, msg *noc.Message, in, out mes
 			ins.built = false
 		}
 	}
-	mg.noteOrdinal(id, ord)
-	mg.net.EventsAt(id).CircuitWrites++
+	mg.noteOrdinal(ord)
+	mg.net.Events().CircuitWrites++
 	w.injLo, w.injHi = injLo, injHi
 	w.lastReserved = true
 	if mg.tracer != nil {

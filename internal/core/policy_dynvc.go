@@ -20,16 +20,13 @@ type dynVCPolicy struct {
 
 	min, max, window int
 
-	// Per-router adaptation state, indexed by NodeID. Tile-local: Reserve
-	// at router id only touches index id, so shards never share a slot.
+	// Per-router adaptation state, indexed by NodeID.
 	limit    []int
 	attempts []int
 	fails    []int
 
-	// grows/shrinks shard like the routers that move them (adapt runs in
-	// the router phase); each slice registers under one summed name.
-	grows   []int64
-	shrinks []int64
+	grows   int64
+	shrinks int64
 }
 
 func (p *dynVCPolicy) Name() string { return "dynamic-vc" }
@@ -77,22 +74,11 @@ func (p *dynVCPolicy) Attach(mg *Manager) {
 	}
 	p.attempts = make([]int, n)
 	p.fails = make([]int, n)
-	p.grows = make([]int64, 1)
-	p.shrinks = make([]int64, 1)
-}
-
-// setShards re-partitions the counters; must run before any traffic (and
-// before DescribeMetrics registers the counter slots).
-func (p *dynVCPolicy) setShards(mg *Manager) {
-	p.grows = make([]int64, mg.nshards)
-	p.shrinks = make([]int64, mg.nshards)
 }
 
 func (p *dynVCPolicy) DescribeMetrics(reg *sim.Registry) {
-	for s := range p.grows {
-		reg.Counter("circ/dynvc_grows", &p.grows[s])
-		reg.Counter("circ/dynvc_shrinks", &p.shrinks[s])
-	}
+	reg.Counter("circ/dynvc_grows", &p.grows)
+	reg.Counter("circ/dynvc_shrinks", &p.shrinks)
 }
 
 // Reserve is the fragmented per-hop reservation restricted to this
@@ -102,24 +88,23 @@ func (p *dynVCPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in,
 	if !mg.reserveFragmentedVC(id, msg, in, out, w, p.limit[id], now) {
 		p.fails[id]++
 	}
-	p.adapt(mg, id)
+	p.adapt(id)
 }
 
 // adapt closes a router's observation window: any failure grows the
 // usable partition (up to max), a clean window shrinks it (down to min).
-func (p *dynVCPolicy) adapt(mg *Manager, id mesh.NodeID) {
+func (p *dynVCPolicy) adapt(id mesh.NodeID) {
 	if p.attempts[id] < p.window {
 		return
 	}
-	s := mg.shard(id)
 	if p.fails[id] > 0 {
 		if p.limit[id] < p.max {
 			p.limit[id]++
-			p.grows[s]++
+			p.grows++
 		}
 	} else if p.limit[id] > p.min {
 		p.limit[id]--
-		p.shrinks[s]++
+		p.shrinks++
 	}
 	p.attempts[id], p.fails[id] = 0, 0
 }

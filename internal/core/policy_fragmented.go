@@ -58,7 +58,7 @@ func (mg *Manager) reserveFragmentedVC(id mesh.NodeID, msg *noc.Message, in, out
 	if vc < 0 {
 		// No reserved VC available: keep the partial path and retry at
 		// the next hop (Section 4.2, fragmented alternative).
-		mg.st(id).ReserveFailedStorage++
+		mg.Stats.ReserveFailedStorage++
 		w.prevVC = -1
 		w.lastReserved = false
 		return false
@@ -70,13 +70,13 @@ func (mg *Manager) reserveFragmentedVC(id mesh.NodeID, msg *noc.Message, in, out
 	}
 	ins, ord := tb.insert(out, e, mg.opts.MaxCircuitsPerPort, now)
 	if ins == nil {
-		mg.st(id).ReserveFailedStorage++
+		mg.Stats.ReserveFailedStorage++
 		w.prevVC = -1
 		w.lastReserved = false
 		return false
 	}
-	mg.noteOrdinal(id, ord)
-	mg.net.EventsAt(id).CircuitWrites++
+	mg.noteOrdinal(ord)
+	mg.net.Events().CircuitWrites++
 	msg.ReservedHops++
 	w.prevVC = vc
 	w.lastReserved = true
@@ -90,7 +90,7 @@ func (fragmentedPolicy) Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, r
 	rec.complete = msg.ReservedHops == rec.path
 	rec.failed = !rec.complete
 	if rec.complete {
-		mg.st(ni).CircuitsBuilt++
+		mg.Stats.CircuitsBuilt++
 	}
 	if w.lastReserved {
 		rec.injectVC = w.prevVC
@@ -110,7 +110,7 @@ func (fragmentedPolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, no
 	}
 	delete(mg.regs[ni], key)
 	if rec.reserved == 0 {
-		mg.classify(ni, msg, OutcomeFailed)
+		mg.classify(msg, OutcomeFailed)
 		return now
 	}
 	msg.UseCircuit = true
@@ -118,9 +118,9 @@ func (fragmentedPolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, no
 	msg.CircDest = msg.Dst
 	msg.CircBlock = msg.Block
 	if rec.complete {
-		mg.classify(ni, msg, OutcomeCircuit)
+		mg.classify(msg, OutcomeCircuit)
 	} else {
-		mg.classify(ni, msg, OutcomeFailed) // partial path still rides its fragments
+		mg.classify(msg, OutcomeFailed) // partial path still rides its fragments
 	}
 	return now
 }
@@ -129,7 +129,7 @@ func (fragmentedPolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, no
 // continuing past gaps so entries beyond a gap are still reclaimed.
 func (fragmentedPolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
 	if mg.tables[id].clear(in, tok.Dest, tok.Block, now) != nil {
-		mg.net.EventsAt(id).CircuitWrites++
+		mg.net.Events().CircuitWrites++
 	}
 	return mg.m.NextDir(mesh.RouteYX, id, tok.Dest), true
 }
@@ -140,7 +140,7 @@ func (fragmentedPolicy) UndoEligible(rec *record) bool { return rec.reserved > 0
 // toward the destination regardless, tolerating gaps.
 func (fragmentedPolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
 	if mg.tables[rec.src].clear(mesh.Local, rec.key.dest, rec.key.block, now) != nil {
-		mg.net.EventsAt(rec.src).CircuitWrites++
+		mg.net.Events().CircuitWrites++
 	}
 	if fwd := mg.m.NextDir(mesh.RouteYX, rec.src, rec.key.dest); fwd != mesh.Local {
 		tok := &noc.UndoToken{Dest: rec.key.dest, Block: rec.key.block}

@@ -44,8 +44,8 @@ func (idealPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, ou
 		winStart: 0, winEnd: noWindow,
 	}
 	_, ord := mg.tables[id].insert(out, e, 0, now)
-	mg.noteOrdinal(id, ord)
-	mg.net.EventsAt(id).CircuitWrites++
+	mg.noteOrdinal(ord)
+	mg.net.Events().CircuitWrites++
 	w.lastReserved = true
 }
 

@@ -28,10 +28,10 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 	// A window of failures demotes the flow. Observations apply at the
 	// cycle epilogue, so each cycle ends with a FlushCycle like the kernel's.
 	for i := 0; i < 4; i++ {
-		if !p.admit(mg, req) {
+		if !p.admit(req) {
 			t.Fatalf("request %d: flow demoted before its window closed", i)
 		}
-		p.Observe(mg, rep.Src, rep, OutcomeFailed)
+		p.Observe(mg, rep, OutcomeFailed)
 		p.flushCycle(mg, sim.Cycle(i))
 	}
 	if p.demotions != 1 {
@@ -40,32 +40,32 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 
 	// Demoted requests are packets for exactly the backoff period.
 	for i := 0; i < 3; i++ {
-		if p.admit(mg, req) {
+		if p.admit(req) {
 			t.Fatalf("request %d during backoff admitted", i)
 		}
 	}
-	if !p.admit(mg, req) {
+	if !p.admit(req) {
 		t.Fatal("flow not re-admitted after backoff")
 	}
-	if p.circuitReqs[0] != 5 || p.packetReqs[0] != 3 {
-		t.Fatalf("circuit/packet requests = %d/%d, want 5/3", p.circuitReqs[0], p.packetReqs[0])
+	if p.circuitReqs != 5 || p.packetReqs != 3 {
+		t.Fatalf("circuit/packet requests = %d/%d, want 5/3", p.circuitReqs, p.packetReqs)
 	}
 
 	// A winning window keeps the re-admitted flow on circuits.
-	p.Observe(mg, rep.Src, rep, OutcomeCircuit)
+	p.Observe(mg, rep, OutcomeCircuit)
 	for i := 0; i < 3; i++ {
-		p.Observe(mg, rep.Src, rep, OutcomeCircuit)
+		p.Observe(mg, rep, OutcomeCircuit)
 	}
 	p.flushCycle(mg, 10)
-	if p.demotions != 1 || !p.admit(mg, req) {
+	if p.demotions != 1 || !p.admit(req) {
 		t.Fatal("winning flow was demoted")
 	}
 
 	// Outcomes that say nothing about the flow leave the window alone.
-	p.Observe(mg, rep.Src, rep, OutcomeScrounger)
-	p.Observe(mg, rep.Src, rep, OutcomeEliminated)
+	p.Observe(mg, rep, OutcomeScrounger)
+	p.Observe(mg, rep, OutcomeEliminated)
 	p.flushCycle(mg, 11)
-	if f := p.flows[0][flowKey{src: 1, dst: 6}]; f.winDone != 0 {
+	if f := p.flows[flowKey{src: 1, dst: 6}]; f.winDone != 0 {
 		t.Fatalf("neutral outcomes advanced the window: winDone = %d", f.winDone)
 	}
 }
@@ -86,16 +86,16 @@ func TestProfiledThreshold(t *testing.T) {
 		p.Attach(mg)
 		req := &noc.Message{Src: 0, Dst: 5}
 		rep := &noc.Message{Src: 5, Dst: 0}
-		p.admit(mg, req)
+		p.admit(req)
 		for i := 0; i < 4; i++ {
 			o := OutcomeFailed
 			if i < tc.wins {
 				o = OutcomeCircuit
 			}
-			p.Observe(mg, rep.Src, rep, o)
+			p.Observe(mg, rep, o)
 		}
 		p.flushCycle(mg, 0)
-		if got := !p.admit(mg, req); got != tc.demoted {
+		if got := !p.admit(req); got != tc.demoted {
 			t.Errorf("wins=%d: demoted=%v, want %v", tc.wins, got, tc.demoted)
 		}
 	}
@@ -120,12 +120,12 @@ func TestDynVCAdaptation(t *testing.T) {
 	failWindow := func() {
 		p.attempts[id] = 2
 		p.fails[id] = 1
-		p.adapt(mg, id)
+		p.adapt(id)
 	}
 	cleanWindow := func() {
 		p.attempts[id] = 2
 		p.fails[id] = 0
-		p.adapt(mg, id)
+		p.adapt(id)
 	}
 
 	for i := 0; i < 5; i++ {
@@ -134,8 +134,8 @@ func TestDynVCAdaptation(t *testing.T) {
 	if p.limit[id] != 4 {
 		t.Fatalf("limit after failing windows = %d, want capped at DynVCMax = 4", p.limit[id])
 	}
-	if p.grows[0] != 3 {
-		t.Fatalf("grows = %d, want 3 (1 -> 4)", p.grows[0])
+	if p.grows != 3 {
+		t.Fatalf("grows = %d, want 3 (1 -> 4)", p.grows)
 	}
 
 	for i := 0; i < 5; i++ {
@@ -144,13 +144,13 @@ func TestDynVCAdaptation(t *testing.T) {
 	if p.limit[id] != 1 {
 		t.Fatalf("limit after clean windows = %d, want floored at DynVCMin = 1", p.limit[id])
 	}
-	if p.shrinks[0] != 3 {
-		t.Fatalf("shrinks = %d, want 3 (4 -> 1)", p.shrinks[0])
+	if p.shrinks != 3 {
+		t.Fatalf("shrinks = %d, want 3 (4 -> 1)", p.shrinks)
 	}
 
 	// A half-open window adapts nothing.
 	p.attempts[id], p.fails[id] = 1, 1
-	p.adapt(mg, id)
+	p.adapt(id)
 	if p.limit[id] != 1 || p.attempts[id] != 1 {
 		t.Fatal("adapt fired before the window closed")
 	}
@@ -219,14 +219,9 @@ func TestPolicyValidateErrors(t *testing.T) {
 }
 
 // TestPolicyDescribeMetrics: the lab policies export their counters under
-// the circ/ namespace so sweeps and the service surface them — and the
-// per-shard slots sum under one name, keeping totals shard-count-blind.
+// the circ/ namespace so sweeps and the service surface them.
 func TestPolicyDescribeMetrics(t *testing.T) {
-	p := &profiledPolicy{}
-	p.sizeShards(2)
-	p.circuitReqs[0], p.circuitReqs[1] = 4, 3
-	p.packetReqs[0], p.packetReqs[1] = 1, 2
-	p.demotions = 1
+	p := &profiledPolicy{circuitReqs: 7, packetReqs: 3, demotions: 1}
 	reg := sim.NewRegistry()
 	p.DescribeMetrics(reg)
 	for name, want := range map[string]int64{
@@ -239,8 +234,7 @@ func TestPolicyDescribeMetrics(t *testing.T) {
 		}
 	}
 
-	d := &dynVCPolicy{}
-	d.grows, d.shrinks = []int64{3, 2}, []int64{1, 1}
+	d := &dynVCPolicy{grows: 5, shrinks: 2}
 	rd := sim.NewRegistry()
 	d.DescribeMetrics(rd)
 	if rd.Value("circ/dynvc_grows") != 5 || rd.Value("circ/dynvc_shrinks") != 2 {

@@ -59,7 +59,7 @@ func (probePolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, ou
 		}
 	}
 	if tb.conflict(in, out, 0, noWindow, now) {
-		fail(&mg.st(id).ReserveFailedConflict)
+		fail(&mg.Stats.ReserveFailedConflict)
 		return
 	}
 	e := entry{
@@ -69,11 +69,11 @@ func (probePolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, ou
 	}
 	ins, ord := tb.insert(in, e, mg.opts.MaxCircuitsPerPort, now)
 	if ins == nil {
-		fail(&mg.st(id).ReserveFailedStorage)
+		fail(&mg.Stats.ReserveFailedStorage)
 		return
 	}
-	mg.noteOrdinal(id, ord)
-	mg.net.EventsAt(id).CircuitWrites++
+	mg.noteOrdinal(ord)
+	mg.net.Events().CircuitWrites++
 }
 
 // Inject implements the probe-setup comparator's injection side: an
@@ -92,20 +92,20 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 	}
 	if !msg.WantCircuit {
 		if !msg.Classified {
-			mg.classify(ni, msg, OutcomeNotEligible)
+			mg.classify(msg, OutcomeNotEligible)
 		}
 		return now
 	}
 	if rec == nil {
-		probe := mg.net.NewMessageAt(ni)
-		probe.ID = mg.net.NextMsgIDAt(ni)
+		probe := mg.net.NewMessage()
+		probe.ID = mg.net.NextMsgID()
 		probe.Src, probe.Dst = ni, msg.Dst
 		probe.VN, probe.Size = noc.VNReply, 1
 		probe.Block = msg.Block
 		probe.WantCircuit = true
 		probe.SetupProbe = true
 		mg.net.NI(ni).SendFront(probe, now)
-		mg.st(ni).ProbesSent++
+		mg.Stats.ProbesSent++
 		mg.regs[ni][key] = &record{key: key, src: ni}
 		return now + 1
 	}
@@ -115,14 +115,14 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 	delete(mg.regs[ni], key)
 	msg.WantCircuit = false
 	if rec.failed {
-		mg.classify(ni, msg, OutcomeFailed)
+		mg.classify(msg, OutcomeFailed)
 		return now
 	}
 	msg.UseCircuit = true
 	msg.CircDest = msg.Dst
 	msg.CircBlock = msg.Block
-	mg.st(ni).CircuitsBuilt++
-	mg.classify(ni, msg, OutcomeCircuit)
+	mg.Stats.CircuitsBuilt++
+	mg.classify(msg, OutcomeCircuit)
 	return now
 }
 
@@ -134,22 +134,21 @@ func (probePolicy) Deliver(mg *Manager, ni mesh.NodeID, msg *noc.Message, now si
 	}
 	if w, _ := msg.Walk.(*walk); w != nil {
 		msg.Walk = nil
-		mg.freeWalk(ni, w)
+		mg.freeWalk(w)
 	}
 	// Tell the waiting reply (at the probe's source) how the setup
 	// went — instantaneous here, an optimistic short-cut for the
 	// comparator (a real design needs a confirmation message back).
-	// The source NI's registry belongs to another shard, which may be
-	// inserting into that map right now, so even the lookup is deferred
-	// to the cycle epilogue.
-	mg.deferOp(ni, managerOp{
+	// The record lives in another tile's registry, so the update lands
+	// at the cycle epilogue like every cross-tile mutation.
+	mg.deferOp(managerOp{
 		kind:   opProbeUp,
 		src:    msg.Src,
 		key:    circKey{dest: msg.Dst, block: msg.Block},
 		failed: msg.BuildFailed,
 	})
 	// The probe dies here: it exists only to carry the walk.
-	mg.net.FreeMessageAt(ni, msg)
+	mg.net.FreeMessage(msg)
 	return true, false
 }
 
@@ -158,7 +157,7 @@ func (probePolicy) Deliver(mg *Manager, ni mesh.NodeID, msg *noc.Message, now si
 func (probePolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
 	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
 		if e := mg.tables[id].clear(d, tok.Dest, tok.Block, now); e != nil {
-			mg.net.EventsAt(id).CircuitWrites++
+			mg.net.Events().CircuitWrites++
 			return d, true // continue out of the entry's input side
 		}
 	}

@@ -27,25 +27,15 @@ type profiledPolicy struct {
 	pct     int // minimum circuit-ride percentage to stay admitted
 	backoff int // demoted requests before re-admission
 
-	// flows is partitioned by the shard of the flow's request source: admit
-	// runs at the first router of the walk (the request source's tile), so
-	// each shard only ever touches its own map mid-phase. The epilogue
-	// (flushCycle) may touch any of them.
-	flows []map[flowKey]*flowProfile
+	flows map[flowKey]*flowProfile
 
-	// pendingObs defers Observe to the cycle epilogue, per observing shard:
-	// a reply classifies at its own source NI, which need not be the shard
-	// owning the flow. Draining in shard order reproduces the sequential
-	// NI-visit order exactly; and since every admit (router phase) precedes
-	// every Observe (NI phase) of the same cycle, applying the window logic
-	// at the epilogue is behaviour-identical to applying it inline.
-	pendingObs [][]flowObs
+	// pendingObs defers Observe to the cycle epilogue, in classification
+	// (ascending observing-NI) order.
+	pendingObs []flowObs
 
-	// Counters exported under circ/, sharded like the state they count
-	// (the registry sums same-named counters). demotions only moves in the
-	// single-threaded epilogue.
-	circuitReqs []int64
-	packetReqs  []int64
+	// Counters exported under circ/.
+	circuitReqs int64
+	packetReqs  int64
 	demotions   int64
 }
 
@@ -95,28 +85,12 @@ func (p *profiledPolicy) Attach(mg *Manager) {
 	p.window = orDefault(mg.opts.ProfileWindow, 32)
 	p.pct = orDefault(mg.opts.ProfileThresholdPct, 50)
 	p.backoff = orDefault(mg.opts.ProfileBackoff, 128)
-	p.sizeShards(1)
-}
-
-// setShards re-partitions the flow state; must run before any traffic (and
-// before DescribeMetrics registers the counter slots).
-func (p *profiledPolicy) setShards(mg *Manager) { p.sizeShards(mg.nshards) }
-
-func (p *profiledPolicy) sizeShards(n int) {
-	p.flows = make([]map[flowKey]*flowProfile, n)
-	for s := range p.flows {
-		p.flows[s] = map[flowKey]*flowProfile{}
-	}
-	p.pendingObs = make([][]flowObs, n)
-	p.circuitReqs = make([]int64, n)
-	p.packetReqs = make([]int64, n)
+	p.flows = map[flowKey]*flowProfile{}
 }
 
 func (p *profiledPolicy) DescribeMetrics(reg *sim.Registry) {
-	for s := range p.circuitReqs {
-		reg.Counter("circ/profiled_circuit_requests", &p.circuitReqs[s])
-		reg.Counter("circ/profiled_packet_requests", &p.packetReqs[s])
-	}
+	reg.Counter("circ/profiled_circuit_requests", &p.circuitReqs)
+	reg.Counter("circ/profiled_packet_requests", &p.packetReqs)
 	reg.Counter("circ/profiled_demotions", &p.demotions)
 }
 
@@ -125,10 +99,10 @@ func (p *profiledPolicy) DescribeMetrics(reg *sim.Registry) {
 // drops its circuit wish entirely and the walk is abandoned before any
 // state exists.
 func (p *profiledPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, w *walk, now sim.Cycle) {
-	if w.routers == 1 && !p.admit(mg, msg) {
+	if w.routers == 1 && !p.admit(msg) {
 		msg.WantCircuit = false // downstream routers skip reservation entirely
 		msg.Walk = nil
-		mg.freeWalk(id, w)
+		mg.freeWalk(w)
 		return
 	}
 	p.completeFamily.Reserve(mg, id, msg, in, out, w, now)
@@ -136,18 +110,16 @@ func (p *profiledPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, 
 
 // admit decides circuit vs packet for one request and advances the
 // demotion backoff. The flow map is only ever indexed by key, never
-// iterated, so the policy stays deterministic. It runs at the request
-// source's tile, whose shard owns the flow.
-func (p *profiledPolicy) admit(mg *Manager, msg *noc.Message) bool {
-	s := mg.shard(msg.Src)
-	flows := p.flows[s]
-	f := flows[flowKey{src: msg.Src, dst: msg.Dst}]
+// iterated, so the policy stays deterministic.
+func (p *profiledPolicy) admit(msg *noc.Message) bool {
+	key := flowKey{src: msg.Src, dst: msg.Dst}
+	f := p.flows[key]
 	if f == nil {
 		f = &flowProfile{}
-		flows[flowKey{src: msg.Src, dst: msg.Dst}] = f
+		p.flows[key] = f
 	}
 	if f.packetMode {
-		p.packetReqs[s]++
+		p.packetReqs++
 		f.backoff--
 		if f.backoff <= 0 {
 			// Re-admit and re-profile from a clean window.
@@ -156,45 +128,37 @@ func (p *profiledPolicy) admit(mg *Manager, msg *noc.Message) bool {
 		}
 		return false
 	}
-	p.circuitReqs[s]++
+	p.circuitReqs++
 	return true
 }
 
-// Observe queues the classified reply for the cycle epilogue: the flow it
-// grades may belong to another shard. The reply's endpoints are the
-// request's swapped.
-func (p *profiledPolicy) Observe(mg *Manager, ni mesh.NodeID, msg *noc.Message, o Outcome) {
+// Observe queues the classified reply for the cycle epilogue. The reply's
+// endpoints are the request's swapped.
+func (p *profiledPolicy) Observe(mg *Manager, msg *noc.Message, o Outcome) {
 	switch o {
 	case OutcomeCircuit, OutcomeFailed, OutcomeUndone:
 	default:
 		return // scroungers/eliminated/not-eligible say nothing about this flow
 	}
-	s := mg.shard(ni)
-	p.pendingObs[s] = append(p.pendingObs[s], flowObs{
+	p.pendingObs = append(p.pendingObs, flowObs{
 		key: flowKey{src: msg.Dst, dst: msg.Src},
 		o:   o,
 	})
 }
 
-// flushCycle applies the cycle's deferred observations in shard order and
-// enqueue order within each shard — ascending observing-NI order, the same
-// order the sequential NI phase classified them.
+// flushCycle applies the cycle's deferred observations in enqueue order.
 func (p *profiledPolicy) flushCycle(mg *Manager, now sim.Cycle) {
-	for s := range p.pendingObs {
-		obs := p.pendingObs[s]
-		for i := range obs {
-			p.applyObs(mg, obs[i])
-			obs[i] = flowObs{}
-		}
-		p.pendingObs[s] = obs[:0]
+	for _, ob := range p.pendingObs {
+		p.applyObs(ob)
 	}
+	p.pendingObs = p.pendingObs[:0]
 }
 
 // applyObs learns from one classified reply of an admitted flow: when a
 // decision window closes with too few circuit rides, the flow is demoted
 // for the backoff period.
-func (p *profiledPolicy) applyObs(mg *Manager, ob flowObs) {
-	f := p.flows[mg.shard(ob.key.src)][ob.key]
+func (p *profiledPolicy) applyObs(ob flowObs) {
+	f := p.flows[ob.key]
 	if f == nil || f.packetMode {
 		return
 	}

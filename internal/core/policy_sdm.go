@@ -21,21 +21,17 @@ import (
 // The reservation is all-or-nothing like the complete mechanism, but the
 // circuit VC keeps its buffer: lane-paced circuit flits legally wait in the
 // bypass queue, bounded by the VC's credits. Teardown and undo release
-// per-lane entries through the manager's deferred-op epilogue (cycleFlusher),
-// so the policy is shardable by construction — no shard clears a neighbour's
-// table mid-phase.
+// per-lane entries through the manager's deferred-op epilogue (cycleFlusher).
 type sdmPolicy struct {
 	completeFamily
 
 	lanes int
 
 	// pendingTear holds the records whose teardown walks were requested
-	// this cycle, sliced by the shard of the circuit's source NI; the
-	// epilogue drains them in shard order, which with contiguous tile bands
-	// is ascending NI order — the sequential engine's visit order.
-	pendingTear [][]*record
-	// tears counts deferred teardown walks per shard.
-	tears []int64
+	// this cycle; the epilogue drains them in enqueue order.
+	pendingTear []*record
+	// tears counts deferred teardown walks.
+	tears int64
 }
 
 // laneAware is implemented by policies that arbitrate circuits by SDM lane
@@ -89,21 +85,10 @@ func (p *sdmPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
 
 func (p *sdmPolicy) Attach(mg *Manager) {
 	p.lanes = orDefault(mg.opts.SDMLanes, 4)
-	p.pendingTear = make([][]*record, 1)
-	p.tears = make([]int64, 1)
-}
-
-// setShards re-partitions the deferred-teardown queues; must run before any
-// traffic (and before DescribeMetrics registers the counter slots).
-func (p *sdmPolicy) setShards(mg *Manager) {
-	p.pendingTear = make([][]*record, mg.nshards)
-	p.tears = make([]int64, mg.nshards)
 }
 
 func (p *sdmPolicy) DescribeMetrics(reg *sim.Registry) {
-	for s := range p.tears {
-		reg.Counter("circ/sdm_deferred_teardowns", &p.tears[s])
-	}
+	reg.Counter("circ/sdm_deferred_teardowns", &p.tears)
 }
 
 // Reserve claims a free circuit lane on the reply's output link (the port
@@ -117,7 +102,7 @@ func (p *sdmPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, o
 	tb := mg.tables[id]
 	lane := tb.freeLane(in, p.lanes, now)
 	if lane < 0 {
-		mg.failCircuit(id, msg, in, now, &mg.st(id).ReserveFailedConflict)
+		mg.failCircuit(id, msg, in, now, &mg.Stats.ReserveFailedConflict)
 		return
 	}
 	cvc := mg.circuitVC()
@@ -128,14 +113,14 @@ func (p *sdmPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, o
 	}
 	ins, ord := tb.insert(out, e, mg.opts.MaxCircuitsPerPort, now)
 	if ins == nil {
-		mg.failCircuit(id, msg, in, now, &mg.st(id).ReserveFailedStorage)
+		mg.failCircuit(id, msg, in, now, &mg.Stats.ReserveFailedStorage)
 		return
 	}
 	if mg.fault != nil && mg.fault.FlipBuiltBit(id, now) {
 		ins.built = false
 	}
-	mg.noteOrdinal(id, ord)
-	mg.net.EventsAt(id).CircuitWrites++
+	mg.noteOrdinal(ord)
+	mg.net.Events().CircuitWrites++
 	w.lastReserved = true
 	if mg.tracer != nil {
 		mg.tracer.Record(now, trace.Reserve, msg.ID, id,
@@ -143,27 +128,21 @@ func (p *sdmPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, o
 	}
 }
 
-// Teardown defers the lane-releasing undo walk to the cycle epilogue: the
-// walk clears the entry at the circuit's source tile and sends an undo
-// credit down the reply path, both of which may belong to another shard.
+// Teardown defers the lane-releasing undo walk — clearing the entry at the
+// circuit's source tile and sending an undo credit down the reply path — to
+// the cycle epilogue.
 func (p *sdmPolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
-	s := mg.shard(rec.src)
-	p.pendingTear[s] = append(p.pendingTear[s], rec)
+	p.pendingTear = append(p.pendingTear, rec)
 }
 
-// flushCycle drains the deferred teardowns in shard order, enqueue order
-// within each shard — identical to the order the sequential engine would
-// have performed them inline.
+// flushCycle drains the deferred teardowns in enqueue order.
 func (p *sdmPolicy) flushCycle(mg *Manager, now sim.Cycle) {
-	for s := range p.pendingTear {
-		pend := p.pendingTear[s]
-		for i, rec := range pend {
-			pend[i] = nil
-			p.tears[s]++
-			p.basePolicy.Teardown(mg, rec, now)
-		}
-		p.pendingTear[s] = pend[:0]
+	for i, rec := range p.pendingTear {
+		p.pendingTear[i] = nil
+		p.tears++
+		p.basePolicy.Teardown(mg, rec, now)
 	}
+	p.pendingTear = p.pendingTear[:0]
 }
 
 // BypassBuffered: lane pacing makes circuit flits wait legally (in the

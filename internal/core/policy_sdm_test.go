@@ -154,19 +154,15 @@ func TestSDMCircuitRideAndSerialization(t *testing.T) {
 	}
 
 	// An undone circuit (the L2-forwards-to-owner pattern) tears down
-	// through the deferred per-shard queue, and nothing survives the drain.
+	// through the deferred queue, and nothing survives the drain.
 	req := rig2.request(src, dst, 5)
 	rig2.forwardTo[req.Block] = 10
 	rig2.runQuiet(8000)
 	pol := rig2.mgr.pol.(*sdmPolicy)
-	var tears int64
-	for s := range pol.tears {
-		tears += pol.tears[s]
-		if len(pol.pendingTear[s]) != 0 {
-			t.Fatalf("shard %d still holds %d deferred teardowns", s, len(pol.pendingTear[s]))
-		}
+	if len(pol.pendingTear) != 0 {
+		t.Fatalf("%d deferred teardowns survived the drain", len(pol.pendingTear))
 	}
-	if tears == 0 {
+	if pol.tears == 0 {
 		t.Fatal("undo bypassed the deferred teardown queue")
 	}
 	if rig2.mgr.Stats.CircuitsUndone != 1 {

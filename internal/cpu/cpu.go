@@ -37,9 +37,7 @@ type Stream interface {
 
 // Recorder observes every operation a core consumes from its stream, at
 // the cycle it is issued — the tap point the trace recorder
-// (internal/tracefeed) hangs off. Implementations must confine per-call
-// state to the given core: cores on different shards of the parallel
-// engine record concurrently.
+// (internal/tracefeed) hangs off.
 type Recorder interface {
 	Record(core int, now sim.Cycle, op Op)
 }

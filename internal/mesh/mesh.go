@@ -74,37 +74,6 @@ func New(width, height int) Mesh {
 // Nodes returns the number of tiles.
 func (m Mesh) Nodes() int { return m.Width * m.Height }
 
-// ClampShards limits a requested shard count to what the row-band tiling
-// can honour: at least 1, at most one shard per mesh row.
-func (m Mesh) ClampShards(requested int) int {
-	if requested < 1 {
-		return 1
-	}
-	if requested > m.Height {
-		return m.Height
-	}
-	return requested
-}
-
-// ShardOf maps tile id to its shard under the contiguous row-band tiling
-// the parallel engine uses: rows are split into `shards` nearly equal
-// horizontal bands, so each shard owns a contiguous range of row-major tile
-// ids and every boundary between shards is a single mesh row seam. shards
-// must already be clamped (1 <= shards <= Height).
-func (m Mesh) ShardOf(id NodeID, shards int) int {
-	y := int(id) / m.Width
-	return y * shards / m.Height
-}
-
-// ShardMap returns ShardOf precomputed for every tile.
-func (m Mesh) ShardMap(shards int) []int {
-	sm := make([]int, m.Nodes())
-	for id := range sm {
-		sm[id] = m.ShardOf(NodeID(id), shards)
-	}
-	return sm
-}
-
 // Coord returns the (x, y) coordinates of node id.
 func (m Mesh) Coord(id NodeID) (x, y int) {
 	return int(id) % m.Width, int(id) / m.Width

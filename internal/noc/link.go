@@ -23,21 +23,10 @@ type Link struct {
 	// wake revives the receiving component when a flit enters the wire, so
 	// the activity-tracked kernel ticks it while anything is in flight.
 	wake func()
-	// staged links cross a shard boundary under the parallel engine: sends
-	// accumulate in pending (owned by the sending shard) and only become
-	// visible to the receiver — queue entry and wake-up alike — when the
-	// coordinator calls Flush at the phase barrier. Because receipt is
-	// governed by readyAt (always >= send cycle + linkDelay), deferring the
-	// hand-off to the end of the sending cycle is visibility-identical to
-	// the sequential engine's immediate push.
-	staged  bool
-	pending []linkSlot
 	// lanes > 1 divides the wire into equal-width SDM lanes: a flit on a
 	// 1/lanes-width lane serializes over lanes cycles, so its traversal
 	// stretches by lanes-1 cycles and the lane refuses a new flit until the
-	// previous one has fully left the sender (laneNext). Only the sending
-	// shard touches laneNext, so the lane clocks stay race-free when the
-	// link itself is staged across a shard boundary.
+	// previous one has fully left the sender (laneNext).
 	lanes    int
 	laneNext []sim.Cycle
 }
@@ -68,26 +57,6 @@ func (l *Link) LaneFree(lane int, now sim.Cycle) bool {
 		return true
 	}
 	return l.laneNext[lane] <= now
-}
-
-// SetStaged marks the link as crossing a shard boundary: sends are staged
-// until Flush instead of landing in the receiver-visible queue.
-func (l *Link) SetStaged(s bool) { l.staged = s }
-
-// Flush publishes staged sends to the receiver and wakes it. Only the
-// coordinator calls this, at the phase barrier, while no shard worker runs.
-func (l *Link) Flush() {
-	if len(l.pending) == 0 {
-		return
-	}
-	for i := range l.pending {
-		l.q.Push(l.pending[i])
-		l.pending[i] = linkSlot{}
-	}
-	l.pending = l.pending[:0]
-	if l.wake != nil {
-		l.wake()
-	}
 }
 
 type linkSlot struct {
@@ -122,12 +91,7 @@ func (l *Link) SendDelayed(f *Flit, now sim.Cycle, extra sim.Cycle) {
 		// lanes-1 cycles later.
 		extra += sim.Cycle(l.lanes - 1)
 	}
-	slot := linkSlot{f: f, readyAt: now + linkDelay + extra}
-	if l.staged {
-		l.pending = append(l.pending, slot)
-		return
-	}
-	l.q.Push(slot)
+	l.q.Push(linkSlot{f: f, readyAt: now + linkDelay + extra})
 	if l.wake != nil {
 		l.wake()
 	}
@@ -150,32 +114,10 @@ func (l *Link) Busy() bool { return l.q.Len() > 0 }
 type CreditLink struct {
 	q    ring[creditSlot]
 	wake func()
-	// staged/pending mirror Link: boundary credits are published at the
-	// phase barrier in send order.
-	staged  bool
-	pending []creditSlot
 }
 
 // SetWake installs the receiver's wake callback (nil clears it).
 func (l *CreditLink) SetWake(fn func()) { l.wake = fn }
-
-// SetStaged marks the credit link as crossing a shard boundary.
-func (l *CreditLink) SetStaged(s bool) { l.staged = s }
-
-// Flush publishes staged credits to the receiver and wakes it.
-func (l *CreditLink) Flush() {
-	if len(l.pending) == 0 {
-		return
-	}
-	for i := range l.pending {
-		l.q.Push(l.pending[i])
-		l.pending[i] = creditSlot{}
-	}
-	l.pending = l.pending[:0]
-	if l.wake != nil {
-		l.wake()
-	}
-}
 
 type creditSlot struct {
 	c       Credit
@@ -186,12 +128,7 @@ type creditSlot struct {
 // share a cycle: a buffer credit and a piggybacked undo, or undo tokens for
 // distinct circuits, travel on dedicated sideband wires.
 func (l *CreditLink) Send(c Credit, now sim.Cycle) {
-	slot := creditSlot{c: c, readyAt: now + linkDelay}
-	if l.staged {
-		l.pending = append(l.pending, slot)
-		return
-	}
-	l.q.Push(slot)
+	l.q.Push(creditSlot{c: c, readyAt: now + linkDelay})
 	if l.wake != nil {
 		l.wake()
 	}

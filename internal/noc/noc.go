@@ -89,10 +89,10 @@ type Message struct {
 	// Walk and Ride carry the circuit layer's per-message context (the
 	// reservation walk a request is building; the borrowed record a
 	// scrounger rides). They live on the message rather than in
-	// manager-side maps so the parallel engine's shards never share a map:
-	// at any cycle at most one router or NI touches a given message.
-	// Both hold pointers the circuit layer type-asserts back; they are
-	// opaque to the NoC.
+	// manager-side maps keyed by message id: the context travels with the
+	// message and dies with it, with no lookup on the hot path. Both hold
+	// pointers the circuit layer type-asserts back; they are opaque to the
+	// NoC.
 	Walk any
 	Ride any
 

@@ -3,8 +3,6 @@ package noc
 import (
 	"os"
 	"sync"
-
-	"reactivenoc/internal/mesh"
 )
 
 // envNoPool force-disables recycling process-wide (kill-switch for
@@ -85,36 +83,14 @@ func (p *pools) putMsg(m *Message) {
 
 // NewMessage returns a zeroed message from the network's free-list (or the
 // heap when pooling is disabled). Callers fill the fields they need; a
-// recycled message is indistinguishable from a fresh one. Production
-// senders running under the parallel engine use NewMessageAt; this form
-// draws from shard 0's list.
+// recycled message is indistinguishable from a fresh one.
 func (n *Network) NewMessage() *Message { return n.pool.getMsg() }
-
-// NewMessageAt returns a zeroed message from tile at's shard free-list, so
-// concurrent shards never contend on one pool.
-func (n *Network) NewMessageAt(at mesh.NodeID) *Message {
-	if n.nshards <= 1 {
-		return n.pool.getMsg()
-	}
-	return n.poolSh[n.shardMap[at]].getMsg()
-}
 
 // FreeMessage retires m to the free-list. The caller asserts that no live
 // reference to m remains anywhere — not in an NI queue, a router buffer, a
 // controller transaction, or a circuit-layer map. With pooling disabled
 // this is a no-op and m is left to the garbage collector.
 func (n *Network) FreeMessage(m *Message) { n.pool.putMsg(m) }
-
-// FreeMessageAt retires m to tile at's shard free-list; at must be the
-// tile on which the caller runs (messages may retire to any shard's list,
-// but only the owning shard may touch it mid-phase).
-func (n *Network) FreeMessageAt(at mesh.NodeID, m *Message) {
-	if n.nshards <= 1 {
-		n.pool.putMsg(m)
-		return
-	}
-	n.poolSh[n.shardMap[at]].putMsg(m)
-}
 
 // PoolDisabled reports whether recycling is off (Spec/Options kill-switch
 // or RC_NOPOOL=1).

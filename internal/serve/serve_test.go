@@ -143,32 +143,6 @@ func TestDedupReturnsSameJob(t *testing.T) {
 	}
 }
 
-// TestShardedSequentialDedupe: Spec.Shards is an engine switch excluded
-// from the fingerprint, so a sequential client and a sharded client (or
-// cluster nodes started with different -sim-shards) collapse the same
-// experiment onto one job and one cache entry — safe precisely because
-// the two engines produce bit-identical results.
-func TestShardedSequentialDedupe(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
-	seq := smallSpec(4)
-	par := smallSpec(4)
-	par.Shards = 4
-	if seq.Fingerprint() != par.Fingerprint() {
-		t.Fatal("Shards leaked into the fingerprint")
-	}
-	st1, err := s.Submit(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := s.Submit(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Deduped || st2.ID != st1.ID {
-		t.Fatalf("sharded twin got job %q (deduped=%v), want join onto sequential %q", st2.ID, st2.Deduped, st1.ID)
-	}
-}
-
 // TestJournalRoundTrip: entries survive the file format, and reading
 // consumes the journal.
 func TestJournalRoundTrip(t *testing.T) {

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
-
 // Cycle is a simulation timestamp measured in core clock cycles (2 GHz in
 // the modelled chip). Cycles are int64 so arithmetic on windows and
 // deadlines can go transiently negative without wrapping.
@@ -68,16 +63,6 @@ type entry struct {
 	// Register calls) are ticked unconditionally every cycle.
 	c      Component
 	active bool
-	// shard is the tile shard that owns this component under parallel
-	// execution; it is the value of SetShard at registration time.
-	shard int32
-}
-
-// shardState is one worker shard's private scheduling state, padded so the
-// per-shard tick counters never share a cache line across workers.
-type shardState struct {
-	ticks int64
-	_     [7]int64
 }
 
 // Kernel drives a set of Tickers with a shared clock. Components added
@@ -98,26 +83,10 @@ type Kernel struct {
 	// ticks counts component ticks actually executed; with the component
 	// count and cycle count this yields the scheduler's skip ratio.
 	ticks int64
-
-	// Sharded (parallel) execution state. With nshards <= 1 the kernel is
-	// exactly the sequential engine and none of this is consulted on the
-	// hot path.
-	nshards  int
-	curShard int32
 	// epilogues run at the end of every Step — after both phases, before
-	// the cycle counter advances — in all engine modes. The circuit layer
-	// drains its deferred cross-tile operations here and the network
-	// flushes staged boundary links, which is what makes the parallel
-	// engine bit-identical to the sequential one.
+	// the cycle counter advances. The circuit layer drains its deferred
+	// cross-tile operations here.
 	epilogues []func(Cycle)
-	mainPlans [][]int32
-	postPlans [][]int32
-	shards    []shardState
-	jobs      []chan int
-	wg        sync.WaitGroup
-	workerWG  sync.WaitGroup
-	prepared  bool
-	closed    bool
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -128,68 +97,32 @@ func (k *Kernel) Now() Cycle { return k.now }
 
 // Register adds a component to the main tick phase; it ticks every cycle.
 func (k *Kernel) Register(t Ticker) {
-	k.checkOpen()
-	k.main = append(k.main, entry{t: t, active: true, shard: k.curShard})
+	k.main = append(k.main, entry{t: t, active: true})
 }
 
 // RegisterPost adds a component to the post-tick phase (pipeline flop); it
 // ticks every cycle.
 func (k *Kernel) RegisterPost(t Ticker) {
-	k.checkOpen()
-	k.post = append(k.post, entry{t: t, active: true, shard: k.curShard})
+	k.post = append(k.post, entry{t: t, active: true})
 }
 
 // Add registers an activity-tracked component in the main phase and
 // returns its Waker. Components start active and fall asleep after their
 // first quiescent tick.
 func (k *Kernel) Add(c Component) Waker {
-	k.checkOpen()
-	k.main = append(k.main, entry{t: c, c: c, active: true, shard: k.curShard})
+	k.main = append(k.main, entry{t: c, c: c, active: true})
 	return Waker{k: k, idx: len(k.main) - 1}
 }
 
 // AddPost registers an activity-tracked component in the post phase.
 func (k *Kernel) AddPost(c Component) Waker {
-	k.checkOpen()
-	k.post = append(k.post, entry{t: c, c: c, active: true, shard: k.curShard})
+	k.post = append(k.post, entry{t: c, c: c, active: true})
 	return Waker{k: k, idx: len(k.post) - 1, post: true}
 }
 
-func (k *Kernel) checkOpen() {
-	if k.prepared {
-		panic("sim: component registered after the sharded kernel started stepping")
-	}
-}
-
-// SetShards declares how many tile shards the kernel will step in parallel.
-// 0 and 1 select the sequential engine. Call before registering components;
-// components are tagged with the current SetShard value as they register.
-func (k *Kernel) SetShards(n int) {
-	if k.prepared {
-		panic("sim: SetShards after the kernel started stepping")
-	}
-	if n < 1 {
-		n = 1
-	}
-	k.nshards = n
-}
-
-// Shards returns the shard count the kernel executes with (1 = sequential).
-func (k *Kernel) Shards() int {
-	if k.nshards < 1 {
-		return 1
-	}
-	return k.nshards
-}
-
-// SetShard selects the shard that owns components registered from now on.
-func (k *Kernel) SetShard(s int) { k.curShard = int32(s) }
-
 // AddEpilogue appends f to the per-cycle epilogue chain. Epilogues run at
 // the end of every Step, after both phases and before the clock advances,
-// in every engine mode — so any behaviour they carry (deferred circuit
-// operations, boundary-link flushes) is shared by the sequential and
-// parallel engines rather than a parallel-only code path.
+// in sparse and dense mode alike.
 func (k *Kernel) AddEpilogue(f func(Cycle)) { k.epilogues = append(k.epilogues, f) }
 
 // SetDense switches the kernel to dense (tick-everything) execution, the
@@ -219,17 +152,10 @@ func (k *Kernel) ActiveCount() int {
 // Ticks returns the number of component ticks executed since construction.
 // Comparing it against Components() × Now() gives the skip ratio the
 // activity tracker achieved.
-func (k *Kernel) Ticks() int64 {
-	n := k.ticks
-	for s := range k.shards {
-		n += k.shards[s].ticks
-	}
-	return n
-}
+func (k *Kernel) Ticks() int64 { return k.ticks }
 
-// WakeAll revives every component. It remains as the blunt but safe
-// instrument for external phase transitions; the engine itself uses the
-// targeted WakeShard / per-component Waker paths.
+// WakeAll revives every component. It is the blunt but safe instrument for
+// external phase transitions; the engine itself uses per-component Wakers.
 func (k *Kernel) WakeAll() {
 	for i := range k.main {
 		k.main[i].active = true
@@ -239,135 +165,15 @@ func (k *Kernel) WakeAll() {
 	}
 }
 
-// WakeShard revives every component owned by shard s — the targeted
-// replacement for WakeAll at shard-scoped transitions. Waking a quiescent
-// component is harmless (its next tick is a no-op by the quiescence
-// contract), so over-waking a shard is safe; the point is not waking the
-// other shards' components, whose entries a concurrently running worker
-// may own.
-func (k *Kernel) WakeShard(s int) {
-	sh := int32(s)
-	for i := range k.main {
-		if k.main[i].shard == sh {
-			k.main[i].active = true
-		}
-	}
-	for i := range k.post {
-		if k.post[i].shard == sh {
-			k.post[i].active = true
-		}
-	}
-}
-
 // Step advances the simulation by one cycle.
 func (k *Kernel) Step() {
 	now := k.now
-	if k.nshards > 1 {
-		if !k.prepared {
-			k.prepare()
-		}
-		k.runPhaseParallel(0)
-		k.runPhaseParallel(1)
-	} else {
-		k.stepPhase(k.main, now)
-		k.stepPhase(k.post, now)
-	}
+	k.stepPhase(k.main, now)
+	k.stepPhase(k.post, now)
 	for _, f := range k.epilogues {
 		f(now)
 	}
 	k.now++
-}
-
-// prepare seals the component set and builds the per-shard step plans: for
-// each shard, the indices of its entries in global registration order. A
-// shard's plan therefore preserves the sequential engine's relative tick
-// order among the components it owns; components of different shards only
-// interact through state exchanged at the phase barriers, so their mutual
-// order is immaterial.
-func (k *Kernel) prepare() {
-	k.mainPlans = buildPlans(k.main, k.nshards)
-	k.postPlans = buildPlans(k.post, k.nshards)
-	k.shards = make([]shardState, k.nshards)
-	k.jobs = make([]chan int, k.nshards)
-	for s := 1; s < k.nshards; s++ {
-		k.jobs[s] = make(chan int, 1)
-		k.workerWG.Add(1)
-		go k.worker(s)
-	}
-	k.prepared = true
-}
-
-func buildPlans(es []entry, nshards int) [][]int32 {
-	plans := make([][]int32, nshards)
-	for i := range es {
-		s := int(es[i].shard)
-		if s < 0 || s >= nshards {
-			panic(fmt.Sprintf("sim: component %d tagged with shard %d of %d", i, s, nshards))
-		}
-		plans[s] = append(plans[s], int32(i))
-	}
-	return plans
-}
-
-// worker is one shard's persistent goroutine: it blocks on its job channel,
-// steps its shard through the requested phase, and signals the barrier.
-func (k *Kernel) worker(s int) {
-	defer k.workerWG.Done()
-	for phase := range k.jobs[s] {
-		k.runShard(phase, s)
-		k.wg.Done()
-	}
-}
-
-// runPhaseParallel steps one kernel phase with every shard running
-// concurrently. The coordinator goroutine doubles as shard 0's worker. The
-// WaitGroup is the phase barrier: no goroutine observes another shard's
-// writes except through it, and all cross-shard state (boundary links,
-// deferred operations) is exchanged strictly on the coordinator side of it.
-func (k *Kernel) runPhaseParallel(phase int) {
-	if phase == 1 && len(k.post) == 0 {
-		return
-	}
-	k.wg.Add(k.nshards - 1)
-	for s := 1; s < k.nshards; s++ {
-		k.jobs[s] <- phase
-	}
-	k.runShard(phase, 0)
-	k.wg.Wait()
-}
-
-func (k *Kernel) runShard(phase, s int) {
-	es, plan := k.main, k.mainPlans[s]
-	if phase == 1 {
-		es, plan = k.post, k.postPlans[s]
-	}
-	now := k.now
-	var n int64
-	for _, idx := range plan {
-		e := &es[idx]
-		if !e.active && !k.dense {
-			continue
-		}
-		e.t.Tick(now)
-		n++
-		if e.c != nil {
-			e.active = !e.c.Quiescent()
-		}
-	}
-	k.shards[s].ticks += n
-}
-
-// Close shuts down the shard workers. It is a no-op for a sequential
-// kernel and is idempotent; a parallel kernel must not Step after Close.
-func (k *Kernel) Close() {
-	if k.closed {
-		return
-	}
-	k.closed = true
-	for s := 1; s < len(k.jobs); s++ {
-		close(k.jobs[s])
-	}
-	k.workerWG.Wait()
 }
 
 func (k *Kernel) stepPhase(es []entry, now Cycle) {

@@ -196,117 +196,21 @@ func TestDenseModeTicksEverything(t *testing.T) {
 	}
 }
 
-// WakeShard must revive exactly the components tagged with that shard —
-// main and post phase alike — and leave the other shards' entries asleep,
-// because a concurrently running worker may own them.
-func TestWakeShardWakesOnlyItsShard(t *testing.T) {
-	k := NewKernel()
-	k.SetShards(2)
-	defer k.Close()
-	mk := func(shard int, post bool) *toggler {
-		k.SetShard(shard)
-		c := &toggler{pending: 1}
-		if post {
-			k.AddPost(c)
-		} else {
-			k.Add(c)
-		}
-		return c
-	}
-	m0, p0 := mk(0, false), mk(0, true)
-	m1, p1 := mk(1, false), mk(1, true)
-
-	k.Run(3)
-	if k.ActiveCount() != 0 {
-		t.Fatalf("%d components awake after the initial burst drained", k.ActiveCount())
-	}
-	for _, c := range []*toggler{m0, p0, m1, p1} {
-		c.pending = 1
-	}
-
-	k.WakeShard(1)
-	if k.ActiveCount() != 2 {
-		t.Fatalf("WakeShard(1) left %d components awake, want shard 1's 2", k.ActiveCount())
-	}
-	k.Run(3)
-	if m1.ticks != 2 || p1.ticks != 2 {
-		t.Fatalf("shard 1 worked %d/%d ticks after its wake, want 2/2", m1.ticks, p1.ticks)
-	}
-	if m0.ticks != 1 || p0.ticks != 1 {
-		t.Fatalf("shard 0 worked %d/%d ticks while asleep, want 1/1 (untouched)", m0.ticks, p0.ticks)
-	}
-
-	k.WakeShard(0)
-	k.Run(3)
-	if m0.ticks != 2 || p0.ticks != 2 {
-		t.Fatalf("shard 0 worked %d/%d ticks after its wake, want 2/2", m0.ticks, p0.ticks)
-	}
-}
-
-// A sharded kernel must execute the same component ticks as the sequential
-// engine: same per-component work, same executed-tick total, and the same
-// quiescence state afterwards.
-func TestShardedKernelMatchesSequential(t *testing.T) {
-	build := func(k *Kernel, shards int) []*toggler {
-		cs := make([]*toggler, 6)
-		for i := range cs {
-			if shards > 1 {
-				k.SetShard(i * shards / len(cs))
-			}
-			// Uneven bursts so the shards finish draining at different
-			// cycles and the skip accounting is exercised.
-			cs[i] = &toggler{pending: (i*3)%5 + 1}
-			k.Add(cs[i])
-		}
-		return cs
-	}
-	seq := NewKernel()
-	ref := build(seq, 1)
-	seq.Run(8)
-
-	for _, shards := range []int{2, 3} {
-		par := NewKernel()
-		par.SetShards(shards)
-		got := build(par, shards)
-		par.Run(8)
-		par.Close()
-		for i := range ref {
-			if got[i].ticks != ref[i].ticks {
-				t.Fatalf("shards=%d: component %d worked %d ticks, sequential worked %d",
-					shards, i, got[i].ticks, ref[i].ticks)
-			}
-		}
-		if par.Ticks() != seq.Ticks() {
-			t.Fatalf("shards=%d: kernel executed %d ticks, sequential executed %d",
-				shards, par.Ticks(), seq.Ticks())
-		}
-		if par.ActiveCount() != seq.ActiveCount() {
-			t.Fatalf("shards=%d: %d components awake, sequential has %d",
-				shards, par.ActiveCount(), seq.ActiveCount())
-		}
-	}
-}
-
-// Epilogues run once per Step with the pre-advance cycle value, in every
-// engine mode — they are where the circuit layer's deferred operations and
-// the network's boundary flushes live, so a mode that skipped them would
-// diverge from the sequential engine.
+// Epilogues run once per Step with the pre-advance cycle value, in sparse
+// and dense mode alike — they are where the circuit layer's deferred
+// operations live, so a mode that skipped them would diverge.
 func TestEpilogueRunsEveryCycleInAllModes(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		shards int
-		dense  bool
-	}{{"sequential", 1, false}, {"dense", 1, true}, {"sharded", 2, false}} {
+		name  string
+		dense bool
+	}{{"sparse", false}, {"dense", true}} {
 		k := NewKernel()
-		k.SetShards(tc.shards)
 		k.SetDense(tc.dense)
 		var seen []Cycle
 		k.AddEpilogue(func(now Cycle) { seen = append(seen, now) })
 		k.Add(&toggler{pending: 1})
-		k.SetShard(tc.shards - 1)
 		k.AddPost(&toggler{pending: 1})
 		k.Run(4)
-		k.Close()
 		if len(seen) != 4 {
 			t.Fatalf("%s: epilogue ran %d times over 4 cycles", tc.name, len(seen))
 		}
@@ -316,33 +220,6 @@ func TestEpilogueRunsEveryCycleInAllModes(t *testing.T) {
 			}
 		}
 	}
-}
-
-// The sharded kernel seals its component set at the first Step; a late
-// registration would silently miss the prepared step plans, so it panics
-// instead. Close is idempotent and a no-op on a sequential kernel.
-func TestShardedKernelSealsAndCloses(t *testing.T) {
-	k := NewKernel()
-	k.SetShards(2)
-	k.Add(&toggler{pending: 1})
-	k.SetShard(1)
-	k.Add(&toggler{pending: 1})
-	k.Step()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("registering after the sharded kernel stepped must panic")
-			}
-		}()
-		k.Add(&toggler{})
-	}()
-	k.Close()
-	k.Close() // idempotent
-
-	seq := NewKernel()
-	seq.Add(&toggler{})
-	seq.Close() // no workers to stop; must not block or panic
-	seq.Close()
 }
 
 // Post-phase activity tracking: an AddPost component sleeps and wakes like

@@ -131,22 +131,6 @@ func (h *Histogram) Add(v int64) {
 	h.buckets[b]++
 }
 
-// Merge folds other into h. The histograms must share a shape — merging is
-// for per-shard halves of the same distribution, not arbitrary histograms.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	if h.BucketWidth != other.BucketWidth || len(h.buckets) != len(other.buckets) {
-		panic("stats: merging histograms of different shapes")
-	}
-	for i := range h.buckets {
-		h.buckets[i] += other.buckets[i]
-	}
-	h.overflow += other.overflow
-	h.sample.Merge(&other.sample)
-}
-
 // Count returns total observations.
 func (h *Histogram) Count() int64 { return h.sample.N() }
 

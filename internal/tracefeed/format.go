@@ -9,8 +9,7 @@
 // varint-encoded record sequence per core ({cycle-gap, op,
 // address-region, sharer-hint}, compute runs run-length encoded,
 // addresses delta-coded), and a CRC-32 trailer over everything before
-// it. All replay state is per-core, so a trace-driven run shards exactly
-// like a synthetic one.
+// it.
 package tracefeed
 
 import (

@@ -9,9 +9,7 @@ import (
 // Recorder taps the core instruction stream (cpu.Core.SetRecorder) and
 // accumulates one record sequence per core. It is purely passive — the
 // recorded run is bit-identical to an unrecorded one — and all state is
-// per-core, so it is safe under the parallel engine's sharding: two
-// cores never share a coreState, and one core is only ever ticked by one
-// shard worker.
+// per-core.
 type Recorder struct {
 	profile    workload.Profile
 	seed       uint64

@@ -12,9 +12,7 @@ import (
 // Stream returns core's replay stream: the recorded operations in
 // order, then compute forever (a core retires exactly its op budget, so
 // a faithful replay never reaches the filler). The stream's cursor is
-// the only state — per-core, no cross-tile references — which is the
-// whole determinism argument for replay under sharding: each shard
-// worker advances only its own cores' cursors.
+// the only state — per-core, no cross-tile references.
 func (t *Trace) Stream(core int) cpu.Stream {
 	if core >= len(t.Recs) {
 		return &replayStream{}

@@ -99,11 +99,7 @@ func SpecFromSeed(seed uint64) chip.Spec {
 
 // skipForLeg returns the metric-name filter for a leg: the pool's own
 // bookkeeping legitimately differs between pooled and unpooled runs, and
-// the kernel's activity gauge between sparse and dense scheduling. The
-// parallel leg needs both exclusions — its per-shard pools recycle along
-// different shard-local histories, and its activity gauge samples at
-// barrier-aligned instants — while every architectural observable stays
-// bit-identical.
+// the kernel's activity gauge between sparse and dense scheduling.
 func skipForLeg(noPool, dense bool) func(string) bool {
 	return func(name string) bool {
 		if noPool && strings.HasPrefix(name, "noc/pool_") {
@@ -190,11 +186,6 @@ func Legs() []Leg {
 	return []Leg{
 		{Name: "dense-kernel", mutate: func(s *chip.Spec) { s.DenseKernel = true }, skip: skipForLeg(false, true)},
 		{Name: "no-pool", mutate: func(s *chip.Spec) { s.NoPool = true }, skip: skipForLeg(true, false)},
-		// Three row-band shards give uneven bands on every chip height, the
-		// harshest shape for the barrier protocol. Specs the engine refuses
-		// to shard (ideal mechanism, faults, tracing) degrade to a
-		// sequential re-run, which still must match.
-		{Name: "parallel=3", mutate: func(s *chip.Spec) { s.Shards = 3 }, skip: skipForLeg(true, true)},
 	}
 }
 

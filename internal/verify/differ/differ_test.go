@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"reactivenoc/internal/chip"
 )
 
 // TestSpecFromSeedDeterministic pins the reproducer contract: a seed fully
@@ -57,37 +55,6 @@ func FuzzDifferential(f *testing.F) {
 		spec.VerifyEvery = 8
 		if err := RunDifferential(context.Background(), spec, nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-	})
-}
-
-// FuzzParallelDifferential targets the parallel engine specifically: the
-// fuzzer picks both the spec seed and the shard count, and the sharded run
-// must be bit-identical to the sequential one. Committed corpus seeds pin
-// the even, uneven and clamped (shards > mesh height) band shapes.
-func FuzzParallelDifferential(f *testing.F) {
-	f.Add(uint64(1), uint8(2))
-	f.Add(uint64(7), uint8(3))
-	f.Add(uint64(42), uint8(8))
-	f.Fuzz(func(t *testing.T, seed uint64, shards uint8) {
-		spec := SpecFromSeed(seed)
-		spec.WarmupOps, spec.MeasureOps = 150, 400
-		spec.VerifyEvery = 8
-		spec.Shards = 1
-		ref, err := chip.RunCtx(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("seed %d: sequential leg: %v", seed, err)
-		}
-		par := spec
-		// 2..9 covers even splits, uneven bands, and counts past the mesh
-		// height (ClampShards folds those back to one row per band).
-		par.Shards = 2 + int(shards%8)
-		res, err := chip.RunCtx(context.Background(), par)
-		if err != nil {
-			t.Fatalf("seed %d shards %d: parallel leg: %v", seed, par.Shards, err)
-		}
-		if derr := Diff(ref, res, skipForLeg(true, true)); derr != nil {
-			t.Fatalf("seed %d shards %d: %v", seed, par.Shards, derr)
 		}
 	})
 }

@@ -301,9 +301,7 @@ func (p Profile) Stream(coreID int, seed uint64) cpu.Stream {
 
 // StreamGeom is Stream with the mesh geometry attached, which the
 // adversarial destination patterns (hotspot, transpose, tornado) need to
-// aim shared-region accesses at specific home tiles. All stream state is
-// per-core, so trace-recorded or pattern-driven runs shard exactly like
-// the stationary ones.
+// aim shared-region accesses at specific home tiles.
 func (p Profile) StreamGeom(coreID, width, height int, seed uint64) cpu.Stream {
 	if err := p.Validate(); err != nil {
 		panic(err)
