@@ -11,8 +11,8 @@ import (
 
 // TestCLISmoke builds rcsim, rcsweep and rctune once and boots each on its
 // smallest real run: exit code and the output's header/row shape are the
-// contract scripts and CI steps parse. The last case pins that a removed
-// flag is rejected by the flag package instead of being silently accepted.
+// contract scripts and CI steps parse. The last cases pin that a removed
+// flag and an unknown -exp are rejected instead of being silently accepted.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs three binaries")
@@ -52,6 +52,16 @@ func TestCLISmoke(t *testing.T) {
 			},
 		},
 		{
+			name: "rcsweep extension experiment", bin: "rcsweep",
+			args: []string{"-chip", "16", "-exp", "tail", "-ops", "200", "-workers", "2"},
+			stdout: []string{
+				`\AData-reply network latency distribution \(16-core, cycles\)\n`,
+				`^variant +mean +p50 +p95 +p99$`,
+				`^Baseline +\d+\.\d +\d+ +\d+ +\d+ *$`,
+				`^Ideal +\d+\.\d +\d+ +\d+ +\d+ *$`,
+			},
+		},
+		{
 			name: "rctune", bin: "rctune",
 			args: []string{"-chip", "16", "-ops", "200", "-workloads", "micro", "-variants", "Baseline,Complete_NoAck"},
 			stdout: []string{
@@ -65,6 +75,12 @@ func TestCLISmoke(t *testing.T) {
 			args:   []string{"-shards", "2"},
 			exit:   2,
 			stderr: `\Aflag provided but not defined: -shards\n`,
+		},
+		{
+			name: "rcsweep rejects an unknown -exp before simulating", bin: "rcsweep",
+			args:   []string{"-chip", "16", "-exp", "bogus"},
+			exit:   2,
+			stderr: `\Arcsweep: unknown -exp "bogus" \(valid: all, table1, .*, tail, ci\)\n\z`,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,12 @@
 // at the end, and rcsweep exits non-zero. Use -failfast to stop at the
 // first failure instead, and -timeout to cap each run's wall-clock time.
 //
+// Every -exp, the extension experiments included, builds a list of run
+// specs and hands it to the one cell runner in internal/exp, so -workers,
+// -seed, -ops, -timeout, -failfast/-keep-going, -verify and -remote apply
+// to all of them alike (-full, -policy and -workloads choose the rows and
+// columns of the paper's sweep; the extensions fix their own).
+//
 // Usage:
 //
 //	rcsweep                 # quick pass (subset of workloads, short runs)
@@ -41,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,12 +61,15 @@ import (
 // formatter is what every experiment report implements.
 type formatter interface{ Format() string }
 
+// experiments are the valid -exp values.
+var experiments = []string{"all", "table1", "table5", "table6", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"load", "ablate", "scale", "compare", "tail", "ci"}
+
 func main() { os.Exit(run()) }
 
 func run() int {
 	full := flag.Bool("full", false, "run the full workload suite")
-	which := flag.String("exp", "all",
-		"experiment: all, table1, table5, table6, fig6, fig7, fig8, fig9, fig10, load, ablate, scale, compare, tail, ci")
+	which := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
 	chipSel := flag.Int("chip", 0, "chip size (16, 64 or 256); 0 = the paper's pair (16 and 64)")
 	ops := flag.Int64("ops", 0, "override measured operations per core")
 	seed := flag.Uint64("seed", 1, "workload seed")
@@ -79,6 +89,10 @@ func run() int {
 	profiles := prof.Flags("trace")
 	flag.Parse()
 
+	if !slices.Contains(experiments, *which) {
+		fmt.Fprintf(os.Stderr, "rcsweep: unknown -exp %q (valid: %s)\n", *which, strings.Join(experiments, ", "))
+		return 2
+	}
 	if *listPolicies {
 		for _, name := range config.PolicyNames() {
 			var cols []string
@@ -232,49 +246,46 @@ func run() int {
 		return finish()
 	}
 
-	// The extension experiments run their own sweeps.
+	// The extension experiments run their own cell lists.
+	ext := func(key string, v formatter, failures []exp.FailureReport) {
+		emit(key, v)
+		note(exp.FormatFailures(failures))
+	}
 	switch *which {
 	case "load":
 		for _, c := range chips {
-			ls := exp.LoadSweepRun(c, []float64{0.5, 1, 2, 4, 8, 16}, scale.MeasureOps, pol)
-			emit("load_"+c.Name, ls)
-			note(exp.FormatFailures(ls.Failures))
+			ls := exp.LoadSweepRun(ctx, c, []float64{0.5, 1, 2, 4, 8, 16}, scale, pol)
+			ext("load_"+c.Name, ls, ls.Failures)
 		}
 		return finish()
 	case "ablate":
 		for _, c := range chips {
-			ac := exp.AblateCircuitsPerPort(c, []int{1, 2, 3, 5, 8}, scale.MeasureOps, pol)
-			emit("ablate_circuits_"+c.Name, ac)
-			note(exp.FormatFailures(ac.Failures))
-			as := exp.AblateSlack(c, []int{0, 1, 2, 4, 8}, scale.MeasureOps, pol)
-			emit("ablate_slack_"+c.Name, as)
-			note(exp.FormatFailures(as.Failures))
+			ac := exp.AblateCircuitsPerPort(ctx, c, []int{1, 2, 3, 5, 8}, scale, pol)
+			ext("ablate_circuits_"+c.Name, ac, ac.Failures)
+			as := exp.AblateSlack(ctx, c, []int{0, 1, 2, 4, 8}, scale, pol)
+			ext("ablate_slack_"+c.Name, as, as.Failures)
 		}
 		return finish()
 	case "scale":
-		ss := exp.ScaleSweepRun([]int{4, 6, 8}, scale.MeasureOps, pol)
-		emit("scale", ss)
-		note(exp.FormatFailures(ss.Failures))
+		ss := exp.ScaleSweepRun(ctx, []int{4, 6, 8}, scale, pol)
+		ext("scale", ss, ss.Failures)
 		return finish()
 	case "compare":
 		for _, c := range chips {
-			cr := exp.CompareRun(c, scale.MeasureOps, pol)
-			emit("compare_"+c.Name, cr)
-			note(exp.FormatFailures(cr.Failures))
+			cr := exp.CompareRun(ctx, c, scale, pol)
+			ext("compare_"+c.Name, cr, cr.Failures)
 		}
 		return finish()
 	case "tail":
 		for _, c := range chips {
-			tl := exp.TailRun(c, scale.MeasureOps, pol)
-			emit("tail_"+c.Name, tl)
-			note(exp.FormatFailures(tl.Failures))
+			tl := exp.TailRun(ctx, c, scale, pol)
+			ext("tail_"+c.Name, tl, tl.Failures)
 		}
 		return finish()
 	case "ci":
 		for _, c := range chips {
-			ci := exp.CIRun(c, []string{"Complete_NoAck", "SlackDelay_1_NoAck"}, 5, scale.MeasureOps, pol)
-			emit("ci_"+c.Name, ci)
-			note(exp.FormatFailures(ci.Failures))
+			ci := exp.CIRun(ctx, c, []string{"Complete_NoAck", "SlackDelay_1_NoAck"}, 5, scale, pol)
+			ext("ci_"+c.Name, ci, ci.Failures)
 		}
 		return finish()
 	}

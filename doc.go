@@ -5,7 +5,8 @@
 // Reactive Circuits mechanism and the full evaluation harness.
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each table and figure at reduced scale; the
-// cmd/rcsweep tool runs the full suite.
+// EXPERIMENTS.md for paper-vs-measured results. cmd/rcsweep regenerates
+// every table and figure (internal/exp: each experiment is a list of run
+// specs and a fold over their results); benchmark/ holds rcbench, the
+// repository's benchmark.
 package reactivenoc

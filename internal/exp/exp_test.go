@@ -21,7 +21,7 @@ func tinySweep(t *testing.T, names ...string) *Sweep {
 		}
 		vs = append(vs, v)
 	}
-	return RunSweep(config.Chip16(), vs, tinyScale())
+	return RunSweepCtx(context.Background(), config.Chip16(), vs, tinyScale(), DefaultPolicy())
 }
 
 func TestScaleWorkloads(t *testing.T) {
@@ -325,48 +325,5 @@ func TestBaselineMissingIsAnError(t *testing.T) {
 	// The markdown report degrades instead of panicking.
 	if md := Markdown(nil, s); !strings.Contains(md, "unavailable") {
 		t.Fatal("markdown report should note unavailable sections")
-	}
-}
-
-func TestFailFastStopsScheduling(t *testing.T) {
-	vs := []config.Variant{}
-	for _, n := range []string{"Complete_NoAck", "Baseline"} {
-		v, _ := config.ByName(n)
-		vs = append(vs, v)
-	}
-	pol := Policy{FailFast: true} // no retry: first failure halts the sweep
-	pol.FaultFor = func(variant, _ string) *fault.Plan {
-		if variant == "Complete_NoAck" {
-			return &fault.Plan{Class: fault.FlipBuiltBit}
-		}
-		return nil
-	}
-	scale := tinyScale()
-	scale.Workers = 1 // serialize so the halt point is deterministic
-	s := RunSweepCtx(context.Background(), config.Chip16(), vs, scale, pol)
-	if len(s.Failures) == 0 {
-		t.Fatal("no failure recorded")
-	}
-	ran := 0
-	for _, byApp := range s.Res {
-		ran += len(byApp)
-	}
-	total := len(vs) * len(s.Apps)
-	if ran >= total-1 {
-		t.Fatalf("fail-fast ran %d of %d cells", ran, total)
-	}
-}
-
-func TestSweepCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s := RunSweepCtx(ctx, config.Chip16(), []config.Variant{}, tinyScale(), DefaultPolicy())
-	if len(s.Res) != 0 {
-		t.Fatal("cancelled sweep still has variant maps to fill")
-	}
-	v, _ := config.ByName("Baseline")
-	s = RunSweepCtx(ctx, config.Chip16(), []config.Variant{v}, tinyScale(), DefaultPolicy())
-	if n := len(s.Res["Baseline"]); n != 0 {
-		t.Fatalf("cancelled sweep completed %d runs", n)
 	}
 }

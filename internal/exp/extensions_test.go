@@ -1,14 +1,18 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"reactivenoc/internal/config"
 )
 
+// opsScale is the extension runners' scale at the default seed.
+func opsScale(ops int64) Scale { return Scale{MeasureOps: ops, Seed: 1} }
+
 func TestLoadSweepShape(t *testing.T) {
-	ls := LoadSweepRun(config.Chip16(), []float64{1, 8}, 2500, DefaultPolicy())
+	ls := LoadSweepRun(context.Background(), config.Chip16(), []float64{1, 8}, opsScale(2500), DefaultPolicy())
 	if len(ls.Rows) != 2 {
 		t.Fatalf("%d rows", len(ls.Rows))
 	}
@@ -33,7 +37,7 @@ func TestLoadSweepShape(t *testing.T) {
 }
 
 func TestAblateCircuitsPerPortShape(t *testing.T) {
-	ab := AblateCircuitsPerPort(config.Chip16(), []int{1, 5}, 2500, DefaultPolicy())
+	ab := AblateCircuitsPerPort(context.Background(), config.Chip16(), []int{1, 5}, opsScale(2500), DefaultPolicy())
 	if len(ab.Rows) != 2 {
 		t.Fatalf("%d rows", len(ab.Rows))
 	}
@@ -43,6 +47,11 @@ func TestAblateCircuitsPerPortShape(t *testing.T) {
 	if one.StorageFailed <= five.StorageFailed {
 		t.Fatalf("storage failures should drop with more entries: %.3f vs %.3f",
 			one.StorageFailed, five.StorageFailed)
+	}
+	// The shared fold reports undone circuits for this ablation too (the
+	// column was a hard zero while each ablation had its own loop).
+	if one.Undone <= 0 || five.Undone <= 0 {
+		t.Fatalf("undone share not measured: %.3f / %.3f", one.Undone, five.Undone)
 	}
 	if one.AreaSavings <= five.AreaSavings {
 		t.Fatalf("fewer entries should save more area: %.4f vs %.4f",
@@ -54,7 +63,7 @@ func TestAblateCircuitsPerPortShape(t *testing.T) {
 }
 
 func TestAblateSlackShape(t *testing.T) {
-	ab := AblateSlack(config.Chip16(), []int{0, 1, 8}, 2500, DefaultPolicy())
+	ab := AblateSlack(context.Background(), config.Chip16(), []int{0, 1, 8}, opsScale(2500), DefaultPolicy())
 	if len(ab.Rows) != 3 {
 		t.Fatalf("%d rows", len(ab.Rows))
 	}
@@ -71,7 +80,7 @@ func TestAblateSlackShape(t *testing.T) {
 }
 
 func TestScaleSweepShape(t *testing.T) {
-	ss := ScaleSweepRun([]int{4, 8}, 2500, DefaultPolicy())
+	ss := ScaleSweepRun(context.Background(), []int{4, 8}, opsScale(2500), DefaultPolicy())
 	small, big := ss.Rows[0], ss.Rows[1]
 	if small.Nodes != 16 || big.Nodes != 64 {
 		t.Fatalf("sizes %d/%d", small.Nodes, big.Nodes)
@@ -91,7 +100,7 @@ func TestScaleSweepShape(t *testing.T) {
 }
 
 func TestTailRun(t *testing.T) {
-	tl := TailRun(config.Chip16(), 2500, DefaultPolicy())
+	tl := TailRun(context.Background(), config.Chip16(), opsScale(2500), DefaultPolicy())
 	if len(tl.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -116,7 +125,7 @@ func TestTailRun(t *testing.T) {
 }
 
 func TestCIRun(t *testing.T) {
-	ci := CIRun(config.Chip16(), []string{"Complete_NoAck"}, 2, 2000, DefaultPolicy())
+	ci := CIRun(context.Background(), config.Chip16(), []string{"Complete_NoAck"}, 2, opsScale(2000), DefaultPolicy())
 	if len(ci.Rows) != 1 {
 		t.Fatalf("%d rows", len(ci.Rows))
 	}
@@ -133,7 +142,7 @@ func TestCIRun(t *testing.T) {
 }
 
 func TestCompareRun(t *testing.T) {
-	cmp := CompareRun(config.Chip16(), 2000, DefaultPolicy())
+	cmp := CompareRun(context.Background(), config.Chip16(), opsScale(2000), DefaultPolicy())
 	if len(cmp.Rows) != 5 {
 		t.Fatalf("%d rows", len(cmp.Rows))
 	}
@@ -161,5 +170,5 @@ func TestScaleSweepRejectsHugeChips(t *testing.T) {
 			t.Fatal("chips beyond the sharer vector must be rejected")
 		}
 	}()
-	ScaleSweepRun([]int{9}, 100, DefaultPolicy())
+	ScaleSweepRun(context.Background(), []int{9}, opsScale(100), DefaultPolicy())
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"reactivenoc/internal/chip"
@@ -102,36 +103,6 @@ func FormatFailures(fs []FailureReport) string {
 	return out
 }
 
-// collector funnels every simulation run of an experiment through the
-// error-aware path: a failure becomes a FailureReport (optionally retried
-// under an alternate seed), fail-fast latches further scheduling off, and
-// the experiment completes with partial results.
-type collector struct {
-	ctx context.Context
-	pol Policy
-
-	mu       sync.Mutex
-	failures []FailureReport
-	stopped  bool
-}
-
-func newCollector(ctx context.Context, pol Policy) *collector {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &collector{ctx: ctx, pol: pol}
-}
-
-// halted reports whether fail-fast or cancellation stopped the experiment.
-func (cl *collector) halted() bool {
-	if cl.ctx.Err() != nil {
-		return true
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.stopped
-}
-
 // asRunError normalizes err to a *RunError carrying the spec fingerprint.
 func asRunError(err error, spec chip.Spec) *chip.RunError {
 	if re := chip.AsRunError(err); re != nil {
@@ -189,28 +160,41 @@ func (p Policy) RunOne(ctx context.Context, spec chip.Spec) (res *chip.Results, 
 	return res, rep
 }
 
-// run executes spec under the policy. ok=false means no usable result; the
-// failure (if any) has been recorded.
-func (cl *collector) run(spec chip.Spec) (*chip.Results, bool) {
-	if cl.halted() {
-		return nil, false
+// runCells is the one place an experiment's simulations execute: every
+// spec goes through pol.RunOne on a pool of WorkersOr(workers) goroutines.
+// Results and failure reports both come back in spec order — whatever
+// order the cells finished in — so a fold over them is deterministic. A
+// nil result marks a cell that failed (and was not recovered by the
+// retry) or was never started: fail-fast and cancellation stop workers
+// from claiming further cells, while cells already running finish.
+func runCells(ctx context.Context, pol Policy, workers int, specs []chip.Spec) ([]*chip.Results, []FailureReport) {
+	res := make([]*chip.Results, len(specs))
+	reps := make([]*FailureReport, len(specs))
+	var next atomic.Int64
+	var halt atomic.Bool
+	var wg sync.WaitGroup
+	for w := WorkersOr(workers); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil && !halt.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				res[i], reps[i] = pol.RunOne(ctx, specs[i])
+				if reps[i] != nil && pol.FailFast {
+					halt.Store(true)
+				}
+			}
+		}()
 	}
-	res, rep := cl.pol.RunOne(cl.ctx, spec)
-	if rep == nil {
-		return res, true
+	wg.Wait()
+	var failures []FailureReport
+	for _, rep := range reps {
+		if rep != nil {
+			failures = append(failures, *rep)
+		}
 	}
-	cl.mu.Lock()
-	cl.failures = append(cl.failures, *rep)
-	if cl.pol.FailFast {
-		cl.stopped = true
-	}
-	cl.mu.Unlock()
-	return res, res != nil
-}
-
-// take returns the accumulated failure reports.
-func (cl *collector) take() []FailureReport {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.failures
+	return res, failures
 }

@@ -6,7 +6,6 @@ import (
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/coherence"
-	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/power"
 	"reactivenoc/internal/stats"
@@ -173,10 +172,7 @@ func Table6Compute() *Table6 {
 	}
 	t6 := &Table6{}
 	for _, r := range rows {
-		v, ok := config.ByName(r.variant)
-		if !ok {
-			panic("exp: unknown variant " + r.variant)
-		}
+		v := mustVariant(r.variant)
 		t6.Rows = append(t6.Rows, Table6Row{
 			Version:   r.name,
 			Savings16: power.AreaSavings(16, v.Opts),
@@ -231,7 +227,7 @@ func Fig6From(s *Sweep) *Fig6 {
 		var row Fig6Row
 		row.Variant = v.Name
 		n := 0
-		for _, r := range s.Res[v.Name] {
+		for _, r := range s.runs(v.Name) {
 			if r.Circ == nil {
 				continue
 			}
@@ -292,7 +288,7 @@ func Fig7From(s *Sweep) *Fig7 {
 		var row Fig7Row
 		row.Variant = v.Name
 		n := 0
-		for _, r := range s.Res[v.Name] {
+		for _, r := range s.runs(v.Name) {
 			row.ReqNet += r.Lat.Requests.Network.Mean()
 			row.ReqQ += r.Lat.Requests.Queueing.Mean()
 			row.CircRepNet += r.Lat.CircuitReplies.Network.Mean()
@@ -429,7 +425,7 @@ func (f *Fig8) Format() string {
 func (f *Fig9) Format() string {
 	tb := &table{header: []string{"variant", "speedup", "stderr"}}
 	for _, r := range f.Rows {
-		tb.add(r.Variant, fmt.Sprintf("%+.2f%%", (r.Mean-1)*100), fmt.Sprintf("%.3f", r.StdErr))
+		tb.add(r.Variant, speedupPct(r.Mean), fmt.Sprintf("%.3f", r.StdErr))
 	}
 	return fmt.Sprintf("Figure 9 (%s): speedup over baseline\n%s", f.Chip, tb.String()) +
 		"paper: Complete 3.8%/4.8%, SlackDelay_1 4.4%/6.0% (16/64 cores), ideal slightly above\n"

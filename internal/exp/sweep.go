@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
@@ -35,14 +34,10 @@ type Scale struct {
 	Profiles []workload.Profile
 }
 
-// WorkerCount resolves the sweep's concurrency: Workers when positive,
-// otherwise the GOMAXPROCS fallback. Every parallel runner in this package
-// (and the simulation service's worker pool) sizes itself through
-// WorkersOr, so zero/negative requests can never spawn an empty pool.
-func (s Scale) WorkerCount() int { return WorkersOr(s.Workers) }
-
 // WorkersOr is the single place a requested worker count is validated:
 // n when positive, runtime.GOMAXPROCS(0) for zero or negative requests.
+// runCells and the simulation service's worker pool both size themselves
+// through it, so such requests can never spawn an empty pool.
 func WorkersOr(n int) int {
 	if n > 0 {
 		return n
@@ -85,60 +80,38 @@ type Sweep struct {
 	Failures []FailureReport
 }
 
-// RunSweep executes every (variant, workload) pair, in parallel across the
-// machine's cores; each run itself is deterministic. Failed runs are
-// recorded, retried once under an alternate seed, and survived.
-func RunSweep(c config.Chip, variants []config.Variant, scale Scale) *Sweep {
-	return RunSweepCtx(context.Background(), c, variants, scale, DefaultPolicy())
+// spec is the scale's cell for (chip, variant, workload): the default spec
+// at the scale's run length and seed.
+func (s Scale) spec(c config.Chip, v config.Variant, w workload.Profile) chip.Spec {
+	spec := chip.DefaultSpec(c, v, w)
+	spec.MeasureOps = s.MeasureOps
+	spec.Seed = s.Seed
+	return spec
 }
 
-// RunSweepCtx is RunSweep with cancellation and an explicit failure
-// policy. Cancelling the context stops scheduling new runs; results
-// gathered so far are returned.
+// RunSweepCtx executes every (variant, workload) pair, Scale.Workers at a
+// time; each run itself is deterministic. Failed runs are handled per the
+// policy (recorded, retried once under an alternate seed, survived).
+// Cancelling the context stops scheduling new runs; results gathered so
+// far are returned.
 func RunSweepCtx(ctx context.Context, c config.Chip, variants []config.Variant, scale Scale, pol Policy) *Sweep {
 	apps := scale.Workloads()
 	s := &Sweep{Chip: c, Variants: variants, Apps: apps, Scale: scale,
 		Res: map[string]map[string]*chip.Results{}}
+	var specs []chip.Spec
 	for _, v := range variants {
 		s.Res[v.Name] = map[string]*chip.Results{}
-	}
-	cl := newCollector(ctx, pol)
-
-	type job struct {
-		v config.Variant
-		w workload.Profile
-	}
-	jobs := make(chan job)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < scale.WorkerCount(); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				spec := chip.DefaultSpec(c, j.v, j.w)
-				spec.MeasureOps = scale.MeasureOps
-				spec.Seed = scale.Seed
-				if r, ok := cl.run(spec); ok {
-					mu.Lock()
-					s.Res[j.v.Name][j.w.Name] = r
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-producer:
-	for _, v := range variants {
 		for _, w := range apps {
-			if cl.halted() {
-				break producer
-			}
-			jobs <- job{v: v, w: w}
+			specs = append(specs, scale.spec(c, v, w))
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	s.Failures = cl.take()
+	var res []*chip.Results
+	res, s.Failures = runCells(ctx, pol, scale.Workers, specs)
+	for i, r := range res {
+		if r != nil {
+			s.Res[specs[i].Variant.Name][specs[i].Workload.Name] = r
+		}
+	}
 	return s
 }
 
@@ -160,6 +133,19 @@ func (s *Sweep) AppNames() []string {
 	out := make([]string, len(s.Apps))
 	for i, a := range s.Apps {
 		out[i] = a.Name
+	}
+	return out
+}
+
+// runs returns a variant's surviving runs in workload order. Folds that sum
+// floats range over this, never over the Res map: map order varies from
+// run to run and float addition does not commute in the last bits.
+func (s *Sweep) runs(variant string) []*chip.Results {
+	var out []*chip.Results
+	for _, a := range s.Apps {
+		if r := s.Res[variant][a.Name]; r != nil {
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -208,6 +194,9 @@ func (t *table) String() string {
 
 func pct(v float64) string  { return fmt.Sprintf("%.1f%%", v*100) }
 func pct2(v float64) string { return fmt.Sprintf("%+.2f%%", v*100) }
+
+// speedupPct renders a ratio over baseline as its signed percentage gain.
+func speedupPct(ratio float64) string { return pct2(ratio - 1) }
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -1,8 +1,8 @@
 package exp
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
@@ -29,29 +29,26 @@ type TailRow struct {
 }
 
 // TailRun measures the key variants on one workload.
-func TailRun(c config.Chip, ops int64, pol Policy) *Tail {
+func TailRun(ctx context.Context, c config.Chip, scale Scale, pol Policy) *Tail {
 	t := &Tail{Chip: c}
-	cl := newCollector(nil, pol)
-	w := workload.Micro()
+	var specs []chip.Spec
 	for _, v := range config.KeyVariants() {
-		if cl.halted() {
-			break
-		}
-		spec := chip.DefaultSpec(c, v, w)
-		spec.MeasureOps = ops
-		r, ok := cl.run(spec)
-		if !ok {
+		specs = append(specs, scale.spec(c, v, workload.Micro()))
+	}
+	var res []*chip.Results
+	res, t.Failures = runCells(ctx, pol, scale.Workers, specs)
+	for i, r := range res {
+		if r == nil {
 			continue
 		}
 		t.Rows = append(t.Rows, TailRow{
-			Variant: v.Name,
+			Variant: specs[i].Variant.Name,
 			Mean:    r.Lat.CircuitReplies.Network.Mean(),
 			P50:     r.Lat.ReplyPercentile(0.50),
 			P95:     r.Lat.ReplyPercentile(0.95),
 			P99:     r.Lat.ReplyPercentile(0.99),
 		})
 	}
-	t.Failures = cl.take()
 	return t
 }
 
@@ -87,83 +84,39 @@ type CIRow struct {
 	CI95    float64 // half-width, absolute speedup units
 }
 
-// CIRun measures speedups across seeds for the given variants. Baselines
-// are shared per (workload, seed) replica, and the independent runs are
-// spread across the machine's cores.
-func CIRun(c config.Chip, variants []string, seeds int, ops int64, pol Policy) *CI {
+// CIRun measures speedups across seeds for the given variants: replica k
+// runs under scale.Seed+k, and each (workload, seed) replica's baseline
+// run is shared by every variant.
+func CIRun(ctx context.Context, c config.Chip, variants []string, seeds int, scale Scale, pol Policy) *CI {
 	ci := &CI{Chip: c, Seeds: seeds}
-	cl := newCollector(nil, pol)
 	apps := []workload.Profile{workload.Micro(), workload.Multiprogrammed()}
-
-	type key struct {
-		app  string
-		seed uint64
-	}
-	run := func(v config.Variant, w workload.Profile, seed uint64) (*chip.Results, bool) {
-		spec := chip.DefaultSpec(c, v, w)
-		spec.MeasureOps = ops
-		spec.Seed = seed
-		return cl.run(spec)
-	}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, WorkersOr(0))
-	go1 := func(fn func()) {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			fn()
-			<-sem
-		}()
-	}
-
-	baselines := map[key]*chip.Results{}
-	bv, _ := config.ByName("Baseline")
-	for _, w := range apps {
-		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			w, seed := w, seed
-			go1(func() {
-				if r, ok := run(bv, w, seed); ok {
-					mu.Lock()
-					baselines[key{w.Name, seed}] = r
-					mu.Unlock()
-				}
-			})
-		}
-	}
-	wg.Wait()
-
-	samples := make([]stats.Sample, len(variants))
-	for i, name := range variants {
-		v, ok := config.ByName(name)
-		if !ok {
-			panic("exp: unknown variant " + name)
-		}
+	// One block of len(apps)*seeds replicas per variant, the baseline's first.
+	var specs []chip.Spec
+	for _, name := range append([]string{"Baseline"}, variants...) {
+		v := mustVariant(name)
 		for _, w := range apps {
-			for seed := uint64(1); seed <= uint64(seeds); seed++ {
-				i, v, w, seed := i, v, w, seed
-				go1(func() {
-					r, ok := run(v, w, seed)
-					if !ok {
-						return
-					}
-					mu.Lock()
-					if b := baselines[key{w.Name, seed}]; b != nil {
-						samples[i].Add(r.Speedup(b))
-					}
-					mu.Unlock()
-				})
+			for k := 0; k < seeds; k++ {
+				spec := scale.spec(c, v, w)
+				spec.Seed += uint64(k)
+				specs = append(specs, spec)
 			}
 		}
 	}
-	wg.Wait()
-
+	var res []*chip.Results
+	res, ci.Failures = runCells(ctx, pol, scale.Workers, specs)
+	block := len(apps) * seeds
 	for i, name := range variants {
-		ci.Rows = append(ci.Rows, CIRow{Variant: name, Mean: samples[i].Mean(), CI95: samples[i].CI95()})
+		var sample stats.Sample
+		for j, b := range res[:block] {
+			if r := res[(1+i)*block+j]; r != nil && b != nil {
+				sample.Add(r.Speedup(b))
+			}
+		}
+		// Like ratioRows: no surviving (variant, baseline) replica, no row.
+		if sample.N() > 0 {
+			ci.Rows = append(ci.Rows, CIRow{Variant: name, Mean: sample.Mean(), CI95: sample.CI95()})
+		}
 	}
-	ci.Failures = cl.take()
 	return ci
 }
 
@@ -172,7 +125,7 @@ func (ci *CI) Format() string {
 	tb := &table{header: []string{"variant", "speedup", "95% CI"}}
 	for _, r := range ci.Rows {
 		tb.add(r.Variant,
-			fmt.Sprintf("%+.2f%%", (r.Mean-1)*100),
+			speedupPct(r.Mean),
 			fmt.Sprintf("±%.2f%%", r.CI95*100))
 	}
 	return fmt.Sprintf("Speedup confidence (%s, %d seeds x 2 workloads)\n%s", ci.Chip.Name, ci.Seeds, tb.String()) +

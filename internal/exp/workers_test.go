@@ -14,18 +14,15 @@ import (
 
 // TestWorkerCountFallsBackToGOMAXPROCS: zero and negative worker requests
 // must resolve to the GOMAXPROCS default, never to an empty pool that
-// would deadlock the job channel.
+// would leave every cell unrun.
 func TestWorkerCountFallsBackToGOMAXPROCS(t *testing.T) {
 	want := runtime.GOMAXPROCS(0)
 	for _, n := range []int{0, -1, -64} {
-		if got := (Scale{Workers: n}).WorkerCount(); got != want {
-			t.Errorf("Scale{Workers: %d}.WorkerCount() = %d, want %d", n, got, want)
-		}
 		if got := WorkersOr(n); got != want {
 			t.Errorf("WorkersOr(%d) = %d, want %d", n, got, want)
 		}
 	}
-	if got := (Scale{Workers: 3}).WorkerCount(); got != 3 {
+	if got := WorkersOr(3); got != 3 {
 		t.Errorf("positive request not honored: got %d, want 3", got)
 	}
 }
