@@ -3,25 +3,35 @@ package reactivenoc_test
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"reactivenoc/internal/config"
 )
 
-// TestCLISmoke builds rcsim, rcsweep and rctune once and boots each on its
-// smallest real run: exit code and the output's header/row shape are the
-// contract scripts and CI steps parse. The last cases pin that a removed
-// flag and an unknown -exp are rejected instead of being silently accepted.
+// TestCLISmoke builds the CLIs once and boots each on its smallest real
+// run: exit code and the output's header/row shape are the contract scripts
+// and CI steps parse. Two cases pin that a removed flag and an unknown -exp
+// are rejected instead of being silently accepted.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs three binaries")
+		t.Skip("builds and runs five binaries")
 	}
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin, "./cmd/rcsim", "./cmd/rcsweep", "./cmd/rctune")
+	build := exec.Command("go", "build", "-o", bin,
+		"./cmd/rcsim", "./cmd/rcsweep", "./cmd/rctune", "./cmd/rcverify", "./cmd/goldengen")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	// rcverify's gauntlet prints one ok line per registered policy.
+	gauntlet := []string{`\Apolicy gauntlet: \d+ registered policies through the differential matrix\n`}
+	for _, name := range config.PolicyNames() {
+		gauntlet = append(gauntlet, `^  `+regexp.QuoteMeta(name)+` +ok \(variant \S+\)$`)
+	}
+	gauntlet = append(gauntlet, `^differential: 1 seeds passed in `)
 
 	for _, tc := range []struct {
 		name   string
@@ -29,6 +39,7 @@ func TestCLISmoke(t *testing.T) {
 		args   []string
 		exit   int
 		stdout []string // multi-line regexps, all must match
+		inFile string   // when set, this file must contain stdout verbatim
 		stderr string   // regexp; empty = stderr must be empty
 	}{
 		{
@@ -71,6 +82,21 @@ func TestCLISmoke(t *testing.T) {
 			},
 		},
 		{
+			// A real binary drives every registered policy through the
+			// reservation walk with the oracles armed.
+			name: "rcverify", bin: "rcverify",
+			args:   []string{"-faults=false", "-n", "1"},
+			stdout: gauntlet,
+		},
+		{
+			// The printed row is the committed one, in composite-literal
+			// shape ready to paste.
+			name: "goldengen", bin: "goldengen",
+			args:   []string{"-only", "16-core/micro/Probe"},
+			stdout: []string{`\A\{"16-core", "micro", "Probe_DejaVu", (\d+, ){9}\d+\},\n\z`},
+			inFile: "internal/chip/golden_test.go",
+		},
+		{
 			name: "rcsim rejects the removed -shards flag", bin: "rcsim",
 			args:   []string{"-shards", "2"},
 			exit:   2,
@@ -98,6 +124,15 @@ func TestCLISmoke(t *testing.T) {
 			for _, re := range tc.stdout {
 				if !regexp.MustCompile(`(?m)` + re).Match(stdout.Bytes()) {
 					t.Errorf("stdout does not match %q:\n%s", re, &stdout)
+				}
+			}
+			if tc.inFile != "" {
+				file, err := os.ReadFile(tc.inFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Contains(file, stdout.Bytes()) {
+					t.Errorf("%s does not contain stdout:\n%s", tc.inFile, &stdout)
 				}
 			}
 			if tc.stderr == "" {

@@ -15,6 +15,7 @@ import (
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
+	"reactivenoc/internal/core"
 	_ "reactivenoc/internal/tracefeed" // registers the adversarial generators
 	"reactivenoc/internal/workload"
 )
@@ -32,6 +33,15 @@ var bigVariants = map[string]bool{
 var hotspotVariants = map[string]bool{
 	"Baseline": true, "Reuse_NoAck": true, "Timed_NoAck": true,
 }
+
+// knobbedProfiled is ProfiledHybrid with a window short enough to demote
+// flows within the matrix's 600+2400 ops (the default 32/50/128 preset never
+// does, so its rows equal Complete_NoAck's). It is local to goldengen and
+// the golden test, not a registered preset.
+var knobbedProfiled = config.Variant{Name: "ProfiledHybrid_4_75_16", Opts: core.Options{
+	Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "profiled-hybrid",
+	ProfileWindow: 4, ProfileThresholdPct: 75, ProfileBackoff: 16,
+}}
 
 func main() {
 	only := flag.String("only", "", "emit only cells whose chip/workload/variant contains this substring")
@@ -92,4 +102,21 @@ func main() {
 			emit(config.Chip16(), "hotspot", v)
 		}
 	}
+	// Policy-lab and comparator section: the registered presets outside
+	// Variants() and SDMVariants(), each on micro plus the workload that
+	// exercises what only it does — hotspot grows DynamicVC's partitions and
+	// demotes the knobbed profiled flows, canneal fails probe setups.
+	for _, cell := range []struct{ variant, workload string }{
+		{"DynamicVC", "micro"}, {"DynamicVC", "hotspot"},
+		{"Speculative", "micro"},
+		{"Probe_DejaVu", "micro"}, {"Probe_DejaVu", "canneal"},
+	} {
+		v, ok := config.ByName(cell.variant)
+		if !ok {
+			panic("unknown variant " + cell.variant)
+		}
+		emit(config.Chip16(), cell.workload, v)
+	}
+	emit(config.Chip16(), "hotspot", knobbedProfiled)
+	emit(config.Chip16(), "canneal", knobbedProfiled)
 }

@@ -111,6 +111,26 @@ func DefaultSpec(c config.Chip, v config.Variant, w workload.Profile) Spec {
 	}
 }
 
+// Validate rejects a spec no run could honour — a non-positive budget, a
+// malformed workload, an inconsistent variant, an empty chip — as a plain
+// error, before anything is built: past this point a panic means a bug in
+// the simulated machine, not bad input.
+func (s *Spec) Validate() error {
+	if s.MeasureOps <= 0 {
+		return fmt.Errorf("chip: MeasureOps must be positive")
+	}
+	if err := s.Workload.Validate(); err != nil {
+		return fmt.Errorf("chip: %w", err)
+	}
+	if err := s.Variant.Opts.Validate(); err != nil {
+		return fmt.Errorf("chip: variant %s: %w", s.Variant.Name, err)
+	}
+	if c := s.Chip; c.Width <= 0 || c.Height <= 0 || c.MCs <= 0 {
+		return fmt.Errorf("chip: %dx%d mesh with %d memory controllers (all must be positive)", c.Width, c.Height, c.MCs)
+	}
+	return nil
+}
+
 // CoreStats summarizes one core's measured phase.
 type CoreStats struct {
 	Retired     int64
@@ -212,11 +232,8 @@ func Run(spec Spec) (*Results, error) { return RunCtx(context.Background(), spec
 // horizon and wall-clock timeouts, context cancellation, and audit
 // failures. A long sweep survives any single run dying.
 func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
-	if spec.MeasureOps <= 0 {
-		return nil, fmt.Errorf("chip: MeasureOps must be positive")
-	}
-	if verr := spec.Workload.Validate(); verr != nil {
-		return nil, fmt.Errorf("chip: %w", verr)
+	if verr := spec.Validate(); verr != nil {
+		return nil, verr
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -142,12 +142,28 @@ func TestSeedChangesOutcome(t *testing.T) {
 }
 
 func TestRejectsBadSpec(t *testing.T) {
-	s := quickSpec(t, config.Chip16(), "Baseline")
-	s.MeasureOps = 0
-	if _, err := Run(s); err == nil {
-		t.Fatal("zero MeasureOps accepted")
+	// Input no run could honour fails closed before anything is built: a
+	// plain error, not a recovered setup panic dressed as a *RunError (which
+	// sweeps retry and the service queues).
+	for name, mut := range map[string]func(*Spec){
+		"zero MeasureOps": func(s *Spec) { s.MeasureOps = 0 },
+		"inconsistent variant": func(s *Spec) {
+			s.Variant.Opts = core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true}
+		},
+		"unknown policy":        func(s *Spec) { s.Variant.Opts = core.Options{Policy: "nope"} },
+		"empty mesh":            func(s *Spec) { s.Chip.Width = 0 },
+		"no memory controllers": func(s *Spec) { s.Chip.MCs = 0 },
+	} {
+		s := quickSpec(t, config.Chip16(), "Baseline")
+		mut(&s)
+		_, err := Run(s)
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if AsRunError(err) != nil {
+			t.Errorf("%s came back as a *RunError (retryable, queueable): %v", name, err)
+		}
 	}
-	s = quickSpec(t, config.Chip16(), "Baseline")
+	s := quickSpec(t, config.Chip16(), "Baseline")
 	s.Horizon = 10 // absurdly short
 	if _, err := Run(s); err == nil {
 		t.Fatal("impossible horizon should error, not hang")

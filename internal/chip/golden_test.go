@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"reactivenoc/internal/config"
+	"reactivenoc/internal/core"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/workload"
 )
@@ -96,6 +97,37 @@ var goldenMatrix = []goldenRow{
 	{"16-core", "micro", "SDM_2", 4045, 670, 247, 247, 6086, 193, 4221, 230, 5847, 6016},
 	{"16-core", "micro", "SDM_8", 5336, 675, 249, 249, 10867, 194, 11680, 232, 10670, 6014},
 	{"16-core", "hotspot", "SDM", 7174, 2005, 799, 799, 21144, 455, 17374, 751, 20820, 13359},
+	// Policy-lab and comparator rows: the registered presets outside
+	// Variants() and the SDM sweep. Hotspot grows DynamicVC's partitions
+	// (27 grows / 18 shrinks); canneal fails probe setups; the knobbed
+	// profiled variant (goldenLocalVariants) demotes flows — 2 on hotspot,
+	// 8 on canneal — which the default preset never does at this size.
+	{"16-core", "micro", "DynamicVC", 3815, 670, 247, 247, 5375, 193, 2779, 230, 5093, 6022},
+	{"16-core", "hotspot", "DynamicVC", 5109, 1981, 791, 791, 14952, 445, 6565, 745, 14455, 13147},
+	{"16-core", "micro", "Speculative", 3493, 670, 247, 247, 2473, 193, 2625, 230, 2355, 6022},
+	{"16-core", "micro", "Probe_DejaVu", 4230, 675, 249, 249, 5402, 194, 2732, 232, 5117, 6764},
+	{"16-core", "canneal", "Probe_DejaVu", 4953, 938, 340, 340, 7257, 310, 4389, 288, 6128, 9457},
+	{"16-core", "hotspot", "ProfiledHybrid_4_75_16", 4921, 1629, 792, 792, 14912, 443, 5801, 749, 7759, 12063},
+	{"16-core", "canneal", "ProfiledHybrid_4_75_16", 4353, 736, 340, 340, 7234, 310, 4847, 288, 1989, 7583},
+}
+
+// goldenLocalVariants are pinned here without being registered presets
+// (cmd/goldengen carries the same definition).
+var goldenLocalVariants = map[string]core.Options{
+	"ProfiledHybrid_4_75_16": {
+		Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "profiled-hybrid",
+		ProfileWindow: 4, ProfileThresholdPct: 75, ProfileBackoff: 16,
+	},
+}
+
+// goldenMustMove names, per cell, a policy counter that must be non-zero:
+// without it a row whose policy never acted (a profiled flow never demoted,
+// a partition never grown) would pin its parent mechanism's numbers and
+// pass vacuously.
+var goldenMustMove = map[string]string{
+	"16-core/hotspot/DynamicVC":              "circ/dynvc_grows",
+	"16-core/hotspot/ProfiledHybrid_4_75_16": "circ/profiled_demotions",
+	"16-core/canneal/ProfiledHybrid_4_75_16": "circ/profiled_demotions",
 }
 
 func goldenSpec(row goldenRow, t *testing.T) Spec {
@@ -120,6 +152,9 @@ func goldenSpec(row goldenRow, t *testing.T) Spec {
 		}
 	}
 	v, found := config.ByName(row.variant)
+	if opts, local := goldenLocalVariants[row.variant]; local {
+		v, found = config.Variant{Name: row.variant, Opts: opts}, true
+	}
 	if !found {
 		t.Fatalf("unknown variant %q", row.variant)
 	}
@@ -150,6 +185,9 @@ func checkGolden(t *testing.T, row goldenRow, r *Results) {
 	}
 	if r.Events.LinkFlits != row.linkFlits {
 		t.Errorf("link flits = %d, golden %d", r.Events.LinkFlits, row.linkFlits)
+	}
+	if name, ok := goldenMustMove[row.chip+"/"+row.workload+"/"+row.variant]; ok && r.Metrics.Value(name) <= 0 {
+		t.Errorf("metric %s = %d, want > 0: the row no longer exercises its policy", name, r.Metrics.Value(name))
 	}
 }
 
@@ -184,14 +222,16 @@ func TestGoldenDeterminism(t *testing.T) {
 // scrounger-reuse and timed-circuit variants (whose circuit-riding and
 // window-expiry paths have the trickiest pointer and scheduling lifetimes),
 // the SDM lane-sliced cells (lane pacing and deferred teardown add the
-// newest engine-sensitive lifetimes), a canneal cell, and the 64-core
-// reuse/timed cells. Under -short the list trims to the 16-core
-// distinct-mechanism cells.
+// newest engine-sensitive lifetimes), a canneal cell, the 64-core
+// reuse/timed cells, and the policy-lab/comparator cells (per-router
+// partition state, the speculative pipeline, probe setups and the profiled
+// policy's deferred observations). Under -short the list trims to the
+// 16-core distinct-mechanism cells.
 func crossCheckRows() []int {
 	if testing.Short() {
-		return []int{0, 3, 4, 5, 54}
+		return []int{0, 3, 4, 5, 54, 59, 62, 63}
 	}
-	return []int{0, 3, 4, 5, 14, 28, 29, 54, 56}
+	return []int{0, 3, 4, 5, 14, 28, 29, 54, 56, 58, 59, 60, 61, 62, 63, 64}
 }
 
 // TestPooledMatchesUnpooled cross-checks flit/message recycling against the

@@ -43,8 +43,7 @@ type Agent struct {
 
 	interval atomic.Int64 // nanoseconds, adapted from the registry's TTL
 
-	beats    atomic.Int64
-	failures atomic.Int64
+	beats atomic.Int64
 }
 
 // NewAgent builds a stopped agent.
@@ -64,9 +63,8 @@ func NewAgent(cfg AgentConfig) *Agent {
 	return a
 }
 
-// Beats and Failures report the heartbeat tallies (for tests and logs).
-func (a *Agent) Beats() int64    { return a.beats.Load() }
-func (a *Agent) Failures() int64 { return a.failures.Load() }
+// Beats reports how many heartbeats succeeded (for tests and logs).
+func (a *Agent) Beats() int64 { return a.beats.Load() }
 
 // beat sends one registration/heartbeat and adapts the cadence to the
 // registry's TTL contract.
@@ -124,7 +122,6 @@ func (a *Agent) Start() {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), iv)
 			if err := a.beat(ctx); err != nil {
-				a.failures.Add(1)
 				a.cfg.Logf("cluster: heartbeat to %s failed: %v", a.cfg.Registry, err)
 			}
 			cancel()

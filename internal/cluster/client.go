@@ -29,7 +29,6 @@ import (
 type Client struct {
 	registry string
 	hc       *http.Client
-	vnodes   int
 	logf     func(format string, args ...any)
 
 	mu      sync.Mutex
@@ -53,17 +52,11 @@ func WithLogf(logf func(format string, args ...any)) ClientOption {
 	return func(c *Client) { c.logf = logf }
 }
 
-// WithVNodes overrides the ring's virtual-node count (tests).
-func WithVNodes(v int) ClientOption {
-	return func(c *Client) { c.vnodes = v }
-}
-
 // NewClient targets a discovery registry base URL.
 func NewClient(registry string, opts ...ClientOption) *Client {
 	c := &Client{
 		registry: strings.TrimRight(registry, "/"),
 		hc:       &http.Client{},
-		vnodes:   DefaultVNodes,
 		logf:     log.Printf,
 		nodes:    map[string]*serve.Client{},
 		suspect:  map[string]time.Time{},
@@ -148,7 +141,7 @@ func (c *Client) currentRing(ctx context.Context, force bool) (*Ring, error) {
 		return c.ring, nil
 	}
 	if c.ring == nil || m.Epoch != c.view.Epoch {
-		c.ring = m.Ring(c.vnodes)
+		c.ring = m.Ring(DefaultVNodes)
 	}
 	c.view = m
 	c.fetched = time.Now()

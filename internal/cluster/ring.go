@@ -93,9 +93,6 @@ func vnodeLabel(id string, v int) string {
 // Len is the physical-node count.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the members sorted by ID.
-func (r *Ring) Nodes() []Node { return r.nodes }
-
 // successorIndex finds the first ring point at or after h, wrapping.
 func (r *Ring) successorIndex(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -102,14 +102,6 @@ func TestLatencyStatsAccessors(t *testing.T) {
 	if empty.ReplyPercentile(0.99) != 0 {
 		t.Fatal("nil histogram should report 0")
 	}
-	// Merge folds records.
-	var a, c LatencyStats
-	a.Requests.Add(10, 1)
-	c.Requests.Add(20, 2)
-	a.Merge(&c)
-	if a.Requests.Network.N() != 2 {
-		t.Fatal("merge lost samples")
-	}
 }
 
 func TestResetStatsClearsEverything(t *testing.T) {

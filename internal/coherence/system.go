@@ -74,13 +74,6 @@ func (l *LatencyStats) ReplyPercentile(p float64) int64 {
 	return l.CircuitReplyHist.Percentile(p)
 }
 
-// Merge folds o into l.
-func (l *LatencyStats) Merge(o *LatencyStats) {
-	l.Requests.Merge(&o.Requests)
-	l.CircuitReplies.Merge(&o.CircuitReplies)
-	l.OtherReplies.Merge(&o.OtherReplies)
-}
-
 // System assembles the coherent memory hierarchy over one network: an L1
 // controller and an L2 bank controller per tile, plus memory controllers on
 // the edge tiles. It implements sim.Ticker.
@@ -213,8 +206,8 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 	if pl.CircuitUndone {
 		msg.OutcomeHint = uint8(core.OutcomeUndone)
 	}
-	if s.Opts.Enabled() && src != dst {
-		if s.Opts.Mechanism == core.MechProbe {
+	if s.Mgr != nil && src != dst {
+		if s.Mgr.RepliesReserve() {
 			// Déjà-Vu comparator: data replies announce themselves with
 			// a setup probe; requests reserve nothing.
 			msg.WantCircuit = t.IsReply() && t.CircuitEligibleReply()

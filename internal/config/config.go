@@ -36,39 +36,62 @@ type Variant struct {
 	Opts core.Options
 }
 
-func completeBase() core.Options {
-	return core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5}
+// mustVariant builds a preset. The presets are program constants, so an
+// inconsistent one is a bug and panics.
+func mustVariant(name string, o core.Options) Variant {
+	if err := o.Validate(); err != nil {
+		panic(fmt.Sprintf("config: variant %s invalid: %v", name, err))
+	}
+	return Variant{Name: name, Opts: o}
+}
+
+// completeNoAck is Complete_NoAck's options: the base every optimization of
+// Figure 6 stacks on.
+func completeNoAck() core.Options {
+	return core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true}
+}
+
+// reuseNoAck adds scrounger reuse (Section 4.5).
+func reuseNoAck() Variant {
+	o := completeNoAck()
+	o.Reuse = true
+	return mustVariant("Reuse_NoAck", o)
+}
+
+// timedNoAck is one member of Section 4.7's timed family on Complete_NoAck,
+// named as in Figure 6 after the knob that distinguishes it.
+func timedNoAck(slack, delay, postpone int) Variant {
+	name := "Timed_NoAck"
+	switch {
+	case postpone > 0:
+		name = fmt.Sprintf("Postponed_%d_NoAck", postpone)
+	case delay > 0:
+		name = fmt.Sprintf("SlackDelay_%d_NoAck", delay)
+	case slack > 0:
+		name = fmt.Sprintf("Slack_%d_NoAck", slack)
+	}
+	o := completeNoAck()
+	o.Timed = true
+	o.SlackPerHop, o.DelayPerHop, o.PostponePerHop = slack, delay, postpone
+	return mustVariant(name, o)
 }
 
 // Variants returns every configuration evaluated in the paper, in the
 // order of Figure 6's bars.
 func Variants() []Variant {
-	mk := func(name string, mod func(*core.Options)) Variant {
-		o := completeBase()
-		mod(&o)
-		if err := o.Validate(); err != nil {
-			panic(fmt.Sprintf("config: variant %s invalid: %v", name, err))
-		}
-		return Variant{Name: name, Opts: o}
-	}
 	return []Variant{
-		{Name: "Baseline", Opts: core.Options{}},
-		{Name: "Fragmented", Opts: core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2}},
-		mk("Complete", func(o *core.Options) {}),
-		mk("Complete_NoAck", func(o *core.Options) { o.NoAck = true }),
-		mk("Reuse_NoAck", func(o *core.Options) { o.NoAck = true; o.Reuse = true }),
-		mk("Timed_NoAck", func(o *core.Options) { o.NoAck = true; o.Timed = true }),
-		mk("Slack_1_NoAck", func(o *core.Options) { o.NoAck = true; o.Timed = true; o.SlackPerHop = 1 }),
-		mk("Slack_2_NoAck", func(o *core.Options) { o.NoAck = true; o.Timed = true; o.SlackPerHop = 2 }),
-		mk("Slack_4_NoAck", func(o *core.Options) { o.NoAck = true; o.Timed = true; o.SlackPerHop = 4 }),
-		mk("SlackDelay_1_NoAck", func(o *core.Options) {
-			o.NoAck = true
-			o.Timed = true
-			o.SlackPerHop = 1
-			o.DelayPerHop = 1
-		}),
-		mk("Postponed_1_NoAck", func(o *core.Options) { o.NoAck = true; o.Timed = true; o.PostponePerHop = 1 }),
-		{Name: "Ideal", Opts: core.Options{Mechanism: core.MechIdeal}},
+		mustVariant("Baseline", core.Options{}),
+		mustVariant("Fragmented", core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2}),
+		mustVariant("Complete", core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5}),
+		mustVariant("Complete_NoAck", completeNoAck()),
+		reuseNoAck(),
+		timedNoAck(0, 0, 0),
+		timedNoAck(1, 0, 0),
+		timedNoAck(2, 0, 0),
+		timedNoAck(4, 0, 0),
+		timedNoAck(1, 1, 0),
+		timedNoAck(0, 0, 1),
+		mustVariant("Ideal", core.Options{Mechanism: core.MechIdeal}),
 	}
 }
 
@@ -80,20 +103,11 @@ func Variants() []Variant {
 // variants (SweepVariants) but stay out of Variants(), which remains the
 // paper's exact inventory.
 func PolicyVariants() []Variant {
-	mk := func(name string, o core.Options) Variant {
-		if err := o.Validate(); err != nil {
-			panic(fmt.Sprintf("config: variant %s invalid: %v", name, err))
-		}
-		return Variant{Name: name, Opts: o}
-	}
+	profiled := completeNoAck()
+	profiled.Policy = "profiled-hybrid"
 	return []Variant{
-		mk("ProfiledHybrid", core.Options{
-			Mechanism:          core.MechComplete,
-			MaxCircuitsPerPort: 5,
-			NoAck:              true,
-			Policy:             "profiled-hybrid",
-		}),
-		mk("DynamicVC", core.Options{
+		mustVariant("ProfiledHybrid", profiled),
+		mustVariant("DynamicVC", core.Options{
 			Mechanism:          core.MechFragmented,
 			MaxCircuitsPerPort: 3,
 			Policy:             "dynamic-vc",
@@ -113,16 +127,12 @@ func SDMVariants() []Variant {
 		// No NoAck: lane-paced circuit flits may stall, so the ack
 		// elimination's delivery guarantee (Section 4.6) does not hold —
 		// the sdm policy rejects the combination outright.
-		o := core.Options{
+		return mustVariant(name, core.Options{
 			Mechanism:          core.MechComplete,
 			MaxCircuitsPerPort: 5,
 			Policy:             "sdm",
 			SDMLanes:           lanes,
-		}
-		if err := o.Validate(); err != nil {
-			panic(fmt.Sprintf("config: variant %s invalid: %v", name, err))
-		}
-		return Variant{Name: name, Opts: o}
+		})
 	}
 	return []Variant{
 		mk("SDM", 4),
@@ -144,30 +154,17 @@ func SweepVariants() []Variant {
 // can land outside the published inventory — and the SDM lane sweep, the
 // spatial alternative to every timed knob.
 func TuneGrid() []Variant {
-	mk := func(name string, mod func(*core.Options)) Variant {
-		o := completeBase()
-		o.NoAck = true
-		mod(&o)
-		if err := o.Validate(); err != nil {
-			panic(fmt.Sprintf("config: variant %s invalid: %v", name, err))
-		}
-		return Variant{Name: name, Opts: o}
-	}
 	grid := []Variant{
-		{Name: "Baseline", Opts: core.Options{}},
-		mk("Reuse_NoAck", func(o *core.Options) { o.Reuse = true }),
-		mk("Timed_NoAck", func(o *core.Options) { o.Timed = true }),
-		mk("Slack_1_NoAck", func(o *core.Options) { o.Timed = true; o.SlackPerHop = 1 }),
-		mk("Slack_2_NoAck", func(o *core.Options) { o.Timed = true; o.SlackPerHop = 2 }),
-		mk("Slack_4_NoAck", func(o *core.Options) { o.Timed = true; o.SlackPerHop = 4 }),
-		mk("Slack_8_NoAck", func(o *core.Options) { o.Timed = true; o.SlackPerHop = 8 }),
-		mk("SlackDelay_1_NoAck", func(o *core.Options) {
-			o.Timed = true
-			o.SlackPerHop = 1
-			o.DelayPerHop = 1
-		}),
-		mk("Postponed_1_NoAck", func(o *core.Options) { o.Timed = true; o.PostponePerHop = 1 }),
-		mk("Postponed_2_NoAck", func(o *core.Options) { o.Timed = true; o.PostponePerHop = 2 }),
+		mustVariant("Baseline", core.Options{}),
+		reuseNoAck(),
+		timedNoAck(0, 0, 0),
+		timedNoAck(1, 0, 0),
+		timedNoAck(2, 0, 0),
+		timedNoAck(4, 0, 0),
+		timedNoAck(8, 0, 0),
+		timedNoAck(1, 1, 0),
+		timedNoAck(0, 0, 1),
+		timedNoAck(0, 0, 2),
 	}
 	// The SDM lane sweep joins after the timed family so tuner reports
 	// keep their historical column order.
@@ -227,7 +224,7 @@ func VariantForPolicy(policy string) (Variant, bool) {
 	registry()
 	for _, name := range regOrder {
 		v := regMap[name]
-		if pol, err := core.PolicyFor(v.Opts); err == nil && pol.Name() == policy {
+		if core.PolicyName(v.Opts) == policy {
 			return v, true
 		}
 	}
@@ -240,19 +237,9 @@ func VariantForPolicy(policy string) (Variant, bool) {
 func VariantsForPolicy(policy string) []Variant {
 	var out []Variant
 	for _, v := range SweepVariants() {
-		if pol, err := core.PolicyFor(v.Opts); err == nil && pol.Name() == policy {
+		if core.PolicyName(v.Opts) == policy {
 			out = append(out, v)
 		}
-	}
-	return out
-}
-
-// Names lists every variant name.
-func Names() []string {
-	vs := Variants()
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.Name
 	}
 	return out
 }
@@ -274,9 +261,9 @@ func Comparators() []Variant {
 		panic("config: missing paper variant " + name)
 	}
 	return []Variant{
-		{Name: "Baseline", Opts: core.Options{}},
-		{Name: "Speculative", Opts: core.Options{SpeculativeRouter: true}},
-		{Name: "Probe_DejaVu", Opts: core.Options{Mechanism: core.MechProbe, MaxCircuitsPerPort: 5}},
+		mustVariant("Baseline", core.Options{}),
+		mustVariant("Speculative", core.Options{SpeculativeRouter: true}),
+		mustVariant("Probe_DejaVu", core.Options{Mechanism: core.MechProbe, MaxCircuitsPerPort: 5}),
 		fromPaper("Complete_NoAck"),
 		fromPaper("SlackDelay_1_NoAck"),
 	}

@@ -30,13 +30,13 @@ func TestVariantInventoryMatchesPaper(t *testing.T) {
 		"Timed_NoAck", "Slack_1_NoAck", "Slack_2_NoAck", "Slack_4_NoAck",
 		"SlackDelay_1_NoAck", "Postponed_1_NoAck", "Ideal",
 	}
-	got := Names()
+	got := Variants()
 	if len(got) != len(want) {
-		t.Fatalf("variant names %v", got)
+		t.Fatalf("variants %v", got)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("variant %d = %s, want %s", i, got[i], want[i])
+		if got[i].Name != want[i] {
+			t.Fatalf("variant %d = %s, want %s", i, got[i].Name, want[i])
 		}
 	}
 }

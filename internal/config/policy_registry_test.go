@@ -26,9 +26,8 @@ func TestPolicyVariantsValidAndSeparate(t *testing.T) {
 		if err := v.Opts.Validate(); err != nil {
 			t.Errorf("%s invalid: %v", v.Name, err)
 		}
-		pol, err := core.PolicyFor(v.Opts)
-		if err != nil || pol.Name() != policy {
-			t.Errorf("%s resolves to policy %v (err %v), want %s", v.Name, pol, err, policy)
+		if got := core.PolicyName(v.Opts); got != policy {
+			t.Errorf("%s resolves to policy %s, want %s", v.Name, got, policy)
 		}
 		for _, pv := range Variants() {
 			if pv.Name == v.Name {
@@ -101,9 +100,8 @@ func TestVariantForPolicy(t *testing.T) {
 			t.Errorf("policy %s has no representative variant", name)
 			continue
 		}
-		pol, err := core.PolicyFor(v.Opts)
-		if err != nil || pol.Name() != name {
-			t.Errorf("representative %s for %s resolves to %v (err %v)", v.Name, name, pol, err)
+		if got := core.PolicyName(v.Opts); got != name {
+			t.Errorf("representative %s for %s resolves to %s", v.Name, name, got)
 		}
 	}
 	if _, ok := VariantForPolicy("no-such-policy"); ok {

@@ -14,12 +14,26 @@ import (
 // (request out, 5-flit reply back on its circuit) using pooled messages.
 // Exactly one object per trip is expected — the record, which escapes into
 // rides/pendingUndo and is deliberately not pooled (see DESIGN.md §5b). The
-// walks, table entries, flits and messages all recycle.
+// walks, table entries, flits and messages all recycle, and the walk's
+// candidate entry reaches Policy.Arbitrate without escaping — under the
+// port rule, the reserved-VC search and the lane search alike.
 func TestBypassFastPathAllocationBound(t *testing.T) {
 	if os.Getenv("RC_NOPOOL") == "1" {
 		t.Skip("pooling disabled by RC_NOPOOL; allocation bounds do not apply")
 	}
-	opts := completeOpts()
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"complete", completeOpts()},
+		{"fragmented", fragmentedOpts()},
+		{"sdm", sdmOpts(4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { circuitRoundTripAllocs(t, tc.opts) })
+	}
+}
+
+func circuitRoundTripAllocs(t *testing.T, opts Options) {
 	m := mesh.New(8, 8)
 	mgr := NewManager(opts, m)
 	net := noc.NewNetwork(NetConfigFor(m, opts), mgr, mgr)

@@ -137,17 +137,6 @@ type Options struct {
 	SDMLanes int `json:",omitempty"`
 }
 
-// Validate rejects inconsistent option combinations by resolving the
-// selected switching policy and asking it; each policy owns its own rules
-// (see the policy_*.go files).
-func (o *Options) Validate() error {
-	pol, err := PolicyFor(*o)
-	if err != nil {
-		return err
-	}
-	return pol.Validate(o)
-}
-
 // Enabled reports whether any circuit machinery is active.
 func (o *Options) Enabled() bool { return o.Mechanism != MechNone }
 

@@ -58,11 +58,16 @@ type record struct {
 	probeUp bool
 }
 
+// empty reports that nothing was reserved for the record: there is no
+// circuit (or fragment) to ride, undo or tear down.
+func (r *record) empty() bool { return r.failed && r.reserved == 0 }
+
 // walk is the reservation state a request carries along its path.
 type walk struct {
-	routers      int
-	prevVC       int // VC reserved at the previous router (fragmented)
-	lastReserved bool
+	routers int
+	// prevVC is the VC reserved at the previous router (fragmented circuits
+	// chain them), or -1 when that router left a gap.
+	prevVC int
 	// injLo/injHi is the running intersection of per-router injection
 	// constraints for timed circuits; an empty intersection means the
 	// request's own delays made the schedule infeasible.
@@ -76,13 +81,18 @@ type walk struct {
 // Manager owns the mechanism-independent circuit state: every router's
 // circuit table, every NI's circuit registry, the reservation walks and
 // the statistics of Section 5.2. It plugs into the network as both the
-// router-side CircuitHandler and the NI-side NIHook, and dispatches every
-// variant-specific decision through its resolved Policy (see policy.go).
+// router-side CircuitHandler and the NI-side NIHook, reads the resolved
+// policy's Traits for everything the shared paths need to know, and asks
+// the Policy itself only where variants decide differently (see policy.go).
 type Manager struct {
-	opts Options
-	pol  Policy
-	m    mesh.Mesh
-	net  *noc.Network
+	opts   Options
+	pol    Policy
+	traits Traits
+	// capacity is the per-input-port entry bound table.insert enforces
+	// (0 = unbounded).
+	capacity int
+	m        mesh.Mesh
+	net      *noc.Network
 
 	tables []*table
 	regs   []map[circKey]*record
@@ -91,6 +101,10 @@ type Manager struct {
 	// LIFO free-list is deterministic and keeps reservation
 	// allocation-free. The walk itself travels on Message.Walk.
 	walkFree []*walk
+	// cand is the candidate entry the reservation walk hands to
+	// Policy.Arbitrate. It lives here because a pointer to a local passed
+	// through the interface would escape: one allocation per router crossed.
+	cand entry
 
 	// Stats aggregates the circuit-construction outcomes (Figure 6,
 	// Table 5) for the run.
@@ -124,13 +138,6 @@ const (
 	opProbeUp
 )
 
-// cycleFlusher is implemented by policies that defer work to the cycle
-// epilogue; the manager calls it from FlushCycle after its own deferred
-// operations.
-type cycleFlusher interface {
-	flushCycle(mg *Manager, now sim.Cycle)
-}
-
 // SetTracer attaches a lifecycle tracer for circuit events (nil detaches).
 func (mg *Manager) SetTracer(t *trace.Buffer) { mg.tracer = t }
 
@@ -156,6 +163,10 @@ func NewManager(opts Options, m mesh.Mesh) *Manager {
 		mg.regs[i] = map[circKey]*record{}
 	}
 	mg.pol = mustPolicyFor(opts)
+	mg.traits = mg.pol.Traits(&opts)
+	if !mg.traits.Unbounded {
+		mg.capacity = opts.MaxCircuitsPerPort
+	}
 	mg.pol.Attach(mg)
 	return mg
 }
@@ -166,9 +177,6 @@ func (mg *Manager) StatsTotal() Stats { return mg.Stats }
 // ResetStats zeroes the statistics (post-warm-up measurement reset;
 // architectural circuit state is untouched).
 func (mg *Manager) ResetStats() { mg.Stats = Stats{} }
-
-// deferOp queues a cross-tile mutation for FlushCycle.
-func (mg *Manager) deferOp(op managerOp) { mg.ops = append(mg.ops, op) }
 
 // FlushCycle applies the cycle's deferred cross-tile operations in enqueue
 // order — ascending NI order, the order the NI phase visits the raising
@@ -184,7 +192,7 @@ func (mg *Manager) FlushCycle(now sim.Cycle) {
 			if op.rec.pendingUndo {
 				// The protocol undid the circuit mid-ride; tear it down
 				// now that the borrowed flits have cleared every router.
-				mg.teardown(op.rec, now)
+				mg.pol.Teardown(mg, op.rec, now)
 			}
 		case opProbeUp:
 			if rec := mg.regs[op.src][op.key]; rec != nil {
@@ -195,13 +203,8 @@ func (mg *Manager) FlushCycle(now sim.Cycle) {
 		}
 	}
 	mg.ops = mg.ops[:0]
-	if f, ok := mg.pol.(cycleFlusher); ok {
-		f.flushCycle(mg, now)
-	}
+	mg.pol.Flush(mg, now)
 }
-
-// Policy returns the switching policy this manager dispatches through.
-func (mg *Manager) Policy() Policy { return mg.pol }
 
 // NetConfigFor returns the network microarchitecture the selected policy
 // needs: the baseline Table 4 router, the fragmented variant's third
@@ -219,18 +222,15 @@ func NetConfigFor(m mesh.Mesh, opts Options) noc.NetConfig {
 // scrounger re-injection).
 func (mg *Manager) Bind(net *noc.Network) { mg.net = net }
 
-// Options returns the variant this manager implements.
-func (mg *Manager) Options() Options { return mg.opts }
+// RepliesReserve reports whether circuits are set up by the replies
+// themselves (a setup flit ahead of the data, the probe comparator) rather
+// than by the requests that provoke them.
+func (mg *Manager) RepliesReserve() bool { return mg.traits.Forward }
 
 // circuitVC returns the reply VC index circuits travel on in the complete
 // and ideal mechanisms.
 func (mg *Manager) circuitVC() int {
 	return mg.net.Config().CircuitVC()
-}
-
-// pathHops returns the total hop count of the request (and reply) path.
-func (mg *Manager) pathHops(msg *noc.Message) int {
-	return mg.m.Hops(msg.Src, msg.Dst)
 }
 
 // newWalk returns a reset walk from the free-list (or a fresh one) and
@@ -261,10 +261,13 @@ func (mg *Manager) freeWalk(w *walk) {
 // Router-side hooks (noc.CircuitHandler)
 // ---------------------------------------------------------------------------
 
-// OnRequestVA reserves the reply's circuit at this router, in parallel with
-// the request's VC allocation. The reply will enter via port out (where the
-// request leaves) and exit via port in (where the request entered). The
-// reservation itself is the policy's: the manager only tracks the walk.
+// OnRequestVA is the reservation walk: at every router a circuit-wanting
+// message crosses, in parallel with its VC allocation, build the candidate
+// entry, ask the policy whether it may be installed, and run the one install
+// path or the one failure path. A request reserves for its reply — the reply
+// will enter via port out (where the request leaves) and exit via port in
+// (where the request entered) — while a Forward policy's setup flit reserves
+// its own direction.
 func (mg *Manager) OnRequestVA(id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, now sim.Cycle) {
 	w, _ := msg.Walk.(*walk)
 	if w == nil {
@@ -272,17 +275,97 @@ func (mg *Manager) OnRequestVA(id mesh.NodeID, msg *noc.Message, in, out mesh.Di
 		msg.Walk = w
 	}
 	w.routers++
-	mg.pol.Reserve(mg, id, msg, in, out, w, now)
-}
+	if msg.BuildFailed {
+		return // a failed all-or-nothing circuit reserves nothing further
+	}
+	cvc := mg.circuitVC()
+	e, port := &mg.cand, out
+	*e = entry{
+		built: true, dest: msg.Src, block: msg.Block,
+		out: in, outVC: cvc, vc: cvc,
+		winEnd: noWindow, // untimed until the policy sets a window
+	}
+	if mg.traits.Forward {
+		e.dest, e.out, port = msg.Dst, out, in
+	}
 
-func (mg *Manager) noteOrdinal(ord int) {
-	if ord < 1 {
+	v := mg.pol.Arbitrate(mg, id, msg, port, e, w, now)
+	var ins *entry
+	var ord int
+	if v == granted {
+		if ins, ord = mg.tables[id].insert(port, *e, mg.capacity, now); ins == nil {
+			v = noStorage
+		}
+	}
+	if v != granted {
+		mg.refuse(v, id, msg, in, e.dest, w, now)
 		return
 	}
-	if ord > len(mg.Stats.Ordinals) {
-		ord = len(mg.Stats.Ordinals)
+
+	if mg.fault != nil {
+		if ins.timed() {
+			if end, ok := mg.fault.TruncateWindow(id, ins.winStart, ins.winEnd, now); ok {
+				ins.winEnd = end
+			}
+		}
+		if mg.fault.FlipBuiltBit(id, now) {
+			ins.built = false
+		}
 	}
-	mg.Stats.Ordinals[ord-1]++
+	mg.noteOrdinal(ord)
+	mg.net.Events().CircuitWrites++
+	msg.ReservedHops++
+	w.prevVC = e.vc
+	if mg.tracer != nil {
+		note := fmt.Sprintf("in=%v out=%v", port, e.out)
+		if e.timed() {
+			note += fmt.Sprintf(" window=[%d,%d]", e.winStart, e.winEnd)
+		}
+		if e.lane > 0 {
+			note += fmt.Sprintf(" lane=%d", e.lane)
+		}
+		mg.tracer.Record(now, trace.Reserve, msg.ID, id, note)
+	}
+}
+
+// refuse is the walk's one failure path. A declined message drops its
+// circuit wish before any state exists and travels on as a plain packet.
+// Otherwise a Partial policy keeps the path reserved so far, leaves a gap
+// and retries at the next hop (Section 4.2, fragmented alternative), while
+// an all-or-nothing policy fails the whole circuit and tears down the prefix
+// reserved so far with an undo credit sent back the way the message came —
+// except timed prefixes, which self-expire when their finish counters run
+// out.
+func (mg *Manager) refuse(v verdict, id mesh.NodeID, msg *noc.Message, in mesh.Dir, dest mesh.NodeID, w *walk, now sim.Cycle) {
+	switch v {
+	case declined:
+		msg.WantCircuit = false // downstream routers skip reservation entirely
+		msg.Walk = nil
+		mg.freeWalk(w)
+		return
+	case noStorage:
+		mg.Stats.ReserveFailedStorage++
+	default:
+		mg.Stats.ReserveFailedConflict++
+	}
+	if mg.traits.Partial {
+		w.prevVC = -1
+		return
+	}
+	msg.BuildFailed = true
+	if mg.opts.Timed || in == mesh.Local {
+		return
+	}
+	tok := &noc.UndoToken{Dest: dest, Block: msg.Block}
+	mg.net.Router(id).SendUndoCredit(in, tok, now)
+}
+
+// noteOrdinal counts a reservation that was the ord-th simultaneous circuit
+// at its input port (Table 5; the last bucket absorbs deeper tables).
+func (mg *Manager) noteOrdinal(ord int) {
+	if ord >= 1 {
+		mg.Stats.Ordinals[min(ord, len(mg.Stats.Ordinals))-1]++
+	}
 }
 
 // Bypass implements the input-unit circuit check of Figure 3.
@@ -293,7 +376,7 @@ func (mg *Manager) Bypass(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cycl
 	}
 	e := mg.tables[id].find(in, msg.CircDest, msg.CircBlock, now)
 	if e == nil {
-		if mg.pol.GapTolerant() {
+		if mg.traits.Partial {
 			return 0, 0, false // gap in a fragmented circuit: normal pipeline
 		}
 		panic(fmt.Sprintf("core: reply msg %d expected a circuit at router %d port %v (invariant violated)", msg.ID, id, in))
@@ -306,7 +389,7 @@ func (mg *Manager) Bypass(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cycl
 	} else if e.inUse != msg {
 		panic(fmt.Sprintf("core: body flit of msg %d on unclaimed circuit at router %d", msg.ID, id))
 	}
-	if mg.pol.GapTolerant() && e.outVC < 0 && e.out != mesh.Local {
+	if mg.traits.Partial && e.outVC < 0 && e.out != mesh.Local {
 		// The next hop is not reserved: the flits re-enter the normal
 		// pipeline from this reserved VC's buffer; the entry frees when
 		// the tail has arrived.
@@ -349,11 +432,11 @@ func (mg *Manager) OnUndo(id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now s
 	return mg.pol.Undo(mg, id, tok, in, now)
 }
 
-// BypassBuffered reports whether circuit flits may wait in buffers:
-// fragmented and ideal routers keep them; complete routers must never block
-// a circuit flit. The policy decides.
+// BypassBuffered reports whether circuit flits may wait in buffers: exactly
+// when the circuit VC kept its buffer. Only the complete mechanism's
+// unbuffered VC must never block a circuit flit.
 func (mg *Manager) BypassBuffered() bool {
-	return mg.pol.BypassBuffered()
+	return !mg.net.Config().CircuitVCUnbuffered
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +452,24 @@ func (mg *Manager) OnInject(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) sim
 		return now
 	}
 	return mg.pol.Inject(mg, ni, msg, now)
+}
+
+// ownRecord looks up the registry record of msg's own circuit at NI ni.
+func (mg *Manager) ownRecord(ni mesh.NodeID, msg *noc.Message) (circKey, *record) {
+	key := circKey{dest: msg.Dst, block: msg.Block}
+	return key, mg.regs[ni][key]
+}
+
+// ride puts msg on the circuit rec describes, its own.
+func (mg *Manager) ride(ni mesh.NodeID, msg *noc.Message, rec *record, now sim.Cycle) {
+	msg.UseCircuit = true
+	msg.InjectVC = rec.injectVC
+	msg.CircDest = msg.Dst
+	msg.CircBlock = msg.Block
+	if mg.tracer != nil {
+		mg.tracer.Record(now, trace.CircuitRide, msg.ID, ni,
+			fmt.Sprintf("dest=%d block=%#x", msg.Dst, msg.Block))
+	}
 }
 
 // injectFallback is the shared path for a reply with no circuit of its
@@ -465,7 +566,7 @@ func (mg *Manager) OnDeliver(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) bo
 		// The ridden record usually lives at another tile's registry:
 		// releasing it (and any pending teardown) is deferred to the cycle
 		// epilogue, after the borrowed flits cleared every router.
-		mg.deferOp(managerOp{kind: opRideRelease, rec: rec})
+		mg.ops = append(mg.ops, managerOp{kind: opRideRelease, rec: rec})
 		// Preserve the latency already spent, then continue toward the
 		// real destination as a fresh injection.
 		msg.QueueCredit += msg.InjectedAt - msg.EnqueuedAt
@@ -493,8 +594,7 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 	}
 	defer mg.freeWalk(w)
 	key := circKey{dest: msg.Src, block: msg.Block}
-	path := mg.pathHops(msg) + 1
-	rec := &record{key: key, path: path, src: ni}
+	rec := &record{key: key, path: mg.m.Hops(msg.Src, msg.Dst) + 1, src: ni}
 	mg.pol.Confirm(mg, ni, msg, rec, w)
 	mg.regs[ni][key] = rec
 	if mg.tracer != nil {
@@ -526,8 +626,8 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		return false
 	}
 	delete(mg.regs[ni], key)
-	if !mg.pol.UndoEligible(rec) {
-		return false // nothing built (or already torn down) to undo
+	if rec.empty() {
+		return false // nothing built to undo
 	}
 	mg.Stats.CircuitsUndone++
 	if mg.tracer != nil {
@@ -538,28 +638,8 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		rec.pendingUndo = true // a scrounger is riding; tear down after it
 		return true
 	}
-	mg.teardown(rec, now)
-	return true
-}
-
-// teardown clears a built circuit's router entries (the policy's walk).
-func (mg *Manager) teardown(rec *record, now sim.Cycle) {
 	mg.pol.Teardown(mg, rec, now)
-}
-
-// clearPath removes every entry of a circuit along its YX path (ideal mode
-// only, where teardown cost is not modelled).
-func (mg *Manager) clearPath(from, dest mesh.NodeID, block uint64, now sim.Cycle) {
-	path := mg.m.Path(mesh.RouteYX, from, dest)
-	for i, node := range path {
-		in := mesh.Local
-		if i > 0 {
-			in = dirBetween(mg.m, node, path[i-1])
-		}
-		if mg.tables[node].clear(in, dest, block, now) != nil {
-			mg.net.Events().CircuitWrites++
-		}
-	}
+	return true
 }
 
 // dirBetween returns the port of `from` that faces the adjacent node `to`.
@@ -595,20 +675,6 @@ func (mg *Manager) NoteEliminatedAck(ni mesh.NodeID, now sim.Cycle) {
 	if mg.tracer != nil {
 		mg.tracer.Record(now, trace.AckEliminated, 0, ni, "")
 	}
-}
-
-func maxCycle(a, b sim.Cycle) sim.Cycle {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minCycle(a, b sim.Cycle) sim.Cycle {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // OpenCircuits returns how many reservations are live across every router

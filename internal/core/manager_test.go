@@ -511,16 +511,13 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("valid options %d rejected: %v", i, err)
 		}
 	}
+	// Which of Timed/Reuse/NoAck each policy rejects is TestPolicyTraits'.
 	invalid := []Options{
-		{NoAck: true},
-		{Mechanism: MechFragmented, MaxCircuitsPerPort: 2, NoAck: true},
-		{Mechanism: MechFragmented, MaxCircuitsPerPort: 2, Timed: true},
 		{Mechanism: MechFragmented},
 		{Mechanism: MechComplete},
 		{Mechanism: MechComplete, MaxCircuitsPerPort: 5, SlackPerHop: 1},
 		{Mechanism: MechComplete, MaxCircuitsPerPort: 5, Timed: true, DelayPerHop: 1},
 		{Mechanism: MechComplete, MaxCircuitsPerPort: 5, Timed: true, PostponePerHop: 1, SlackPerHop: 1},
-		{Mechanism: MechIdeal, Timed: true},
 		{Mechanism: Mechanism(99)},
 	}
 	for i, o := range invalid {
@@ -680,17 +677,8 @@ func TestIdealUndoClearsWholePath(t *testing.T) {
 
 func TestManagerAccessors(t *testing.T) {
 	r := newRig(t, 2, 2, completeOpts(), 7)
-	if r.mgr.Options().Mechanism != MechComplete {
-		t.Fatal("Options accessor")
-	}
 	if r.mgr.BypassBuffered() {
 		t.Fatal("complete circuits are bufferless")
-	}
-	for _, m := range []Mechanism{MechFragmented, MechIdeal, MechProbe} {
-		mg := &Manager{opts: Options{Mechanism: m}, pol: mustPolicyFor(Options{Mechanism: m})}
-		if !mg.BypassBuffered() {
-			t.Errorf("%v should buffer bypass flits", m)
-		}
 	}
 	if r.mgr.DumpCircuits(0) != "no live circuits\n" {
 		t.Fatal("empty dump")

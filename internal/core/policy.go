@@ -7,42 +7,45 @@ import (
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
 	"reactivenoc/internal/sim"
+	"reactivenoc/internal/trace"
 )
 
-// Policy is the first-class switching-policy seam: every circuit mechanism
-// — the paper's variants and the post-paper policies from the related work
-// — is one implementation of this interface, registered by name. The
-// Manager owns the mechanism-independent state (router circuit tables, NI
-// registries, reservation walks, statistics) and dispatches every
-// variant-specific decision through its resolved Policy:
+// Policy is the switching-policy seam: every circuit mechanism — the
+// paper's variants and the post-paper policies from the related work — is
+// one implementation, registered by name. All of them share one mechanism:
+// a message reserves a circuit entry at every router it crosses. The
+// Manager owns that walk (OnRequestVA) together with the router tables, NI
+// registries and statistics; a policy is its Traits — the facts the shared
+// machinery, the invariant oracles and Options.Validate read — plus the
+// steps where it departs from the defaults in basePolicy:
 //
-//   - Reserve runs at each router's VA stage, in parallel with the
-//     request's VC allocation (the paper's key idea).
-//   - Confirm finalizes the finished reservation walk into the NI registry
-//     record the reply will consult.
+//   - Arbitrate answers the walk's one question at each router: may the
+//     candidate entry be installed? The walk installs it, or runs the one
+//     failure path.
+//   - Confirm finalizes the finished walk into the NI registry record the
+//     reply will consult.
 //   - Inject steers a message about to leave its NI: ride the circuit,
 //     wait for a timed slot, scrounge, or fall back to packet switching.
 //   - Deliver intercepts message arrival before the generic paths (the
 //     probe comparator consumes its setup flits here).
 //   - Undo clears the reservation named by a teardown token at one router
-//     and steers the undo walk onward.
-//   - Teardown reclaims a built circuit's router entries when the
-//     coherence protocol abandons it.
+//     and steers the undo walk onward; Teardown reclaims a built circuit
+//     the coherence protocol abandons.
+//   - Observe learns from reply outcomes; Flush drains work the policy
+//     deferred to the cycle epilogue.
 //
-// The predicates scope the shared machinery: GapTolerant selects the
-// bypass-miss behaviour, BypassBuffered whether circuit flits may wait in
-// buffers, and ConflictChecked/RegistryChecked/LeakChecked which invariant
-// oracles (internal/verify) apply to the policy's structures.
-//
-// Hook ordering follows the double-buffered simulation phases: Reserve and
-// Undo fire during the router phase (compute on the current cycle's
-// state), Inject and Deliver during the NI phase, and Confirm strictly
-// after every Reserve of the same walk — a request's final router runs its
-// VA stage before the NI delivers the tail flit.
+// Hook ordering follows the double-buffered simulation phases: Arbitrate
+// and Undo fire during the router phase (compute on the current cycle's
+// state), Inject and Deliver during the NI phase, Confirm strictly after
+// every Arbitrate of the same walk — a request's final router runs its VA
+// stage before the NI delivers the tail flit — and Flush from the kernel
+// epilogue, after the manager's own deferred operations.
 type Policy interface {
-	// Name is the registry key the policy was registered under.
-	Name() string
-	// Validate rejects option combinations the policy cannot honour.
+	// Traits states the policy's facts for the given options.
+	Traits(o *Options) Traits
+	// Validate checks the policy's own knobs; the rules every policy
+	// shares (mechanism, optimizations, storage, Section 4.7) are
+	// Options.Validate's, driven by Traits.
 	Validate(o *Options) error
 	// NetConfig applies the policy's router microarchitecture (VC
 	// inventory, routing, injection rules) to the baseline config.
@@ -53,9 +56,10 @@ type Policy interface {
 	// sim.Registry scope the manager exports.
 	DescribeMetrics(reg *sim.Registry)
 
-	// Reserve installs this router's share of the reply circuit as the
-	// request wins VC allocation. in/out are the request's ports.
-	Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, w *walk, now sim.Cycle)
+	// Arbitrate decides whether candidate entry e may be installed at input
+	// unit port of router id. It may refine e (window, lane, VCs) and the
+	// walk's timing state, but installs nothing.
+	Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, port mesh.Dir, e *entry, w *walk, now sim.Cycle) verdict
 	// Confirm finalizes the reservation walk into rec at the NI where the
 	// reply will be injected.
 	Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, rec *record, w *walk)
@@ -69,30 +73,63 @@ type Policy interface {
 	// Undo clears the reservation named by tok at router id and reports
 	// which port the undo walk continues out of (ok=false stops it).
 	Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool)
-	// UndoEligible reports whether a protocol-level Undo of rec counts as
-	// tearing down a live circuit.
-	UndoEligible(rec *record) bool
 	// Teardown reclaims a built circuit's router entries.
 	Teardown(mg *Manager, rec *record, now sim.Cycle)
 	// Observe feeds every reply's final outcome back to the policy
 	// (profiling policies learn from it; most ignore it).
 	Observe(mg *Manager, msg *noc.Message, o Outcome)
+	// Flush runs at the cycle epilogue, after the manager's deferred
+	// operations.
+	Flush(mg *Manager, now sim.Cycle)
+}
 
-	// GapTolerant: a reply expecting a circuit that finds no entry re-enters
-	// the normal pipeline instead of violating an invariant.
-	GapTolerant() bool
-	// BypassBuffered: circuit flits may wait in router buffers.
-	BypassBuffered() bool
+// Traits are the facts a policy states once. NewManager resolves them into
+// a plain field, so the per-flit paths never ask the policy anything.
+type Traits struct {
+	// Mech is the mechanism the policy implements or builds on;
+	// Options.Mechanism must name it.
+	Mech Mechanism
+	// Timed, Reuse and NoAck say which of the paper's optimizations the
+	// policy can honour.
+	Timed, Reuse, NoAck bool
+	// Unbounded: circuit storage has no per-port capacity (the ideal
+	// bound), so MaxCircuitsPerPort is neither required nor enforced.
+	Unbounded bool
+	// Forward: the reserving message is a reply-side setup flit and its
+	// entries point the way it travels (the probe comparator); otherwise a
+	// request reserves reversed entries for its reply.
+	Forward bool
+	// Partial: a router that cannot reserve leaves a gap and the walk goes
+	// on (fragmented circuits); otherwise one failure fails the circuit.
+	Partial bool
+	// Lanes is the SDM lane count per mesh link (0 = undivided links); it
+	// arms the lane-conservation oracle.
+	Lanes int
 	// ConflictChecked: the output-port construction rule applies, so the
 	// circuit-table oracle must find no two inputs sharing an output.
-	ConflictChecked() bool
+	ConflictChecked bool
 	// RegistryChecked: NI records promise built entries along the whole
 	// reply path, so the registry oracle may cross-check them.
-	RegistryChecked() bool
+	RegistryChecked bool
 	// LeakChecked: unclaimed built entries are leaks the online oracle may
-	// flag (scoped by options — timed entries self-expire).
-	LeakChecked(o *Options) bool
+	// flag (timed entries self-expire, so timed options turn it off).
+	LeakChecked bool
 }
+
+// verdict is a policy's answer to the reservation walk at one router.
+type verdict uint8
+
+const (
+	// declined: the message should not reserve at all; it drops its
+	// circuit wish and travels on as a plain packet.
+	declined verdict = iota
+	// granted: install the candidate entry.
+	granted
+	// conflict: the output port, window or lane is taken.
+	conflict
+	// noStorage: no free entry or reserved VC at the input unit.
+	noStorage
+)
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -133,26 +170,18 @@ func init() {
 	RegisterPolicy("sdm", func() Policy { return &sdmPolicy{} })
 }
 
-// PolicyFor resolves the policy an Options selects: the explicit Policy
-// name when set, otherwise the mechanism's default implementation.
-func PolicyFor(o Options) (Policy, error) {
-	name := o.Policy
-	if name == "" {
-		switch o.Mechanism {
-		case MechNone:
-			name = "baseline"
-		case MechFragmented:
-			name = "fragmented"
-		case MechComplete:
-			name = "complete"
-		case MechIdeal:
-			name = "ideal"
-		case MechProbe:
-			name = "probe-setup"
-		default:
-			return nil, fmt.Errorf("core: unknown mechanism %d", o.Mechanism)
-		}
+// PolicyName returns the registry name an Options selects: the explicit
+// Policy when set, otherwise the mechanism's own name.
+func PolicyName(o Options) string {
+	if o.Policy != "" {
+		return o.Policy
 	}
+	return o.Mechanism.String()
+}
+
+// PolicyFor resolves the policy an Options selects.
+func PolicyFor(o Options) (Policy, error) {
+	name := PolicyName(o)
 	f := policyFactories[name]
 	if f == nil {
 		return nil, fmt.Errorf("core: unknown policy %q (registered: %s)",
@@ -170,24 +199,135 @@ func mustPolicyFor(o Options) Policy {
 	return p
 }
 
+// TraitsFor returns the facts of the policy the (valid) options select.
+func TraitsFor(o Options) Traits { return mustPolicyFor(o).Traits(&o) }
+
+// Validate rejects inconsistent option combinations: the rules every policy
+// shares are checked here against the selected policy's Traits, then the
+// policy validates its own knobs.
+func (o *Options) Validate() error {
+	pol, err := PolicyFor(*o)
+	if err != nil {
+		return err
+	}
+	tr, name := pol.Traits(o), PolicyName(*o)
+	if o.Mechanism != tr.Mech {
+		return fmt.Errorf("core: policy %q builds on the %v mechanism (Options.Mechanism is %v)", name, tr.Mech, o.Mechanism)
+	}
+	if o.SpeculativeRouter && o.Enabled() {
+		return fmt.Errorf("core: speculative routers and circuits are alternative designs")
+	}
+	for _, opt := range []struct {
+		name     string
+		set, can bool
+	}{{"Timed", o.Timed, tr.Timed}, {"Reuse", o.Reuse, tr.Reuse}, {"NoAck", o.NoAck, tr.NoAck}} {
+		if opt.set && !opt.can {
+			return fmt.Errorf("core: policy %q cannot honour %s", name, opt.name)
+		}
+	}
+	if o.Enabled() && !tr.Unbounded && o.MaxCircuitsPerPort <= 0 {
+		return fmt.Errorf("core: policy %q needs MaxCircuitsPerPort > 0", name)
+	}
+	if o.Timed {
+		// Section 4.7 parameter rules.
+		if o.SlackPerHop < 0 || o.DelayPerHop < 0 || o.PostponePerHop < 0 {
+			return fmt.Errorf("core: negative timed parameters")
+		}
+		if o.DelayPerHop > 0 && o.SlackPerHop == 0 {
+			return fmt.Errorf("core: delayed reservations require slack (Section 4.7)")
+		}
+		if o.PostponePerHop > 0 && (o.SlackPerHop > 0 || o.DelayPerHop > 0) {
+			return fmt.Errorf("core: postponed circuits use exact windows, not slack/delay")
+		}
+	} else if o.Enabled() && (o.SlackPerHop > 0 || o.DelayPerHop > 0 || o.PostponePerHop > 0) {
+		return fmt.Errorf("core: slack/delay/postpone require Timed")
+	}
+	return pol.Validate(o)
+}
+
 // ---------------------------------------------------------------------------
 // Shared default behaviour
 // ---------------------------------------------------------------------------
 
-// basePolicy supplies the default hook implementations: the paper's
-// reversed-entry undo walk, the credit-walk teardown, and conservative
-// predicates. Concrete policies embed it and override what differs.
+// basePolicy supplies the default of every hook but Traits: reserve nothing
+// unless the policy arbitrates, and otherwise behave as the all-or-nothing
+// reversed circuit of Section 4.2 — confirmed complete exactly when no
+// router failed, ridden by its own reply (observing timed windows and
+// riding scroungers), undone along its entries' output ports and torn down
+// by a credit walk. Concrete policies embed it and override only the steps
+// where they differ.
 type basePolicy struct{}
 
+func (basePolicy) Validate(*Options) error            { return nil }
+func (basePolicy) NetConfig(*noc.NetConfig, *Options) {}
 func (basePolicy) Attach(*Manager)                    {}
 func (basePolicy) DescribeMetrics(*sim.Registry)      {}
-func (basePolicy) NetConfig(*noc.NetConfig, *Options) {}
-func (basePolicy) Reserve(*Manager, mesh.NodeID, *noc.Message, mesh.Dir, mesh.Dir, *walk, sim.Cycle) {
+
+func (basePolicy) Arbitrate(*Manager, mesh.NodeID, *noc.Message, mesh.Dir, *entry, *walk, sim.Cycle) verdict {
+	return declined
 }
-func (basePolicy) Confirm(*Manager, mesh.NodeID, *noc.Message, *record, *walk) {}
+
+// Confirm finalizes an all-or-nothing walk: the record is complete exactly
+// when no router failed, and timed records carry the accumulated injection
+// window.
+func (basePolicy) Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, rec *record, w *walk) {
+	rec.complete = !msg.BuildFailed
+	rec.failed = msg.BuildFailed
+	rec.injectVC = mg.circuitVC()
+	if rec.complete {
+		mg.Stats.CircuitsBuilt++
+	}
+	if mg.opts.Timed && rec.complete {
+		rec.timed = true
+		rec.injStart, rec.injEnd = w.injLo, w.injHi
+	}
+}
+
+// Inject rides the reply on whatever its request reserved — the whole
+// circuit, or under Partial policies its fragments — observing timed
+// windows and riding scroungers; a reply without a record falls back to the
+// shared scrounge/classify path.
 func (basePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.Cycle) sim.Cycle {
-	return mg.injectFallback(ni, msg, now)
+	key, rec := mg.ownRecord(ni, msg)
+	if rec == nil {
+		return mg.injectFallback(ni, msg, now)
+	}
+	if rec.empty() {
+		delete(mg.regs[ni], key)
+		mg.classify(msg, OutcomeFailed)
+		return now
+	}
+	if rec.inUse {
+		return now + 1 // a scrounger is riding; wait for it to clear
+	}
+	if rec.timed {
+		if now > rec.injEnd {
+			// Missed the slot (cache delays, blocked lines): undo the
+			// circuit and use the normal pipeline (Section 4.7).
+			delete(mg.regs[ni], key)
+			mg.Stats.CircuitsUndone++
+			mg.classify(msg, OutcomeUndone)
+			if mg.tracer != nil {
+				mg.tracer.Record(now, trace.CircuitUndone, msg.ID, ni,
+					fmt.Sprintf("missed window [%d,%d]", rec.injStart, rec.injEnd))
+			}
+			return now
+		}
+		if now < rec.injStart {
+			mg.Stats.WaitedForWindow++
+			return rec.injStart
+		}
+	}
+	delete(mg.regs[ni], key)
+	mg.ride(ni, msg, rec, now)
+	if rec.complete {
+		mg.classify(msg, OutcomeCircuit)
+	} else {
+		mg.classify(msg, OutcomeFailed) // a partial path still rides its fragments
+	}
+	return now
 }
+
 func (basePolicy) Deliver(*Manager, mesh.NodeID, *noc.Message, sim.Cycle) (bool, bool) {
 	return false, true
 }
@@ -203,11 +343,13 @@ func (basePolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.
 	return e.out, true
 }
 
-func (basePolicy) UndoEligible(rec *record) bool { return !rec.failed }
-
 // Teardown clears the entry at the circuit's first router and sends an
-// undo-credit walk down the reply path for the rest.
+// undo-credit walk down the reply path for the rest. Timed entries instead
+// self-expire when their finish counters run out.
 func (basePolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
+	if mg.opts.Timed {
+		return
+	}
 	if e := mg.tables[rec.src].clear(mesh.Local, rec.key.dest, rec.key.block, now); e != nil {
 		mg.net.Events().CircuitWrites++
 		if e.out != mesh.Local {
@@ -218,38 +360,16 @@ func (basePolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
 }
 
 func (basePolicy) Observe(*Manager, *noc.Message, Outcome) {}
-func (basePolicy) GapTolerant() bool                       { return false }
-func (basePolicy) BypassBuffered() bool                    { return false }
-func (basePolicy) ConflictChecked() bool                   { return false }
-func (basePolicy) RegistryChecked() bool                   { return false }
-func (basePolicy) LeakChecked(*Options) bool               { return false }
+func (basePolicy) Flush(*Manager, sim.Cycle)               {}
 
-// validateNotSpeculative is shared by every circuit policy: speculative
-// routers are an alternative design, not an addition.
-func validateNotSpeculative(o *Options) error {
-	if o.SpeculativeRouter {
-		return fmt.Errorf("core: speculative routers and circuits are alternative designs")
+// portRule is the paper's construction rule for untimed circuits: the
+// candidate may not share its output port with a live entry of another
+// input unit.
+func portRule(mg *Manager, id mesh.NodeID, port mesh.Dir, e *entry, now sim.Cycle) verdict {
+	if mg.tables[id].conflict(port, e.out, e.winStart, e.winEnd, now) {
+		return conflict
 	}
-	return nil
-}
-
-// validateTimed checks the Section 4.7 parameter rules (and that the
-// parameters are absent when the policy is untimed).
-func validateTimed(o *Options) error {
-	if o.Timed {
-		if o.SlackPerHop < 0 || o.DelayPerHop < 0 || o.PostponePerHop < 0 {
-			return fmt.Errorf("core: negative timed parameters")
-		}
-		if o.DelayPerHop > 0 && o.SlackPerHop == 0 {
-			return fmt.Errorf("core: delayed reservations require slack (Section 4.7)")
-		}
-		if o.PostponePerHop > 0 && (o.SlackPerHop > 0 || o.DelayPerHop > 0) {
-			return fmt.Errorf("core: postponed circuits use exact windows, not slack/delay")
-		}
-	} else if o.SlackPerHop > 0 || o.DelayPerHop > 0 || o.PostponePerHop > 0 {
-		return fmt.Errorf("core: slack/delay/postpone require Timed")
-	}
-	return nil
+	return granted
 }
 
 // orDefault substitutes def for an unset (zero or negative) knob.

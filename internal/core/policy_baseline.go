@@ -1,28 +1,14 @@
 package core
 
-import (
-	"fmt"
-
-	"reactivenoc/internal/noc"
-)
+import "reactivenoc/internal/noc"
 
 // baselinePolicy is the packet-switched network without any circuit
-// machinery: no reservations, no records, every reply classified by its
-// hint (or as not eligible). It also hosts the speculative-router
-// comparator, which changes the router pipeline but not the policy hooks.
+// machinery: no manager is built for it, so none of its walk hooks ever
+// run. It also hosts the speculative-router comparator, which changes the
+// router pipeline but reserves nothing.
 type baselinePolicy struct{ basePolicy }
 
-func (baselinePolicy) Name() string { return "baseline" }
-
-func (baselinePolicy) Validate(o *Options) error {
-	if o.Mechanism != MechNone {
-		return fmt.Errorf("core: policy %q requires the baseline mechanism", "baseline")
-	}
-	if o.NoAck || o.Reuse || o.Timed {
-		return fmt.Errorf("core: baseline cannot enable circuit features")
-	}
-	return nil
-}
+func (baselinePolicy) Traits(*Options) Traits { return Traits{Mech: MechNone} }
 
 func (baselinePolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
 	cfg.Speculative = o.SpeculativeRouter

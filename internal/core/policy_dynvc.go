@@ -29,19 +29,12 @@ type dynVCPolicy struct {
 	shrinks int64
 }
 
-func (p *dynVCPolicy) Name() string { return "dynamic-vc" }
-
+// Validate checks the partition knobs (the fragmented rules are shared).
 func (p *dynVCPolicy) Validate(o *Options) error {
-	if o.Mechanism != MechFragmented {
-		return fmt.Errorf("core: policy %q partitions the fragmented mechanism's VCs (set MechFragmented)", "dynamic-vc")
-	}
-	if err := (fragmentedPolicy{}).Validate(o); err != nil {
-		return err
-	}
 	if o.DynVCMin < 0 || o.DynVCMax < 0 || o.DynVCWindow < 0 {
 		return fmt.Errorf("core: negative dynamic-vc parameters")
 	}
-	min, max := orDefault(o.DynVCMin, 1), orDefault(o.DynVCMax, 3)
+	min, max := orDefault(o.DynVCMin, 1), dynVCMax(o)
 	if min > max {
 		return fmt.Errorf("core: dynamic-vc needs DynVCMin <= DynVCMax")
 	}
@@ -54,10 +47,13 @@ func (p *dynVCPolicy) Validate(o *Options) error {
 	return nil
 }
 
+// dynVCMax is the partition the hardware provisions.
+func dynVCMax(o *Options) int { return orDefault(o.DynVCMax, 3) }
+
 // NetConfig provisions the maximum partition in hardware; the policy's
 // per-router limit decides how much of it is usable each window.
 func (p *dynVCPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
-	max := orDefault(o.DynVCMax, 3)
+	max := dynVCMax(o)
 	cfg.VCsPerVN[noc.VNReply] = 1 + max
 	cfg.ReplyCircuitVCs = max
 	cfg.RepRouting = mesh.RouteYX
@@ -65,7 +61,7 @@ func (p *dynVCPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
 
 func (p *dynVCPolicy) Attach(mg *Manager) {
 	p.min = orDefault(mg.opts.DynVCMin, 1)
-	p.max = orDefault(mg.opts.DynVCMax, 3)
+	p.max = dynVCMax(&mg.opts)
 	p.window = orDefault(mg.opts.DynVCWindow, 16)
 	n := mg.m.Nodes()
 	p.limit = make([]int, n)
@@ -81,14 +77,17 @@ func (p *dynVCPolicy) DescribeMetrics(reg *sim.Registry) {
 	reg.Counter("circ/dynvc_shrinks", &p.shrinks)
 }
 
-// Reserve is the fragmented per-hop reservation restricted to this
-// router's current VC limit, feeding the adaptation window.
-func (p *dynVCPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, w *walk, now sim.Cycle) {
+// Arbitrate is the fragmented per-hop reservation restricted to this
+// router's current VC limit, feeding the adaptation window. (A granted VC
+// always finds an entry: Validate keeps MaxCircuitsPerPort >= DynVCMax.)
+func (p *dynVCPolicy) Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, port mesh.Dir, e *entry, w *walk, now sim.Cycle) verdict {
 	p.attempts[id]++
-	if !mg.reserveFragmentedVC(id, msg, in, out, w, p.limit[id], now) {
+	v := reservedVC(mg, id, port, e, w, p.limit[id], now)
+	if v != granted {
 		p.fails[id]++
 	}
 	p.adapt(id)
+	return v
 }
 
 // adapt closes a router's observation window: any failure grows the

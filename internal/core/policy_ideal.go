@@ -1,34 +1,21 @@
 package core
 
 import (
-	"fmt"
-
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
 	"reactivenoc/internal/sim"
 )
 
 // idealPolicy is the unimplementable upper bound (Section 4.8): every
-// reservation succeeds regardless of conflicts, collisions resolve with
-// buffering, and teardown clears the whole path instantly. It shares the
-// complete family's record/injection behaviour but opts out of the
+// reservation succeeds regardless of conflicts, storage is unbounded,
+// collisions resolve with buffering, and teardown clears the whole path
+// instantly. It has no timing or reuse, and stays out of the
 // feasible-router oracles — its tables legally violate the construction
 // rules the complete mechanism obeys.
-type idealPolicy struct{ completeFamily }
+type idealPolicy struct{ basePolicy }
 
-func (idealPolicy) Name() string { return "ideal" }
-
-func (idealPolicy) Validate(o *Options) error {
-	if o.Mechanism != MechIdeal {
-		return fmt.Errorf("core: policy %q requires the ideal mechanism", "ideal")
-	}
-	if err := validateNotSpeculative(o); err != nil {
-		return err
-	}
-	if o.Timed || o.Reuse {
-		return fmt.Errorf("core: ideal reservation has no timing or reuse")
-	}
-	return validateTimed(o)
+func (idealPolicy) Traits(*Options) Traits {
+	return Traits{Mech: MechIdeal, NoAck: true, Unbounded: true}
 }
 
 func (idealPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
@@ -36,26 +23,22 @@ func (idealPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
 	cfg.RepRouting = mesh.RouteYX
 }
 
-// Reserve always succeeds: conflicts are ignored and storage is unbounded.
-func (idealPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, w *walk, now sim.Cycle) {
-	e := entry{
-		built: true, dest: msg.Src, block: msg.Block,
-		out: in, outVC: mg.circuitVC(), vc: mg.circuitVC(),
-		winStart: 0, winEnd: noWindow,
-	}
-	_, ord := mg.tables[id].insert(out, e, 0, now)
-	mg.noteOrdinal(ord)
-	mg.net.Events().CircuitWrites++
-	w.lastReserved = true
+// Arbitrate always grants: conflicts are ignored.
+func (idealPolicy) Arbitrate(*Manager, mesh.NodeID, *noc.Message, mesh.Dir, *entry, *walk, sim.Cycle) verdict {
+	return granted
 }
 
-// Teardown clears the whole path instantly — the upper-bound model does
-// not charge teardown cost.
+// Teardown clears every entry along the circuit's YX path instantly — the
+// upper-bound model does not charge teardown cost.
 func (idealPolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
-	mg.clearPath(rec.src, rec.key.dest, rec.key.block, now)
+	path := mg.m.Path(mesh.RouteYX, rec.src, rec.key.dest)
+	for i, node := range path {
+		in := mesh.Local
+		if i > 0 {
+			in = dirBetween(mg.m, node, path[i-1])
+		}
+		if mg.tables[node].clear(in, rec.key.dest, rec.key.block, now) != nil {
+			mg.net.Events().CircuitWrites++
+		}
+	}
 }
-
-func (idealPolicy) BypassBuffered() bool      { return true }
-func (idealPolicy) ConflictChecked() bool     { return false }
-func (idealPolicy) RegistryChecked() bool     { return false }
-func (idealPolicy) LeakChecked(*Options) bool { return false }

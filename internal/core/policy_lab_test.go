@@ -32,7 +32,7 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 			t.Fatalf("request %d: flow demoted before its window closed", i)
 		}
 		p.Observe(mg, rep, OutcomeFailed)
-		p.flushCycle(mg, sim.Cycle(i))
+		p.Flush(mg, sim.Cycle(i))
 	}
 	if p.demotions != 1 {
 		t.Fatalf("demotions = %d, want 1", p.demotions)
@@ -56,7 +56,7 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Observe(mg, rep, OutcomeCircuit)
 	}
-	p.flushCycle(mg, 10)
+	p.Flush(mg, 10)
 	if p.demotions != 1 || !p.admit(req) {
 		t.Fatal("winning flow was demoted")
 	}
@@ -64,7 +64,7 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 	// Outcomes that say nothing about the flow leave the window alone.
 	p.Observe(mg, rep, OutcomeScrounger)
 	p.Observe(mg, rep, OutcomeEliminated)
-	p.flushCycle(mg, 11)
+	p.Flush(mg, 11)
 	if f := p.flows[flowKey{src: 1, dst: 6}]; f.winDone != 0 {
 		t.Fatalf("neutral outcomes advanced the window: winDone = %d", f.winDone)
 	}
@@ -94,7 +94,7 @@ func TestProfiledThreshold(t *testing.T) {
 			}
 			p.Observe(mg, rep, o)
 		}
-		p.flushCycle(mg, 0)
+		p.Flush(mg, 0)
 		if got := !p.admit(req); got != tc.demoted {
 			t.Errorf("wins=%d: demoted=%v, want %v", tc.wins, got, tc.demoted)
 		}
@@ -187,6 +187,78 @@ func TestPolicyNetConfigs(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("dynamic-vc network invalid: %v", err)
+	}
+}
+
+// TestPolicyTraits pins every registered policy's Traits and the two facts
+// derived from them rather than restated per policy: bypass flits may be
+// buffered exactly when the policy's network keeps the circuit VC's buffer,
+// and Options.Validate rejects each of Timed/Reuse/NoAck exactly when the
+// trait is off.
+func TestPolicyTraits(t *testing.T) {
+	complete := Traits{
+		Mech: MechComplete, Timed: true, Reuse: true, NoAck: true,
+		ConflictChecked: true, RegistryChecked: true, LeakChecked: true,
+	}
+	cases := map[string]struct {
+		opts Options
+		want Traits
+	}{
+		"baseline":        {Options{}, Traits{Mech: MechNone}},
+		"fragmented":      {fragmentedOpts(), Traits{Mech: MechFragmented, Partial: true}},
+		"complete":        {completeOpts(), complete},
+		"ideal":           {Options{Mechanism: MechIdeal}, Traits{Mech: MechIdeal, NoAck: true, Unbounded: true}},
+		"probe-setup":     {probeOpts(), Traits{Mech: MechProbe, Forward: true}},
+		"profiled-hybrid": {Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, Policy: "profiled-hybrid"}, complete},
+		"dynamic-vc": {Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"},
+			Traits{Mech: MechFragmented, Partial: true}},
+		"sdm": {sdmOpts(0), Traits{
+			Mech: MechComplete, Reuse: true, Lanes: 4, RegistryChecked: true, LeakChecked: true,
+		}},
+	}
+	for _, name := range PolicyNames() {
+		tc, ok := cases[name]
+		if !ok {
+			t.Errorf("policy %q has no pinned traits", name)
+			continue
+		}
+		if got := PolicyName(tc.opts); got != name {
+			t.Fatalf("%s: options resolve to policy %q", name, got)
+		}
+		if err := tc.opts.Validate(); err != nil {
+			t.Fatalf("%s: base options rejected: %v", name, err)
+		}
+		if got := TraitsFor(tc.opts); got != tc.want {
+			t.Errorf("%s: traits = %+v, want %+v", name, got, tc.want)
+		}
+		if tc.opts.Enabled() {
+			r := newRig(t, 2, 2, tc.opts, 7)
+			if got, want := r.mgr.BypassBuffered(), !NetConfigFor(r.m, tc.opts).CircuitVCUnbuffered; got != want {
+				t.Errorf("%s: BypassBuffered = %v, want %v (the circuit VC's buffer)", name, got, want)
+			}
+			if wantBuffered := name != "complete" && name != "profiled-hybrid"; r.mgr.BypassBuffered() != wantBuffered {
+				t.Errorf("%s: BypassBuffered = %v, want %v", name, !wantBuffered, wantBuffered)
+			}
+		}
+		for _, opt := range []struct {
+			name string
+			set  func(*Options)
+			can  bool
+		}{
+			{"Timed", func(o *Options) { o.Timed = true }, tc.want.Timed},
+			{"Reuse", func(o *Options) { o.Reuse = true }, tc.want.Reuse},
+			{"NoAck", func(o *Options) { o.NoAck = true }, tc.want.NoAck},
+		} {
+			o := tc.opts
+			opt.set(&o)
+			if err := o.Validate(); (err == nil) != opt.can {
+				t.Errorf("%s with %s: Validate = %v, trait says supported = %v", name, opt.name, err, opt.can)
+			}
+		}
+	}
+	// Timed entries self-expire, so the leak oracle stands down.
+	if TraitsFor(timedOpts(1, 0, 0)).LeakChecked {
+		t.Error("timed complete circuits must not be leak-checked")
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
 	"reactivenoc/internal/sim"
@@ -15,22 +13,10 @@ import (
 // toward the setup source rather than following reversed entries.
 type probePolicy struct{ basePolicy }
 
-func (probePolicy) Name() string { return "probe-setup" }
-
-func (probePolicy) Validate(o *Options) error {
-	if o.Mechanism != MechProbe {
-		return fmt.Errorf("core: policy %q requires the probe mechanism", "probe-setup")
-	}
-	if err := validateNotSpeculative(o); err != nil {
-		return err
-	}
-	if o.Timed || o.Reuse || o.NoAck {
-		return fmt.Errorf("core: the probe comparator supports none of the paper's optimizations")
-	}
-	if o.MaxCircuitsPerPort <= 0 {
-		return fmt.Errorf("core: probe setup needs MaxCircuitsPerPort > 0")
-	}
-	return validateTimed(o)
+// Traits: the comparator supports none of the paper's optimizations, and
+// its forward entries are structurally outside the reversed-circuit oracles.
+func (probePolicy) Traits(*Options) Traits {
+	return Traits{Mech: MechProbe, Forward: true}
 }
 
 func (probePolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
@@ -41,39 +27,14 @@ func (probePolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
 	cfg.AllowQueueOvertake = true
 }
 
-// Reserve installs a *forward* circuit entry as a setup flit crosses the
-// router: the data reply behind it enters and leaves through the probe's
-// own ports. On a conflict or full storage the setup fails and the
-// already-built prefix is torn down with a backward credit walk.
-func (probePolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, w *walk, now sim.Cycle) {
-	if !msg.SetupProbe || msg.BuildFailed {
-		return
+// Arbitrate lets only setup flits reserve, under the output-port rule on
+// the probe's own (forward) ports: the data reply behind it enters and
+// leaves through them.
+func (probePolicy) Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, port mesh.Dir, e *entry, w *walk, now sim.Cycle) verdict {
+	if !msg.SetupProbe {
+		return declined
 	}
-	tb := mg.tables[id]
-	fail := func(counter *int64) {
-		msg.BuildFailed = true
-		*counter++
-		if in != mesh.Local {
-			tok := &noc.UndoToken{Dest: msg.Dst, Block: msg.Block}
-			mg.net.Router(id).SendUndoCredit(in, tok, now)
-		}
-	}
-	if tb.conflict(in, out, 0, noWindow, now) {
-		fail(&mg.Stats.ReserveFailedConflict)
-		return
-	}
-	e := entry{
-		built: true, dest: msg.Dst, block: msg.Block,
-		out: out, outVC: mg.circuitVC(), vc: mg.circuitVC(),
-		winStart: 0, winEnd: noWindow,
-	}
-	ins, ord := tb.insert(in, e, mg.opts.MaxCircuitsPerPort, now)
-	if ins == nil {
-		fail(&mg.Stats.ReserveFailedStorage)
-		return
-	}
-	mg.noteOrdinal(ord)
-	mg.net.Events().CircuitWrites++
+	return portRule(mg, id, port, e, now)
 }
 
 // Inject implements the probe-setup comparator's injection side: an
@@ -85,8 +46,6 @@ func (probePolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, ou
 // the setup traversal is never hidden — the paper's argument for reserving
 // with the request instead.
 func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.Cycle) sim.Cycle {
-	key := circKey{dest: msg.Dst, block: msg.Block}
-	rec := mg.regs[ni][key]
 	if msg.SetupProbe {
 		return now // probes leave immediately
 	}
@@ -96,6 +55,7 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 		}
 		return now
 	}
+	key, rec := mg.ownRecord(ni, msg)
 	if rec == nil {
 		probe := mg.net.NewMessage()
 		probe.ID = mg.net.NextMsgID()
@@ -118,9 +78,7 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 		mg.classify(msg, OutcomeFailed)
 		return now
 	}
-	msg.UseCircuit = true
-	msg.CircDest = msg.Dst
-	msg.CircBlock = msg.Block
+	mg.ride(ni, msg, rec, now)
 	mg.Stats.CircuitsBuilt++
 	mg.classify(msg, OutcomeCircuit)
 	return now
@@ -141,7 +99,7 @@ func (probePolicy) Deliver(mg *Manager, ni mesh.NodeID, msg *noc.Message, now si
 	// comparator (a real design needs a confirmation message back).
 	// The record lives in another tile's registry, so the update lands
 	// at the cycle epilogue like every cross-tile mutation.
-	mg.deferOp(managerOp{
+	mg.ops = append(mg.ops, managerOp{
 		kind:   opProbeUp,
 		src:    msg.Src,
 		key:    circKey{dest: msg.Dst, block: msg.Block},
@@ -163,5 +121,3 @@ func (probePolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh
 	}
 	return 0, false
 }
-
-func (probePolicy) BypassBuffered() bool { return true }

@@ -15,13 +15,13 @@ import (
 // reservation cost — their requests travel as plain packets for a backoff
 // period before the flow is re-admitted and re-profiled.
 //
-// Mechanically it is the complete mechanism with a filter at the first
-// router of each reservation walk: a demoted flow's request drops its
-// WantCircuit bit before anything is reserved, so no table entry, registry
-// record, or undo walk ever exists for it and every complete-circuit
-// oracle keeps holding for the admitted flows.
+// Mechanically it is the complete mechanism — same traits, same network —
+// with a filter at the first router of each reservation walk: a demoted
+// flow's request drops its WantCircuit bit before anything is reserved, so
+// no table entry, registry record, or undo walk ever exists for it and
+// every complete-circuit oracle keeps holding for the admitted flows.
 type profiledPolicy struct {
-	completeFamily
+	completePolicy
 
 	window  int // replies profiled per decision window
 	pct     int // minimum circuit-ride percentage to stay admitted
@@ -57,15 +57,8 @@ type flowProfile struct {
 	winWins    int // replies that rode a circuit this window
 }
 
-func (p *profiledPolicy) Name() string { return "profiled-hybrid" }
-
+// Validate checks the profiling knobs (the complete rules are shared).
 func (p *profiledPolicy) Validate(o *Options) error {
-	if o.Mechanism != MechComplete {
-		return fmt.Errorf("core: policy %q profiles the complete mechanism (set MechComplete)", "profiled-hybrid")
-	}
-	if err := (completePolicy{}).Validate(o); err != nil {
-		return err
-	}
 	if o.ProfileWindow < 0 || o.ProfileThresholdPct < 0 || o.ProfileBackoff < 0 {
 		return fmt.Errorf("core: negative profiled-hybrid parameters")
 	}
@@ -73,12 +66,6 @@ func (p *profiledPolicy) Validate(o *Options) error {
 		return fmt.Errorf("core: ProfileThresholdPct is a percentage (0-100)")
 	}
 	return nil
-}
-
-// NetConfig is the complete mechanism's network: the admitted flows ride
-// the same unbuffered circuit VC with YX replies.
-func (p *profiledPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
-	(completePolicy{}).NetConfig(cfg, o)
 }
 
 func (p *profiledPolicy) Attach(mg *Manager) {
@@ -94,18 +81,14 @@ func (p *profiledPolicy) DescribeMetrics(reg *sim.Registry) {
 	reg.Counter("circ/profiled_demotions", &p.demotions)
 }
 
-// Reserve consults the flow profile at the first router of the walk: an
+// Arbitrate consults the flow profile at the first router of the walk: an
 // admitted flow reserves like a complete circuit; a demoted flow's request
-// drops its circuit wish entirely and the walk is abandoned before any
-// state exists.
-func (p *profiledPolicy) Reserve(mg *Manager, id mesh.NodeID, msg *noc.Message, in, out mesh.Dir, w *walk, now sim.Cycle) {
+// declines, abandoning the walk before any state exists.
+func (p *profiledPolicy) Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, port mesh.Dir, e *entry, w *walk, now sim.Cycle) verdict {
 	if w.routers == 1 && !p.admit(msg) {
-		msg.WantCircuit = false // downstream routers skip reservation entirely
-		msg.Walk = nil
-		mg.freeWalk(w)
-		return
+		return declined
 	}
-	p.completeFamily.Reserve(mg, id, msg, in, out, w, now)
+	return p.completePolicy.Arbitrate(mg, id, msg, port, e, w, now)
 }
 
 // admit decides circuit vs packet for one request and advances the
@@ -146,8 +129,8 @@ func (p *profiledPolicy) Observe(mg *Manager, msg *noc.Message, o Outcome) {
 	})
 }
 
-// flushCycle applies the cycle's deferred observations in enqueue order.
-func (p *profiledPolicy) flushCycle(mg *Manager, now sim.Cycle) {
+// Flush applies the cycle's deferred observations in enqueue order.
+func (p *profiledPolicy) Flush(mg *Manager, now sim.Cycle) {
 	for _, ob := range p.pendingObs {
 		p.applyObs(ob)
 	}

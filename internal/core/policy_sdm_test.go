@@ -17,8 +17,9 @@ func sdmOpts(lanes int) Options {
 }
 
 // TestSDMValidateErrors: every structurally incompatible knob combination
-// is rejected — most importantly NoAck, whose delivery guarantee a
-// lane-paced (stallable) circuit reply cannot honour.
+// is rejected (TestPolicyTraits pins the Timed and NoAck rejections — NoAck's
+// delivery guarantee is one a lane-paced, stallable circuit reply cannot
+// honour).
 func TestSDMValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,8 +27,6 @@ func TestSDMValidateErrors(t *testing.T) {
 	}{
 		{"wrong mechanism", func(o *Options) { o.Mechanism = MechFragmented }},
 		{"no table entries", func(o *Options) { o.MaxCircuitsPerPort = 0 }},
-		{"timed windows", func(o *Options) { o.Timed = true }},
-		{"noack", func(o *Options) { o.NoAck = true }},
 		{"speculative router", func(o *Options) { o.SpeculativeRouter = true }},
 		{"one lane", func(o *Options) { o.SDMLanes = 1 }},
 		{"nine lanes", func(o *Options) { o.SDMLanes = 9 }},

@@ -135,9 +135,6 @@ func TestProbeStressNoCorruption(t *testing.T) {
 func TestProbeOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Mechanism: MechProbe},
-		{Mechanism: MechProbe, MaxCircuitsPerPort: 5, NoAck: true},
-		{Mechanism: MechProbe, MaxCircuitsPerPort: 5, Timed: true},
-		{Mechanism: MechProbe, MaxCircuitsPerPort: 5, Reuse: true},
 		{Mechanism: MechProbe, MaxCircuitsPerPort: 5, SpeculativeRouter: true},
 	}
 	for i, o := range bad {

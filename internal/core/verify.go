@@ -18,20 +18,19 @@ import (
 // with overlapping time windows (untimed entries hold their port for an
 // unbounded window, so any pair sharing an output is a conflict).
 func (mg *Manager) CheckTables(now sim.Cycle) error {
-	checkConflicts := mg.pol.ConflictChecked()
-	if la, ok := mg.pol.(laneAware); ok {
-		if err := mg.checkLanes(la.LaneCount(), now); err != nil {
+	if mg.traits.Lanes > 0 {
+		if err := mg.checkLanes(mg.traits.Lanes, now); err != nil {
 			return err
 		}
 	}
 	for id, tb := range mg.tables {
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			if cap := mg.opts.MaxCircuitsPerPort; cap > 0 {
+			if cap := mg.capacity; cap > 0 {
 				if n := tb.activeCount(d, now); n > cap {
 					return fmt.Errorf("router %d input %v holds %d live circuits, cap %d", id, d, n, cap)
 				}
 			}
-			if !checkConflicts {
+			if !mg.traits.ConflictChecked {
 				continue
 			}
 			for _, e := range tb.inputs[d] {
@@ -58,8 +57,8 @@ func (mg *Manager) CheckTables(now sim.Cycle) error {
 // live reservation must hold a circuit lane (1..lanes-1; lane 0 is the
 // reserved packet lane), and no two live reservations at one router may
 // hold the same lane of the same output link — the spatial analogue of the
-// complete mechanism's window-conflict rule, which laneAware policies
-// replace.
+// complete mechanism's window-conflict rule, which policies with the Lanes
+// trait replace.
 func (mg *Manager) checkLanes(lanes int, now sim.Cycle) error {
 	for id, tb := range mg.tables {
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
@@ -102,7 +101,7 @@ func (mg *Manager) checkLanes(lanes int, now sim.Cycle) error {
 // the NI still plans to use the circuit — exactly the divergence this
 // oracle exists to catch before the reply does.
 func (mg *Manager) CheckRegistry(now sim.Cycle) error {
-	if !mg.pol.RegistryChecked() {
+	if !mg.traits.RegistryChecked {
 		return nil // fragmented paths have legal gaps; ideal/probe differ structurally
 	}
 	for _, regs := range mg.regs {
@@ -155,7 +154,7 @@ func (mg *Manager) CheckRegistry(now sim.Cycle) error {
 // teardown differs structurally, so the oracle is scoped to untimed
 // complete circuits.
 func (mg *Manager) CheckLeaks(now sim.Cycle) error {
-	if !mg.pol.LeakChecked(&mg.opts) {
+	if !mg.traits.LeakChecked {
 		return nil
 	}
 	covered := map[circKey]bool{}

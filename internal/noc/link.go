@@ -46,9 +46,6 @@ func (l *Link) SetLanes(n int) {
 	l.laneNext = make([]sim.Cycle, n)
 }
 
-// Lanes returns the lane count (0 or 1 = undivided).
-func (l *Link) Lanes() int { return l.lanes }
-
 // LaneFree reports whether the given lane can accept a flit at cycle now.
 // Undivided links are always free — the one-flit-per-cycle rule is enforced
 // by Send itself.

@@ -102,15 +102,14 @@ func TestSequenceCheckerCatchesCorruption(t *testing.T) {
 	h := newHarness(BaselineConfig(m), nil, nil)
 	ni := h.net.NI(1)
 	msg5 := msg(0, 1, VNReply, 5)
-	flits := flitsOf(msg5)
-	ni.checkSequence(flits[0])
-	ni.checkSequence(flits[1])
+	ni.checkSequence(&Flit{Msg: msg5, Seq: 0, Head: true})
+	ni.checkSequence(&Flit{Msg: msg5, Seq: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order flit not caught")
 		}
 	}()
-	ni.checkSequence(flits[3]) // skipped flit 2
+	ni.checkSequence(&Flit{Msg: msg5, Seq: 3}) // skipped flit 2
 }
 
 func TestInjectionRoundRobinBetweenVNs(t *testing.T) {

@@ -131,20 +131,6 @@ type Flit struct {
 	arrivedAt sim.Cycle
 }
 
-// flitsOf expands a message into its flit train.
-func flitsOf(m *Message) []*Flit {
-	fs := make([]*Flit, m.Size)
-	for i := range fs {
-		fs[i] = &Flit{
-			Msg:  m,
-			Seq:  i,
-			Head: i == 0,
-			Tail: i == m.Size-1,
-		}
-	}
-	return fs
-}
-
 // Credit is the flow-control token returned upstream when a buffer slot
 // frees. UndoCircuit piggybacks the paper's circuit-teardown information on
 // the credit wire ("if a credit had to be sent at the same time ... we
@@ -172,16 +158,18 @@ type UndoToken struct {
 
 // CircuitHandler is the seam between the generic wormhole router and the
 // Reactive Circuits mechanism. A nil handler yields the baseline network.
-// The concrete handler is core.Manager, which delegates every decision to
-// the registered switching policy (core.Policy) the run's options select —
-// the routers never see which policy is driving them.
+// The concrete handler is core.Manager: it owns the reservation walk and
+// the bypass check, and asks the registered switching policy (core.Policy)
+// the run's options select only where variants decide differently — the
+// routers never see which policy is driving them.
 //
 // All methods are invoked synchronously from within Router.Tick.
 type CircuitHandler interface {
-	// OnRequestVA fires in the cycle a circuit-wanting request's head flit
+	// OnRequestVA fires in the cycle a circuit-wanting message's head flit
 	// wins VC allocation at router id (entering via in, leaving via out):
 	// the paper reserves the reply's circuit "in parallel with VC
-	// allocation". The handler may set msg.BuildFailed or msg.AccumDelay.
+	// allocation". The handler may set msg.BuildFailed or msg.AccumDelay,
+	// or clear msg.WantCircuit to stop reserving.
 	OnRequestVA(id mesh.NodeID, msg *Message, in, out mesh.Dir, now sim.Cycle)
 
 	// Bypass inspects a flit arriving at input port in of router id and
@@ -202,7 +190,7 @@ type CircuitHandler interface {
 	OnUndo(id mesh.NodeID, tok *UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool)
 
 	// BypassBuffered reports whether a bypass flit may wait in a buffer
-	// when it loses the crossbar (the ideal mechanism keeps buffers). When
+	// when it loses the crossbar (the circuit VC kept its buffer). When
 	// false, a stalled bypass flit violates the complete-circuit
 	// invariant and the router panics: circuits must never block.
 	BypassBuffered() bool
@@ -211,7 +199,7 @@ type CircuitHandler interface {
 // NIHook lets the circuit layer steer injection and delivery at the
 // network interfaces. A nil hook yields baseline behaviour. Like
 // CircuitHandler, the concrete hook is core.Manager dispatching to the
-// selected switching policy (its Inject and Deliver hooks).
+// selected switching policy's Inject and Deliver steps.
 type NIHook interface {
 	// OnInject is consulted when msg reaches the head of its NI queue. It
 	// may set UseCircuit / Scrounging / route metadata and returns the

@@ -91,7 +91,3 @@ func (n *Network) NewMessage() *Message { return n.pool.getMsg() }
 // controller transaction, or a circuit-layer map. With pooling disabled
 // this is a no-op and m is left to the garbage collector.
 func (n *Network) FreeMessage(m *Message) { n.pool.putMsg(m) }
-
-// PoolDisabled reports whether recycling is off (Spec/Options kill-switch
-// or RC_NOPOOL=1).
-func (n *Network) PoolDisabled() bool { return n.pool.disabled }

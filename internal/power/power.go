@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"reactivenoc/internal/core"
+	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
 )
 
@@ -73,45 +74,27 @@ type RouterConfig struct {
 	Nodes       int
 }
 
-// ConfigFor derives the router inventory of a mechanism variant.
+// ConfigFor derives the router inventory of a mechanism variant from the
+// network the variant's policy provisions (core.NetConfigFor) and the
+// circuit storage its options ask for.
 func ConfigFor(nodes int, opts core.Options) RouterConfig {
-	rc := RouterConfig{TotalVCs: 4, BufferedVCs: 4, Nodes: nodes}
-	switch opts.Mechanism {
-	case core.MechNone:
-	case core.MechFragmented:
-		rc.TotalVCs = 5
-		rc.BufferedVCs = 5
+	net := core.NetConfigFor(mesh.Mesh{}, opts)
+	rc := RouterConfig{
+		TotalVCs:  net.VCsPerVN[noc.VNRequest] + net.VCsPerVN[noc.VNReply],
+		LinkLanes: net.LinkLanes,
+		Nodes:     nodes,
+	}
+	rc.BufferedVCs = rc.TotalVCs
+	if net.CircuitVCUnbuffered {
+		rc.BufferedVCs -= net.ReplyCircuitVCs
+	}
+	if opts.Enabled() {
 		rc.CircEntries = opts.MaxCircuitsPerPort
-		if opts.Policy == "dynamic-vc" {
-			// The dynamic-vc policy provisions DynVCMax reserved reply
-			// VCs in hardware (the adaptive limit is control state, not
-			// area): 2 request VCs + 1 ordinary reply VC + the partition.
-			max := opts.DynVCMax
-			if max <= 0 {
-				max = 3
-			}
-			rc.TotalVCs = 3 + max
-			rc.BufferedVCs = rc.TotalVCs
+		if core.TraitsFor(opts).Unbounded {
+			// Not a feasible design; area is reported for reference with
+			// the same entry count as complete circuits.
+			rc.CircEntries = 5
 		}
-	case core.MechComplete:
-		rc.BufferedVCs = 3 // the circuit VC loses its buffer
-		rc.CircEntries = opts.MaxCircuitsPerPort
-		if opts.Policy == "sdm" {
-			// The sdm policy keeps the circuit VC's buffer (lane-paced
-			// flits wait under credit flow control) and provisions the
-			// lane-sliced mesh links; each entry also stores its lane index
-			// (charged in Budget).
-			rc.BufferedVCs = 4
-			lanes := opts.SDMLanes
-			if lanes <= 0 {
-				lanes = 4
-			}
-			rc.LinkLanes = lanes
-		}
-	case core.MechIdeal:
-		// Unbounded storage: not a feasible design; area is reported for
-		// reference with the same entry count as complete circuits.
-		rc.CircEntries = 5
 	}
 	if opts.Timed {
 		// Two counters per entry, sized to the largest window the chip

@@ -170,6 +170,47 @@ func TestAddrBits(t *testing.T) {
 	}
 }
 
+// TestRouterInventories pins the inventory ConfigFor derives from each
+// policy's network (core.NetConfigFor) and options — nothing here is
+// restated per policy in this package. The probe comparator's row is the
+// one that used to be wrong: its MaxCircuitsPerPort-deep tables were never
+// charged, so it was costed as a baseline router.
+func TestRouterInventories(t *testing.T) {
+	for name, tc := range map[string]struct {
+		o                             core.Options
+		total, buffered, entries, lan int
+	}{
+		"baseline":    {core.Options{}, 4, 4, 0, 0},
+		"speculative": {core.Options{SpeculativeRouter: true}, 4, 4, 0, 0},
+		"fragmented":  {opts(core.MechFragmented, 2, false, 0), 5, 5, 2, 0},
+		"dynamic-vc": {core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"},
+			6, 6, 3, 0},
+		"dynamic-vc max 4": {core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMax: 4},
+			7, 7, 4, 0},
+		"complete": {opts(core.MechComplete, 5, false, 0), 4, 3, 5, 0},
+		"profiled-hybrid": {core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "profiled-hybrid"},
+			4, 3, 5, 0},
+		"sdm":   {core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "sdm"}, 4, 4, 5, 4},
+		"ideal": {core.Options{Mechanism: core.MechIdeal}, 4, 4, 5, 0},
+		"probe": {opts(core.MechProbe, 5, false, 0), 4, 4, 5, 0},
+	} {
+		rc := ConfigFor(16, tc.o)
+		if rc.TotalVCs != tc.total || rc.BufferedVCs != tc.buffered || rc.CircEntries != tc.entries || rc.LinkLanes != tc.lan {
+			t.Errorf("%s: VCs %d/%d buffered, %d entries, %d lanes; want %d/%d, %d, %d", name,
+				rc.TotalVCs, rc.BufferedVCs, rc.CircEntries, rc.LinkLanes, tc.total, tc.buffered, tc.entries, tc.lan)
+		}
+	}
+	// Probe setup keeps every buffer and adds complete circuits' storage:
+	// strictly more area than the baseline router.
+	probe, complete := opts(core.MechProbe, 5, false, 0), opts(core.MechComplete, 5, false, 0)
+	if got, want := ConfigFor(16, probe).Budget().CircuitInfo, ConfigFor(16, complete).Budget().CircuitInfo; got != want {
+		t.Errorf("probe circuit storage %v, want complete's %v", got, want)
+	}
+	if s := AreaSavings(16, probe); s >= 0 {
+		t.Errorf("probe setup must cost area, got savings %.4f", s)
+	}
+}
+
 // TestSDMRouterInventory: the sdm policy keeps the full buffer complement
 // (lane-paced flits wait under credit flow control), provisions the
 // configured lane count (defaulting to 4), and pays for it — serdes per

@@ -289,31 +289,6 @@ func (c *Client) Follow(ctx context.Context, id string, after int, fn func(Event
 	return next, io.ErrUnexpectedEOF
 }
 
-// CachedFingerprints scrapes /v1/cache: the node's cached result
-// fingerprints, sorted.
-func (c *Client) CachedFingerprints(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/cache", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: GET /v1/cache: %s", resp.Status)
-	}
-	var fps []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if fp := strings.TrimSpace(sc.Text()); fp != "" {
-			fps = append(fps, fp)
-		}
-	}
-	return fps, sc.Err()
-}
-
 // Metrics scrapes /metrics into a name→value map.
 func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)

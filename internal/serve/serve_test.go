@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
+	"reactivenoc/internal/core"
 	"reactivenoc/internal/exp"
 	"reactivenoc/internal/workload"
 )
@@ -112,13 +114,29 @@ func TestSubmitBackpressure(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: nonsense specs are rejected before queueing.
+// TestSubmitValidation: nonsense specs are rejected before queueing — over
+// HTTP as a 400 that burns no worker, not a 202 whose job dies in setup.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	spec := smallSpec(1)
 	spec.MeasureOps = 0
-	if _, err := s.Submit(spec); err != ErrInvalidSpec {
+	if _, err := s.Submit(spec); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("err = %v, want ErrInvalidSpec", err)
+	}
+
+	s.Start()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	done := s.Metrics().Value("serve/jobs_done")
+	spec = smallSpec(1)
+	spec.Variant.Opts = core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true}
+	_, err := NewClient(hs.URL).Submit(context.Background(), spec)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("inconsistent variant over HTTP: err = %v, want a 400 StatusError", err)
+	}
+	if got := s.Metrics().Value("serve/jobs_done"); got != done || len(s.queue) != 0 {
+		t.Fatalf("rejected spec was queued: serve/jobs_done %d -> %d, queue depth %d", done, got, len(s.queue))
 	}
 }
 

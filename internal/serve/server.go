@@ -44,7 +44,7 @@ type Config struct {
 var (
 	ErrQueueFull   = errors.New("serve: job queue is full")
 	ErrDraining    = errors.New("serve: server is shutting down")
-	ErrInvalidSpec = errors.New("serve: spec MeasureOps must be positive")
+	ErrInvalidSpec = errors.New("serve: invalid spec")
 )
 
 // Server is the simulation service: admission, dedup, cache, worker pool,
@@ -209,8 +209,8 @@ func (s *Server) Submit(spec chip.Spec) (JobStatus, error) {
 	if s.draining.Load() {
 		return JobStatus{}, ErrDraining
 	}
-	if spec.MeasureOps <= 0 {
-		return JobStatus{}, ErrInvalidSpec
+	if err := spec.Validate(); err != nil {
+		return JobStatus{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	spec.OnSample = nil // observers are server-side only
 	fp := spec.Fingerprint()

@@ -39,20 +39,14 @@ type Component interface {
 // identical to the dense engine, where that component's earlier tick was a
 // no-op by the quiescence contract.
 type Waker struct {
-	k    *Kernel
-	idx  int
-	post bool
+	k   *Kernel
+	idx int
 }
 
 // Wake marks the component active so the kernel ticks it again.
 func (w Waker) Wake() {
-	if w.k == nil {
-		return
-	}
-	if w.post {
-		w.k.post[w.idx].active = true
-	} else {
-		w.k.main[w.idx].active = true
+	if w.k != nil {
+		w.k.comps[w.idx].active = true
 	}
 }
 
@@ -71,11 +65,9 @@ type entry struct {
 // Register tick every cycle, preserving the original engine's behaviour
 // for monolithic tickers.
 type Kernel struct {
-	now  Cycle
-	main []entry
-	// post runs after every component ticked, in registration order.
-	// Pipeline-flop style components use it.
-	post []entry
+	now Cycle
+	// comps tick in registration order.
+	comps []entry
 	// dense disables activity skipping: every component ticks every
 	// cycle, exactly like the original engine. The golden determinism
 	// suite cross-checks dense against sparse execution.
@@ -83,8 +75,8 @@ type Kernel struct {
 	// ticks counts component ticks actually executed; with the component
 	// count and cycle count this yields the scheduler's skip ratio.
 	ticks int64
-	// epilogues run at the end of every Step — after both phases, before
-	// the cycle counter advances. The circuit layer drains its deferred
+	// epilogues run at the end of every Step — after every component,
+	// before the cycle counter advances. The circuit layer drains its deferred
 	// cross-tile operations here.
 	epilogues []func(Cycle)
 }
@@ -95,33 +87,20 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
-// Register adds a component to the main tick phase; it ticks every cycle.
+// Register adds a component that ticks every cycle.
 func (k *Kernel) Register(t Ticker) {
-	k.main = append(k.main, entry{t: t, active: true})
+	k.comps = append(k.comps, entry{t: t, active: true})
 }
 
-// RegisterPost adds a component to the post-tick phase (pipeline flop); it
-// ticks every cycle.
-func (k *Kernel) RegisterPost(t Ticker) {
-	k.post = append(k.post, entry{t: t, active: true})
-}
-
-// Add registers an activity-tracked component in the main phase and
-// returns its Waker. Components start active and fall asleep after their
-// first quiescent tick.
+// Add registers an activity-tracked component and returns its Waker.
+// Components start active and fall asleep after their first quiescent tick.
 func (k *Kernel) Add(c Component) Waker {
-	k.main = append(k.main, entry{t: c, c: c, active: true})
-	return Waker{k: k, idx: len(k.main) - 1}
-}
-
-// AddPost registers an activity-tracked component in the post phase.
-func (k *Kernel) AddPost(c Component) Waker {
-	k.post = append(k.post, entry{t: c, c: c, active: true})
-	return Waker{k: k, idx: len(k.post) - 1, post: true}
+	k.comps = append(k.comps, entry{t: c, c: c, active: true})
+	return Waker{k: k, idx: len(k.comps) - 1}
 }
 
 // AddEpilogue appends f to the per-cycle epilogue chain. Epilogues run at
-// the end of every Step, after both phases and before the clock advances,
+// the end of every Step, after every component and before the clock advances,
 // in sparse and dense mode alike.
 func (k *Kernel) AddEpilogue(f func(Cycle)) { k.epilogues = append(k.epilogues, f) }
 
@@ -129,20 +108,14 @@ func (k *Kernel) AddEpilogue(f func(Cycle)) { k.epilogues = append(k.epilogues, 
 // reference mode the activity tracker is verified against.
 func (k *Kernel) SetDense(d bool) { k.dense = d }
 
-// Components returns how many components are registered across both
-// phases.
-func (k *Kernel) Components() int { return len(k.main) + len(k.post) }
+// Components returns how many components are registered.
+func (k *Kernel) Components() int { return len(k.comps) }
 
 // ActiveCount returns how many registered components are currently awake.
 func (k *Kernel) ActiveCount() int {
 	n := 0
-	for i := range k.main {
-		if k.main[i].active {
-			n++
-		}
-	}
-	for i := range k.post {
-		if k.post[i].active {
+	for i := range k.comps {
+		if k.comps[i].active {
 			n++
 		}
 	}
@@ -154,31 +127,11 @@ func (k *Kernel) ActiveCount() int {
 // activity tracker achieved.
 func (k *Kernel) Ticks() int64 { return k.ticks }
 
-// WakeAll revives every component. It is the blunt but safe instrument for
-// external phase transitions; the engine itself uses per-component Wakers.
-func (k *Kernel) WakeAll() {
-	for i := range k.main {
-		k.main[i].active = true
-	}
-	for i := range k.post {
-		k.post[i].active = true
-	}
-}
-
 // Step advances the simulation by one cycle.
 func (k *Kernel) Step() {
 	now := k.now
-	k.stepPhase(k.main, now)
-	k.stepPhase(k.post, now)
-	for _, f := range k.epilogues {
-		f(now)
-	}
-	k.now++
-}
-
-func (k *Kernel) stepPhase(es []entry, now Cycle) {
-	for i := range es {
-		e := &es[i]
+	for i := range k.comps {
+		e := &k.comps[i]
 		if !e.active && !k.dense {
 			continue
 		}
@@ -192,6 +145,10 @@ func (k *Kernel) stepPhase(es []entry, now Cycle) {
 			e.active = !e.c.Quiescent()
 		}
 	}
+	for _, f := range k.epilogues {
+		f(now)
+	}
+	k.now++
 }
 
 // Run advances n cycles.

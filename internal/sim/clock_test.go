@@ -44,20 +44,14 @@ func TestKernelTicksEveryComponentOncePerCycle(t *testing.T) {
 	}
 }
 
-func TestKernelPostPhaseRunsAfterMain(t *testing.T) {
-	k := NewKernel()
-	order := []string{}
-	k.Register(tickFunc(func(Cycle) { order = append(order, "main") }))
-	k.RegisterPost(tickFunc(func(Cycle) { order = append(order, "post") }))
-	k.Step()
-	if len(order) != 2 || order[0] != "main" || order[1] != "post" {
-		t.Fatalf("phase order %v", order)
-	}
-}
-
 type tickFunc func(Cycle)
 
 func (f tickFunc) Tick(now Cycle) { f(now) }
+
+// always is an activity-tracked component that never goes quiescent.
+type always struct{ tickFunc }
+
+func (always) Quiescent() bool { return false }
 
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
@@ -106,22 +100,21 @@ func TestRunUntilDoneFiresWithoutStepping(t *testing.T) {
 	}
 }
 
-// Main-phase components all tick before any post-phase component,
-// regardless of the order Register and RegisterPost were interleaved in;
-// within a phase, registration order is preserved.
+// Components tick in registration order, however always-on (Register) and
+// activity-tracked (Add) registrations were interleaved.
 func TestInterleavedRegisterKeepsPhaseOrder(t *testing.T) {
 	k := NewKernel()
 	order := []string{}
 	rec := func(name string) tickFunc {
 		return func(Cycle) { order = append(order, name) }
 	}
-	k.Register(rec("m1"))
-	k.RegisterPost(rec("p1"))
-	k.Register(rec("m2"))
-	k.RegisterPost(rec("p2"))
-	k.Register(rec("m3"))
+	k.Register(rec("r1"))
+	k.Add(always{rec("a1")})
+	k.Register(rec("r2"))
+	k.Add(always{rec("a2")})
+	k.Register(rec("r3"))
 	k.Step()
-	want := []string{"m1", "m2", "m3", "p1", "p2"}
+	want := []string{"r1", "a1", "r2", "a2", "r3"}
 	if len(order) != len(want) {
 		t.Fatalf("tick order %v, want %v", order, want)
 	}
@@ -209,7 +202,6 @@ func TestEpilogueRunsEveryCycleInAllModes(t *testing.T) {
 		var seen []Cycle
 		k.AddEpilogue(func(now Cycle) { seen = append(seen, now) })
 		k.Add(&toggler{pending: 1})
-		k.AddPost(&toggler{pending: 1})
 		k.Run(4)
 		if len(seen) != 4 {
 			t.Fatalf("%s: epilogue ran %d times over 4 cycles", tc.name, len(seen))
@@ -219,29 +211,5 @@ func TestEpilogueRunsEveryCycleInAllModes(t *testing.T) {
 				t.Fatalf("%s: epilogue saw cycle %d at step %d", tc.name, c, i)
 			}
 		}
-	}
-}
-
-// Post-phase activity tracking: an AddPost component sleeps and wakes like
-// a main-phase one, and still runs after the whole main phase.
-func TestAddPostActivityAndOrdering(t *testing.T) {
-	k := NewKernel()
-	order := []string{}
-	k.Register(tickFunc(func(Cycle) { order = append(order, "main") }))
-	c := &toggler{pending: 1}
-	w := k.AddPost(c)
-	k.Step()
-	if len(order) != 1 || c.ticks != 1 {
-		t.Fatalf("post component did not tick (order=%v ticks=%d)", order, c.ticks)
-	}
-	k.Run(3)
-	if c.ticks != 1 {
-		t.Fatalf("quiescent post component ticked %d times, want 1", c.ticks)
-	}
-	c.pending = 1
-	w.Wake()
-	k.Step()
-	if c.ticks != 2 {
-		t.Fatalf("woken post component ticked %d times, want 2", c.ticks)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/fault"
+	"reactivenoc/internal/trace"
 	"reactivenoc/internal/verify"
 	"reactivenoc/internal/workload"
 )
@@ -56,18 +57,18 @@ func TestPolicyConformance(t *testing.T) {
 	}
 }
 
-// policyFaultExpectations derives, from a policy's own predicates, which
-// fault classes its armed oracles promise to catch: credit conservation is
+// policyFaultExpectations derives, from a policy's own Traits, which fault
+// classes its armed oracles promise to catch: credit conservation is
 // variant-independent, the registry cross-check applies when the policy
 // advertises RegistryChecked, and the online leak oracle when LeakChecked.
-// Deriving from the predicates (instead of a hand-kept table) means a new
+// Deriving from the traits (instead of a hand-kept table) means a new
 // policy is automatically held to exactly the oracles it claims.
-func policyFaultExpectations(pol core.Policy, opts core.Options) []fault.Class {
+func policyFaultExpectations(tr core.Traits) []fault.Class {
 	expect := []fault.Class{fault.WithholdCredit}
-	if pol.RegistryChecked() {
+	if tr.RegistryChecked {
 		expect = append(expect, fault.FlipBuiltBit)
 	}
-	if pol.LeakChecked(&opts) {
+	if tr.LeakChecked {
 		expect = append(expect, fault.DropUndoToken)
 	}
 	return expect
@@ -76,7 +77,7 @@ func policyFaultExpectations(pol core.Policy, opts core.Options) []fault.Class {
 // TestPolicyConformanceOracles closes the inverse gap of the conformance
 // gauntlet: a clean run proves the policy violates no armed oracle, but not
 // that the oracles have teeth under that policy. For every registered
-// policy, each fault class its predicates map to an oracle is injected into
+// policy, each fault class its traits map to an oracle is injected into
 // the verify-armed representative cell, and the run must fail through
 // exactly that oracle — a fault that never fires makes the cell vacuous and
 // fails too.
@@ -90,11 +91,7 @@ func TestPolicyConformanceOracles(t *testing.T) {
 		if !ok {
 			t.Fatalf("policy %q has no registered representative variant", name)
 		}
-		pol, err := core.PolicyFor(v.Opts)
-		if err != nil {
-			t.Fatalf("policy %q: %v", name, err)
-		}
-		for _, c := range policyFaultExpectations(pol, v.Opts) {
+		for _, c := range policyFaultExpectations(core.TraitsFor(v.Opts)) {
 			c := c
 			t.Run(name+"/"+c.String(), func(t *testing.T) {
 				t.Parallel()
@@ -130,6 +127,61 @@ func TestPolicyConformanceOracles(t *testing.T) {
 					c, name, re.Oracle, re.Phase, re.Msg, want)
 			})
 		}
+	}
+}
+
+// TestPolicyConformanceWalkSeams pins that every circuit policy reserves
+// through the one walk: a traced run of its representative variant retains
+// reservation events, and an armed FlipBuiltBit reaches the fault seam and is
+// logged — whether the run then survives the upset (fragmented circuits ride
+// around the gap) or an invariant catches it.
+func TestPolicyConformanceWalkSeams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("policy conformance runs full simulations")
+	}
+	for _, name := range config.PolicyNames() {
+		name := name
+		v, ok := config.VariantForPolicy(name)
+		if !ok {
+			t.Fatalf("policy %q has no registered representative variant", name)
+		}
+		if !v.Opts.Enabled() {
+			continue // no circuits, no walk
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			s := policySpec(v)
+			s.WarmupOps, s.MeasureOps = 200, 800
+			s.TraceCap = 1 << 16
+			res, err := chip.RunCtx(context.Background(), s)
+			if err != nil {
+				t.Fatalf("traced run: %v", err)
+			}
+			reserves := 0
+			for _, ev := range res.Trace {
+				if ev.Kind == trace.Reserve {
+					reserves++
+				}
+			}
+			if reserves == 0 {
+				t.Errorf("no trace.Reserve among %d retained events", len(res.Trace))
+			}
+
+			s.TraceCap = 0
+			s.Fault = &fault.Plan{Class: fault.FlipBuiltBit}
+			res, err = chip.RunCtx(context.Background(), s)
+			var faults []fault.Event
+			if re := chip.AsRunError(err); re != nil {
+				faults = re.Faults
+			} else if err != nil {
+				t.Fatalf("fault-armed run: %v", err)
+			} else {
+				faults = res.Faults
+			}
+			if len(faults) == 0 || faults[0].Class != fault.FlipBuiltBit {
+				t.Errorf("FlipBuiltBit never reached the reservation seam (fault log %v)", faults)
+			}
+		})
 	}
 }
 
