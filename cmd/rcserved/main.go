@@ -1,8 +1,8 @@
 // Command rcserved runs the simulation service: an HTTP/JSON server that
 // accepts chip.Spec submissions, simulates them on a bounded worker pool
-// with the sweep harness's retry/timeout policy, memoizes results in a
-// sharded LRU keyed by spec fingerprint, and streams per-window progress
-// over server-sent events.
+// with the sweep harness's retry/timeout policy, memoizes results in an
+// LRU keyed by spec fingerprint, and streams per-window progress over
+// server-sent events.
 //
 // Shutdown is graceful: SIGTERM/SIGINT closes intake, lets in-flight runs
 // finish within the grace period (then cancels them), and drains every job
@@ -77,8 +77,7 @@ func run() int {
 	addr := flag.String("addr", ":8134", "listen address")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "max queued jobs before submissions get 429 + Retry-After")
-	cacheN := flag.Int("cache", 512, "result-cache capacity (entries, LRU per shard)")
-	shards := flag.Int("shards", 16, "cache/dedup shard count")
+	cacheN := flag.Int("cache", 512, "result-cache capacity (entries, LRU)")
 	journal := flag.String("journal", "", "journal path: unfinished jobs are drained here on shutdown and replayed on restart")
 	retry := flag.Bool("retry", true, "retry failed runs once under the alternate seed")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock cap (0 = none)")
@@ -94,8 +93,7 @@ func run() int {
 
 	pol := exp.Policy{Retry: *retry, Timeout: *runTimeout}
 	srv, err := serve.New(serve.Config{
-		Workers: *workers, QueueDepth: *queue,
-		CacheEntries: *cacheN, CacheShards: *shards,
+		Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
 		Policy: pol, Journal: *journal, Logf: logger.Printf,
 	})
 	if err != nil {
@@ -114,7 +112,7 @@ func run() int {
 		outer := http.NewServeMux()
 		reg.Routes(outer)
 		outer.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			cluster.WriteMetrics(w, srv.Metrics(), reg.Metrics())
+			serve.WriteMetrics(w, srv.Metrics(), reg.Metrics())
 		})
 		outer.Handle("/", handler)
 		handler = outer
@@ -123,8 +121,8 @@ func run() int {
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%d, queue=%d, cache=%d×%d shards, journal=%q, registry=%v)",
-			*addr, exp.WorkersOr(*workers), *queue, *cacheN, *shards, *journal, *registry)
+		logger.Printf("listening on %s (workers=%d, queue=%d, cache=%d, journal=%q, registry=%v)",
+			*addr, exp.WorkersOr(*workers), *queue, *cacheN, *journal, *registry)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -45,7 +45,6 @@ func main() {
 	verifyRun := flag.Bool("verify", false, "arm the online invariant oracles (internal/verify) during the run")
 	verifyEvery := flag.Int64("verify-every", 0, "oracle cadence in cycles with -verify (0 = default)")
 	timeout := flag.Duration("timeout", 0, "wall-clock cap for the run (0 = none)")
-	nopool := flag.Bool("nopool", false, "disable flit/message recycling (bit-identical; for bisecting pool bugs)")
 	// -trace is the message-lifecycle trace above, so the runtime execution
 	// trace lives under -exectrace here.
 	profiles := prof.Flags("exectrace")
@@ -94,7 +93,6 @@ func main() {
 	spec.TraceCap = *traceN
 	spec.Audit = *audit
 	spec.Timeout = *timeout
-	spec.NoPool = *nopool
 	spec.Verify = *verifyRun
 	spec.VerifyEvery = sim.Cycle(*verifyEvery)
 	spec.RecordTrace = *record

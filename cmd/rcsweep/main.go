@@ -11,9 +11,9 @@
 //
 // Every -exp, the extension experiments included, builds a list of run
 // specs and hands it to the one cell runner in internal/exp, so -workers,
-// -seed, -ops, -timeout, -failfast/-keep-going, -verify and -remote apply
-// to all of them alike (-full, -policy and -workloads choose the rows and
-// columns of the paper's sweep; the extensions fix their own).
+// -seed, -ops, -timeout, -failfast, -verify and -remote apply to all of
+// them alike (-full, -policy and -workloads choose the rows and columns of
+// the paper's sweep; the extensions fix their own).
 //
 // Usage:
 //
@@ -75,8 +75,7 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock cap (0 = none)")
-	keepGoing := flag.Bool("keep-going", true, "survive failed runs and report them at the end")
-	failFast := flag.Bool("failfast", false, "stop scheduling new runs after the first failure")
+	failFast := flag.Bool("failfast", false, "stop scheduling new runs after the first failure (default: survive failed runs and report them at the end)")
 	remote := flag.String("remote", "", "base URL of a running rcserved; sweep cells are submitted there instead of simulated locally")
 	verifyRuns := flag.Bool("verify", false, "arm the online invariant oracles on every run of the sweep")
 	policyName := flag.String("policy", "", "restrict the sweep columns to the named switching policy's variants (see -list-policies)")
@@ -154,7 +153,7 @@ func run() int {
 
 	pol := exp.DefaultPolicy()
 	pol.Timeout = *timeout
-	pol.FailFast = *failFast || !*keepGoing
+	pol.FailFast = *failFast
 	pol.Verify = *verifyRuns
 	if *remote != "" {
 		// The server executes (and retries) each cell; rcsweep's workers

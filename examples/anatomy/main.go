@@ -34,7 +34,7 @@ func main() {
 		sys.Prefill(addr, -1, false)
 
 		kernel := sim.NewKernel()
-		kernel.Register(sys)
+		sys.Register(kernel)
 		done := false
 		sys.L1s[src].SetMissHandler(func(now sim.Cycle) { done = true })
 		if sys.L1s[src].Access(addr, false, 0) {

@@ -31,7 +31,7 @@ func main() {
 		m := mesh.New(c.Width, c.Height)
 		sys := coherence.NewSystem(m, v.Opts, c.MCs)
 
-		// Warm the caches and wire one core per tile.
+		// Warm the caches (the prefill chip.RunCtx does).
 		for i := 0; i < m.Nodes(); i++ {
 			for _, reg := range w.Regions(i) {
 				for l := 0; l < reg.Lines; l++ {
@@ -43,14 +43,15 @@ func main() {
 				}
 			}
 		}
+		// Registered as chip.RunCtx does it: the system's components and its
+		// cycle epilogue, then the cores.
+		kernel := sim.NewKernel()
+		sys.Register(kernel)
 		cores := make([]*cpu.Core, m.Nodes())
 		for i := range cores {
 			cores[i] = cpu.New(i, sys.L1s[i], w.Stream(i, 1), 6000)
+			kernel.Add(cores[i])
 		}
-
-		kernel := sim.NewKernel()
-		kernel.Register(sys)
-		kernel.Register(tickAll(cores))
 		kernel.RunUntil(func() bool {
 			for _, core := range cores {
 				if !core.Done() {
@@ -88,12 +89,4 @@ func main() {
 	}
 	fmt.Println("\nthe dimension-order hot spots (memory-controller rows/columns) persist;")
 	fmt.Println("circuits change per-hop latency, not paths — so the map barely moves")
-}
-
-type tickAll []*cpu.Core
-
-func (t tickAll) Tick(now sim.Cycle) {
-	for _, c := range t {
-		c.Tick(now)
-	}
 }

@@ -317,8 +317,9 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 	}
 
 	// Functional cache warming (the paper warms for 200M cycles): every
-	// region each core touches is installed in its home L2 bank, and the
-	// hot private region in the core's L1.
+	// region each core touches is installed in its home L2 bank, and each
+	// region's first L1Lines lines in the core's L1 (Region.L1From is not
+	// consulted — see workload.Region).
 	for i := 0; i < n; i++ {
 		for _, reg := range coreRegions(i) {
 			for l := 0; l < reg.Lines; l++ {

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -11,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"reactivenoc/internal/serve"
 )
 
 // AgentConfig wires one rcserved node into a cluster.
@@ -54,6 +54,7 @@ func NewAgent(cfg AgentConfig) *Agent {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
+	cfg.Registry = strings.TrimRight(cfg.Registry, "/")
 	a := &Agent{
 		cfg:  cfg,
 		hc:   &http.Client{Timeout: 5 * time.Second},
@@ -69,32 +70,12 @@ func (a *Agent) Beats() int64 { return a.beats.Load() }
 // beat sends one registration/heartbeat and adapts the cadence to the
 // registry's TTL contract.
 func (a *Agent) beat(ctx context.Context) error {
-	body, err := json.Marshal(a.cfg.Self)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(a.cfg.Registry, "/")+"/v1/nodes", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: heartbeat: %s", resp.Status)
-	}
 	var br beatResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return err
+	if err := serve.Call(ctx, a.hc, http.MethodPost, a.cfg.Registry+"/v1/nodes", a.cfg.Self, &br); err != nil {
+		return fmt.Errorf("cluster: heartbeat: %w", err)
 	}
-	if br.TTLMillis > 0 {
-		if iv := time.Duration(br.TTLMillis) * time.Millisecond / 3; iv > 0 {
-			a.interval.Store(int64(iv))
-		}
+	if iv := time.Duration(br.TTLMillis) * time.Millisecond / 3; iv > 0 {
+		a.interval.Store(int64(iv))
 	}
 	a.beats.Add(1)
 	return nil
@@ -141,18 +122,8 @@ func (a *Agent) Stop() {
 // draining node falls out of routing immediately instead of after a TTL.
 func (a *Agent) Leave(ctx context.Context) error {
 	a.Stop()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		strings.TrimRight(a.cfg.Registry, "/")+"/v1/nodes/"+a.cfg.Self.ID, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: leave: %s", resp.Status)
+	if err := serve.Call(ctx, a.hc, http.MethodDelete, a.cfg.Registry+"/v1/nodes/"+a.cfg.Self.ID, nil, nil); err != nil {
+		return fmt.Errorf("cluster: leave: %w", err)
 	}
 	return nil
 }

@@ -164,7 +164,7 @@ func TestClusterKillNodeMidSweep(t *testing.T) {
 		}
 	}()
 
-	cl := cluster.NewClient(regHS.URL, cluster.WithLogf(quiet))
+	cl := cluster.NewClient(regHS.URL, quiet)
 	sweep := exp.RunSweepCtx(context.Background(), config.Chip16(), config.Variants(), scale, clusterPolicy(cl))
 	<-killed
 
@@ -280,7 +280,7 @@ func TestClusterHandoffToSuccessor(t *testing.T) {
 
 	nodes[0].kill()
 
-	cl := cluster.NewClient(regHS.URL, cluster.WithLogf(quiet))
+	cl := cluster.NewClient(regHS.URL, quiet)
 	res, err := cl.Run(ctx, victim)
 	if err != nil {
 		t.Fatalf("run after owner death: %v", err)
@@ -323,7 +323,7 @@ func TestClusterRegistryPartition(t *testing.T) {
 	const ttl = 300 * time.Millisecond
 	reg, regHS, nodes := startCluster(t, ttl, 2, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
 
-	cl := cluster.NewClient(regHS.URL, cluster.WithLogf(quiet))
+	cl := cluster.NewClient(regHS.URL, quiet)
 	ctx := context.Background()
 	warm := sweepSpecs(exp.Scale{MeasureOps: 500, Apps: 2, Seed: 1})
 	if _, err := cl.Run(ctx, warm[0]); err != nil {
@@ -355,7 +355,7 @@ func TestClusterRegistryPartition(t *testing.T) {
 func TestClusterBackpressure429(t *testing.T) {
 	_, regHS, nodes := startCluster(t, time.Minute, 1, serve.Config{Workers: 1, QueueDepth: 1, Policy: exp.Policy{Retry: true}})
 
-	cl := cluster.NewClient(regHS.URL, cluster.WithLogf(quiet))
+	cl := cluster.NewClient(regHS.URL, quiet)
 	specs := sweepSpecs(exp.Scale{MeasureOps: 2000, Apps: 2, Seed: 1})[:8]
 	var wg sync.WaitGroup
 	errs := make([]error, len(specs))

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -44,27 +42,19 @@ type Client struct {
 	redispatches atomic.Int64
 }
 
-// ClientOption tweaks a cluster client.
-type ClientOption func(*Client)
-
-// WithLogf sinks the client's warnings.
-func WithLogf(logf func(format string, args ...any)) ClientOption {
-	return func(c *Client) { c.logf = logf }
-}
-
-// NewClient targets a discovery registry base URL.
-func NewClient(registry string, opts ...ClientOption) *Client {
-	c := &Client{
+// NewClient targets a discovery registry base URL; logf sinks the client's
+// warnings (nil: log.Printf).
+func NewClient(registry string, logf func(format string, args ...any)) *Client {
+	if logf == nil {
+		logf = log.Printf
+	}
+	return &Client{
 		registry: strings.TrimRight(registry, "/"),
 		hc:       &http.Client{},
-		logf:     log.Printf,
+		logf:     logf,
 		nodes:    map[string]*serve.Client{},
 		suspect:  map[string]time.Time{},
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // Counters reports the client-side tallies, mirroring the names the
@@ -78,26 +68,11 @@ func (c *Client) Counters() map[string]int64 {
 	}
 }
 
-// fetchMembership pulls a fresh membership snapshot from the registry.
-func (c *Client) fetchMembership(ctx context.Context) (Membership, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.registry+"/v1/nodes", nil)
-	if err != nil {
-		return Membership{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return Membership{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Membership{}, fmt.Errorf("cluster: GET /v1/nodes: %s", resp.Status)
-	}
+// fetchMembership asks the registry at base for a membership snapshot.
+func fetchMembership(ctx context.Context, hc *http.Client, base string) (Membership, error) {
 	var m Membership
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return Membership{}, err
-	}
-	c.refreshes.Add(1)
-	return m, nil
+	err := serve.Call(ctx, hc, http.MethodGet, strings.TrimRight(base, "/")+"/v1/nodes", nil, &m)
+	return m, err
 }
 
 // viewTTL is how long a membership view is trusted without a refresh.
@@ -122,9 +97,12 @@ func (c *Client) currentRing(ctx context.Context, force bool) (*Ring, error) {
 	}
 	c.mu.Unlock()
 
-	m, err := c.fetchMembership(ctx)
+	m, err := fetchMembership(ctx, c.hc, c.registry)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err == nil {
+		c.refreshes.Add(1)
+	}
 	switch {
 	case err != nil && c.ring != nil && c.ring.Len() > 0:
 		c.staleViews.Add(1)
@@ -187,20 +165,10 @@ func (c *Client) isSuspect(id string, ttl time.Duration) bool {
 // cluster/ counters see what the clients saw. Fire-and-forget: a
 // partitioned registry must not slow the sweep down.
 func (c *Client) report(typ, from, to, fp string) {
-	body, err := json.Marshal(clusterEvent{Type: typ, From: from, To: to, Fingerprint: fp})
-	if err != nil {
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.registry+"/v1/cluster/events", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := c.hc.Do(req); err == nil {
-		resp.Body.Close()
-	}
+	_ = serve.Call(ctx, c.hc, http.MethodPost, c.registry+"/v1/cluster/events",
+		clusterEvent{Type: typ, From: from, To: to, Fingerprint: fp}, nil)
 }
 
 // permanent reports whether a dispatch error is the job's fault (a
@@ -303,24 +271,8 @@ func (c *Client) Run(ctx context.Context, spec chip.Spec) (*chip.Results, error)
 // speaks the discovery protocol — the seam rcsweep -remote uses to accept
 // either a single rcserved or a cluster endpoint transparently.
 func Probe(ctx context.Context, base string) (Membership, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(base, "/")+"/v1/nodes", nil)
-	if err != nil {
-		return Membership{}, false
-	}
-	resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
-	if err != nil {
-		return Membership{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Membership{}, false
-	}
-	var m Membership
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return Membership{}, false
-	}
-	return m, true
+	m, err := fetchMembership(ctx, &http.Client{Timeout: 5 * time.Second}, base)
+	return m, err == nil
 }
 
 // RunFunc resolves a -remote endpoint into an executor: a cluster Client
@@ -328,11 +280,7 @@ func Probe(ctx context.Context, base string) (Membership, bool) {
 // The returned description is for the caller's logs.
 func RunFunc(ctx context.Context, base string, logf func(format string, args ...any)) (func(context.Context, chip.Spec) (*chip.Results, error), string) {
 	if m, ok := Probe(ctx, base); ok {
-		cl := NewClient(base)
-		if logf != nil {
-			cl.logf = logf
-		}
-		return cl.Run, fmt.Sprintf("cluster of %d nodes (epoch %d)", len(m.Nodes), m.Epoch)
+		return NewClient(base, logf).Run, fmt.Sprintf("cluster of %d nodes (epoch %d)", len(m.Nodes), m.Epoch)
 	}
 	return serve.NewClient(base).Run, "single node"
 }

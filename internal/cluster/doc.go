@@ -1,7 +1,7 @@
 // Package cluster turns a fleet of rcserved nodes into one service: a
 // lightweight discovery registry with heartbeats and TTL expiry, a
 // consistent-hash ring that partitions spec fingerprints (and with them the
-// sharded result cache) across the live nodes, and a failure-aware client
+// nodes' result caches) across the live nodes, and a failure-aware client
 // that fans sweep cells out to the owning node and re-dispatches to the
 // ring successor when a node dies mid-sweep.
 //
@@ -15,6 +15,11 @@
 // deduplicates by spec fingerprint — the serving-layer analogue of the
 // setup/ack/undo tokens that keep a re-built circuit from double-reserving
 // a link.
+//
+// Every call to the registry — membership fetch and probe, heartbeat,
+// leave, event report — is made with serve.Call, and the registry answers
+// through serve.WriteJSON/WriteError/WriteMetrics: the cluster has no wire
+// code of its own, so a registry failure reads like a node failure.
 //
 // Roles:
 //

@@ -197,7 +197,7 @@ func TestClusterProcessSIGKILL(t *testing.T) {
 		}
 	}()
 
-	cl := cluster.NewClient(regURL, cluster.WithLogf(quiet))
+	cl := cluster.NewClient(regURL, quiet)
 	sweep := exp.RunSweepCtx(ctx, config.Chip16(), config.Variants(), scale, clusterPolicy(cl))
 	<-killed
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"reactivenoc/internal/serve"
 	"reactivenoc/internal/sim"
 )
 
@@ -22,8 +23,6 @@ const DefaultTTL = 3 * time.Second
 type RegistryConfig struct {
 	// TTL is the heartbeat expiry window (<= 0: DefaultTTL).
 	TTL time.Duration
-	// VNodes is the ring's virtual-node count (<= 0: DefaultVNodes).
-	VNodes int
 	// Logf sinks warnings (nil: log.Printf).
 	Logf func(format string, args ...any)
 
@@ -100,9 +99,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -112,7 +108,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	g := &Registry{
 		cfg:     cfg,
 		members: map[string]*member{},
-		ring:    NewRing(nil, cfg.VNodes),
+		ring:    NewRing(nil, DefaultVNodes),
 		startAt: cfg.now(),
 		stop:    make(chan struct{}),
 	}
@@ -180,7 +176,7 @@ func (g *Registry) rebuildLocked() {
 	for _, m := range g.members {
 		nodes = append(nodes, m.Node)
 	}
-	next := NewRing(nodes, g.cfg.VNodes)
+	next := NewRing(nodes, DefaultVNodes)
 	g.ringMoves.Add(int64(MovedShare(g.ring, next)))
 	g.ring = next
 	g.epoch.Add(1)
@@ -285,18 +281,18 @@ func (g *Registry) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
 		var n Node
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&n); err != nil {
-			httpError(w, http.StatusBadRequest, "bad node: "+err.Error())
+			serve.WriteError(w, http.StatusBadRequest, "bad node: "+err.Error())
 			return
 		}
 		resp, err := g.Beat(n)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			serve.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSONResp(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSONResp(w, http.StatusOK, g.Membership())
+		serve.WriteJSON(w, http.StatusOK, g.Membership())
 	})
 	mux.HandleFunc("DELETE /v1/nodes/{id}", func(w http.ResponseWriter, r *http.Request) {
 		g.Leave(r.PathValue("id"))
@@ -305,7 +301,7 @@ func (g *Registry) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/cluster/events", func(w http.ResponseWriter, r *http.Request) {
 		var ev clusterEvent
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&ev); err != nil {
-			httpError(w, http.StatusBadRequest, "bad event: "+err.Error())
+			serve.WriteError(w, http.StatusBadRequest, "bad event: "+err.Error())
 			return
 		}
 		g.Record(ev)
@@ -319,41 +315,10 @@ func (g *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	g.Routes(mux)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		WriteMetrics(w, g.Metrics())
+		serve.WriteMetrics(w, g.Metrics())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSONResp(w, http.StatusOK, map[string]string{"status": "ok", "role": "registry"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "registry"})
 	})
 	return mux
-}
-
-// WriteMetrics renders snapshots as sorted "name value" lines — the same
-// plain-text contract rcserved's /metrics uses, so chaos tests scrape the
-// registry and the nodes with one parser.
-func WriteMetrics(w http.ResponseWriter, snaps ...sim.Snapshot) {
-	keys := []string{}
-	vals := map[string]int64{}
-	for _, s := range snaps {
-		for _, k := range s.Keys() {
-			if _, dup := vals[k]; !dup {
-				keys = append(keys, k)
-			}
-			vals[k] = s.Vals[k]
-		}
-	}
-	sort.Strings(keys)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s %d\n", k, vals[k])
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSONResp(w, code, map[string]string{"error": msg})
-}
-
-func writeJSONResp(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

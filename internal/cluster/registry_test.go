@@ -133,7 +133,7 @@ func TestRegistryHTTP(t *testing.T) {
 	}
 
 	// Event reports land in the counters.
-	c := NewClient(hs.URL, WithLogf(func(string, ...any) {}))
+	c := NewClient(hs.URL, func(string, ...any) {})
 	c.report("handoff", "n1", "", "fp")
 	c.report("redispatch", "n1", "n2", "fp")
 	snap := g.Metrics()

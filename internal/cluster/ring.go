@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
+	"strconv"
 )
 
 // DefaultVNodes is the virtual-node count per physical node. 64 points per
@@ -69,26 +70,7 @@ func NewRing(nodes []Node, vnodes int) *Ring {
 }
 
 // vnodeLabel names one virtual node deterministically.
-func vnodeLabel(id string, v int) string {
-	// id#v with v in decimal; fmt.Sprintf avoided on the (cheap) build
-	// path for no good reason other than keeping this allocation-light.
-	buf := make([]byte, 0, len(id)+8)
-	buf = append(buf, id...)
-	buf = append(buf, '#')
-	if v == 0 {
-		buf = append(buf, '0')
-	} else {
-		var digits [8]byte
-		i := len(digits)
-		for v > 0 {
-			i--
-			digits[i] = byte('0' + v%10)
-			v /= 10
-		}
-		buf = append(buf, digits[i:]...)
-	}
-	return string(buf)
-}
+func vnodeLabel(id string, v int) string { return id + "#" + strconv.Itoa(v) }
 
 // Len is the physical-node count.
 func (r *Ring) Len() int { return len(r.nodes) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"testing"
 
 	"reactivenoc/internal/mesh"
@@ -18,9 +17,6 @@ import (
 // candidate entry reaches Policy.Arbitrate without escaping — under the
 // port rule, the reserved-VC search and the lane search alike.
 func TestBypassFastPathAllocationBound(t *testing.T) {
-	if os.Getenv("RC_NOPOOL") == "1" {
-		t.Skip("pooling disabled by RC_NOPOOL; allocation bounds do not apply")
-	}
 	for _, tc := range []struct {
 		name string
 		opts Options

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"os"
 	"testing"
 
 	"reactivenoc/internal/mesh"
@@ -14,9 +13,6 @@ import (
 // heap allocations. A regression here means some hot-path structure went
 // back to append/make/map churn.
 func TestSteadyStateCycleDoesNotAllocate(t *testing.T) {
-	if os.Getenv("RC_NOPOOL") == "1" {
-		t.Skip("pooling disabled by RC_NOPOOL; allocation bounds do not apply")
-	}
 	m := mesh.New(8, 8)
 	net := NewNetwork(BaselineConfig(m), nil, nil)
 	rng := sim.NewRNG(5)
@@ -52,9 +48,6 @@ func TestSteadyStateCycleDoesNotAllocate(t *testing.T) {
 // pooled message travels to delivery and back to the free list without a
 // single allocation once the pool is primed.
 func TestInjectionDoesNotAllocate(t *testing.T) {
-	if os.Getenv("RC_NOPOOL") == "1" {
-		t.Skip("pooling disabled by RC_NOPOOL; allocation bounds do not apply")
-	}
 	m := mesh.New(4, 1)
 	net := NewNetwork(BaselineConfig(m), nil, nil)
 	kernel := sim.NewKernel()

@@ -49,10 +49,10 @@ type NetConfig struct {
 	Speculative bool
 
 	// NoPool disables the flit/message free-lists, keeping the allocating
-	// path as a reference (kill-switch; env RC_NOPOOL=1 forces it
-	// process-wide). Pooled and unpooled runs are bit-identical — the
-	// free-lists only change where objects come from, never what the
-	// simulation does with them.
+	// path as the reference the differ's no-pool leg and the golden
+	// cross-check compare against. Pooled and unpooled runs are
+	// bit-identical — the free-lists only change where objects come from,
+	// never what the simulation does with them.
 	NoPool bool
 
 	// LinkLanes divides every inter-router link into that many equal-width

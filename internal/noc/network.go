@@ -29,7 +29,7 @@ func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 		panic("noc: speculative routers and reactive circuits are alternative designs; pick one")
 	}
 	n := &Network{cfg: cfg}
-	n.pool.disabled = cfg.NoPool || envNoPool()
+	n.pool.disabled = cfg.NoPool
 	m := cfg.Mesh
 	n.routers = make([]*Router, m.Nodes())
 	n.nis = make([]*NI, m.Nodes())

@@ -1,17 +1,5 @@
 package noc
 
-import (
-	"os"
-	"sync"
-)
-
-// envNoPool force-disables recycling process-wide (kill-switch for
-// comparing against the allocating reference path): RC_NOPOOL=1. The read
-// is lazy, not a package-level init: `go test` only records environment
-// dependencies accessed while the test runs, so an init-time Getenv would
-// let the test cache serve a pooled run's result to an RC_NOPOOL=1 rerun.
-var envNoPool = sync.OnceValue(func() bool { return os.Getenv("RC_NOPOOL") == "1" })
-
 // pools holds the network's deterministic free-lists for flits and
 // messages. They are plain LIFO slices, not sync.Pool: reuse order is then a
 // pure function of simulation order, so pooled and unpooled runs produce

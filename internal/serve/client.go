@@ -70,84 +70,91 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: HTTP %d: %s", e.Code, e.Msg)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// open is the one request path of the service and its cluster. A non-nil
+// body goes out as JSON; a 2xx answer comes back open, for the caller to
+// read and close; 429/503 become the backpressure error carrying the
+// server's Retry-After, and every other status a *StatusError with the
+// server's {"error": …} message. Transport failures are returned as they
+// are, which is how the cluster client recognises a broken node.
+func open(ctx context.Context, hc *http.Client, method, url string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+		after := time.Second
+		if n, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && n > 0 {
+			after = time.Duration(n) * time.Second
+		}
+		return nil, &retryAfterError{status: resp.StatusCode, after: after}
+	}
+	var ae apiError
+	_ = json.NewDecoder(resp.Body).Decode(&ae) // not our JSON: the status line speaks instead
+	if ae.Error == "" {
+		ae.Error = resp.Status
+	}
+	return nil, &StatusError{Code: resp.StatusCode, Msg: fmt.Sprintf("%s %s: %s", method, req.URL.Path, ae.Error)}
+}
+
+// Call sends one request through the service's request path and decodes a
+// JSON answer into out (nil, or a 204: nothing is read). The cluster
+// package makes every registry call with it, so a node and the registry
+// report failures in one vocabulary: IsBackpressure and *StatusError.
+func Call(ctx context.Context, hc *http.Client, method, url string, body, out any) error {
+	resp, err := open(ctx, hc, method, url, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusAccepted:
-		return json.NewDecoder(resp.Body).Decode(out)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		after := time.Second
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				after = time.Duration(n) * time.Second
-			}
-		}
-		return &retryAfterError{status: resp.StatusCode, after: after}
-	default:
-		var ae apiError
-		_ = json.NewDecoder(resp.Body).Decode(&ae)
-		if ae.Error == "" {
-			ae.Error = resp.Status
-		}
-		return &StatusError{Code: resp.StatusCode, Msg: fmt.Sprintf("%s %s: %s", method, path, ae.Error)}
+	if out == nil || resp.StatusCode == http.StatusNoContent {
+		return nil
 	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Submit posts one spec; backpressure surfaces as a retryable error that
 // Run absorbs.
 func (c *Client) Submit(ctx context.Context, spec chip.Spec) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", specEnvelope{Spec: spec}, &st)
+	err := Call(ctx, c.hc, http.MethodPost, c.base+"/v1/jobs", specEnvelope{Spec: spec}, &st)
 	return st, err
 }
 
 // Job fetches a job's status, including the Results when done.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := Call(ctx, c.hc, http.MethodGet, c.base+"/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
-// Wait polls a job until it reaches a terminal state.
+// Wait blocks until a job reaches a terminal state: it follows the job's
+// event stream to the terminal event, then fetches the record once. A
+// stream that breaks is a broken node and is returned as the error, which
+// is what the cluster client hands off on.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	interval := 10 * time.Millisecond
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
-		}
-		if interval < 250*time.Millisecond {
-			interval *= 2
-		}
+	if _, err := c.Follow(ctx, id, 0, nil); err != nil {
+		return JobStatus{}, err
 	}
+	return c.Job(ctx, id)
 }
 
 // backpressureMaxWait bounds the exponential growth of backpressure
@@ -202,24 +209,17 @@ func (c *Client) Run(ctx context.Context, spec chip.Spec) (*chip.Results, error)
 		case <-time.After(wait):
 		}
 	}
-	if !st.State.Terminal() {
+	if st.Result == nil {
+		// Only a cache hit is answered with its result. Everything else is
+		// waited for: queued, running, or joined onto a twin that finished
+		// a moment ago, whose stream ends at once.
 		var err error
-		st, err = c.Wait(ctx, st.ID)
-		if err != nil {
+		if st, err = c.Wait(ctx, st.ID); err != nil {
 			return nil, err
 		}
 	}
 	switch st.State {
 	case StateDone:
-		if st.Result == nil {
-			// Terminal submit responses carry the result only on cache
-			// hits; fetch the full record otherwise.
-			full, err := c.Job(ctx, st.ID)
-			if err != nil {
-				return nil, err
-			}
-			st = full
-		}
 		if st.Result == nil {
 			return nil, fmt.Errorf("serve: job %s done but carries no result", st.ID)
 		}
@@ -243,27 +243,16 @@ func (c *Client) Run(ctx context.Context, spec chip.Spec) (*chip.Results, error)
 // cursor on the replacement node yields exactly the events the broken
 // stream never delivered — no window is ever seen twice.
 func (c *Client) Follow(ctx context.Context, id string, after int, fn func(Event) error) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/jobs/%s/events?after=%d", c.base, id, after), nil)
-	if err != nil {
-		return after, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := open(ctx, c.hc, http.MethodGet, fmt.Sprintf("%s/v1/jobs/%s/events?after=%d", c.base, id, after), nil)
 	if err != nil {
 		return after, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var ae apiError
-		_ = json.NewDecoder(resp.Body).Decode(&ae)
-		if ae.Error == "" {
-			ae.Error = resp.Status
-		}
-		return after, &StatusError{Code: resp.StatusCode, Msg: "GET events: " + ae.Error}
-	}
 	next := after
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// A window frame can outgrow the scanner's 64 KiB default; the buffer
+	// starts empty and grows to the cap only for a frame that needs it.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		data, ok := strings.CutPrefix(sc.Text(), "data: ")
 		if !ok {
@@ -280,6 +269,9 @@ func (c *Client) Follow(ctx context.Context, id string, after int, fn func(Event
 		}
 		next = ev.Seq + 1
 		if ev.At.Terminal() {
+			// The server ends the stream here; reading that end lets the
+			// connection go back to the pool for the Job fetch that follows.
+			_, _ = io.Copy(io.Discard, resp.Body)
 			return next, nil
 		}
 	}
@@ -291,18 +283,11 @@ func (c *Client) Follow(ctx context.Context, id string, after int, fn func(Event
 
 // Metrics scrapes /metrics into a name→value map.
 func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := open(ctx, c.hc, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: GET /metrics: %s", resp.Status)
-	}
 	out := map[string]int64{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {

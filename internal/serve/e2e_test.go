@@ -10,11 +10,14 @@ package serve_test
 import (
 	"bufio"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,6 +104,55 @@ func TestE2ECacheHitSkipsSimulation(t *testing.T) {
 	if after["serve/cache_hits"] != before["serve/cache_hits"]+1 {
 		t.Fatalf("serve/cache_hits %d -> %d, want +1",
 			before["serve/cache_hits"], after["serve/cache_hits"])
+	}
+}
+
+// TestE2ERunWireFootprint: what one Client.Run costs on the wire. A miss is
+// one submission, one event stream followed to its terminal event and one
+// fetch of the finished record — no polling; a hit is the submission alone.
+func TestE2ERunWireFootprint(t *testing.T) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	var mu sync.Mutex
+	seen := map[string]int{}
+	inner := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		hs.Close()
+	})
+	cl := serve.NewClient(hs.URL)
+	spec := quickSpec(t, "Complete_NoAck", 3)
+
+	for _, tc := range []struct {
+		name string
+		want map[string]int
+	}{
+		{"miss", map[string]int{"POST /v1/jobs": 1, "GET /v1/jobs/j-1/events": 1, "GET /v1/jobs/j-1": 1}},
+		{"hit", map[string]int{"POST /v1/jobs": 1}},
+	} {
+		if _, err := cl.Run(context.Background(), spec); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mu.Lock()
+		got := seen
+		seen = map[string]int{}
+		mu.Unlock()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("a %s cost %v on the wire, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+
+	"reactivenoc/internal/sim"
 )
 
 // maxSpecBody bounds a submission body; specs are a few hundred bytes of
@@ -30,23 +32,47 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON, WriteError and WriteMetrics are the response side of the wire
+// layer; the cluster registry answers through them too, so every JSON body,
+// {"error": …} and /metrics page in the service has one shape. JSON is
+// compact — pipe it through `jq .` to read it.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v) // a failed write is the client hanging up
 }
 
 type apiError struct {
 	Error string `json:"error"`
 }
 
+// WriteError answers code with the {"error": msg} body the client side
+// turns back into a *StatusError.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, apiError{Error: msg})
+}
+
+// WriteMetrics renders the snapshots as plain text, one "name value" line
+// per metric in sorted key order, so scrapes diff cleanly and one parser
+// reads a node, a registry, or both behind one mux.
+func WriteMetrics(w http.ResponseWriter, snaps ...sim.Snapshot) {
+	all := sim.Snapshot{Vals: map[string]int64{}}
+	for _, s := range snaps {
+		for k, v := range s.Vals {
+			all.Vals[k] = v
+		}
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	for _, k := range all.Keys() {
+		fmt.Fprintf(w, "%s %d\n", k, all.Vals[k])
+	}
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec specEnvelope
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
 	st, err := s.Submit(spec.Spec)
@@ -55,26 +81,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Backpressure, not failure: the queue is bounded by design and
 		// the client should come back.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 	case st.Cached || st.Deduped:
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	default:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status(true))
+	WriteJSON(w, http.StatusOK, j.status(true))
 }
 
 // handleEvents streams a job's progress as server-sent events. The stream
@@ -84,19 +110,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported"})
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	seq := 0
 	if after := r.URL.Query().Get("after"); after != "" {
 		n, err := strconv.Atoi(after)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad after cursor"})
+			WriteError(w, http.StatusBadRequest, "bad after cursor")
 			return
 		}
 		seq = n
@@ -139,21 +165,14 @@ func (s *Server) handleCache(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleMetrics renders the registry snapshot as plain text, one
-// "name value" line per metric in sorted key order — Snapshot.Keys
-// guarantees scrapes diff cleanly.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.Metrics()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, k := range snap.Keys() {
-		fmt.Fprintf(w, "%s %d\n", k, snap.Vals[k])
-	}
+	WriteMetrics(w, s.Metrics())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // journalEntry is one job that shutdown drained before it produced a
-// result: the id is preserved so clients polling it keep working across
+// result: the id is preserved so clients waiting on it keep working across
 // the restart.
 type journalEntry struct {
 	ID   string    `json:"id"`

@@ -45,10 +45,10 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// TestCacheLRUEviction: the per-shard LRU must evict the least recently
-// used fingerprint and count the eviction.
+// TestCacheLRUEviction: the LRU must evict the least recently used
+// fingerprint and count the eviction — and nothing before it is full.
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2, 1) // one shard, two entries
+	c := newResultCache(2)
 	r := &chip.Results{}
 	for _, fp := range []string{"a", "b"} {
 		if out, _, _ := c.admit(fp, nil); out != admitNew {
@@ -73,12 +73,28 @@ func TestCacheLRUEviction(t *testing.T) {
 	if got := c.size(); got != 2 {
 		t.Fatalf("size = %d, want 2", got)
 	}
+
+	// A cache sized for n results holds n distinct fingerprints, whatever
+	// they hash to; the n+1st evicts exactly the oldest.
+	const n = 64
+	c = newResultCache(n)
+	for i := 0; i <= n; i++ {
+		if i == n && (c.evictions.Load() != 0 || c.size() != n) {
+			t.Fatalf("%d entries in a cache of %d: size %d, %d evicted", n, n, c.size(), c.evictions.Load())
+		}
+		fp := fmt.Sprintf("fp-%d", i)
+		c.admit(fp, nil)
+		c.complete(fp, r)
+	}
+	if out, _, _ := c.admit("fp-0", nil); out != admitNew || c.evictions.Load() != 1 {
+		t.Fatalf("entry %d: admit(fp-0) = %v with %d evictions, want the oldest gone and only it", n+1, out, c.evictions.Load())
+	}
 }
 
 // TestCacheDedupCoalesces: while a fingerprint is in flight, identical
 // admissions join it; completion frees the slot.
 func TestCacheDedupCoalesces(t *testing.T) {
-	c := newResultCache(8, 4)
+	c := newResultCache(8)
 	owner := &job{id: "j-1"}
 	if out, _, _ := c.admit("fp", owner); out != admitNew {
 		t.Fatal("first admission must be new")
@@ -138,6 +154,82 @@ func TestSubmitValidation(t *testing.T) {
 	if got := s.Metrics().Value("serve/jobs_done"); got != done || len(s.queue) != 0 {
 		t.Fatalf("rejected spec was queued: serve/jobs_done %d -> %d, queue depth %d", done, got, len(s.queue))
 	}
+}
+
+// TestJobTableBounded: the job table keeps every queued or running job and
+// the newest terminalJobsKept finished ones; an older finished id is gone,
+// in process and as a 404 over HTTP.
+func TestJobTableBounded(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	s.Start()
+	long := smallSpec(40)
+	long.MeasureOps = 5_000_000
+	running, err := s.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.Submit(smallSpec(41)) // behind the only worker
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if j, _ := s.Job(running.ID); j.status(false).State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the long job never started")
+		}
+	}
+
+	// Plant one result, then ask for it more often than the table is deep.
+	hit := smallSpec(42)
+	s.cache.admit(hit.Fingerprint(), nil)
+	s.cache.complete(hit.Fingerprint(), &chip.Results{})
+	const extra = 50
+	var first, last JobStatus
+	for i := 0; i < terminalJobsKept+extra; i++ {
+		st, err := s.Submit(hit)
+		if err != nil || !st.Cached {
+			t.Fatalf("submission %d: cached=%v err=%v", i, st.Cached, err)
+		}
+		if i == 0 {
+			first = st
+		}
+		last = st
+	}
+
+	s.jobsMu.Lock()
+	terminal := 0
+	for _, j := range s.jobs {
+		if j.status(false).State.Terminal() {
+			terminal++
+		}
+	}
+	s.jobsMu.Unlock()
+	if terminal != terminalJobsKept {
+		t.Fatalf("%d finished records kept after %d cached submissions, want %d", terminal, terminalJobsKept+extra, terminalJobsKept)
+	}
+	if _, ok := s.Job(last.ID); !ok {
+		t.Fatalf("newest job %s was evicted", last.ID)
+	}
+	for _, st := range []JobStatus{running, queued} {
+		if j, ok := s.Job(st.ID); !ok || j.status(false).State.Terminal() {
+			t.Fatalf("unfinished job %s was evicted or finished (found=%v)", st.ID, ok)
+		}
+	}
+
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	_, err = NewClient(hs.URL).Job(context.Background(), first.ID)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("evicted job %s over HTTP: err = %v, want a 404 StatusError", first.ID, err)
+	}
+
+	// Cancel the long run instead of giving it the cleanup's grace period.
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Shutdown(expired)
 }
 
 // TestDedupReturnsSameJob: two concurrent submissions of one spec share a

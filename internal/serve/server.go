@@ -24,10 +24,8 @@ type Config struct {
 	// QueueDepth bounds admitted-but-unstarted jobs; a full queue rejects
 	// submissions with ErrQueueFull (HTTP 429 + Retry-After). <= 0: 256.
 	QueueDepth int
-	// CacheEntries bounds the result cache across shards (<= 0: 512);
-	// CacheShards fixes the shard count (<= 0: 16).
+	// CacheEntries bounds the result cache (<= 0: 512).
 	CacheEntries int
-	CacheShards  int
 	// Policy supplies the per-run retry/timeout/fault semantics — the
 	// exact semantics exp sweeps apply locally. Policy.Run must be nil:
 	// this server is the executor.
@@ -47,6 +45,13 @@ var (
 	ErrInvalidSpec = errors.New("serve: invalid spec")
 )
 
+// terminalJobsKept bounds the finished-job records a server keeps. A job
+// that is queued or running is always kept; once it is done, failed or
+// canceled it stays addressable until this many newer jobs have finished,
+// then its id answers 404. Without the bound a long-lived server grows by
+// a record and an event log per request, cache hits included.
+const terminalJobsKept = 4096
+
 // Server is the simulation service: admission, dedup, cache, worker pool,
 // progress streams, and graceful drain.
 type Server struct {
@@ -63,10 +68,11 @@ type Server struct {
 	started    atomic.Bool
 	draining   atomic.Bool
 
-	jobsMu sync.Mutex
-	jobs   map[string]*job
-	nextID atomic.Int64
-	replay []*job
+	jobsMu   sync.Mutex
+	jobs     map[string]*job
+	finished []string // ids of terminal jobs still in jobs, oldest first
+	nextID   atomic.Int64
+	replay   []*job
 
 	pendingMu sync.Mutex
 	pending   []journalEntry // canceled in-flight runs awaiting the journal
@@ -102,7 +108,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		workers: exp.WorkersOr(cfg.Workers),
-		cache:   newResultCache(cfg.CacheEntries, cfg.CacheShards),
+		cache:   newResultCache(cfg.CacheEntries),
 		stop:    make(chan struct{}),
 		jobs:    map[string]*job{},
 		startAt: time.Now(),
@@ -200,8 +206,8 @@ func (s *Server) Start() {
 
 func (s *Server) newID() string { return fmt.Sprintf("j-%d", s.nextID.Add(1)) }
 
-// Submit admits one spec. The outcome is decided atomically per
-// fingerprint shard: a cached result completes the job immediately
+// Submit admits one spec. The outcome is decided atomically under the
+// cache lock: a cached result completes the job immediately
 // (Cached), an identical in-flight job absorbs the submission (Deduped),
 // otherwise the job joins the bounded queue — or is rejected with
 // ErrQueueFull, which callers should surface as backpressure, not failure.
@@ -224,8 +230,8 @@ func (s *Server) Submit(spec chip.Spec) (JobStatus, error) {
 		j.cached = true
 		j.result = cached
 		j.mu.Unlock()
-		j.transition(StateDone, Event{Type: "done"}, now)
 		s.register(j)
+		s.finish(j, StateDone)
 		s.submitted.Add(1)
 		return j.status(true), nil
 
@@ -254,6 +260,19 @@ func (s *Server) register(j *job) {
 	s.jobsMu.Lock()
 	s.jobs[j.id] = j
 	s.jobsMu.Unlock()
+}
+
+// finish moves a job to its terminal state and queues its record behind
+// the other finished ones, dropping the oldest beyond terminalJobsKept.
+func (s *Server) finish(j *job, state JobState) {
+	j.transition(state, Event{Type: string(state)}, time.Now())
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > terminalJobsKept {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // CachedFingerprints lists every fingerprint in the result cache, sorted.
@@ -315,7 +334,7 @@ func (s *Server) runJob(j *job) {
 		j.result = res
 		j.mu.Unlock()
 		s.cache.complete(j.fingerprint, res)
-		j.transition(StateDone, Event{Type: "done"}, time.Now())
+		s.finish(j, StateDone)
 		s.jobsDone.Add(1)
 
 	case s.runCtx.Err() != nil:
@@ -329,7 +348,7 @@ func (s *Server) runJob(j *job) {
 		j.retryErr = rep.RetryErr
 		j.mu.Unlock()
 		s.cache.release(j.fingerprint)
-		j.transition(StateFailed, Event{Type: "failed"}, time.Now())
+		s.finish(j, StateFailed)
 		s.jobsFailed.Add(1)
 	}
 }
@@ -337,7 +356,7 @@ func (s *Server) runJob(j *job) {
 // cancelJob marks a job cancelled and queues it for the journal.
 func (s *Server) cancelJob(j *job) {
 	s.cache.release(j.fingerprint)
-	j.transition(StateCanceled, Event{Type: "canceled"}, time.Now())
+	s.finish(j, StateCanceled)
 	s.jobsCanceled.Add(1)
 	s.pendingMu.Lock()
 	s.pending = append(s.pending, journalEntry{ID: j.id, Spec: j.spec})

@@ -41,8 +41,8 @@ type Profile struct {
 	// HotLines is the L1-resident private region (walked, mostly hits).
 	HotLines int
 	// StreamLines is the L2-resident private region cycled through by a
-	// pointer walk; every access misses the L1, so StreamFraction is a
-	// direct L1-miss-rate knob.
+	// pointer walk; past the prefilled head (see Region) every access
+	// misses the L1, so StreamFraction is a direct L1-miss-rate knob.
 	StreamLines int
 	// StreamFraction is the probability a private access goes to the
 	// streaming region.
@@ -224,9 +224,14 @@ func coldBase(c int) cache.Addr {
 type Region struct {
 	Start cache.Addr
 	Lines int
-	// Lines [L1From, L1From+L1Lines) are also installed warm in the
-	// owning core's L1 (the paper's warm-up leaves the L1s full, so the
-	// measured phase sees steady-state replacement traffic immediately).
+	// The first L1Lines lines of the region, [0, L1Lines), are also
+	// installed warm in the owning core's L1 (the paper's warm-up leaves
+	// the L1s full, so the measured phase sees steady-state replacement
+	// traffic immediately). L1From names the window the profile meant —
+	// [L1From, L1From+L1Lines) — and is serialised in .rctf, but no
+	// prefiller reads it: chip.RunCtx, examples/trafficmap and rcbench's
+	// stepper all install from line 0, and the goldens and rcbench's
+	// digests pin that (DESIGN.md §2, substitution notes).
 	L1From  int
 	L1Lines int
 	// Exclusive marks private data, prefilled in E state.
@@ -241,9 +246,11 @@ const l1Lines = 512
 func (p Profile) Regions(coreID int) []Region {
 	rs := []Region{{Start: hotBase(coreID), Lines: p.HotLines, L1Lines: p.HotLines, Exclusive: true}}
 	if p.StreamLines > 0 {
-		// Fill the rest of the L1 with the *tail* of the stream: the
-		// walk starts at line 0 in un-cached territory (so misses start
-		// immediately) while the L1 is completely full.
+		// Fill the rest of the L1 from the stream, so the L1 is completely
+		// full when the run starts. L1From records the stream's *tail* —
+		// a walk from line 0 would then miss from its first access — but
+		// prefill installs the region's head instead (see Region), so the
+		// walk's first lines can hit before its misses start.
 		fill := l1Lines - p.HotLines
 		if fill < 0 {
 			fill = 0
