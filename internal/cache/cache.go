@@ -4,6 +4,11 @@
 // internal/coherence; this package only manages tags, state bytes and the
 // directory fields embedded in L2 lines ("the directory, which is included
 // in the L2 cache bank").
+//
+// Storage is a slab — one array of lines, one PLRU word per set — built or
+// reset by slab.reset alone. New gives a cache its own; NewGroup lays a
+// chip's N caches over one (set-major, bank-minor when line-interleaved) and
+// Group.Release recycles it through a free list (group.go, DESIGN.md §5b).
 package cache
 
 import (
@@ -74,33 +79,56 @@ func (c Config) Block(a Addr) Addr { return a &^ Addr(c.LineBytes-1) }
 
 // Line is one cache line's bookkeeping. State is owned by the coherence
 // protocol; Sharers and Owner embed the directory for L2 banks.
+// Widest field first packs 21 bytes of payload into 24 (TestLineSize): a
+// 64-tile chip instantiates a million of these.
 type Line struct {
-	Valid bool
-	Tag   uint64
-	State uint8
-	// Busy marks lines pinned by an in-flight transaction; the victim
-	// picker never selects them.
-	Busy bool
-
+	Tag uint64
 	// Directory payload (L2 banks only): bit i of Sharers set means tile
 	// i's L1 holds the line in shared state; Owner >= 0 names the tile
 	// holding it exclusively.
 	Sharers uint64
 	Owner   int16
+	State   uint8
+	Valid   bool
+	// Busy marks lines pinned by an in-flight transaction; the victim
+	// picker never selects them.
+	Busy bool
 }
 
-type set struct {
+// slab is the storage under one cache or one group: every line in one array,
+// every set's tree-PLRU bit vector in another (bit i is the direction flag
+// of internal node i, 0 = left subtree is older).
+type slab struct {
 	lines []Line
-	// plru is the tree-PLRU bit vector: bit i is the direction flag of
-	// internal node i (0 = left subtree is older).
-	plru uint64
+	plru  []uint64
 }
 
-// Cache is one set-associative array.
+// reset puts the slab in the empty-cache state — every line Line{Owner:
+// -1}, every PLRU word zero — allocating the arrays first if it has none.
+// A fresh slab and a recycled one leave here indistinguishable.
+func (s *slab) reset(sets, ways int) *slab {
+	if s.lines == nil {
+		s.lines = make([]Line, sets*ways)
+		s.plru = make([]uint64, sets)
+	}
+	// Doubling copies: memmove beats a per-line loop on a million lines.
+	s.lines[0] = Line{Owner: -1}
+	for i := 1; i < len(s.lines); i *= 2 {
+		copy(s.lines[i:], s.lines[:i])
+	}
+	clear(s.plru)
+	return s
+}
+
+// Cache is one set-associative array: a view of a slab in which set i
+// occupies slot i*stride+off.
 type Cache struct {
-	cfg      Config
-	sets     []set
-	setShift uint
+	cfg Config
+	slab
+	stride, off int
+
+	setShift uint // log2 line bytes
+	tagShift uint // log2 sets
 	setMask  uint64
 	div      uint64 // interleave divisor (1 for private caches)
 	rem      uint64 // this bank's residue
@@ -109,33 +137,27 @@ type Cache struct {
 	Hits, Misses, Evictions int64
 }
 
-// New builds a cache; it panics on invalid geometry (configs are static).
+// New builds a cache on its own slab; it panics on invalid geometry.
 func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg}
-	c.sets = make([]set, cfg.Sets())
-	// All sets share one backing array: building a chip instantiates
-	// thousands of sets, and a per-set make dominated construction cost.
-	backing := make([]Line, cfg.Sets()*cfg.Ways)
-	// Seed Owner = -1 by doubling copies: memmove beats a per-line loop on
-	// the quarter-million lines a 64-tile chip instantiates.
-	backing[0].Owner = -1
-	for i := 1; i < len(backing); i *= 2 {
-		copy(backing[i:], backing[:i])
-	}
-	for i := range c.sets {
-		c.sets[i].lines = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	c := &Cache{}
+	c.bind(cfg, new(slab).reset(cfg.Sets(), cfg.Ways), 1, 0)
+	return c
+}
+
+// bind makes c the cache of geometry cfg whose sets sit at stride/off in s.
+func (c *Cache) bind(cfg Config, s *slab, stride, off int) {
+	*c = Cache{cfg: cfg, slab: *s, stride: stride, off: off}
 	c.setShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+	c.tagShift = uint(bits.TrailingZeros(uint(cfg.Sets())))
 	c.setMask = uint64(cfg.Sets() - 1)
 	c.div = 1
 	if cfg.Interleave > 1 {
 		c.div = uint64(cfg.Interleave)
 		c.rem = uint64(cfg.InterleaveIndex)
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -144,20 +166,24 @@ func (c *Cache) Config() Config { return c.cfg }
 // localLine maps a global address to this bank's dense line number.
 func (c *Cache) localLine(a Addr) uint64 { return (a >> c.setShift) / c.div }
 
-func (c *Cache) index(a Addr) int { return int(c.localLine(a) & c.setMask) }
-func (c *Cache) tag(a Addr) uint64 {
-	return c.localLine(a) >> uint(bits.TrailingZeros(uint(c.cfg.Sets())))
+// set returns the lines and the PLRU word of the set holding a, and a's
+// tag. On a cache whose group was released the arrays are gone and this
+// panics.
+func (c *Cache) set(a Addr) ([]Line, *uint64, uint64) {
+	local := c.localLine(a)
+	i := int(local&c.setMask)*c.stride + c.off
+	w := c.cfg.Ways
+	return c.lines[i*w : (i+1)*w : (i+1)*w], &c.plru[i], local >> c.tagShift
 }
 
 // Lookup returns the line holding a, touching PLRU state and hit counters.
 func (c *Cache) Lookup(a Addr) (*Line, bool) {
-	s := &c.sets[c.index(a)]
-	t := c.tag(a)
-	for w := range s.lines {
-		if s.lines[w].Valid && s.lines[w].Tag == t {
+	lines, plru, t := c.set(a)
+	for w := range lines {
+		if lines[w].Valid && lines[w].Tag == t {
 			c.Hits++
-			s.touch(w, c.cfg.Ways)
-			return &s.lines[w], true
+			touch(plru, w, len(lines))
+			return &lines[w], true
 		}
 	}
 	c.Misses++
@@ -167,11 +193,10 @@ func (c *Cache) Lookup(a Addr) (*Line, bool) {
 // Peek returns the line holding a without touching replacement state or
 // counters (used by snoop-style lookups: invalidations, forwards).
 func (c *Cache) Peek(a Addr) (*Line, bool) {
-	s := &c.sets[c.index(a)]
-	t := c.tag(a)
-	for w := range s.lines {
-		if s.lines[w].Valid && s.lines[w].Tag == t {
-			return &s.lines[w], true
+	lines, _, t := c.set(a)
+	for w := range lines {
+		if lines[w].Valid && lines[w].Tag == t {
+			return &lines[w], true
 		}
 	}
 	return nil, false
@@ -181,20 +206,20 @@ func (c *Cache) Peek(a Addr) (*Line, bool) {
 // else the tree-PLRU victim among non-busy lines. It returns nil when every
 // way is pinned by an in-flight transaction.
 func (c *Cache) Victim(a Addr) *Line {
-	s := &c.sets[c.index(a)]
-	for w := range s.lines {
-		if !s.lines[w].Valid && !s.lines[w].Busy {
-			return &s.lines[w]
+	lines, plru, _ := c.set(a)
+	for w := range lines {
+		if !lines[w].Valid && !lines[w].Busy {
+			return &lines[w]
 		}
 	}
-	w := s.plruVictim(c.cfg.Ways)
-	if !s.lines[w].Busy {
-		return &s.lines[w]
+	w := plruVictim(*plru, len(lines))
+	if !lines[w].Busy {
+		return &lines[w]
 	}
 	// The PLRU choice is pinned: fall back to any non-busy way.
-	for w := range s.lines {
-		if !s.lines[w].Busy {
-			return &s.lines[w]
+	for w := range lines {
+		if !lines[w].Busy {
+			return &lines[w]
 		}
 	}
 	return nil
@@ -207,11 +232,11 @@ func (c *Cache) Fill(l *Line, a Addr, state uint8) {
 	if l.Valid {
 		c.Evictions++
 	}
-	*l = Line{Valid: true, Tag: c.tag(a), State: state, Owner: -1}
-	s := &c.sets[c.index(a)]
-	for w := range s.lines {
-		if &s.lines[w] == l {
-			s.touch(w, c.cfg.Ways)
+	lines, plru, t := c.set(a)
+	*l = Line{Valid: true, Tag: t, State: state, Owner: -1}
+	for w := range lines {
+		if &lines[w] == l {
+			touch(plru, w, len(lines))
 			return
 		}
 	}
@@ -221,19 +246,15 @@ func (c *Cache) Fill(l *Line, a Addr, state uint8) {
 // AddrOf reconstructs the block address stored in line l of the set that
 // contains address hint (same index).
 func (c *Cache) AddrOf(l *Line, hint Addr) Addr {
-	idx := uint64(c.index(hint))
-	shift := uint(bits.TrailingZeros(uint(c.cfg.Sets())))
-	local := (l.Tag << shift) | idx
+	local := l.Tag<<c.tagShift | c.localLine(hint)&c.setMask
 	return (local*c.div + c.rem) << c.setShift
 }
 
 // Lines returns a copy of the lines in the set containing hint, for
 // invariant checkers and state dumps.
 func (c *Cache) Lines(hint Addr) []Line {
-	s := &c.sets[c.index(hint)]
-	out := make([]Line, len(s.lines))
-	copy(out, s.lines)
-	return out
+	lines, _, _ := c.set(hint)
+	return append([]Line(nil), lines...)
 }
 
 // Invalidate clears the line holding a, if present.
@@ -244,7 +265,7 @@ func (c *Cache) Invalidate(a Addr) {
 }
 
 // touch marks way w most recently used in the PLRU tree.
-func (s *set) touch(w, ways int) {
+func touch(plru *uint64, w, ways int) {
 	node := 0
 	for span := ways; span > 1; {
 		span /= 2
@@ -254,20 +275,20 @@ func (s *set) touch(w, ways int) {
 		}
 		// Point the node away from the touched side.
 		if dir == 1 {
-			s.plru &^= 1 << uint(node)
+			*plru &^= 1 << uint(node)
 		} else {
-			s.plru |= 1 << uint(node)
+			*plru |= 1 << uint(node)
 		}
 		node = node*2 + 1 + int(dir)
 	}
 }
 
 // plruVictim walks the tree toward the pseudo-least-recently-used way.
-func (s *set) plruVictim(ways int) int {
+func plruVictim(plru uint64, ways int) int {
 	node, w := 0, 0
 	for span := ways; span > 1; {
 		span /= 2
-		dir := (s.plru >> uint(node)) & 1
+		dir := (plru >> uint(node)) & 1
 		if dir == 1 {
 			w += span
 		}

@@ -86,8 +86,9 @@ type Spec struct {
 	// every cycle — the reference scheduling the golden determinism suite
 	// cross-checks against.
 	DenseKernel bool
-	// NoPool disables flit/message recycling (see core.Options.NoPool):
-	// the reference allocation behaviour the pooled hot path is
+	// NoPool disables flit/message recycling and builds the cache arrays
+	// fresh, releasing nothing (see core.Options.NoPool): the reference
+	// allocation behaviour the pooled hot path and the recycled arrays are
 	// cross-checked against. Results are bit-identical either way.
 	NoPool bool
 
@@ -276,18 +277,21 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 		if r := recover(); r != nil {
 			res, err = nil, runErr(fmt.Sprint(r), true)
 		}
+		// The one exit that can hold cache arrays: hand them to the next
+		// run, after the diagnostic dump above has read the machine.
+		if sys != nil {
+			sys.Release()
+		}
 	}()
 
 	m := mesh.New(spec.Chip.Width, spec.Chip.Height)
-	opts := spec.Variant.Opts
-	opts.NoPool = opts.NoPool || spec.NoPool
-	sys = coherence.NewSystem(m, opts, spec.Chip.MCs)
 	n := m.Nodes()
 
 	// A trace-driven workload replays a recorded run: the file supplies
 	// the prefill regions and each core's exact operation sequence, and
 	// the spec's phase budgets must match the recording's or the cores'
-	// retirement limits would slice the stream differently.
+	// retirement limits would slice the stream differently. It is loaded
+	// and checked before anything is built, so a bad trace costs no chip.
 	var feed *tracefeed.Trace
 	if spec.Workload.TracePath != "" {
 		var crc uint32
@@ -309,6 +313,10 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 				spec.Workload.TracePath, feed.WarmupOps, feed.MeasureOps, spec.WarmupOps, spec.MeasureOps)
 		}
 	}
+
+	opts := spec.Variant.Opts
+	opts.NoPool = opts.NoPool || spec.NoPool
+	sys = coherence.NewSystem(m, opts, spec.Chip.MCs)
 	coreRegions := func(i int) []workload.Region {
 		if feed != nil {
 			return feed.CoreRegions(i)

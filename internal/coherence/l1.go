@@ -46,7 +46,7 @@ type l1Txn struct {
 }
 
 func newL1(sys *System, id mesh.NodeID) *L1Ctrl {
-	return &L1Ctrl{sys: sys, id: id, c: cache.New(cache.L1Config()), wb: map[cache.Addr]uint8{}}
+	return &L1Ctrl{sys: sys, id: id, c: sys.l1Arrays.Cache(int(id)), wb: map[cache.Addr]uint8{}}
 }
 
 // Cache exposes the underlying array (stats, tests).

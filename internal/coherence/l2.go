@@ -60,14 +60,8 @@ type L2Ctrl struct {
 }
 
 func newL2(sys *System, id mesh.NodeID) *L2Ctrl {
-	cfg := cache.L2BankConfig()
-	// Addresses are line-interleaved across the banks; strip the
-	// bank-select bits before set indexing so each bank uses its whole
-	// array.
-	cfg.Interleave = sys.M.Nodes()
-	cfg.InterleaveIndex = int(id)
 	return &L2Ctrl{
-		sys: sys, id: id, c: cache.New(cfg),
+		sys: sys, id: id, c: sys.l2Arrays.Cache(int(id)),
 		txns:    map[cache.Addr]*l2Txn{},
 		waiting: map[cache.Addr][]*noc.Message{},
 	}

@@ -93,11 +93,15 @@ type System struct {
 	mcNodes   []mesh.NodeID
 	mcByTile  map[mesh.NodeID]*MemCtrl
 	lineBytes uint64
+
+	// The two slabs under every controller's array.
+	l1Arrays, l2Arrays *cache.Group
 }
 
 // NewSystem builds the chip: network (with the mechanism's router variant),
 // circuit manager, caches and controllers. mcCount memory controllers are
-// placed on the mesh edges (the paper uses 4 for both chip sizes).
+// placed on the mesh edges (the paper uses 4 for both chip sizes). Unless
+// opts.NoPool, the cache arrays are a released system's when one left any.
 func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 	s := &System{M: m, Opts: opts, lineBytes: 64}
 	cfg := core.NetConfigFor(m, opts)
@@ -112,6 +116,12 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 	s.mcNodes = m.MemoryControllerNodes(mcCount)
 	s.mcByTile = map[mesh.NodeID]*MemCtrl{}
 
+	// Addresses are line-interleaved across the L2 banks; each bank strips
+	// the bank-select bits before set indexing so it uses its whole array.
+	l2cfg := cache.L2BankConfig()
+	l2cfg.Interleave = m.Nodes()
+	s.l1Arrays = cache.NewGroup(cache.L1Config(), m.Nodes(), opts.NoPool)
+	s.l2Arrays = cache.NewGroup(l2cfg, m.Nodes(), opts.NoPool)
 	s.L1s = make([]*L1Ctrl, m.Nodes())
 	s.L2s = make([]*L2Ctrl, m.Nodes())
 	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
@@ -130,6 +140,13 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 		})
 	}
 	return s
+}
+
+// Release hands the cache arrays to the next NewSystem; any later access to
+// a cache of s panics. Optional: an unreleased system is garbage-collected.
+func (s *System) Release() {
+	s.l1Arrays.Release()
+	s.l2Arrays.Release()
 }
 
 // MsgsTotal returns a copy of Msgs; rcbench's harvest calls it.

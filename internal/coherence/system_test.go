@@ -458,3 +458,63 @@ func TestMessageMixRepliesDominate(t *testing.T) {
 		t.Fatalf("reply fraction %.2f outside the plausible Table-1 band", replyFrac)
 	}
 }
+
+// TestSystemReleaseRecyclesBanks: a released system's arrays go to the next
+// NewSystem of the same mesh, which starts as empty as a fresh build; the
+// released system's controllers panic rather than touch them again; and a
+// NoPool system neither draws from the free lists nor feeds them.
+func TestSystemReleaseRecyclesBanks(t *testing.T) {
+	b := newTB(t, 3, 2, core.Options{}) // a mesh no other test here builds
+	n := b.sys.M.Nodes()
+	var addrs []cache.Addr
+	for k := 0; k < 300; k++ {
+		a := cache.Addr(k * 64)
+		addrs = append(addrs, a)
+		b.sys.Prefill(a, mesh.NodeID(k%n), k%2 == 0)
+	}
+	b.access(1, addrs[0], true) // a dirty line, an owner change, counters
+	b.drain()
+	old := b.sys
+	idle := cache.Idle()
+	old.Release()
+	if got := cache.Idle(); got != idle+2 {
+		t.Fatalf("Release put %d slabs on the free lists, want 2", got-idle)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an L1 of a released system still answers")
+			}
+		}()
+		old.L1s[1].Access(addrs[0], false, 0)
+	}()
+
+	next := NewSystem(mesh.New(3, 2), core.Options{}, 4)
+	if got := cache.Idle(); got != idle {
+		t.Fatalf("NewSystem left %d slabs idle, want %d: it did not recycle", got, idle)
+	}
+	for i := 0; i < n; i++ {
+		c1, c2 := next.L1s[i].Cache(), next.L2s[i].Cache()
+		for _, a := range addrs {
+			if _, ok := c1.Peek(a); ok {
+				t.Fatalf("recycled L1 %d still holds %#x", i, a)
+			}
+			if _, ok := c2.Peek(a); ok {
+				t.Fatalf("recycled L2 %d still holds %#x", i, a)
+			}
+		}
+		if c1.Hits+c1.Misses+c1.Evictions+c2.Hits+c2.Misses+c2.Evictions != 0 {
+			t.Fatalf("recycled tile %d starts with non-zero counters", i)
+		}
+	}
+	next.Release()
+
+	ref := NewSystem(mesh.New(3, 2), core.Options{NoPool: true}, 4)
+	if got := cache.Idle(); got != idle+2 {
+		t.Fatalf("a NoPool system drew from the free lists (%d idle, want %d)", got, idle+2)
+	}
+	ref.Release()
+	if got := cache.Idle(); got != idle+2 {
+		t.Fatalf("a NoPool system's release fed the free lists (%d idle, want %d)", got, idle+2)
+	}
+}

@@ -91,9 +91,10 @@ type Options struct {
 	// the reply always waits for its slot.
 	PostponePerHop int
 
-	// NoPool disables flit/message recycling in the network. Pooled and
-	// unpooled runs are bit-identical — this exists only to bisect pooling
-	// bugs and to cross-check that claim in tests.
+	// NoPool disables flit/message recycling in the network, and makes
+	// coherence.NewSystem build its cache arrays fresh and release nothing.
+	// Pooled and unpooled runs are bit-identical — this exists only to
+	// bisect pooling bugs and to cross-check that claim in tests.
 	NoPool bool
 
 	// SpeculativeRouter enables the related-work comparator of the
