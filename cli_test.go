@@ -2,18 +2,28 @@ package reactivenoc_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"reactivenoc/internal/serve"
 )
 
 // TestCLISmoke builds the CLIs once and boots each on its smallest real
 // run: exit code and the output's header/row shape are the contract scripts
-// and CI steps parse. The last cases pin that removed flags and an unknown
-// -exp are rejected instead of being silently accepted.
+// and CI steps parse. The table's last cases pin that removed flags, an
+// unknown -exp and a malformed -remote list are rejected instead of being
+// silently accepted; the final case boots rcserved for real and sweeps
+// against it.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs seven binaries")
@@ -130,6 +140,24 @@ func TestCLISmoke(t *testing.T) {
 			stderr: `\Aflag provided but not defined: -shards\n`,
 		},
 		{
+			name: "rcserved rejects the removed -registry flag", bin: "rcserved",
+			args:   []string{"-registry"},
+			exit:   2,
+			stderr: `\Aflag provided but not defined: -registry\n`,
+		},
+		{
+			name: "rcserved rejects the removed -join flag", bin: "rcserved",
+			args:   []string{"-join", "x"},
+			exit:   2,
+			stderr: `\Aflag provided but not defined: -join\n`,
+		},
+		{
+			name: "rcsweep rejects a malformed -remote list before simulating", bin: "rcsweep",
+			args:   []string{"-chip", "16", "-exp", "fig9", "-remote", "http://a:1,,http://b:2"},
+			exit:   2,
+			stderr: `\Arcsweep: -remote: cluster: empty address in "http://a:1,,http://b:2"\n\z`,
+		},
+		{
 			name: "rcsweep rejects an unknown -exp before simulating", bin: "rcsweep",
 			args:   []string{"-chip", "16", "-exp", "bogus"},
 			exit:   2,
@@ -170,5 +198,89 @@ func TestCLISmoke(t *testing.T) {
 				t.Errorf("stderr does not match %q:\n%s", tc.stderr, &stderr)
 			}
 		})
+	}
+
+	t.Run("rcserved serves two remote sweeps and drains", func(t *testing.T) {
+		bootRCServed(t, bin)
+	})
+}
+
+// bootRCServed starts rcserved on a free loopback port, runs the rcsweep
+// row against it twice — stdout must match the local run's, the sweep's
+// wall-clock line aside, and the second pass must come from the cache —
+// then sends SIGTERM and requires a clean drain.
+func bootRCServed(t *testing.T, bin string) {
+	row := []string{"-chip", "16", "-exp", "fig9", "-ops", "200", "-workloads", "micro"}
+	wallClock := regexp.MustCompile(`(?m)^sweep finished in \S+$`)
+	sweep := func(extra ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, "rcsweep"), append(row, extra...)...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil || stderr.Len() != 0 {
+			t.Fatalf("rcsweep %v: %v\nstderr:\n%s", extra, err, &stderr)
+		}
+		return wallClock.ReplaceAllString(stdout.String(), "sweep finished in T")
+	}
+	local := sweep()
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	url := "http://" + addr
+
+	var logs bytes.Buffer // written by the process; read once it has exited
+	srv := exec.Command(filepath.Join(bin, "rcserved"), "-addr", addr, "-journal", filepath.Join(t.TempDir(), "journal"))
+	srv.Stdout, srv.Stderr = &logs, &logs
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	var waitErr error
+	go func() { waitErr = srv.Wait(); close(exited) }()
+	t.Cleanup(func() {
+		_ = srv.Process.Kill() // already gone on the happy path
+		<-exited
+	})
+
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		if resp, err := http.Get(url + "/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rcserved never answered /healthz")
+		}
+	}
+
+	for pass := 1; pass <= 2; pass++ {
+		if got := sweep("-remote", url); got != local {
+			t.Fatalf("remote pass %d printed\n%s\nlocal run printed\n%s", pass, got, local)
+		}
+	}
+	m, err := serve.NewClient(url).Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["serve/cache_hits"] == 0 || m["serve/runs"] != m["serve/jobs_done"] {
+		t.Fatalf("want cache hits and runs == jobs_done: cache_hits=%d runs=%d jobs_done=%d",
+			m["serve/cache_hits"], m["serve/runs"], m["serve/jobs_done"])
+	}
+
+	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("rcserved did not drain within 10s")
+	}
+	if waitErr != nil || !strings.Contains(logs.String(), "drained: ") {
+		t.Fatalf("exit: %v\nlog:\n%s", waitErr, &logs)
 	}
 }

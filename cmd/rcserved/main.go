@@ -9,12 +9,12 @@
 // that never produced a result to the journal; the next rcserved started
 // on the same -journal path replays them to completion.
 //
-// Several rcserved processes form a cluster: one hosts the discovery
-// registry (-registry), every node joins it (-join), and clients pointed
-// at the registry consistent-hash each spec fingerprint to its owning
-// node — so the fleet's result caches partition instead of duplicating,
-// and a node that dies mid-sweep is expired by TTL and its jobs
-// re-dispatched to the survivors.
+// Several rcserved processes form a cluster with no configuration on the
+// nodes: a node serves whatever it is sent. The client holds the list
+// (rcsweep -remote a,b,c) and consistent-hashes each spec fingerprint to
+// its owning node, so the fleet's result caches partition instead of
+// duplicating, and the jobs of a node that dies mid-sweep are re-dispatched
+// to the survivors by the client that saw the request fail.
 //
 // Usage:
 //
@@ -25,11 +25,10 @@
 //
 // A three-node local cluster (see README "Running a cluster"):
 //
-//	rcserved -addr :8130 -registry -workers 1      # discovery
-//	rcserved -addr :8131 -join http://127.0.0.1:8130 -journal n1.journal
-//	rcserved -addr :8132 -join http://127.0.0.1:8130 -journal n2.journal
-//	rcserved -addr :8133 -join http://127.0.0.1:8130 -journal n3.journal
-//	rcsweep -exp fig6 -chip 16 -remote http://127.0.0.1:8130
+//	rcserved -addr :8131 -journal n1.journal
+//	rcserved -addr :8132 -journal n2.journal
+//	rcserved -addr :8133 -journal n3.journal
+//	rcsweep -exp fig6 -chip 16 -remote http://127.0.0.1:8131,http://127.0.0.1:8132,http://127.0.0.1:8133
 //
 // Submit a run (see README "Running as a service" for a full example):
 //
@@ -47,31 +46,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"reactivenoc/internal/cluster"
 	"reactivenoc/internal/exp"
 	"reactivenoc/internal/serve"
 )
 
 func main() { os.Exit(run()) }
-
-// advertiseFor derives the URL peers reach this process at when -advertise
-// is not given: loopback plus the listen port, which is exactly right for
-// the local-cluster and CI cases, and wrong (so: set -advertise) for
-// multi-host fleets.
-func advertiseFor(addr string) string {
-	host, port, ok := strings.Cut(addr, ":")
-	if !ok {
-		return "http://" + addr
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		host = "127.0.0.1"
-	}
-	return "http://" + host + ":" + port
-}
 
 func run() int {
 	addr := flag.String("addr", ":8134", "listen address")
@@ -82,11 +64,6 @@ func run() int {
 	retry := flag.Bool("retry", true, "retry failed runs once under the alternate seed")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock cap (0 = none)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace for in-flight runs before cancellation")
-	registry := flag.Bool("registry", false, "host the cluster discovery registry on this server")
-	registryTTL := flag.Duration("registry-ttl", cluster.DefaultTTL, "registry heartbeat expiry window")
-	join := flag.String("join", "", "cluster registry URL to register this node with")
-	nodeID := flag.String("node-id", "", "stable cluster identity (default: the advertise address)")
-	advertise := flag.String("advertise", "", "base URL peers and clients reach this node at (default: loopback + listen port)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "rcserved: ", log.LstdFlags)
@@ -102,56 +79,13 @@ func run() int {
 	}
 	srv.Start()
 
-	handler := srv.Handler()
-	var reg *cluster.Registry
-	if *registry {
-		reg = cluster.NewRegistry(cluster.RegistryConfig{TTL: *registryTTL, Logf: logger.Printf})
-		reg.Start()
-		// The discovery API and a combined /metrics (serve/ + cluster/
-		// scopes) mount in front of the serving mux.
-		outer := http.NewServeMux()
-		reg.Routes(outer)
-		outer.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			serve.WriteMetrics(w, srv.Metrics(), reg.Metrics())
-		})
-		outer.Handle("/", handler)
-		handler = outer
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%d, queue=%d, cache=%d, journal=%q, registry=%v)",
-			*addr, exp.WorkersOr(*workers), *queue, *cacheN, *journal, *registry)
+		logger.Printf("listening on %s (workers=%d, queue=%d, cache=%d, journal=%q)",
+			*addr, exp.WorkersOr(*workers), *queue, *cacheN, *journal)
 		errCh <- httpSrv.ListenAndServe()
 	}()
-
-	var agent *cluster.Agent
-	if *join != "" {
-		adv := *advertise
-		if adv == "" {
-			adv = advertiseFor(*addr)
-		}
-		id := *nodeID
-		if id == "" {
-			id = strings.TrimPrefix(strings.TrimPrefix(adv, "http://"), "https://")
-		}
-		agent = cluster.NewAgent(cluster.AgentConfig{
-			Registry: *join,
-			Self:     cluster.Node{ID: id, URL: adv},
-			Logf:     logger.Printf,
-		})
-		// A failed initial registration is survivable: every heartbeat is
-		// an upsert, so the node joins as soon as the registry answers.
-		regCtx, regCancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := agent.Register(regCtx); err != nil {
-			logger.Printf("initial registration with %s failed (will keep trying): %v", *join, err)
-		} else {
-			logger.Printf("joined cluster at %s as %s (%s)", *join, id, adv)
-		}
-		regCancel()
-		agent.Start()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -162,19 +96,6 @@ func run() int {
 		return 1
 	case got := <-sig:
 		logger.Printf("%v: draining (grace %v)", got, *grace)
-	}
-
-	// Leave the cluster first so clients stop routing new jobs here while
-	// the drain runs — the explicit teardown, not the TTL one.
-	if agent != nil {
-		lctx, lcancel := context.WithTimeout(context.Background(), 3*time.Second)
-		if err := agent.Leave(lctx); err != nil {
-			logger.Printf("cluster leave: %v", err)
-		}
-		lcancel()
-	}
-	if reg != nil {
-		reg.Stop()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)

@@ -25,20 +25,25 @@
 //	rcsweep -timeout 5m     # per-run wall-clock cap
 //	rcsweep -failfast       # stop scheduling runs after the first failure
 //	rcsweep -remote http://host:8134   # submit cells to a running rcserved
+//	rcsweep -remote http://a:8134,http://b:8134,http://c:8134   # or a cluster
 //
-// With -remote, every sweep cell is submitted to the rcserved instance at
-// the given base URL instead of being simulated locally: results come back
-// over HTTP (cache hits never burn a server worker), failures come back as
-// the same structured run errors the local path produces, and the server
-// owns retry — so the client-side retry is disabled to avoid running every
-// failing spec four times.
+// With -remote, every sweep cell is submitted to rcserved instead of being
+// simulated locally: results come back over HTTP (cache hits never burn a
+// server worker), failures come back as the same structured run errors the
+// local path produces, and the server owns retry — so the client-side
+// retry is disabled to avoid running every failing spec four times.
 //
-// When the -remote endpoint hosts the cluster discovery registry
-// (rcserved -registry), rcsweep fans out transparently: each cell is
-// routed by spec fingerprint to its consistent-hash owner, per-node
-// backpressure is absorbed with jittered exponential backoff, and a node
-// that dies mid-sweep has its cells re-dispatched to the surviving ring
-// successor — at-least-once, deduplicated by fingerprint on the nodes.
+// -remote takes a comma-separated list of base URLs, and one address is a
+// one-node cluster: each cell is routed by spec fingerprint to its
+// consistent-hash owner, per-node backpressure is absorbed with jittered
+// exponential backoff, and a node that fails a request (a transport error,
+// not a rejected spec) has its cell re-dispatched to the next node in ring
+// order — at-least-once, deduplicated by fingerprint on the nodes. A cell
+// is given up after two attempts per node plus three, so with a single
+// address a transport error is retried (at most five attempts, jittered
+// backoff) before the cell fails. A malformed list (empty, an empty
+// element, not http(s), no host, or an address listed twice) exits 2
+// before anything is simulated.
 package main
 
 import (
@@ -76,7 +81,7 @@ func run() int {
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock cap (0 = none)")
 	failFast := flag.Bool("failfast", false, "stop scheduling new runs after the first failure (default: survive failed runs and report them at the end)")
-	remote := flag.String("remote", "", "base URL of a running rcserved; sweep cells are submitted there instead of simulated locally")
+	remote := flag.String("remote", "", "comma-separated base URLs of running rcserved nodes; sweep cells are submitted there instead of simulated locally")
 	verifyRuns := flag.Bool("verify", false, "arm the online invariant oracles on every run of the sweep")
 	policyName := flag.String("policy", "", "restrict the sweep columns to the named switching policy's variants (see -list-policies)")
 	listPolicies := flag.Bool("list-policies", false, "list every registered switching policy and exit")
@@ -156,16 +161,16 @@ func run() int {
 	pol.FailFast = *failFast
 	pol.Verify = *verifyRuns
 	if *remote != "" {
-		// The server executes (and retries) each cell; rcsweep's workers
-		// become concurrent HTTP clients of it. -timeout still rides along
-		// on each submitted spec. A -remote endpoint that speaks the
-		// discovery protocol is a cluster: cells fan out by fingerprint to
-		// the owning node, with re-dispatch to the ring successor when a
-		// node dies mid-sweep.
-		run, kind := cluster.RunFunc(context.Background(), *remote,
+		// The nodes execute (and retry) each cell; rcsweep's workers become
+		// concurrent HTTP clients of them. -timeout still rides along on
+		// each submitted spec.
+		cl, err := cluster.NewClient(strings.Split(*remote, ","),
 			func(format string, args ...any) { fmt.Fprintf(os.Stderr, "rcsweep: "+format+"\n", args...) })
-		fmt.Fprintf(os.Stderr, "rcsweep: -remote %s: %s\n", *remote, kind)
-		pol.Run = run
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rcsweep: -remote: %v\n", err)
+			return 2
+		}
+		pol.Run = cl.Run
 		pol.Retry = false
 	}
 	ctx := context.Background()

@@ -1,17 +1,17 @@
 // In-process chaos tests for the cluster: three real serve.Servers behind
-// real listeners, joined to a real discovery registry, driven through the
-// same cluster.Client rcsweep -remote uses. These encode the PR's
-// acceptance criteria — a node killed mid-sweep (connections severed, no
-// deregistration, TTL expiry) costs no results and no duplicates, a
-// partitioned registry degrades to stale-view routing instead of stalling
-// the sweep, and a queue-full node sheds load with 429s that the client
-// absorbs without a handoff.
+// real listeners, listed statically and driven through the same
+// cluster.Client rcsweep -remote uses. A node killed mid-sweep (connections
+// severed, listener gone) costs no results and no duplicates, every cell
+// comes back to the sweep exactly once, and a queue-full node sheds load
+// with 429s that the client absorbs without a handoff.
 package cluster_test
 
 import (
 	"context"
-	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,42 +24,31 @@ import (
 	"reactivenoc/internal/verify/differ"
 )
 
-// quiet discards log output from servers, agents, and clients whose
-// goroutines may outlive the test body.
+// quiet discards log output from servers and clients whose goroutines may
+// outlive the test body.
 func quiet(string, ...any) {}
 
-// chaosNode is one cluster member: a simulation server, its listener, and
-// the heartbeat agent that keeps it registered.
+// chaosNode is one cluster member: a simulation server and its listener.
 type chaosNode struct {
-	id    string
-	srv   *serve.Server
-	hs    *httptest.Server
-	agent *cluster.Agent
-	dead  bool
+	srv  *serve.Server
+	hs   *httptest.Server
+	dead bool
 }
 
-// kill simulates SIGKILL: heartbeats stop without a Leave, and every open
-// connection is severed — the registry only learns of the death by TTL.
+// kill simulates SIGKILL: every open connection is severed and the
+// listener closed, so the next request to the node fails in transport.
 func (n *chaosNode) kill() {
 	n.dead = true
-	n.agent.Stop()
 	n.hs.CloseClientConnections()
 	n.hs.Close()
 }
 
-// startCluster stands up a registry (with the given TTL) plus n joined
-// nodes and registers teardown for all of it.
-func startCluster(t *testing.T, ttl time.Duration, n int, nodeCfg serve.Config) (*cluster.Registry, *httptest.Server, []*chaosNode) {
+// startNodes stands up n nodes and registers their teardown. The returned
+// URLs are the cluster's member list.
+func startNodes(t *testing.T, n int, nodeCfg serve.Config) ([]*chaosNode, []string) {
 	t.Helper()
-	reg := cluster.NewRegistry(cluster.RegistryConfig{TTL: ttl, Logf: quiet})
-	reg.Start()
-	regHS := httptest.NewServer(reg.Handler())
-	t.Cleanup(func() {
-		reg.Stop()
-		regHS.Close()
-	})
-
 	nodes := make([]*chaosNode, n)
+	urls := make([]string, n)
 	for i := range nodes {
 		cfg := nodeCfg
 		cfg.Logf = quiet
@@ -68,35 +57,32 @@ func startCluster(t *testing.T, ttl time.Duration, n int, nodeCfg serve.Config) 
 			t.Fatal(err)
 		}
 		srv.Start()
-		hs := httptest.NewServer(srv.Handler())
-		id := fmt.Sprintf("node-%d", i)
-		agent := cluster.NewAgent(cluster.AgentConfig{
-			Registry: regHS.URL,
-			Self:     cluster.Node{ID: id, URL: hs.URL},
-			Interval: ttl / 3,
-			Logf:     quiet,
-		})
-		if err := agent.Register(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		agent.Start()
-		node := &chaosNode{id: id, srv: srv, hs: hs, agent: agent}
+		node := &chaosNode{srv: srv, hs: httptest.NewServer(srv.Handler())}
 		t.Cleanup(func() {
-			agent.Stop()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			// A killed node has cancelled in-flight work; its drain error is
 			// part of the scenario, not a test failure.
 			if err := node.srv.Shutdown(ctx); err != nil && !node.dead {
-				t.Errorf("node %s shutdown: %v", node.id, err)
+				t.Errorf("node %s shutdown: %v", node.hs.URL, err)
 			}
 			if !node.dead {
 				node.hs.Close()
 			}
 		})
-		nodes[i] = node
+		nodes[i], urls[i] = node, node.hs.URL
 	}
-	return reg, regHS, nodes
+	return nodes, urls
+}
+
+// newClient builds the cluster client over urls or fails the test.
+func newClient(t *testing.T, urls []string) *cluster.Client {
+	t.Helper()
+	cl, err := cluster.NewClient(urls, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
 }
 
 // chaosScale keeps the sweep quick but wide enough that cells keep landing
@@ -121,56 +107,88 @@ func sweepSpecs(scale exp.Scale) []chip.Spec {
 }
 
 // clusterPolicy plugs the cluster client into the sweep harness the way
-// rcsweep -remote does: the nodes own retry, the client owns handoff.
-func clusterPolicy(cl *cluster.Client) exp.Policy {
+// rcsweep -remote does: the nodes own retry, the client owns handoff. Run
+// is wrapped to tally returns by fingerprint; the returned check requires
+// exactly one return per cell of the sweep — none lost, none reported
+// twice — and none for anything else.
+func clusterPolicy(cl *cluster.Client) (exp.Policy, func(*testing.T, []chip.Spec)) {
 	pol := exp.DefaultPolicy()
-	pol.Run = cl.Run
 	pol.Retry = false
-	return pol
+	var mu sync.Mutex
+	returns := map[string]int{}
+	pol.Run = func(ctx context.Context, spec chip.Spec) (*chip.Results, error) {
+		res, err := cl.Run(ctx, spec)
+		mu.Lock()
+		returns[spec.Fingerprint()]++
+		mu.Unlock()
+		return res, err
+	}
+	return pol, func(t *testing.T, specs []chip.Spec) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, spec := range specs {
+			if got := returns[spec.Fingerprint()]; got != 1 {
+				t.Fatalf("cell %.12s came back %d times, want exactly 1", spec.Fingerprint(), got)
+			}
+		}
+		if len(returns) != len(specs) {
+			t.Fatalf("%d fingerprints came back for %d cells", len(returns), len(specs))
+		}
+	}
 }
 
-// TestClusterKillNodeMidSweep is the headline chaos scenario: a three-node
-// cluster loses a node partway through a sweep. The sweep must complete
-// with zero failures, every cell bit-identical to a local run, and the
-// surviving caches must partition the fingerprint space — pairwise
-// disjoint, and (after a second pass re-homes the dead node's keyspace)
-// exactly one copy of every fingerprint cluster-wide.
-func TestClusterKillNodeMidSweep(t *testing.T) {
-	const ttl = 500 * time.Millisecond
-	reg, regHS, nodes := startCluster(t, ttl, 3, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
+// killMidSweep is the headline chaos scenario, shared by the in-process
+// and process-level suites: a sweep over the nodes at urls loses node 0 to
+// kill once the fleet has done some work, with most of the sweep still
+// ahead. The sweep must complete with zero failures, every cell returned
+// exactly once and bit-identical to a local run; each survivor must have
+// simulated exactly what it caches, and no fingerprint may be cached on two
+// survivors. A second pass re-homes the dead node's keyspace (every cell a
+// cache hit or a single re-run), after which the survivors hold exactly one
+// copy of every fingerprint. Everything is read over HTTP, so both suites
+// judge their nodes the same way.
+func killMidSweep(t *testing.T, urls []string, kill func()) {
+	t.Helper()
+	ctx := context.Background()
 	scale := chaosScale()
-
-	// The ground truth: the same sweep simulated locally.
-	ref := exp.RunSweepCtx(context.Background(), config.Chip16(), config.Variants(), scale, exp.DefaultPolicy())
+	specs := sweepSpecs(scale)
+	ref := exp.RunSweepCtx(ctx, config.Chip16(), config.Variants(), scale, exp.DefaultPolicy())
 	if len(ref.Failures) > 0 {
 		t.Fatalf("local reference sweep failed: %v", ref.Failures)
 	}
 
-	// Kill node-0 once the fleet has demonstrably done work, while most of
-	// the sweep is still ahead of it.
+	nodes := make([]*serve.Client, len(urls))
+	for i, u := range urls {
+		nodes[i] = serve.NewClient(u)
+	}
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
 		for {
 			var done int64
 			for _, n := range nodes {
-				done += n.srv.Metrics().Value("serve/jobs_done")
+				if m, err := n.Metrics(ctx); err == nil {
+					done += m["serve/jobs_done"]
+				}
 			}
 			if done >= 3 {
-				nodes[0].kill()
+				kill()
 				return
 			}
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(10 * time.Millisecond)
 		}
 	}()
 
-	cl := cluster.NewClient(regHS.URL, quiet)
-	sweep := exp.RunSweepCtx(context.Background(), config.Chip16(), config.Variants(), scale, clusterPolicy(cl))
+	cl := newClient(t, urls)
+	pol, exactlyOnce := clusterPolicy(cl)
+	sweep := exp.RunSweepCtx(ctx, config.Chip16(), config.Variants(), scale, pol)
 	<-killed
-
 	if len(sweep.Failures) > 0 {
 		t.Fatalf("cluster sweep reported failures despite handoff: %v", sweep.Failures)
 	}
+	t.Logf("first pass: %+v", cl.Counters())
+	exactlyOnce(t, specs)
 	for _, v := range config.Variants() {
 		for _, w := range scale.Workloads() {
 			got, want := sweep.Res[v.Name][w.Name], ref.Res[v.Name][w.Name]
@@ -183,93 +201,77 @@ func TestClusterKillNodeMidSweep(t *testing.T) {
 		}
 	}
 
-	// The registry saw the death as a TTL expiry (never a graceful leave)
-	// and re-homed the dead node's keyspace. Whether any client dispatch
-	// actually hit the corpse is a timing race (the expiry may win), so the
-	// guaranteed-handoff scenario lives in TestClusterHandoffToSuccessor.
-	waitFor(t, 3*ttl, func() bool { return reg.Metrics().Value("cluster/expiries") >= 1 })
-	snap := reg.Metrics()
-	if snap.Value("cluster/node_down_transitions") < 1 || snap.Value("cluster/leaves") != 0 {
-		t.Fatalf("death misclassified: %+v", snap.Vals)
-	}
-	if snap.Value("cluster/ring_moves") == 0 {
-		t.Fatal("membership churn moved no keyspace")
+	survivors := urls[1:]
+	holders := map[string]string{}
+	for i, u := range survivors {
+		m, err := nodes[1+i].Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps := scrapeCache(t, u)
+		if m["serve/runs"] != int64(len(fps)) {
+			t.Fatalf("%s ran %d simulations for %d cached fingerprints", u, m["serve/runs"], len(fps))
+		}
+		for _, fp := range fps {
+			if other, dup := holders[fp]; dup {
+				t.Fatalf("fingerprint %.12s cached on both %s and %s — sharding broken", fp, other, u)
+			}
+			holders[fp] = u
+		}
 	}
 
-	// Sharding invariant, part 1: the survivors' caches are disjoint — no
-	// fingerprint was simulated (or stored) on two live nodes.
-	assertDisjointCaches(t, nodes[1:])
-
-	// Part 2: a second pass re-homes the dead node's keyspace onto the
-	// survivors (every cell is now a cache hit or a single re-run), after
-	// which the live cluster holds exactly one copy of every fingerprint.
-	again := exp.RunSweepCtx(context.Background(), config.Chip16(), config.Variants(), scale, clusterPolicy(cl))
-	if len(again.Failures) > 0 {
+	pol, exactlyOnce = clusterPolicy(cl)
+	if again := exp.RunSweepCtx(ctx, config.Chip16(), config.Variants(), scale, pol); len(again.Failures) > 0 {
 		t.Fatalf("second pass failed: %v", again.Failures)
 	}
-	holders := map[string]int{}
-	for _, n := range nodes[1:] {
-		for _, fp := range n.srv.CachedFingerprints() {
-			holders[fp]++
+	exactlyOnce(t, specs)
+	copies := map[string]int{}
+	for _, u := range survivors {
+		for _, fp := range scrapeCache(t, u) {
+			copies[fp]++
 		}
 	}
-	for _, spec := range sweepSpecs(scale) {
-		if got := holders[spec.Fingerprint()]; got != 1 {
-			t.Fatalf("fingerprint %.12s held by %d live nodes, want exactly 1", spec.Fingerprint(), got)
+	for _, spec := range specs {
+		if got := copies[spec.Fingerprint()]; got != 1 {
+			t.Fatalf("fingerprint %.12s held by %d survivors, want exactly 1", spec.Fingerprint(), got)
 		}
 	}
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) {
+// scrapeCache reads a node's /v1/cache plain-text fingerprint list.
+func scrapeCache(t *testing.T, base string) []string {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	resp, err := http.Get(base + "/v1/cache")
+	if err != nil {
+		t.Fatalf("GET /v1/cache: %v", err)
 	}
-	if !cond() {
-		t.Fatal("condition never held")
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return strings.Fields(string(body))
 }
 
-// assertDisjointCaches fails if any fingerprint is cached on two nodes.
-func assertDisjointCaches(t *testing.T, nodes []*chaosNode) {
-	t.Helper()
-	seen := map[string]string{}
-	for _, n := range nodes {
-		for _, fp := range n.srv.CachedFingerprints() {
-			if other, dup := seen[fp]; dup {
-				t.Fatalf("fingerprint %.12s cached on both %s and %s — sharding broken", fp, other, n.id)
-			}
-			seen[fp] = n.id
-		}
-	}
+// TestClusterKillNodeMidSweep runs killMidSweep on three in-process nodes.
+func TestClusterKillNodeMidSweep(t *testing.T) {
+	nodes, urls := startNodes(t, 3, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
+	killMidSweep(t, urls, nodes[0].kill)
 }
 
-// TestClusterHandoffToSuccessor pins the failure-aware handoff itself,
-// with the timing race removed: the TTL is a minute, so the registry never
-// notices the death and keeps advertising the corpse. A job owned by the
-// dead node MUST fail its first dispatch, be handed off, and complete on
-// the deterministic ring successor — and the registry's counters must see
-// the client's reports.
+// TestClusterHandoffToSuccessor pins the failure-aware handoff itself: a
+// job owned by a dead node MUST fail its first dispatch, be handed off,
+// and complete on the deterministic ring successor.
 func TestClusterHandoffToSuccessor(t *testing.T) {
-	reg, regHS, nodes := startCluster(t, time.Minute, 2, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
+	nodes, urls := startNodes(t, 2, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
 	ctx := context.Background()
-
-	m, ok := cluster.Probe(ctx, regHS.URL)
-	if !ok || len(m.Nodes) != 2 {
-		t.Fatalf("probe: ok=%v %+v", ok, m)
-	}
-	ring := m.Ring(cluster.DefaultVNodes)
+	ring := cluster.NewRing(urls)
 
 	// A spec whose fingerprint is owned by node-0 — the node we will kill.
 	var victim chip.Spec
 	found := false
 	for _, spec := range sweepSpecs(exp.Scale{MeasureOps: 500, Apps: 4, Seed: 1}) {
-		if owner, ok := ring.Owner(spec.Fingerprint()); ok && owner.ID == nodes[0].id {
+		if owner, ok := ring.Owner(spec.Fingerprint()); ok && owner == urls[0] {
 			victim, found = spec, true
 			break
 		}
@@ -280,7 +282,7 @@ func TestClusterHandoffToSuccessor(t *testing.T) {
 
 	nodes[0].kill()
 
-	cl := cluster.NewClient(regHS.URL, quiet)
+	cl := newClient(t, urls)
 	res, err := cl.Run(ctx, victim)
 	if err != nil {
 		t.Fatalf("run after owner death: %v", err)
@@ -291,10 +293,6 @@ func TestClusterHandoffToSuccessor(t *testing.T) {
 	counters := cl.Counters()
 	if counters["handoffs"] == 0 || counters["redispatches"] == 0 {
 		t.Fatalf("dead owner produced no handoff: %+v", counters)
-	}
-	snap := reg.Metrics()
-	if snap.Value("cluster/handoffs") == 0 || snap.Value("cluster/redispatches") == 0 {
-		t.Fatalf("client reports never reached the registry: %+v", snap.Vals)
 	}
 	// The survivor holds the result; bit-identical to a local simulation.
 	fps := nodes[1].srv.CachedFingerprints()
@@ -316,46 +314,14 @@ func TestClusterHandoffToSuccessor(t *testing.T) {
 	}
 }
 
-// TestClusterRegistryPartition: the registry vanishing mid-sweep must not
-// stall dispatch — the client routes on its last good membership view (the
-// established circuits outlive the setup network).
-func TestClusterRegistryPartition(t *testing.T) {
-	const ttl = 300 * time.Millisecond
-	reg, regHS, nodes := startCluster(t, ttl, 2, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
-
-	cl := cluster.NewClient(regHS.URL, quiet)
-	ctx := context.Background()
-	warm := sweepSpecs(exp.Scale{MeasureOps: 500, Apps: 2, Seed: 1})
-	if _, err := cl.Run(ctx, warm[0]); err != nil {
-		t.Fatalf("warmup run: %v", err)
-	}
-
-	// Partition: the registry goes away entirely. The expiry sweeper is
-	// stopped too, so nothing mutates membership behind the test's back.
-	reg.Stop()
-	regHS.CloseClientConnections()
-	regHS.Close()
-	time.Sleep(ttl + 50*time.Millisecond) // force the cached view stale
-
-	for _, spec := range warm[1:4] {
-		if _, err := cl.Run(ctx, spec); err != nil {
-			t.Fatalf("run during registry partition: %v", err)
-		}
-	}
-	if cl.Counters()["stale_views"] == 0 {
-		t.Fatal("partition never exercised the stale-view path")
-	}
-	assertDisjointCaches(t, nodes)
-}
-
 // TestClusterBackpressure429: a queue-full node sheds load with 429 +
 // Retry-After; the client's jittered backoff absorbs it — every submission
 // completes, none is handed off to another node (backpressure is not
 // death).
 func TestClusterBackpressure429(t *testing.T) {
-	_, regHS, nodes := startCluster(t, time.Minute, 1, serve.Config{Workers: 1, QueueDepth: 1, Policy: exp.Policy{Retry: true}})
+	nodes, urls := startNodes(t, 1, serve.Config{Workers: 1, QueueDepth: 1, Policy: exp.Policy{Retry: true}})
 
-	cl := cluster.NewClient(regHS.URL, quiet)
+	cl := newClient(t, urls)
 	specs := sweepSpecs(exp.Scale{MeasureOps: 2000, Apps: 2, Seed: 1})[:8]
 	var wg sync.WaitGroup
 	errs := make([]error, len(specs))

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,159 +16,106 @@ import (
 	"reactivenoc/internal/serve"
 )
 
-// Client fans spec submissions out across a cluster. Each fingerprint is
-// routed to its ring owner, so the fleet's result caches partition instead
-// of duplicating; when the owner dies mid-job the client re-dispatches to
-// the deterministic ring successor. Run has the same shape as chip.RunCtx
-// and serve.Client.Run, so it plugs straight into exp.Policy.Run.
+// Client fans spec submissions out across a fixed list of rcserved nodes.
+// Each fingerprint is routed to its ring owner, so the fleet's result
+// caches partition instead of duplicating; when the owner fails mid-job
+// the client re-dispatches to the deterministic ring successor. Run has
+// the same shape as chip.RunCtx and serve.Client.Run, so it plugs straight
+// into exp.Policy.Run.
 //
 // Safe for concurrent use: a sweep's worker pool shares one Client, one
-// membership view, and one per-node connection set.
+// ring, and one per-node connection set.
 type Client struct {
-	registry string
-	hc       *http.Client
-	logf     func(format string, args ...any)
+	ring  *Ring
+	nodes map[string]*serve.Client // keyed by node; read-only after NewClient
+	logf  func(format string, args ...any)
 
 	mu      sync.Mutex
-	view    Membership
-	ring    *Ring
-	fetched time.Time
-	nodes   map[string]*serve.Client // keyed by node URL
-	suspect map[string]time.Time     // node ID -> when the client last saw it fail
+	suspect map[string]time.Time // node -> when the client last saw it fail
 
-	refreshes    atomic.Int64
-	staleViews   atomic.Int64
 	handoffs     atomic.Int64
 	redispatches atomic.Int64
 }
 
-// NewClient targets a discovery registry base URL; logf sinks the client's
-// warnings (nil: log.Printf).
-func NewClient(registry string, logf func(format string, args ...any)) *Client {
+// NewClient builds a client over the nodes at urls. A node is its base URL
+// with any trailing "/" trimmed, so two clients share a ring only if they
+// spell every address the same way. The list is checked before anything
+// is sent: it must be non-empty, and every element an http(s) URL with a
+// host that no other element names too. logf sinks the client's warnings
+// (nil: log.Printf).
+func NewClient(urls []string, logf func(format string, args ...any)) (*Client, error) {
+	if len(urls) == 0 {
+		return nil, errors.New("cluster: no node addresses")
+	}
 	if logf == nil {
 		logf = log.Printf
 	}
-	return &Client{
-		registry: strings.TrimRight(registry, "/"),
-		hc:       &http.Client{},
-		logf:     logf,
-		nodes:    map[string]*serve.Client{},
-		suspect:  map[string]time.Time{},
+	c := &Client{
+		nodes:   make(map[string]*serve.Client, len(urls)),
+		logf:    logf,
+		suspect: map[string]time.Time{},
 	}
+	ids := make([]string, 0, len(urls))
+	for _, raw := range urls {
+		id := strings.TrimRight(raw, "/")
+		if id == "" {
+			return nil, fmt.Errorf("cluster: empty address in %q", strings.Join(urls, ","))
+		}
+		u, err := url.Parse(id)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err) // names the address
+		}
+		if u.Scheme != "http" && u.Scheme != "https" {
+			return nil, fmt.Errorf("cluster: address %q: scheme must be http or https", raw)
+		}
+		if u.Host == "" {
+			return nil, fmt.Errorf("cluster: address %q has no host", raw)
+		}
+		// A duplicate would take two ring slots, and Successors could then
+		// hand a dead node's key straight back to it.
+		if _, dup := c.nodes[id]; dup {
+			return nil, fmt.Errorf("cluster: address %q listed twice", id)
+		}
+		c.nodes[id] = serve.NewClient(id)
+		ids = append(ids, id)
+	}
+	c.ring = NewRing(ids)
+	return c, nil
 }
 
-// Counters reports the client-side tallies, mirroring the names the
-// registry publishes so chaos tests can cross-check both sides.
+// Counters reports the client-side handoff tallies.
 func (c *Client) Counters() map[string]int64 {
 	return map[string]int64{
-		"refreshes":    c.refreshes.Load(),
-		"stale_views":  c.staleViews.Load(),
 		"handoffs":     c.handoffs.Load(),
 		"redispatches": c.redispatches.Load(),
 	}
 }
 
-// fetchMembership asks the registry at base for a membership snapshot.
-func fetchMembership(ctx context.Context, hc *http.Client, base string) (Membership, error) {
-	var m Membership
-	err := serve.Call(ctx, hc, http.MethodGet, strings.TrimRight(base, "/")+"/v1/nodes", nil, &m)
-	return m, err
-}
+// suspectFor is how long a node that failed a dispatch is skipped before
+// the client tries it again.
+const suspectFor = 3 * time.Second
 
-// viewTTL is how long a membership view is trusted without a refresh.
-func (c *Client) viewTTL() time.Duration {
-	if c.view.TTLMillis > 0 {
-		return time.Duration(c.view.TTLMillis) * time.Millisecond
-	}
-	return DefaultTTL
-}
-
-// currentRing returns a routing view, refreshing from the registry when
-// the cached one is stale (or force is set, after a dispatch failure). A
-// partitioned or empty registry degrades, never blocks: the last non-empty
-// membership keeps routing — nodes outlive a registry outage by design,
-// exactly like an established circuit outliving its setup network.
-func (c *Client) currentRing(ctx context.Context, force bool) (*Ring, error) {
-	c.mu.Lock()
-	if c.ring != nil && !force && time.Since(c.fetched) < c.viewTTL() {
-		r := c.ring
-		c.mu.Unlock()
-		return r, nil
-	}
-	c.mu.Unlock()
-
-	m, err := fetchMembership(ctx, c.hc, c.registry)
+// suspectNode marks a node failed so the next dispatches skip it until the
+// suspicion window passes.
+func (c *Client) suspectNode(node string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err == nil {
-		c.refreshes.Add(1)
-	}
-	switch {
-	case err != nil && c.ring != nil && c.ring.Len() > 0:
-		c.staleViews.Add(1)
-		c.logf("cluster: registry unreachable (%v); routing on stale membership epoch %d", err, c.view.Epoch)
-		return c.ring, nil
-	case err != nil:
-		return nil, fmt.Errorf("cluster: no membership available: %w", err)
-	case len(m.Nodes) == 0 && c.ring != nil && c.ring.Len() > 0:
-		// A registry that just restarted (or sat through a partition)
-		// reports an empty fleet until the nodes beat again. Trust the
-		// nodes we knew over a freshly amnesiac registry.
-		c.staleViews.Add(1)
-		c.logf("cluster: registry reports no nodes; keeping stale membership epoch %d", c.view.Epoch)
-		return c.ring, nil
-	}
-	if c.ring == nil || m.Epoch != c.view.Epoch {
-		c.ring = m.Ring(DefaultVNodes)
-	}
-	c.view = m
-	c.fetched = time.Now()
-	return c.ring, nil
+	c.suspect[node] = time.Now()
 }
 
-// nodeClient returns (caching) the serve client for a node URL.
-func (c *Client) nodeClient(url string) *serve.Client {
+// isSuspect reports whether a node is inside its suspicion window.
+func (c *Client) isSuspect(node string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cl, ok := c.nodes[url]
-	if !ok {
-		cl = serve.NewClient(url)
-		c.nodes[url] = cl
-	}
-	return cl
-}
-
-// suspectNode marks a node failed so the next dispatch skips it until the
-// registry has had a TTL to expire it (or it recovers).
-func (c *Client) suspectNode(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.suspect[id] = time.Now()
-}
-
-// isSuspect reports whether a node is inside its local suspicion window.
-func (c *Client) isSuspect(id string, ttl time.Duration) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	at, ok := c.suspect[id]
+	at, ok := c.suspect[node]
 	if !ok {
 		return false
 	}
-	if time.Since(at) > ttl {
-		delete(c.suspect, id)
+	if time.Since(at) > suspectFor {
+		delete(c.suspect, node)
 		return false
 	}
 	return true
-}
-
-// report tells the registry about a handoff or re-dispatch so the
-// cluster/ counters see what the clients saw. Fire-and-forget: a
-// partitioned registry must not slow the sweep down.
-func (c *Client) report(typ, from, to, fp string) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = serve.Call(ctx, c.hc, http.MethodPost, c.registry+"/v1/cluster/events",
-		clusterEvent{Type: typ, From: from, To: to, Fingerprint: fp}, nil)
 }
 
 // permanent reports whether a dispatch error is the job's fault (a
@@ -195,66 +142,51 @@ func jittered(d time.Duration) time.Duration {
 }
 
 // Run routes one spec to its ring owner and blocks for the results. On a
-// node-level failure it suspects the node, refreshes membership, and
-// re-dispatches to the next surviving successor with jittered exponential
-// backoff — at-least-once delivery whose double-count protection is the
-// target node's fingerprint dedup, the same undo-token discipline the
-// simulated NIs use. Per-node backpressure (429/503) is absorbed inside
-// serve.Client.Run and never triggers a handoff.
+// node-level failure it suspects the node and re-dispatches to the next
+// non-suspect successor with jittered exponential backoff — at-least-once
+// delivery whose double-count protection is the target node's fingerprint
+// dedup, the same undo-token discipline the simulated NIs use. Per-node
+// backpressure (429/503) is absorbed inside serve.Client.Run and never
+// triggers a handoff.
 func (c *Client) Run(ctx context.Context, spec chip.Spec) (*chip.Results, error) {
 	fp := spec.Fingerprint()
+	order := c.ring.Successors(fp, c.ring.Len())
+	// Every node gets two shots plus three more, so a one-node list still
+	// rides out a restart: five attempts.
+	maxAttempts := 2*len(order) + 3
 	delay := redispatchBase
-	var lastErr error
 	var lastNode string
 	for attempt := 0; ; attempt++ {
-		ring, err := c.currentRing(ctx, attempt > 0)
-		if err != nil {
-			return nil, err
-		}
-		if ring.Len() == 0 {
-			return nil, fmt.Errorf("cluster: no live nodes registered at %s", c.registry)
-		}
-		// maxAttempts gives every node two shots plus slack for membership
-		// to catch up with reality.
-		maxAttempts := 2*ring.Len() + 3
-
-		// First non-suspect node in deterministic failover order; if the
-		// whole ring is suspected, take the owner anyway — suspicion is a
-		// hint, not a verdict.
-		order := ring.Successors(fp, ring.Len())
+		// First non-suspect node in failover order; if the whole ring is
+		// suspected, take the owner anyway — suspicion is a hint, not a
+		// verdict.
 		target := order[0]
 		for _, n := range order {
-			if !c.isSuspect(n.ID, c.viewTTL()) {
+			if !c.isSuspect(n) {
 				target = n
 				break
 			}
 		}
 
-		res, err := c.nodeClient(target.URL).Run(ctx, spec)
+		res, err := c.nodes[target].Run(ctx, spec)
 		if err == nil {
 			if attempt > 0 {
 				c.redispatches.Add(1)
-				c.report("redispatch", lastNode, target.ID, fp)
-				c.logf("cluster: job %.12s re-dispatched %s -> %s (attempt %d)", fp, lastNode, target.ID, attempt+1)
+				c.logf("cluster: job %.12s re-dispatched %s -> %s (attempt %d)", fp, lastNode, target, attempt+1)
 			}
 			return res, nil
 		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		if permanent(err) {
+		if ctx.Err() != nil || permanent(err) {
 			return nil, err
 		}
 
 		// Node-level failure: hand the job off.
-		lastErr = err
-		lastNode = target.ID
-		c.suspectNode(target.ID)
+		lastNode = target
+		c.suspectNode(target)
 		c.handoffs.Add(1)
-		c.report("handoff", target.ID, "", fp)
-		c.logf("cluster: node %s failed job %.12s (%v); handing off", target.ID, fp, err)
+		c.logf("cluster: node %s failed job %.12s (%v); handing off", target, fp, err)
 		if attempt+1 >= maxAttempts {
-			return nil, fmt.Errorf("cluster: job %.12s failed on every candidate after %d attempts: %w", fp, attempt+1, lastErr)
+			return nil, fmt.Errorf("cluster: job %.12s failed on every candidate after %d attempts: %w", fp, attempt+1, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -265,22 +197,4 @@ func (c *Client) Run(ctx context.Context, spec chip.Spec) (*chip.Results, error)
 			delay = redispatchMax
 		}
 	}
-}
-
-// Probe asks base for a membership snapshot. ok reports whether base
-// speaks the discovery protocol — the seam rcsweep -remote uses to accept
-// either a single rcserved or a cluster endpoint transparently.
-func Probe(ctx context.Context, base string) (Membership, bool) {
-	m, err := fetchMembership(ctx, &http.Client{Timeout: 5 * time.Second}, base)
-	return m, err == nil
-}
-
-// RunFunc resolves a -remote endpoint into an executor: a cluster Client
-// when base hosts the discovery protocol, a plain serve.Client otherwise.
-// The returned description is for the caller's logs.
-func RunFunc(ctx context.Context, base string, logf func(format string, args ...any)) (func(context.Context, chip.Spec) (*chip.Results, error), string) {
-	if m, ok := Probe(ctx, base); ok {
-		return NewClient(base, logf).Run, fmt.Sprintf("cluster of %d nodes (epoch %d)", len(m.Nodes), m.Epoch)
-	}
-	return serve.NewClient(base).Run, "single node"
 }

@@ -5,32 +5,32 @@ import (
 	"testing"
 )
 
-func ringNodes(n int) []Node {
-	out := make([]Node, n)
+func ringNodes(n int) []string {
+	out := make([]string, n)
 	for i := range out {
-		out[i] = Node{ID: fmt.Sprintf("node-%d", i), URL: fmt.Sprintf("http://10.0.0.%d:8134", i)}
+		out[i] = fmt.Sprintf("http://10.0.0.%d:8134", i)
 	}
 	return out
 }
 
-// TestRingDeterministic: two rings built from the same membership — in any
+// TestRingDeterministic: two rings built from the same node list — in any
 // order — route every key identically. This is the property the whole
 // cluster leans on: client and nodes never exchange routing tables, they
 // just agree by construction.
 func TestRingDeterministic(t *testing.T) {
 	nodes := ringNodes(5)
-	a := NewRing(nodes, 0)
-	reversed := make([]Node, len(nodes))
+	a := NewRing(nodes)
+	reversed := make([]string, len(nodes))
 	for i, n := range nodes {
 		reversed[len(nodes)-1-i] = n
 	}
-	b := NewRing(reversed, 0)
+	b := NewRing(reversed)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("fingerprint-%d", i)
 		na, _ := a.Owner(key)
 		nb, _ := b.Owner(key)
-		if na.ID != nb.ID {
-			t.Fatalf("key %q: owner %s vs %s across identical memberships", key, na.ID, nb.ID)
+		if na != nb {
+			t.Fatalf("key %q: owner %s vs %s across identical node lists", key, na, nb)
 		}
 	}
 }
@@ -38,7 +38,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingBalance: with vnodes, no node owns a wildly disproportionate
 // keyspace share (each of 4 nodes should see ~25% ± a loose factor).
 func TestRingBalance(t *testing.T) {
-	r := NewRing(ringNodes(4), 0)
+	r := NewRing(ringNodes(4))
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -46,7 +46,7 @@ func TestRingBalance(t *testing.T) {
 		if !ok {
 			t.Fatal("owner lookup failed")
 		}
-		counts[n.ID]++
+		counts[n]++
 	}
 	for id, c := range counts {
 		if c < keys/4/2 || c > keys/4*2 {
@@ -59,22 +59,22 @@ func TestRingBalance(t *testing.T) {
 // owner survives — only the dead node's keyspace re-homes.
 func TestRingMinimalMovement(t *testing.T) {
 	nodes := ringNodes(5)
-	before := NewRing(nodes, 0)
-	after := NewRing(nodes[:4], 0) // node-4 removed
+	before := NewRing(nodes)
+	after := NewRing(nodes[:4]) // the fifth node removed
 	moved, kept := 0, 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("fp-%d", i)
 		ob, _ := before.Owner(key)
 		oa, _ := after.Owner(key)
-		if ob.ID == "node-4" {
+		if ob == nodes[4] {
 			moved++
-			if oa.ID == "node-4" {
+			if oa == nodes[4] {
 				t.Fatal("key still owned by a removed node")
 			}
 			continue
 		}
-		if ob.ID != oa.ID {
-			t.Fatalf("key %q moved %s -> %s though its owner survived", key, ob.ID, oa.ID)
+		if ob != oa {
+			t.Fatalf("key %q moved %s -> %s though its owner survived", key, ob, oa)
 		}
 		kept++
 	}
@@ -87,7 +87,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // repeats a node, and is itself deterministic — every client re-dispatches
 // a dead node's key to the same survivor.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing(ringNodes(4), 0)
+	r := NewRing(ringNodes(4))
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("fp-%d", i)
 		owner, _ := r.Owner(key)
@@ -95,45 +95,27 @@ func TestRingSuccessors(t *testing.T) {
 		if len(succ) != 4 {
 			t.Fatalf("Successors returned %d nodes, want 4", len(succ))
 		}
-		if succ[0].ID != owner.ID {
-			t.Fatalf("failover order does not start at the owner: %s vs %s", succ[0].ID, owner.ID)
+		if succ[0] != owner {
+			t.Fatalf("failover order does not start at the owner: %s vs %s", succ[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, n := range succ {
-			if seen[n.ID] {
-				t.Fatalf("failover order repeats %s", n.ID)
+			if seen[n] {
+				t.Fatalf("failover order repeats %s", n)
 			}
-			seen[n.ID] = true
+			seen[n] = true
 		}
 	}
-	// Clamped when n exceeds membership.
+	// Clamped when n exceeds the node count.
 	if got := r.Successors("k", 99); len(got) != 4 {
 		t.Fatalf("Successors(99) = %d nodes", len(got))
 	}
 	// Empty ring: no owner, no successors.
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if _, ok := empty.Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
 	if got := empty.Successors("k", 3); got != nil {
 		t.Fatalf("empty ring returned successors: %v", got)
-	}
-}
-
-// TestMovedShare: identical rings score zero churn; removing a node scores
-// roughly its keyspace share; a full replacement scores everything.
-func TestMovedShare(t *testing.T) {
-	nodes := ringNodes(4)
-	a := NewRing(nodes, 0)
-	if got := MovedShare(a, NewRing(nodes, 0)); got != 0 {
-		t.Fatalf("identical rings moved %d probes", got)
-	}
-	drop := MovedShare(a, NewRing(nodes[:3], 0))
-	if drop == 0 || drop > movedProbes/2 {
-		t.Fatalf("dropping 1 of 4 nodes moved %d of %d probes", drop, movedProbes)
-	}
-	other := ringNodes(8)[4:]
-	if got := MovedShare(a, NewRing(other, 0)); got != movedProbes {
-		t.Fatalf("total replacement moved %d of %d probes", got, movedProbes)
 	}
 }

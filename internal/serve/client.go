@@ -70,12 +70,12 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: HTTP %d: %s", e.Code, e.Msg)
 }
 
-// open is the one request path of the service and its cluster. A non-nil
-// body goes out as JSON; a 2xx answer comes back open, for the caller to
-// read and close; 429/503 become the backpressure error carrying the
-// server's Retry-After, and every other status a *StatusError with the
-// server's {"error": …} message. Transport failures are returned as they
-// are, which is how the cluster client recognises a broken node.
+// open is the one request path of the service. A non-nil body goes out as
+// JSON; a 2xx answer comes back open, for the caller to read and close;
+// 429/503 become the backpressure error carrying the server's Retry-After,
+// and every other status a *StatusError with the server's {"error": …}
+// message. Transport failures are returned as they are, which is how the
+// cluster client recognises a broken node.
 func open(ctx context.Context, hc *http.Client, method, url string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
@@ -115,17 +115,15 @@ func open(ctx context.Context, hc *http.Client, method, url string, body any) (*
 	return nil, &StatusError{Code: resp.StatusCode, Msg: fmt.Sprintf("%s %s: %s", method, req.URL.Path, ae.Error)}
 }
 
-// Call sends one request through the service's request path and decodes a
-// JSON answer into out (nil, or a 204: nothing is read). The cluster
-// package makes every registry call with it, so a node and the registry
-// report failures in one vocabulary: IsBackpressure and *StatusError.
-func Call(ctx context.Context, hc *http.Client, method, url string, body, out any) error {
+// call sends one request through open and decodes a JSON answer into out
+// (a 204 carries nothing to read).
+func call(ctx context.Context, hc *http.Client, method, url string, body, out any) error {
 	resp, err := open(ctx, hc, method, url, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if out == nil || resp.StatusCode == http.StatusNoContent {
+	if resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -135,14 +133,14 @@ func Call(ctx context.Context, hc *http.Client, method, url string, body, out an
 // Run absorbs.
 func (c *Client) Submit(ctx context.Context, spec chip.Spec) (JobStatus, error) {
 	var st JobStatus
-	err := Call(ctx, c.hc, http.MethodPost, c.base+"/v1/jobs", specEnvelope{Spec: spec}, &st)
+	err := call(ctx, c.hc, http.MethodPost, c.base+"/v1/jobs", specEnvelope{Spec: spec}, &st)
 	return st, err
 }
 
 // Job fetches a job's status, including the Results when done.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := Call(ctx, c.hc, http.MethodGet, c.base+"/v1/jobs/"+id, nil, &st)
+	err := call(ctx, c.hc, http.MethodGet, c.base+"/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 

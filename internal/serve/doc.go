@@ -13,15 +13,16 @@
 // plumbing, and jobs that never produced a result are drained to a journal
 // that a restarted server replays.
 //
-// One wire layer carries all of it, and the cluster package's registry
-// traffic too. Requests: open builds, sends and judges every request (2xx,
-// 429/503 backpressure with Retry-After, *StatusError for the rest); Call
-// is open plus a JSON decode; Client.Submit/Job/Follow/Metrics and every
-// registry call sit on them. Responses: WriteJSON (compact — pipe through
-// `jq .` to read), WriteError and WriteMetrics. Client.Wait learns that a
-// job ended the way a browser would: it follows the job's event stream to
-// the terminal event and fetches the record once. There is no polling path
-// beside it; a stream that breaks is a node that broke, and is reported so.
+// One wire layer carries all of it. Requests: open builds, sends and
+// judges every request (2xx, 429/503 backpressure with Retry-After,
+// *StatusError for the rest); call is open plus a JSON decode;
+// Client.Submit/Job/Follow/Metrics sit on them. Responses: writeJSON
+// (compact — pipe through `jq .` to read), writeError and writeMetrics.
+// The cluster package reaches nodes only through Client. Client.Wait
+// learns that a job ended the way a browser would: it follows the job's
+// event stream to the terminal event and fetches the record once. There is
+// no polling path beside it; a stream that breaks is a node that broke,
+// and is reported so.
 //
 // Endpoints:
 //

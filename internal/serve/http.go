@@ -32,11 +32,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// WriteJSON, WriteError and WriteMetrics are the response side of the wire
-// layer; the cluster registry answers through them too, so every JSON body,
-// {"error": …} and /metrics page in the service has one shape. JSON is
-// compact — pipe it through `jq .` to read it.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON, writeError and writeMetrics are the response side of the wire
+// layer, so every JSON body, {"error": …} and /metrics page in the service
+// has one shape. JSON is compact — pipe it through `jq .` to read it.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v) // a failed write is the client hanging up
@@ -46,25 +45,18 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// WriteError answers code with the {"error": msg} body the client side
+// writeError answers code with the {"error": msg} body the client side
 // turns back into a *StatusError.
-func WriteError(w http.ResponseWriter, code int, msg string) {
-	WriteJSON(w, code, apiError{Error: msg})
+func writeError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, apiError{Error: msg})
 }
 
-// WriteMetrics renders the snapshots as plain text, one "name value" line
-// per metric in sorted key order, so scrapes diff cleanly and one parser
-// reads a node, a registry, or both behind one mux.
-func WriteMetrics(w http.ResponseWriter, snaps ...sim.Snapshot) {
-	all := sim.Snapshot{Vals: map[string]int64{}}
-	for _, s := range snaps {
-		for k, v := range s.Vals {
-			all.Vals[k] = v
-		}
-	}
+// writeMetrics renders a snapshot as plain text, one "name value" line per
+// metric in sorted key order, so scrapes diff cleanly.
+func writeMetrics(w http.ResponseWriter, snap sim.Snapshot) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, k := range all.Keys() {
-		fmt.Fprintf(w, "%s %d\n", k, all.Vals[k])
+	for _, k := range snap.Keys() {
+		fmt.Fprintf(w, "%s %d\n", k, snap.Vals[k])
 	}
 }
 
@@ -72,7 +64,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec specEnvelope
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err := dec.Decode(&spec); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad spec: "+err.Error())
+		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
 	st, err := s.Submit(spec.Spec)
@@ -81,26 +73,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Backpressure, not failure: the queue is bounded by design and
 		// the client should come back.
 		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, err.Error())
+		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
-		WriteError(w, http.StatusServiceUnavailable, err.Error())
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		WriteError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 	case st.Cached || st.Deduped:
-		WriteJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, st)
 	default:
-		WriteJSON(w, http.StatusAccepted, st)
+		writeJSON(w, http.StatusAccepted, st)
 	}
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "no such job")
+		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	WriteJSON(w, http.StatusOK, j.status(true))
+	writeJSON(w, http.StatusOK, j.status(true))
 }
 
 // handleEvents streams a job's progress as server-sent events. The stream
@@ -110,19 +102,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "no such job")
+		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
+		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	seq := 0
 	if after := r.URL.Query().Get("after"); after != "" {
 		n, err := strconv.Atoi(after)
 		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, "bad after cursor")
+			writeError(w, http.StatusBadRequest, "bad after cursor")
 			return
 		}
 		seq = n
@@ -166,13 +158,13 @@ func (s *Server) handleCache(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	WriteMetrics(w, s.Metrics())
+	writeMetrics(w, s.Metrics())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
