@@ -41,8 +41,8 @@ func benchChipRun(b *testing.B, variant string, w workload.Profile) {
 }
 
 // BenchmarkChipRunSDM is a full 16-core run on the lane-sliced SDM fabric:
-// per-lane circuit tables, lane-paced bypass and the deferred teardown
-// queue are all on the hot path here.
+// per-lane circuit tables, lane-paced bypass and lane-releasing teardown
+// are all on the hot path here.
 func BenchmarkChipRunSDM(b *testing.B) { benchChipRun(b, "SDM", workload.Micro()) }
 
 // BenchmarkTraceReplay is a 16-core Complete_NoAck run driven from a

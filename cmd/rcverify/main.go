@@ -167,7 +167,7 @@ func faultScenario(c fault.Class) chip.Spec {
 
 // sdmFaultScenario arms one corruption class with the SDM policy's
 // lane-sliced fabric active, so the detection story is re-proven against
-// per-lane circuit tables, lane-paced bypass and deferred teardown.
+// per-lane circuit tables, lane-paced bypass and lane-releasing teardown.
 // ok=false marks a structurally inapplicable class: TruncateWindow needs a
 // timed reservation, and sdm replaces time windows with lanes outright.
 func sdmFaultScenario(c fault.Class) (chip.Spec, bool) {

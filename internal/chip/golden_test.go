@@ -221,11 +221,11 @@ func TestGoldenDeterminism(t *testing.T) {
 // and sparse/dense cross-checks run: baseline, the complete mechanism, the
 // scrounger-reuse and timed-circuit variants (whose circuit-riding and
 // window-expiry paths have the trickiest pointer and scheduling lifetimes),
-// the SDM lane-sliced cells (lane pacing and deferred teardown add the
-// newest engine-sensitive lifetimes), a canneal cell, the 64-core
+// the SDM lane-sliced cells (lane pacing and lane-releasing teardown add
+// the newest engine-sensitive lifetimes), a canneal cell, the 64-core
 // reuse/timed cells, and the policy-lab/comparator cells (per-router
 // partition state, the speculative pipeline, probe setups and the profiled
-// policy's deferred observations). Under -short the list trims to the
+// policy's per-flow observations). Under -short the list trims to the
 // 16-core distinct-mechanism cells.
 func crossCheckRows() []int {
 	if testing.Short() {

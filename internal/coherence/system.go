@@ -263,10 +263,9 @@ func (s *System) canEliminateAck(bank, requestor mesh.NodeID, addr cache.Addr, n
 }
 
 // Register adds the network and every controller to k as individually
-// activity-tracked components, in the exact order Tick visits them:
-// routers and NIs first, then each tile's L1 and L2 interleaved, then the
-// memory controllers. A system registered this way must not also be ticked
-// monolithically.
+// activity-tracked components: routers and NIs first, then each tile's L1
+// and L2 interleaved, then the memory controllers; the circuit manager's
+// deferred operations drain in the cycle epilogue.
 func (s *System) Register(k *sim.Kernel) {
 	s.Net.Register(k)
 	for i := range s.L1s {
@@ -309,18 +308,6 @@ func (s *System) DescribeMetrics(reg *sim.Registry) {
 	})
 	if s.Mgr != nil {
 		s.Mgr.DescribeMetrics(reg)
-	}
-}
-
-// Tick advances the network and every controller one cycle.
-func (s *System) Tick(now sim.Cycle) {
-	s.Net.Tick(now)
-	for i := range s.L1s {
-		s.L1s[i].Tick(now)
-		s.L2s[i].Tick(now)
-	}
-	for _, mc := range s.MCs {
-		mc.Tick(now)
 	}
 }
 

@@ -25,12 +25,7 @@ func newTB(t *testing.T, w, h int, opts core.Options) *tb {
 		i := i
 		b.sys.L1s[i].SetMissHandler(func(now sim.Cycle) { b.done[i] = true })
 	}
-	b.kernel.Register(b.sys)
-	if b.sys.Mgr != nil {
-		// The manager's deferred cross-tile operations drain at the cycle
-		// epilogue, exactly as System.Register wires it.
-		b.kernel.AddEpilogue(b.sys.Mgr.FlushCycle)
-	}
+	b.sys.Register(b.kernel)
 	return b
 }
 

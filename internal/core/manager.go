@@ -79,11 +79,12 @@ type walk struct {
 }
 
 // Manager owns the mechanism-independent circuit state: every router's
-// circuit table, every NI's circuit registry, the reservation walks and
-// the statistics of Section 5.2. It plugs into the network as both the
-// router-side CircuitHandler and the NI-side NIHook, reads the resolved
-// policy's Traits for everything the shared paths need to know, and asks
-// the Policy itself only where variants decide differently (see policy.go).
+// circuit table, every NI's circuit registry, the reservation walks, the
+// ways a circuit ends and the statistics of Section 5.2. It plugs into the
+// network as both the router-side CircuitHandler and the NI-side NIHook,
+// reads the resolved policy's Traits for everything the shared paths need
+// to know, and asks the Policy itself only where variants decide
+// differently (see policy.go).
 type Manager struct {
 	opts   Options
 	pol    Policy
@@ -113,7 +114,7 @@ type Manager struct {
 	// ops holds the cross-tile mutations deferred to the cycle epilogue
 	// (FlushCycle): scrounger ride releases and probe-completion notices.
 	// Applying them at the end of the cycle, in enqueue order, is simulated
-	// behaviour the goldens pin.
+	// behaviour the goldens pin. It is the only deferred queue.
 	ops []managerOp
 	// walksLive/ridesLive count outstanding walks and rides for the
 	// quiescence audit.
@@ -192,7 +193,7 @@ func (mg *Manager) FlushCycle(now sim.Cycle) {
 			if op.rec.pendingUndo {
 				// The protocol undid the circuit mid-ride; tear it down
 				// now that the borrowed flits have cleared every router.
-				mg.pol.Teardown(mg, op.rec, now)
+				mg.teardown(op.rec, now)
 			}
 		case opProbeUp:
 			if rec := mg.regs[op.src][op.key]; rec != nil {
@@ -203,7 +204,6 @@ func (mg *Manager) FlushCycle(now sim.Cycle) {
 		}
 	}
 	mg.ops = mg.ops[:0]
-	mg.pol.Flush(mg, now)
 }
 
 // NetConfigFor returns the network microarchitecture the selected policy
@@ -425,11 +425,39 @@ func (mg *Manager) Release(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cyc
 }
 
 // OnUndo clears the reservation named by the token at this router and
-// steers the walk onward: toward the circuit destination for the paper's
-// reversed entries, or backward toward the setup source for the probe
-// comparator's forward entries. The policy owns the walk's shape.
+// steers the walk onward. Forward entries (the probe comparator) are
+// scanned for at every input and the walk heads back toward the setup
+// source; a Partial path is walked along the YX reply route past its gaps,
+// so entries beyond a gap are still reclaimed; otherwise the walk follows
+// the cleared entry's output port toward the circuit destination and stops
+// where no entry is found.
 func (mg *Manager) OnUndo(id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
-	return mg.pol.Undo(mg, id, tok, in, now)
+	switch {
+	case mg.traits.Forward:
+		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
+			if mg.clearEntry(id, d, tok.Dest, tok.Block, now) != nil {
+				return d, true // continue out of the entry's input side
+			}
+		}
+		return 0, false
+	case mg.traits.Partial:
+		mg.clearEntry(id, in, tok.Dest, tok.Block, now)
+		return mg.m.NextDir(mesh.RouteYX, id, tok.Dest), true
+	}
+	if e := mg.clearEntry(id, in, tok.Dest, tok.Block, now); e != nil {
+		return e.out, true
+	}
+	return 0, false
+}
+
+// clearEntry removes the live entry for (dest, block) at input in of router
+// id, charging the table write, and returns it (nil when none is live).
+func (mg *Manager) clearEntry(id mesh.NodeID, in mesh.Dir, dest mesh.NodeID, block uint64, now sim.Cycle) *entry {
+	e := mg.tables[id].clear(in, dest, block, now)
+	if e != nil {
+		mg.net.Events().CircuitWrites++
+	}
+	return e
 }
 
 // BypassBuffered reports whether circuit flits may wait in buffers: exactly
@@ -585,6 +613,13 @@ func (mg *Manager) OnDeliver(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) bo
 }
 
 // recordCircuit stores the finished reservation walk in this NI's registry.
+// It runs strictly after every Arbitrate of the walk: a request's final
+// router runs its VA stage before the NI delivers the tail flit. An
+// all-or-nothing circuit is complete exactly when no router failed and is
+// injected on the circuit VC; a Partial one counts its fragments, is
+// complete only when every hop reserved, and is injected on the first hop's
+// reserved VC when it exists. Timed records carry the accumulated injection
+// window.
 func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 	w, _ := msg.Walk.(*walk)
 	msg.Walk = nil
@@ -595,7 +630,24 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 	defer mg.freeWalk(w)
 	key := circKey{dest: msg.Src, block: msg.Block}
 	rec := &record{key: key, path: mg.m.Hops(msg.Src, msg.Dst) + 1, src: ni}
-	mg.pol.Confirm(mg, ni, msg, rec, w)
+	if mg.traits.Partial {
+		rec.reserved = msg.ReservedHops
+		rec.complete = msg.ReservedHops == rec.path
+		if w.prevVC >= 0 {
+			rec.injectVC = w.prevVC
+		}
+	} else {
+		rec.complete = !msg.BuildFailed
+		rec.injectVC = mg.circuitVC()
+	}
+	rec.failed = !rec.complete
+	if rec.complete {
+		mg.Stats.CircuitsBuilt++
+		if mg.opts.Timed {
+			rec.timed = true
+			rec.injStart, rec.injEnd = w.injLo, w.injHi
+		}
+	}
 	mg.regs[ni][key] = rec
 	if mg.tracer != nil {
 		if rec.complete {
@@ -638,24 +690,52 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		rec.pendingUndo = true // a scrounger is riding; tear down after it
 		return true
 	}
-	mg.pol.Teardown(mg, rec, now)
+	mg.teardown(rec, now)
 	return true
 }
 
-// dirBetween returns the port of `from` that faces the adjacent node `to`.
-func dirBetween(m mesh.Mesh, from, to mesh.NodeID) mesh.Dir {
-	for d := mesh.North; d <= mesh.West; d++ {
-		if nb, ok := m.Neighbor(from, d); ok && nb == to {
-			return d
-		}
+// teardown reclaims the router entries of a circuit the coherence protocol
+// abandoned. Timed entries self-expire when their finish counters run out.
+// An Unbounded policy (the ideal bound) clears the whole reply path at
+// once. Every other circuit clears its entry at the first router and sends
+// an undo credit down the YX reply path for the rest; a Partial path may
+// have a gap there and walks on regardless.
+func (mg *Manager) teardown(rec *record, now sim.Cycle) {
+	src, dest, block := rec.src, rec.key.dest, rec.key.block
+	switch {
+	case mg.opts.Timed:
+		return
+	case mg.traits.Unbounded:
+		mg.replyPath(src, dest, func(_ int, node mesh.NodeID, in mesh.Dir) bool {
+			mg.clearEntry(node, in, dest, block, now)
+			return true
+		})
+		return
 	}
-	panic(fmt.Sprintf("core: nodes %d and %d are not adjacent", from, to))
+	if mg.clearEntry(src, mesh.Local, dest, block, now) == nil && !mg.traits.Partial {
+		return
+	}
+	if next := mg.m.NextDir(mesh.RouteYX, src, dest); next != mesh.Local {
+		mg.net.Router(src).SendUndoCredit(next, &noc.UndoToken{Dest: dest, Block: block}, now)
+	}
 }
 
-// HasCircuit reports whether a (complete or partial) circuit for (dest,
-// block) is registered at NI ni — the coherence layer uses it to decide
-// whether a data reply will ride a complete circuit and its L1_DATA_ACK can
-// be eliminated.
+// replyPath visits the routers of the YX reply path from src to dest in
+// order, each with its hop index and the input port the reply enters it
+// through, until visit returns false.
+func (mg *Manager) replyPath(src, dest mesh.NodeID, visit func(hop int, node mesh.NodeID, in mesh.Dir) bool) {
+	node, in := src, mesh.Local
+	for hop := 0; visit(hop, node, in) && node != dest; hop++ {
+		d := mg.m.NextDir(mesh.RouteYX, node, dest)
+		node, _ = mg.m.Neighbor(node, d)
+		in = d.Opposite()
+	}
+}
+
+// HasCircuit reports whether a complete circuit for (dest, block) is
+// registered at NI ni, and whether a timed one's window is still open — the
+// coherence layer uses it to decide whether a data reply will ride a
+// complete circuit and its L1_DATA_ACK can be eliminated.
 func (mg *Manager) HasCircuit(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.Cycle) (complete, timedOK bool) {
 	rec := mg.regs[ni][circKey{dest: dest, block: block}]
 	if rec == nil || rec.failed || !rec.complete {

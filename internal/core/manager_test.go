@@ -160,34 +160,121 @@ func TestFailedCircuitPrefixUndone(t *testing.T) {
 	}
 }
 
+// TestUndoForwardedRequest drives every way a reserved circuit can end
+// short of its own reply, for every circuit policy: the L2-forwards-to-owner
+// pattern undoes the circuit before use and the data comes from another
+// node as a normal reply. Each row must end with no live entry at any port,
+// no walk or ride outstanding, and a clean quiescence audit.
 func TestUndoForwardedRequest(t *testing.T) {
-	// The L2-forwards-to-owner pattern: the circuit is undone before use
-	// and the data comes from another node as a normal reply.
-	r := newRig(t, 4, 4, completeOpts(), 7)
-	req := r.request(0, 15, 5)
-	r.forwardTo[req.Block] = mesh.NodeID(10)
-	r.runQuiet(3000)
+	forwarded := func(t *testing.T, o Options) *rig {
+		r := newRig(t, 4, 4, o, 7)
+		req := r.request(0, 15, 5)
+		r.forwardTo[req.Block] = 10
+		return r
+	}
+	// The protocol undoes a circuit a scrounger is riding: the record is
+	// dropped at once (pendingUndo), and the teardown waits for the ride's
+	// release at the cycle epilogue.
+	undoMidRide := func(t *testing.T, o Options) *rig {
+		r := newRig(t, 4, 1, o, 600) // the owner's reply is held back
+		req := r.request(2, 0, 5)    // circuit 0 -> 2
+		r.run(80)
+		rec := r.mgr.regs[0][circKey{dest: 2, block: req.Block}]
+		r.plainReply(0, 3, 1) // borrows the circuit toward 3
+		for i := 0; !rec.inUse; i++ {
+			if i == 10 {
+				t.Fatal("the scrounger never boarded the circuit")
+			}
+			r.run(1)
+		}
+		r.mgr.Undo(0, 2, req.Block, r.kernel.Now())
+		if !rec.pendingUndo {
+			t.Fatal("undo under a riding scrounger did not defer the teardown")
+		}
+		// The forward tags the eventual data reply as undone, as the
+		// coherence layer's CircuitUndone payload does.
+		r.pending[0].msg.OutcomeHint = uint8(OutcomeUndone)
+		return r
+	}
+	// The ideal bound charges no teardown walk: the cycle that undoes the
+	// circuit also clears every entry of it.
+	instant := func(t *testing.T, o Options) *rig {
+		r := forwarded(t, o)
+		for i := 0; r.mgr.Stats.CircuitsUndone == 0; i++ {
+			if i == 200 {
+				t.Fatal("the forward never undid the circuit")
+			}
+			r.run(1)
+		}
+		if n := r.mgr.OpenCircuits(r.kernel.Now()); n != 0 {
+			t.Fatalf("%d entries outlive the cycle of the undo", n)
+		}
+		return r
+	}
+	// The comparator's requests reserve nothing, so a forward has no
+	// circuit to undo; its one release path is the backward walk that
+	// clears a failed setup's prefix. The probe from 0 reserves routers 0
+	// and 1 before it conflicts at router 2 with the one from 2.
+	probeConflict := func(t *testing.T, o Options) *rig {
+		r := newRig(t, 6, 1, o, 7)
+		markReplyEligible(r)
+		r.probeRequest(5, 2, 5)
+		r.probeRequest(5, 0, 5)
+		r.runQuiet(8000)
+		if st := &r.mgr.Stats; st.ReserveFailedConflict != 1 || st.Replies[OutcomeFailed] != 1 {
+			t.Fatalf("conflicts/failed setups = %d/%d, want 1/1",
+				st.ReserveFailedConflict, st.Replies[OutcomeFailed])
+		}
+		return r
+	}
+	reuse := completeOpts()
+	reuse.Reuse = true
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		scenario func(*testing.T, Options) *rig
+		undone   int64 // circuits undone, and replies classified undone
+	}{
+		{"complete", completeOpts(), forwarded, 1},
+		{"complete/timed", timedOpts(0, 0, 0), forwarded, 1}, // entries self-expire
+		{"complete/scrounger-riding", reuse, undoMidRide, 1},
+		{"fragmented", fragmentedOpts(), forwarded, 1},
+		{"ideal", Options{Mechanism: MechIdeal}, instant, 1},
+		{"probe-setup", probeOpts(), probeConflict, 0},
+		{"profiled-hybrid", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, Policy: "profiled-hybrid"}, forwarded, 1},
+		{"dynamic-vc", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"}, forwarded, 1},
+		{"sdm", sdmOpts(0), forwarded, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.scenario(t, tc.opts)
+			r.runQuiet(8000)
+			r.run(100) // past every timed window
 
-	st := &r.mgr.Stats
-	if st.CircuitsUndone != 1 {
-		t.Fatalf("circuits undone %d, want 1", st.CircuitsUndone)
-	}
-	if st.Replies[OutcomeUndone] != 1 {
-		t.Fatalf("undone replies %d, want 1", st.Replies[OutcomeUndone])
-	}
-	if len(r.replies) != 1 || r.replies[0].UseCircuit {
-		t.Fatal("forwarded reply must travel without a circuit")
-	}
-	// After the undo walk, no entry of this circuit survives anywhere.
-	r.run(100)
-	for id := range r.mgr.tables {
-		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			for _, e := range r.mgr.tables[id].inputs[d] {
-				if e.built && e.block == req.Block {
-					t.Fatalf("stale entry at router %d after undo", id)
+			st := &r.mgr.Stats
+			if st.CircuitsUndone != tc.undone || st.Replies[OutcomeUndone] != tc.undone {
+				t.Fatalf("circuits undone %d, undone replies %d, want %d",
+					st.CircuitsUndone, st.Replies[OutcomeUndone], tc.undone)
+			}
+			if tc.undone > 0 {
+				if last := r.replies[len(r.replies)-1]; last.UseCircuit {
+					t.Fatal("the undone circuit's data reply must travel without it")
 				}
 			}
-		}
+			now := r.kernel.Now()
+			for id, tb := range r.mgr.tables {
+				for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
+					if n := tb.activeCount(d, now); n != 0 {
+						t.Fatalf("router %d input %v: %d entries survive", id, d, n)
+					}
+				}
+			}
+			if r.mgr.walksLive != 0 || r.mgr.ridesLive != 0 {
+				t.Fatalf("walks/rides outstanding: %d/%d", r.mgr.walksLive, r.mgr.ridesLive)
+			}
+			if err := r.mgr.AuditQuiescent(now); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -647,28 +734,6 @@ func TestScroungerChainThenOwner(t *testing.T) {
 	}
 	if len(r.replies) != 4 {
 		t.Fatalf("delivered %d replies, want 4", len(r.replies))
-	}
-	if err := r.mgr.AuditQuiescent(r.kernel.Now()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIdealUndoClearsWholePath(t *testing.T) {
-	r := newRig(t, 4, 4, Options{Mechanism: MechIdeal}, 7)
-	req := r.request(0, 15, 5)
-	r.forwardTo[req.Block] = mesh.NodeID(5)
-	r.runQuiet(4000)
-	if r.mgr.Stats.CircuitsUndone != 1 {
-		t.Fatalf("undone %d", r.mgr.Stats.CircuitsUndone)
-	}
-	for id := range r.mgr.tables {
-		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			for _, e := range r.mgr.tables[id].inputs[d] {
-				if e.built && e.block == req.Block {
-					t.Fatalf("ideal undo left an entry at router %d", id)
-				}
-			}
-		}
 	}
 	if err := r.mgr.AuditQuiescent(r.kernel.Now()); err != nil {
 		t.Fatal(err)

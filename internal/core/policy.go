@@ -13,33 +13,30 @@ import (
 // Policy is the switching-policy seam: every circuit mechanism — the
 // paper's variants and the post-paper policies from the related work — is
 // one implementation, registered by name. All of them share one mechanism:
-// a message reserves a circuit entry at every router it crosses. The
-// Manager owns that walk (OnRequestVA) together with the router tables, NI
-// registries and statistics; a policy is its Traits — the facts the shared
-// machinery, the invariant oracles and Options.Validate read — plus the
-// steps where it departs from the defaults in basePolicy:
+// a message reserves a circuit entry at every router it crosses, and the
+// circuit ends one of three ways — its reply rides it, an undo token walks
+// it on the credit wires, or, timed, it expires. The Manager owns the walk
+// (OnRequestVA), the record it leaves at the NI and every way a circuit
+// ends (OnUndo, teardown), together with the router tables, NI registries
+// and statistics; which shape each takes follows from the policy's Traits —
+// the facts the shared machinery, the invariant oracles and
+// Options.Validate read. A policy adds the steps where it departs from the
+// defaults in basePolicy:
 //
 //   - Arbitrate answers the walk's one question at each router: may the
 //     candidate entry be installed? The walk installs it, or runs the one
 //     failure path.
-//   - Confirm finalizes the finished walk into the NI registry record the
-//     reply will consult.
 //   - Inject steers a message about to leave its NI: ride the circuit,
 //     wait for a timed slot, scrounge, or fall back to packet switching.
 //   - Deliver intercepts message arrival before the generic paths (the
 //     probe comparator consumes its setup flits here).
-//   - Undo clears the reservation named by a teardown token at one router
-//     and steers the undo walk onward; Teardown reclaims a built circuit
-//     the coherence protocol abandons.
-//   - Observe learns from reply outcomes; Flush drains work the policy
-//     deferred to the cycle epilogue.
+//   - Observe learns from reply outcomes.
 //
 // Hook ordering follows the double-buffered simulation phases: Arbitrate
-// and Undo fire during the router phase (compute on the current cycle's
-// state), Inject and Deliver during the NI phase, Confirm strictly after
-// every Arbitrate of the same walk — a request's final router runs its VA
-// stage before the NI delivers the tail flit — and Flush from the kernel
-// epilogue, after the manager's own deferred operations.
+// fires during the router phase (compute on the current cycle's state);
+// Inject, Deliver and Observe fire during the NI phase, after every router
+// of the cycle, so what they change is first read by the next cycle's
+// Arbitrate.
 type Policy interface {
 	// Traits states the policy's facts for the given options.
 	Traits(o *Options) Traits
@@ -60,9 +57,6 @@ type Policy interface {
 	// unit port of router id. It may refine e (window, lane, VCs) and the
 	// walk's timing state, but installs nothing.
 	Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, port mesh.Dir, e *entry, w *walk, now sim.Cycle) verdict
-	// Confirm finalizes the reservation walk into rec at the NI where the
-	// reply will be injected.
-	Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, rec *record, w *walk)
 	// Inject classifies and steers a message about to leave NI ni; it
 	// returns the earliest cycle the message may be injected.
 	Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.Cycle) sim.Cycle
@@ -70,17 +64,9 @@ type Policy interface {
 	// the message to the shared record/scrounger logic; handled=true makes
 	// deliver the final verdict (false consumes the message).
 	Deliver(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.Cycle) (handled, deliver bool)
-	// Undo clears the reservation named by tok at router id and reports
-	// which port the undo walk continues out of (ok=false stops it).
-	Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool)
-	// Teardown reclaims a built circuit's router entries.
-	Teardown(mg *Manager, rec *record, now sim.Cycle)
 	// Observe feeds every reply's final outcome back to the policy
 	// (profiling policies learn from it; most ignore it).
 	Observe(mg *Manager, msg *noc.Message, o Outcome)
-	// Flush runs at the cycle epilogue, after the manager's deferred
-	// operations.
-	Flush(mg *Manager, now sim.Cycle)
 }
 
 // Traits are the facts a policy states once. NewManager resolves them into
@@ -90,17 +76,22 @@ type Traits struct {
 	// Options.Mechanism must name it.
 	Mech Mechanism
 	// Timed, Reuse and NoAck say which of the paper's optimizations the
-	// policy can honour.
+	// policy can honour. Under Options.Timed a circuit's entries
+	// self-expire, so nothing tears it down.
 	Timed, Reuse, NoAck bool
 	// Unbounded: circuit storage has no per-port capacity (the ideal
-	// bound), so MaxCircuitsPerPort is neither required nor enforced.
+	// bound), so MaxCircuitsPerPort is neither required nor enforced, and
+	// teardown clears the whole reply path at once: the bound charges no
+	// undo walk.
 	Unbounded bool
 	// Forward: the reserving message is a reply-side setup flit and its
-	// entries point the way it travels (the probe comparator); otherwise a
-	// request reserves reversed entries for its reply.
+	// entries point the way it travels (the probe comparator), so an undo
+	// walk scans back toward the setup source; otherwise a request reserves
+	// reversed entries for its reply, and an undo walk follows them.
 	Forward bool
 	// Partial: a router that cannot reserve leaves a gap and the walk goes
-	// on (fragmented circuits); otherwise one failure fails the circuit.
+	// on (fragmented circuits), and undo walks and teardowns follow the YX
+	// reply path past the gaps; otherwise one failure fails the circuit.
 	Partial bool
 	// Lanes is the SDM lane count per mesh link (0 = undivided links); it
 	// arms the lane-conservation oracle.
@@ -167,7 +158,7 @@ func init() {
 	RegisterPolicy("probe-setup", func() Policy { return probePolicy{} })
 	RegisterPolicy("profiled-hybrid", func() Policy { return &profiledPolicy{} })
 	RegisterPolicy("dynamic-vc", func() Policy { return &dynVCPolicy{} })
-	RegisterPolicy("sdm", func() Policy { return &sdmPolicy{} })
+	RegisterPolicy("sdm", func() Policy { return sdmPolicy{} })
 }
 
 // PolicyName returns the registry name an Options selects: the explicit
@@ -250,12 +241,9 @@ func (o *Options) Validate() error {
 // ---------------------------------------------------------------------------
 
 // basePolicy supplies the default of every hook but Traits: reserve nothing
-// unless the policy arbitrates, and otherwise behave as the all-or-nothing
-// reversed circuit of Section 4.2 — confirmed complete exactly when no
-// router failed, ridden by its own reply (observing timed windows and
-// riding scroungers), undone along its entries' output ports and torn down
-// by a credit walk. Concrete policies embed it and override only the steps
-// where they differ.
+// unless the policy arbitrates, ride the reply on whatever its request
+// reserved, and learn nothing. Concrete policies embed it and override only
+// the steps where they differ.
 type basePolicy struct{}
 
 func (basePolicy) Validate(*Options) error            { return nil }
@@ -265,22 +253,6 @@ func (basePolicy) DescribeMetrics(*sim.Registry)      {}
 
 func (basePolicy) Arbitrate(*Manager, mesh.NodeID, *noc.Message, mesh.Dir, *entry, *walk, sim.Cycle) verdict {
 	return declined
-}
-
-// Confirm finalizes an all-or-nothing walk: the record is complete exactly
-// when no router failed, and timed records carry the accumulated injection
-// window.
-func (basePolicy) Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, rec *record, w *walk) {
-	rec.complete = !msg.BuildFailed
-	rec.failed = msg.BuildFailed
-	rec.injectVC = mg.circuitVC()
-	if rec.complete {
-		mg.Stats.CircuitsBuilt++
-	}
-	if mg.opts.Timed && rec.complete {
-		rec.timed = true
-		rec.injStart, rec.injEnd = w.injLo, w.injHi
-	}
 }
 
 // Inject rides the reply on whatever its request reserved — the whole
@@ -332,35 +304,7 @@ func (basePolicy) Deliver(*Manager, mesh.NodeID, *noc.Message, sim.Cycle) (bool,
 	return false, true
 }
 
-// Undo clears the reversed entry the token names and continues out of the
-// entry's output port — the default walk toward the circuit destination.
-func (basePolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
-	e := mg.tables[id].clear(in, tok.Dest, tok.Block, now)
-	if e == nil {
-		return 0, false
-	}
-	mg.net.Events().CircuitWrites++
-	return e.out, true
-}
-
-// Teardown clears the entry at the circuit's first router and sends an
-// undo-credit walk down the reply path for the rest. Timed entries instead
-// self-expire when their finish counters run out.
-func (basePolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
-	if mg.opts.Timed {
-		return
-	}
-	if e := mg.tables[rec.src].clear(mesh.Local, rec.key.dest, rec.key.block, now); e != nil {
-		mg.net.Events().CircuitWrites++
-		if e.out != mesh.Local {
-			tok := &noc.UndoToken{Dest: rec.key.dest, Block: rec.key.block}
-			mg.net.Router(rec.src).SendUndoCredit(e.out, tok, now)
-		}
-	}
-}
-
 func (basePolicy) Observe(*Manager, *noc.Message, Outcome) {}
-func (basePolicy) Flush(*Manager, sim.Cycle)               {}
 
 // portRule is the paper's construction rule for untimed circuits: the
 // candidate may not share its output port with a live entry of another

@@ -40,38 +40,3 @@ func reservedVC(mg *Manager, id mesh.NodeID, port mesh.Dir, e *entry, w *walk, n
 	e.vc, e.outVC = vc, w.prevVC
 	return granted
 }
-
-// Confirm counts the fragments: complete only when every hop reserved, and
-// the injection VC is the first hop's reserved VC when it exists.
-func (fragmentedPolicy) Confirm(mg *Manager, ni mesh.NodeID, msg *noc.Message, rec *record, w *walk) {
-	rec.reserved = msg.ReservedHops
-	rec.complete = msg.ReservedHops == rec.path
-	rec.failed = !rec.complete
-	if rec.complete {
-		mg.Stats.CircuitsBuilt++
-	}
-	if w.prevVC >= 0 {
-		rec.injectVC = w.prevVC
-	}
-}
-
-// Undo walks the reply's deterministic YX path, clearing what exists and
-// continuing past gaps so entries beyond a gap are still reclaimed.
-func (fragmentedPolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
-	if mg.tables[id].clear(in, tok.Dest, tok.Block, now) != nil {
-		mg.net.Events().CircuitWrites++
-	}
-	return mg.m.NextDir(mesh.RouteYX, id, tok.Dest), true
-}
-
-// Teardown clears whatever entry is at the source and sends the walk
-// toward the destination regardless, tolerating gaps.
-func (fragmentedPolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
-	if mg.tables[rec.src].clear(mesh.Local, rec.key.dest, rec.key.block, now) != nil {
-		mg.net.Events().CircuitWrites++
-	}
-	if fwd := mg.m.NextDir(mesh.RouteYX, rec.src, rec.key.dest); fwd != mesh.Local {
-		tok := &noc.UndoToken{Dest: rec.key.dest, Block: rec.key.block}
-		mg.net.Router(rec.src).SendUndoCredit(fwd, tok, now)
-	}
-}

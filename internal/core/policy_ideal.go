@@ -27,18 +27,3 @@ func (idealPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
 func (idealPolicy) Arbitrate(*Manager, mesh.NodeID, *noc.Message, mesh.Dir, *entry, *walk, sim.Cycle) verdict {
 	return granted
 }
-
-// Teardown clears every entry along the circuit's YX path instantly — the
-// upper-bound model does not charge teardown cost.
-func (idealPolicy) Teardown(mg *Manager, rec *record, now sim.Cycle) {
-	path := mg.m.Path(mesh.RouteYX, rec.src, rec.key.dest)
-	for i, node := range path {
-		in := mesh.Local
-		if i > 0 {
-			in = dirBetween(mg.m, node, path[i-1])
-		}
-		if mg.tables[node].clear(in, rec.key.dest, rec.key.block, now) != nil {
-			mg.net.Events().CircuitWrites++
-		}
-	}
-}

@@ -25,14 +25,12 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 	req := &noc.Message{Src: 1, Dst: 6}
 	rep := &noc.Message{Src: 6, Dst: 1} // the reply's endpoints are swapped
 
-	// A window of failures demotes the flow. Observations apply at the
-	// cycle epilogue, so each cycle ends with a FlushCycle like the kernel's.
+	// A window of failures demotes the flow.
 	for i := 0; i < 4; i++ {
 		if !p.admit(req) {
 			t.Fatalf("request %d: flow demoted before its window closed", i)
 		}
 		p.Observe(mg, rep, OutcomeFailed)
-		p.Flush(mg, sim.Cycle(i))
 	}
 	if p.demotions != 1 {
 		t.Fatalf("demotions = %d, want 1", p.demotions)
@@ -56,7 +54,6 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Observe(mg, rep, OutcomeCircuit)
 	}
-	p.Flush(mg, 10)
 	if p.demotions != 1 || !p.admit(req) {
 		t.Fatal("winning flow was demoted")
 	}
@@ -64,7 +61,6 @@ func TestProfiledDemotionAndReadmission(t *testing.T) {
 	// Outcomes that say nothing about the flow leave the window alone.
 	p.Observe(mg, rep, OutcomeScrounger)
 	p.Observe(mg, rep, OutcomeEliminated)
-	p.Flush(mg, 11)
 	if f := p.flows[flowKey{src: 1, dst: 6}]; f.winDone != 0 {
 		t.Fatalf("neutral outcomes advanced the window: winDone = %d", f.winDone)
 	}
@@ -94,7 +90,6 @@ func TestProfiledThreshold(t *testing.T) {
 			}
 			p.Observe(mg, rep, o)
 		}
-		p.Flush(mg, 0)
 		if got := !p.admit(req); got != tc.demoted {
 			t.Errorf("wins=%d: demoted=%v, want %v", tc.wins, got, tc.demoted)
 		}

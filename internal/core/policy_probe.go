@@ -109,15 +109,3 @@ func (probePolicy) Deliver(mg *Manager, ni mesh.NodeID, msg *noc.Message, now si
 	mg.net.FreeMessage(msg)
 	return true, false
 }
-
-// Undo scans every input port for the forward entry (the walk travels
-// backward toward the setup source, against the entries' direction).
-func (probePolicy) Undo(mg *Manager, id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if e := mg.tables[id].clear(d, tok.Dest, tok.Block, now); e != nil {
-			mg.net.Events().CircuitWrites++
-			return d, true // continue out of the entry's input side
-		}
-	}
-	return 0, false
-}

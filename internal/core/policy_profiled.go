@@ -29,20 +29,10 @@ type profiledPolicy struct {
 
 	flows map[flowKey]*flowProfile
 
-	// pendingObs defers Observe to the cycle epilogue, in classification
-	// (ascending observing-NI) order.
-	pendingObs []flowObs
-
 	// Counters exported under circ/.
 	circuitReqs int64
 	packetReqs  int64
 	demotions   int64
-}
-
-// flowObs is one deferred Observe.
-type flowObs struct {
-	key flowKey
-	o   Outcome
 }
 
 // flowKey identifies a request flow by its endpoints.
@@ -115,38 +105,23 @@ func (p *profiledPolicy) admit(msg *noc.Message) bool {
 	return true
 }
 
-// Observe queues the classified reply for the cycle epilogue. The reply's
-// endpoints are the request's swapped.
+// Observe learns from one classified reply of an admitted flow (the reply's
+// endpoints are the request's swapped): when a decision window closes with
+// too few circuit rides, the flow is demoted for the backoff period.
+// Replies are classified in the NI phase and admit runs in the router
+// phase, so a demotion first applies to the next cycle's requests.
 func (p *profiledPolicy) Observe(mg *Manager, msg *noc.Message, o Outcome) {
 	switch o {
 	case OutcomeCircuit, OutcomeFailed, OutcomeUndone:
 	default:
 		return // scroungers/eliminated/not-eligible say nothing about this flow
 	}
-	p.pendingObs = append(p.pendingObs, flowObs{
-		key: flowKey{src: msg.Dst, dst: msg.Src},
-		o:   o,
-	})
-}
-
-// Flush applies the cycle's deferred observations in enqueue order.
-func (p *profiledPolicy) Flush(mg *Manager, now sim.Cycle) {
-	for _, ob := range p.pendingObs {
-		p.applyObs(ob)
-	}
-	p.pendingObs = p.pendingObs[:0]
-}
-
-// applyObs learns from one classified reply of an admitted flow: when a
-// decision window closes with too few circuit rides, the flow is demoted
-// for the backoff period.
-func (p *profiledPolicy) applyObs(ob flowObs) {
-	f := p.flows[ob.key]
+	f := p.flows[flowKey{src: msg.Dst, dst: msg.Src}]
 	if f == nil || f.packetMode {
 		return
 	}
 	f.winDone++
-	if ob.o == OutcomeCircuit {
+	if o == OutcomeCircuit {
 		f.winWins++
 	}
 	if f.winDone >= p.window {

@@ -19,6 +19,17 @@ func timedRig(t *testing.T, opts Options) *Manager {
 	return mg
 }
 
+// hopPorts returns the ports an XY-routed request enters and leaves hop i
+// of its path by.
+func hopPorts(m mesh.Mesh, path []mesh.NodeID, i int) (in, out mesh.Dir) {
+	dst := path[len(path)-1]
+	in, out = mesh.Local, m.NextDir(mesh.RouteXY, path[i], dst)
+	if i > 0 {
+		in = m.NextDir(mesh.RouteXY, path[i-1], dst).Opposite()
+	}
+	return in, out
+}
+
 func timedMsg(src, dst mesh.NodeID) *noc.Message {
 	return &noc.Message{
 		ID: 1, Src: src, Dst: dst, VN: noc.VNRequest, Size: 1,
@@ -37,13 +48,7 @@ func TestTimedWindowUncontendedConsistency(t *testing.T) {
 	path := mg.m.Path(mesh.RouteXY, 0, 15)
 	now := sim.Cycle(100)
 	for i, id := range path {
-		in, out := mesh.Local, mesh.Local
-		if i > 0 {
-			in = dirBetween(mg.m, id, path[i-1])
-		}
-		if i < len(path)-1 {
-			out = dirBetween(mg.m, id, path[i+1])
-		}
+		in, out := hopPorts(mg.m, path, i)
 		s, e, lo, hi, ok := mg.timedWindow(id, msg, out, in, w, now)
 		if !ok {
 			t.Fatalf("router %d: reservation infeasible", id)
@@ -66,13 +71,7 @@ func TestTimedWindowJitterBreaksZeroSlack(t *testing.T) {
 	path := mg.m.Path(mesh.RouteXY, 0, 3)
 	now := sim.Cycle(100)
 	for i, id := range path {
-		in, out := mesh.Local, mesh.Local
-		if i > 0 {
-			in = dirBetween(mg.m, id, path[i-1])
-		}
-		if i < len(path)-1 {
-			out = dirBetween(mg.m, id, path[i+1])
-		}
+		in, out := hopPorts(mg.m, path, i)
 		_, _, lo, hi, ok := mg.timedWindow(id, msg, out, in, w, now)
 		if i == len(path)-1 {
 			if ok {
@@ -98,13 +97,7 @@ func TestTimedWindowSlackAbsorbsJitter(t *testing.T) {
 	path := mg.m.Path(mesh.RouteXY, 0, 3)
 	now := sim.Cycle(100)
 	for i, id := range path {
-		in, out := mesh.Local, mesh.Local
-		if i > 0 {
-			in = dirBetween(mg.m, id, path[i-1])
-		}
-		if i < len(path)-1 {
-			out = dirBetween(mg.m, id, path[i+1])
-		}
+		in, out := hopPorts(mg.m, path, i)
 		_, _, lo, hi, ok := mg.timedWindow(id, msg, out, in, w, now)
 		if !ok {
 			t.Fatalf("router %d: slack failed to absorb jitter", id)
@@ -157,13 +150,7 @@ func TestTimedWindowPostponedPinsSchedule(t *testing.T) {
 	now := sim.Cycle(100)
 	var lows []sim.Cycle
 	for i, id := range path {
-		in, out := mesh.Local, mesh.Local
-		if i > 0 {
-			in = dirBetween(mg.m, id, path[i-1])
-		}
-		if i < len(path)-1 {
-			out = dirBetween(mg.m, id, path[i+1])
-		}
+		in, out := hopPorts(mg.m, path, i)
 		_, _, lo, hi, ok := mg.timedWindow(id, msg, out, in, w, now)
 		if !ok {
 			t.Fatalf("router %d infeasible", id)

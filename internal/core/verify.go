@@ -112,13 +112,9 @@ func (mg *Manager) CheckRegistry(now sim.Cycle) error {
 			if rec.timed && now > rec.injEnd {
 				continue // missed window; the registry undoes it at injection
 			}
-			path := mg.m.Path(mesh.RouteYX, rec.src, key.dest)
-			for i, node := range path {
-				in := mesh.Local
-				if i > 0 {
-					in = dirBetween(mg.m, node, path[i-1])
-				}
-				var present, live bool
+			var err error
+			mg.replyPath(rec.src, key.dest, func(i int, node mesh.NodeID, in mesh.Dir) bool {
+				var present bool
 				for _, e := range mg.tables[node].inputs[in] {
 					if e.dest != key.dest || e.block != key.block || !e.built {
 						continue
@@ -126,19 +122,20 @@ func (mg *Manager) CheckRegistry(now sim.Cycle) error {
 					present = true
 					if !e.timed() ||
 						e.winEnd >= rec.injEnd+injectLead+repHopLatency*sim.Cycle(i) {
-						live = true
-						break
+						return true
 					}
 				}
-				if !live {
-					state := "no built entry"
-					if present {
-						state = "entry window expires before the promised reply arrival"
-					}
-					return fmt.Errorf(
-						"NI %d advertises complete circuit (%d,%#x) but router %d input %v has %s (hop %d of %d)",
-						rec.src, key.dest, key.block, node, in, state, i, len(path)-1)
+				state := "no built entry"
+				if present {
+					state = "entry window expires before the promised reply arrival"
 				}
+				err = fmt.Errorf(
+					"NI %d advertises complete circuit (%d,%#x) but router %d input %v has %s (hop %d of %d)",
+					rec.src, key.dest, key.block, node, in, state, i, mg.m.Hops(rec.src, key.dest))
+				return false
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func testSystem(t *testing.T) (*coherence.System, *sim.Kernel) {
 	t.Helper()
 	sys := coherence.NewSystem(mesh.New(2, 2), core.Options{}, 4)
 	k := sim.NewKernel()
-	k.Register(sys)
+	sys.Register(k)
 	return sys, k
 }
 

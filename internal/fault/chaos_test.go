@@ -148,7 +148,7 @@ func TestChaosWatchdogFallback(t *testing.T) {
 
 // TestChaosSDM re-runs the fault classes with the SDM policy's lane-sliced
 // fabric active: the detection story must survive per-lane circuit tables,
-// lane-paced bypass and deferred teardown. TruncateWindow is structurally
+// lane-paced bypass and lane-releasing teardown. TruncateWindow is structurally
 // inapplicable — sdm rejects Timed, so no timed reservation ever exists to
 // truncate — and is pinned as such so its absence here is a decision, not
 // an oversight.

@@ -32,20 +32,6 @@ func (e *PowerEvents) Describe(reg *sim.Registry) {
 	reg.Counter("noc/retries", &e.Retries)
 }
 
-// Add folds o into e.
-func (e *PowerEvents) Add(o *PowerEvents) {
-	e.BufWrites += o.BufWrites
-	e.BufReads += o.BufReads
-	e.XbarTraversals += o.XbarTraversals
-	e.LinkFlits += o.LinkFlits
-	e.VAActivity += o.VAActivity
-	e.SAActivity += o.SAActivity
-	e.CreditsSent += o.CreditsSent
-	e.CircuitChecks += o.CircuitChecks
-	e.CircuitWrites += o.CircuitWrites
-	e.Retries += o.Retries
-}
-
 // roundRobin picks the first true index in req starting from *ptr,
 // wrapping around, and advances *ptr past the winner. It returns -1 when no
 // index is requested. This is the arbiter primitive behind the paper's

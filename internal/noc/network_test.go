@@ -404,13 +404,6 @@ func TestAccessorsAndEventAdd(t *testing.T) {
 	if h.net.Router(1).ID() != 1 || h.net.NI(2).ID() != 2 {
 		t.Fatal("ID accessors")
 	}
-	var a, b PowerEvents
-	a.BufWrites, b.BufWrites = 2, 3
-	b.LinkFlits = 7
-	a.Add(&b)
-	if a.BufWrites != 5 || a.LinkFlits != 7 {
-		t.Fatal("PowerEvents.Add")
-	}
 }
 
 func TestSendFrontLocalFallsThrough(t *testing.T) {

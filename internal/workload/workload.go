@@ -423,34 +423,6 @@ func (s *stream) addr() cache.Addr {
 	return hotBase(s.core) + cache.Addr(s.hotCursor)*lineBytes
 }
 
-// SliceStream replays a fixed operation list, then computes forever. Used
-// for recorded traces and deterministic tests.
-type SliceStream struct {
-	Ops []cpu.Op
-	i   int
-}
-
-// Next implements cpu.Stream.
-func (s *SliceStream) Next() cpu.Op {
-	if s.i < len(s.Ops) {
-		op := s.Ops[s.i]
-		s.i++
-		return op
-	}
-	return cpu.Op{Kind: cpu.OpCompute}
-}
-
-// Record materializes the first n operations of core coreID's stream —
-// a reproducible trace for debugging a specific transaction sequence.
-func (p Profile) Record(coreID int, seed uint64, n int) *SliceStream {
-	st := p.Stream(coreID, seed)
-	ops := make([]cpu.Op, n)
-	for i := range ops {
-		ops[i] = st.Next()
-	}
-	return &SliceStream{Ops: ops}
-}
-
 // Parallel returns the synthetic analogs of the paper's 21 parallel
 // applications (PARSEC and SPLASH-2 with scaled inputs). Parameters sketch
 // each benchmark's documented character: streaming intensity (the L1 miss

@@ -200,24 +200,6 @@ func TestInvalidProfilesRejected(t *testing.T) {
 	}
 }
 
-func TestRecordAndReplay(t *testing.T) {
-	p := Micro()
-	rec := p.Record(3, 7, 500)
-	if len(rec.Ops) != 500 {
-		t.Fatalf("recorded %d ops", len(rec.Ops))
-	}
-	live := p.Stream(3, 7)
-	for i := 0; i < 500; i++ {
-		if got, want := rec.Next(), live.Next(); got != want {
-			t.Fatalf("op %d: replay %+v != live %+v", i, got, want)
-		}
-	}
-	// Exhausted slice streams degrade to compute ops.
-	if op := rec.Next(); op.Kind != cpu.OpCompute {
-		t.Fatalf("exhausted stream returned %+v", op)
-	}
-}
-
 func TestScaledClampsAndRenames(t *testing.T) {
 	p := Micro()
 	q := p.Scaled(100)
