@@ -26,12 +26,13 @@ import (
 // against it.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs seven binaries")
+		t.Skip("builds and runs ten binaries")
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin,
 		"./cmd/rcsim", "./cmd/rcsweep", "./cmd/rctune", "./cmd/rcverify", "./cmd/goldengen",
-		"./cmd/rcserved", "./examples/anatomy")
+		"./cmd/rcserved", "./examples/anatomy", "./examples/trafficmap", "./examples/quickstart",
+		"./examples/tailviz")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -105,6 +106,34 @@ func TestCLISmoke(t *testing.T) {
 				`^Baseline +\d+ cy +81 cy +1$`,
 				`^Complete_NoAck +\d+ cy +36 cy +0$`,
 				`\n(\S+ +\d+ cy +36 cy +[01]\n){8}\n`,
+			},
+		},
+		{
+			// trafficmap reads Router.FlitsOut: the Baseline row is exact.
+			name: "trafficmap", bin: "trafficmap",
+			stdout: []string{
+				`\Alink utilization heat map: canneal on the 64-core chip\n`,
+				`^Baseline \(cycles: 14106, hottest router forwarded 3854 flits\)$`,
+				`^Complete_NoAck \(cycles: \d+, hottest router forwarded \d+ flits\)$`,
+				`^  [ .:=+*#%@-]{16}$`,
+			},
+		},
+		{
+			name: "quickstart", bin: "quickstart",
+			stdout: []string{
+				`\Arunning micro on 16-core\.\.\.\n`,
+				`^execution cycles +\d+ +\d+$`,
+				`^network energy \(pJ\) +\d+ +\d+$`,
+				`^Reactive Circuits: [+-]\d+\.\d+% speedup, \d+\.\d+% network energy saved, `,
+			},
+		},
+		{
+			name: "tailviz", bin: "tailviz",
+			stdout: []string{
+				`\Adata-reply network latency distribution: fluidanimate on the 64-core chip\n`,
+				`^Baseline \(mean \d+\.\d, p95 \d+, p99 \d+ cycles\)$`,
+				`^Complete_NoAck \(mean \d+\.\d, p95 \d+, p99 \d+ cycles\)$`,
+				`^ +\d+- *\d+ cy +\d+ #+$`,
 			},
 		},
 		{

@@ -51,6 +51,9 @@ type L2Ctrl struct {
 
 	txns    map[cache.Addr]*l2Txn
 	waiting map[cache.Addr][]*noc.Message
+	// free recycles transaction records: a deterministic LIFO list like
+	// the network's (noc/pool.go), so reuse follows simulation order.
+	free []*l2Txn
 
 	// BlockedCycles accumulates (transactions × cycles) of line blocking,
 	// an observability hook for the NoAck effect.
@@ -65,6 +68,30 @@ func newL2(sys *System, id mesh.NodeID) *L2Ctrl {
 		txns:    map[cache.Addr]*l2Txn{},
 		waiting: map[cache.Addr][]*noc.Message{},
 	}
+}
+
+// open blocks t.addr behind a record holding t, recycled from the free
+// list when one is there.
+func (l *L2Ctrl) open(t l2Txn) *l2Txn {
+	var p *l2Txn
+	if n := len(l.free); n > 0 {
+		p, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		p = new(l2Txn)
+	}
+	*p = t
+	l.txns[t.addr] = p
+	return p
+}
+
+// retire recycles t once its last txns key is deleted; with pooling
+// disabled (Options.NoPool) every record stays fresh.
+func (l *L2Ctrl) retire(t *l2Txn) {
+	if l.sys.Opts.NoPool {
+		return
+	}
+	*t = l2Txn{}
+	l.free = append(l.free, t)
 }
 
 // Cache exposes the underlying array.
@@ -155,7 +182,7 @@ func (l *L2Ctrl) serve(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
 		l.sys.send(MsgFwd, l.id, owner, addr,
 			Payload{Requestor: pl.Requestor, Write: write, CircuitUndone: undone}, now)
 		line.Busy = true
-		l.txns[addr] = &l2Txn{addr: addr, phase: phFwd, req: msg}
+		l.open(l2Txn{addr: addr, phase: phFwd, req: msg})
 		return
 	}
 
@@ -170,7 +197,7 @@ func (l *L2Ctrl) serve(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
 				}
 			}
 			line.Busy = true
-			l.txns[addr] = &l2Txn{addr: addr, phase: phInvGather, req: msg, pendingAcks: n}
+			l.open(l2Txn{addr: addr, phase: phInvGather, req: msg, pendingAcks: n})
 			return
 		}
 		l.grantData(msg, line, addr, true, now)
@@ -215,7 +242,7 @@ func (l *L2Ctrl) grantData(req *noc.Message, line *cache.Line, addr cache.Addr, 
 		return
 	}
 	line.Busy = true
-	l.txns[addr] = &l2Txn{addr: addr, phase: phAwaitAck, req: req}
+	l.open(l2Txn{addr: addr, phase: phAwaitAck, req: req})
 }
 
 func (l *L2Ctrl) handleDataAck(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
@@ -258,6 +285,7 @@ func (l *L2Ctrl) handleDataAck(msg *noc.Message, addr cache.Addr, now sim.Cycle)
 	l.unblock(addr, now)
 	// The ack closes the transaction; the original request retires.
 	l.sys.Net.FreeMessage(txn.req)
+	l.retire(txn)
 }
 
 func (l *L2Ctrl) handleInvAck(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
@@ -282,8 +310,10 @@ func (l *L2Ctrl) handleInvAck(msg *noc.Message, addr cache.Addr, now sim.Cycle) 
 			line.State = l2Dirty // a recalled M copy refreshed the bank
 		}
 		line.Sharers = 0
+		req := txn.req
 		delete(l.txns, addr) // grantData re-blocks as needed
-		l.grantData(txn.req, line, addr, true, now)
+		l.retire(txn)
+		l.grantData(req, line, addr, true, now)
 	case phEvict:
 		l.finishEvict(txn, now)
 	default:
@@ -311,8 +341,7 @@ func (l *L2Ctrl) startFetch(req *noc.Message, addr cache.Addr, now sim.Cycle) {
 		l.q.push(now+L2HitLatency, req)
 		return
 	}
-	txn := &l2Txn{addr: addr, phase: phFetch, req: req, victim: victim}
-	l.txns[addr] = txn
+	txn := l.open(l2Txn{addr: addr, phase: phFetch, req: req, victim: victim})
 	victim.Busy = true
 
 	if victim.Valid {
@@ -368,12 +397,14 @@ func (l *L2Ctrl) handleMemData(addr cache.Addr, now sim.Cycle) {
 	if txn == nil || txn.phase != phFetch {
 		panic(fmt.Sprintf("coherence: L2 %d memory data for idle line %#x", l.id, addr))
 	}
-	l.c.Fill(txn.victim, addr, l2Clean)
-	txn.victim.Busy = true
+	req, line := txn.req, txn.victim
+	l.c.Fill(line, addr, l2Clean)
+	line.Busy = true
 	delete(l.txns, addr) // grantData re-blocks as needed
+	l.retire(txn)
 	// A freshly fetched line has no copies: both GetS and GetX are
 	// granted exclusively.
-	l.grantData(txn.req, txn.victim, addr, true, now)
+	l.grantData(req, line, addr, true, now)
 }
 
 // handleFwdMiss serves a forwarded request whose owner had silently
@@ -389,8 +420,10 @@ func (l *L2Ctrl) handleFwdMiss(addr cache.Addr, now sim.Cycle) {
 		panic(fmt.Sprintf("coherence: L2 %d lost line %#x mid-forward", l.id, addr))
 	}
 	line.Owner = -1
+	req := txn.req
 	delete(l.txns, addr) // grantData re-blocks as needed
-	l.grantData(txn.req, line, addr, true, now)
+	l.retire(txn)
+	l.grantData(req, line, addr, true, now)
 }
 
 // unblock releases a line and reprocesses requests that queued behind the

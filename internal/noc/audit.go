@@ -42,30 +42,23 @@ func (n *Network) DumpState() string {
 	}
 	for _, r := range n.routers {
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			if p := r.in[d]; p != nil {
-				for i := 0; i < p.byQ.Len(); i++ {
-					e := p.byQ.At(i)
-					add("router %d in %v: bypass flit msg=%d seq=%d out=%v\n",
-						r.id, d, e.f.Msg.ID, e.f.Seq, e.out)
-				}
-				for vn := range p.vcs {
-					for vci, vc := range p.vcs[vn] {
-						if vc.buf.Len() > 0 {
-							f := vc.buf.Front()
-							add("router %d in %v vn%d vc%d: %d flits, front msg=%d seq=%d state=%d route=%v\n",
-								r.id, d, vn, vci, vc.buf.Len(), f.Msg.ID, f.Seq, vc.state, vc.route)
-						}
-					}
+			for i := 0; i < r.byQ[d].Len(); i++ {
+				e := r.byQ[d].At(i)
+				add("router %d in %v: bypass flit msg=%d seq=%d out=%v\n",
+					r.id, d, e.f.Msg.ID, e.f.Seq, e.out)
+			}
+			for s, sl := range r.slots {
+				i := int(d)*r.nslots + s
+				if v := r.vcs[i]; v.n > 0 {
+					f := r.front(i)
+					add("router %d in %v vn%d vc%d: %d flits, front msg=%d seq=%d state=%d route=%v\n",
+						r.id, d, sl.vn, sl.vc, v.n, f.Msg.ID, f.Seq, v.state, v.route)
 				}
 			}
-			if op := r.out[d]; op != nil {
-				for vn := range op.owner {
-					for vc, o := range op.owner[vn] {
-						if o.valid {
-							add("router %d out %v vn%d vc%d: owned by in=%v vc%d, credits=%d\n",
-								r.id, d, vn, vc, o.in, o.vc, op.credits[vn][vc])
-						}
-					}
+			for s, sl := range r.slots {
+				if o := r.outs[int(d)*r.nslots+s]; o.owned {
+					add("router %d out %v vn%d vc%d: owned by in=%v vc%d, credits=%d\n",
+						r.id, d, sl.vn, sl.vc, o.in, r.slots[o.inSlot].vc, o.credits)
 				}
 			}
 		}
@@ -84,47 +77,34 @@ func (n *Network) DumpState() string {
 // audit checks one router's invariants.
 func (r *Router) audit() error {
 	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if p := r.in[d]; p != nil {
-			if p.byQ.Len() != 0 {
-				return fmt.Errorf("noc: router %d port %v retains %d bypass flits", r.id, d, p.byQ.Len())
+		if r.byQ[d].Len() != 0 {
+			return fmt.Errorf("noc: router %d port %v retains %d bypass flits", r.id, d, r.byQ[d].Len())
+		}
+		if r.spec[d].live() != 0 {
+			return fmt.Errorf("noc: router %d port %v retains %d speculative routes", r.id, d, r.spec[d].live())
+		}
+		for s, sl := range r.slots {
+			if v := r.vcs[int(d)*r.nslots+s]; v.n != 0 {
+				return fmt.Errorf("noc: router %d port %v vn%d vc%d retains %d flits",
+					r.id, d, sl.vn, sl.vc, v.n)
+			} else if v.state != vcIdle {
+				return fmt.Errorf("noc: router %d port %v vn%d vc%d stuck in state %d",
+					r.id, d, sl.vn, sl.vc, v.state)
 			}
-			if p.spec.live() != 0 {
-				return fmt.Errorf("noc: router %d port %v retains %d speculative routes", r.id, d, p.spec.live())
+			o := r.outs[int(d)*r.nslots+s]
+			if o.owned {
+				return fmt.Errorf("noc: router %d output %v vn%d vc%d still owned",
+					r.id, d, sl.vn, sl.vc)
 			}
-			if p.occupancy != 0 {
-				return fmt.Errorf("noc: router %d port %v occupancy %d at quiescence", r.id, d, p.occupancy)
-			}
-			for vn := range p.vcs {
-				for vci, vc := range p.vcs[vn] {
-					if vc.buf.Len() != 0 {
-						return fmt.Errorf("noc: router %d port %v vn%d vc%d retains %d flits",
-							r.id, d, vn, vci, vc.buf.Len())
-					}
-					if vc.state != vcIdle {
-						return fmt.Errorf("noc: router %d port %v vn%d vc%d stuck in state %d",
-							r.id, d, vn, vci, vc.state)
-					}
-				}
+			if d != mesh.Local && r.unbuffered&(1<<s) == 0 &&
+				int(o.credits) != r.depth {
+				return fmt.Errorf("noc: router %d output %v vn%d vc%d holds %d/%d credits",
+					r.id, d, sl.vn, sl.vc, o.credits, r.depth)
 			}
 		}
-		if op := r.out[d]; op != nil {
-			for vn := range op.owner {
-				for vc, o := range op.owner[vn] {
-					if o.valid {
-						return fmt.Errorf("noc: router %d output %v vn%d vc%d still owned",
-							r.id, d, vn, vc)
-					}
-					if d != mesh.Local && r.cfg.VCBuffered(vn, vc) &&
-						op.credits[vn][vc] != r.cfg.BufDepth {
-						return fmt.Errorf("noc: router %d output %v vn%d vc%d holds %d/%d credits",
-							r.id, d, vn, vc, op.credits[vn][vc], r.cfg.BufDepth)
-					}
-				}
-			}
-		}
-		if g := r.grants[d]; g.valid {
-			return fmt.Errorf("noc: router %d retains a grant for output %v", r.id, d)
-		}
+	}
+	if r.waitVA != [mesh.NumDirs]uint16{} || r.ready != [mesh.NumDirs]uint16{} {
+		return fmt.Errorf("noc: router %d allocator masks %v/%v name VCs at quiescence", r.id, r.waitVA, r.ready)
 	}
 	return nil
 }

@@ -36,9 +36,15 @@
 // circuit check at the input units), switch traversal executing last
 // cycle's grants (circuit flits first — they own the crossbar; in the
 // speculative comparator the bypass queue runs last instead), VC
-// allocation, then switch allocation for the next cycle. All inter-router
-// channels are one-cycle pipelines, so the tick order of routers within a
-// cycle is observationally irrelevant.
+// allocation, then switch allocation for the next cycle. Each stage visits
+// only live state: reception only the wires whose bit is set in the
+// router's inbound mask (a wire sets it on Send and clears it when
+// drained), traversal only the set bits of the grant and bypass-latch
+// masks, and the allocators only the set bits of each input port's
+// waiting-for-VA and active-with-a-flit masks, arbitrated by the mask
+// round robin arbitrate. The same words make Router.Quiescent O(1) and
+// exact. All inter-router channels are one-cycle pipelines, so the tick
+// order of routers within a cycle is observationally irrelevant.
 //
 // Flow control is credit-based with one credit per buffer slot. The
 // complete-circuit variants remove the buffer from the circuit VC

@@ -31,25 +31,3 @@ func (e *PowerEvents) Describe(reg *sim.Registry) {
 	reg.Counter("noc/circuit_writes", &e.CircuitWrites)
 	reg.Counter("noc/retries", &e.Retries)
 }
-
-// roundRobin picks the first true index in req starting from *ptr,
-// wrapping around, and advances *ptr past the winner. It returns -1 when no
-// index is requested. This is the arbiter primitive behind the paper's
-// "round-robin 2-phase VC/switch allocators".
-func roundRobin(req []bool, ptr *int) int {
-	n := len(req)
-	if n == 0 {
-		return -1
-	}
-	if *ptr >= n {
-		*ptr = 0
-	}
-	for i := 0; i < n; i++ {
-		idx := (*ptr + i) % n
-		if req[idx] {
-			*ptr = (idx + 1) % n
-			return idx
-		}
-	}
-	return -1
-}

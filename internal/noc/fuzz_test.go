@@ -83,26 +83,27 @@ func TestAuditCatchesForgedState(t *testing.T) {
 	h := newHarness(BaselineConfig(m), nil, nil)
 	h.kernel.Run(5)
 	r := h.net.Router(0)
-	// Forge a stuck flit in a buffer.
-	p := r.in[mesh.Local]
-	p.vcs[VNRequest][0].buf.Push(
-		&Flit{Msg: &Message{ID: 99, Size: 1}, Head: true, Tail: true})
+	// Forge a stuck flit in a buffer, behind the quiescence bookkeeping's
+	// back.
+	i := r.vcAt(mesh.Local, VNRequest, 0)
+	r.store[i*r.depth] = &Flit{Msg: &Message{ID: 99, Size: 1}, Head: true, Tail: true}
+	r.vcs[i].n = 1
 	if err := h.net.AuditQuiescent(); err == nil {
 		t.Fatal("forged buffered flit not detected")
 	}
-	p.vcs[VNRequest][0].buf.Pop()
+	r.vcs[i].n, r.store[i*r.depth] = 0, nil
 	// Forge a held output VC.
-	r.out[mesh.East].owner[VNReply][1] = outOwner{valid: true}
+	r.outs[r.vcAt(mesh.East, VNReply, 1)].owned = true
 	if err := h.net.AuditQuiescent(); err == nil {
 		t.Fatal("forged VC ownership not detected")
 	}
-	r.out[mesh.East].owner[VNReply][1] = outOwner{}
+	r.outs[r.vcAt(mesh.East, VNReply, 1)].owned = false
 	// Forge a missing credit.
-	r.out[mesh.East].credits[VNRequest][0]--
+	r.outs[r.vcAt(mesh.East, VNRequest, 0)].credits--
 	if err := h.net.AuditQuiescent(); err == nil {
 		t.Fatal("missing credit not detected")
 	}
-	r.out[mesh.East].credits[VNRequest][0]++
+	r.outs[r.vcAt(mesh.East, VNRequest, 0)].credits++
 	if err := h.net.AuditQuiescent(); err != nil {
 		t.Fatalf("restored state still failing: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestAuditNameErrors(t *testing.T) {
 	m := mesh.New(2, 2)
 	h := newHarness(BaselineConfig(m), nil, nil)
 	r := h.net.Router(3)
-	r.out[mesh.North].credits[VNReply][0] = 0
+	r.outs[r.vcAt(mesh.North, VNReply, 0)].credits = 0
 	err := h.net.AuditQuiescent()
 	if err == nil {
 		t.Fatal("expected an error")

@@ -22,17 +22,18 @@ type Link struct {
 	hasSent  bool
 	// wake revives the receiving component when a flit enters the wire, so
 	// the activity-tracked kernel ticks it while anything is in flight.
-	wake func()
+	wake sim.Waker
 	// lanes > 1 divides the wire into equal-width SDM lanes: a flit on a
 	// 1/lanes-width lane serializes over lanes cycles, so its traversal
 	// stretches by lanes-1 cycles and the lane refuses a new flit until the
 	// previous one has fully left the sender (laneNext).
 	lanes    int
 	laneNext []sim.Cycle
+	// rx, when set, is the receiving router's inbound mask and bit this
+	// wire's bit in it, held set exactly while a flit is in flight.
+	rx  *uint16
+	bit uint16
 }
-
-// SetWake installs the receiver's wake callback (nil clears it).
-func (l *Link) SetWake(fn func()) { l.wake = fn }
 
 // SetLanes divides the link into n equal-width lanes (n <= 1 leaves it
 // undivided). Flits carry their lane in Flit.Lane; senders must check
@@ -89,9 +90,10 @@ func (l *Link) SendDelayed(f *Flit, now sim.Cycle, extra sim.Cycle) {
 		extra += sim.Cycle(l.lanes - 1)
 	}
 	l.q.Push(linkSlot{f: f, readyAt: now + linkDelay + extra})
-	if l.wake != nil {
-		l.wake()
+	if l.rx != nil {
+		*l.rx |= l.bit
 	}
+	l.wake.Wake()
 }
 
 // Recv returns the flit that completes traversal at cycle now, or nil.
@@ -99,7 +101,11 @@ func (l *Link) Recv(now sim.Cycle) *Flit {
 	if l.q.Len() == 0 || l.q.Front().readyAt > now {
 		return nil
 	}
-	return l.q.Pop().f
+	f := l.q.Pop().f
+	if l.rx != nil && l.q.Len() == 0 {
+		*l.rx &^= l.bit
+	}
+	return f
 }
 
 // Busy reports whether any flit is still in flight.
@@ -110,11 +116,10 @@ func (l *Link) Busy() bool { return l.q.Len() > 0 }
 // the same wire latency as flits.
 type CreditLink struct {
 	q    ring[creditSlot]
-	wake func()
+	wake sim.Waker // as Link.wake
+	rx   *uint16   // as Link.rx
+	bit  uint16
 }
-
-// SetWake installs the receiver's wake callback (nil clears it).
-func (l *CreditLink) SetWake(fn func()) { l.wake = fn }
 
 type creditSlot struct {
 	c       Credit
@@ -126,9 +131,10 @@ type creditSlot struct {
 // distinct circuits, travel on dedicated sideband wires.
 func (l *CreditLink) Send(c Credit, now sim.Cycle) {
 	l.q.Push(creditSlot{c: c, readyAt: now + linkDelay})
-	if l.wake != nil {
-		l.wake()
+	if l.rx != nil {
+		*l.rx |= l.bit
 	}
+	l.wake.Wake()
 }
 
 // Recv pops the next credit arriving at or before cycle now. Receivers loop
@@ -138,7 +144,11 @@ func (l *CreditLink) Recv(now sim.Cycle) (Credit, bool) {
 	if l.q.Len() == 0 || l.q.Front().readyAt > now {
 		return Credit{}, false
 	}
-	return l.q.Pop().c, true
+	c := l.q.Pop().c
+	if l.rx != nil && l.q.Len() == 0 {
+		*l.rx &^= l.bit
+	}
+	return c, true
 }
 
 // Busy reports whether any credit is still in flight.

@@ -81,38 +81,3 @@ func TestCreditLinkBatching(t *testing.T) {
 		t.Fatal("drained credit link busy")
 	}
 }
-
-func TestRoundRobinFairness(t *testing.T) {
-	ptr := 0
-	req := []bool{true, true, true}
-	order := []int{}
-	for i := 0; i < 6; i++ {
-		order = append(order, roundRobin(req, &ptr))
-	}
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("round robin order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestRoundRobinSkipsIdle(t *testing.T) {
-	ptr := 0
-	if got := roundRobin([]bool{false, false, true}, &ptr); got != 2 {
-		t.Fatalf("got %d, want 2", got)
-	}
-	if got := roundRobin([]bool{false, false, false}, &ptr); got != -1 {
-		t.Fatalf("got %d, want -1", got)
-	}
-	if got := roundRobin(nil, &ptr); got != -1 {
-		t.Fatalf("empty: got %d, want -1", got)
-	}
-}
-
-func TestRoundRobinPointerWraps(t *testing.T) {
-	ptr := 7 // stale pointer beyond slice length
-	if got := roundRobin([]bool{true, false}, &ptr); got != 0 {
-		t.Fatalf("got %d, want 0", got)
-	}
-}

@@ -65,6 +65,10 @@ type NetConfig struct {
 	LinkLanes int
 }
 
+// maxVCsPerVN bounds each virtual network, so a router port's VC slots fit
+// the 16-bit allocator masks.
+const maxVCsPerVN = 8
+
 // Validate checks internal consistency.
 func (c *NetConfig) Validate() error {
 	if c.Mesh.Width <= 0 || c.Mesh.Height <= 0 {
@@ -74,8 +78,8 @@ func (c *NetConfig) Validate() error {
 		return fmt.Errorf("noc: invalid buffer depth %d", c.BufDepth)
 	}
 	for vn, n := range c.VCsPerVN {
-		if n <= 0 {
-			return fmt.Errorf("noc: VN %d has %d VCs", vn, n)
+		if n <= 0 || n > maxVCsPerVN {
+			return fmt.Errorf("noc: VN %d has %d VCs (want 1..%d)", vn, n, maxVCsPerVN)
 		}
 	}
 	if c.ReplyCircuitVCs < 0 || c.ReplyCircuitVCs >= c.VCsPerVN[VNReply] {

@@ -106,27 +106,25 @@ func (n *Network) FlushBoundary(sim.Cycle) {}
 
 // Register adds every router and NI to k as individually activity-tracked
 // components, in the exact order Tick visits them (routers by id, then NIs
-// by id), and wires each link's wake callback to its receiving component.
+// by id), and gives each link its receiving component's waker.
 // A network registered this way must not also be ticked monolithically.
 func (n *Network) Register(k *sim.Kernel) {
 	for _, r := range n.routers {
 		w := k.Add(r)
-		for d := range r.in {
-			if p := r.in[d]; p != nil && p.link != nil {
-				p.link.SetWake(w.Wake) // flits arriving from upstream / the NI
+		for d := range r.inLink {
+			if l := r.inLink[d]; l != nil {
+				l.wake = w // flits arriving from upstream / the NI
 			}
-		}
-		for d := range r.out {
-			if op := r.out[d]; op != nil && op.credit != nil {
-				op.credit.SetWake(w.Wake) // credits arriving from downstream
+			if c := r.downCredit[d]; c != nil {
+				c.wake = w // credits arriving from downstream
 			}
 		}
 	}
 	for _, ni := range n.nis {
 		w := k.Add(ni)
 		ni.SetWaker(w)
-		ni.fromRouter.SetWake(w.Wake)
-		ni.creditIn.SetWake(w.Wake)
+		ni.fromRouter.wake = w
+		ni.creditIn.wake = w
 	}
 }
 
@@ -151,15 +149,17 @@ func (n *Network) Tick(now sim.Cycle) {
 }
 
 // Quiescent reports whether no message is queued, buffered, or in flight
-// anywhere in the network.
+// anywhere in the network. Credits in flight do not count. Every flit link
+// but the ejection links is some router's input, so the routers' inbound
+// masks and the NIs' ejection wires together cover every link.
 func (n *Network) Quiescent() bool {
 	for _, ni := range n.nis {
-		if ni.QueueLen() > 0 || ni.toRouter.Busy() || ni.fromRouter.Busy() {
+		if ni.QueueLen() > 0 || ni.fromRouter.Busy() {
 			return false
 		}
 	}
 	for _, r := range n.routers {
-		if r.busy() {
+		if r.inbound&flitWires != 0 || r.buffered != 0 || r.latched != 0 || r.granted != 0 {
 			return false
 		}
 	}

@@ -265,6 +265,11 @@ func TestNetConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero VCs accepted")
 	}
+	bad = good
+	bad.VCsPerVN[VNReply] = 9 // more slots than a port's allocator masks hold
+	if bad.Validate() == nil {
+		t.Fatal("nine VCs accepted")
+	}
 }
 
 func TestConfigHelpers(t *testing.T) {

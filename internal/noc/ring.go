@@ -1,8 +1,8 @@
 package noc
 
 // ring is a growable power-of-two circular FIFO. The hot-path queues of the
-// network (VC buffers, bypass latches, link pipelines, NI injection queues)
-// all pop from the head, which with a plain slice (`q = q[1:]`) both grows
+// network (bypass latches, link pipelines, NI injection queues) all pop
+// from the head, which with a plain slice (`q = q[1:]`) both grows
 // the backing array without bound and keeps every popped element reachable.
 // A ring reuses its slots, zeroes a slot on pop so popped pointers become
 // collectable, and — once warm — never allocates again.
@@ -10,16 +10,6 @@ type ring[T any] struct {
 	buf  []T
 	head int
 	n    int
-}
-
-// reserve pre-sizes the ring for at least c elements (rounded up to a power
-// of two), so queues with a known bound (a VC buffer holds at most BufDepth
-// flits) never grow at runtime.
-func (r *ring[T]) reserve(c int) {
-	if c <= len(r.buf) {
-		return
-	}
-	r.grow(c)
 }
 
 func (r *ring[T]) grow(min int) {

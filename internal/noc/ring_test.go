@@ -15,9 +15,9 @@ func TestRingEdgeCases(t *testing.T) {
 	}{
 		{"wrap-around at full capacity", func(t *testing.T) {
 			var r ring[int]
-			r.reserve(8)
+			r.grow(8)
 			if len(r.buf) != 8 {
-				t.Fatalf("reserve(8): cap %d, want 8", len(r.buf))
+				t.Fatalf("grow(8): cap %d, want 8", len(r.buf))
 			}
 			// Rotate the head so pushes wrap past the end of the backing array.
 			for i := 0; i < 5; i++ {
@@ -46,7 +46,7 @@ func TestRingEdgeCases(t *testing.T) {
 		}},
 		{"push on full grows and preserves order", func(t *testing.T) {
 			var r ring[int]
-			r.reserve(8)
+			r.grow(8)
 			// Wrap the contents so growth must linearize a split buffer.
 			for i := 0; i < 6; i++ {
 				r.Push(i)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/sim"
@@ -18,18 +19,28 @@ const (
 	vcActive
 )
 
-// inVC is the per-virtual-channel state at an input unit: buffer, global
-// state (G), route (R) and output VC (O) — the fields of Figure 2.
+// inVC is the per-virtual-channel state at an input unit: global state (G),
+// route (R) and output VC (O) — the fields of Figure 2 — plus the head and
+// length of the VC's buffer in the router's flit store.
 type inVC struct {
-	buf          ring[*Flit] // fixed capacity BufDepth; credits bound occupancy
 	state        vcState
 	route        mesh.Dir
-	outVC        int
+	outVC        uint8
+	cand         uint8 // output VC requested in VA phase 1, read by phase 2
+	head, n      uint8
 	vaEligibleAt sim.Cycle
 	saEligibleAt sim.Cycle
+	pushedAt     sim.Cycle // arrival cycle of the newest buffered flit
 }
 
-func (v *inVC) front() *Flit { return v.buf.Front() }
+// outputVC is the per-virtual-channel state at an output unit: the input VC
+// holding it (fields I of Figure 2) and the downstream buffer's credits.
+type outputVC struct {
+	owned   bool
+	in      mesh.Dir
+	inSlot  uint8
+	credits int32
+}
 
 // bypassEntry latches a flit crossing the router in a single cycle: on a
 // reactive circuit, or speculatively in the comparator router. It departs
@@ -51,57 +62,64 @@ type specRoute struct {
 	outVC int
 }
 
-type inputPort struct {
-	dir    mesh.Dir
-	link   *Link       // flits from the upstream router or NI
-	credit *CreditLink // credits we send upstream
-	vcs    [NumVNs][]*inVC
-	byQ    ring[bypassEntry]
-	spec   specTable // routes of messages speculating through this port, by msg ID
-	// occupancy counts buffered flits across the port's VCs, letting the
-	// allocator stages skip idle ports.
-	occupancy int
-}
-
-// outOwner records which input VC holds an output VC (fields I of Figure 2).
-type outOwner struct {
-	valid bool
-	in    mesh.Dir
-	vn    int
-	vc    int
-}
-
-type outputPort struct {
-	dir     mesh.Dir
-	link    *Link       // flits to the downstream router or NI
-	credit  *CreditLink // credits arriving from downstream
-	owner   [NumVNs][]outOwner
-	credits [NumVNs][]int
-}
-
-// grant is one switch-allocator decision, executed by switch traversal in
-// the following cycle.
+// grant is one switch-allocator decision for an output port, executed by
+// switch traversal in the following cycle.
 type grant struct {
-	valid bool
-	in    mesh.Dir
-	vn    int
-	vc    int
+	in   mesh.Dir
+	slot uint8
 }
+
+type vcSlot struct{ vn, vc int }
+
+// flitWires masks the inbound bits of the input flit links; the bits above
+// are the credit wires from downstream.
+const flitWires = 1<<mesh.NumDirs - 1
 
 // Router is the 4-stage wormhole router of Table 4/Figure 2, optionally
 // extended with the Reactive Circuits hooks of Figure 3.
+//
+// Its VC state is flat: every per-VC array is indexed by port*nslots + slot,
+// where slot enumerates (vn, vc) pairs request VCs first. Per-port masks
+// over slots name the VCs each allocator stage must visit, and the inbound
+// mask names the wires with something in flight, so a tick touches only
+// live state and Quiescent is a few word compares.
 type Router struct {
+	// The words every tick and every Quiescent poll read come first, so
+	// they share a cache line.
+	//
+	// Quiescence state. inbound bit d is set while input link d carries a
+	// flit, bit NumDirs+d while output d's credit wire carries a credit:
+	// the wires set their bit on Send and clear it when drained.
+	inbound  uint16
+	latched  uint8 // input ports with a non-empty bypass queue
+	granted  uint8 // output ports with a grant for the next cycle
+	buffered int   // flits in VC buffers
+	grants   [mesh.NumDirs]grant
+
+	waitVA [mesh.NumDirs]uint16 // per input port: routed heads awaiting VA
+	ready  [mesh.NumDirs]uint16 // per input port: active VCs holding a flit
+
+	nslots     int
+	depth      int
+	unbuffered uint16 // slots without buffer storage
+	slotBase   [NumVNs]int
+	slots      []vcSlot   // static enumeration of (vn, vc) pairs
+	vcs        []inVC     // input VCs
+	store      []*Flit    // VC buffers, depth entries per input VC
+	outs       []outputVC // output VCs
+
+	// Wires; absent ports (mesh edges) have nil links, and the Local
+	// output has no credit wire.
+	inLink     [mesh.NumDirs]*Link       // flits from the upstream router or NI
+	upCredit   [mesh.NumDirs]*CreditLink // credits we send upstream
+	outLink    [mesh.NumDirs]*Link       // flits to the downstream router or NI
+	downCredit [mesh.NumDirs]*CreditLink // credits arriving from downstream
+
 	id      mesh.NodeID
 	cfg     *NetConfig
 	handler CircuitHandler
 	ev      *PowerEvents
 	fault   FaultHook
-
-	in  [mesh.NumDirs]*inputPort
-	out [mesh.NumDirs]*outputPort
-
-	// grants holds the switch allocations computed in the previous cycle.
-	grants [mesh.NumDirs]grant
 
 	// Round-robin arbiter pointers.
 	vaPtr    [mesh.NumDirs]int // per output port, over requesting input VCs
@@ -109,72 +127,108 @@ type Router struct {
 	saOutPtr [mesh.NumDirs]int // per output port, over input ports
 	byPtr    int               // over input ports, for bypass priority
 
-	// Allocation-free scratch state for the allocator stages.
-	vaReqs  [mesh.NumDirs][]vaReq
-	vaMask  []bool
-	saReq   []bool
-	saSlots []vcSlot // static enumeration of (vn, vc) pairs
-
 	// flitsOut counts flits sent per output port, for utilization maps.
 	flitsOut [mesh.NumDirs]int64
+
+	byQ  [mesh.NumDirs]ring[bypassEntry]
+	spec [mesh.NumDirs]specTable // routes of messages speculating through each input, by msg ID
 }
 
 // FlitsOut returns the number of flits this router sent through output
 // port d over the run (Local = ejections to the NI).
 func (r *Router) FlitsOut(d mesh.Dir) int64 { return r.flitsOut[d] }
 
-// vaReq is one VC-allocation request in flight through the two phases.
-type vaReq struct {
-	in   mesh.Dir
-	vn   int
-	vc   int
-	cand int // requested output VC
-}
-
-type vcSlot struct{ vn, vc int }
-
 func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *PowerEvents) *Router {
-	r := &Router{id: id, cfg: cfg, handler: handler, ev: ev}
+	r := &Router{id: id, cfg: cfg, handler: handler, ev: ev, depth: cfg.BufDepth}
 	for vn := 0; vn < NumVNs; vn++ {
+		r.slotBase[vn] = len(r.slots)
 		for vc := 0; vc < cfg.VCsPerVN[vn]; vc++ {
-			r.saSlots = append(r.saSlots, vcSlot{vn: vn, vc: vc})
+			if !cfg.VCBuffered(vn, vc) {
+				r.unbuffered |= 1 << len(r.slots)
+			}
+			r.slots = append(r.slots, vcSlot{vn: vn, vc: vc})
 		}
 	}
-	r.saReq = make([]bool, len(r.saSlots))
+	r.nslots = len(r.slots)
+	n := int(mesh.NumDirs) * r.nslots
+	r.vcs = make([]inVC, n)
+	r.store = make([]*Flit, n*r.depth)
+	r.outs = make([]outputVC, n)
+	for i := range r.outs {
+		if r.unbuffered&(1<<(i%r.nslots)) == 0 {
+			r.outs[i].credits = int32(r.depth)
+		}
+	}
 	return r
 }
 
 // ID returns the router's node id.
 func (r *Router) ID() mesh.NodeID { return r.id }
 
-// addInput wires an input port (nil links are mesh edges and stay absent).
+// addInput wires input port d; the flit link reports in-flight traffic in
+// the router's inbound mask.
 func (r *Router) addInput(d mesh.Dir, link *Link, credit *CreditLink) {
-	p := &inputPort{dir: d, link: link, credit: credit}
-	for vn := 0; vn < NumVNs; vn++ {
-		p.vcs[vn] = make([]*inVC, r.cfg.VCsPerVN[vn])
-		for vc := range p.vcs[vn] {
-			v := &inVC{outVC: -1}
-			if r.cfg.VCBuffered(vn, vc) {
-				v.buf.reserve(r.cfg.BufDepth)
-			}
-			p.vcs[vn][vc] = v
-		}
-	}
-	r.in[d] = p
+	r.inLink[d], r.upCredit[d] = link, credit
+	link.rx, link.bit = &r.inbound, 1<<d
 }
 
+// addOutput wires output port d; the credit wire (absent at Local) reports
+// in-flight credits in the router's inbound mask.
 func (r *Router) addOutput(d mesh.Dir, link *Link, credit *CreditLink) {
-	p := &outputPort{dir: d, link: link, credit: credit}
-	for vn := 0; vn < NumVNs; vn++ {
-		p.owner[vn] = make([]outOwner, r.cfg.VCsPerVN[vn])
-		p.credits[vn] = make([]int, r.cfg.VCsPerVN[vn])
-		for vc := range p.credits[vn] {
-			if r.cfg.VCBuffered(vn, vc) {
-				p.credits[vn][vc] = r.cfg.BufDepth
-			}
-		}
+	r.outLink[d], r.downCredit[d] = link, credit
+	if credit != nil {
+		credit.rx, credit.bit = &r.inbound, 1<<(mesh.NumDirs+d)
 	}
-	r.out[d] = p
+}
+
+// slot returns the slot index of (vn, vc).
+func (r *Router) slot(vn, vc int) int { return r.slotBase[vn] + vc }
+
+// vcAt returns the index of input VC (vn, vc) at port d, or of output VC
+// (vn, vc) at output port d, in the flat per-VC arrays.
+func (r *Router) vcAt(d mesh.Dir, vn, vc int) int { return int(d)*r.nslots + r.slotBase[vn] + vc }
+
+// flitAt returns the k-th flit (0 = front) buffered in input VC i.
+func (r *Router) flitAt(i, k int) *Flit {
+	return r.store[i*r.depth+(int(r.vcs[i].head)+k)%r.depth]
+}
+
+// front returns the flit at the head of input VC i, or nil.
+func (r *Router) front(i int) *Flit {
+	if r.vcs[i].n == 0 {
+		return nil
+	}
+	return r.store[i*r.depth+int(r.vcs[i].head)]
+}
+
+func (r *Router) push(i int, f *Flit) {
+	v := &r.vcs[i]
+	k := int(v.head) + int(v.n)
+	if k >= r.depth {
+		k -= r.depth
+	}
+	r.store[i*r.depth+k] = f
+	v.n++
+	r.buffered++
+}
+
+func (r *Router) pop(i int) *Flit {
+	v := &r.vcs[i]
+	at := i*r.depth + int(v.head)
+	f := r.store[at]
+	r.store[at] = nil
+	if v.head++; int(v.head) == r.depth {
+		v.head = 0
+	}
+	v.n--
+	r.buffered--
+	return f
+}
+
+// latch queues a flit for single-cycle traversal from input port d.
+func (r *Router) latch(d mesh.Dir, e bypassEntry) {
+	r.byQ[d].Push(e)
+	r.latched |= 1 << d
 }
 
 // SendUndoCredit emits a circuit-undo token on the credit wire of input
@@ -182,11 +236,10 @@ func (r *Router) addOutput(d mesh.Dir, link *Link, credit *CreditLink) {
 // it to start teardown walks ("we send the data of the circuit to be undone
 // towards the circuit destination using credits").
 func (r *Router) SendUndoCredit(in mesh.Dir, tok *UndoToken, now sim.Cycle) {
-	p := r.in[in]
-	if p == nil || p.credit == nil {
+	if r.upCredit[in] == nil {
 		return // the walk ends at an NI boundary
 	}
-	p.credit.Send(Credit{Pure: true, UndoCircuit: tok}, now)
+	r.upCredit[in].Send(Credit{Pure: true, UndoCircuit: tok}, now)
 	r.ev.CreditsSent++
 }
 
@@ -195,23 +248,27 @@ func (r *Router) SendUndoCredit(in mesh.Dir, tok *UndoToken, now sim.Cycle) {
 // circuit flits taking priority), VC allocation, then switch allocation for
 // the next cycle.
 func (r *Router) Tick(now sim.Cycle) {
-	r.recvCredits(now)
-	r.recvFlits(now)
-	r.stage3ST(now)
-	r.stage2VA(now)
-	r.stage3SAAlloc(now)
+	if r.inbound != 0 {
+		r.recvCredits(now)
+		r.recvFlits(now)
+	}
+	if r.latched|r.granted != 0 {
+		r.stage3ST(now)
+	}
+	if r.buffered != 0 {
+		r.stage2VA(now)
+		r.stage3SAAlloc(now)
+	}
 }
 
 // recvCredits drains arriving credits, returning buffer slots and
 // processing piggybacked circuit-undo tokens.
 func (r *Router) recvCredits(now sim.Cycle) {
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		op := r.out[d]
-		if op == nil || op.credit == nil {
-			continue
-		}
-		for {
-			c, ok := op.credit.Recv(now)
+	for m := r.inbound >> mesh.NumDirs; m != 0; m &= m - 1 {
+		d := mesh.Dir(bits.TrailingZeros16(m))
+		// The wire clears its bit when it drains: stop there.
+		for wire := uint16(1) << (mesh.NumDirs + d); r.inbound&wire != 0; {
+			c, ok := r.downCredit[d].Recv(now)
 			if !ok {
 				break
 			}
@@ -225,8 +282,8 @@ func (r *Router) recvCredits(now sim.Cycle) {
 				}
 			}
 			if !c.Pure {
-				op.credits[c.VN][c.VC]++
-				if op.credits[c.VN][c.VC] > r.cfg.BufDepth {
+				o := &r.outs[r.vcAt(d, c.VN, c.VC)]
+				if o.credits++; int(o.credits) > r.depth {
 					panic(fmt.Sprintf("noc: router %d credit overflow on %v vn%d vc%d", r.id, d, c.VN, c.VC))
 				}
 			}
@@ -237,12 +294,9 @@ func (r *Router) recvCredits(now sim.Cycle) {
 // recvFlits performs stage 1 (routing and input buffering) plus the
 // Figure-3 circuit check at the input units.
 func (r *Router) recvFlits(now sim.Cycle) {
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		p := r.in[d]
-		if p == nil || p.link == nil {
-			continue
-		}
-		f := p.link.Recv(now)
+	for m := r.inbound & flitWires; m != 0; m &= m - 1 {
+		d := mesh.Dir(bits.TrailingZeros16(m))
+		f := r.inLink[d].Recv(now)
 		if f == nil {
 			continue
 		}
@@ -250,26 +304,30 @@ func (r *Router) recvFlits(now sim.Cycle) {
 		if r.handler != nil && f.Msg.VN == VNReply {
 			r.ev.CircuitChecks++
 			if out, outVC, ok := r.handler.Bypass(r.id, f, d, now); ok {
-				p.byQ.Push(bypassEntry{f: f, vn: VNReply, out: out, outVC: outVC, arrVC: f.VC})
+				r.latch(d, bypassEntry{f: f, vn: VNReply, out: out, outVC: outVC, arrVC: f.VC})
 				continue
 			}
 		}
-		if r.cfg.Speculative && r.trySpeculate(p, f, now) {
+		if r.cfg.Speculative && r.trySpeculate(d, f, now) {
 			continue
 		}
 		vn := f.Msg.VN
-		if !r.cfg.VCBuffered(vn, f.VC) {
+		s := r.slot(vn, f.VC)
+		if r.unbuffered&(1<<s) != 0 {
 			panic(fmt.Sprintf("noc: router %d: flit of msg %d arrived on unbuffered vc%d without a circuit", r.id, f.Msg.ID, f.VC))
 		}
-		vc := p.vcs[vn][f.VC]
-		if vc.buf.Len() >= r.cfg.BufDepth {
+		i := int(d)*r.nslots + s
+		v := &r.vcs[i]
+		if int(v.n) >= r.depth {
 			panic(fmt.Sprintf("noc: router %d: buffer overflow at %v vn%d vc%d (credit protocol violated)", r.id, d, vn, f.VC))
 		}
-		vc.buf.Push(f)
-		p.occupancy++
+		r.push(i, f)
+		v.pushedAt = now
 		r.ev.BufWrites++
-		if f.Head && vc.buf.Len() == 1 && vc.state == vcIdle {
-			r.startMessage(vc, f, 1, now)
+		if v.state == vcActive {
+			r.ready[d] |= 1 << s
+		} else if f.Head && v.n == 1 && v.state == vcIdle {
+			r.startMessage(d, s, f, 1, now)
 		}
 	}
 }
@@ -279,144 +337,118 @@ func (r *Router) recvFlits(now sim.Cycle) {
 // this cycle with lowest crossbar priority; its body flits follow through
 // the same ephemeral route. On any missing resource the flit takes the
 // normal pipeline.
-func (r *Router) trySpeculate(p *inputPort, f *Flit, now sim.Cycle) bool {
+func (r *Router) trySpeculate(d mesh.Dir, f *Flit, now sim.Cycle) bool {
 	msg := f.Msg
-	if sr, ok := p.spec.get(msg.ID); ok { // body/tail of a speculating message
-		p.byQ.Push(bypassEntry{f: f, vn: msg.VN, out: sr.out, outVC: sr.outVC, arrVC: f.VC, spec: true})
+	if sr, ok := r.spec[d].get(msg.ID); ok { // body/tail of a speculating message
+		r.latch(d, bypassEntry{f: f, vn: msg.VN, out: sr.out, outVC: sr.outVC, arrVC: f.VC, spec: true})
 		return true
 	}
 	if !f.Head {
 		return false
 	}
-	vc := p.vcs[msg.VN][f.VC]
-	if vc.state != vcIdle || vc.buf.Len() > 0 {
+	if v := &r.vcs[r.vcAt(d, msg.VN, f.VC)]; v.state != vcIdle || v.n > 0 {
 		return false // older flits queued: keep FIFO order
 	}
 	out := r.cfg.Mesh.NextDir(r.cfg.Routing(msg.VN), r.id, msg.Dst)
-	op := r.out[out]
-	if op == nil {
+	if r.outLink[out] == nil {
 		return false
 	}
-	cand := -1
 	for ov := 0; ov < r.cfg.AllocatableVCs(msg.VN); ov++ {
-		if op.owner[msg.VN][ov].valid {
+		o := &r.outs[r.vcAt(out, msg.VN, ov)]
+		if o.owned || (out != mesh.Local && o.credits <= 0) {
 			continue
 		}
-		if out != mesh.Local && op.credits[msg.VN][ov] <= 0 {
-			continue
-		}
-		cand = ov
-		break
+		o.owned, o.in, o.inSlot = true, d, uint8(r.slot(msg.VN, f.VC))
+		r.spec[d].put(msg.ID, specRoute{out: out, outVC: ov})
+		r.latch(d, bypassEntry{f: f, vn: msg.VN, out: out, outVC: ov, arrVC: f.VC, spec: true})
+		return true
 	}
-	if cand < 0 {
-		return false
-	}
-	op.owner[msg.VN][cand] = outOwner{valid: true, in: p.dir, vn: msg.VN, vc: f.VC}
-	p.spec.put(msg.ID, specRoute{out: out, outVC: cand})
-	p.byQ.Push(bypassEntry{f: f, vn: msg.VN, out: out, outVC: cand, arrVC: f.VC, spec: true})
-	if f.Tail {
-		// Single-flit message: nothing follows.
-	}
-	return true
+	return false
 }
 
 // startMessage performs route computation for the head flit now at the
-// front of vc; VC allocation becomes eligible after rcDelay cycles.
-func (r *Router) startMessage(vc *inVC, head *Flit, rcDelay sim.Cycle, now sim.Cycle) {
-	vc.state = vcWaitVA
-	vc.vaEligibleAt = now + rcDelay
-	vc.route = r.cfg.Mesh.NextDir(r.cfg.Routing(head.Msg.VN), r.id, head.Msg.Dst)
+// front of input VC slot s of port d; VC allocation becomes eligible after
+// rcDelay cycles.
+func (r *Router) startMessage(d mesh.Dir, s int, head *Flit, rcDelay sim.Cycle, now sim.Cycle) {
+	v := &r.vcs[int(d)*r.nslots+s]
+	v.state = vcWaitVA
+	v.vaEligibleAt = now + rcDelay
+	v.route = r.cfg.Mesh.NextDir(r.cfg.Routing(head.Msg.VN), r.id, head.Msg.Dst)
+	r.waitVA[d] |= 1 << s
 }
 
 // stage3ST executes switch traversal: circuit flits first (they have
 // crossbar priority), then the switch allocations granted last cycle.
 func (r *Router) stage3ST(now sim.Cycle) {
-	var usedIn, usedOut [mesh.NumDirs]bool
-	var outUser [mesh.NumDirs]*Flit
-
-	anyBypass := false
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if p := r.in[d]; p != nil && p.byQ.Len() > 0 {
-			anyBypass = true
-			break
-		}
-	}
-	anyGrant := false
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if r.grants[d].valid {
-			anyGrant = true
-			break
-		}
-	}
-	if !anyBypass && !anyGrant {
-		return
-	}
+	var usedIn, usedOut uint8
 
 	// Circuit flits cross first (crossbar priority); in the speculative
 	// comparator the bypass queue instead holds speculating flits, which
 	// get the *lowest* priority and run after the grants.
-	if anyBypass && !r.cfg.Speculative {
-		r.runBypass(&usedIn, &usedOut, &outUser, now)
+	if r.latched != 0 && !r.cfg.Speculative {
+		r.runBypass(&usedIn, &usedOut, now)
 	}
 
 	// Granted buffered flits. A grant whose crossbar input or output was
 	// claimed by a circuit this cycle is cancelled and retried.
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
+	granted := r.granted
+	r.granted = 0
+	for ; granted != 0; granted &= granted - 1 {
+		d := mesh.Dir(bits.TrailingZeros8(granted))
 		g := r.grants[d]
-		r.grants[d] = grant{}
-		if !g.valid {
-			continue
-		}
-		if usedIn[g.in] || usedOut[d] {
+		if usedIn&(1<<g.in) != 0 || usedOut&(1<<d) != 0 {
 			r.ev.Retries++
 			continue
 		}
-		p := r.in[g.in]
-		vc := p.vcs[g.vn][g.vc]
-		f := vc.front()
-		if vc.state != vcActive || f == nil {
+		s := int(g.slot)
+		if r.ready[g.in]&(1<<s) == 0 {
 			continue // stale grant
 		}
-		op := r.out[d]
-		buffered := d != mesh.Local && r.cfg.VCBuffered(g.vn, vc.outVC)
-		if buffered && op.credits[g.vn][vc.outVC] <= 0 {
+		i := int(g.in)*r.nslots + s
+		v := &r.vcs[i]
+		vn := r.slots[s].vn
+		os := r.slot(vn, int(v.outVC))
+		o := &r.outs[int(d)*r.nslots+os]
+		buffered := d != mesh.Local && r.unbuffered&(1<<os) == 0
+		if buffered && o.credits <= 0 {
 			continue // credit consumed since allocation; retry
 		}
-		if !op.link.LaneFree(0, now) {
+		if !r.outLink[d].LaneFree(0, now) {
 			r.ev.Retries++
 			continue // packet lane still serializing; retry
 		}
-		vc.buf.Pop()
-		p.occupancy--
+		f := r.pop(i)
 		r.ev.BufReads++
-		f.VC = vc.outVC
+		f.VC = int(v.outVC)
 		f.Lane = 0 // granted traffic rides the reserved packet lane
-		r.sendFlit(op, d, f, now)
+		r.sendFlit(d, f, now)
 		if buffered {
-			op.credits[g.vn][vc.outVC]--
+			o.credits--
 		}
-		if p.credit != nil {
-			r.returnCredit(p, Credit{VN: g.vn, VC: g.vc}, g.in, now)
+		if r.upCredit[g.in] != nil {
+			r.returnCredit(g.in, Credit{VN: vn, VC: r.slots[s].vc}, now)
 		}
-		usedIn[g.in] = true
-		usedOut[d] = true
+		usedIn |= 1 << g.in
+		usedOut |= 1 << d
 		if f.Tail {
-			op.owner[g.vn][vc.outVC] = outOwner{}
-			vc.state = vcIdle
-			vc.outVC = -1
-			if next := vc.front(); next != nil {
+			o.owned = false
+			v.state = vcIdle
+			r.ready[g.in] &^= 1 << s
+			if next := r.front(i); next != nil {
 				if !next.Head {
 					panic(fmt.Sprintf("noc: router %d: non-head flit of msg %d queued behind a tail", r.id, next.Msg.ID))
 				}
 				// The revealed head occupies the route-compute stage
 				// next cycle and may try allocation the cycle after.
-				r.startMessage(vc, next, 2, now)
+				r.startMessage(g.in, s, next, 2, now)
 			}
+		} else if v.n == 0 {
+			r.ready[g.in] &^= 1 << s
 		}
 	}
 
-	if anyBypass && r.cfg.Speculative {
-		r.runBypass(&usedIn, &usedOut, &outUser, now)
+	if r.latched != 0 && r.cfg.Speculative {
+		r.runBypass(&usedIn, &usedOut, now)
 	}
 }
 
@@ -424,27 +456,28 @@ func (r *Router) stage3ST(now sim.Cycle) {
 // the crossbar, arbitrated round-robin. Circuit flits must never stall in
 // the complete variants (invariant panic); fragmented, ideal and
 // speculative flits may wait.
-func (r *Router) runBypass(usedIn, usedOut *[mesh.NumDirs]bool, outUser *[mesh.NumDirs]*Flit, now sim.Cycle) {
+func (r *Router) runBypass(usedIn, usedOut *uint8, now sim.Cycle) {
+	var outUser [mesh.NumDirs]*Flit
 	for i := 0; i < int(mesh.NumDirs); i++ {
 		d := mesh.Dir((r.byPtr + i) % int(mesh.NumDirs))
-		p := r.in[d]
-		if p == nil || p.byQ.Len() == 0 || usedIn[d] {
+		if r.latched&(1<<d) == 0 || *usedIn&(1<<d) != 0 {
 			continue
 		}
-		e := p.byQ.Front()
-		stall := usedOut[e.out]
-		op := r.out[e.out]
-		if op == nil {
+		q := &r.byQ[d]
+		e := q.Front()
+		stall := *usedOut&(1<<e.out) != 0
+		if r.outLink[e.out] == nil {
 			panic(fmt.Sprintf("noc: router %d circuit points at missing port %v", r.id, e.out))
 		}
-		needCredit := e.out != mesh.Local && r.cfg.VCBuffered(e.vn, e.outVC)
-		if !stall && needCredit && op.credits[e.vn][e.outVC] <= 0 {
+		o := &r.outs[r.vcAt(e.out, e.vn, e.outVC)]
+		needCredit := e.out != mesh.Local && r.unbuffered&(1<<r.slot(e.vn, e.outVC)) == 0
+		if !stall && needCredit && o.credits <= 0 {
 			stall = true
 		}
 		// On lane-divided links the circuit's lane (stamped on the flit by
 		// the handler's Bypass) must have finished serializing its previous
 		// flit before the next may enter the wire.
-		if !stall && !op.link.LaneFree(e.f.Lane, now) {
+		if !stall && !r.outLink[e.out].LaneFree(e.f.Lane, now) {
 			stall = true
 		}
 		if stall {
@@ -458,25 +491,27 @@ func (r *Router) runBypass(usedIn, usedOut *[mesh.NumDirs]bool, outUser *[mesh.N
 			}
 			continue
 		}
-		p.byQ.Pop()
-		usedIn[d] = true
-		usedOut[e.out] = true
+		if q.Pop(); q.Len() == 0 {
+			r.latched &^= 1 << d
+		}
+		*usedIn |= 1 << d
+		*usedOut |= 1 << e.out
 		outUser[e.out] = e.f
 		e.f.VC = e.outVC
 		e.f.OnCircuit = !e.spec
-		r.sendFlit(op, e.out, e.f, now)
+		r.sendFlit(e.out, e.f, now)
 		if needCredit {
-			op.credits[e.vn][e.outVC]--
+			o.credits--
 		}
 		// The flit left the input stage: return the slot it occupied
 		// upstream (unless it rode the unbuffered circuit VC).
-		if p.credit != nil && r.cfg.VCBuffered(e.vn, e.arrVC) {
-			r.returnCredit(p, Credit{VN: e.vn, VC: e.arrVC}, d, now)
+		if r.upCredit[d] != nil && r.unbuffered&(1<<r.slot(e.vn, e.arrVC)) == 0 {
+			r.returnCredit(d, Credit{VN: e.vn, VC: e.arrVC}, now)
 		}
 		if e.f.Tail {
 			if e.spec {
-				op.owner[e.vn][e.outVC] = outOwner{}
-				p.spec.del(e.f.Msg.ID)
+				o.owned = false
+				r.spec[d].del(e.f.Msg.ID)
 			} else if r.handler != nil {
 				r.handler.Release(r.id, e.f, d, now)
 			}
@@ -490,95 +525,104 @@ func (r *Router) runBypass(usedIn, usedOut *[mesh.NumDirs]bool, outUser *[mesh.N
 // the switching policy's Reserve hook fires here, and its table write
 // becomes visible to the next cycle's bypass checks, never this one's.
 func (r *Router) stage2VA(now sim.Cycle) {
-	reqs := &r.vaReqs
-	for d := range reqs {
-		reqs[d] = reqs[d][:0]
-	}
-	any := false
-
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		p := r.in[d]
-		if p == nil || p.occupancy == 0 {
-			continue
-		}
-		for vn := 0; vn < NumVNs; vn++ {
-			for vci, vc := range p.vcs[vn] {
-				if vc.state != vcWaitVA || vc.vaEligibleAt > now {
-					continue
-				}
-				f := vc.front()
-				if f == nil || !f.Head {
-					continue
-				}
-				op := r.out[vc.route]
-				if op == nil {
-					panic(fmt.Sprintf("noc: router %d: route %v has no port", r.id, vc.route))
-				}
-				// Phase 1: pick the free allocatable output VC with
-				// the most credits.
-				cand, best := -1, -1
-				for ov := 0; ov < r.cfg.AllocatableVCs(vn); ov++ {
-					if op.owner[vn][ov].valid {
-						continue
-					}
-					cr := op.credits[vn][ov]
-					if vc.route == mesh.Local {
-						cr = r.cfg.BufDepth // ejection always sinks
-					}
-					if cr > best {
-						best, cand = cr, ov
-					}
-				}
-				if cand < 0 {
-					continue
-				}
-				reqs[vc.route] = append(reqs[vc.route], vaReq{in: d, vn: vn, vc: vci, cand: cand})
-				any = true
-			}
-		}
-	}
-	if !any {
+	if r.waitVA == [mesh.NumDirs]uint16{} {
 		return
+	}
+	var reqs [mesh.NumDirs][mesh.NumDirs]uint16 // [out][in] requesting slots
+	var reqIns [mesh.NumDirs]uint8              // per output: requesting input ports
+	var reqN [mesh.NumDirs]int                  // per output: number of requests
+	var reqOuts uint8                           // outputs with a request
+
+	// Phase 1: each routed head requests the free allocatable output VC
+	// with the most credits.
+	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
+		for m := r.waitVA[d]; m != 0; m &= m - 1 {
+			s := bits.TrailingZeros16(m)
+			v := &r.vcs[int(d)*r.nslots+s]
+			if v.vaEligibleAt > now {
+				continue
+			}
+			if r.outLink[v.route] == nil {
+				panic(fmt.Sprintf("noc: router %d: route %v has no port", r.id, v.route))
+			}
+			vn := r.slots[s].vn
+			outs := r.outs[r.vcAt(v.route, vn, 0):]
+			cand, best := -1, int32(-1)
+			for ov := 0; ov < r.cfg.AllocatableVCs(vn); ov++ {
+				if outs[ov].owned {
+					continue
+				}
+				cr := outs[ov].credits
+				if v.route == mesh.Local {
+					cr = int32(r.depth) // ejection always sinks
+				}
+				if cr > best {
+					best, cand = cr, ov
+				}
+			}
+			if cand < 0 {
+				continue
+			}
+			v.cand = uint8(cand)
+			reqs[v.route][d] |= 1 << s
+			reqIns[v.route] |= 1 << d
+			reqN[v.route]++
+			reqOuts |= 1 << v.route
+		}
 	}
 
 	// Phase 2: per output port, grant contenders round-robin; at most one
-	// grant per output VC per cycle.
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		rs := reqs[d]
-		if len(rs) == 0 {
-			continue
+	// grant per output VC per cycle. The contenders form a list ordered by
+	// (input port, slot). Each is granted or refused in turn, so the
+	// arbiter visits all n of them once, from the pointer's rank, and ends
+	// where it began: the pointer only restarts at 0 when n shrinks below
+	// it. The first pass takes the ranks from the pointer on, the second
+	// wraps to those before it.
+	for ; reqOuts != 0; reqOuts &= reqOuts - 1 {
+		o := mesh.Dir(bits.TrailingZeros8(reqOuts))
+		if r.vaPtr[o] >= reqN[o] {
+			r.vaPtr[o] = 0
 		}
-		op := r.out[d]
-		var taken [NumVNs][8]bool // output VCs granted this cycle
-		mask := r.vaMask[:0]
-		for range rs {
-			mask = append(mask, true)
+		var taken uint16 // output VC slots granted this cycle
+		for pass := 0; pass < 2; pass++ {
+			rank := 0
+			for ins := reqIns[o]; ins != 0; ins &= ins - 1 {
+				d := mesh.Dir(bits.TrailingZeros8(ins))
+				for m := reqs[o][d]; m != 0; m &= m - 1 {
+					if (rank >= r.vaPtr[o]) == (pass == 0) {
+						r.grantVC(o, d, bits.TrailingZeros16(m), &taken, now)
+					}
+					rank++
+				}
+			}
 		}
-		r.vaMask = mask
-		for {
-			idx := roundRobin(mask, &r.vaPtr[d])
-			if idx < 0 {
-				break
-			}
-			mask[idx] = false
-			rq := rs[idx]
-			if taken[rq.vn][rq.cand] || op.owner[rq.vn][rq.cand].valid {
-				continue
-			}
-			taken[rq.vn][rq.cand] = true
-			vc := r.in[rq.in].vcs[rq.vn][rq.vc]
-			vc.state = vcActive
-			vc.outVC = rq.cand
-			vc.saEligibleAt = now + 1
-			op.owner[rq.vn][rq.cand] = outOwner{valid: true, in: rq.in, vn: rq.vn, vc: rq.vc}
-			r.ev.VAActivity++
-			f := vc.front()
-			// Circuit-reserving messages (requests in the paper's
-			// mechanism, setup probes in the Déjà-Vu comparator) build
-			// their reservation in parallel with VC allocation.
-			if r.handler != nil && f.Msg.WantCircuit {
-				r.handler.OnRequestVA(r.id, f.Msg, rq.in, d, now)
-			}
+	}
+}
+
+// grantVC hands input VC slot s of port d the output VC of port o it
+// requested, unless another request took it first.
+func (r *Router) grantVC(o, d mesh.Dir, s int, taken *uint16, now sim.Cycle) {
+	i := int(d)*r.nslots + s
+	v := &r.vcs[i]
+	os := r.slot(r.slots[s].vn, int(v.cand))
+	out := &r.outs[int(o)*r.nslots+os]
+	if *taken&(1<<os) != 0 || out.owned {
+		return
+	}
+	*taken |= 1 << os
+	v.state = vcActive
+	v.outVC = v.cand
+	v.saEligibleAt = now + 1
+	r.waitVA[d] &^= 1 << s
+	r.ready[d] |= 1 << s
+	out.owned, out.in, out.inSlot = true, d, uint8(s)
+	r.ev.VAActivity++
+	// Circuit-reserving messages (requests in the paper's mechanism, setup
+	// probes in the Déjà-Vu comparator) build their reservation in
+	// parallel with VC allocation.
+	if r.handler != nil {
+		if f := r.front(i); f.Msg.WantCircuit {
+			r.handler.OnRequestVA(r.id, f.Msg, d, o, now)
 		}
 	}
 }
@@ -586,81 +630,83 @@ func (r *Router) stage2VA(now sim.Cycle) {
 // stage3SAAlloc runs the two-phase switch allocator, producing the grants
 // that switch traversal executes next cycle.
 func (r *Router) stage3SAAlloc(now sim.Cycle) {
-	var phase1 [mesh.NumDirs]vcSlot
-	var has [mesh.NumDirs]bool
-	anyWinner := false
+	var outReq [mesh.NumDirs]uint8 // per output: input ports whose winner wants it
+	var winner [mesh.NumDirs]uint8 // per input port: its phase-1 winning slot
 
 	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		p := r.in[d]
-		if p == nil || p.occupancy == 0 {
-			continue
-		}
-		req := r.saReq
-		for i, slot := range r.saSlots {
-			vc := p.vcs[slot.vn][slot.vc]
-			f := vc.front()
-			ok := vc.state == vcActive && f != nil &&
-				vc.saEligibleAt <= now && f.arrivedAt+1 <= now
-			if ok {
-				op := r.out[vc.route]
-				if vc.route != mesh.Local && r.cfg.VCBuffered(slot.vn, vc.outVC) &&
-					op.credits[slot.vn][vc.outVC] <= 0 {
-					ok = false
-				}
-				// The grant executes next cycle; skip outputs whose packet
-				// lane will still be serializing then.
-				if ok && !op.link.LaneFree(0, now+1) {
-					ok = false
+		var req uint16
+		for m := r.ready[d]; m != 0; m &= m - 1 {
+			s := bits.TrailingZeros16(m)
+			i := int(d)*r.nslots + s
+			v := &r.vcs[i]
+			if v.route != mesh.Local {
+				os := r.slot(r.slots[s].vn, int(v.outVC))
+				if r.unbuffered&(1<<os) == 0 && r.outs[int(v.route)*r.nslots+os].credits <= 0 {
+					continue
 				}
 			}
-			req[i] = ok
+			// The grant executes next cycle; skip outputs whose packet
+			// lane will still be serializing then.
+			if r.cfg.LinkLanes > 1 && !r.outLink[v.route].LaneFree(0, now+1) {
+				continue
+			}
+			// The front flit must have arrived before this cycle: it
+			// arrived now only if it is the one flit pushed now.
+			if v.saEligibleAt > now || (v.pushedAt == now && v.n == 1) {
+				continue
+			}
+			req |= 1 << s
 		}
-		if idx := roundRobin(req, &r.saInPtr[d]); idx >= 0 {
-			phase1[d] = r.saSlots[idx]
-			has[d] = true
-			anyWinner = true
-		}
-	}
-	if !anyWinner {
-		return
-	}
-
-	var outReq [mesh.NumDirs][mesh.NumDirs]bool // [outPort][inPort]
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if !has[d] {
+		if req == 0 {
 			continue
 		}
-		w := phase1[d]
-		route := r.in[d].vcs[w.vn][w.vc].route
-		outReq[route][d] = true
+		s := arbitrate(uint64(req), r.nslots, &r.saInPtr[d])
+		winner[d] = uint8(s)
+		outReq[r.vcs[int(d)*r.nslots+s].route] |= 1 << d
 	}
+
 	for o := mesh.Dir(0); o < mesh.NumDirs; o++ {
-		any := false
-		for i := mesh.Dir(0); i < mesh.NumDirs; i++ {
-			if outReq[o][i] {
-				any = true
-				break
-			}
-		}
-		if !any {
+		if outReq[o] == 0 {
 			continue
 		}
-		idx := roundRobin(outReq[o][:], &r.saOutPtr[o])
-		in := mesh.Dir(idx)
-		w := phase1[in]
-		r.grants[o] = grant{valid: true, in: in, vn: w.vn, vc: w.vc}
+		in := mesh.Dir(arbitrate(uint64(outReq[o]), int(mesh.NumDirs), &r.saOutPtr[o]))
+		r.grants[o] = grant{in: in, slot: winner[in]}
+		r.granted |= 1 << o
 		r.ev.SAActivity++
 	}
 }
 
-// sendFlit puts f on output port op's link and counts the traversal,
+// arbitrate is the round-robin arbiter behind the paper's "round-robin
+// 2-phase VC/switch allocators": over the n-bit request mask req it grants
+// the first set bit at or after *ptr, wrapping around, and advances *ptr
+// past the winner. It returns -1 when nothing is requested; a pointer at or
+// beyond n restarts at 0.
+func arbitrate(req uint64, n int, ptr *int) int {
+	if n == 0 {
+		return -1
+	}
+	if *ptr >= n {
+		*ptr = 0
+	}
+	if req == 0 {
+		return -1
+	}
+	// Rotating right by the pointer puts the bits at or after it lowest.
+	idx := (bits.TrailingZeros64(bits.RotateLeft64(req, -*ptr)) + *ptr) & 63
+	if *ptr = idx + 1; *ptr == n {
+		*ptr = 0
+	}
+	return idx
+}
+
+// sendFlit puts f on output port out's link and counts the traversal,
 // honouring an armed link-stall fault.
-func (r *Router) sendFlit(op *outputPort, out mesh.Dir, f *Flit, now sim.Cycle) {
+func (r *Router) sendFlit(out mesh.Dir, f *Flit, now sim.Cycle) {
 	var extra sim.Cycle
 	if r.fault != nil {
 		extra = r.fault.StallFlit(r.id, out, now)
 	}
-	op.link.SendDelayed(f, now, extra)
+	r.outLink[out].SendDelayed(f, now, extra)
 	r.flitsOut[out]++
 	r.ev.XbarTraversals++
 	if out != mesh.Local {
@@ -668,13 +714,13 @@ func (r *Router) sendFlit(op *outputPort, out mesh.Dir, f *Flit, now sim.Cycle) 
 	}
 }
 
-// returnCredit sends a buffer credit upstream through input port p,
+// returnCredit sends a buffer credit upstream through input port in,
 // honouring an armed credit-withholding fault.
-func (r *Router) returnCredit(p *inputPort, c Credit, in mesh.Dir, now sim.Cycle) {
+func (r *Router) returnCredit(in mesh.Dir, c Credit, now sim.Cycle) {
 	if r.fault != nil && r.fault.WithholdCredit(r.id, in, now) {
 		return // injected fault: the slot is never returned upstream
 	}
-	p.credit.Send(c, now)
+	r.upCredit[in].Send(c, now)
 	r.ev.CreditsSent++
 }
 
@@ -685,49 +731,5 @@ func (r *Router) returnCredit(p *inputPort, c Credit, in mesh.Dir, now sim.Cycle
 // Tick drains both; their senders invoke this router's Waker at send time,
 // so a sleeping router is revived before traffic reaches it.
 func (r *Router) Quiescent() bool {
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if p := r.in[d]; p != nil {
-			if p.occupancy > 0 || p.byQ.Len() > 0 {
-				return false
-			}
-			if p.link != nil && p.link.Busy() {
-				return false
-			}
-		}
-		if op := r.out[d]; op != nil && op.credit != nil && op.credit.Busy() {
-			return false
-		}
-		if r.grants[d].valid {
-			return false
-		}
-	}
-	return true
-}
-
-// busy reports whether any flit is buffered, latched, or mid-pipeline in
-// this router.
-func (r *Router) busy() bool {
-	for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-		if p := r.in[d]; p != nil {
-			if p.byQ.Len() > 0 {
-				return true
-			}
-			for vn := range p.vcs {
-				for _, vc := range p.vcs[vn] {
-					if vc.buf.Len() > 0 {
-						return true
-					}
-				}
-			}
-		}
-		if op := r.out[d]; op != nil && op.link != nil && op.link.Busy() {
-			return true
-		}
-	}
-	for _, g := range r.grants {
-		if g.valid {
-			return true
-		}
-	}
-	return false
+	return r.inbound == 0 && r.buffered == 0 && r.latched == 0 && r.granted == 0
 }

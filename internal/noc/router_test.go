@@ -48,7 +48,7 @@ func TestCreditStallAndRecovery(t *testing.T) {
 	r0 := h.net.Router(0)
 	consumed := false
 	for vc := 0; vc < cfg.VCsPerVN[VNReply]; vc++ {
-		if r0.out[mesh.East].credits[VNReply][vc] < cfg.BufDepth {
+		if int(r0.outs[r0.vcAt(mesh.East, VNReply, vc)].credits) < cfg.BufDepth {
 			consumed = true
 		}
 	}

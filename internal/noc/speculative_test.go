@@ -127,10 +127,8 @@ func TestSpeculativeRejectsCircuitHandler(t *testing.T) {
 func specLiveRoutes(n *Network) int {
 	total := 0
 	for _, r := range n.routers {
-		for _, p := range r.in {
-			if p != nil {
-				total += p.spec.live()
-			}
+		for d := range r.spec {
+			total += r.spec[d].live()
 		}
 	}
 	return total

@@ -24,32 +24,32 @@ import (
 func (n *Network) CheckCreditConservation() error {
 	for _, r := range n.routers {
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			op := r.out[d]
-			if op == nil || d == mesh.Local || op.credit == nil {
+			if d == mesh.Local || r.downCredit[d] == nil {
 				continue
 			}
 			nb, ok := n.cfg.Mesh.Neighbor(r.id, d)
 			if !ok {
 				continue
 			}
-			dp := n.routers[nb].in[d.Opposite()]
+			dr, in := n.routers[nb], d.Opposite()
 			for vn := 0; vn < NumVNs; vn++ {
 				for vc := 0; vc < n.cfg.VCsPerVN[vn]; vc++ {
 					if !n.cfg.VCBuffered(vn, vc) {
 						continue
 					}
-					sum := op.credits[vn][vc] +
-						linkFlitCount(op.link, vn, vc) +
-						dp.vcs[vn][vc].buf.Len() +
-						byQHeldCredits(dp, vn, vc) +
-						creditsInFlight(op.credit, vn, vc)
+					sender := int(r.outs[r.vcAt(d, vn, vc)].credits)
+					sum := sender +
+						linkFlitCount(r.outLink[d], vn, vc) +
+						int(dr.vcs[dr.vcAt(in, vn, vc)].n) +
+						byQHeldCredits(dr, in, vn, vc) +
+						creditsInFlight(r.downCredit[d], vn, vc)
 					if sum != n.cfg.BufDepth {
 						return fmt.Errorf(
 							"router %d -> %d (%v) vn%d vc%d: credits account for %d slots, want %d (sender=%d wire=%d buffered=%d latched=%d returning=%d)",
 							r.id, nb, d, vn, vc, sum, n.cfg.BufDepth,
-							op.credits[vn][vc], linkFlitCount(op.link, vn, vc),
-							dp.vcs[vn][vc].buf.Len(), byQHeldCredits(dp, vn, vc),
-							creditsInFlight(op.credit, vn, vc))
+							sender, linkFlitCount(r.outLink[d], vn, vc),
+							dr.vcs[dr.vcAt(in, vn, vc)].n, byQHeldCredits(dr, in, vn, vc),
+							creditsInFlight(r.downCredit[d], vn, vc))
 					}
 				}
 			}
@@ -58,23 +58,24 @@ func (n *Network) CheckCreditConservation() error {
 	// The NI -> router local hop runs the same protocol with the NI as the
 	// credit-tracking sender.
 	for i, ni := range n.nis {
-		p := n.routers[i].in[mesh.Local]
+		r := n.routers[i]
 		for vn := 0; vn < NumVNs; vn++ {
 			for vc := 0; vc < n.cfg.VCsPerVN[vn]; vc++ {
 				if !n.cfg.VCBuffered(vn, vc) {
 					continue
 				}
+				buffered := int(r.vcs[r.vcAt(mesh.Local, vn, vc)].n)
 				sum := ni.credits[vn][vc] +
 					linkFlitCount(ni.toRouter, vn, vc) +
-					p.vcs[vn][vc].buf.Len() +
-					byQHeldCredits(p, vn, vc) +
+					buffered +
+					byQHeldCredits(r, mesh.Local, vn, vc) +
 					creditsInFlight(ni.creditIn, vn, vc)
 				if sum != n.cfg.BufDepth {
 					return fmt.Errorf(
 						"NI %d -> router vn%d vc%d: credits account for %d slots, want %d (NI=%d wire=%d buffered=%d latched=%d returning=%d)",
 						ni.id, vn, vc, sum, n.cfg.BufDepth,
 						ni.credits[vn][vc], linkFlitCount(ni.toRouter, vn, vc),
-						p.vcs[vn][vc].buf.Len(), byQHeldCredits(p, vn, vc),
+						buffered, byQHeldCredits(r, mesh.Local, vn, vc),
 						creditsInFlight(ni.creditIn, vn, vc))
 				}
 			}
@@ -96,10 +97,10 @@ func linkFlitCount(l *Link, vn, vc int) int {
 // byQHeldCredits counts bypass-latched flits still holding an upstream
 // buffer slot: a flit parked in the bypass queue returns its arrival-VC
 // credit only when it leaves, so until then the slot is accounted here.
-func byQHeldCredits(p *inputPort, vn, vc int) int {
+func byQHeldCredits(r *Router, in mesh.Dir, vn, vc int) int {
 	c := 0
-	for i := 0; i < p.byQ.Len(); i++ {
-		if e := p.byQ.At(i); e.vn == vn && e.arrVC == vc {
+	for i := 0; i < r.byQ[in].Len(); i++ {
+		if e := r.byQ[in].At(i); e.vn == vn && e.arrVC == vc {
 			c++
 		}
 	}
@@ -128,17 +129,13 @@ func (n *Network) CheckFlitConservation() error {
 		inFlight += int64(ni.toRouter.q.Len())
 	}
 	for _, r := range n.routers {
+		for i := range r.vcs {
+			inFlight += int64(r.vcs[i].n)
+		}
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			if p := r.in[d]; p != nil {
-				inFlight += int64(p.byQ.Len())
-				for vn := range p.vcs {
-					for _, vc := range p.vcs[vn] {
-						inFlight += int64(vc.buf.Len())
-					}
-				}
-			}
-			if op := r.out[d]; op != nil && op.link != nil {
-				inFlight += int64(op.link.q.Len())
+			inFlight += int64(r.byQ[d].Len())
+			if l := r.outLink[d]; l != nil {
+				inFlight += int64(l.q.Len())
 			}
 		}
 	}
@@ -156,25 +153,18 @@ func (n *Network) CheckFlitConservation() error {
 // asserts the ejection half).
 func (n *Network) CheckVCOrder() error {
 	for _, r := range n.routers {
-		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			p := r.in[d]
-			if p == nil {
-				continue
-			}
-			for vn := range p.vcs {
-				for vci, vc := range p.vcs[vn] {
-					for i := 1; i < vc.buf.Len(); i++ {
-						prev, cur := vc.buf.At(i-1), vc.buf.At(i)
-						if cur.Msg == prev.Msg {
-							if cur.Seq != prev.Seq+1 {
-								return fmt.Errorf("router %d %v vn%d vc%d: msg %d flit %d queued behind flit %d (sequence broken)",
-									r.id, d, vn, vci, cur.Msg.ID, cur.Seq, prev.Seq)
-							}
-						} else if !prev.Tail || !cur.Head {
-							return fmt.Errorf("router %d %v vn%d vc%d: msg %d interleaves msg %d mid-message (wormhole violated)",
-								r.id, d, vn, vci, cur.Msg.ID, prev.Msg.ID)
-						}
+		for i := range r.vcs {
+			d, sl := mesh.Dir(i/r.nslots), r.slots[i%r.nslots]
+			for k := 1; k < int(r.vcs[i].n); k++ {
+				prev, cur := r.flitAt(i, k-1), r.flitAt(i, k)
+				if cur.Msg == prev.Msg {
+					if cur.Seq != prev.Seq+1 {
+						return fmt.Errorf("router %d %v vn%d vc%d: msg %d flit %d queued behind flit %d (sequence broken)",
+							r.id, d, sl.vn, sl.vc, cur.Msg.ID, cur.Seq, prev.Seq)
 					}
+				} else if !prev.Tail || !cur.Head {
+					return fmt.Errorf("router %d %v vn%d vc%d: msg %d interleaves msg %d mid-message (wormhole violated)",
+						r.id, d, sl.vn, sl.vc, cur.Msg.ID, prev.Msg.ID)
 				}
 			}
 		}
@@ -231,29 +221,25 @@ func (n *Network) CircuitTraffic(ride, undo func(dest mesh.NodeID, block uint64)
 		}
 	}
 	for _, r := range n.routers {
+		for i := range r.vcs {
+			for k := 0; k < int(r.vcs[i].n); k++ {
+				flit(r.flitAt(i, k))
+			}
+		}
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			if p := r.in[d]; p != nil {
-				for i := 0; i < p.byQ.Len(); i++ {
-					flit(p.byQ.At(i).f)
-				}
-				for vn := range p.vcs {
-					for _, vc := range p.vcs[vn] {
-						for i := 0; i < vc.buf.Len(); i++ {
-							flit(vc.buf.At(i))
-						}
-					}
-				}
-				if p.credit != nil {
-					for i := 0; i < p.credit.q.Len(); i++ {
-						if tok := p.credit.q.At(i).c.UndoCircuit; tok != nil {
-							undo(tok.Dest, tok.Block)
-						}
+			for i := 0; i < r.byQ[d].Len(); i++ {
+				flit(r.byQ[d].At(i).f)
+			}
+			if c := r.upCredit[d]; c != nil {
+				for i := 0; i < c.q.Len(); i++ {
+					if tok := c.q.At(i).c.UndoCircuit; tok != nil {
+						undo(tok.Dest, tok.Block)
 					}
 				}
 			}
-			if op := r.out[d]; op != nil && op.link != nil {
-				for i := 0; i < op.link.q.Len(); i++ {
-					flit(op.link.q.At(i).f)
+			if l := r.outLink[d]; l != nil {
+				for i := 0; i < l.q.Len(); i++ {
+					flit(l.q.At(i).f)
 				}
 			}
 		}
@@ -282,39 +268,32 @@ func (n *Network) WaitsFor(now sim.Cycle) (string, bool) {
 	edges := map[wfNode][]wfNode{}
 	oldest := map[wfNode]sim.Cycle{}
 	for _, r := range n.routers {
-		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
-			p := r.in[d]
-			if p == nil {
+		for i := range r.vcs {
+			v, f := &r.vcs[i], r.front(i)
+			if f == nil || v.state == vcIdle {
 				continue
 			}
-			for vn := range p.vcs {
-				for vci, vc := range p.vcs[vn] {
-					f := vc.front()
-					if f == nil || vc.state == vcIdle {
-						continue
+			sl := r.slots[i%r.nslots]
+			vn, outVC := sl.vn, int(v.outVC)
+			node := wfNode{router: r.id, in: mesh.Dir(i / r.nslots), vn: vn, vc: sl.vc}
+			oldest[node] = f.arrivedAt
+			if r.outLink[v.route] == nil {
+				continue
+			}
+			switch v.state {
+			case vcWaitVA:
+				for ov := 0; ov < n.cfg.AllocatableVCs(vn); ov++ {
+					if o := r.outs[r.vcAt(v.route, vn, ov)]; o.owned {
+						edges[node] = append(edges[node],
+							wfNode{router: r.id, in: o.in, vn: vn, vc: r.slots[o.inSlot].vc})
 					}
-					node := wfNode{router: r.id, in: d, vn: vn, vc: vci}
-					oldest[node] = f.arrivedAt
-					op := r.out[vc.route]
-					if op == nil {
-						continue
-					}
-					switch vc.state {
-					case vcWaitVA:
-						for ov := 0; ov < n.cfg.AllocatableVCs(vn); ov++ {
-							if o := op.owner[vn][ov]; o.valid {
-								edges[node] = append(edges[node],
-									wfNode{router: r.id, in: o.in, vn: o.vn, vc: o.vc})
-							}
-						}
-					case vcActive:
-						if vc.route != mesh.Local && n.cfg.VCBuffered(vn, vc.outVC) &&
-							op.credits[vn][vc.outVC] <= 0 {
-							if nb, ok := n.cfg.Mesh.Neighbor(r.id, vc.route); ok {
-								edges[node] = append(edges[node],
-									wfNode{router: nb, in: vc.route.Opposite(), vn: vn, vc: vc.outVC})
-							}
-						}
+				}
+			case vcActive:
+				if v.route != mesh.Local && n.cfg.VCBuffered(vn, outVC) &&
+					r.outs[r.vcAt(v.route, vn, outVC)].credits <= 0 {
+					if nb, ok := n.cfg.Mesh.Neighbor(r.id, v.route); ok {
+						edges[node] = append(edges[node],
+							wfNode{router: nb, in: v.route.Opposite(), vn: vn, vc: outVC})
 					}
 				}
 			}
