@@ -12,7 +12,7 @@ package main
 import (
 	"fmt"
 
-	"reactivenoc/internal/cache"
+	"reactivenoc/internal/chip"
 	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/cpu"
@@ -31,18 +31,12 @@ func main() {
 		m := mesh.New(c.Width, c.Height)
 		sys := coherence.NewSystem(m, v.Opts, c.MCs)
 
-		// Warm the caches (the prefill chip.RunCtx does).
-		for i := 0; i < m.Nodes(); i++ {
-			for _, reg := range w.Regions(i) {
-				for l := 0; l < reg.Lines; l++ {
-					tile := mesh.NodeID(-1)
-					if l < reg.L1Lines {
-						tile = mesh.NodeID(i)
-					}
-					sys.Prefill(reg.Start+cache.Addr(l*64), tile, reg.Exclusive)
-				}
-			}
+		// Warm the caches through chip.RunCtx's own prefill.
+		regions := make([][]workload.Region, m.Nodes())
+		for i := range regions {
+			regions[i] = w.Regions(i)
 		}
+		chip.Prefill(sys, regions)
 		// Registered as chip.RunCtx does it: the system's components and its
 		// cycle epilogue, then the cores.
 		kernel := sim.NewKernel()

@@ -7,8 +7,10 @@
 //
 // Storage is a slab — one array of lines, one PLRU word per set — built or
 // reset by slab.reset alone. New gives a cache its own; NewGroup lays a
-// chip's N caches over one (set-major, bank-minor when line-interleaved) and
-// Group.Release recycles it through a free list (group.go, DESIGN.md §5b).
+// chip's N caches over one (set-major, bank-minor when line-interleaved),
+// Group.Release recycles it through a free list (group.go, DESIGN.md §5b),
+// and Group.Capture/Restore copy a group's state as a sparse Image
+// (image.go).
 package cache
 
 import (

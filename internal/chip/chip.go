@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"reactivenoc/internal/cache"
 	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
@@ -317,28 +316,15 @@ func RunCtx(ctx context.Context, spec Spec) (res *Results, err error) {
 	opts := spec.Variant.Opts
 	opts.NoPool = opts.NoPool || spec.NoPool
 	sys = coherence.NewSystem(m, opts, spec.Chip.MCs)
-	coreRegions := func(i int) []workload.Region {
+	regions := make([][]workload.Region, n)
+	for i := range regions {
 		if feed != nil {
-			return feed.CoreRegions(i)
-		}
-		return spec.Workload.Regions(i)
-	}
-
-	// Functional cache warming (the paper warms for 200M cycles): every
-	// region each core touches is installed in its home L2 bank, and each
-	// region's first L1Lines lines in the core's L1 (Region.L1From is not
-	// consulted — see workload.Region).
-	for i := 0; i < n; i++ {
-		for _, reg := range coreRegions(i) {
-			for l := 0; l < reg.Lines; l++ {
-				tile := mesh.NodeID(-1)
-				if l < reg.L1Lines {
-					tile = mesh.NodeID(i)
-				}
-				sys.Prefill(reg.Start+cache.Addr(l*64), tile, reg.Exclusive)
-			}
+			regions[i] = feed.CoreRegions(i)
+		} else {
+			regions[i] = spec.Workload.Regions(i)
 		}
 	}
+	Prefill(sys, regions)
 
 	// A diagnostic tracer rides along whenever the caller asked for one or
 	// armed the fault injector, so failures carry a bounded trace tail.

@@ -43,11 +43,16 @@ func runRecycled(t *testing.T, spec Spec) (*Results, error) {
 }
 
 // TestRecycledArraysReproduceGolden: the golden rows were cut before
-// recycling existed, so they are the fresh-process reference. After a run
-// that leaves the 16-core arrays as dirty as a run can (canneal evicts and
-// shares; NoAck leaves the most directory churn), every 16-core row must
-// still reproduce — each on the arrays the row before it dirtied.
+// recycling and prefilled images existed, so they are the fresh-process
+// reference. After a run that leaves the 16-core arrays as dirty as a run
+// can (canneal evicts and shares; NoAck leaves the most directory churn),
+// every 16-core row must still reproduce — each on the arrays the run
+// before it dirtied, and each twice against an initially empty image store:
+// the first run of a workload walks its prefill and stores the image, and
+// every second run restores it.
 func TestRecycledArraysReproduceGolden(t *testing.T) {
+	st := &imageStore{budget: imageBudget}
+	useStore(t, st)
 	if _, err := Run(goldenSpec(goldenRowOf(t, "16-core", "canneal", "Complete_NoAck"), t)); err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +60,17 @@ func TestRecycledArraysReproduceGolden(t *testing.T) {
 		if row.chip != "16-core" {
 			continue
 		}
-		r, err := runRecycled(t, goldenSpec(row, t))
-		if err != nil {
-			t.Fatalf("%s/%s: %v", row.workload, row.variant, err)
+		for run := 1; run <= 2; run++ {
+			hits, _ := st.counts()
+			r, err := runRecycled(t, goldenSpec(row, t))
+			if err != nil {
+				t.Fatalf("%s/%s run %d: %v", row.workload, row.variant, run, err)
+			}
+			if now, _ := st.counts(); run == 2 && now != hits+1 {
+				t.Fatalf("%s/%s: the second run did not restore the stored image", row.workload, row.variant)
+			}
+			checkGolden(t, row, r)
 		}
-		checkGolden(t, row, r)
 	}
 }
 

@@ -149,6 +149,45 @@ func (s *System) Release() {
 	s.l2Arrays.Release()
 }
 
+// Image is the state of a system's two cache levels (cache.Image): what a
+// prefill leaves behind, restorable into any system of the same mesh size.
+type Image struct{ l1, l2 *cache.Image }
+
+// Capture returns the image of s's caches, or nil when it would take more
+// than limit bytes.
+func (s *System) Capture(limit int) *Image {
+	l1 := s.l1Arrays.Capture(limit)
+	if l1 == nil {
+		return nil
+	}
+	l2 := s.l2Arrays.Capture(limit - l1.Bytes())
+	if l2 == nil {
+		return nil
+	}
+	return &Image{l1, l2}
+}
+
+// Restore puts img's cache state into s, which must be freshly built.
+func (s *System) Restore(img *Image) {
+	s.l1Arrays.Restore(img.l1)
+	s.l2Arrays.Restore(img.l2)
+}
+
+// Bytes returns the memory the image holds.
+func (img *Image) Bytes() int { return img.l1.Bytes() + img.l2.Bytes() }
+
+// DiffCaches returns nil when s and o hold identical cache arrays and
+// counters, and otherwise names the first difference.
+func (s *System) DiffCaches(o *System) error {
+	if err := s.l1Arrays.Diff(o.l1Arrays); err != nil {
+		return fmt.Errorf("L1s: %w", err)
+	}
+	if err := s.l2Arrays.Diff(o.l2Arrays); err != nil {
+		return fmt.Errorf("L2 banks: %w", err)
+	}
+	return nil
+}
+
 // MsgsTotal returns a copy of Msgs; rcbench's harvest calls it.
 func (s *System) MsgsTotal() MsgStats { return s.Msgs }
 

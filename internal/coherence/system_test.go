@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"reactivenoc/internal/cache"
@@ -511,5 +512,35 @@ func TestSystemReleaseRecyclesBanks(t *testing.T) {
 	ref.Release()
 	if got := cache.Idle(); got != idle+2 {
 		t.Fatalf("a NoPool system's release fed the free lists (%d idle, want %d)", got, idle+2)
+	}
+}
+
+// TestImageCarriesBothLevels: a system's image holds both cache levels. A
+// system dirtied by prefills and a protocol access, captured and restored
+// into a fresh one, is identical to it; DiffCaches names the level that
+// differs; and a limit the L1 image or the whole image exceeds yields nil.
+func TestImageCarriesBothLevels(t *testing.T) {
+	b := newTB(t, 2, 2, core.Options{NoPool: true})
+	for k := 0; k < 200; k++ {
+		b.sys.Prefill(cache.Addr(k*64), mesh.NodeID(k%4), k%3 == 0)
+	}
+	b.access(1, 0, true)
+	b.drain()
+	img := b.sys.Capture(1 << 30)
+
+	fresh := NewSystem(mesh.New(2, 2), core.Options{NoPool: true}, 4)
+	if err := fresh.DiffCaches(b.sys); err == nil || !strings.HasPrefix(err.Error(), "L1s") {
+		t.Fatalf("an empty system against a warm one: %v, want an L1 difference", err)
+	}
+	fresh.Restore(img)
+	if err := fresh.DiffCaches(b.sys); err != nil {
+		t.Fatalf("restored system differs: %v", err)
+	}
+	fresh.Prefill(cache.Addr(4096*64), -1, false) // an L2-only line
+	if err := fresh.DiffCaches(b.sys); err == nil || !strings.HasPrefix(err.Error(), "L2 banks") {
+		t.Fatalf("an extra L2 line: %v, want an L2 difference", err)
+	}
+	if b.sys.Capture(img.l1.Bytes()-1) != nil || b.sys.Capture(img.Bytes()-1) != nil || b.sys.Capture(img.Bytes()) == nil {
+		t.Fatalf("Capture does not honour a limit of exactly %d bytes", img.Bytes())
 	}
 }

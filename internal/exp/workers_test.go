@@ -94,3 +94,50 @@ func TestRunOneAppliesTimeoutAndFault(t *testing.T) {
 		t.Fatalf("unexpected failure: %v", rep)
 	}
 }
+
+// TestImagesSharedAcrossSweepWorkers: four workers run a sweep whose cells
+// share two apps' prefilled images (chip.Prefill's store), so the first
+// cells race to walk and store them and the rest restore them at the same
+// time. Every cell must equal the NoPool reference, which walks its own
+// prefill and never touches the store.
+func TestImagesSharedAcrossSweepWorkers(t *testing.T) {
+	var vs []config.Variant
+	for _, name := range []string{"Baseline", "Complete_NoAck", "SlackDelay_1_NoAck", "Reuse_NoAck"} {
+		v, ok := config.ByName(name)
+		if !ok {
+			t.Fatalf("unknown variant %s", name)
+		}
+		vs = append(vs, v)
+	}
+	scale := Scale{MeasureOps: 300, Apps: 2, Seed: 1, Workers: 4}
+	got := RunSweepCtx(context.Background(), config.Chip16(), vs, scale, Policy{})
+	ref := RunSweepCtx(context.Background(), config.Chip16(), vs, scale, Policy{
+		Run: func(ctx context.Context, s chip.Spec) (*chip.Results, error) {
+			s.NoPool = true
+			return chip.RunCtx(ctx, s)
+		},
+	})
+	if len(got.Failures)+len(ref.Failures) != 0 {
+		t.Fatalf("failures: %s %s", got.FailureSummary(), ref.FailureSummary())
+	}
+	for _, v := range vs {
+		for _, app := range got.AppNames() {
+			a, b := got.Res[v.Name][app], ref.Res[v.Name][app]
+			if a == nil || b == nil {
+				t.Fatalf("%s/%s: missing cell", v.Name, app)
+			}
+			if a.Cycles != b.Cycles || a.SimCycles != b.SimCycles {
+				t.Errorf("%s/%s: cycles %d/%d, NoPool %d/%d", v.Name, app, a.Cycles, a.SimCycles, b.Cycles, b.SimCycles)
+			}
+			for name, val := range b.Metrics.Vals {
+				switch name {
+				case "noc/pool_flit_allocs", "noc/pool_flit_reuses", "noc/pool_msg_allocs", "noc/pool_msg_reuses":
+					continue // the pool's own bookkeeping differs by design
+				}
+				if a.Metrics.Value(name) != val {
+					t.Errorf("%s/%s: metric %s = %d, NoPool %d", v.Name, app, name, a.Metrics.Value(name), val)
+				}
+			}
+		}
+	}
+}

@@ -196,19 +196,6 @@ func (m Mesh) Path(r Routing, src, dst NodeID) []NodeID {
 	return path
 }
 
-// EdgeNodes returns nodes on the perimeter of the mesh, used to place the
-// four memory controllers "distributed in the edges of the chip".
-func (m Mesh) EdgeNodes() []NodeID {
-	var edges []NodeID
-	for id := NodeID(0); int(id) < m.Nodes(); id++ {
-		x, y := m.Coord(id)
-		if x == 0 || y == 0 || x == m.Width-1 || y == m.Height-1 {
-			edges = append(edges, id)
-		}
-	}
-	return edges
-}
-
 // MemoryControllerNodes places n controllers spread across the four edges,
 // one near the middle of each side (matching the paper's 4-MC layout for
 // both 16- and 64-node chips). For n != 4 it spaces them evenly along the

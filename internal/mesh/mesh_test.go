@@ -167,20 +167,6 @@ func TestNextDirAtDestination(t *testing.T) {
 	}
 }
 
-func TestEdgeNodes(t *testing.T) {
-	m := New(4, 4)
-	edges := m.EdgeNodes()
-	if len(edges) != 12 {
-		t.Fatalf("4x4 mesh has %d edge nodes, want 12", len(edges))
-	}
-	for _, id := range edges {
-		x, y := m.Coord(id)
-		if x != 0 && y != 0 && x != 3 && y != 3 {
-			t.Errorf("node %d (%d,%d) is not on the edge", id, x, y)
-		}
-	}
-}
-
 func TestMemoryControllerNodesFour(t *testing.T) {
 	for _, dim := range []int{4, 8} {
 		m := New(dim, dim)

@@ -197,19 +197,3 @@ func WeightedMean(values, weights []float64) float64 {
 	}
 	return num / den
 }
-
-// GeoMean returns the geometric mean of strictly positive values, the
-// conventional aggregation for per-application speedups.
-func GeoMean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, v := range values {
-		if v <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(values)))
-}

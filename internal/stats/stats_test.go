@@ -174,25 +174,6 @@ func TestWeightedMeanMismatchPanics(t *testing.T) {
 	WeightedMean([]float64{1}, []float64{1, 2})
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean %v", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean should be 0")
-	}
-}
-
-func TestGeoMeanRejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 // Property: variance is never negative and mean lies within [min, max].
 func TestSampleInvariants(t *testing.T) {
 	check := func(raw []uint16) bool {

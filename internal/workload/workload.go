@@ -229,9 +229,10 @@ type Region struct {
 	// the L1s full, so the measured phase sees steady-state replacement
 	// traffic immediately). L1From names the window the profile meant —
 	// [L1From, L1From+L1Lines) — and is serialised in .rctf, but no
-	// prefiller reads it: chip.RunCtx, examples/trafficmap and rcbench's
-	// stepper all install from line 0, and the goldens and rcbench's
-	// digests pin that (DESIGN.md §2, substitution notes).
+	// prefiller reads it: chip.Prefill (chip.RunCtx's, also called by
+	// examples/trafficmap) and rcbench's stepper both install from line 0,
+	// and the goldens and rcbench's digests pin that (DESIGN.md §2,
+	// substitution notes).
 	L1From  int
 	L1Lines int
 	// Exclusive marks private data, prefilled in E state.
@@ -244,7 +245,10 @@ const l1Lines = 512
 // Regions returns the address ranges core coreID touches, for prefill.
 // The cold region is deliberately absent: its accesses must reach memory.
 func (p Profile) Regions(coreID int) []Region {
-	rs := []Region{{Start: hotBase(coreID), Lines: p.HotLines, L1Lines: p.HotLines, Exclusive: true}}
+	// One allocation per core: every run builds all its cores' regions to
+	// key its prefilled image (chip.Prefill).
+	rs := make([]Region, 1, 3)
+	rs[0] = Region{Start: hotBase(coreID), Lines: p.HotLines, L1Lines: p.HotLines, Exclusive: true}
 	if p.StreamLines > 0 {
 		// Fill the rest of the L1 from the stream, so the L1 is completely
 		// full when the run starts. L1From records the stream's *tail* —
