@@ -45,7 +45,7 @@ func TestSoakWithPeriodicAudits(t *testing.T) {
 						b.sys.L1s[id].Access(pool[rng.Intn(len(pool))], rng.Bool(0.4), now)
 					}
 				})
-				b.kernel.Register(driver)
+				b.kernel.Add(driver)
 				done := func() bool {
 					if b.sys.Busy() {
 						return false

@@ -76,7 +76,7 @@ func (l *LatencyStats) ReplyPercentile(p float64) int64 {
 
 // System assembles the coherent memory hierarchy over one network: an L1
 // controller and an L2 bank controller per tile, plus memory controllers on
-// the edge tiles. It implements sim.Ticker.
+// the edge tiles. Register adds all of it to a kernel.
 type System struct {
 	M    mesh.Mesh
 	Opts core.Options

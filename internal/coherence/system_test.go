@@ -384,7 +384,7 @@ func TestStressRandomTrafficAllMechanisms(t *testing.T) {
 					b.sys.L1s[id].Access(a, w, now)
 				}
 			})
-			b.kernel.Register(driver)
+			b.kernel.Add(driver)
 			deadline := sim.Cycle(400000)
 			_, ok := b.kernel.RunUntil(func() bool {
 				if b.sys.Busy() {
@@ -415,9 +415,11 @@ func TestStressRandomTrafficAllMechanisms(t *testing.T) {
 	}
 }
 
+// tickFn is a component that ticks every cycle.
 type tickFn func(sim.Cycle)
 
 func (f tickFn) Tick(now sim.Cycle) { f(now) }
+func (tickFn) Quiescent() bool      { return false }
 
 func TestDeterminism(t *testing.T) {
 	run := func() (sim.Cycle, int64) {

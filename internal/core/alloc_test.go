@@ -50,7 +50,7 @@ func circuitRoundTripAllocs(t *testing.T, opts Options) {
 			net.FreeMessage(msg)
 		})
 	}
-	kernel.Register(net)
+	net.Register(kernel)
 	block := uint64(0)
 	roundTrip := func() {
 		block += 64

@@ -62,8 +62,8 @@ func newRig(t *testing.T, w, h int, opts Options, proc sim.Cycle) *rig {
 		})
 	}
 	r.kernel = sim.NewKernel()
-	r.kernel.Register(r.net)
-	r.kernel.Register(tickFunc(r.drainPending))
+	r.net.Register(r.kernel)
+	r.kernel.Add(tickFunc(r.drainPending))
 	if r.mgr != nil {
 		// The manager's deferred cross-tile operations drain at the cycle
 		// epilogue, exactly as System.Register wires it.
@@ -72,9 +72,11 @@ func newRig(t *testing.T, w, h int, opts Options, proc sim.Cycle) *rig {
 	return r
 }
 
+// tickFunc is a component that ticks every cycle.
 type tickFunc func(sim.Cycle)
 
 func (f tickFunc) Tick(now sim.Cycle) { f(now) }
+func (tickFunc) Quiescent() bool      { return false }
 
 func (r *rig) onDeliver(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) {
 	if msg.VN == noc.VNRequest {

@@ -37,7 +37,7 @@ func TestComputeOpsRetireOnePerCycle(t *testing.T) {
 	sys, k := testSystem(t)
 	st := &scriptStream{}
 	c := New(0, sys.L1s[0], st, 10)
-	k.Register(tickOne{c})
+	k.Add(tickOne{c})
 	k.Run(10)
 	if !c.Done() || c.Retired != 10 {
 		t.Fatalf("retired %d done=%v after 10 cycles", c.Retired, c.Done())
@@ -50,9 +50,11 @@ func TestComputeOpsRetireOnePerCycle(t *testing.T) {
 	}
 }
 
+// tickOne ticks the core every cycle, asleep or not.
 type tickOne struct{ c *Core }
 
 func (tk tickOne) Tick(now sim.Cycle) { tk.c.Tick(now) }
+func (tickOne) Quiescent() bool       { return false }
 
 func TestMissStallsAndResumes(t *testing.T) {
 	sys, k := testSystem(t)
@@ -61,7 +63,7 @@ func TestMissStallsAndResumes(t *testing.T) {
 		{Kind: OpCompute},
 	}}
 	c := New(0, sys.L1s[0], st, 2)
-	k.Register(tickOne{c})
+	k.Add(tickOne{c})
 	k.RunUntil(func() bool { return c.Done() }, 10000)
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -87,7 +89,7 @@ func TestHitDoesNotStall(t *testing.T) {
 		{Kind: OpStore, Addr: 3 * 64},
 	}}
 	c := New(0, sys.L1s[0], st, 2)
-	k.Register(tickOne{c})
+	k.Add(tickOne{c})
 	k.Run(2)
 	if !c.Done() {
 		t.Fatalf("two hits should retire in two cycles (retired %d)", c.Retired)
@@ -103,7 +105,7 @@ func TestHitDoesNotStall(t *testing.T) {
 func TestResetStatsExtendsBudget(t *testing.T) {
 	sys, k := testSystem(t)
 	c := New(0, sys.L1s[0], &scriptStream{}, 5)
-	k.Register(tickOne{c})
+	k.Add(tickOne{c})
 	k.Run(5)
 	if !c.Done() {
 		t.Fatal("should be done after 5")
@@ -121,7 +123,7 @@ func TestResetStatsExtendsBudget(t *testing.T) {
 func TestDoneCoreIgnoresTicks(t *testing.T) {
 	sys, k := testSystem(t)
 	c := New(0, sys.L1s[0], &scriptStream{}, 1)
-	k.Register(tickOne{c})
+	k.Add(tickOne{c})
 	k.Run(10)
 	if c.Retired != 1 {
 		t.Fatalf("done core kept retiring: %d", c.Retired)
@@ -155,7 +157,7 @@ func TestRecorderSeesEveryConsumedOp(t *testing.T) {
 	c.SetDoneSink(func() { done++ })
 	reg := sim.NewRegistry()
 	c.Describe(reg)
-	k.Register(tickOne{c})
+	k.Add(tickOne{c})
 	k.RunUntil(func() bool { return c.Done() }, 10000)
 	if !c.Done() {
 		t.Fatalf("core never finished (retired %d)", c.Retired)

@@ -7,24 +7,26 @@ import (
 	"reactivenoc/internal/sim"
 )
 
-// flatHarness drives a network whose routers and NIs are registered with
-// the kernel individually (activity-tracked), unlike harness which ticks
-// the network monolithically.
-type flatHarness struct {
-	net       *Network
-	kernel    *sim.Kernel
-	delivered []*Message
+// monolith ticks every router and then every NI each cycle, whatever their
+// quiescence: the engine before activity tracking, kept as the reference
+// Network.Register is held to.
+type monolith struct{ net *Network }
+
+func (m monolith) Tick(now sim.Cycle) {
+	for _, r := range m.net.routers {
+		r.Tick(now)
+	}
+	for _, ni := range m.net.nis {
+		ni.Tick(now)
+	}
 }
 
-func newFlatHarness(cfg NetConfig, dense bool) *flatHarness {
-	h := &flatHarness{net: NewNetwork(cfg, nil, nil), kernel: sim.NewKernel()}
-	h.kernel.SetDense(dense)
-	for id := mesh.NodeID(0); int(id) < cfg.Mesh.Nodes(); id++ {
-		h.net.NI(id).SetReceiver(func(m *Message, now sim.Cycle) {
-			h.delivered = append(h.delivered, m)
-		})
-	}
-	h.net.Register(h.kernel)
+func (monolith) Quiescent() bool { return false }
+
+func newMonolithHarness(cfg NetConfig) *harness {
+	h := newUnregistered(cfg, nil, nil)
+	h.kernel.Add(monolith{h.net})
+	h.kernel.AddEpilogue(h.net.FlushBoundary)
 	return h
 }
 
@@ -56,12 +58,13 @@ func randomTraffic(m mesh.Mesh, send func(*Message), seed uint64) []*Message {
 func TestActivityTrackedMatchesMonolithic(t *testing.T) {
 	m := mesh.New(4, 4)
 	for _, seed := range []uint64{1, 42, 9000} {
-		ref := newHarness(BaselineConfig(m), nil, nil)
+		ref := newMonolithHarness(BaselineConfig(m))
 		refMsgs := randomTraffic(m, func(mg *Message) { ref.net.Send(mg, 0) }, seed)
 		ref.runUntilQuiet(t, 20000)
 
 		for _, dense := range []bool{false, true} {
-			got := newFlatHarness(BaselineConfig(m), dense)
+			got := newHarness(BaselineConfig(m), nil, nil)
+			got.kernel.SetDense(dense)
 			gotMsgs := randomTraffic(m, func(mg *Message) { got.net.Send(mg, 0) }, seed)
 			if _, ok := got.kernel.RunUntil(got.net.Quiescent, 20000); !ok {
 				t.Fatalf("seed %d dense=%v: flattened network never drained", seed, dense)
@@ -91,7 +94,7 @@ func TestActivityTrackedMatchesMonolithic(t *testing.T) {
 // idle run far fewer component ticks execute than dense mode would.
 func TestActivityTrackerActuallySkips(t *testing.T) {
 	m := mesh.New(4, 4)
-	h := newFlatHarness(BaselineConfig(m), false)
+	h := newHarness(BaselineConfig(m), nil, nil)
 	h.net.Send(msg(0, 15, VNRequest, 1), 0)
 	h.kernel.Run(500)
 	if !h.net.Quiescent() {
@@ -119,7 +122,7 @@ func TestActivityTrackerActuallySkips(t *testing.T) {
 // TestEventCountersDescribe checks the power-event counters surface through
 // a metrics registry.
 func TestEventCountersDescribe(t *testing.T) {
-	h := newFlatHarness(BaselineConfig(mesh.New(4, 1)), false)
+	h := newHarness(BaselineConfig(mesh.New(4, 1)), nil, nil)
 	reg := sim.NewRegistry()
 	h.net.DescribeMetrics(reg)
 	h.net.Send(msg(0, 3, VNRequest, 1), 0)

@@ -22,7 +22,7 @@ func (n *Network) AuditQuiescent() error {
 	for _, ni := range n.nis {
 		for vn := 0; vn < NumVNs; vn++ {
 			for vc, cr := range ni.credits[vn] {
-				if n.cfg.VCBuffered(vn, vc) && cr != n.cfg.BufDepth {
+				if n.cfg.VCBuffered(vn, vc) && int(cr) != n.cfg.BufDepth {
 					return fmt.Errorf("noc: NI %d holds %d/%d credits for vn%d vc%d",
 						ni.id, cr, n.cfg.BufDepth, vn, vc)
 				}

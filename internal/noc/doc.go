@@ -31,12 +31,12 @@
 // two cycles per hop, one cycle inside the router — "it can go straight
 // through the crossbar leaving the router in just one cycle".
 //
-// Within Router.Tick the stage order is: credit reception (including
-// piggybacked circuit-undo tokens), flit reception (with the Figure-3
-// circuit check at the input units), switch traversal executing last
-// cycle's grants (circuit flits first — they own the crossbar; in the
-// speculative comparator the bypass queue runs last instead), VC
-// allocation, then switch allocation for the next cycle. Each stage visits
+// Within Router.Tick the stage order is: circuit-undo token reception,
+// flit reception (with the Figure-3 circuit check at the input units),
+// switch traversal executing last cycle's grants (circuit flits first —
+// they own the crossbar; in the speculative comparator the bypass queue
+// runs last instead), VC allocation, then switch allocation for the next
+// cycle. Each stage visits
 // only live state: reception only the wires whose bit is set in the
 // router's inbound mask (a wire sets it on Send and clears it when
 // drained), traversal only the set bits of the grant and bypass-latch
@@ -46,7 +46,12 @@
 // exact. All inter-router channels are one-cycle pipelines, so the tick
 // order of routers within a cycle is observationally irrelevant.
 //
-// Flow control is credit-based with one credit per buffer slot. The
+// Flow control is credit-based with one credit per buffer slot. A credit is
+// not a message: Router.returnCredit queues a pointer to the upstream
+// counter, and Network.FlushBoundary, the network's cycle epilogue, applies
+// the previous cycle's credits, so a credit returned in cycle t is first
+// seen in cycle t+2 — the flits' link latency — without waking the router
+// or NI it returns to. Only circuit-undo tokens ride the credit wires. The
 // complete-circuit variants remove the buffer from the circuit VC
 // entirely: flits on a complete circuit are never stored, which is what
 // shrinks the router (Table 6) — and the router panics if one would have

@@ -111,45 +111,41 @@ func (l *Link) Recv(now sim.Cycle) *Flit {
 // Busy reports whether any flit is still in flight.
 func (l *Link) Busy() bool { return l.q.Len() > 0 }
 
-// CreditLink carries flow-control credits (and piggybacked circuit-undo
-// tokens) in the direction opposite to its paired flit link. Credits have
-// the same wire latency as flits.
+// CreditLink is the credit wire opposite a flit link. Buffer credits do not
+// ride it: they land at the cycle boundary (Network.FlushBoundary). What
+// remains on the wire is the circuit-undo tokens the paper sends as
+// credits, with the same latency as flits.
 type CreditLink struct {
-	q    ring[creditSlot]
+	q    ring[undoSlot]
 	wake sim.Waker // as Link.wake
 	rx   *uint16   // as Link.rx
 	bit  uint16
 }
 
-type creditSlot struct {
-	c       Credit
+type undoSlot struct {
+	tok     *UndoToken
 	readyAt sim.Cycle
 }
 
-// Send puts credit c on the wire during cycle now. Multiple credits may
-// share a cycle: a buffer credit and a piggybacked undo, or undo tokens for
-// distinct circuits, travel on dedicated sideband wires.
-func (l *CreditLink) Send(c Credit, now sim.Cycle) {
-	l.q.Push(creditSlot{c: c, readyAt: now + linkDelay})
+// Send puts tok on the wire during cycle now. Undo tokens for distinct
+// circuits may share a cycle: they travel on dedicated sideband wires.
+func (l *CreditLink) Send(tok *UndoToken, now sim.Cycle) {
+	l.q.Push(undoSlot{tok: tok, readyAt: now + linkDelay})
 	if l.rx != nil {
 		*l.rx |= l.bit
 	}
 	l.wake.Wake()
 }
 
-// Recv pops the next credit arriving at or before cycle now. Receivers loop
-// until ok is false; the pop-one shape keeps the drain allocation-free
-// (the old batch API built a fresh []Credit per cycle per port).
-func (l *CreditLink) Recv(now sim.Cycle) (Credit, bool) {
+// Recv pops the next token arriving at or before cycle now, or nil.
+// Receivers loop until it returns nil.
+func (l *CreditLink) Recv(now sim.Cycle) *UndoToken {
 	if l.q.Len() == 0 || l.q.Front().readyAt > now {
-		return Credit{}, false
+		return nil
 	}
-	c := l.q.Pop().c
+	tok := l.q.Pop().tok
 	if l.rx != nil && l.q.Len() == 0 {
 		*l.rx &^= l.bit
 	}
-	return c, true
+	return tok
 }
-
-// Busy reports whether any credit is still in flight.
-func (l *CreditLink) Busy() bool { return l.q.Len() > 0 }

@@ -1,6 +1,11 @@
 package noc
 
-import "testing"
+import (
+	"testing"
+
+	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/sim"
+)
 
 func TestLinkDelay(t *testing.T) {
 	l := &Link{}
@@ -58,26 +63,76 @@ func TestLinkBusy(t *testing.T) {
 
 func TestCreditLinkBatching(t *testing.T) {
 	l := &CreditLink{}
-	l.Send(Credit{VN: 0, VC: 1}, 5)
-	l.Send(Credit{VN: 1, VC: 0}, 5)
-	if _, ok := l.Recv(6); ok {
-		t.Fatal("credits visible too early")
+	a, b := &UndoToken{Block: 0x40}, &UndoToken{Block: 0x80}
+	l.Send(a, 5)
+	l.Send(b, 5)
+	if l.Recv(6) != nil {
+		t.Fatal("undo tokens visible too early")
 	}
-	var got []Credit
-	for {
-		c, ok := l.Recv(7)
-		if !ok {
-			break
-		}
-		got = append(got, c)
+	var got []*UndoToken
+	for tok := l.Recv(7); tok != nil; tok = l.Recv(7) {
+		got = append(got, tok)
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d credits, want 2", len(got))
+	if len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("undo tokens %v, want both in send order", got)
 	}
-	if got[0].VC != 1 || got[1].VN != 1 {
-		t.Fatalf("credit order/content wrong: %+v", got)
+	if l.q.Len() != 0 {
+		t.Fatal("drained credit link still holds tokens")
 	}
-	if l.Busy() {
-		t.Fatal("drained credit link busy")
+}
+
+// TestCreditLandsAfterLinkDelay: a buffer credit returned in cycle t is not
+// in its upstream counter during cycle t+1 and is there in cycle t+2 — the
+// latency of the credit wire it replaces — although the router or NI that
+// owns the counter sleeps throughout.
+func TestCreditLandsAfterLinkDelay(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		upstream func(*Network) (*int32, sim.Component)
+	}{
+		{"router to NI", func(n *Network) (*int32, sim.Component) {
+			return &n.NI(0).credits[VNRequest][0], n.NI(0)
+		}},
+		{"router to router", func(n *Network) (*int32, sim.Component) {
+			r := n.Router(0)
+			return &r.outs[r.vcAt(mesh.East, VNRequest, 0)].credits, r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(BaselineConfig(mesh.New(3, 1)), nil, nil)
+			counter, owner := tc.upstream(h.net)
+			h.net.Send(msg(0, 2, VNRequest, 1), 0)
+			returned := func() bool {
+				for _, c := range h.net.credits.prev {
+					if c == counter {
+						return true
+					}
+				}
+				return false
+			}
+			for !returned() {
+				if h.kernel.Now() > 50 {
+					t.Fatal("no credit returned to the upstream counter")
+				}
+				h.kernel.Step()
+			}
+			sent := h.kernel.Now() - 1
+			if !owner.Quiescent() {
+				t.Fatalf("upstream still busy when its credit was returned in cycle %d", sent)
+			}
+			// The counter as cycle sent+1 reads it.
+			if want := int32(h.net.cfg.BufDepth - 1); *counter != want {
+				t.Fatalf("credit returned in cycle %d visible in cycle %d (counter %d, want %d)",
+					sent, sent+1, *counter, want)
+			}
+			h.kernel.Step() // cycle sent+1; then the counter as sent+2 reads it
+			if want := int32(h.net.cfg.BufDepth); *counter != want {
+				t.Fatalf("credit returned in cycle %d not visible in cycle %d (counter %d, want %d)",
+					sent, sent+2, *counter, want)
+			}
+			if !owner.Quiescent() {
+				t.Fatal("a landed credit woke its upstream")
+			}
+		})
 	}
 }

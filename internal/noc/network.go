@@ -9,8 +9,8 @@ import (
 )
 
 // Network assembles the full mesh: one router and one NI per tile, with
-// paired flit and credit links on every adjacency. It implements
-// sim.Ticker; ticking the network advances every router and NI one cycle.
+// paired flit and credit links on every adjacency. Register adds it to a
+// kernel.
 type Network struct {
 	cfg     NetConfig
 	routers []*Router
@@ -18,7 +18,14 @@ type Network struct {
 	ev      PowerEvents
 	msgID   uint64
 	pool    pools
+	credits creditQueue
 }
+
+// creditQueue holds the buffer credits in flight as pointers to the
+// counters they increment: cur those returned this cycle, prev those
+// returned last cycle. A credit only adds one to a counter, so it needs
+// neither a message on a wire nor a tick of the router it returns to.
+type creditQueue struct{ cur, prev []*int32 }
 
 // NewNetwork builds the network. handler and hook may be nil (baseline).
 func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
@@ -33,26 +40,28 @@ func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 	m := cfg.Mesh
 	n.routers = make([]*Router, m.Nodes())
 	n.nis = make([]*NI, m.Nodes())
+	// A router returns at most one credit per input port per cycle.
+	n.credits.cur = make([]*int32, 0, int(mesh.NumDirs)*m.Nodes())
+	n.credits.prev = make([]*int32, 0, int(mesh.NumDirs)*m.Nodes())
 	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
-		n.routers[id] = newRouter(id, &n.cfg, handler, &n.ev)
+		n.routers[id] = newRouter(id, &n.cfg, handler, &n.ev, &n.credits)
 		n.nis[id] = newNI(id, &n.cfg, &n.ev, hook, &n.pool)
 	}
 
-	// Wire the local ports: NI -> router (injection) and router -> NI
-	// (ejection), plus the credit wire for the router's local input.
+	// Wire the local ports: NI -> router (injection), whose credits return
+	// to the NI's counters, and router -> NI (ejection).
 	for id := range n.routers {
 		r, ni := n.routers[id], n.nis[id]
-		inj, injCr := &Link{}, &CreditLink{}
-		ej := &Link{}
-		ni.toRouter = inj
-		ni.creditIn = injCr
-		ni.fromRouter = ej
-		r.addInput(mesh.Local, inj, injCr)
-		r.addOutput(mesh.Local, ej, nil)
+		ni.toRouter, ni.fromRouter = &Link{}, &Link{}
+		r.addInput(mesh.Local, ni.toRouter, nil, func(s int) *int32 {
+			return &ni.credits[r.slots[s].vn][r.slots[s].vc]
+		})
+		r.addOutput(mesh.Local, ni.fromRouter, nil)
 	}
 
 	// Wire inter-router links: for every adjacency a->b create a flit
-	// link (a's output, b's input) and its reverse credit wire.
+	// link (a's output, b's input) and its reverse credit wire; b's
+	// credits return to a's output VCs.
 	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
 		for d := mesh.North; d <= mesh.West; d++ {
 			nb, ok := m.Neighbor(id, d)
@@ -63,8 +72,11 @@ func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 			// SDM divides only the mesh wires; the NI injection/ejection
 			// links wired above stay full-width.
 			flits.SetLanes(cfg.LinkLanes)
-			n.routers[id].addOutput(d, flits, credits)
-			n.routers[nb].addInput(d.Opposite(), flits, credits)
+			up := n.routers[id]
+			up.addOutput(d, flits, credits)
+			n.routers[nb].addInput(d.Opposite(), flits, credits, func(s int) *int32 {
+				return &up.outs[int(d)*up.nslots+s].credits
+			})
 		}
 	}
 	return n
@@ -101,13 +113,24 @@ func (n *Network) NextMsgID() uint64 {
 	return n.msgID
 }
 
-// FlushBoundary is a no-op kept because rcbench's hand-stepper still calls it.
-func (n *Network) FlushBoundary(sim.Cycle) {}
+// FlushBoundary is the network's cycle epilogue: it applies the buffer
+// credits returned in the previous cycle. A credit returned in cycle t
+// lands at the end of cycle t+1, so the upstream router or NI first sees
+// it in cycle t+linkDelay — when it would have come off a credit wire of
+// the flits' latency — whether or not it ticks in between.
+func (n *Network) FlushBoundary(now sim.Cycle) {
+	q := &n.credits
+	for _, c := range q.prev {
+		if *c++; int(*c) > n.cfg.BufDepth {
+			panic(fmt.Sprintf("noc: credit overflow applying cycle %d's credits (a buffer slot returned twice)", now-1))
+		}
+	}
+	q.prev, q.cur = q.cur, q.prev[:0]
+}
 
-// Register adds every router and NI to k as individually activity-tracked
-// components, in the exact order Tick visits them (routers by id, then NIs
-// by id), and gives each link its receiving component's waker.
-// A network registered this way must not also be ticked monolithically.
+// Register adds every router and then every NI to k, by id, gives each
+// wire its receiving component's waker, and makes FlushBoundary the
+// network's cycle epilogue. It is the only way a network is stepped.
 func (n *Network) Register(k *sim.Kernel) {
 	for _, r := range n.routers {
 		w := k.Add(r)
@@ -116,7 +139,7 @@ func (n *Network) Register(k *sim.Kernel) {
 				l.wake = w // flits arriving from upstream / the NI
 			}
 			if c := r.downCredit[d]; c != nil {
-				c.wake = w // credits arriving from downstream
+				c.wake = w // undo tokens arriving from downstream
 			}
 		}
 	}
@@ -124,8 +147,8 @@ func (n *Network) Register(k *sim.Kernel) {
 		w := k.Add(ni)
 		ni.SetWaker(w)
 		ni.fromRouter.wake = w
-		ni.creditIn.wake = w
 	}
+	k.AddEpilogue(n.FlushBoundary)
 }
 
 // DescribeMetrics registers the network's counters with reg, including the
@@ -138,20 +161,11 @@ func (n *Network) DescribeMetrics(reg *sim.Registry) {
 	reg.Counter("noc/pool_msg_reuses", &n.pool.MsgReuses)
 }
 
-// Tick advances every router and NI one cycle.
-func (n *Network) Tick(now sim.Cycle) {
-	for _, r := range n.routers {
-		r.Tick(now)
-	}
-	for _, ni := range n.nis {
-		ni.Tick(now)
-	}
-}
-
 // Quiescent reports whether no message is queued, buffered, or in flight
-// anywhere in the network. Credits in flight do not count. Every flit link
-// but the ejection links is some router's input, so the routers' inbound
-// masks and the NIs' ejection wires together cover every link.
+// anywhere in the network. Credits and undo tokens in flight do not count.
+// Every flit link but the ejection links is some router's input, so the
+// routers' inbound masks and the NIs' ejection wires together cover every
+// link.
 func (n *Network) Quiescent() bool {
 	for _, ni := range n.nis {
 		if ni.QueueLen() > 0 || ni.fromRouter.Busy() {

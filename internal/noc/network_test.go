@@ -16,13 +16,20 @@ type harness struct {
 }
 
 func newHarness(cfg NetConfig, handler CircuitHandler, hook NIHook) *harness {
+	h := newUnregistered(cfg, handler, hook)
+	h.net.Register(h.kernel)
+	return h
+}
+
+// newUnregistered builds the network and its delivery log but leaves the
+// kernel empty.
+func newUnregistered(cfg NetConfig, handler CircuitHandler, hook NIHook) *harness {
 	h := &harness{net: NewNetwork(cfg, handler, hook), kernel: sim.NewKernel()}
 	for id := mesh.NodeID(0); int(id) < cfg.Mesh.Nodes(); id++ {
 		h.net.NI(id).SetReceiver(func(m *Message, now sim.Cycle) {
 			h.delivered = append(h.delivered, m)
 		})
 	}
-	h.kernel.Register(h.net)
 	return h
 }
 

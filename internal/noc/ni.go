@@ -24,11 +24,12 @@ type NI struct {
 
 	toRouter   *Link
 	fromRouter *Link
-	creditIn   *CreditLink
 
-	queues  [NumVNs]ring[*Message]
-	open    [NumVNs]openMsg
-	credits [NumVNs][]int
+	queues [NumVNs]ring[*Message]
+	open   [NumVNs]openMsg
+	// credits counts the free slots of the router's local input VCs; the
+	// router's credits land in it at the cycle boundary.
+	credits [NumVNs][]int32
 	vnPtr   int
 
 	local ring[localDelivery]
@@ -67,10 +68,10 @@ type localDelivery struct {
 func newNI(id mesh.NodeID, cfg *NetConfig, ev *PowerEvents, hook NIHook, pool *pools) *NI {
 	ni := &NI{id: id, cfg: cfg, ev: ev, hook: hook, pool: pool}
 	for vn := 0; vn < NumVNs; vn++ {
-		ni.credits[vn] = make([]int, cfg.VCsPerVN[vn])
+		ni.credits[vn] = make([]int32, cfg.VCsPerVN[vn])
 		for vc := range ni.credits[vn] {
 			if cfg.VCBuffered(vn, vc) {
-				ni.credits[vn][vc] = cfg.BufDepth
+				ni.credits[vn][vc] = int32(cfg.BufDepth)
 			}
 		}
 	}
@@ -89,9 +90,9 @@ func (ni *NI) SetWaker(w sim.Waker) { ni.wake = w }
 
 // Quiescent reports whether the NI's next Tick is a pure no-op: nothing
 // queued, draining, or pending local delivery, and nothing in flight on the
-// ejection or credit wires from its router.
+// ejection wire from its router.
 func (ni *NI) Quiescent() bool {
-	return ni.QueueLen() == 0 && !ni.fromRouter.Busy() && !ni.creditIn.Busy()
+	return ni.QueueLen() == 0 && !ni.fromRouter.Busy()
 }
 
 // Send enqueues m for injection at cycle now.
@@ -152,23 +153,9 @@ func (ni *NI) QueueLen() int {
 	return n
 }
 
-// Tick advances the NI one cycle: credits, ejection, local deliveries,
-// then at most one injected flit.
+// Tick advances the NI one cycle: ejection, local deliveries, then at
+// most one injected flit.
 func (ni *NI) Tick(now sim.Cycle) {
-	for {
-		c, ok := ni.creditIn.Recv(now)
-		if !ok {
-			break
-		}
-		if c.Pure {
-			continue
-		}
-		ni.credits[c.VN][c.VC]++
-		if ni.credits[c.VN][c.VC] > ni.cfg.BufDepth {
-			panic(fmt.Sprintf("noc: NI %d credit overflow vn%d vc%d", ni.id, c.VN, c.VC))
-		}
-	}
-
 	if f := ni.fromRouter.Recv(now); f != nil {
 		ni.ejected++
 		ni.checkSequence(f)
@@ -334,7 +321,7 @@ func (ni *NI) pickVC(vn int, m *Message) int {
 		}
 		return m.InjectVC
 	}
-	best, bestCr := -1, 0
+	best, bestCr := -1, int32(0)
 	for vc := 0; vc < ni.cfg.AllocatableVCs(vn); vc++ {
 		if cr := ni.credits[vn][vc]; cr > bestCr {
 			best, bestCr = vc, cr

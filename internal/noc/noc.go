@@ -131,23 +131,9 @@ type Flit struct {
 	arrivedAt sim.Cycle
 }
 
-// Credit is the flow-control token returned upstream when a buffer slot
-// frees. UndoCircuit piggybacks the paper's circuit-teardown information on
-// the credit wire ("if a credit had to be sent at the same time ... we
-// piggyback the information; otherwise, we send a specific credit").
-type Credit struct {
-	VN int
-	VC int
-	// Pure marks a credit that only carries undo information and does not
-	// return a buffer slot.
-	Pure bool
-	// UndoCircuit, when non-nil, instructs the receiving router to clear
-	// the named circuit and forward the undo toward the circuit
-	// destination.
-	UndoCircuit *UndoToken
-}
-
-// UndoToken names a circuit being torn down before use.
+// UndoToken names a circuit being torn down before use. It travels on the
+// credit wire ("we send the data of the circuit to be undone towards the
+// circuit destination using credits").
 type UndoToken struct {
 	// Dest is the circuit destination (the node the reply would have
 	// reached, i.e. the original requestor).

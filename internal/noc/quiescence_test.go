@@ -9,8 +9,9 @@ import (
 )
 
 // scanRouterQuiescent is the reference for Router.Quiescent: it looks at
-// every VC buffer slot, bypass latch, input wire, downstream credit wire and
-// grant instead of the router's summary words.
+// every VC buffer slot, bypass latch, input wire, downstream undo wire and
+// grant instead of the router's summary words. Buffer credits have no wire
+// to look at: they land at the cycle boundary without waking anyone.
 func scanRouterQuiescent(r *Router) bool {
 	for _, f := range r.store {
 		if f != nil {
@@ -33,7 +34,7 @@ func scanRouterQuiescent(r *Router) bool {
 
 // scanNetworkQuiescent is the reference for Network.Quiescent: no message
 // queued at an NI, no flit buffered, latched or on any flit link, and no
-// pending grant. Credits in flight do not count.
+// pending grant. Credits and undo tokens in flight do not count.
 func scanNetworkQuiescent(n *Network) bool {
 	for _, ni := range n.nis {
 		if ni.QueueLen() > 0 || ni.toRouter.q.Len() > 0 || ni.fromRouter.q.Len() > 0 {
@@ -151,7 +152,7 @@ func (c *toyCircuits) settle(m *Message, now sim.Cycle) bool {
 // random traffic and, after every router tick and every cycle, holds
 // Router.Quiescent and Network.Quiescent to the full scans above: the O(1)
 // words must be exact, or the kernel would tick different routers in
-// different cycles.
+// different cycles. Credit conservation must hold at every cycle boundary.
 func TestQuiescenceMatchesScan(t *testing.T) {
 	type shape struct {
 		cfg     func(NetConfig) NetConfig
@@ -269,7 +270,11 @@ func soakQuiescence(t *testing.T, cfg NetConfig, circuit, buffer bool, seed uint
 		for _, ni := range net.nis {
 			ni.Tick(now)
 		}
-		check(now, "after the NIs")
+		net.FlushBoundary(now)
+		check(now, "at the cycle boundary")
+		if err := net.CheckCreditConservation(); err != nil {
+			t.Fatalf("seed %d cycle %d: %v", seed, now, err)
+		}
 		if net.Quiescent() {
 			sawIdle = true
 		} else {

@@ -72,7 +72,7 @@ type grant struct {
 type vcSlot struct{ vn, vc int }
 
 // flitWires masks the inbound bits of the input flit links; the bits above
-// are the credit wires from downstream.
+// are the undo-token wires from downstream.
 const flitWires = 1<<mesh.NumDirs - 1
 
 // Router is the 4-stage wormhole router of Table 4/Figure 2, optionally
@@ -88,8 +88,8 @@ type Router struct {
 	// they share a cache line.
 	//
 	// Quiescence state. inbound bit d is set while input link d carries a
-	// flit, bit NumDirs+d while output d's credit wire carries a credit:
-	// the wires set their bit on Send and clear it when drained.
+	// flit, bit NumDirs+d while output d's credit wire carries an undo
+	// token: the wires set their bit on Send and clear it when drained.
 	inbound  uint16
 	latched  uint8 // input ports with a non-empty bypass queue
 	granted  uint8 // output ports with a grant for the next cycle
@@ -107,13 +107,17 @@ type Router struct {
 	vcs        []inVC     // input VCs
 	store      []*Flit    // VC buffers, depth entries per input VC
 	outs       []outputVC // output VCs
+	// creditTo is, per input VC, the upstream counter its buffer credits
+	// return to: the upstream router's outputVC.credits or the NI's.
+	creditTo []*int32
+	credits  *creditQueue
 
 	// Wires; absent ports (mesh edges) have nil links, and the Local
-	// output has no credit wire.
+	// ports have no credit wire: no undo token walks into an NI.
 	inLink     [mesh.NumDirs]*Link       // flits from the upstream router or NI
-	upCredit   [mesh.NumDirs]*CreditLink // credits we send upstream
+	upCredit   [mesh.NumDirs]*CreditLink // undo tokens we send upstream
 	outLink    [mesh.NumDirs]*Link       // flits to the downstream router or NI
-	downCredit [mesh.NumDirs]*CreditLink // credits arriving from downstream
+	downCredit [mesh.NumDirs]*CreditLink // undo tokens arriving from downstream
 
 	id      mesh.NodeID
 	cfg     *NetConfig
@@ -138,8 +142,8 @@ type Router struct {
 // port d over the run (Local = ejections to the NI).
 func (r *Router) FlitsOut(d mesh.Dir) int64 { return r.flitsOut[d] }
 
-func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *PowerEvents) *Router {
-	r := &Router{id: id, cfg: cfg, handler: handler, ev: ev, depth: cfg.BufDepth}
+func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *PowerEvents, credits *creditQueue) *Router {
+	r := &Router{id: id, cfg: cfg, handler: handler, ev: ev, credits: credits, depth: cfg.BufDepth}
 	for vn := 0; vn < NumVNs; vn++ {
 		r.slotBase[vn] = len(r.slots)
 		for vc := 0; vc < cfg.VCsPerVN[vn]; vc++ {
@@ -154,6 +158,7 @@ func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *Power
 	r.vcs = make([]inVC, n)
 	r.store = make([]*Flit, n*r.depth)
 	r.outs = make([]outputVC, n)
+	r.creditTo = make([]*int32, n)
 	for i := range r.outs {
 		if r.unbuffered&(1<<(i%r.nslots)) == 0 {
 			r.outs[i].credits = int32(r.depth)
@@ -165,15 +170,19 @@ func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *Power
 // ID returns the router's node id.
 func (r *Router) ID() mesh.NodeID { return r.id }
 
-// addInput wires input port d; the flit link reports in-flight traffic in
-// the router's inbound mask.
-func (r *Router) addInput(d mesh.Dir, link *Link, credit *CreditLink) {
+// addInput wires input port d: the flit link reports in-flight traffic in
+// the router's inbound mask, and the credits of input VC slot s return to
+// upstream(s).
+func (r *Router) addInput(d mesh.Dir, link *Link, credit *CreditLink, upstream func(s int) *int32) {
 	r.inLink[d], r.upCredit[d] = link, credit
 	link.rx, link.bit = &r.inbound, 1<<d
+	for s := 0; s < r.nslots; s++ {
+		r.creditTo[int(d)*r.nslots+s] = upstream(s)
+	}
 }
 
 // addOutput wires output port d; the credit wire (absent at Local) reports
-// in-flight credits in the router's inbound mask.
+// in-flight undo tokens in the router's inbound mask.
 func (r *Router) addOutput(d mesh.Dir, link *Link, credit *CreditLink) {
 	r.outLink[d], r.downCredit[d] = link, credit
 	if credit != nil {
@@ -239,17 +248,19 @@ func (r *Router) SendUndoCredit(in mesh.Dir, tok *UndoToken, now sim.Cycle) {
 	if r.upCredit[in] == nil {
 		return // the walk ends at an NI boundary
 	}
-	r.upCredit[in].Send(Credit{Pure: true, UndoCircuit: tok}, now)
+	r.upCredit[in].Send(tok, now)
 	r.ev.CreditsSent++
 }
 
-// Tick advances the router one cycle. Stage order inside a cycle: credit
+// Tick advances the router one cycle. Stage order inside a cycle: undo
 // and flit reception, switch traversal (executing last cycle's grants, with
 // circuit flits taking priority), VC allocation, then switch allocation for
 // the next cycle.
 func (r *Router) Tick(now sim.Cycle) {
-	if r.inbound != 0 {
-		r.recvCredits(now)
+	if r.inbound&^flitWires != 0 {
+		r.recvUndo(now)
+	}
+	if r.inbound&flitWires != 0 {
 		r.recvFlits(now)
 	}
 	if r.latched|r.granted != 0 {
@@ -261,31 +272,17 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 }
 
-// recvCredits drains arriving credits, returning buffer slots and
-// processing piggybacked circuit-undo tokens.
-func (r *Router) recvCredits(now sim.Cycle) {
+// recvUndo drains arriving circuit-undo tokens: each clears its circuit
+// here and walks on toward the circuit destination.
+func (r *Router) recvUndo(now sim.Cycle) {
 	for m := r.inbound >> mesh.NumDirs; m != 0; m &= m - 1 {
 		d := mesh.Dir(bits.TrailingZeros16(m))
-		// The wire clears its bit when it drains: stop there.
-		for wire := uint16(1) << (mesh.NumDirs + d); r.inbound&wire != 0; {
-			c, ok := r.downCredit[d].Recv(now)
-			if !ok {
-				break
+		for tok := r.downCredit[d].Recv(now); tok != nil; tok = r.downCredit[d].Recv(now) {
+			if r.handler == nil || r.fault != nil && r.fault.DropUndo(r.id, tok, now) {
+				continue // no circuit layer, or an injected fault: the walk ends here
 			}
-			if c.UndoCircuit != nil && r.handler != nil {
-				if r.fault != nil && r.fault.DropUndo(r.id, c.UndoCircuit, now) {
-					// Injected fault: the token vanishes and the teardown
-					// walk ends here. A buffer credit sharing the wire is
-					// still honoured below.
-				} else if fwd, ok := r.handler.OnUndo(r.id, c.UndoCircuit, d, now); ok && fwd != mesh.Local {
-					r.SendUndoCredit(fwd, c.UndoCircuit, now)
-				}
-			}
-			if !c.Pure {
-				o := &r.outs[r.vcAt(d, c.VN, c.VC)]
-				if o.credits++; int(o.credits) > r.depth {
-					panic(fmt.Sprintf("noc: router %d credit overflow on %v vn%d vc%d", r.id, d, c.VN, c.VC))
-				}
+			if fwd, ok := r.handler.OnUndo(r.id, tok, d, now); ok && fwd != mesh.Local {
+				r.SendUndoCredit(fwd, tok, now)
 			}
 		}
 	}
@@ -425,9 +422,7 @@ func (r *Router) stage3ST(now sim.Cycle) {
 		if buffered {
 			o.credits--
 		}
-		if r.upCredit[g.in] != nil {
-			r.returnCredit(g.in, Credit{VN: vn, VC: r.slots[s].vc}, now)
-		}
+		r.returnCredit(g.in, s, now)
 		usedIn |= 1 << g.in
 		usedOut |= 1 << d
 		if f.Tail {
@@ -505,8 +500,8 @@ func (r *Router) runBypass(usedIn, usedOut *uint8, now sim.Cycle) {
 		}
 		// The flit left the input stage: return the slot it occupied
 		// upstream (unless it rode the unbuffered circuit VC).
-		if r.upCredit[d] != nil && r.unbuffered&(1<<r.slot(e.vn, e.arrVC)) == 0 {
-			r.returnCredit(d, Credit{VN: e.vn, VC: e.arrVC}, now)
+		if as := r.slot(e.vn, e.arrVC); r.unbuffered&(1<<as) == 0 {
+			r.returnCredit(d, as, now)
 		}
 		if e.f.Tail {
 			if e.spec {
@@ -714,22 +709,25 @@ func (r *Router) sendFlit(out mesh.Dir, f *Flit, now sim.Cycle) {
 	}
 }
 
-// returnCredit sends a buffer credit upstream through input port in,
-// honouring an armed credit-withholding fault.
-func (r *Router) returnCredit(in mesh.Dir, c Credit, now sim.Cycle) {
+// returnCredit returns the buffer slot of input VC slot s of port in to
+// its upstream counter, which the network increments at the cycle
+// boundary, honouring an armed credit-withholding fault.
+func (r *Router) returnCredit(in mesh.Dir, s int, now sim.Cycle) {
 	if r.fault != nil && r.fault.WithholdCredit(r.id, in, now) {
 		return // injected fault: the slot is never returned upstream
 	}
-	r.upCredit[in].Send(c, now)
+	r.credits.cur = append(r.credits.cur, r.creditTo[int(in)*r.nslots+s])
 	r.ev.CreditsSent++
 }
 
 // Quiescent reports whether the router's next Tick is a pure no-op: no
-// flit buffered or latched, nothing in flight on an input link, no credit
-// in flight from a downstream neighbour, and no pending switch grant.
+// flit buffered or latched, nothing in flight on an input link, no undo
+// token in flight from a downstream neighbour, and no pending switch grant.
 // Input links and downstream credit wires are part of the check because
 // Tick drains both; their senders invoke this router's Waker at send time,
-// so a sleeping router is revived before traffic reaches it.
+// so a sleeping router is revived before traffic reaches it. Buffer
+// credits are not: they land in the counters at the cycle boundary without
+// a tick.
 func (r *Router) Quiescent() bool {
 	return r.inbound == 0 && r.buffered == 0 && r.latched == 0 && r.granted == 0
 }

@@ -11,17 +11,24 @@ import (
 // This file holds the network-layer invariant oracles of the opt-in
 // verification suite (internal/verify). Unlike the quiescent audits in
 // audit.go, every check here is legal mid-run, at any cycle boundary: the
-// conservation sums count in-flight state (link pipelines, credit wires,
+// conservation sums count in-flight state (link pipelines, queued credits,
 // bypass latches) alongside the resting state, so the invariant holds even
 // while traffic is streaming. All methods are read-only.
 
 // CheckCreditConservation verifies the credit-flow invariant on every
 // link: for each buffered virtual channel, the sender's credit counter,
 // the flits in flight on the wire, the flits resting in the downstream
-// buffer (or latched in its bypass queue), and the credits in flight back
-// upstream must sum to exactly BufDepth. A withheld or duplicated credit
-// breaks the sum immediately and permanently.
+// buffer (or latched in its bypass queue), and the credits queued for the
+// sender's counter at the cycle boundary must sum to exactly BufDepth. A
+// withheld or duplicated credit breaks the sum immediately and permanently.
 func (n *Network) CheckCreditConservation() error {
+	returning := map[*int32]int{}
+	for _, c := range n.credits.prev {
+		returning[c]++
+	}
+	for _, c := range n.credits.cur {
+		returning[c]++
+	}
 	for _, r := range n.routers {
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
 			if d == mesh.Local || r.downCredit[d] == nil {
@@ -37,19 +44,20 @@ func (n *Network) CheckCreditConservation() error {
 					if !n.cfg.VCBuffered(vn, vc) {
 						continue
 					}
-					sender := int(r.outs[r.vcAt(d, vn, vc)].credits)
+					o := &r.outs[r.vcAt(d, vn, vc)]
+					sender := int(o.credits)
 					sum := sender +
 						linkFlitCount(r.outLink[d], vn, vc) +
 						int(dr.vcs[dr.vcAt(in, vn, vc)].n) +
 						byQHeldCredits(dr, in, vn, vc) +
-						creditsInFlight(r.downCredit[d], vn, vc)
+						returning[&o.credits]
 					if sum != n.cfg.BufDepth {
 						return fmt.Errorf(
 							"router %d -> %d (%v) vn%d vc%d: credits account for %d slots, want %d (sender=%d wire=%d buffered=%d latched=%d returning=%d)",
 							r.id, nb, d, vn, vc, sum, n.cfg.BufDepth,
 							sender, linkFlitCount(r.outLink[d], vn, vc),
 							dr.vcs[dr.vcAt(in, vn, vc)].n, byQHeldCredits(dr, in, vn, vc),
-							creditsInFlight(r.downCredit[d], vn, vc))
+							returning[&o.credits])
 					}
 				}
 			}
@@ -65,18 +73,19 @@ func (n *Network) CheckCreditConservation() error {
 					continue
 				}
 				buffered := int(r.vcs[r.vcAt(mesh.Local, vn, vc)].n)
-				sum := ni.credits[vn][vc] +
+				cr := &ni.credits[vn][vc]
+				sum := int(*cr) +
 					linkFlitCount(ni.toRouter, vn, vc) +
 					buffered +
 					byQHeldCredits(r, mesh.Local, vn, vc) +
-					creditsInFlight(ni.creditIn, vn, vc)
+					returning[cr]
 				if sum != n.cfg.BufDepth {
 					return fmt.Errorf(
 						"NI %d -> router vn%d vc%d: credits account for %d slots, want %d (NI=%d wire=%d buffered=%d latched=%d returning=%d)",
 						ni.id, vn, vc, sum, n.cfg.BufDepth,
-						ni.credits[vn][vc], linkFlitCount(ni.toRouter, vn, vc),
+						*cr, linkFlitCount(ni.toRouter, vn, vc),
 						buffered, byQHeldCredits(r, mesh.Local, vn, vc),
-						creditsInFlight(ni.creditIn, vn, vc))
+						returning[cr])
 				}
 			}
 		}
@@ -101,16 +110,6 @@ func byQHeldCredits(r *Router, in mesh.Dir, vn, vc int) int {
 	c := 0
 	for i := 0; i < r.byQ[in].Len(); i++ {
 		if e := r.byQ[in].At(i); e.vn == vn && e.arrVC == vc {
-			c++
-		}
-	}
-	return c
-}
-
-func creditsInFlight(l *CreditLink, vn, vc int) int {
-	c := 0
-	for i := 0; i < l.q.Len(); i++ {
-		if s := l.q.At(i); !s.c.Pure && s.c.VN == vn && s.c.VC == vc {
 			c++
 		}
 	}
@@ -232,9 +231,8 @@ func (n *Network) CircuitTraffic(ride, undo func(dest mesh.NodeID, block uint64)
 			}
 			if c := r.upCredit[d]; c != nil {
 				for i := 0; i < c.q.Len(); i++ {
-					if tok := c.q.At(i).c.UndoCircuit; tok != nil {
-						undo(tok.Dest, tok.Block)
-					}
+					tok := c.q.At(i).tok
+					undo(tok.Dest, tok.Block)
 				}
 			}
 			if l := r.outLink[d]; l != nil {

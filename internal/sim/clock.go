@@ -1,34 +1,32 @@
 package sim
 
+import "math/bits"
+
 // Cycle is a simulation timestamp measured in core clock cycles (2 GHz in
 // the modelled chip). Cycles are int64 so arithmetic on windows and
 // deadlines can go transiently negative without wrapping.
 type Cycle = int64
 
-// Ticker is implemented by every clocked component. The kernel calls Tick
-// exactly once per cycle on each registered component.
+// Component is implemented by every clocked component. The kernel calls
+// Tick at most once per cycle, in registration order.
 //
 // Components must only *read* state written by other components in earlier
-// cycles: all inter-component channels (links, credit wires) are one-cycle
-// double-buffered pipelines, which makes the tick order across components
-// observationally irrelevant.
-type Ticker interface {
-	Tick(now Cycle)
-}
-
-// Component is a Ticker that reports quiescence. The contract is strict:
-// Quiescent() may return true only when the next Tick would be a pure
-// no-op — no architectural state, statistic or counter may change when a
-// quiescent component ticks. Under that contract the kernel may skip
-// sleeping components without perturbing the simulation by a single bit,
-// which is exactly what the golden determinism suite asserts.
+// cycles: flit links and undo wires are one-cycle double-buffered
+// pipelines, and buffer credits land at the cycle boundary, which makes the
+// tick order across components observationally irrelevant.
+//
+// Quiescent's contract is strict: it may return true only when the next
+// Tick would be a pure no-op — no architectural state, statistic or counter
+// may change when a quiescent component ticks. Under that contract the
+// kernel may skip sleeping components without perturbing the simulation by
+// a single bit, which is exactly what the golden determinism suite asserts.
 //
 // A component goes back to sleep on its own (the kernel re-checks
 // quiescence after every tick); it is revived by a Waker, which whoever
 // hands it work — a link delivering a flit, an NI accepting a message, a
 // controller queueing a response — must invoke at hand-off time.
 type Component interface {
-	Ticker
+	Tick(now Cycle)
 	Quiescent() bool
 }
 
@@ -46,28 +44,19 @@ type Waker struct {
 // Wake marks the component active so the kernel ticks it again.
 func (w Waker) Wake() {
 	if w.k != nil {
-		w.k.comps[w.idx].active = true
+		w.k.active[w.idx>>6] |= 1 << (w.idx & 63)
 	}
 }
 
-// entry is one registered component with its scheduling state.
-type entry struct {
-	t Ticker
-	// c is non-nil for activity-tracked components; nil entries (legacy
-	// Register calls) are ticked unconditionally every cycle.
-	c      Component
-	active bool
-}
-
-// Kernel drives a set of Tickers with a shared clock. Components added
-// through Add are activity-tracked: the kernel skips them while they are
-// quiescent and revives them through their Waker. Components added through
-// Register tick every cycle, preserving the original engine's behaviour
-// for monolithic tickers.
+// Kernel drives a set of Components with a shared clock. It skips a
+// component while it is quiescent and revives it through its Waker.
 type Kernel struct {
 	now Cycle
 	// comps tick in registration order.
-	comps []entry
+	comps []Component
+	// active holds one bit per component, set while it is awake: bit i&63
+	// of word i>>6 for component i.
+	active []uint64
 	// dense disables activity skipping: every component ticks every
 	// cycle, exactly like the original engine. The golden determinism
 	// suite cross-checks dense against sparse execution.
@@ -76,8 +65,9 @@ type Kernel struct {
 	// count and cycle count this yields the scheduler's skip ratio.
 	ticks int64
 	// epilogues run at the end of every Step — after every component,
-	// before the cycle counter advances. The circuit layer drains its deferred
-	// cross-tile operations here.
+	// before the cycle counter advances. The network applies the cycle's
+	// credits and the circuit layer drains its deferred cross-tile
+	// operations here.
 	epilogues []func(Cycle)
 }
 
@@ -87,16 +77,17 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
-// Register adds a component that ticks every cycle.
-func (k *Kernel) Register(t Ticker) {
-	k.comps = append(k.comps, entry{t: t, active: true})
-}
-
-// Add registers an activity-tracked component and returns its Waker.
-// Components start active and fall asleep after their first quiescent tick.
+// Add registers a component and returns its Waker. Components start active
+// and fall asleep after their first quiescent tick.
 func (k *Kernel) Add(c Component) Waker {
-	k.comps = append(k.comps, entry{t: c, c: c, active: true})
-	return Waker{k: k, idx: len(k.comps) - 1}
+	i := len(k.comps)
+	k.comps = append(k.comps, c)
+	if i>>6 == len(k.active) {
+		k.active = append(k.active, 0)
+	}
+	w := Waker{k: k, idx: i}
+	w.Wake()
+	return w
 }
 
 // AddEpilogue appends f to the per-cycle epilogue chain. Epilogues run at
@@ -114,10 +105,8 @@ func (k *Kernel) Components() int { return len(k.comps) }
 // ActiveCount returns how many registered components are currently awake.
 func (k *Kernel) ActiveCount() int {
 	n := 0
-	for i := range k.comps {
-		if k.comps[i].active {
-			n++
-		}
+	for _, w := range k.active {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -127,28 +116,46 @@ func (k *Kernel) ActiveCount() int {
 // activity tracker achieved.
 func (k *Kernel) Ticks() int64 { return k.ticks }
 
-// Step advances the simulation by one cycle.
+// Step advances the simulation by one cycle. It visits the awake
+// components in registration order, re-reading the active word after every
+// tick: a component woken during the step ticks this cycle if its slot is
+// still ahead, and next cycle if it has passed.
 func (k *Kernel) Step() {
 	now := k.now
-	for i := range k.comps {
-		e := &k.comps[i]
-		if !e.active && !k.dense {
-			continue
+	if k.dense {
+		for i := range k.comps {
+			k.tick(i, now)
 		}
-		e.t.Tick(now)
-		k.ticks++
-		if e.c != nil {
-			// Re-evaluated after every tick: work the component handed
-			// itself keeps it awake; work handed to it by a later-ticking
-			// peer sets the flag directly and survives this check because
-			// sends only happen after this component's slot.
-			e.active = !e.c.Quiescent()
+	} else {
+		for w := range k.active {
+			// seen masks the bits at and below the last visited one.
+			var seen uint64
+			for m := k.active[w]; m != 0; m = k.active[w] &^ seen {
+				b := bits.TrailingZeros64(m)
+				seen = 2<<b - 1
+				k.tick(w<<6|b, now)
+			}
 		}
 	}
 	for _, f := range k.epilogues {
 		f(now)
 	}
 	k.now++
+}
+
+// tick runs component i and re-evaluates its active bit: work it handed
+// itself keeps it awake; work handed to it by a later-ticking peer sets the
+// bit directly and survives this check because sends only happen after
+// this component's slot.
+func (k *Kernel) tick(i int, now Cycle) {
+	c := k.comps[i]
+	c.Tick(now)
+	k.ticks++
+	if bit := uint64(1) << (i & 63); c.Quiescent() {
+		k.active[i>>6] &^= bit
+	} else {
+		k.active[i>>6] |= bit
+	}
 }
 
 // Run advances n cycles.

@@ -17,6 +17,8 @@ func (c *countTicker) Tick(now Cycle) {
 	}
 }
 
+func (c *countTicker) Quiescent() bool { return false }
+
 func TestKernelStepAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	if k.Now() != 0 {
@@ -31,8 +33,8 @@ func TestKernelStepAdvancesClock(t *testing.T) {
 func TestKernelTicksEveryComponentOncePerCycle(t *testing.T) {
 	k := NewKernel()
 	a, b := &countTicker{}, &countTicker{}
-	k.Register(a)
-	k.Register(b)
+	k.Add(a)
+	k.Add(b)
 	k.Run(5)
 	if a.n != 5 || b.n != 5 {
 		t.Fatalf("tick counts a=%d b=%d, want 5", a.n, b.n)
@@ -48,7 +50,7 @@ type tickFunc func(Cycle)
 
 func (f tickFunc) Tick(now Cycle) { f(now) }
 
-// always is an activity-tracked component that never goes quiescent.
+// always is a component that never goes quiescent.
 type always struct{ tickFunc }
 
 func (always) Quiescent() bool { return false }
@@ -56,7 +58,7 @@ func (always) Quiescent() bool { return false }
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	k.Register(tickFunc(func(Cycle) { n++ }))
+	k.Add(always{func(Cycle) { n++ }})
 	ran, ok := k.RunUntil(func() bool { return n >= 7 }, 100)
 	if !ok {
 		t.Fatal("RunUntil should have satisfied the predicate")
@@ -85,7 +87,7 @@ func TestRunUntilHorizon(t *testing.T) {
 func TestRunUntilDoneFiresWithoutStepping(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	k.Register(tickFunc(func(Cycle) { n++ }))
+	k.Add(always{func(Cycle) { n++ }})
 	ran, ok := k.RunUntil(func() bool { return true }, 100)
 	if !ok || ran != 0 || n != 0 {
 		t.Fatalf("ran=%d ok=%v ticks=%d, want 0/true/0", ran, ok, n)
@@ -100,21 +102,25 @@ func TestRunUntilDoneFiresWithoutStepping(t *testing.T) {
 	}
 }
 
-// Components tick in registration order, however always-on (Register) and
-// activity-tracked (Add) registrations were interleaved.
+// Components tick in registration order, however always-awake and
+// sleeping components were interleaved.
 func TestInterleavedRegisterKeepsPhaseOrder(t *testing.T) {
 	k := NewKernel()
 	order := []string{}
 	rec := func(name string) tickFunc {
 		return func(Cycle) { order = append(order, name) }
 	}
-	k.Register(rec("r1"))
-	k.Add(always{rec("a1")})
-	k.Register(rec("r2"))
-	k.Add(always{rec("a2")})
-	k.Register(rec("r3"))
+	once := func(name string) Component {
+		return &oneShot{always: always{rec(name)}}
+	}
+	k.Add(always{rec("r1")})
+	k.Add(once("a1"))
+	k.Add(always{rec("r2")})
+	k.Add(once("a2"))
+	k.Add(always{rec("r3")})
 	k.Step()
-	want := []string{"r1", "a1", "r2", "a2", "r3"}
+	k.Step()
+	want := []string{"r1", "a1", "r2", "a2", "r3", "r1", "r2", "r3"}
 	if len(order) != len(want) {
 		t.Fatalf("tick order %v, want %v", order, want)
 	}
@@ -124,6 +130,11 @@ func TestInterleavedRegisterKeepsPhaseOrder(t *testing.T) {
 		}
 	}
 }
+
+// oneShot ticks once after every wake and then sleeps.
+type oneShot struct{ always }
+
+func (*oneShot) Quiescent() bool { return true }
 
 // toggler is an activity-tracked component: it works for burst ticks after
 // every wake, then reports quiescence.

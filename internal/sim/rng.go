@@ -1,6 +1,6 @@
 // Package sim provides the cycle-driven simulation kernel shared by every
 // model in the repository: a global clock, deterministic random numbers,
-// and the Ticker contract components implement to advance one cycle.
+// and the Component contract clocked models implement to advance one cycle.
 package sim
 
 // RNG is a small, fast, deterministic xorshift64* generator.
@@ -64,21 +64,4 @@ func (r *RNG) Geometric(p float64, max int) int {
 		n++
 	}
 	return n
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Split derives an independent child generator. Children seeded from
-// distinct draws of the parent never share a stream in practice.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() | 1)
 }

@@ -121,35 +121,3 @@ func TestGeometricMean(t *testing.T) {
 		t.Fatalf("geometric mean %v, want ~1", mean)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(19)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(21)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("sibling streams collide %d times", same)
-	}
-}
