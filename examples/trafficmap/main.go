@@ -5,19 +5,17 @@
 // mechanism changes *where* traffic flows (it changes how fast replies
 // cross each router, not their paths).
 //
-// This example drives the mid-level API directly (coherence.System +
-// cpu.Core) instead of chip.Run, to show how the pieces compose.
+// This example drives a chip.Machine instead of calling chip.Run, so that
+// it can read per-router counters off the machine's system afterwards.
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"reactivenoc/internal/chip"
-	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
-	"reactivenoc/internal/cpu"
 	"reactivenoc/internal/mesh"
-	"reactivenoc/internal/sim"
 	"reactivenoc/internal/workload"
 )
 
@@ -28,38 +26,22 @@ func main() {
 
 	for _, name := range []string{"Baseline", "Complete_NoAck"} {
 		v, _ := config.ByName(name)
-		m := mesh.New(c.Width, c.Height)
-		sys := coherence.NewSystem(m, v.Opts, c.MCs)
-
-		// Warm the caches through chip.RunCtx's own prefill.
-		regions := make([][]workload.Region, m.Nodes())
-		for i := range regions {
-			regions[i] = w.Regions(i)
+		m, err := chip.Build(chip.Spec{Chip: c, Variant: v, Workload: w, MeasureOps: 6000, Seed: 1})
+		if err != nil {
+			panic(err)
 		}
-		chip.Prefill(sys, regions)
-		// Registered as chip.RunCtx does it: the system's components and its
-		// cycle epilogue, then the cores.
-		kernel := sim.NewKernel()
-		sys.Register(kernel)
-		cores := make([]*cpu.Core, m.Nodes())
-		for i := range cores {
-			cores[i] = cpu.New(i, sys.L1s[i], w.Stream(i, 1), 6000)
-			kernel.Add(cores[i])
+		m.BeginMeasured()
+		if err := m.RunPhase(context.Background(), "measured"); err != nil {
+			panic(err)
 		}
-		kernel.RunUntil(func() bool {
-			for _, core := range cores {
-				if !core.Done() {
-					return false
-				}
-			}
-			return !sys.Busy()
-		}, 10_000_000)
+		cycles := m.Harvest().SimCycles
 
 		// Per-router total forwarded flits, normalized to the hottest.
-		heat := make([]int64, m.Nodes())
+		geom := m.Sys.M
+		heat := make([]int64, geom.Nodes())
 		var max int64 = 1
-		for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
-			r := sys.Net.Router(id)
+		for id := mesh.NodeID(0); int(id) < geom.Nodes(); id++ {
+			r := m.Sys.Net.Router(id)
 			var sum int64
 			for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
 				sum += r.FlitsOut(d)
@@ -70,16 +52,17 @@ func main() {
 			}
 		}
 
-		fmt.Printf("\n%s (cycles: %d, hottest router forwarded %d flits)\n", name, kernel.Now(), max)
+		fmt.Printf("\n%s (cycles: %d, hottest router forwarded %d flits)\n", name, cycles, max)
 		shades := []byte(" .:-=+*#%@")
 		for y := 0; y < c.Height; y++ {
 			fmt.Print("  ")
 			for x := 0; x < c.Width; x++ {
-				v := heat[m.Node(x, y)] * int64(len(shades)-1) / max
+				v := heat[geom.Node(x, y)] * int64(len(shades)-1) / max
 				fmt.Printf("%c%c", shades[v], shades[v])
 			}
 			fmt.Println()
 		}
+		m.Release()
 	}
 	fmt.Println("\nthe dimension-order hot spots (memory-controller rows/columns) persist;")
 	fmt.Println("circuits change per-hop latency, not paths — so the map barely moves")

@@ -150,9 +150,16 @@ func TestRejectsBadSpec(t *testing.T) {
 		"inconsistent variant": func(s *Spec) {
 			s.Variant.Opts = core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true}
 		},
-		"unknown policy":        func(s *Spec) { s.Variant.Opts = core.Options{Policy: "nope"} },
-		"empty mesh":            func(s *Spec) { s.Chip.Width = 0 },
-		"no memory controllers": func(s *Spec) { s.Chip.MCs = 0 },
+		"unknown policy":         func(s *Spec) { s.Variant.Opts = core.Options{Policy: "nope"} },
+		"empty mesh":             func(s *Spec) { s.Chip.Width = 0 },
+		"no memory controllers":  func(s *Spec) { s.Chip.MCs = 0 },
+		"negative WarmupOps":     func(s *Spec) { s.WarmupOps = -1 },
+		"negative Horizon":       func(s *Spec) { s.Horizon = -5 },
+		"negative WatchdogStall": func(s *Spec) { s.WatchdogStall = -1 },
+		"negative VerifyEvery":   func(s *Spec) { s.Verify, s.VerifyEvery = true, -1 },
+		"negative SampleEvery":   func(s *Spec) { s.SampleEvery = -1 },
+		"negative TraceCap":      func(s *Spec) { s.TraceCap = -1 },
+		"negative Timeout":       func(s *Spec) { s.Timeout = -time.Second },
 	} {
 		s := quickSpec(t, config.Chip16(), "Baseline")
 		mut(&s)

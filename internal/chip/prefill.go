@@ -11,20 +11,6 @@ import (
 	"reactivenoc/internal/workload"
 )
 
-// Prefill warms sys's caches functionally, standing in for the paper's
-// 200M-cycle warm-up: every line of every region in regions[i] is installed
-// in its home L2 bank, and each region's first L1Lines lines in core i's L1
-// (Region.L1From is not consulted — see workload.Region).
-//
-// The state this leaves depends only on the mesh size, the two cache
-// geometries and regions — never on the seed or the variant — so unless
-// sys.Opts.NoPool, an earlier identical prefill's image is restored in place
-// of the line-by-line walk, and a walk whose image fits the process's budget
-// stores one (DESIGN.md §5b). NoPool, the reference, always walks.
-func Prefill(sys *coherence.System, regions [][]workload.Region) {
-	images.prefill(sys, regions)
-}
-
 // prefillLines is the line-by-line walk every image is captured from.
 func prefillLines(sys *coherence.System, regions [][]workload.Region) {
 	for i, regs := range regions {
@@ -94,6 +80,16 @@ func (k *imageKey) bytes() int {
 	return n
 }
 
+// prefill warms sys's caches functionally, standing in for the paper's
+// 200M-cycle warm-up: every line of every region in regions[i] is installed
+// in its home L2 bank, and each region's first L1Lines lines in core i's L1
+// (Region.L1From is not consulted — see workload.Region).
+//
+// The state this leaves depends only on the mesh size, the two cache
+// geometries and regions — never on the seed or the variant — so unless
+// sys.Opts.NoPool, an earlier identical prefill's image is restored in place
+// of the line-by-line walk, and a walk whose image fits st's budget
+// stores one (DESIGN.md §5b). NoPool, the reference, always walks.
 func (st *imageStore) prefill(sys *coherence.System, regions [][]workload.Region) {
 	if sys.Opts.NoPool {
 		prefillLines(sys, regions)

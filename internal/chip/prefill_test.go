@@ -121,7 +121,7 @@ func TestImageReproducesPrefill(t *testing.T) {
 		} {
 			label := c.Name + "/" + wl.name
 			ref := newSystem(t, c, true)
-			Prefill(ref, wl.regions)
+			images.prefill(ref, wl.regions)
 
 			st := &imageStore{budget: imageBudget}
 			walked, restored := newSystem(t, c, false), newSystem(t, c, false)
@@ -152,7 +152,7 @@ func TestImageReproducesPrefill(t *testing.T) {
 			tweaked := cloneRegions(wl.regions)
 			tweaked[0][0].L1Lines--
 			ref2, got2 := newSystem(t, c, true), newSystem(t, c, false)
-			Prefill(ref2, tweaked)
+			images.prefill(ref2, tweaked)
 			st.prefill(got2, tweaked)
 			if hits, _ := st.counts(); hits != 1 {
 				t.Fatalf("%s: regions differing in L1Lines hit the stored image", label)
@@ -265,7 +265,7 @@ func TestImageStoreKeepsItsBudget(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for _, regions := range [][][]workload.Region{a, b} {
 				ref, got := newSystem(t, c, true), newSystem(t, c, false)
-				Prefill(ref, regions)
+				images.prefill(ref, regions)
 				st.prefill(got, regions)
 				if err := ref.DiffCaches(got); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)

@@ -180,20 +180,3 @@ func (l *LatencyRecord) Merge(o *LatencyRecord) {
 	l.Network.Merge(&o.Network)
 	l.Queueing.Merge(&o.Queueing)
 }
-
-// WeightedMean returns the mean of values weighted by weights. Slices must
-// have equal length; zero total weight yields 0.
-func WeightedMean(values, weights []float64) float64 {
-	if len(values) != len(weights) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i, v := range values {
-		num += v * weights[i]
-		den += weights[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

@@ -152,28 +152,6 @@ func TestLatencyRecord(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("weighted mean %v", got)
-	}
-	if WeightedMean(nil, nil) != 0 {
-		t.Fatal("empty weighted mean should be 0")
-	}
-	if WeightedMean([]float64{5}, []float64{0}) != 0 {
-		t.Fatal("zero weight should yield 0")
-	}
-}
-
-func TestWeightedMeanMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
 // Property: variance is never negative and mean lies within [min, max].
 func TestSampleInvariants(t *testing.T) {
 	check := func(raw []uint16) bool {

@@ -229,9 +229,9 @@ type Region struct {
 	// the L1s full, so the measured phase sees steady-state replacement
 	// traffic immediately). L1From names the window the profile meant —
 	// [L1From, L1From+L1Lines) — and is serialised in .rctf, but no
-	// prefiller reads it: chip.Prefill (chip.RunCtx's, also called by
-	// examples/trafficmap) and rcbench's stepper both install from line 0,
-	// and the goldens and rcbench's digests pin that (DESIGN.md §2,
+	// prefiller reads it: chip.Build's (every chip.Machine's, so RunCtx's
+	// and examples/trafficmap's) and rcbench's stepper both install from
+	// line 0, and the goldens and rcbench's digests pin that (DESIGN.md §2,
 	// substitution notes).
 	L1From  int
 	L1Lines int
@@ -246,7 +246,7 @@ const l1Lines = 512
 // The cold region is deliberately absent: its accesses must reach memory.
 func (p Profile) Regions(coreID int) []Region {
 	// One allocation per core: every run builds all its cores' regions to
-	// key its prefilled image (chip.Prefill).
+	// key its prefilled image (chip.Build).
 	rs := make([]Region, 1, 3)
 	rs[0] = Region{Start: hotBase(coreID), Lines: p.HotLines, L1Lines: p.HotLines, Exclusive: true}
 	if p.StreamLines > 0 {
