@@ -1,14 +1,16 @@
 // Command rcverify is the property-testing driver of the verification
-// subsystem (internal/verify). It runs two campaigns:
+// subsystem. It prints from the verification catalogue
+// (internal/verify/differ) in three campaigns:
 //
-//  1. A fault-detection matrix: every injectable corruption class
-//     (internal/fault) is injected into a run with the invariant oracles
-//     checking every cycle, and must be caught by the oracle
-//     verify.OraclesFor maps it to — not the generic watchdog.
-//  2. A differential campaign: -n random specs (seeds -seed .. -seed+n-1)
-//     each run through the behaviour-neutral engine matrix — sparse vs
-//     dense kernel, pooled vs unpooled, and optionally a remote rcserved —
-//     asserting bit-identical results with the oracles armed on every leg.
+//  1. -faults: every injectable corruption class (internal/fault), in its
+//     canonical scenario and with the SDM fabric active, must be caught by
+//     the oracle verify.OraclesFor maps it to — not the generic watchdog.
+//  2. -policies: every registered switching policy's conformance cell runs
+//     through the differential legs with the oracles armed.
+//  3. -n random specs (seeds -seed .. -seed+n-1) each run through the
+//     behaviour-neutral engine legs — sparse vs dense kernel, pooled vs
+//     unpooled, and optionally a remote rcserved — asserting bit-identical
+//     results with the oracles armed on every leg.
 //
 // A failing differential seed is a complete reproducer: it is printed, and
 // written to -corpus in `go test` fuzz-corpus format so
@@ -33,9 +35,7 @@ import (
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/serve"
-	"reactivenoc/internal/verify"
 	"reactivenoc/internal/verify/differ"
-	"reactivenoc/internal/workload"
 )
 
 func main() { os.Exit(run()) }
@@ -57,7 +57,7 @@ func run() int {
 	}
 
 	if *faults {
-		if !runFaultMatrix() {
+		if !runFaultMatrix(ctx) {
 			return 1
 		}
 	}
@@ -69,7 +69,7 @@ func run() int {
 	}
 
 	fmt.Printf("differential: %d seeds from %d (legs: reference", *n, *seed)
-	for _, leg := range differ.Legs() {
+	for _, leg := range chip.Legs() {
 		fmt.Printf(", %s", leg.Name)
 	}
 	if remoteRun != nil {
@@ -88,9 +88,6 @@ func run() int {
 		}
 		if err := differ.RunDifferential(ctx, spec, remoteRun); err != nil {
 			fmt.Fprintf(os.Stderr, "rcverify: seed %d FAILED: %v\n", s, err)
-			if re := chip.AsRunError(err); re != nil && re.Oracle != "" {
-				fmt.Fprintf(os.Stderr, "rcverify: oracle %q fired\n", re.Oracle)
-			}
 			if *corpus != "" {
 				if path, werr := writeCorpusEntry(*corpus, s); werr != nil {
 					fmt.Fprintf(os.Stderr, "rcverify: writing corpus entry: %v\n", werr)
@@ -106,11 +103,8 @@ func run() int {
 	return 0
 }
 
-// runPolicyGauntlet runs every registered switching policy's
-// representative variant through the differential matrix with the oracles
-// armed at a tight cadence — the same conformance bar the test suite
-// applies, but through the rcverify reporting path (and, with -remote,
-// with the remote leg attached).
+// runPolicyGauntlet runs every registered switching policy's conformance
+// cell through the differential legs (and, with -remote, the remote leg).
 func runPolicyGauntlet(ctx context.Context, remoteRun differ.RunFunc) bool {
 	names := config.PolicyNames()
 	fmt.Printf("policy gauntlet: %d registered policies through the differential matrix\n", len(names))
@@ -122,14 +116,8 @@ func runPolicyGauntlet(ctx context.Context, remoteRun differ.RunFunc) bool {
 			ok = false
 			continue
 		}
-		spec := chip.DefaultSpec(config.Chip16(), v, workload.Micro())
-		spec.WarmupOps, spec.MeasureOps = 500, 4000
-		spec.Audit, spec.Verify, spec.VerifyEvery = true, true, 8
-		if err := differ.RunDifferential(ctx, spec, remoteRun); err != nil {
+		if err := differ.RunDifferential(ctx, differ.PolicySpec(v), remoteRun); err != nil {
 			fmt.Fprintf(os.Stderr, "  %-16s FAILED (variant %s): %v\n", name, v.Name, err)
-			if re := chip.AsRunError(err); re != nil && re.Oracle != "" {
-				fmt.Fprintf(os.Stderr, "  %-16s oracle %q fired\n", name, re.Oracle)
-			}
 			ok = false
 			continue
 		}
@@ -138,105 +126,29 @@ func runPolicyGauntlet(ctx context.Context, remoteRun differ.RunFunc) bool {
 	return ok
 }
 
-// faultScenario arms one corruption class in the spec shape the chaos suite
-// established: a workload/variant combination where the class's eligible
-// hardware event reliably occurs.
-func faultScenario(c fault.Class) chip.Spec {
-	variant, w := "Complete_NoAck", workload.Micro()
-	plan := &fault.Plan{Class: c}
-	spec := chip.Spec{
-		WarmupOps: 1000, MeasureOps: 3000, Seed: 1,
-		Audit: true, Verify: true, VerifyEvery: 1,
-	}
-	switch c {
-	case fault.DropUndoToken:
-		w = workload.Micro().Scaled(8)
-	case fault.TruncateWindow:
-		variant = "SlackDelay_1_NoAck"
-		plan.Count = 2
-	case fault.WithholdCredit:
-		variant = "Baseline"
-	case fault.StallLink:
-		plan.After = 2000
-		spec.WatchdogStall = 3000
-	}
-	v, _ := config.ByName(variant)
-	spec.Chip, spec.Variant, spec.Workload, spec.Fault = config.Chip16(), v, w, plan
-	return spec
-}
-
-// sdmFaultScenario arms one corruption class with the SDM policy's
-// lane-sliced fabric active, so the detection story is re-proven against
-// per-lane circuit tables, lane-paced bypass and lane-releasing teardown.
-// ok=false marks a structurally inapplicable class: TruncateWindow needs a
-// timed reservation, and sdm replaces time windows with lanes outright.
-func sdmFaultScenario(c fault.Class) (chip.Spec, bool) {
-	if c == fault.TruncateWindow {
-		return chip.Spec{}, false
-	}
-	w := workload.Micro()
-	plan := &fault.Plan{Class: c}
-	spec := chip.Spec{
-		WarmupOps: 1000, MeasureOps: 3000, Seed: 1,
-		Audit: true, Verify: true, VerifyEvery: 1,
-	}
-	switch c {
-	case fault.DropUndoToken:
-		w = workload.Micro().Scaled(8)
-	case fault.StallLink:
-		plan.After = 2000
-		spec.WatchdogStall = 3000
-	}
-	v, _ := config.ByName("SDM")
-	spec.Chip, spec.Variant, spec.Workload, spec.Fault = config.Chip16(), v, w, plan
-	return spec, true
-}
-
-// runFaultMatrix injects every fault class and checks the oracle that
-// catches it against the canonical mapping — once in the default scenarios
-// and once with the SDM fabric active.
-func runFaultMatrix() bool {
+// runFaultMatrix injects every fault class, once in its canonical scenario
+// and once with the SDM fabric active, and checks that each is detected by
+// the oracle verify.OraclesFor maps it to (differ.Detect).
+func runFaultMatrix(ctx context.Context) bool {
 	fmt.Printf("fault matrix: %d classes, oracles checking every cycle\n", fault.NumClasses)
-	check := func(c fault.Class, spec chip.Spec, tag string) bool {
-		_, err := chip.Run(spec)
-		re := chip.AsRunError(err)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "  %-18s %s ESCAPED: run completed cleanly\n", c, tag)
-			return false
-		case re == nil:
-			fmt.Fprintf(os.Stderr, "  %-18s %s unstructured error: %v\n", c, tag, err)
-			return false
-		case !oracleAllowed(re.Oracle, verify.OraclesFor(c)):
-			fmt.Fprintf(os.Stderr, "  %-18s %s caught by %q (phase %s), want %v\n",
-				c, tag, re.Oracle, re.Phase, verify.OraclesFor(c))
-			return false
-		}
-		fmt.Printf("  %-18s %s caught by oracle %q at cycle %d\n", c, tag, re.Oracle, re.Cycle)
-		return true
-	}
 	ok := true
-	for c := fault.Class(0); c < fault.NumClasses; c++ {
-		ok = check(c, faultScenario(c), "        ") && ok
-	}
-	for c := fault.Class(0); c < fault.NumClasses; c++ {
-		spec, applies := sdmFaultScenario(c)
-		if !applies {
-			fmt.Printf("  %-18s [SDM]    n/a (sdm circuits are untimed; no window to truncate)\n", c)
-			continue
+	for _, fabric := range []struct{ variant, tag string }{{"", "        "}, {"SDM", "[SDM]   "}} {
+		for c := fault.Class(0); c < fault.NumClasses; c++ {
+			spec, applies := differ.FaultScenario(c, fabric.variant)
+			if !applies {
+				fmt.Printf("  %-18s %s n/a (untimed circuits; no window to truncate)\n", c, fabric.tag)
+				continue
+			}
+			re, err := differ.Detect(ctx, spec)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "  %-18s %s FAILED: %v\n", c, fabric.tag, err)
+				ok = false
+				continue
+			}
+			fmt.Printf("  %-18s %s caught by oracle %q at cycle %d\n", c, fabric.tag, re.Oracle, re.Cycle)
 		}
-		ok = check(c, spec, "[SDM]   ") && ok
 	}
 	return ok
-}
-
-func oracleAllowed(got string, want []string) bool {
-	for _, w := range want {
-		if got == w {
-			return true
-		}
-	}
-	return false
 }
 
 // writeCorpusEntry persists a failing seed in `go test` fuzz-corpus format

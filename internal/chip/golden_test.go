@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"slices"
 	"testing"
 
 	"reactivenoc/internal/config"
@@ -202,7 +203,6 @@ func TestGoldenDeterminism(t *testing.T) {
 		"Timed_NoAck": true, "Ideal": true,
 	}
 	for _, row := range goldenMatrix {
-		row := row
 		if testing.Short() && row.chip != "16-core" && !(row.chip == "64-core" && shortKeep[row.variant]) {
 			continue
 		}
@@ -234,78 +234,46 @@ func crossCheckRows() []int {
 	return []int{0, 3, 4, 5, 14, 28, 29, 54, 56, 58, 59, 60, 61, 62, 63, 64}
 }
 
-// TestPooledMatchesUnpooled cross-checks flit/message recycling against the
-// garbage-collected reference on a few cells: pooling only changes pointer
-// identity, never simulated behaviour, so every pinned aggregate and every
-// metric (including the pool's own alloc counters being the only divergence
-// allowed) must agree bit for bit.
-func TestPooledMatchesUnpooled(t *testing.T) {
-	rows := crossCheckRows()
-	for _, i := range rows {
+// crossCheck runs every cross-check row on the reference engine and on the
+// named differential leg (Legs): both must reproduce the golden row, and
+// the two results must Diff clean outside the metrics the leg moves by
+// design.
+func crossCheck(t *testing.T, legName string) {
+	i := slices.IndexFunc(Legs(), func(l Leg) bool { return l.Name == legName })
+	if i < 0 {
+		t.Fatalf("no differential leg %q", legName)
+	}
+	leg := Legs()[i]
+	for _, i := range crossCheckRows() {
 		row := goldenMatrix[i]
 		t.Run(row.chip+"/"+row.workload+"/"+row.variant, func(t *testing.T) {
 			t.Parallel()
-			pooled, err := Run(goldenSpec(row, t))
+			spec := goldenSpec(row, t)
+			ref, err := Run(spec)
 			if err != nil {
-				t.Fatalf("pooled run failed: %v", err)
+				t.Fatalf("reference run failed: %v", err)
 			}
-			noPoolSpec := goldenSpec(row, t)
-			noPoolSpec.NoPool = true
-			unpooled, err := Run(noPoolSpec)
+			leg.Apply(&spec)
+			res, err := Run(spec)
 			if err != nil {
-				t.Fatalf("unpooled run failed: %v", err)
+				t.Fatalf("%s run failed: %v", leg.Name, err)
 			}
-			checkGolden(t, row, pooled)
-			checkGolden(t, row, unpooled)
-			if pooled.SimCycles != unpooled.SimCycles {
-				t.Errorf("SimCycles pooled %d != unpooled %d", pooled.SimCycles, unpooled.SimCycles)
-			}
-			for name, v := range pooled.Metrics.Vals {
-				if name == "noc/pool_flit_allocs" || name == "noc/pool_flit_reuses" ||
-					name == "noc/pool_msg_allocs" || name == "noc/pool_msg_reuses" {
-					continue // the pool's own bookkeeping differs by design
-				}
-				if got := unpooled.Metrics.Value(name); got != v {
-					t.Errorf("metric %s: pooled %d, unpooled %d", name, v, got)
-				}
+			checkGolden(t, row, ref)
+			checkGolden(t, row, res)
+			if err := Diff(ref, res, leg.Skip); err != nil {
+				t.Error(err)
 			}
 		})
 	}
 }
 
-// TestDenseMatchesSparse cross-checks the two scheduling modes against each
-// other on a few cells: dense (tick everything, the seed engine's
-// behaviour) and sparse (skip quiescent components) must agree on every
-// pinned aggregate and on the metrics snapshot.
-func TestDenseMatchesSparse(t *testing.T) {
-	rows := crossCheckRows()
-	for _, i := range rows {
-		row := goldenMatrix[i]
-		t.Run(row.chip+"/"+row.workload+"/"+row.variant, func(t *testing.T) {
-			t.Parallel()
-			sparse, err := Run(goldenSpec(row, t))
-			if err != nil {
-				t.Fatalf("sparse run failed: %v", err)
-			}
-			denseSpec := goldenSpec(row, t)
-			denseSpec.DenseKernel = true
-			dense, err := Run(denseSpec)
-			if err != nil {
-				t.Fatalf("dense run failed: %v", err)
-			}
-			checkGolden(t, row, sparse)
-			checkGolden(t, row, dense)
-			if sparse.SimCycles != dense.SimCycles {
-				t.Errorf("SimCycles sparse %d != dense %d", sparse.SimCycles, dense.SimCycles)
-			}
-			for name, v := range dense.Metrics.Vals {
-				if name == "kernel/active" {
-					continue // scheduling state, not simulated state
-				}
-				if got := sparse.Metrics.Value(name); got != v {
-					t.Errorf("metric %s: sparse %d, dense %d", name, got, v)
-				}
-			}
-		})
-	}
-}
+// TestPooledMatchesUnpooled cross-checks flit/message recycling against the
+// garbage-collected reference: pooling only changes pointer identity, never
+// simulated behaviour, so everything but the pool's own bookkeeping must
+// agree bit for bit.
+func TestPooledMatchesUnpooled(t *testing.T) { crossCheck(t, "no-pool") }
+
+// TestDenseMatchesSparse cross-checks the two scheduling modes: dense (tick
+// everything, the seed engine's behaviour) and sparse (skip quiescent
+// components) must agree on everything but the activity gauge.
+func TestDenseMatchesSparse(t *testing.T) { crossCheck(t, "dense-kernel") }

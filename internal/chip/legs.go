@@ -1,0 +1,84 @@
+package chip
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"reactivenoc/internal/stats"
+)
+
+// Leg is one configuration of the differential matrix: Apply flips one
+// behaviour-neutral engine switch on a reference spec, and Skip names the
+// metrics that switch moves by design.
+type Leg struct {
+	Name  string
+	Apply func(*Spec)
+	Skip  func(metric string) bool
+}
+
+// Legs returns the local differential matrix. The reference is the pooled
+// sparse kernel; each leg flips exactly one switch: the dense kernel ticks
+// every component (its activity gauge differs), and NoPool allocates fresh
+// flits, messages and arrays (its pool bookkeeping differs).
+func Legs() []Leg {
+	return []Leg{
+		{Name: "dense-kernel", Apply: func(s *Spec) { s.DenseKernel = true },
+			Skip: func(name string) bool { return name == "kernel/active" }},
+		{Name: "no-pool", Apply: func(s *Spec) { s.NoPool = true },
+			Skip: func(name string) bool { return strings.HasPrefix(name, "noc/pool_") }},
+	}
+}
+
+// Diff compares two results of the same spec and returns a description of
+// every observable divergence (nil = bit-identical). skip, when not nil,
+// filters metric names whose divergence is by design for this leg pair.
+func Diff(a, b *Results, skip func(string) bool) error {
+	var diffs []string
+	add := func(format string, args ...any) {
+		diffs = append(diffs, fmt.Sprintf(format, args...))
+	}
+	if a.Cycles != b.Cycles {
+		add("Cycles: %d vs %d", a.Cycles, b.Cycles)
+	}
+	if a.SimCycles != b.SimCycles {
+		add("SimCycles: %d vs %d", a.SimCycles, b.SimCycles)
+	}
+	at, ar := a.Msgs.Totals()
+	bt, br := b.Msgs.Totals()
+	if at != bt || ar != br {
+		add("messages: %d/%d vs %d/%d", at, ar, bt, br)
+	}
+	lat := func(name string, x, y *stats.Sample) {
+		if x.N() != y.N() || x.Sum() != y.Sum() {
+			add("%s latency: (%d, %.0f) vs (%d, %.0f)", name, x.N(), x.Sum(), y.N(), y.Sum())
+		}
+	}
+	lat("request", &a.Lat.Requests.Network, &b.Lat.Requests.Network)
+	lat("circuit-reply", &a.Lat.CircuitReplies.Network, &b.Lat.CircuitReplies.Network)
+	lat("other-reply", &a.Lat.OtherReplies.Network, &b.Lat.OtherReplies.Network)
+	if a.Events.LinkFlits != b.Events.LinkFlits {
+		add("link flits: %d vs %d", a.Events.LinkFlits, b.Events.LinkFlits)
+	}
+
+	// A metric missing on one side reads 0 there.
+	var names []string
+	for name := range a.Metrics.Vals {
+		names = append(names, name)
+	}
+	for name := range b.Metrics.Vals {
+		if _, ok := a.Metrics.Vals[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if av, bv := a.Metrics.Value(name), b.Metrics.Value(name); av != bv && (skip == nil || !skip(name)) {
+			add("metric %s: %d vs %d", name, av, bv)
+		}
+	}
+	if len(diffs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("results diverge:\n  %s", strings.Join(diffs, "\n  "))
+}

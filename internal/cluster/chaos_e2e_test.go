@@ -21,7 +21,6 @@ import (
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/exp"
 	"reactivenoc/internal/serve"
-	"reactivenoc/internal/verify/differ"
 )
 
 // quiet discards log output from servers and clients whose goroutines may
@@ -195,7 +194,7 @@ func killMidSweep(t *testing.T, urls []string, kill func()) {
 			if got == nil || want == nil {
 				t.Fatalf("missing cell %s/%s (cluster=%v local=%v)", v.Name, w.Name, got != nil, want != nil)
 			}
-			if err := differ.Diff(want, got, nil); err != nil {
+			if err := chip.Diff(want, got, nil); err != nil {
 				t.Fatalf("cell %s/%s diverged from local run: %v", v.Name, w.Name, err)
 			}
 		}
@@ -309,7 +308,7 @@ func TestClusterHandoffToSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := differ.Diff(local, res, nil); err != nil {
+	if err := chip.Diff(local, res, nil); err != nil {
 		t.Fatalf("handed-off result diverged from local run: %v", err)
 	}
 }

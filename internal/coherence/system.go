@@ -96,6 +96,9 @@ type System struct {
 
 	// The two slabs under every controller's array.
 	l1Arrays, l2Arrays *cache.Group
+
+	// exclusiveTags is CheckSingleWriter's per-set scratch.
+	exclusiveTags []uint64
 }
 
 // NewSystem builds the chip: network (with the mechanism's router variant),

@@ -109,11 +109,17 @@ func TestImagesSharedAcrossSweepWorkers(t *testing.T) {
 		}
 		vs = append(vs, v)
 	}
+	var noPool chip.Leg
+	for _, leg := range chip.Legs() {
+		if leg.Name == "no-pool" {
+			noPool = leg
+		}
+	}
 	scale := Scale{MeasureOps: 300, Apps: 2, Seed: 1, Workers: 4}
 	got := RunSweepCtx(context.Background(), config.Chip16(), vs, scale, Policy{})
 	ref := RunSweepCtx(context.Background(), config.Chip16(), vs, scale, Policy{
 		Run: func(ctx context.Context, s chip.Spec) (*chip.Results, error) {
-			s.NoPool = true
+			noPool.Apply(&s)
 			return chip.RunCtx(ctx, s)
 		},
 	})
@@ -126,17 +132,8 @@ func TestImagesSharedAcrossSweepWorkers(t *testing.T) {
 			if a == nil || b == nil {
 				t.Fatalf("%s/%s: missing cell", v.Name, app)
 			}
-			if a.Cycles != b.Cycles || a.SimCycles != b.SimCycles {
-				t.Errorf("%s/%s: cycles %d/%d, NoPool %d/%d", v.Name, app, a.Cycles, a.SimCycles, b.Cycles, b.SimCycles)
-			}
-			for name, val := range b.Metrics.Vals {
-				switch name {
-				case "noc/pool_flit_allocs", "noc/pool_flit_reuses", "noc/pool_msg_allocs", "noc/pool_msg_reuses":
-					continue // the pool's own bookkeeping differs by design
-				}
-				if a.Metrics.Value(name) != val {
-					t.Errorf("%s/%s: metric %s = %d, NoPool %d", v.Name, app, name, a.Metrics.Value(name), val)
-				}
+			if err := chip.Diff(b, a, noPool.Skip); err != nil {
+				t.Errorf("%s/%s against NoPool: %v", v.Name, app, err)
 			}
 		}
 	}

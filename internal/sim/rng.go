@@ -48,20 +48,3 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p (support {0, 1, 2, ...}), clamped to max. It is used for
-// burst lengths and inter-miss gaps in the synthetic workloads.
-func (r *RNG) Geometric(p float64, max int) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		return max
-	}
-	n := 0
-	for n < max && !r.Bool(p) {
-		n++
-	}
-	return n
-}

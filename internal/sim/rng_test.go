@@ -91,33 +91,3 @@ func TestBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.25) frequency %v", frac)
 	}
 }
-
-func TestGeometricBounds(t *testing.T) {
-	r := NewRNG(15)
-	for i := 0; i < 10000; i++ {
-		v := r.Geometric(0.3, 50)
-		if v < 0 || v > 50 {
-			t.Fatalf("geometric out of bounds: %d", v)
-		}
-	}
-	if v := r.Geometric(1.0, 10); v != 0 {
-		t.Fatalf("p=1 should return 0, got %d", v)
-	}
-	if v := r.Geometric(0, 10); v != 10 {
-		t.Fatalf("p=0 should return max, got %d", v)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(17)
-	sum := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(0.5, 1000)
-	}
-	mean := float64(sum) / n
-	// E[X] = (1-p)/p = 1 for p = 0.5.
-	if mean < 0.9 || mean > 1.1 {
-		t.Fatalf("geometric mean %v, want ~1", mean)
-	}
-}

@@ -147,29 +147,6 @@ func (b *Buffer) Events() []Event {
 	return out
 }
 
-// ByMessage groups the retained events per message id, preserving order.
-func (b *Buffer) ByMessage() map[uint64][]Event {
-	m := map[uint64][]Event{}
-	for _, e := range b.Events() {
-		if e.Msg != 0 {
-			m[e.Msg] = append(m[e.Msg], e)
-		}
-	}
-	return m
-}
-
-// Transaction renders one message's lifecycle as a single line per event.
-func (b *Buffer) Transaction(msg uint64) string {
-	var sb strings.Builder
-	for _, e := range b.Events() {
-		if e.Msg == msg {
-			sb.WriteString(e.String())
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
-}
-
 // String renders the whole buffer.
 func (b *Buffer) String() string {
 	var sb strings.Builder

@@ -47,26 +47,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestByMessageAndTransaction(t *testing.T) {
-	b := New(16)
-	b.Record(1, Enqueue, 1, 0, "")
-	b.Record(1, Enqueue, 2, 0, "")
-	b.Record(2, Inject, 1, 0, "")
-	b.Record(3, CircuitBuilt, 0, 5, "") // not message-bound
-	b.Record(9, Deliver, 1, 3, "")
-	by := b.ByMessage()
-	if len(by[1]) != 3 || len(by[2]) != 1 {
-		t.Fatalf("grouping wrong: %v", by)
-	}
-	if _, ok := by[0]; ok {
-		t.Fatal("msg 0 must not be grouped")
-	}
-	tx := b.Transaction(1)
-	if strings.Count(tx, "\n") != 3 {
-		t.Fatalf("transaction render: %q", tx)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k := Enqueue; k <= AckEliminated; k++ {
 		if strings.HasPrefix(k.String(), "Kind(") {

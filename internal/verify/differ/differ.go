@@ -1,24 +1,20 @@
-// Package differ drives differential property testing: it generates random
-// simulation specs and runs each one through configurations that must be
-// observationally identical — the sparse activity-tracked kernel vs the
-// dense tick-everything reference, the pooled hot path vs the
-// garbage-collected reference, and (optionally) a local run vs a remote
+// Package differ is the verification catalogue. It generates random
+// specs and runs each through configurations that must be observationally
+// identical — the reference, every chip.Legs leg and, optionally, a remote
 // simulation service — asserting bit-identical results with the online
-// invariant oracles armed on every leg. The golden determinism suite pins
-// a handful of hand-picked cells; this subsystem searches the spec space
-// between them.
+// oracles armed on every leg; the golden suite pins hand-picked cells and
+// this searches the spec space between them. catalogue.go holds the cells
+// the tests and cmd/rcverify share: each policy's conformance cell, each
+// fault class's scenario, and the one detection check.
 package differ
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/sim"
-	"reactivenoc/internal/stats"
 	"reactivenoc/internal/tracefeed"
 	"reactivenoc/internal/workload"
 )
@@ -97,98 +93,6 @@ func SpecFromSeed(seed uint64) chip.Spec {
 	}
 }
 
-// skipForLeg returns the metric-name filter for a leg: the pool's own
-// bookkeeping legitimately differs between pooled and unpooled runs, and
-// the kernel's activity gauge between sparse and dense scheduling.
-func skipForLeg(noPool, dense bool) func(string) bool {
-	return func(name string) bool {
-		if noPool && strings.HasPrefix(name, "noc/pool_") {
-			return true
-		}
-		if dense && name == "kernel/active" {
-			return true
-		}
-		return false
-	}
-}
-
-// Diff compares two results of the same spec and returns a description of
-// every observable divergence (nil = bit-identical). skip filters metric
-// names whose divergence is by design for this leg pair.
-func Diff(a, b *chip.Results, skip func(string) bool) error {
-	if skip == nil {
-		skip = func(string) bool { return false }
-	}
-	var diffs []string
-	add := func(format string, args ...any) {
-		diffs = append(diffs, fmt.Sprintf(format, args...))
-	}
-	if a.Cycles != b.Cycles {
-		add("Cycles: %d vs %d", a.Cycles, b.Cycles)
-	}
-	if a.SimCycles != b.SimCycles {
-		add("SimCycles: %d vs %d", a.SimCycles, b.SimCycles)
-	}
-	at, ar := a.Msgs.Totals()
-	bt, br := b.Msgs.Totals()
-	if at != bt || ar != br {
-		add("messages: %d/%d vs %d/%d", at, ar, bt, br)
-	}
-	lat := func(name string, x, y *stats.Sample) {
-		if x.N() != y.N() || x.Sum() != y.Sum() {
-			add("%s latency: (%d, %.0f) vs (%d, %.0f)", name, x.N(), x.Sum(), y.N(), y.Sum())
-		}
-	}
-	lat("request", &a.Lat.Requests.Network, &b.Lat.Requests.Network)
-	lat("circuit-reply", &a.Lat.CircuitReplies.Network, &b.Lat.CircuitReplies.Network)
-	lat("other-reply", &a.Lat.OtherReplies.Network, &b.Lat.OtherReplies.Network)
-	if a.Events.LinkFlits != b.Events.LinkFlits {
-		add("link flits: %d vs %d", a.Events.LinkFlits, b.Events.LinkFlits)
-	}
-
-	names := map[string]bool{}
-	for name := range a.Metrics.Vals {
-		names[name] = true
-	}
-	for name := range b.Metrics.Vals {
-		names[name] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		if !skip(name) {
-			sorted = append(sorted, name)
-		}
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		if av, bv := a.Metrics.Value(name), b.Metrics.Value(name); av != bv {
-			add("metric %s: %d vs %d", name, av, bv)
-		}
-	}
-	if len(diffs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("results diverge:\n  %s", strings.Join(diffs, "\n  "))
-}
-
-// Leg names one configuration of the differential matrix.
-type Leg struct {
-	Name string
-	// mutate derives the leg's spec from the reference spec.
-	mutate func(*chip.Spec)
-	skip   func(string) bool
-}
-
-// Legs returns the local differential matrix: the reference leg is the
-// pooled sparse kernel; each additional leg flips exactly one
-// behaviour-neutral engine switch.
-func Legs() []Leg {
-	return []Leg{
-		{Name: "dense-kernel", mutate: func(s *chip.Spec) { s.DenseKernel = true }, skip: skipForLeg(false, true)},
-		{Name: "no-pool", mutate: func(s *chip.Spec) { s.NoPool = true }, skip: skipForLeg(true, false)},
-	}
-}
-
 // RunDifferential runs spec through the reference configuration and every
 // leg (plus remote, when non-nil, against the reference results) and
 // returns the first divergence or run failure. All legs run with the
@@ -199,14 +103,14 @@ func RunDifferential(ctx context.Context, spec chip.Spec, remote RunFunc) error 
 	if err != nil {
 		return fmt.Errorf("reference leg: %w", err)
 	}
-	for _, leg := range Legs() {
+	for _, leg := range chip.Legs() {
 		legSpec := spec
-		leg.mutate(&legSpec)
+		leg.Apply(&legSpec)
 		res, err := chip.RunCtx(ctx, legSpec)
 		if err != nil {
 			return fmt.Errorf("leg %s: %w", leg.Name, err)
 		}
-		if derr := Diff(ref, res, leg.skip); derr != nil {
+		if derr := chip.Diff(ref, res, leg.Skip); derr != nil {
 			return fmt.Errorf("leg %s: %w", leg.Name, derr)
 		}
 	}
@@ -215,7 +119,7 @@ func RunDifferential(ctx context.Context, spec chip.Spec, remote RunFunc) error 
 		if err != nil {
 			return fmt.Errorf("leg remote: %w", err)
 		}
-		if derr := Diff(ref, res, nil); derr != nil {
+		if derr := chip.Diff(ref, res, nil); derr != nil {
 			return fmt.Errorf("leg remote: %w", derr)
 		}
 	}

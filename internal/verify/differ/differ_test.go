@@ -3,7 +3,11 @@ package differ
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+
+	"reactivenoc/internal/config"
+	"reactivenoc/internal/fault"
 )
 
 // TestSpecFromSeedDeterministic pins the reproducer contract: a seed fully
@@ -57,4 +61,36 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	})
+}
+
+// TestCatalogue: every class has a canonical scenario and only
+// TruncateWindow lacks one under the untimed SDM fabric; Detect refuses a
+// cell whose fault never fires instead of passing it vacuously, and with
+// the oracles disarmed it accepts only an unattributed detection — a
+// withheld credit is still caught, by the end-of-run audit.
+func TestCatalogue(t *testing.T) {
+	for c := fault.Class(0); c < fault.NumClasses; c++ {
+		spec, ok := FaultScenario(c, "")
+		if !ok || spec.Fault.Class != c || spec.VerifyEvery != 1 || !spec.Audit {
+			t.Errorf("%v: canonical scenario ok=%v %+v", c, ok, spec.Fault)
+		}
+		if _, ok := FaultScenario(c, "SDM"); ok != (c != fault.TruncateWindow) {
+			t.Errorf("%v: SDM scenario ok=%v", c, ok)
+		}
+	}
+	baseline, _ := config.ByName("Baseline")
+	spec := PolicySpec(baseline) // no circuits: no built bit to flip
+	spec.Fault = &fault.Plan{Class: fault.FlipBuiltBit}
+	if _, err := Detect(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "never fired") {
+		t.Fatalf("Detect on a fault that cannot fire: %v", err)
+	}
+	spec, _ = FaultScenario(fault.WithholdCredit, "")
+	spec.Verify = false
+	re, err := Detect(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Phase != "audit" {
+		t.Fatalf("withheld credit with the oracles disarmed caught in phase %s: %s", re.Phase, re.Msg)
+	}
 }

@@ -9,24 +9,7 @@ import (
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/trace"
-	"reactivenoc/internal/verify"
-	"reactivenoc/internal/workload"
 )
-
-// policySpec builds the conformance cell for one policy's representative
-// variant: the 16-core chip under the micro workload with the online
-// oracles armed at a tight cadence and the end-of-run audits on, so a
-// leaked circuit entry, conservation violation or oracle breach fails the
-// run rather than hiding in the aggregates.
-func policySpec(v config.Variant) chip.Spec {
-	s := chip.DefaultSpec(config.Chip16(), v, workload.Micro())
-	s.WarmupOps = 500
-	s.MeasureOps = 4000
-	s.Audit = true
-	s.Verify = true
-	s.VerifyEvery = 8
-	return s
-}
 
 // TestPolicyConformance enumerates every registered switching policy and
 // runs its representative variant through the full gauntlet: a registered
@@ -50,7 +33,7 @@ func TestPolicyConformance(t *testing.T) {
 			if !ok {
 				t.Fatalf("policy %q has no registered representative variant; add one to config.Variants, PolicyVariants or Comparators", name)
 			}
-			if err := RunDifferential(context.Background(), policySpec(v), nil); err != nil {
+			if err := RunDifferential(context.Background(), PolicySpec(v), nil); err != nil {
 				t.Fatalf("policy %q (variant %s): %v", name, v.Name, err)
 			}
 		})
@@ -78,53 +61,28 @@ func policyFaultExpectations(tr core.Traits) []fault.Class {
 // gauntlet: a clean run proves the policy violates no armed oracle, but not
 // that the oracles have teeth under that policy. For every registered
 // policy, each fault class its traits map to an oracle is injected into
-// the verify-armed representative cell, and the run must fail through
-// exactly that oracle — a fault that never fires makes the cell vacuous and
-// fails too.
+// the verify-armed representative cell (FaultScenario), and the run must
+// pass Detect — a fault that never fires makes the cell vacuous and fails
+// too.
 func TestPolicyConformanceOracles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("policy conformance runs full simulations")
 	}
 	for _, name := range config.PolicyNames() {
-		name := name
 		v, ok := config.VariantForPolicy(name)
 		if !ok {
 			t.Fatalf("policy %q has no registered representative variant", name)
 		}
 		for _, c := range policyFaultExpectations(core.TraitsFor(v.Opts)) {
-			c := c
 			t.Run(name+"/"+c.String(), func(t *testing.T) {
 				t.Parallel()
-				s := policySpec(v)
-				s.VerifyEvery = 1
-				s.Fault = &fault.Plan{Class: c}
-				if c == fault.DropUndoToken {
-					// Undo walks need reservation churn to be frequent
-					// enough for one token to be swallowed mid-walk.
-					s.Workload = workload.Micro().Scaled(8)
+				s, ok := FaultScenario(c, v.Name)
+				if !ok {
+					t.Fatalf("policy %q promises an oracle for %v but has no scenario for it", name, c)
 				}
-				res, err := chip.RunCtx(context.Background(), s)
-				if err == nil {
-					if res != nil && len(res.Faults) > 0 {
-						t.Fatalf("silent escape: %d injected %v faults produced a clean result", len(res.Faults), c)
-					}
-					t.Fatalf("%v never fired under policy %q: the oracle-teeth cell is vacuous; tune the plan", c, name)
+				if _, err := Detect(context.Background(), s); err != nil {
+					t.Fatalf("policy %q: %v", name, err)
 				}
-				re := chip.AsRunError(err)
-				if re == nil {
-					t.Fatalf("error is not a *chip.RunError: %v", err)
-				}
-				if len(re.Faults) == 0 {
-					t.Fatalf("run failed but the fault log is empty: %v", re)
-				}
-				want := verify.OraclesFor(c)
-				for _, w := range want {
-					if re.Oracle == w {
-						return
-					}
-				}
-				t.Fatalf("%v under policy %q caught by %q (phase %s: %s), want oracle in %v",
-					c, name, re.Oracle, re.Phase, re.Msg, want)
 			})
 		}
 	}
@@ -150,7 +108,7 @@ func TestPolicyConformanceWalkSeams(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s := policySpec(v)
+			s := PolicySpec(v)
 			s.WarmupOps, s.MeasureOps = 200, 800
 			s.TraceCap = 1 << 16
 			res, err := chip.RunCtx(context.Background(), s)
@@ -195,14 +153,13 @@ func TestPolicyConformanceQuiesce(t *testing.T) {
 		t.Skip("policy conformance runs full simulations")
 	}
 	for _, name := range config.PolicyNames() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			v, ok := config.VariantForPolicy(name)
 			if !ok {
 				t.Fatalf("policy %q has no registered representative variant", name)
 			}
-			s := policySpec(v)
+			s := PolicySpec(v)
 			s.NoPool = true
 			if _, err := chip.RunCtx(context.Background(), s); err != nil {
 				t.Fatalf("policy %q unpooled audit run: %v", name, err)
