@@ -271,7 +271,7 @@ func run() int {
 		}
 		return finish()
 	case "scale":
-		ss := exp.ScaleSweepRun(ctx, []int{4, 6, 8}, scale, pol)
+		ss := exp.ScaleSweepRun(ctx, []int{4, 6, 8, 10, 12, 16}, scale, pol)
 		ext("scale", ss, ss.Failures)
 		return finish()
 	case "compare":

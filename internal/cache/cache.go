@@ -5,8 +5,9 @@
 // directory fields embedded in L2 lines ("the directory, which is included
 // in the L2 cache bank").
 //
-// Storage is a slab — one array of lines, one PLRU word per set — built or
-// reset by slab.reset alone. New gives a cache its own; NewGroup lays a
+// Storage is a slab — one array of lines, one PLRU word per set and, for a
+// directory wider than 64 tiles, each line's spill words — built or reset by
+// slab.reset alone. New gives a cache its own; NewGroup lays a
 // chip's N caches over one (set-major, bank-minor when line-interleaved),
 // Group.Release recycles it through a free list (group.go, DESIGN.md §5b),
 // and Group.Capture/Restore copy a group's state as a sparse Image
@@ -80,15 +81,17 @@ func (c Config) validate() error {
 func (c Config) Block(a Addr) Addr { return a &^ Addr(c.LineBytes-1) }
 
 // Line is one cache line's bookkeeping. State is owned by the coherence
-// protocol; Sharers and Owner embed the directory for L2 banks.
+// protocol; the sharer set and Owner embed the directory for L2 banks.
 // Widest field first packs 21 bytes of payload into 24 (TestLineSize): a
 // 64-tile chip instantiates a million of these.
 type Line struct {
 	Tag uint64
-	// Directory payload (L2 banks only): bit i of Sharers set means tile
-	// i's L1 holds the line in shared state; Owner >= 0 names the tile
-	// holding it exclusively.
-	Sharers uint64
+	// Directory payload (L2 banks only), read and written through
+	// Cache.Dir: sharers is the inline word of the sharer set (tiles 0–63);
+	// a bank of a group wider than 64 tiles keeps tiles 64 and up in the
+	// line's spill words, in the slab beside it. Owner >= 0 names the tile
+	// holding the line exclusively.
+	sharers uint64
 	Owner   int16
 	State   uint8
 	Valid   bool
@@ -99,19 +102,28 @@ type Line struct {
 
 // slab is the storage under one cache or one group: every line in one array,
 // every set's tree-PLRU bit vector in another (bit i is the direction flag
-// of internal node i, 0 = left subtree is older).
+// of internal node i, 0 = left subtree is older), and the directory's spill
+// words in a third: with w = len(spill)/len(lines), line i's are
+// spill[i*w : (i+1)*w].
 type slab struct {
 	lines []Line
 	plru  []uint64
+	spill []uint64
+}
+
+// shape returns the geometry the slab was built for.
+func (s *slab) shape() geometry {
+	return geometry{len(s.plru), len(s.lines) / len(s.plru), len(s.spill) / len(s.lines)}
 }
 
 // reset puts the slab in the empty-cache state — every line Line{Owner:
-// -1}, every PLRU word zero — allocating the arrays first if it has none.
-// A fresh slab and a recycled one leave here indistinguishable.
-func (s *slab) reset(sets, ways int) *slab {
+// -1}, every PLRU word and spill word zero — allocating the arrays first if
+// it has none. A fresh slab and a recycled one leave here indistinguishable.
+func (s *slab) reset(g geometry) *slab {
 	if s.lines == nil {
-		s.lines = make([]Line, sets*ways)
-		s.plru = make([]uint64, sets)
+		s.lines = make([]Line, g.sets*g.ways)
+		s.plru = make([]uint64, g.sets)
+		s.spill = make([]uint64, g.sets*g.ways*g.words)
 	}
 	// Doubling copies: memmove beats a per-line loop on a million lines.
 	s.lines[0] = Line{Owner: -1}
@@ -119,6 +131,7 @@ func (s *slab) reset(sets, ways int) *slab {
 		copy(s.lines[i:], s.lines[:i])
 	}
 	clear(s.plru)
+	clear(s.spill)
 	return s
 }
 
@@ -145,7 +158,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{}
-	c.bind(cfg, new(slab).reset(cfg.Sets(), cfg.Ways), 1, 0)
+	c.bind(cfg, new(slab).reset(geometry{cfg.Sets(), cfg.Ways, 0}), 1, 0)
 	return c
 }
 
@@ -236,6 +249,7 @@ func (c *Cache) Fill(l *Line, a Addr, state uint8) {
 	}
 	lines, plru, t := c.set(a)
 	*l = Line{Valid: true, Tag: t, State: state, Owner: -1}
+	c.Dir(l).Clear()
 	for w := range lines {
 		if &lines[w] == l {
 			touch(plru, w, len(lines))
@@ -263,6 +277,7 @@ func (c *Cache) Lines(hint Addr) []Line {
 func (c *Cache) Invalidate(a Addr) {
 	if l, ok := c.Peek(a); ok {
 		*l = Line{Owner: -1}
+		c.Dir(l).Clear()
 	}
 }
 

@@ -177,13 +177,13 @@ func TestDirectoryFieldsResetOnFill(t *testing.T) {
 		c.Fill(c.Victim(a), a, 1)
 	}
 	l, _ := c.Peek(addrs[0])
-	l.Sharers = 0xff
+	l.sharers = 0xff
 	l.Owner = 3
 	// Evict through the same set; the reused way must come back clean.
 	for i := 0; i < 4; i++ {
 		v := c.Victim(addrs[4])
 		c.Fill(v, addrs[4]+Addr(i)*64*Addr(c.cfg.Sets()), 1)
-		if v.Sharers != 0 || v.Owner != -1 {
+		if v.sharers != 0 || v.Owner != -1 {
 			t.Fatal("directory fields not reset on fill")
 		}
 	}

@@ -19,7 +19,8 @@ type Group struct {
 }
 
 // geometry keys the free lists: reset erases layout, so equal totals match.
-type geometry struct{ sets, ways int }
+// words counts each line's spill words (Cache.Dir).
+type geometry struct{ sets, ways, words int }
 
 // free holds the released slabs: a mutex-guarded LIFO per geometry, not a
 // sync.Pool, for noc/pool.go's reason — whether a build hits must follow
@@ -39,6 +40,8 @@ var free = struct {
 // n private caches, one after another. The slab comes off the free list if
 // one of this geometry is there, and is reset either way; fresh is the
 // reference behaviour (Spec.NoPool): always allocate, recycle nothing.
+// Banks carry the directory: a banked group of more than 64 caches gives
+// each line the spill words its sharer set needs past the inline word.
 func NewGroup(cfg Config, n int, fresh bool) *Group {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -49,7 +52,10 @@ func NewGroup(cfg Config, n int, fresh bool) *Group {
 	}
 	g := &Group{caches: make([]Cache, n), slab: &slab{}, fresh: fresh}
 	sets := cfg.Sets()
-	key := geometry{n * sets, cfg.Ways}
+	key := geometry{n * sets, cfg.Ways, 0}
+	if banked {
+		key.words = (n - 1) / 64
+	}
 	if !fresh {
 		free.Lock()
 		if l := free.slabs[key]; len(l) > 0 {
@@ -58,7 +64,7 @@ func NewGroup(cfg Config, n int, fresh bool) *Group {
 		}
 		free.Unlock()
 	}
-	g.slab.reset(key.sets, key.ways)
+	g.slab.reset(key)
 	for b := range g.caches {
 		if banked {
 			cfg.InterleaveIndex = b
@@ -87,7 +93,7 @@ func (g *Group) Release() {
 	if g.fresh {
 		return
 	}
-	key := geometry{len(s.plru), len(s.lines) / len(s.plru)}
+	key := s.shape()
 	free.Lock()
 	defer free.Unlock()
 	if l := free.slabs[key]; len(l) < runtime.GOMAXPROCS(0) {

@@ -8,9 +8,9 @@ import (
 	"reactivenoc/internal/sim"
 )
 
-// TestLineSize pins the packed line. Growing it is ROADMAP item 1's
-// deliberate decision (a sharer set wider than 64 tiles), not an accident:
-// a 64-tile chip holds a million lines, so every 8 bytes here is 8 MB.
+// TestLineSize pins the packed line: a 64-tile chip holds a million lines,
+// so every 8 bytes here is 8 MB. A sharer set wider than 64 tiles keeps its
+// extra words in the slab's spill array (Cache.Dir), not in the line.
 func TestLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(Line{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 24", got)
@@ -97,8 +97,8 @@ func TestGroupMatchesStandalone(t *testing.T) {
 						}
 						if gok { // scribble the protocol-owned fields identically
 							st, sh, own, busy := uint8(rng.Intn(4)), rng.Uint64(), int16(rng.Intn(n)), rng.Bool(0.2)
-							gl.State, gl.Sharers, gl.Owner, gl.Busy = st, sh, own, busy
-							wl.State, wl.Sharers, wl.Owner, wl.Busy = st, sh, own, busy
+							gl.State, gl.sharers, gl.Owner, gl.Busy = st, sh, own, busy
+							wl.State, wl.sharers, wl.Owner, wl.Busy = st, sh, own, busy
 						}
 					case 3, 4:
 						if _, ok := want.Peek(a); ok {
@@ -216,7 +216,7 @@ func dirty(g *Group, cfg Config) {
 		}
 	}
 	for i := range g.slab.lines {
-		g.slab.lines[i] = Line{Tag: ^uint64(0), Sharers: ^uint64(0), Owner: 7, State: 255, Valid: true, Busy: true}
+		g.slab.lines[i] = Line{Tag: ^uint64(0), sharers: ^uint64(0), Owner: 7, State: 255, Valid: true, Busy: true}
 	}
 }
 

@@ -6,15 +6,17 @@ import (
 )
 
 // Image is a sparse, immutable copy of a group's state: every line that
-// differs from Line{Owner: -1} with its slot in the slab, every PLRU word,
-// and each cache's counters. Nothing writes an image after Capture returns
-// it, so any number of groups may restore one at the same time.
+// differs from Line{Owner: -1} with its slot in the slab and its spill
+// words, every PLRU word, and each cache's counters. Nothing writes an
+// image after Capture returns it, so any number of groups may restore one
+// at the same time.
 type Image struct {
-	size  int      // lines in the captured slab
-	slots []uint32 // slab slot of each captured line, ascending
-	lines []Line
-	plru  []uint64
-	stats []counters
+	geometry          // of the captured slab
+	slots    []uint32 // slab slot of each captured line, ascending
+	lines    []Line
+	spill    []uint64 // each captured line's spill words, in slot order
+	plru     []uint64
+	stats    []counters
 }
 
 type counters struct{ hits, misses, evictions int64 }
@@ -24,7 +26,7 @@ type counters struct{ hits, misses, evictions int64 }
 // counted, so a limit below it costs no scan.
 func (g *Group) Capture(limit int) *Image {
 	s := g.slab
-	img := &Image{size: len(s.lines)}
+	img := &Image{geometry: s.shape()}
 	fixed := img.bytes(0, len(s.plru), len(g.caches))
 	if fixed > limit {
 		return nil
@@ -39,10 +41,13 @@ func (g *Group) Capture(limit int) *Image {
 		return nil
 	}
 	img.slots, img.lines = make([]uint32, 0, n), make([]Line, 0, n)
+	w := img.words
+	img.spill = make([]uint64, 0, n*w)
 	for i := range s.lines {
 		if s.lines[i] != (Line{Owner: -1}) {
 			img.slots = append(img.slots, uint32(i))
 			img.lines = append(img.lines, s.lines[i])
+			img.spill = append(img.spill, s.spill[i*w:(i+1)*w]...)
 		}
 	}
 	img.plru = append([]uint64(nil), s.plru...)
@@ -59,12 +64,14 @@ func (g *Group) Capture(limit int) *Image {
 // mismatch. The result is indistinguishable from the captured group.
 func (g *Group) Restore(img *Image) {
 	s := g.slab
-	if len(s.lines) != img.size || len(s.plru) != len(img.plru) || len(g.caches) != len(img.stats) {
-		panic(fmt.Sprintf("cache: restoring an image of %d lines/%d sets/%d caches over %d/%d/%d",
-			img.size, len(img.plru), len(img.stats), len(s.lines), len(s.plru), len(g.caches)))
+	if s.shape() != img.geometry || len(g.caches) != len(img.stats) {
+		panic(fmt.Sprintf("cache: restoring an image of %+v/%d caches over %+v/%d",
+			img.geometry, len(img.stats), s.shape(), len(g.caches)))
 	}
+	w := img.words
 	for i, slot := range img.slots {
 		s.lines[slot] = img.lines[i]
+		copy(s.spill[int(slot)*w:], img.spill[i*w:(i+1)*w])
 	}
 	copy(s.plru, img.plru)
 	for i := range g.caches {
@@ -77,22 +84,27 @@ func (g *Group) Restore(img *Image) {
 func (img *Image) Bytes() int { return img.bytes(len(img.lines), len(img.plru), len(img.stats)) }
 
 func (img *Image) bytes(lines, sets, caches int) int {
-	return int(unsafe.Sizeof(*img)) + lines*int(unsafe.Sizeof(uint32(0))+unsafe.Sizeof(Line{})) +
-		sets*int(unsafe.Sizeof(uint64(0))) + caches*int(unsafe.Sizeof(counters{}))
+	word := int(unsafe.Sizeof(uint64(0)))
+	return int(unsafe.Sizeof(*img)) + lines*(int(unsafe.Sizeof(uint32(0))+unsafe.Sizeof(Line{}))+img.words*word) +
+		sets*word + caches*int(unsafe.Sizeof(counters{}))
 }
 
-// Diff returns nil when g and o hold the same lines, PLRU words and
-// counters, and otherwise names the first difference (state checks in
-// tests across packages).
+// Diff returns nil when g and o hold the same lines, spill words, PLRU
+// words and counters, and otherwise names the first difference (state
+// checks in tests across packages).
 func (g *Group) Diff(o *Group) error {
 	a, b := g.slab, o.slab
-	if len(a.lines) != len(b.lines) || len(a.plru) != len(b.plru) || len(g.caches) != len(o.caches) {
-		return fmt.Errorf("geometry %d lines/%d sets/%d caches vs %d/%d/%d",
-			len(a.lines), len(a.plru), len(g.caches), len(b.lines), len(b.plru), len(o.caches))
+	if a.shape() != b.shape() || len(g.caches) != len(o.caches) {
+		return fmt.Errorf("geometry %+v/%d caches vs %+v/%d", a.shape(), len(g.caches), b.shape(), len(o.caches))
 	}
 	for i := range a.lines {
 		if a.lines[i] != b.lines[i] {
 			return fmt.Errorf("slot %d: %+v vs %+v", i, a.lines[i], b.lines[i])
+		}
+	}
+	for i, w := range a.spill {
+		if w != b.spill[i] {
+			return fmt.Errorf("spill word %d: %#x vs %#x", i, w, b.spill[i])
 		}
 	}
 	for i := range a.plru {

@@ -32,7 +32,7 @@ func TestImageRoundTrip(t *testing.T) {
 				c.Invalidate(a)
 			case 1:
 				if l, ok := c.Peek(a); ok {
-					l.Sharers, l.Owner = rng.Uint64(), int16(rng.Intn(6))
+					l.sharers, l.Owner = rng.Uint64(), int16(rng.Intn(6))
 				}
 			default:
 				if _, ok := c.Lookup(a); !ok {

@@ -8,6 +8,7 @@ package chip
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"reactivenoc/internal/coherence"
@@ -110,8 +111,9 @@ func DefaultSpec(c config.Chip, v config.Variant, w workload.Profile) Spec {
 
 // Validate rejects a spec no run could honour — a non-positive measured
 // budget, a negative knob, a malformed workload, an inconsistent variant,
-// an empty chip — as a plain error, before anything is built: past this
-// point a panic means a bug in the simulated machine, not bad input.
+// an empty chip or one with more tiles than a directory can name — as a
+// plain error, before anything is built: past this point a panic means a
+// bug in the simulated machine, not bad input.
 func (s *Spec) Validate() error {
 	if s.MeasureOps <= 0 {
 		return fmt.Errorf("chip: MeasureOps must be positive")
@@ -129,8 +131,12 @@ func (s *Spec) Validate() error {
 	if err := s.Variant.Opts.Validate(); err != nil {
 		return fmt.Errorf("chip: variant %s: %w", s.Variant.Name, err)
 	}
-	if c := s.Chip; c.Width <= 0 || c.Height <= 0 || c.MCs <= 0 {
-		return fmt.Errorf("chip: %dx%d mesh with %d memory controllers (all must be positive)", c.Width, c.Height, c.MCs)
+	// A directory owner is an int16 tile ID (cache.Line.Owner); bounding
+	// each side first keeps Width*Height from overflowing.
+	if c := s.Chip; c.Width <= 0 || c.Height <= 0 || c.MCs <= 0 ||
+		c.Width > math.MaxInt16 || c.Height > math.MaxInt16 || c.Width*c.Height > math.MaxInt16 {
+		return fmt.Errorf("chip: %dx%d mesh with %d memory controllers (all must be positive, and a directory can name at most %d tiles)",
+			c.Width, c.Height, c.MCs, math.MaxInt16)
 	}
 	return nil
 }

@@ -153,6 +153,8 @@ func TestRejectsBadSpec(t *testing.T) {
 		"unknown policy":         func(s *Spec) { s.Variant.Opts = core.Options{Policy: "nope"} },
 		"empty mesh":             func(s *Spec) { s.Chip.Width = 0 },
 		"no memory controllers":  func(s *Spec) { s.Chip.MCs = 0 },
+		"tile IDs past int16":    func(s *Spec) { s.Chip.Width, s.Chip.Height = 182, 182 },
+		"mesh size overflow":     func(s *Spec) { s.Chip.Width, s.Chip.Height = 2, 1<<62 },
 		"negative WarmupOps":     func(s *Spec) { s.WarmupOps = -1 },
 		"negative Horizon":       func(s *Spec) { s.Horizon = -5 },
 		"negative WatchdogStall": func(s *Spec) { s.WatchdogStall = -1 },

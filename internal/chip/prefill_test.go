@@ -33,6 +33,10 @@ func (st *imageStore) counts() (hits, misses int) {
 // over the slab's sets.
 var nineCore = config.Chip{Name: "9-core", Width: 3, Height: 3, MCs: 2}
 
+// chip81 is the smallest square mesh past 64 tiles: its directory keeps a
+// spill word per line.
+var chip81 = config.Chip{Name: "81-core", Width: 9, Height: 9, MCs: 4}
+
 func newSystem(t *testing.T, c config.Chip, noPool bool) *coherence.System {
 	t.Helper()
 	opts := variant(t, "Baseline").Opts
@@ -66,6 +70,16 @@ func recordTrace(t *testing.T, c config.Chip, p workload.Profile) Spec {
 	return s
 }
 
+// sharedRegions installs the same 64 lines in every core's L1 in S, so
+// every line's directory lists every tile.
+func sharedRegions(cores int) [][]workload.Region {
+	regions := make([][]workload.Region, cores)
+	for i := range regions {
+		regions[i] = []workload.Region{{Start: 1 << 40, Lines: 64, L1Lines: 64}}
+	}
+	return regions
+}
+
 func cloneRegions(regions [][]workload.Region) [][]workload.Region {
 	out := make([][]workload.Region, len(regions))
 	for i := range regions {
@@ -97,13 +111,15 @@ func l1Valid(sys *coherence.System) int {
 // restored arrays must equal the reference in every line, PLRU word and
 // counter. "overflow" streams more lines into every L2 set than it has
 // ways, so the walk evicts (counted) and drops L1 copies, and the image
-// must carry both. A region set differing only in one region's L1Lines must
-// miss the stored image and walk to its own reference.
+// must carry both. "shared" puts every tile in the directory of the same
+// lines, so on the 81-core chip the image must carry the spill words too.
+// A region set differing only in one region's L1Lines must miss
+// the stored image and walk to its own reference.
 func TestImageReproducesPrefill(t *testing.T) {
 	canneal, _ := workload.ByName("canneal")
 	overflow := workload.Micro()
 	overflow.StreamLines = 1 << 14
-	for _, c := range []config.Chip{config.Chip16(), config.Chip64(), nineCore} {
+	for _, c := range []config.Chip{config.Chip16(), config.Chip64(), nineCore, chip81} {
 		n := c.Width * c.Height
 		traced := recordTrace(t, c, tracefeed.Transpose())
 		feed, _, err := tracefeed.Load(traced.Workload.TracePath)
@@ -118,6 +134,7 @@ func TestImageReproducesPrefill(t *testing.T) {
 			{"canneal", profileRegions(canneal, n)},
 			{"overflow", profileRegions(overflow, n)},
 			{"trace", feed.Regions},
+			{"shared", sharedRegions(n)},
 		} {
 			label := c.Name + "/" + wl.name
 			ref := newSystem(t, c, true)

@@ -39,6 +39,29 @@ func TestVerifyCleanRuns(t *testing.T) {
 	}
 }
 
+// TestVerifyPast64Tiles arms a 9x9 chip, the smallest square mesh whose
+// directory needs a spill word: every shared copy on tiles 64-80 must have
+// its directory record and every invalidation must reach it.
+func TestVerifyPast64Tiles(t *testing.T) {
+	for _, name := range []string{"Baseline", "Complete_NoAck", "Reuse_NoAck"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			v, ok := config.ByName(name)
+			if !ok {
+				t.Fatalf("unknown variant %s", name)
+			}
+			spec := Spec{
+				Chip: chip81, Variant: v, Workload: workload.Micro(),
+				WarmupOps: 300, MeasureOps: 600, Seed: 7,
+				Audit: true, Verify: true,
+			}
+			if _, err := Run(spec); err != nil {
+				t.Fatalf("verified run failed: %v", err)
+			}
+		})
+	}
+}
+
 // TestVerifyComparators extends the clean-run proof to the related-work
 // comparators (speculative router, probe-based setup), whose bypass and
 // probe traffic exercise oracle paths the main variants do not.

@@ -35,7 +35,8 @@ func (s *System) AuditCoherence() error {
 	}
 	for a, hs := range lines {
 		home := s.HomeBank(a)
-		l2line, ok := s.L2s[home].Cache().Peek(a)
+		bank := s.L2s[home].Cache()
+		l2line, ok := bank.Peek(a)
 		if !ok {
 			return fmt.Errorf("coherence: inclusion violated: %#x cached in L1 but absent from bank %d", a, home)
 		}
@@ -49,7 +50,7 @@ func (s *System) AuditCoherence() error {
 						a, h.tile, l2line.Owner)
 				}
 			case l1S:
-				if l2line.Sharers&(1<<uint(h.tile)) == 0 && int(l2line.Owner) != h.tile {
+				if !bank.Dir(l2line).Has(h.tile) && int(l2line.Owner) != h.tile {
 					return fmt.Errorf("coherence: %#x: tile %d holds S without a directory record", a, h.tile)
 				}
 			}

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"math/bits"
 
 	"reactivenoc/internal/cache"
 	"reactivenoc/internal/mesh"
@@ -10,7 +9,7 @@ import (
 	"reactivenoc/internal/sim"
 )
 
-// L2 line states (the directory lives in the line's Sharers/Owner fields).
+// L2 line states (the directory is the line's Owner and Cache.Dir set).
 const (
 	l2Clean uint8 = 1
 	l2Dirty uint8 = 2
@@ -187,15 +186,7 @@ func (l *L2Ctrl) serve(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
 	}
 
 	if write {
-		others := line.Sharers &^ (1 << uint(requestor))
-		if others != 0 {
-			n := 0
-			for t := 0; t < l.sys.M.Nodes(); t++ {
-				if others&(1<<uint(t)) != 0 {
-					l.sys.send(MsgInv, l.id, mesh.NodeID(t), addr, Payload{}, now)
-					n++
-				}
-			}
+		if n := l.invalidate(line, addr, requestor, now); n > 0 {
 			line.Busy = true
 			l.open(l2Txn{addr: addr, phase: phInvGather, req: msg, pendingAcks: n})
 			return
@@ -206,7 +197,7 @@ func (l *L2Ctrl) serve(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
 
 	// GetS: a line with no copies is granted exclusively (the E state);
 	// otherwise the requestor joins the sharers.
-	if line.Sharers == 0 {
+	if l.c.Dir(line).Empty() {
 		l.grantData(msg, line, addr, true, now)
 		return
 	}
@@ -223,9 +214,9 @@ func (l *L2Ctrl) grantData(req *noc.Message, line *cache.Line, addr cache.Addr, 
 
 	if write || exclusive {
 		line.Owner = int16(requestor)
-		line.Sharers = 0
+		l.c.Dir(line).Clear()
 	} else {
-		line.Sharers |= 1 << uint(requestor)
+		l.c.Dir(line).Add(int(requestor))
 	}
 
 	noAck := l.sys.canEliminateAck(l.id, requestor, addr, now)
@@ -261,13 +252,15 @@ func (l *L2Ctrl) handleDataAck(msg *noc.Message, addr cache.Addr, now sim.Cycle)
 		if MsgType(txn.req.Type) == MsgGetX {
 			// Ownership migrated to the requestor.
 			line.Owner = int16(pl.Requestor)
-			line.Sharers = 0
+			l.c.Dir(line).Clear()
 		} else {
 			// The forwarded GetS shared the line; the old owner may
 			// have kept a downgraded copy.
-			line.Sharers = 1 << uint(pl.Requestor)
+			dir := l.c.Dir(line)
+			dir.Clear()
+			dir.Add(pl.Requestor)
 			if ack.OwnerKept && line.Owner >= 0 {
-				line.Sharers |= 1 << uint(line.Owner)
+				dir.Add(int(line.Owner))
 			}
 			line.Owner = -1
 			if ack.Dirty {
@@ -309,7 +302,7 @@ func (l *L2Ctrl) handleInvAck(msg *noc.Message, addr cache.Addr, now sim.Cycle) 
 		if txn.dirtyEvict {
 			line.State = l2Dirty // a recalled M copy refreshed the bank
 		}
-		line.Sharers = 0
+		l.c.Dir(line).Clear()
 		req := txn.req
 		delete(l.txns, addr) // grantData re-blocks as needed
 		l.retire(txn)
@@ -352,20 +345,8 @@ func (l *L2Ctrl) startFetch(req *noc.Message, addr cache.Addr, now sim.Cycle) {
 
 		// Inclusive L2: recall or invalidate the L1 copies first
 		// (Table 3's "Invalidation (write or L2 replacement)").
-		switch {
-		case victim.Owner >= 0:
-			l.sys.send(MsgInv, l.id, mesh.NodeID(victim.Owner), txn.victimAddr, Payload{}, now)
-			txn.phase = phEvict
-			txn.pendingAcks = 1
-			return
-		case victim.Sharers != 0:
-			txn.phase = phEvict
-			txn.pendingAcks = bits.OnesCount64(victim.Sharers)
-			for t := 0; t < l.sys.M.Nodes(); t++ {
-				if victim.Sharers&(1<<uint(t)) != 0 {
-					l.sys.send(MsgInv, l.id, mesh.NodeID(t), txn.victimAddr, Payload{}, now)
-				}
-			}
+		if n := l.invalidate(victim, txn.victimAddr, -1, now); n > 0 {
+			txn.phase, txn.pendingAcks = phEvict, n
 			return
 		}
 		l.finishEvict(txn, now)
@@ -380,12 +361,30 @@ func (l *L2Ctrl) finishEvict(txn *l2Txn, now sim.Cycle) {
 		l.sys.send(MsgMemWB, l.id, l.sys.HomeMC(txn.victimAddr), txn.victimAddr, Payload{}, now)
 	}
 	txn.victim.Valid = false
-	txn.victim.Sharers = 0
+	l.c.Dir(txn.victim).Clear()
 	txn.victim.Owner = -1
 	delete(l.txns, txn.victimAddr)
 	l.drainWaiting(txn.victimAddr, now)
 	txn.phase = phFetch
 	l.sendFetch(txn, now)
+}
+
+// invalidate sends an Inv for addr to every L1 copy of line but skip's —
+// the owner's, else each sharer's in ascending tile order — and returns
+// how many it sent: the acks to gather.
+func (l *L2Ctrl) invalidate(line *cache.Line, addr cache.Addr, skip mesh.NodeID, now sim.Cycle) int {
+	if line.Owner >= 0 {
+		l.sys.send(MsgInv, l.id, mesh.NodeID(line.Owner), addr, Payload{}, now)
+		return 1
+	}
+	n := 0
+	l.c.Dir(line).Each(func(t int) {
+		if t != int(skip) {
+			l.sys.send(MsgInv, l.id, mesh.NodeID(t), addr, Payload{}, now)
+			n++
+		}
+	})
+	return n
 }
 
 func (l *L2Ctrl) sendFetch(txn *l2Txn, now sim.Cycle) {

@@ -386,8 +386,9 @@ func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
 			if v.Valid {
 				// Drop the old copy's directory record.
 				va := l1.AddrOf(v, a)
-				if old, ok2 := s.L2s[s.HomeBank(va)].c.Peek(va); ok2 {
-					old.Sharers &^= 1 << uint(tile)
+				oc := s.L2s[s.HomeBank(va)].c
+				if old, ok2 := oc.Peek(va); ok2 {
+					oc.Dir(old).Remove(int(tile))
 					if old.Owner == int16(tile) {
 						old.Owner = -1
 					}
@@ -401,9 +402,9 @@ func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
 		}
 		if exclusive {
 			line.Owner = int16(tile)
-			line.Sharers = 0
+			l2.Dir(line).Clear()
 		} else {
-			line.Sharers |= 1 << uint(tile)
+			l2.Dir(line).Add(int(tile))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,6 +29,13 @@ func newTB(t *testing.T, w, h int, opts core.Options) *tb {
 	}
 	b.sys.Register(b.kernel)
 	return b
+}
+
+// sharerTiles lists the tiles in l's directory sharer set, ascending.
+func sharerTiles(bank *cache.Cache, l *cache.Line) []int {
+	var tiles []int
+	bank.Dir(l).Each(func(t int) { tiles = append(tiles, t) })
+	return tiles
 }
 
 // access performs one access on core id and runs until it completes,
@@ -118,9 +126,10 @@ func TestForwardedReadSharesLine(t *testing.T) {
 			t.Fatalf("tile %d should hold S, got %+v ok=%v", id, line, ok)
 		}
 	}
-	l2line, _ := b.sys.L2s[3].Cache().Peek(addr)
-	if l2line.Owner != -1 || l2line.Sharers != 0b11 {
-		t.Fatalf("directory after share: owner=%d sharers=%b", l2line.Owner, l2line.Sharers)
+	bank := b.sys.L2s[3].Cache()
+	l2line, _ := bank.Peek(addr)
+	if got := sharerTiles(bank, l2line); l2line.Owner != -1 || !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("directory after share: owner=%d sharers=%v", l2line.Owner, got)
 	}
 }
 
@@ -145,9 +154,10 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	if !ok || line.State != l1M {
 		t.Fatalf("writer should hold M, got %+v ok=%v", line, ok)
 	}
-	l2line, _ := b.sys.L2s[3].Cache().Peek(addr)
-	if l2line.Owner != 2 || l2line.Sharers != 0 {
-		t.Fatalf("directory after write: owner=%d sharers=%b", l2line.Owner, l2line.Sharers)
+	bank := b.sys.L2s[3].Cache()
+	l2line, _ := bank.Peek(addr)
+	if l2line.Owner != 2 || !bank.Dir(l2line).Empty() {
+		t.Fatalf("directory after write: owner=%d sharers=%v", l2line.Owner, sharerTiles(bank, l2line))
 	}
 }
 

@@ -176,16 +176,11 @@ type ScaleRow struct {
 	PairRow
 }
 
-// ScaleSweepRun runs the micro workload across square meshes. Sizes above
-// 64 nodes are rejected: the directory's sharer vector is one machine word,
-// matching the paper's largest chip.
+// ScaleSweepRun runs the micro workload across square meshes.
 func ScaleSweepRun(ctx context.Context, dims []int, scale Scale, pol Policy) *ScaleSweep {
 	ss := &ScaleSweep{}
 	var specs []chip.Spec
 	for _, d := range dims {
-		if d*d > 64 {
-			panic("exp: chips beyond 64 nodes exceed the directory's sharer vector")
-		}
 		c := config.Chip{Name: fmt.Sprintf("%d-core", d*d), Width: d, Height: d, MCs: 4}
 		specs = append(specs, pairSpecs(scale, c, workload.Micro())...)
 	}

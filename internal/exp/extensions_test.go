@@ -164,11 +164,16 @@ func TestCompareRun(t *testing.T) {
 	}
 }
 
+// TestScaleSweepRejectsHugeChips: a mesh whose tile IDs a directory cannot
+// name fails every cell closed, as a failure report rather than a panic.
 func TestScaleSweepRejectsHugeChips(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("chips beyond the sharer vector must be rejected")
+	ss := ScaleSweepRun(context.Background(), []int{182}, opsScale(100), DefaultPolicy())
+	if len(ss.Rows) != 0 || len(ss.Failures) == 0 {
+		t.Fatalf("182x182 sweep: %d rows, %d failures; want no rows and every cell failed", len(ss.Rows), len(ss.Failures))
+	}
+	for _, f := range ss.Failures {
+		if !strings.Contains(f.Err.Error(), "a directory can name at most") {
+			t.Fatalf("%s failed for another reason: %v", f.Variant, f.Err)
 		}
-	}()
-	ScaleSweepRun(context.Background(), []int{9}, opsScale(100), DefaultPolicy())
+	}
 }
