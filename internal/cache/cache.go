@@ -17,6 +17,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"reactivenoc/internal/sim"
 )
@@ -104,11 +105,13 @@ type Line struct {
 // every set's tree-PLRU bit vector in another (bit i is the direction flag
 // of internal node i, 0 = left subtree is older), and the directory's spill
 // words in a third: with w = len(spill)/len(lines), line i's are
-// spill[i*w : (i+1)*w].
+// spill[i*w : (i+1)*w]. dirty holds one bit per set, set before anything
+// in the set is written, so a reset clears only the sets a run touched.
 type slab struct {
 	lines []Line
 	plru  []uint64
 	spill []uint64
+	dirty []uint64
 }
 
 // shape returns the geometry the slab was built for.
@@ -117,22 +120,49 @@ func (s *slab) shape() geometry {
 }
 
 // reset puts the slab in the empty-cache state — every line Line{Owner:
-// -1}, every PLRU word and spill word zero — allocating the arrays first if
-// it has none. A fresh slab and a recycled one leave here indistinguishable.
+// -1}, every PLRU word and spill word zero. A slab without arrays gets
+// them, and every line is set; a recycled one clears only its dirty sets,
+// since nothing else was written. A fresh slab and a recycled one leave
+// here indistinguishable (TestRecycledSetsAreCleared).
 func (s *slab) reset(g geometry) *slab {
 	if s.lines == nil {
 		s.lines = make([]Line, g.sets*g.ways)
 		s.plru = make([]uint64, g.sets)
 		s.spill = make([]uint64, g.sets*g.ways*g.words)
+		s.dirty = make([]uint64, (g.sets+63)/64)
+		fill(s.lines)
+		return s
 	}
-	// Doubling copies: memmove beats a per-line loop on a million lines.
-	s.lines[0] = Line{Owner: -1}
-	for i := 1; i < len(s.lines); i *= 2 {
-		copy(s.lines[i:], s.lines[:i])
+	lw := g.ways * g.words
+	for k, m := range s.dirty {
+		// One run of consecutive dirty sets [i, j) at a time.
+		for m != 0 {
+			lo := bits.TrailingZeros64(m)
+			n := bits.TrailingZeros64(^(m >> lo))
+			m &^= (1<<n - 1) << lo
+			i, j := k<<6+lo, k<<6+lo+n
+			fill(s.lines[i*g.ways : j*g.ways])
+			clear(s.plru[i:j])
+			clear(s.spill[i*lw : j*lw])
+		}
 	}
-	clear(s.plru)
-	clear(s.spill)
+	clear(s.dirty)
 	return s
+}
+
+// fill sets every line to Line{Owner: -1} by doubling copies: memmove
+// beats a per-line loop on a million lines.
+func fill(lines []Line) {
+	lines[0] = Line{Owner: -1}
+	for i := 1; i < len(lines); i *= 2 {
+		copy(lines[i:], lines[:i])
+	}
+}
+
+// mark flags the set whose PLRU word is p as written.
+func (s *slab) mark(p *uint64) {
+	i := int((uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.SliceData(s.plru)))) / unsafe.Sizeof(*p))
+	s.dirty[i>>6] |= 1 << (i & 63)
 }
 
 // Cache is one set-associative array: a view of a slab in which set i
@@ -219,9 +249,11 @@ func (c *Cache) Peek(a Addr) (*Line, bool) {
 
 // Victim picks the fill way for address a: an invalid way if one exists,
 // else the tree-PLRU victim among non-busy lines. It returns nil when every
-// way is pinned by an in-flight transaction.
+// way is pinned by an in-flight transaction. The caller may pin or fill the
+// line, so the set counts as written.
 func (c *Cache) Victim(a Addr) *Line {
 	lines, plru, _ := c.set(a)
+	c.mark(plru)
 	for w := range lines {
 		if !lines[w].Valid && !lines[w].Busy {
 			return &lines[w]
@@ -240,14 +272,15 @@ func (c *Cache) Victim(a Addr) *Line {
 	return nil
 }
 
-// Fill installs address a into the given line (obtained from Victim),
-// resetting directory fields and touching PLRU. The caller must have
-// handled any eviction first.
+// Fill installs address a into the given line of a's set (normally the one
+// Victim picked), resetting directory fields and touching PLRU. The caller
+// must have handled any eviction first.
 func (c *Cache) Fill(l *Line, a Addr, state uint8) {
 	if l.Valid {
 		c.Evictions++
 	}
 	lines, plru, t := c.set(a)
+	c.mark(plru)
 	*l = Line{Valid: true, Tag: t, State: state, Owner: -1}
 	c.Dir(l).Clear()
 	for w := range lines {

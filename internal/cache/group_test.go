@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -233,6 +234,11 @@ func mustBeEmpty(t *testing.T, g *Group) {
 			t.Fatalf("PLRU word %d = %#x, want 0", i, p)
 		}
 	}
+	for i, w := range g.slab.spill {
+		if w != 0 {
+			t.Fatalf("spill word %d = %#x, want 0", i, w)
+		}
+	}
 	for b := range g.caches {
 		if c := g.Cache(b); c.Hits != 0 || c.Misses != 0 || c.Evictions != 0 {
 			t.Fatalf("cache %d counters %d/%d/%d, want zero", b, c.Hits, c.Misses, c.Evictions)
@@ -284,6 +290,61 @@ func TestRecycledGroupIsFresh(t *testing.T) {
 	if Idle() != idle {
 		t.Fatal("a fresh group's release fed the free list")
 	}
+}
+
+// TestRecycledSetsAreCleared gives the dirty-set reset its teeth: a group
+// written in only a few sets, through every path a run writes by, comes
+// back from the free list as empty as a fresh build.
+func TestRecycledSetsAreCleared(t *testing.T) {
+	cfg := Config{SizeBytes: 512, Ways: 2, LineBytes: 64, Interleave: 128} // 4 sets a bank, one spill word a line
+	src := NewGroup(cfg, 128, true)
+	sc := src.Cache(9)
+	a := bankAddr(cfg, 9, 1)
+	for _, x := range []Addr{a, bankAddr(cfg, 9, 5)} { // one set; way 1 last, so its PLRU word is 0
+		sc.Fill(sc.Victim(x), x, 1)
+	}
+	l, _ := sc.Peek(a)
+	sc.Dir(l).Add(100)
+	a = bankAddr(cfg, 10, 2)
+	sc = src.Cache(10)
+	sc.Fill(sc.Victim(a), a, 1)
+	sc.Invalidate(a) // the line is empty again, its PLRU word is not
+	img := src.Capture(1 << 30)
+
+	g := NewGroup(cfg, 128, false)
+	g.Restore(img)
+	c := g.Cache(0)
+	a = bankAddr(cfg, 0, 0)
+	c.Fill(c.Victim(a), a, 2)
+	l, _ = c.Peek(a)
+	c.Dir(l).Add(64)
+	c.Dir(l).Add(127)
+	c = g.Cache(1)
+	a = bankAddr(cfg, 1, 3)
+	c.Fill(c.Victim(a), a, 2)
+	c.Invalidate(a)
+	c = g.Cache(2)
+	c.Victim(bankAddr(cfg, 2, 1)).Busy = true // pinned, never filled: an aborted run
+	c = g.Cache(3)
+	a = bankAddr(cfg, 3, 2)
+	c.Fill(&c.Lines(a)[1], a, 2) // a way Victim did not pick
+	c.Lookup(a)
+
+	marked := 0
+	for _, w := range g.slab.dirty {
+		marked += bits.OnesCount64(w)
+	}
+	if sets := len(g.slab.plru); marked != 6 {
+		t.Errorf("%d of %d sets marked dirty, want the 6 written", marked, sets)
+	}
+	lines := &g.slab.lines[0]
+	g.Release()
+	again := NewGroup(cfg, 128, false)
+	if &again.slab.lines[0] != lines {
+		t.Fatal("the released arrays did not come back: the free list missed")
+	}
+	mustBeEmpty(t, again)
+	again.Release()
 }
 
 // TestGroupUseAfterReleasePanics: a stale *Cache must fail loudly rather

@@ -7,15 +7,16 @@ import (
 
 // Image is a sparse, immutable copy of a group's state: every line that
 // differs from Line{Owner: -1} with its slot in the slab and its spill
-// words, every PLRU word, and each cache's counters. Nothing writes an
-// image after Capture returns it, so any number of groups may restore one
-// at the same time.
+// words, every PLRU word, the captured slab's dirty sets, and each cache's
+// counters. Nothing writes an image after Capture returns it, so any
+// number of groups may restore one at the same time.
 type Image struct {
 	geometry          // of the captured slab
 	slots    []uint32 // slab slot of each captured line, ascending
 	lines    []Line
 	spill    []uint64 // each captured line's spill words, in slot order
 	plru     []uint64
+	dirty    []uint64 // a superset of the sets Restore writes
 	stats    []counters
 }
 
@@ -51,6 +52,7 @@ func (g *Group) Capture(limit int) *Image {
 		}
 	}
 	img.plru = append([]uint64(nil), s.plru...)
+	img.dirty = append([]uint64(nil), s.dirty...)
 	img.stats = make([]counters, len(g.caches))
 	for i := range g.caches {
 		c := &g.caches[i]
@@ -67,6 +69,9 @@ func (g *Group) Restore(img *Image) {
 	if s.shape() != img.geometry || len(g.caches) != len(img.stats) {
 		panic(fmt.Sprintf("cache: restoring an image of %+v/%d caches over %+v/%d",
 			img.geometry, len(img.stats), s.shape(), len(g.caches)))
+	}
+	for i, d := range img.dirty {
+		s.dirty[i] |= d
 	}
 	w := img.words
 	for i, slot := range img.slots {
@@ -86,7 +91,7 @@ func (img *Image) Bytes() int { return img.bytes(len(img.lines), len(img.plru), 
 func (img *Image) bytes(lines, sets, caches int) int {
 	word := int(unsafe.Sizeof(uint64(0)))
 	return int(unsafe.Sizeof(*img)) + lines*(int(unsafe.Sizeof(uint32(0))+unsafe.Sizeof(Line{}))+img.words*word) +
-		sets*word + caches*int(unsafe.Sizeof(counters{}))
+		(sets+(sets+63)/64)*word + caches*int(unsafe.Sizeof(counters{}))
 }
 
 // Diff returns nil when g and o hold the same lines, spill words, PLRU

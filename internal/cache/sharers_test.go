@@ -94,8 +94,20 @@ func TestSharers(t *testing.T) {
 	if !c.Dir(n).Empty() {
 		t.Fatalf("an invalidated line keeps sharers %v", tiles(c.Dir(n)))
 	}
-	for i := range g.slab.spill {
-		g.slab.spill[i] = ^uint64(0)
+	// Every spill word of a few banks' lines, written the way a run writes
+	// them: through the sharer sets of filled lines.
+	for _, b := range []int{0, 5, 255} {
+		bc := g.Cache(b)
+		for local := 0; local < 4; local++ { // both ways of both sets
+			x := bankAddr(cfg, b, local)
+			if _, ok := bc.Peek(x); !ok {
+				bc.Fill(bc.Victim(x), x, 1)
+			}
+			xl, _ := bc.Peek(x)
+			for tile := 64; tile < 256; tile++ {
+				bc.Dir(xl).Add(tile)
+			}
+		}
 	}
 	spill := &g.slab.spill[0]
 	g.Release()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"reactivenoc/internal/sim"
 	"reactivenoc/internal/stats"
 )
 
@@ -32,7 +33,8 @@ func Legs() []Leg {
 
 // Diff compares two results of the same spec and returns a description of
 // every observable divergence (nil = bit-identical). skip, when not nil,
-// filters metric names whose divergence is by design for this leg pair.
+// filters metric names whose divergence is by design for this leg pair, at
+// the end of the run and in every Series window alike.
 func Diff(a, b *Results, skip func(string) bool) error {
 	var diffs []string
 	add := func(format string, args ...any) {
@@ -61,20 +63,29 @@ func Diff(a, b *Results, skip func(string) bool) error {
 		add("link flits: %d vs %d", a.Events.LinkFlits, b.Events.LinkFlits)
 	}
 
-	// A metric missing on one side reads 0 there.
-	var names []string
-	for name := range a.Metrics.Vals {
-		names = append(names, name)
+	// The end-of-run snapshot, then every sample window: a counter credited
+	// lazily can be right at the end of a run and wrong inside it.
+	if len(a.Series) != len(b.Series) {
+		add("series: %d vs %d windows", len(a.Series), len(b.Series))
 	}
-	for name := range b.Metrics.Vals {
-		if _, ok := a.Metrics.Vals[name]; !ok {
+	as, bs := append([]sim.Snapshot{a.Metrics}, a.Series...), append([]sim.Snapshot{b.Metrics}, b.Series...)
+	for i := range min(len(as), len(bs)) {
+		x, y := as[i], bs[i]
+		// A metric missing on one side reads 0 there.
+		var names []string
+		for name := range x.Vals {
 			names = append(names, name)
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if av, bv := a.Metrics.Value(name), b.Metrics.Value(name); av != bv && (skip == nil || !skip(name)) {
-			add("metric %s: %d vs %d", name, av, bv)
+		for name := range y.Vals {
+			if _, ok := x.Vals[name]; !ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if xv, yv := x.Value(name), y.Value(name); xv != yv && (skip == nil || !skip(name)) {
+				add("metric %s at cycle %d: %d vs %d", name, x.At, xv, yv)
+			}
 		}
 	}
 	if len(diffs) == 0 {

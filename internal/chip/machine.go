@@ -182,6 +182,7 @@ func (m *Machine) build() error {
 	m.wakers = make([]sim.Waker, n)
 	for i, c := range m.cores {
 		m.wakers[i] = m.kernel.Add(c)
+		c.SetWaker(m.wakers[i])
 	}
 
 	m.reg = sim.NewRegistry()

@@ -53,3 +53,25 @@ func TestHandSteppedMachineMatchesRunCtx(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelWorkPinned pins the component ticks the sparse kernel spends on
+// the 16-core micro Baseline golden row. The simulated results cannot see a
+// component that ticks when it need not; this count can, on any host. A
+// change that wakes stalled cores or blocked L2 banks again, or any other
+// sleeper, moves it up; one that sleeps more moves it down, and re-pins it.
+func TestKernelWorkPinned(t *testing.T) {
+	const want = 77_055 // 105,637 while stalled cores and blocked banks ticked every cycle
+	row := goldenMatrix[0]
+	m, err := Build(goldenSpec(row, t))
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer m.Release()
+	stepUntilDone(t, m, 1_000_000)
+	m.BeginMeasured()
+	stepUntilDone(t, m, 1_000_000)
+	checkGolden(t, row, m.Harvest())
+	if got := m.kernel.Ticks(); got != want {
+		t.Errorf("%s/%s/%s took %d component ticks, pinned %d", row.chip, row.workload, row.variant, got, want)
+	}
+}

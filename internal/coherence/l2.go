@@ -55,8 +55,12 @@ type L2Ctrl struct {
 	free []*l2Txn
 
 	// BlockedCycles accumulates (transactions × cycles) of line blocking,
-	// an observability hook for the NoAck effect.
+	// an observability hook for the NoAck effect. A bank sleeps while its
+	// transactions wait on the network, and Tick credits the slept cycles
+	// since tickedAt, its last tick, in closed form: txns changes only
+	// inside Tick, so the count was constant across them.
 	BlockedCycles int64
+	tickedAt      sim.Cycle
 
 	wake sim.Waker
 }
@@ -101,22 +105,30 @@ func (l *L2Ctrl) deliver(msg *noc.Message, now sim.Cycle) {
 	l.q.push(now+L2HitLatency, msg)
 }
 
-// Quiescent reports whether the next Tick is a pure no-op. Open
-// transactions keep the bank awake: Tick accrues BlockedCycles for each of
-// them every cycle.
-func (l *L2Ctrl) Quiescent() bool { return l.q.empty() && len(l.txns) == 0 }
+// Quiescent reports whether the next Tick is a pure no-op: with no message
+// queued, open transactions only wait on replies, whose delivery wakes the
+// bank, and their blocked time is credited when it does.
+func (l *L2Ctrl) Quiescent() bool { return l.q.empty() }
+
+// blockedAt is BlockedCycles as a bank ticking every cycle would read after
+// cycle at-1: the open transactions' cycles slept since tickedAt included.
+func (l *L2Ctrl) blockedAt(at sim.Cycle) int64 {
+	return l.BlockedCycles + int64(len(l.txns))*(at-1-l.tickedAt)
+}
 
 // Tick processes due messages and accounts blocked-line time. A message
 // handle reports as consumed retires to the network's free-list; requests
 // stay alive inside the transaction that serves them (txns, waiting, or a
 // requeue) and retire when that transaction completes.
 func (l *L2Ctrl) Tick(now sim.Cycle) {
+	l.BlockedCycles = l.blockedAt(now)
 	for _, msg := range l.q.due(now) {
 		if l.handle(msg, now) {
 			l.sys.Net.FreeMessage(msg)
 		}
 	}
 	l.BlockedCycles += int64(len(l.txns))
+	l.tickedAt = now
 }
 
 // handle processes one due message and reports whether the bank is done

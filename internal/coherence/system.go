@@ -338,8 +338,14 @@ func (s *System) DescribeMetrics(reg *sim.Registry) {
 		reg.Counter("l2/hits", &c2.Hits)
 		reg.Counter("l2/misses", &c2.Misses)
 		reg.Counter("l2/evictions", &c2.Evictions)
-		reg.Counter("l2/blocked_cycles", &s.L2s[i].BlockedCycles)
 	}
+	reg.CounterAt("l2/blocked_cycles", func(at sim.Cycle) int64 {
+		var n int64
+		for i := range s.L2s {
+			n += s.L2s[i].blockedAt(at)
+		}
+		return n
+	})
 	for _, mc := range s.MCs {
 		reg.Counter("mem/fetches", &mc.Fetches)
 		reg.Counter("mem/writebacks", &mc.WriteBacks)

@@ -556,3 +556,40 @@ func TestImageCarriesBothLevels(t *testing.T) {
 		t.Fatalf("Capture does not honour a limit of exactly %d bytes", img.Bytes())
 	}
 }
+
+// TestBlockedBankSleeps: a bank whose only work is a transaction waiting on
+// memory sleeps through the wait and is credited the blocked cycles it
+// slept in closed form, so BlockedCycles reads exactly as under the dense
+// kernel, which ticks every bank every cycle — mid-sleep through the
+// registry and after the drain.
+func TestBlockedBankSleeps(t *testing.T) {
+	type obs struct{ mid, blocked, ticks int64 }
+	run := func(dense bool) obs {
+		b := newTB(t, 2, 2, core.Options{})
+		b.kernel.SetDense(dense)
+		reg := sim.NewRegistry()
+		b.sys.DescribeMetrics(reg)
+		if b.sys.L1s[0].Access(b.remoteAddr(3, 0), false, 0) {
+			t.Fatal("a cold read hit")
+		}
+		b.kernel.Run(100) // the home bank's fetch waits MemLatency on memory
+		bank := b.sys.L2s[3]
+		if len(bank.txns) != 1 || !bank.Quiescent() {
+			t.Fatalf("dense=%v: bank has %d transactions, quiescent=%v; want one, asleep", dense, len(bank.txns), bank.Quiescent())
+		}
+		o := obs{mid: reg.Snapshot(b.kernel.Now()).Value("l2/blocked_cycles")}
+		b.drain()
+		o.blocked, o.ticks = bank.BlockedCycles, b.kernel.Ticks()
+		return o
+	}
+	sparse, dense := run(false), run(true)
+	if sparse.mid != dense.mid || sparse.mid == 0 {
+		t.Fatalf("blocked cycles read mid-sleep = %d (sparse) vs %d (dense)", sparse.mid, dense.mid)
+	}
+	if sparse.blocked != dense.blocked || sparse.blocked <= sparse.mid {
+		t.Fatalf("BlockedCycles = %d (sparse) vs %d (dense), %d mid-sleep", sparse.blocked, dense.blocked, sparse.mid)
+	}
+	if sparse.ticks >= dense.ticks {
+		t.Fatalf("sparse run took %d ticks, dense %d", sparse.ticks, dense.ticks)
+	}
+}

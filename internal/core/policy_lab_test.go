@@ -291,12 +291,13 @@ func TestPolicyDescribeMetrics(t *testing.T) {
 	p := &profiledPolicy{circuitReqs: 7, packetReqs: 3, demotions: 1}
 	reg := sim.NewRegistry()
 	p.DescribeMetrics(reg)
+	snap := reg.Snapshot(0)
 	for name, want := range map[string]int64{
 		"circ/profiled_circuit_requests": 7,
 		"circ/profiled_packet_requests":  3,
 		"circ/profiled_demotions":        1,
 	} {
-		if got := reg.Value(name); got != want {
+		if got := snap.Value(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
@@ -304,7 +305,7 @@ func TestPolicyDescribeMetrics(t *testing.T) {
 	d := &dynVCPolicy{grows: 5, shrinks: 2}
 	rd := sim.NewRegistry()
 	d.DescribeMetrics(rd)
-	if rd.Value("circ/dynvc_grows") != 5 || rd.Value("circ/dynvc_shrinks") != 2 {
-		t.Errorf("dynvc counters = %d/%d, want 5/2", rd.Value("circ/dynvc_grows"), rd.Value("circ/dynvc_shrinks"))
+	if ds := rd.Snapshot(0); ds.Value("circ/dynvc_grows") != 5 || ds.Value("circ/dynvc_shrinks") != 2 {
+		t.Errorf("dynvc counters = %d/%d, want 5/2", ds.Value("circ/dynvc_grows"), ds.Value("circ/dynvc_shrinks"))
 	}
 }

@@ -51,6 +51,12 @@ type Core struct {
 
 	stalled bool
 	done    bool
+	// stallFrom is the cycle the outstanding miss was issued; the stall is
+	// credited to StallCycles in closed form when the miss completes.
+	stallFrom sim.Cycle
+	// wake revives the core when its miss completes; the zero Waker (a
+	// core stepped by hand) is a no-op.
+	wake sim.Waker
 
 	// recorder, when non-nil, observes each issued operation. Purely
 	// passive: it never changes what the core does, so a recorded run is
@@ -90,19 +96,30 @@ func (c *Core) SetDoneSink(fn func()) { c.doneSink = fn }
 // SetRecorder attaches a passive operation recorder to the core.
 func (c *Core) SetRecorder(r Recorder) { c.recorder = r }
 
-// Quiescent reports whether the core's next Tick is a pure no-op. Only a
-// finished core sleeps: a stalled core burns a StallCycles counter every
-// cycle, and a running core retires work.
-func (c *Core) Quiescent() bool { return c.done }
+// SetWaker installs the Waker that revives the core when its miss
+// completes.
+func (c *Core) SetWaker(w sim.Waker) { c.wake = w }
+
+// Quiescent reports whether the core's next Tick is a pure no-op: a
+// finished core has nothing to retire, and a stalled one waits for its L1,
+// which wakes it when the miss completes. A stall costs no tick per cycle:
+// onMissDone credits StallCycles with the whole span at once.
+func (c *Core) Quiescent() bool { return c.done || c.stalled }
 
 // Describe registers the core's counters with reg under the core/ scope;
-// same-name registrations sum across the chip's cores.
+// same-name registrations sum across the chip's cores. StallCycles is read
+// with the open stall's cycles so far, as if it were bumped every cycle.
 func (c *Core) Describe(reg *sim.Registry) {
 	reg.Counter("core/retired", &c.Retired)
 	reg.Counter("core/loads", &c.Loads)
 	reg.Counter("core/stores", &c.Stores)
 	reg.Counter("core/misses", &c.Misses)
-	reg.Counter("core/stall_cycles", &c.StallCycles)
+	reg.CounterAt("core/stall_cycles", func(at sim.Cycle) int64 {
+		if c.stalled {
+			return c.StallCycles + at - c.stallFrom
+		}
+		return c.StallCycles
+	})
 }
 
 // ResetStats zeroes the core's counters after a warm-up phase and extends
@@ -113,9 +130,14 @@ func (c *Core) ResetStats(limit int64) {
 	c.done = false
 }
 
+// onMissDone runs inside the L1's tick, which precedes the core's in every
+// cycle, so the woken core issues again this very cycle: it stalled from
+// the miss's cycle through the one before now.
 func (c *Core) onMissDone(now sim.Cycle) {
 	c.stalled = false
+	c.StallCycles += now - c.stallFrom
 	c.retire(now) // the memory operation completes with its miss
+	c.wake.Wake()
 }
 
 func (c *Core) retire(now sim.Cycle) {
@@ -129,14 +151,10 @@ func (c *Core) retire(now sim.Cycle) {
 	}
 }
 
-// Tick advances the core one cycle: retire one operation, or burn a stall
-// cycle waiting for an outstanding miss.
+// Tick advances the core one cycle: retire one operation, or start a stall
+// on a miss. A done or stalled core's Tick does nothing.
 func (c *Core) Tick(now sim.Cycle) {
-	if c.done {
-		return
-	}
-	if c.stalled {
-		c.StallCycles++
+	if c.done || c.stalled {
 		return
 	}
 	op := c.stream.Next()
@@ -159,6 +177,6 @@ func (c *Core) Tick(now sim.Cycle) {
 		}
 		c.Misses++
 		c.stalled = true
-		c.StallCycles++
+		c.stallFrom = now
 	}
 }

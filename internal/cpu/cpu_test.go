@@ -197,3 +197,43 @@ func TestRecorderSeesEveryConsumedOp(t *testing.T) {
 		t.Fatalf("registry sees %d retired, core says %d", got, c.Retired)
 	}
 }
+
+// TestStalledCoreSleeps: a stalled core sleeps until its miss completes and
+// is credited the whole stall at once, so it reads exactly as a core ticked
+// every cycle (tickOne) — mid-stall through the registry and at the end —
+// for fewer kernel ticks.
+func TestStalledCoreSleeps(t *testing.T) {
+	type obs struct{ mid, stalls, ticks int64 }
+	run := func(sparse bool) obs {
+		sys, k := testSystem(t)
+		st := &scriptStream{ops: []Op{{Kind: OpLoad, Addr: 3 * 64}}} // remote bank: misses at cycle 0
+		c := New(0, sys.L1s[0], st, 2)
+		reg := sim.NewRegistry()
+		c.Describe(reg)
+		if sparse {
+			c.SetWaker(k.Add(c))
+		} else {
+			k.Add(tickOne{c})
+		}
+		k.Run(5)
+		if !c.stalled || !c.Quiescent() {
+			t.Fatalf("sparse=%v: the core should sleep on its miss (stalled=%v)", sparse, c.stalled)
+		}
+		o := obs{mid: reg.Snapshot(k.Now()).Value("core/stall_cycles")}
+		if _, ok := k.RunUntil(c.Done, 10000); !ok {
+			t.Fatalf("sparse=%v: the core never finished", sparse)
+		}
+		o.stalls, o.ticks = c.StallCycles, k.Ticks()
+		return o
+	}
+	sparse, every := run(true), run(false)
+	if sparse.mid != 5 || every.mid != 5 {
+		t.Fatalf("stall read after cycles 0-4 = %d (sparse) and %d (every cycle), want 5", sparse.mid, every.mid)
+	}
+	if sparse.stalls != every.stalls || sparse.stalls <= 5 {
+		t.Fatalf("StallCycles = %d (sparse) vs %d (every cycle)", sparse.stalls, every.stalls)
+	}
+	if sparse.ticks >= every.ticks {
+		t.Fatalf("sparse run took %d ticks, every-cycle run %d: the stalled core did not sleep", sparse.ticks, every.ticks)
+	}
+}

@@ -127,10 +127,11 @@ func TestEventCountersDescribe(t *testing.T) {
 	h.net.DescribeMetrics(reg)
 	h.net.Send(msg(0, 3, VNRequest, 1), 0)
 	h.kernel.Run(100)
-	if got := reg.Value("noc/link_flits"); got != h.net.Events().LinkFlits || got == 0 {
+	snap := reg.Snapshot(h.kernel.Now())
+	if got := snap.Value("noc/link_flits"); got != h.net.Events().LinkFlits || got == 0 {
 		t.Fatalf("registry link_flits %d, events %d", got, h.net.Events().LinkFlits)
 	}
-	if reg.Value("noc/buf_writes") != h.net.Events().BufWrites {
+	if snap.Value("noc/buf_writes") != h.net.Events().BufWrites {
 		t.Fatal("registry buf_writes out of sync")
 	}
 }

@@ -18,16 +18,18 @@ type metric struct {
 	name     string
 	kind     metricKind
 	counters []*int64
-	gauges   []func() int64
+	// reads are the metric's functions of the snapshot cycle: a gauge's
+	// level, or a CounterAt counter.
+	reads []func(at Cycle) int64
 }
 
-func (m *metric) value() int64 {
+func (m *metric) value(at Cycle) int64 {
 	var v int64
 	for _, p := range m.counters {
 		v += *p
 	}
-	for _, f := range m.gauges {
-		v += f()
+	for _, f := range m.reads {
+		v += f(at)
 	}
 	return v
 }
@@ -71,10 +73,20 @@ func (r *Registry) Counter(name string, p *int64) {
 	m.counters = append(m.counters, p)
 }
 
+// CounterAt registers a cumulative counter read through f at the snapshot's
+// cycle, for a component that credits a counter in closed form when it
+// wakes instead of bumping it every cycle it sleeps: f adds the span still
+// open at cycle at, so every read equals the ticking engine's. It sums and
+// deltas like Counter.
+func (r *Registry) CounterAt(name string, f func(at Cycle) int64) {
+	m := r.slot(name, counterKind)
+	m.reads = append(m.reads, f)
+}
+
 // Gauge registers a level metric computed on demand; same-name gauges sum.
 func (r *Registry) Gauge(name string, f func() int64) {
 	m := r.slot(name, gaugeKind)
-	m.gauges = append(m.gauges, f)
+	m.reads = append(m.reads, func(Cycle) int64 { return f() })
 }
 
 // Names returns every registered metric name in registration order.
@@ -86,19 +98,11 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Value reads one metric's current aggregate (0 for unknown names).
-func (r *Registry) Value(name string) int64 {
-	if i, ok := r.byName[name]; ok {
-		return r.metrics[i].value()
-	}
-	return 0
-}
-
 // Snapshot reads every metric at cycle at.
 func (r *Registry) Snapshot(at Cycle) Snapshot {
 	s := Snapshot{At: at, Vals: make(map[string]int64, len(r.metrics))}
 	for i := range r.metrics {
-		s.Vals[r.metrics[i].name] = r.metrics[i].value()
+		s.Vals[r.metrics[i].name] = r.metrics[i].value(at)
 	}
 	return s
 }

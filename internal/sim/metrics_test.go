@@ -7,14 +7,14 @@ func TestRegistryCountersSumAcrossRegistrations(t *testing.T) {
 	var a, b int64 = 3, 4
 	reg.Counter("l1/hits", &a)
 	reg.Counter("l1/hits", &b)
-	if v := reg.Value("l1/hits"); v != 7 {
+	if v := reg.Snapshot(0).Value("l1/hits"); v != 7 {
 		t.Fatalf("summed counter = %d, want 7", v)
 	}
 	a += 10
-	if v := reg.Value("l1/hits"); v != 17 {
+	if v := reg.Snapshot(0).Value("l1/hits"); v != 17 {
 		t.Fatalf("registry must read live fields: got %d, want 17", v)
 	}
-	if v := reg.Value("no/such"); v != 0 {
+	if v := reg.Snapshot(0).Value("no/such"); v != 0 {
 		t.Fatalf("unknown metric = %d, want 0", v)
 	}
 }
@@ -23,7 +23,7 @@ func TestRegistryGaugeAndKindConflict(t *testing.T) {
 	reg := NewRegistry()
 	level := int64(5)
 	reg.Gauge("circ/open", func() int64 { return level })
-	if v := reg.Value("circ/open"); v != 5 {
+	if v := reg.Snapshot(0).Value("circ/open"); v != 5 {
 		t.Fatalf("gauge = %d, want 5", v)
 	}
 	defer func() {
@@ -102,4 +102,28 @@ func TestRegistryNamesKeepRegistrationOrder(t *testing.T) {
 	if len(names) != 2 || names[0] != "z/last" || names[1] != "a/first" {
 		t.Fatalf("names = %v, want [z/last a/first]", names)
 	}
+}
+
+// TestCounterAtReadsAtTheSnapshotCycle: a counter read through a function
+// gets the snapshot's cycle, sums with same-name pointer counters and is
+// differenced in windows like any counter.
+func TestCounterAtReadsAtTheSnapshotCycle(t *testing.T) {
+	reg := NewRegistry()
+	var settled int64 = 4
+	since := Cycle(10) // an open span credited only when it closes
+	reg.Counter("core/stall_cycles", &settled)
+	reg.CounterAt("core/stall_cycles", func(at Cycle) int64 { return at - since })
+	prev := reg.Snapshot(12)
+	if v := prev.Value("core/stall_cycles"); v != 6 {
+		t.Fatalf("read at 12 = %d, want 4 settled + 2 open", v)
+	}
+	if d := reg.Delta(reg.Snapshot(20), prev); d.Value("core/stall_cycles") != 8 {
+		t.Fatalf("window 12-20 = %d, want 8", d.Value("core/stall_cycles"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a counter name as a gauge must panic")
+		}
+	}()
+	reg.Gauge("core/stall_cycles", func() int64 { return 0 })
 }

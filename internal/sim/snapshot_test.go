@@ -94,7 +94,7 @@ func TestSnapshotWhileSteppingRace(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	if got := reg.Value("serve/ticks"); got != comp.limit {
+	if got := reg.Snapshot(k.Now()).Value("serve/ticks"); got != comp.limit {
 		t.Fatalf("final gauge = %d, want %d", got, comp.limit)
 	}
 }

@@ -90,6 +90,10 @@ func SpecFromSeed(seed uint64) chip.Spec {
 		WarmupOps: warm, MeasureOps: meas,
 		Seed:  simSeed,
 		Audit: true, Verify: true, VerifyEvery: 16,
+		// Every leg's sample windows are compared too. The window is an odd
+		// length taken from the seed itself: a draw from rng would shift
+		// every later draw, and with it every corpus seed's spec.
+		SampleEvery: sim.Cycle(61 + 2*(seed%64)),
 	}
 }
 
