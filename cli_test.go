@@ -53,6 +53,8 @@ func TestCLISmoke(t *testing.T) {
 				`\Achip: +16-core, variant Complete_NoAck, workload micro\n`,
 				`^cycles: +\d+ \(IPC \d\.\d+\)$`,
 				`^messages: +\d+ network `,
+				// Table 6 reports savings: Complete's smaller router saves area.
+				`^area: +router area savings \+6\.81% vs baseline$`,
 				`^circuits: +built \d+, undone \d+, scrounger rides \d+, eliminated acks \d+$`,
 			},
 		},

@@ -1,0 +1,306 @@
+package main
+
+// catalogue is every planted bug the repository's tests must catch, grouped
+// by the change that wrote the test. A new test's teeth are an entry here:
+// the smallest edit that breaks what the test guards, and the -run regexp
+// of the test that must then fail. A refactor that moves mutated code moves
+// its entry with it (TestCatalogueIsFresh).
+var catalogue = []Mutant{
+	// SDM circuits are lane-paced and may stall, so a later L2->L1
+	// message can overtake the reply and NoAck is unsound under sdm.
+	{
+		Name: "sdm offers NoAck",
+		File: "internal/core/policy_sdm.go",
+		Old:  "Mech: MechComplete, Reuse: true, Lanes:",
+		New:  "Mech: MechComplete, Reuse: true, NoAck: true, Lanes:",
+		Pkg:  "./internal/core", Run: "^TestPolicyTraits$", PR: 10,
+	},
+
+	// The cluster client hands a dead node's jobs to its successor.
+	{
+		Name: "the client ignores suspicion and re-dispatches to the dead owner",
+		File: "internal/cluster/client.go",
+		Old:  "if !c.isSuspect(n) {",
+		New:  "if true || !c.isSuspect(n) {",
+		Pkg:  "./internal/cluster", Run: "^TestClusterHandoffToSuccessor$", PR: 27,
+	},
+
+	// One release path: teardown and the three undo walks.
+	{
+		Name: "a ride release skips the teardown the protocol deferred",
+		File: "internal/core/manager.go",
+		Old:  "\t\t\t\tmg.teardown(op.rec, now)\n",
+		New:  "",
+		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
+	},
+	{
+		Name: "the Forward undo walk stops after its first router",
+		File: "internal/core/manager.go",
+		Old:  "return d, true // continue out of the entry's input side",
+		New:  "return d, false // continue out of the entry's input side",
+		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
+	},
+	{
+		Name: "the Partial undo walk stops after its first router",
+		File: "internal/core/manager.go",
+		Old:  "return mg.m.NextDir(mesh.RouteYX, id, tok.Dest), true",
+		New:  "return mg.m.NextDir(mesh.RouteYX, id, tok.Dest), false",
+		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
+	},
+	{
+		Name: "the default undo walk stops after its first router",
+		File: "internal/core/manager.go",
+		Old:  "return e.out, true",
+		New:  "return e.out, false",
+		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
+	},
+	{
+		Name: "an Unbounded teardown walks instead of clearing the path at once",
+		File: "internal/core/manager.go",
+		Old:  "case mg.traits.Unbounded:",
+		New:  "case false && mg.traits.Unbounded:",
+		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
+	},
+	{
+		Name: "a teardown sends no undo credit down the reply path",
+		File: "internal/core/manager.go",
+		Old:  "\t\tmg.net.Router(src).SendUndoCredit(next, &noc.UndoToken{Dest: dest, Block: block}, now)\n",
+		New:  "",
+		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
+	},
+
+	// Exact quiescence from the routers' inbound masks, and L2
+	// transaction records recycled.
+	{
+		Name: "a flit link forgets to set its inbound bit",
+		File: "internal/noc/link.go",
+		Old:  "readyAt: now + linkDelay + extra})\n\tif l.rx != nil {\n\t\t*l.rx |= l.bit\n\t}\n",
+		New:  "readyAt: now + linkDelay + extra})\n",
+		Pkg:  "./internal/noc", Run: "^TestQuiescenceMatchesScan$", PR: 29,
+	},
+	{
+		Name: "a credit wire forgets to set its inbound bit",
+		File: "internal/noc/link.go",
+		Old:  "readyAt: now + linkDelay})\n\tif l.rx != nil {\n\t\t*l.rx |= l.bit\n\t}\n",
+		New:  "readyAt: now + linkDelay})\n",
+		Pkg:  "./internal/noc", Run: "^TestQuiescenceMatchesScan$", PR: 29,
+	},
+	{
+		Name: "L2 transaction records are never recycled",
+		File: "internal/coherence/l2.go",
+		Old:  "if l.sys.Opts.NoPool {",
+		New:  "if true || l.sys.Opts.NoPool {",
+		Pkg:  "./internal/coherence", Run: "^TestL2TransactionsDoNotAllocate$", PR: 29,
+	},
+
+	// A run starts from a prefilled image.
+	{
+		Name: "an image restore skips the PLRU words",
+		File: "internal/cache/image.go",
+		Old:  "\tcopy(s.plru, img.plru)\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestImageReproducesPrefill$", PR: 30,
+	},
+	{
+		Name: "an image restore skips the hit, miss and eviction counters",
+		File: "internal/cache/image.go",
+		Old:  "c.Hits, c.Misses, c.Evictions = st.hits, st.misses, st.evictions",
+		New:  "_, _ = c, st",
+		Pkg:  "./internal/chip", Run: "^TestImageReproducesPrefill$", PR: 30,
+	},
+	{
+		Name: "the image key ignores each region's L1Lines",
+		File: "internal/chip/prefill.go",
+		Old:  "if !slices.Equal(k.regions[i], o.regions[i]) {",
+		New: "if !slices.EqualFunc(k.regions[i], o.regions[i], func(a, b workload.Region) bool {\n" +
+			"\t\t\ta.L1Lines = b.L1Lines\n\t\t\treturn a == b\n\t\t}) {",
+		Pkg: "./internal/chip", Run: "^TestImageReproducesPrefill$", PR: 30,
+	},
+
+	// Credits land at the cycle boundary; the kernel walks a bitmask
+	// of awake components.
+	{
+		Name: "the kernel snapshots its active word before walking it",
+		File: "internal/sim/clock.go",
+		Old:  "for m := k.active[w]; m != 0; m = k.active[w] &^ seen {",
+		New:  "for m, snap := k.active[w], k.active[w]; m != 0; m = snap &^ seen {",
+		Pkg:  "./internal/sim", Run: "^FuzzKernelSchedule$", PR: 31,
+	},
+	{
+		Name: "the epilogue applies this cycle's credits instead of last cycle's",
+		File: "internal/noc/network.go",
+		Old:  "for _, c := range q.prev {",
+		New:  "for _, c := range q.cur {",
+		Pkg:  "./internal/noc", Run: "^(TestCreditLandsAfterLinkDelay|TestQuiescenceMatchesScan)$", PR: 31,
+	},
+	{
+		Name: "Register does not make FlushBoundary the network's epilogue",
+		File: "internal/noc/network.go",
+		Old:  "\tk.AddEpilogue(n.FlushBoundary)\n",
+		New:  "",
+		Pkg:  "./internal/noc", Run: "^TestCreditLandsAfterLinkDelay$", PR: 31,
+	},
+
+	// One machine, driven step by step.
+	{
+		Name: "the measured phase starts without Sys.ResetStats",
+		File: "internal/chip/machine.go",
+		Old:  "\t\tm.Sys.ResetStats()\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestHandSteppedMachineMatchesRunCtx$", PR: 32,
+	},
+	{
+		Name: "the measured phase does not wake the cores",
+		File: "internal/chip/machine.go",
+		Old:  "\t\tm.wakers[i].Wake()\n",
+		New:  "\t\t_ = i\n",
+		Pkg:  "./internal/chip", Run: "^TestHandSteppedMachineMatchesRunCtx$", PR: 32,
+	},
+
+	// The single-writer oracle walks set by set.
+	{
+		Name: "the single-writer check never compares tags",
+		File: "internal/coherence/verify.go",
+		Old:  "if tags[i] == tags[i-1] {",
+		New:  "if false && tags[i] == tags[i-1] {",
+		Pkg:  "./internal/coherence", Run: "^TestCheckSingleWriter$", PR: 33,
+	},
+	{
+		Name: "the single-writer check does not sort a set's tags",
+		File: "internal/coherence/verify.go",
+		Old:  "slices.Sort(tags)",
+		New:  "_ = slices.Sort[[]uint64]",
+		Pkg:  "./internal/coherence", Run: "^TestCheckSingleWriter$", PR: 33,
+	},
+	{
+		Name: "the single-writer check counts lines in any state",
+		File: "internal/coherence/verify.go",
+		Old:  "if line.Valid && (line.State == l1M || line.State == l1E) {",
+		New:  "if line.Valid {",
+		Pkg:  "./internal/coherence", Run: "^TestCheckSingleWriter$", PR: 33,
+	},
+
+	// One sharer-set type owns the directory, past 64 tiles too.
+	{
+		Name: "Sharers.Add drops its spill write",
+		File: "internal/cache/sharers.go",
+		Old:  "\tw, b := s.word(tile)\n\t*w |= b\n",
+		New:  "\tif w, b := s.word(tile); tile < 64 {\n\t\t*w |= b\n\t}\n",
+		Pkg:  "./internal/cache", Run: "^TestSharers$", PR: 34,
+	},
+	{
+		Name: "Sharers.Add drops its spill write (the 9x9 machine's audit)",
+		File: "internal/cache/sharers.go",
+		Old:  "\tw, b := s.word(tile)\n\t*w |= b\n",
+		New:  "\tif w, b := s.word(tile); tile < 64 {\n\t\t*w |= b\n\t}\n",
+		Pkg:  "./internal/chip", Run: "^TestVerifyPast64Tiles$", PR: 34,
+	},
+	{
+		Name: "Sharers.Each skips the spill words",
+		File: "internal/cache/sharers.go",
+		Old:  "\tfor k, w := range s.spill {\n\t\teachBit(w, 64*(k+1), fn)\n\t}\n",
+		New:  "",
+		Pkg:  "./internal/cache", Run: "^TestSharers$", PR: 34,
+	},
+	{
+		Name: "an image restore skips the spill words",
+		File: "internal/cache/image.go",
+		Old:  "\t\tcopy(s.spill[int(slot)*w:], img.spill[i*w:(i+1)*w])\n",
+		New:  "\t\t_ = w\n",
+		Pkg:  "./internal/cache", Run: "^TestSharers$", PR: 34,
+	},
+
+	// A recycled slab clears only its dirty sets; stalled cores and
+	// blocked L2 banks sleep and credit their counters in closed form.
+	{
+		Name: "Fill does not mark its set dirty",
+		File: "internal/cache/cache.go",
+		Old:  "\tc.mark(plru)\n\t*l = Line{",
+		New:  "\t*l = Line{",
+		Pkg:  "./internal/cache", Run: "^TestRecycledSetsAreCleared$", PR: 35,
+	},
+	{
+		Name: "Victim does not mark its set dirty",
+		File: "internal/cache/cache.go",
+		Old:  "\tc.mark(plru)\n\tfor w := range lines {",
+		New:  "\tfor w := range lines {",
+		Pkg:  "./internal/cache", Run: "^TestRecycledSetsAreCleared$", PR: 35,
+	},
+	{
+		Name: "an image restore does not mark the image's sets dirty",
+		File: "internal/cache/image.go",
+		Old:  "\t\ts.dirty[i] |= d\n",
+		New:  "\t\t_, _ = i, d\n",
+		Pkg:  "./internal/cache", Run: "^TestRecycledSetsAreCleared$", PR: 35,
+	},
+	{
+		Name: "a slab reset skips the dirty sets' lines",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tfill(s.lines[i*g.ways : j*g.ways])\n",
+		New:  "",
+		Pkg:  "./internal/cache", Run: "^TestRecycledSetsAreCleared$", PR: 35,
+	},
+	{
+		Name: "a slab reset skips the dirty sets' PLRU words",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tclear(s.plru[i:j])\n",
+		New:  "",
+		Pkg:  "./internal/cache", Run: "^(TestRecycledSetsAreCleared|TestRecycledGroupIsFresh)$", PR: 35,
+	},
+	{
+		Name: "a slab reset skips the dirty sets' spill words",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tclear(s.spill[i*lw : j*lw])\n",
+		New:  "\t\t\t_ = lw\n",
+		Pkg:  "./internal/cache", Run: "^(TestRecycledSetsAreCleared|TestSharers)$", PR: 35,
+	},
+	{
+		Name: "a stalled core stays awake",
+		File: "internal/cpu/cpu.go",
+		Old:  "func (c *Core) Quiescent() bool { return c.done || c.stalled }",
+		New:  "func (c *Core) Quiescent() bool { return c.done }",
+		Pkg:  "./internal/cpu", Run: "^TestStalledCoreSleeps$", PR: 35,
+	},
+	{
+		Name: "a completed miss credits no stall cycles",
+		File: "internal/cpu/cpu.go",
+		Old:  "\tc.StallCycles += now - c.stallFrom\n",
+		New:  "",
+		Pkg:  "./internal/cpu", Run: "^TestStalledCoreSleeps$", PR: 35,
+	},
+	{
+		Name: "a mid-run read of core/stall_cycles omits the open stall",
+		File: "internal/cpu/cpu.go",
+		Old:  "return c.StallCycles + at - c.stallFrom",
+		New:  "return c.StallCycles",
+		Pkg:  "./internal/cpu", Run: "^TestStalledCoreSleeps$", PR: 35,
+	},
+	{
+		Name: "a blocked L2 bank stays awake",
+		File: "internal/coherence/l2.go",
+		Old:  "func (l *L2Ctrl) Quiescent() bool { return l.q.empty() }",
+		New:  "func (l *L2Ctrl) Quiescent() bool { return l.q.empty() && len(l.txns) == 0 }",
+		Pkg:  "./internal/coherence", Run: "^TestBlockedBankSleeps$", PR: 35,
+	},
+	{
+		Name: "a waking L2 bank does not catch up the cycles it slept",
+		File: "internal/coherence/l2.go",
+		Old:  "\tl.BlockedCycles = l.blockedAt(now)\n",
+		New:  "",
+		Pkg:  "./internal/coherence", Run: "^TestBlockedBankSleeps$", PR: 35,
+	},
+	{
+		Name: "a mid-run read of l2/blocked_cycles omits the open spans",
+		File: "internal/coherence/system.go",
+		Old:  "n += s.L2s[i].blockedAt(at)",
+		New:  "n += s.L2s[i].BlockedCycles",
+		Pkg:  "./internal/coherence", Run: "^TestBlockedBankSleeps$", PR: 35,
+	},
+	{
+		Name: "a mid-run read of l2/blocked_cycles omits the open spans (dense vs sparse)",
+		File: "internal/coherence/system.go",
+		Old:  "n += s.L2s[i].blockedAt(at)",
+		New:  "n += s.L2s[i].BlockedCycles",
+		Pkg:  "./internal/chip", Run: "^TestDenseMatchesSparse$", PR: 35,
+	},
+}

@@ -173,7 +173,7 @@ func report(r *chip.Results) {
 	fmt.Printf("energy:    %.0f pJ dynamic (buffers %.0f, xbar %.0f, links %.0f, arb %.0f, circuits %.0f) + %.0f pJ static\n",
 		r.Energy.Dynamic, r.Energy.Buffers, r.Energy.Crossbars, r.Energy.Links,
 		r.Energy.Arbiters, r.Energy.Circuits, r.Energy.Static)
-	fmt.Printf("area:      router %+.2f%% vs baseline\n", r.AreaSavings*100)
+	fmt.Printf("area:      router area savings %+.2f%% vs baseline\n", r.AreaSavings*100)
 	if r.Circ != nil {
 		fmt.Printf("circuits:  built %d, undone %d, scrounger rides %d, eliminated acks %d\n",
 			r.Circ.CircuitsBuilt, r.Circ.CircuitsUndone, r.Circ.ScroungerRides, r.Circ.EliminatedAcks)

@@ -123,9 +123,6 @@ func New(p Plan) *Injector {
 // Events returns the log of injected faults, in injection order.
 func (j *Injector) Events() []Event { return j.events }
 
-// Injected returns how many faults have fired.
-func (j *Injector) Injected() int { return len(j.events) }
-
 // fire decides whether an eligible event of the given class at the given
 // router corrupts, logging it when it does.
 func (j *Injector) fire(class Class, router mesh.NodeID, now sim.Cycle, detail string) bool {
