@@ -64,7 +64,7 @@ var catalogue = []Mutant{
 	{
 		Name: "a teardown sends no undo credit down the reply path",
 		File: "internal/core/manager.go",
-		Old:  "\t\tmg.net.Router(src).SendUndoCredit(next, &noc.UndoToken{Dest: dest, Block: block}, now)\n",
+		Old:  "\t\tmg.net.Router(src).SendUndoCredit(next, noc.UndoToken{Dest: dest, Block: block}, now)\n",
 		New:  "",
 		Pkg:  "./internal/core", Run: "^TestUndoForwardedRequest$", PR: 28,
 	},
@@ -302,5 +302,64 @@ var catalogue = []Mutant{
 		Old:  "n += s.L2s[i].blockedAt(at)",
 		New:  "n += s.L2s[i].BlockedCycles",
 		Pkg:  "./internal/chip", Run: "^TestDenseMatchesSparse$", PR: 35,
+	},
+
+	// Recycled shells (network, circuit manager, controllers) and
+	// circuit records.
+	{
+		Name: "a circuit record is recycled while a scrounger rides it",
+		File: "internal/core/manager.go",
+		Old:  "if rec.inUse || mg.opts.NoPool {",
+		New:  "if mg.opts.NoPool {",
+		Pkg:  "./internal/chip", Run: "^TestPooledMatchesUnpooled$", PR: 39,
+	},
+	{
+		Name: "recordCircuit allocates a fresh record",
+		File: "internal/core/manager.go",
+		Old:  "rec := mg.newRecord(record{key: key, path: mg.m.Hops(msg.Src, msg.Dst) + 1, src: ni})",
+		New:  "rec := &record{key: key, path: mg.m.Hops(msg.Src, msg.Dst) + 1, src: ni}",
+		Pkg:  "./internal/core", Run: "^TestBypassFastPathAllocationBound$", PR: 39,
+	},
+	{
+		Name: "a rebuilt router keeps its switch allocator's output pointers",
+		File: "internal/noc/router.go",
+		Old:  "\t\tbyQ: r.byQ,\n",
+		New:  "\t\tbyQ: r.byQ, saOutPtr: r.saOutPtr,\n",
+		Pkg:  "./internal/noc", Run: "^TestRecycledNetworkMatchesFresh$", PR: 39,
+	},
+	{
+		Name: "a rebuilt router keeps its bypass arbiter's pointer",
+		File: "internal/noc/router.go",
+		Old:  "\t\tbyQ: r.byQ,\n",
+		New:  "\t\tbyQ: r.byQ, byPtr: r.byPtr,\n",
+		Pkg:  "./internal/chip", Run: "^TestRecycledShellsReproduceGolden$", PR: 39,
+	},
+	{
+		Name: "a rebuilt network keeps its message counter",
+		File: "internal/noc/network.go",
+		Old:  "\t\tcfg:     cfg,\n",
+		New:  "\t\tcfg: cfg, msgID: n.msgID,\n",
+		Pkg:  "./internal/noc", Run: "^TestRecycledNetworkMatchesFresh$", PR: 39,
+	},
+	{
+		Name: "a rebuilt link keeps its lane timestamps",
+		File: "internal/noc/link.go",
+		Old:  "l.laneNext = recycle.Zeroed(l.laneNext, n)",
+		New:  "l.laneNext = recycle.Slice(l.laneNext, n)",
+		Pkg:  "./internal/noc", Run: "^TestRecycledNetworkMatchesFresh$", PR: 39,
+	},
+	{
+		Name: "a recycled circuit table keeps its entries",
+		File: "internal/core/table.go",
+		Old:  "\t\t\t*e = entry{}\n",
+		New:  "\t\t\te.inUse = nil\n",
+		Pkg:  "./internal/chip", Run: "^TestRecycledShellsReproduceGolden$", PR: 39,
+	},
+	{
+		Name: "a failed run returns its shell",
+		File: "internal/chip/machine.go",
+		Old:  "\tcase m.clean:\n",
+		New:  "\tcase true:\n",
+		Pkg:  "./internal/chip", Run: "^TestRecyclingAfterFailedRuns$", PR: 39,
 	},
 }

@@ -2,8 +2,8 @@ package cache
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"reactivenoc/internal/recycle"
 )
 
 // Group is the n caches of one level of a chip laid over a single slab.
@@ -22,15 +22,9 @@ type Group struct {
 // words counts each line's spill words (Cache.Dir).
 type geometry struct{ sets, ways, words int }
 
-// free holds the released slabs: a mutex-guarded LIFO per geometry, not a
-// sync.Pool, for noc/pool.go's reason — whether a build hits must follow
-// from what the program did, not from which P it ran on or when the GC ran.
-// A list keeps at most GOMAXPROCS slabs (no more runs than that progress at
-// once); a release beyond it falls to the GC.
-var free = struct {
-	sync.Mutex
-	slabs map[geometry][]*slab
-}{slabs: map[geometry][]*slab{}}
+// free holds the released slabs, per geometry (recycle.List: LIFO, at
+// most GOMAXPROCS a key).
+var free recycle.List[geometry, *slab]
 
 // NewGroup builds n caches of geometry cfg over one slab. With
 // cfg.Interleave == n they are the banks of one line-interleaved cache
@@ -57,12 +51,9 @@ func NewGroup(cfg Config, n int, fresh bool) *Group {
 		key.words = (n - 1) / 64
 	}
 	if !fresh {
-		free.Lock()
-		if l := free.slabs[key]; len(l) > 0 {
-			g.slab, l[len(l)-1] = l[len(l)-1], nil
-			free.slabs[key] = l[:len(l)-1]
+		if s, ok := free.Get(key); ok {
+			g.slab = s
 		}
-		free.Unlock()
 	}
 	g.slab.reset(key)
 	for b := range g.caches {
@@ -93,21 +84,8 @@ func (g *Group) Release() {
 	if g.fresh {
 		return
 	}
-	key := s.shape()
-	free.Lock()
-	defer free.Unlock()
-	if l := free.slabs[key]; len(l) < runtime.GOMAXPROCS(0) {
-		free.slabs[key] = append(l, s)
-	}
+	free.Put(s.shape(), s)
 }
 
 // Idle returns how many slabs the free lists hold (tests, diagnostics).
-func Idle() int {
-	free.Lock()
-	defer free.Unlock()
-	n := 0
-	for _, l := range free.slabs {
-		n += len(l)
-	}
-	return n
-}
+func Idle() int { return free.Idle() }

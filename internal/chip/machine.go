@@ -60,8 +60,11 @@ type Machine struct {
 
 	phase                       string
 	horizon, stall, verifyEvery sim.Cycle
-	wallDeadline                time.Time
-	measureStart                sim.Cycle
+	// clean is set once Finish has returned nil: Release recycles the
+	// system's shell only then.
+	clean        bool
+	wallDeadline time.Time
+	measureStart sim.Cycle
 }
 
 // Build assembles the machine spec describes and leaves it at cycle 0,
@@ -355,6 +358,7 @@ func (m *Machine) Finish() error {
 			return m.runErr("post-run audit failed: "+err.Error(), false)
 		}
 	}
+	m.clean = true
 	return nil
 }
 
@@ -419,11 +423,18 @@ func (m *Machine) Harvest() *Results {
 	return res
 }
 
-// Release hands the machine's cache arrays to the next run; the machine
-// must not be used afterwards. RunCtx calls it on every exit, after a
-// failure's diagnostic dump has read the machine.
+// Release hands the machine's cache arrays to the next run and, when
+// Finish returned nil, the rest of its system too (coherence.System.Recycle);
+// a failed, cancelled or panicked run leaves its shell to the GC. The
+// machine must not be used afterwards. RunCtx calls it on every exit,
+// after a failure's diagnostic dump and a success's Harvest have read the
+// machine.
 func (m *Machine) Release() {
-	if m.Sys != nil {
+	switch {
+	case m.Sys == nil:
+	case m.clean:
+		m.Sys.Recycle()
+	default:
 		m.Sys.Release()
 	}
 }

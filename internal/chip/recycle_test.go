@@ -2,12 +2,14 @@ package chip
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"reactivenoc/internal/cache"
+	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/sim"
@@ -40,6 +42,149 @@ func runRecycled(t *testing.T, spec Spec) (*Results, error) {
 		t.Fatalf("%d slabs idle after the run, %d before: arrays leaked or were not reused", got, idle)
 	}
 	return r, err
+}
+
+// runOnShell runs spec and requires that it drew a recycled shell and put it
+// back: the shell free list holds what it held before. (A run that found no
+// shell of its inputs would leave one more.)
+func runOnShell(t *testing.T, spec Spec) (*Results, error) {
+	t.Helper()
+	idle := coherence.IdleShells()
+	r, err := Run(spec)
+	if got := coherence.IdleShells(); got != idle {
+		t.Fatalf("%d shells idle after the run, %d before: it built its system new, or kept it", got, idle)
+	}
+	return r, err
+}
+
+// otherInput is a short run of spec's inputs on another workload and
+// seed: it leaves their shell as another run would.
+func otherInput(t *testing.T, spec Spec) Spec {
+	t.Helper()
+	name := "canneal"
+	if spec.Workload.Name == name {
+		name = "micro"
+	}
+	w, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("unknown workload %q", name)
+	}
+	spec.Workload, spec.Seed = w, spec.Seed+5
+	spec.WarmupOps, spec.MeasureOps = 100, 400
+	return spec
+}
+
+// drainShells empties the shell free list of spec's inputs: it builds
+// machines, releasing only their arrays, until one comes out new.
+func drainShells(t *testing.T, spec Spec) {
+	t.Helper()
+	for {
+		idle := coherence.IdleShells()
+		m, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+		if coherence.IdleShells() == idle {
+			return
+		}
+	}
+}
+
+// TestRecycledShellsReproduceGolden: every 16-core golden row reproduces
+// twice in a row on a recycled shell of its own variant — first on the
+// one a run of another workload and seed left, then on the one its own
+// first run left.
+func TestRecycledShellsReproduceGolden(t *testing.T) {
+	for _, row := range goldenMatrix {
+		if row.chip != "16-core" {
+			continue
+		}
+		if _, err := Run(otherInput(t, goldenSpec(row, t))); err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run <= 2; run++ {
+			r, err := runOnShell(t, goldenSpec(row, t))
+			if err != nil {
+				t.Fatalf("%s/%s run %d: %v", row.workload, row.variant, run, err)
+			}
+			checkGolden(t, row, r)
+		}
+	}
+}
+
+// TestRecycledShellMatchesFresh: a run on a recycled shell is the run on a
+// new one, to the last metric of every sample window — noc/pool_* included,
+// since a rebuilt network starts its flit and message free lists empty —
+// for the 16-core cross-check cells.
+func TestRecycledShellMatchesFresh(t *testing.T) {
+	for _, i := range crossCheckRows() {
+		row := goldenMatrix[i]
+		if row.chip != "16-core" {
+			continue
+		}
+		spec := goldenSpec(row, t)
+		spec.SampleEvery = 97
+		drainShells(t, spec)
+		idle := coherence.IdleShells()
+		fresh, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := coherence.IdleShells(); got != idle+1 {
+			t.Fatalf("%s/%s: %d shells idle after a run on a new one, %d before", row.workload, row.variant, got, idle)
+		}
+		if _, err := runOnShell(t, otherInput(t, spec)); err != nil {
+			t.Fatal(err)
+		}
+		recycled, err := runOnShell(t, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Diff(fresh, recycled, nil); err != nil {
+			t.Errorf("%s/%s: %v", row.workload, row.variant, err)
+		}
+	}
+}
+
+// TestResultsOutliveRecycledShell: a run's Results hold copies, never
+// pointers into the system that produced them — the latency histogram,
+// metrics, sample windows, circuit statistics and power events read the
+// same after the next run has rebuilt that system over the same shell.
+func TestResultsOutliveRecycledShell(t *testing.T) {
+	spec := goldenSpec(goldenRowOf(t, "16-core", "micro", "Reuse_NoAck"), t)
+	spec.SampleEvery = 97
+	dump := func(r *Results) string {
+		return fmt.Sprintf("%#v\n%#v\n%#v\n%#v\n%#v\n%#v",
+			*r.Lat.CircuitReplyHist, r.Lat, r.Metrics, r.Series, *r.Circ, r.Events)
+	}
+	r, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dump(r)
+	if _, err := runOnShell(t, otherInput(t, spec)); err != nil {
+		t.Fatal(err)
+	}
+	if after := dump(r); after != before {
+		t.Errorf("the next run on the shell changed the Results:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestNoPoolRunsNeverRecycle: a NoPool run builds its system new and leaves
+// it to the GC, whatever shells wait.
+func TestNoPoolRunsNeverRecycle(t *testing.T) {
+	spec := quickSpec(t, config.Chip16(), "Complete_NoAck")
+	spec.WarmupOps, spec.MeasureOps = 200, 600
+	MustRun(spec)
+	idle := coherence.IdleShells()
+	spec.NoPool = true
+	for i := 0; i < 2; i++ {
+		MustRun(spec)
+		if got := coherence.IdleShells(); got != idle {
+			t.Fatalf("NoPool run %d left %d shells idle, %d before", i+1, got, idle)
+		}
+	}
 }
 
 // TestRecycledArraysReproduceGolden: the golden rows were cut before
@@ -76,8 +221,8 @@ func TestRecycledArraysReproduceGolden(t *testing.T) {
 
 // TestRecyclingAfterFailedRuns: a run that dies of an invariant panic and
 // one cancelled in the middle of its measured phase both hand their arrays
-// back — in whatever state the failure left them — and the next run on
-// those arrays is golden.
+// back — in whatever state the failure left them — but not their shells,
+// which the GC takes; the next run on those arrays is golden.
 func TestRecyclingAfterFailedRuns(t *testing.T) {
 	row := goldenRowOf(t, "16-core", "canneal", "Complete_NoAck")
 	if _, err := Run(goldenSpec(row, t)); err != nil {
@@ -86,10 +231,15 @@ func TestRecyclingAfterFailedRuns(t *testing.T) {
 
 	panicking := quickSpec(t, config.Chip16(), "Complete_NoAck")
 	panicking.Fault = &fault.Plan{Class: fault.FlipBuiltBit}
+	shells := coherence.IdleShells()
 	if _, err := runRecycled(t, panicking); err == nil {
 		t.Log("flip-built-bit absorbed in this configuration")
+		shells++
 	} else if re := AsRunError(err); re == nil || !re.Panicked {
 		t.Fatalf("expected a contained panic, got: %v", err)
+	}
+	if got := coherence.IdleShells(); got != shells-1 {
+		t.Fatalf("%d shells idle after the panicked run, %d before: a failed run returned its shell", got, shells)
 	}
 	r, err := runRecycled(t, goldenSpec(row, t))
 	if err != nil {
@@ -103,13 +253,16 @@ func TestRecyclingAfterFailedRuns(t *testing.T) {
 	cancelled.MeasureOps = 40000 // long enough that a checkEvery poll follows the first window
 	cancelled.SampleEvery = 512
 	cancelled.OnSample = func(sim.Snapshot) { cancel() }
-	idle := cache.Idle()
+	idle, shells := cache.Idle(), coherence.IdleShells()
 	_, err = RunCtx(ctx, cancelled)
 	if re := AsRunError(err); re == nil || re.Phase != "measured" || !strings.Contains(re.Msg, "canceled") {
 		t.Fatalf("expected a cancellation in the measured phase, got: %v", err)
 	}
 	if got := cache.Idle(); got != idle {
 		t.Fatalf("the cancelled run left %d slabs idle, %d before", got, idle)
+	}
+	if got := coherence.IdleShells(); got != shells-1 {
+		t.Fatalf("%d shells idle after the cancelled run, %d before: it returned its shell", got, shells)
 	}
 	r, err = runRecycled(t, goldenSpec(row, t))
 	if err != nil {

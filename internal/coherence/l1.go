@@ -6,6 +6,7 @@ import (
 	"reactivenoc/internal/cache"
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 )
 
@@ -45,8 +46,10 @@ type l1Txn struct {
 	waitWB bool // the target line is draining through the wb buffer
 }
 
-func newL1(sys *System, id mesh.NodeID) *L1Ctrl {
-	return &L1Ctrl{sys: sys, id: id, c: sys.l1Arrays.Cache(int(id)), wb: map[cache.Addr]uint8{}}
+// init builds l in place over a zero or recycled controller; only its
+// queue's slots and its emptied write-back map carry over.
+func (l *L1Ctrl) init(sys *System, id mesh.NodeID) {
+	*l = L1Ctrl{sys: sys, id: id, c: sys.l1Arrays.Cache(int(id)), q: l.q.emptied(), wb: recycle.Map(l.wb)}
 }
 
 // Cache exposes the underlying array (stats, tests).

@@ -6,6 +6,7 @@ import (
 	"reactivenoc/internal/cache"
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 )
 
@@ -65,11 +66,14 @@ type L2Ctrl struct {
 	wake sim.Waker
 }
 
-func newL2(sys *System, id mesh.NodeID) *L2Ctrl {
-	return &L2Ctrl{
-		sys: sys, id: id, c: sys.l2Arrays.Cache(int(id)),
-		txns:    map[cache.Addr]*l2Txn{},
-		waiting: map[cache.Addr][]*noc.Message{},
+// init builds l in place over a zero or recycled controller: its queue's
+// slots, emptied maps and transaction free list carry over.
+func (l *L2Ctrl) init(sys *System, id mesh.NodeID) {
+	*l = L2Ctrl{
+		sys: sys, id: id, c: sys.l2Arrays.Cache(int(id)), q: l.q.emptied(),
+		txns:    recycle.Map(l.txns),
+		waiting: recycle.Map(l.waiting),
+		free:    l.free,
 	}
 }
 

@@ -24,8 +24,10 @@ type MemCtrl struct {
 	wake sim.Waker
 }
 
-func newMC(sys *System, id mesh.NodeID) *MemCtrl {
-	return &MemCtrl{sys: sys, id: id}
+// init builds m in place over a zero or recycled controller; only its
+// queue's slots carry over.
+func (m *MemCtrl) init(sys *System, id mesh.NodeID) {
+	*m = MemCtrl{sys: sys, id: id, q: m.q.emptied()}
 }
 
 // ID returns the tile hosting this controller.

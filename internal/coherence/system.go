@@ -7,6 +7,7 @@ import (
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/stats"
 )
@@ -93,6 +94,8 @@ type System struct {
 	mcNodes   []mesh.NodeID
 	mcByTile  map[mesh.NodeID]*MemCtrl
 	lineBytes uint64
+	// shell is the free-list key Recycle files the system under.
+	shell shellKey
 
 	// The two slabs under every controller's array.
 	l1Arrays, l2Arrays *cache.Group
@@ -101,23 +104,63 @@ type System struct {
 	exclusiveTags []uint64
 }
 
+// shellKey is everything a system is built from: Recycle files a shell
+// under it, and only a NewSystem of equal inputs draws that shell.
+type shellKey struct {
+	m       mesh.Mesh
+	mcCount int
+	opts    core.Options
+}
+
+// shells holds the systems of cleanly finished runs (Recycle).
+var shells recycle.List[shellKey, *System]
+
 // NewSystem builds the chip: network (with the mechanism's router variant),
 // circuit manager, caches and controllers. mcCount memory controllers are
 // placed on the mesh edges (the paper uses 4 for both chip sizes). Unless
-// opts.NoPool, the cache arrays are a released system's when one left any.
+// opts.NoPool, it builds over a shell a finished run recycled with the same
+// inputs when there is one, and over cache arrays a released system left.
 func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
-	s := &System{M: m, Opts: opts, lineBytes: 64}
+	key := shellKey{m, mcCount, opts}
+	var s *System
+	if !opts.NoPool {
+		s, _ = shells.Get(key)
+	}
+	if s == nil {
+		s = new(System)
+	}
+	s.init(key)
+	return s
+}
+
+// init builds the system in s, which is zero or a recycled shell. The
+// rebuild names every field it sets, and every constructor it calls does
+// the same, so statistics, histograms, wakers and whatever a run armed come
+// back zero; what a shell carries over is memory — the network's and
+// manager's (noc.Network.Init, core.Manager.Init), the controller objects,
+// their queues' slots and emptied maps, the L2s' transaction free lists.
+func (s *System) init(key shellKey) {
+	m, opts := key.m, key.opts
+	net, mgr := s.Net, s.Mgr
+	mcNodes := m.MemoryControllerNodes(key.mcCount)
+	*s = System{
+		M: m, Opts: opts, lineBytes: 64, shell: key,
+		L1s:           recycle.Slice(s.L1s, m.Nodes()),
+		L2s:           recycle.Slice(s.L2s, m.Nodes()),
+		MCs:           recycle.Slice(s.MCs, len(mcNodes)),
+		mcNodes:       mcNodes,
+		mcByTile:      recycle.Map(s.mcByTile),
+		exclusiveTags: s.exclusiveTags,
+	}
+	s.Net = recycle.Object(&net)
 	cfg := core.NetConfigFor(m, opts)
 	if opts.Enabled() {
-		s.Mgr = core.NewManager(opts, m)
-		s.Net = noc.NewNetwork(cfg, s.Mgr, s.Mgr)
-		s.Mgr.Bind(s.Net)
+		s.Mgr = recycle.Object(&mgr).Init(opts, m)
+		net.Init(cfg, s.Mgr, s.Mgr)
+		s.Mgr.Bind(net)
 	} else {
-		s.Net = noc.NewNetwork(cfg, nil, nil)
+		net.Init(cfg, nil, nil)
 	}
-
-	s.mcNodes = m.MemoryControllerNodes(mcCount)
-	s.mcByTile = map[mesh.NodeID]*MemCtrl{}
 
 	// Addresses are line-interleaved across the L2 banks; each bank strips
 	// the bank-select bits before set indexing so it uses its whole array.
@@ -125,16 +168,13 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 	l2cfg.Interleave = m.Nodes()
 	s.l1Arrays = cache.NewGroup(cache.L1Config(), m.Nodes(), opts.NoPool)
 	s.l2Arrays = cache.NewGroup(l2cfg, m.Nodes(), opts.NoPool)
-	s.L1s = make([]*L1Ctrl, m.Nodes())
-	s.L2s = make([]*L2Ctrl, m.Nodes())
-	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
-		s.L1s[id] = newL1(s, id)
-		s.L2s[id] = newL2(s, id)
+	for id := range s.L1s {
+		recycle.Object(&s.L1s[id]).init(s, mesh.NodeID(id))
+		recycle.Object(&s.L2s[id]).init(s, mesh.NodeID(id))
 	}
-	for _, id := range s.mcNodes {
-		mc := newMC(s, id)
-		s.MCs = append(s.MCs, mc)
-		s.mcByTile[id] = mc
+	for i, id := range s.mcNodes {
+		recycle.Object(&s.MCs[i]).init(s, id)
+		s.mcByTile[id] = s.MCs[i]
 	}
 	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
 		id := id
@@ -142,7 +182,6 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 			s.dispatch(id, msg, now)
 		})
 	}
-	return s
 }
 
 // Release hands the cache arrays to the next NewSystem; any later access to
@@ -151,6 +190,22 @@ func (s *System) Release() {
 	s.l1Arrays.Release()
 	s.l2Arrays.Release()
 }
+
+// Recycle is Release, then hands the rest of s — network, circuit manager,
+// controllers — to the next NewSystem of the same inputs, which rebuilds
+// over it. Only a run that finished cleanly may call it: s must be
+// drained, and nothing may use s afterwards — a Results harvested from it
+// holds copies, never pointers into it. With opts.NoPool it is Release.
+func (s *System) Recycle() {
+	s.Release()
+	if !s.Opts.NoPool {
+		shells.Put(s.shell, s)
+	}
+}
+
+// IdleShells returns how many recycled systems wait for a NewSystem
+// (tests, diagnostics).
+func IdleShells() int { return shells.Idle() }
 
 // Image is the state of a system's two cache levels (cache.Image): what a
 // prefill leaves behind, restorable into any system of the same mesh size.
@@ -463,6 +518,11 @@ type procQueue struct {
 	// nothing in steady state. Handlers may push while iterating the
 	// returned slice (pushes go to items), but must not call due again.
 	scratch []*noc.Message
+}
+
+// emptied returns an empty queue on q's memory.
+func (q *procQueue) emptied() procQueue {
+	return procQueue{items: recycle.Slice(q.items, 0), scratch: recycle.Slice(q.scratch, 0)}
 }
 
 type procItem struct {

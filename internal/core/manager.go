@@ -5,6 +5,7 @@ import (
 
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/trace"
 )
@@ -102,6 +103,10 @@ type Manager struct {
 	// LIFO free-list is deterministic and keeps reservation
 	// allocation-free. The walk itself travels on Message.Walk.
 	walkFree []*walk
+	// recFree recycles records the same way: a record lives from
+	// recordCircuit (or a probe's launch) until it has left its registry
+	// and no scrounger rides it (retire).
+	recFree []*record
 	// cand is the candidate entry the reservation walk hands to
 	// Policy.Arbitrate. It lives here because a pointer to a local passed
 	// through the interface would escape: one allocation per router crossed.
@@ -149,19 +154,30 @@ var (
 
 // NewManager builds the mechanism state for a chip of the given mesh. Call
 // Bind after constructing the network.
-func NewManager(opts Options, m mesh.Mesh) *Manager {
+func NewManager(opts Options, m mesh.Mesh) *Manager { return new(Manager).Init(opts, m) }
+
+// Init builds the mechanism state in mg and returns mg. mg is either zero
+// or a manager a finished run left (DESIGN.md §5b): the rebuild names every
+// field it sets, so statistics, live counts, the tracer and the fault hook
+// come back zero and the policy is resolved afresh. What carries over is
+// memory: the tables' entry objects (emptied), the registries (cleared) and
+// the walk and record free lists.
+func (mg *Manager) Init(opts Options, m mesh.Mesh) *Manager {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	mg := &Manager{
-		opts:   opts,
-		m:      m,
-		tables: make([]*table, m.Nodes()),
-		regs:   make([]map[circKey]*record, m.Nodes()),
+	*mg = Manager{
+		opts:     opts,
+		m:        m,
+		tables:   recycle.Slice(mg.tables, m.Nodes()),
+		regs:     recycle.Slice(mg.regs, m.Nodes()),
+		walkFree: mg.walkFree,
+		recFree:  mg.recFree,
+		ops:      recycle.Slice(mg.ops, 0),
 	}
 	for i := range mg.tables {
-		mg.tables[i] = &table{}
-		mg.regs[i] = map[circKey]*record{}
+		recycle.Object(&mg.tables[i]).empty()
+		mg.regs[i] = recycle.Map(mg.regs[i])
 	}
 	mg.pol = mustPolicyFor(opts)
 	mg.traits = mg.pol.Traits(&opts)
@@ -193,7 +209,9 @@ func (mg *Manager) FlushCycle(now sim.Cycle) {
 			if op.rec.pendingUndo {
 				// The protocol undid the circuit mid-ride; tear it down
 				// now that the borrowed flits have cleared every router.
+				// Undo took the record out of its registry, so it retires.
 				mg.teardown(op.rec, now)
+				mg.retire(op.rec)
 			}
 		case opProbeUp:
 			if rec := mg.regs[op.src][op.key]; rec != nil {
@@ -255,6 +273,34 @@ func (mg *Manager) freeWalk(w *walk) {
 		mg.walkFree = append(mg.walkFree, w)
 		mg.walksLive--
 	}
+}
+
+// newRecord returns a record holding r, from the free list when one is
+// there.
+func (mg *Manager) newRecord(r record) *record {
+	var p *record
+	if n := len(mg.recFree); n > 0 {
+		p = mg.recFree[n-1]
+		mg.recFree[n-1] = nil
+		mg.recFree = mg.recFree[:n-1]
+	} else {
+		p = new(record)
+	}
+	*p = r
+	return p
+}
+
+// retire recycles rec, which has left its registry. While a scrounger
+// rides it, msg.Ride and the ride's release still hold it: the release
+// retires it then (FlushCycle) if Undo deferred a teardown, and otherwise
+// the GC takes it. With pooling disabled (Options.NoPool) every record
+// stays fresh.
+func (mg *Manager) retire(rec *record) {
+	if rec.inUse || mg.opts.NoPool {
+		return
+	}
+	*rec = record{}
+	mg.recFree = append(mg.recFree, rec)
 }
 
 // ---------------------------------------------------------------------------
@@ -356,8 +402,7 @@ func (mg *Manager) refuse(v verdict, id mesh.NodeID, msg *noc.Message, in mesh.D
 	if mg.opts.Timed || in == mesh.Local {
 		return
 	}
-	tok := &noc.UndoToken{Dest: dest, Block: msg.Block}
-	mg.net.Router(id).SendUndoCredit(in, tok, now)
+	mg.net.Router(id).SendUndoCredit(in, noc.UndoToken{Dest: dest, Block: msg.Block}, now)
 }
 
 // noteOrdinal counts a reservation that was the ord-th simultaneous circuit
@@ -629,7 +674,7 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 	}
 	defer mg.freeWalk(w)
 	key := circKey{dest: msg.Src, block: msg.Block}
-	rec := &record{key: key, path: mg.m.Hops(msg.Src, msg.Dst) + 1, src: ni}
+	rec := mg.newRecord(record{key: key, path: mg.m.Hops(msg.Src, msg.Dst) + 1, src: ni})
 	if mg.traits.Partial {
 		rec.reserved = msg.ReservedHops
 		rec.complete = msg.ReservedHops == rec.path
@@ -679,6 +724,7 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 	}
 	delete(mg.regs[ni], key)
 	if rec.empty() {
+		mg.retire(rec)
 		return false // nothing built to undo
 	}
 	mg.Stats.CircuitsUndone++
@@ -688,9 +734,10 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 	}
 	if rec.inUse {
 		rec.pendingUndo = true // a scrounger is riding; tear down after it
-		return true
+	} else {
+		mg.teardown(rec, now)
 	}
-	mg.teardown(rec, now)
+	mg.retire(rec)
 	return true
 }
 
@@ -716,7 +763,7 @@ func (mg *Manager) teardown(rec *record, now sim.Cycle) {
 		return
 	}
 	if next := mg.m.NextDir(mesh.RouteYX, src, dest); next != mesh.Local {
-		mg.net.Router(src).SendUndoCredit(next, &noc.UndoToken{Dest: dest, Block: block}, now)
+		mg.net.Router(src).SendUndoCredit(next, noc.UndoToken{Dest: dest, Block: block}, now)
 	}
 }
 

@@ -266,6 +266,7 @@ func (basePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.
 	}
 	if rec.empty() {
 		delete(mg.regs[ni], key)
+		mg.retire(rec)
 		mg.classify(msg, OutcomeFailed)
 		return now
 	}
@@ -283,6 +284,7 @@ func (basePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.
 				mg.tracer.Record(now, trace.CircuitUndone, msg.ID, ni,
 					fmt.Sprintf("missed window [%d,%d]", rec.injStart, rec.injEnd))
 			}
+			mg.retire(rec)
 			return now
 		}
 		if now < rec.injStart {
@@ -297,6 +299,7 @@ func (basePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.
 	} else {
 		mg.classify(msg, OutcomeFailed) // a partial path still rides its fragments
 	}
+	mg.retire(rec)
 	return now
 }
 

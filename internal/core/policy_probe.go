@@ -66,7 +66,7 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 		probe.SetupProbe = true
 		mg.net.NI(ni).SendFront(probe, now)
 		mg.Stats.ProbesSent++
-		mg.regs[ni][key] = &record{key: key, src: ni}
+		mg.regs[ni][key] = mg.newRecord(record{key: key, src: ni})
 		return now + 1
 	}
 	if !rec.probeUp {
@@ -75,10 +75,12 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 	delete(mg.regs[ni], key)
 	msg.WantCircuit = false
 	if rec.failed {
+		mg.retire(rec)
 		mg.classify(msg, OutcomeFailed)
 		return now
 	}
 	mg.ride(ni, msg, rec, now)
+	mg.retire(rec)
 	mg.Stats.CircuitsBuilt++
 	mg.classify(msg, OutcomeCircuit)
 	return now

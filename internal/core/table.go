@@ -60,6 +60,17 @@ type table struct {
 	inputs [mesh.NumDirs][]*entry
 }
 
+// empty frees every slot in place. The entry objects stay: a free slot is
+// one insert reuses, and insert fills the first free slot, so a recycled
+// table's spare slots serve exactly the inserts a new table would append.
+func (t *table) empty() {
+	for _, slots := range t.inputs {
+		for _, e := range slots {
+			*e = entry{}
+		}
+	}
+}
+
 // activeCount returns the number of live reservations at input port d.
 func (t *table) activeCount(d mesh.Dir, now sim.Cycle) int {
 	n := 0

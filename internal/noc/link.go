@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 )
 
@@ -35,6 +36,14 @@ type Link struct {
 	bit uint16
 }
 
+// init rebuilds l in place, over a zero link or one a finished run left,
+// as an empty wire of the given lanes: only the pipeline's slots and the
+// lane array's memory carry over.
+func (l *Link) init(lanes int) {
+	*l = Link{q: l.q.emptied(), laneNext: l.laneNext}
+	l.SetLanes(lanes)
+}
+
 // SetLanes divides the link into n equal-width lanes (n <= 1 leaves it
 // undivided). Flits carry their lane in Flit.Lane; senders must check
 // LaneFree before driving a divided link.
@@ -44,7 +53,7 @@ func (l *Link) SetLanes(n int) {
 		return
 	}
 	l.lanes = n
-	l.laneNext = make([]sim.Cycle, n)
+	l.laneNext = recycle.Zeroed(l.laneNext, n)
 }
 
 // LaneFree reports whether the given lane can accept a flit at cycle now.
@@ -122,14 +131,18 @@ type CreditLink struct {
 	bit  uint16
 }
 
+// undoSlot holds its token by value, so an undo allocates nothing.
 type undoSlot struct {
-	tok     *UndoToken
+	tok     UndoToken
 	readyAt sim.Cycle
 }
 
+// init rebuilds l in place as an empty wire, keeping only its slots.
+func (l *CreditLink) init() { *l = CreditLink{q: l.q.emptied()} }
+
 // Send puts tok on the wire during cycle now. Undo tokens for distinct
 // circuits may share a cycle: they travel on dedicated sideband wires.
-func (l *CreditLink) Send(tok *UndoToken, now sim.Cycle) {
+func (l *CreditLink) Send(tok UndoToken, now sim.Cycle) {
 	l.q.Push(undoSlot{tok: tok, readyAt: now + linkDelay})
 	if l.rx != nil {
 		*l.rx |= l.bit
@@ -137,15 +150,15 @@ func (l *CreditLink) Send(tok *UndoToken, now sim.Cycle) {
 	l.wake.Wake()
 }
 
-// Recv pops the next token arriving at or before cycle now, or nil.
-// Receivers loop until it returns nil.
-func (l *CreditLink) Recv(now sim.Cycle) *UndoToken {
+// Recv pops the next token arriving at or before cycle now; ok is false
+// when there is none. Receivers loop until it is.
+func (l *CreditLink) Recv(now sim.Cycle) (tok UndoToken, ok bool) {
 	if l.q.Len() == 0 || l.q.Front().readyAt > now {
-		return nil
+		return tok, false
 	}
-	tok := l.q.Pop().tok
+	tok = l.q.Pop().tok
 	if l.rx != nil && l.q.Len() == 0 {
 		*l.rx &^= l.bit
 	}
-	return tok
+	return tok, true
 }

@@ -63,14 +63,14 @@ func TestLinkBusy(t *testing.T) {
 
 func TestCreditLinkBatching(t *testing.T) {
 	l := &CreditLink{}
-	a, b := &UndoToken{Block: 0x40}, &UndoToken{Block: 0x80}
+	a, b := UndoToken{Block: 0x40}, UndoToken{Block: 0x80}
 	l.Send(a, 5)
 	l.Send(b, 5)
-	if l.Recv(6) != nil {
+	if _, ok := l.Recv(6); ok {
 		t.Fatal("undo tokens visible too early")
 	}
-	var got []*UndoToken
-	for tok := l.Recv(7); tok != nil; tok = l.Recv(7) {
+	var got []UndoToken
+	for tok, ok := l.Recv(7); ok; tok, ok = l.Recv(7) {
 		got = append(got, tok)
 	}
 	if len(got) != 2 || got[0] != a || got[1] != b {

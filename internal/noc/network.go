@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/trace"
 )
@@ -15,6 +16,12 @@ type Network struct {
 	cfg     NetConfig
 	routers []*Router
 	nis     []*NI
+	// links holds every flit wire: each NI's injection and ejection link,
+	// then one link per directed adjacency; undo holds the adjacency's
+	// credit wire. Each wire is its own allocation, as before wires were
+	// recycled, so their layout in memory is what it was.
+	links   []*Link
+	undo    []*CreditLink
 	ev      PowerEvents
 	msgID   uint64
 	pool    pools
@@ -29,30 +36,62 @@ type creditQueue struct{ cur, prev []*int32 }
 
 // NewNetwork builds the network. handler and hook may be nil (baseline).
 func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
+	return new(Network).Init(cfg, handler, hook)
+}
+
+// Init builds the network in n and returns n. n is either zero or a
+// network a finished run left (coherence.NewSystem's recycled shells,
+// DESIGN.md §5b): the rebuild names every field it sets, so the message
+// counter, power events, free-list counters and everything a run armed
+// (tracer, fault hook) come back zero. Only memory carries over — the
+// routers' and NIs' arrays, every wire's and queue's slots, the sequence
+// maps — and the flit and message free lists start empty, so a rebuilt
+// network is indistinguishable from a new one.
+func (n *Network) Init(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if cfg.Speculative && handler != nil {
 		panic("noc: speculative routers and reactive circuits are alternative designs; pick one")
 	}
-	n := &Network{cfg: cfg}
-	n.pool.disabled = cfg.NoPool
 	m := cfg.Mesh
-	n.routers = make([]*Router, m.Nodes())
-	n.nis = make([]*NI, m.Nodes())
+	nodes := m.Nodes()
+	adjacent := 2*(m.Width-1)*m.Height + 2*m.Width*(m.Height-1)
 	// A router returns at most one credit per input port per cycle.
-	n.credits.cur = make([]*int32, 0, int(mesh.NumDirs)*m.Nodes())
-	n.credits.prev = make([]*int32, 0, int(mesh.NumDirs)*m.Nodes())
-	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
-		n.routers[id] = newRouter(id, &n.cfg, handler, &n.ev, &n.credits)
-		n.nis[id] = newNI(id, &n.cfg, &n.ev, hook, &n.pool)
+	credits := int(mesh.NumDirs) * nodes
+	*n = Network{
+		cfg:     cfg,
+		routers: recycle.Slice(n.routers, nodes),
+		nis:     recycle.Slice(n.nis, nodes),
+		links:   recycle.Slice(n.links, 2*nodes+adjacent),
+		undo:    recycle.Slice(n.undo, adjacent),
+		pool: pools{
+			disabled: cfg.NoPool,
+			flits:    recycle.Slice(n.pool.flits, 0),
+			msgs:     recycle.Slice(n.pool.msgs, 0),
+		},
+		credits: creditQueue{
+			cur:  recycle.Slice(n.credits.cur, credits)[:0],
+			prev: recycle.Slice(n.credits.prev, credits)[:0],
+		},
+	}
+	for id := range n.routers {
+		recycle.Object(&n.routers[id]).init(mesh.NodeID(id), &n.cfg, handler, &n.ev, &n.credits)
+		recycle.Object(&n.nis[id]).init(mesh.NodeID(id), &n.cfg, &n.ev, hook, &n.pool)
+	}
+	links := n.links
+	link := func(lanes int) *Link {
+		l := recycle.Object(&links[0])
+		links = links[1:]
+		l.init(lanes)
+		return l
 	}
 
 	// Wire the local ports: NI -> router (injection), whose credits return
 	// to the NI's counters, and router -> NI (ejection).
 	for id := range n.routers {
 		r, ni := n.routers[id], n.nis[id]
-		ni.toRouter, ni.fromRouter = &Link{}, &Link{}
+		ni.toRouter, ni.fromRouter = link(0), link(0)
 		r.addInput(mesh.Local, ni.toRouter, nil, func(s int) *int32 {
 			return &ni.credits[r.slots[s].vn][r.slots[s].vc]
 		})
@@ -62,16 +101,18 @@ func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 	// Wire inter-router links: for every adjacency a->b create a flit
 	// link (a's output, b's input) and its reverse credit wire; b's
 	// credits return to a's output VCs.
+	undo := n.undo
 	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
 		for d := mesh.North; d <= mesh.West; d++ {
 			nb, ok := m.Neighbor(id, d)
 			if !ok {
 				continue
 			}
-			flits, credits := &Link{}, &CreditLink{}
 			// SDM divides only the mesh wires; the NI injection/ejection
 			// links wired above stay full-width.
-			flits.SetLanes(cfg.LinkLanes)
+			flits, credits := link(cfg.LinkLanes), recycle.Object(&undo[0])
+			undo = undo[1:]
+			credits.init()
 			up := n.routers[id]
 			up.addOutput(d, flits, credits)
 			n.routers[nb].addInput(d.Opposite(), flits, credits, func(s int) *int32 {

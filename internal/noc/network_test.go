@@ -24,8 +24,13 @@ func newHarness(cfg NetConfig, handler CircuitHandler, hook NIHook) *harness {
 // newUnregistered builds the network and its delivery log but leaves the
 // kernel empty.
 func newUnregistered(cfg NetConfig, handler CircuitHandler, hook NIHook) *harness {
-	h := &harness{net: NewNetwork(cfg, handler, hook), kernel: sim.NewKernel()}
-	for id := mesh.NodeID(0); int(id) < cfg.Mesh.Nodes(); id++ {
+	return harnessOver(NewNetwork(cfg, handler, hook))
+}
+
+// harnessOver logs net's deliveries and gives it a new, empty kernel.
+func harnessOver(net *Network) *harness {
+	h := &harness{net: net, kernel: sim.NewKernel()}
+	for id := mesh.NodeID(0); int(id) < net.cfg.Mesh.Nodes(); id++ {
 		h.net.NI(id).SetReceiver(func(m *Message, now sim.Cycle) {
 			h.delivered = append(h.delivered, m)
 		})

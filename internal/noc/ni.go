@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/trace"
 )
@@ -65,17 +66,27 @@ type localDelivery struct {
 	at  sim.Cycle
 }
 
-func newNI(id mesh.NodeID, cfg *NetConfig, ev *PowerEvents, hook NIHook, pool *pools) *NI {
-	ni := &NI{id: id, cfg: cfg, ev: ev, hook: hook, pool: pool}
+// init builds ni in place, over a zero NI or one a finished run left: its
+// queues' slots, credit counters and sequence map carry over, emptied, and
+// every other field comes back zero. Network.Init wires its links.
+func (ni *NI) init(id mesh.NodeID, cfg *NetConfig, ev *PowerEvents, hook NIHook, pool *pools) {
+	for vn := range ni.queues {
+		ni.queues[vn] = ni.queues[vn].emptied()
+	}
+	clear(ni.expectSeq)
+	*ni = NI{
+		id: id, cfg: cfg, ev: ev, hook: hook, pool: pool,
+		queues: ni.queues, credits: ni.credits, local: ni.local.emptied(),
+		expectSeq: ni.expectSeq,
+	}
 	for vn := 0; vn < NumVNs; vn++ {
-		ni.credits[vn] = make([]int32, cfg.VCsPerVN[vn])
+		ni.credits[vn] = recycle.Zeroed(ni.credits[vn], cfg.VCsPerVN[vn])
 		for vc := range ni.credits[vn] {
 			if cfg.VCBuffered(vn, vc) {
 				ni.credits[vn][vc] = int32(cfg.BufDepth)
 			}
 		}
 	}
-	return ni
 }
 
 // ID returns the tile id this NI serves.

@@ -143,7 +143,7 @@ func (c *toyCircuits) settle(m *Message, now sim.Cycle) bool {
 		out := c.entries[k]
 		delete(c.busy, toyPort{k.id, out})
 		delete(c.entries, k)
-		c.net.Router(k.id).SendUndoCredit(out, &UndoToken{Dest: m.Src, Block: m.Block}, now)
+		c.net.Router(k.id).SendUndoCredit(out, UndoToken{Dest: m.Src, Block: m.Block}, now)
 	}
 	return false
 }

@@ -27,6 +27,13 @@ func (r *ring[T]) grow(min int) {
 	r.buf, r.head = nb, 0
 }
 
+// emptied returns an empty ring on r's slots, zeroed: a rebuilt network's
+// queues keep the capacity their last run grew them to.
+func (r *ring[T]) emptied() ring[T] {
+	clear(r.buf)
+	return ring[T]{buf: r.buf}
+}
+
 // Len returns the number of queued elements.
 func (r *ring[T]) Len() int { return r.n }
 

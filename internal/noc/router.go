@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 )
 
@@ -136,14 +137,30 @@ type Router struct {
 
 	byQ  [mesh.NumDirs]ring[bypassEntry]
 	spec [mesh.NumDirs]specTable // routes of messages speculating through each input, by msg ID
+
+	// undo holds the token recvUndo is handling: the hooks take it by
+	// pointer, and a pointer to a local would escape, one allocation per
+	// token.
+	undo UndoToken
 }
 
 // FlitsOut returns the number of flits this router sent through output
 // port d over the run (Local = ejections to the NI).
 func (r *Router) FlitsOut(d mesh.Dir) int64 { return r.flitsOut[d] }
 
-func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *PowerEvents, credits *creditQueue) *Router {
-	r := &Router{id: id, cfg: cfg, handler: handler, ev: ev, credits: credits, depth: cfg.BufDepth}
+// init builds r in place, over a zero router or one a finished run left:
+// the rebuild names every field it sets and zeroes the rest — arbiter
+// pointers, masks, the fault hook, counters — so only the per-VC arrays'
+// memory and the bypass queues' slots carry over.
+func (r *Router) init(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *PowerEvents, credits *creditQueue) {
+	for d := range r.byQ {
+		r.byQ[d] = r.byQ[d].emptied()
+	}
+	*r = Router{
+		id: id, cfg: cfg, handler: handler, ev: ev, credits: credits, depth: cfg.BufDepth,
+		slots: r.slots[:0], vcs: r.vcs, store: r.store, outs: r.outs, creditTo: r.creditTo,
+		byQ: r.byQ,
+	}
 	for vn := 0; vn < NumVNs; vn++ {
 		r.slotBase[vn] = len(r.slots)
 		for vc := 0; vc < cfg.VCsPerVN[vn]; vc++ {
@@ -155,16 +172,15 @@ func newRouter(id mesh.NodeID, cfg *NetConfig, handler CircuitHandler, ev *Power
 	}
 	r.nslots = len(r.slots)
 	n := int(mesh.NumDirs) * r.nslots
-	r.vcs = make([]inVC, n)
-	r.store = make([]*Flit, n*r.depth)
-	r.outs = make([]outputVC, n)
-	r.creditTo = make([]*int32, n)
+	r.vcs = recycle.Zeroed(r.vcs, n)
+	r.store = recycle.Zeroed(r.store, n*r.depth)
+	r.outs = recycle.Zeroed(r.outs, n)
+	r.creditTo = recycle.Zeroed(r.creditTo, n)
 	for i := range r.outs {
 		if r.unbuffered&(1<<(i%r.nslots)) == 0 {
 			r.outs[i].credits = int32(r.depth)
 		}
 	}
-	return r
 }
 
 // ID returns the router's node id.
@@ -244,7 +260,7 @@ func (r *Router) latch(d mesh.Dir, e bypassEntry) {
 // port in, toward the circuit destination. The Reactive Circuits layer uses
 // it to start teardown walks ("we send the data of the circuit to be undone
 // towards the circuit destination using credits").
-func (r *Router) SendUndoCredit(in mesh.Dir, tok *UndoToken, now sim.Cycle) {
+func (r *Router) SendUndoCredit(in mesh.Dir, tok UndoToken, now sim.Cycle) {
 	if r.upCredit[in] == nil {
 		return // the walk ends at an NI boundary
 	}
@@ -277,12 +293,13 @@ func (r *Router) Tick(now sim.Cycle) {
 func (r *Router) recvUndo(now sim.Cycle) {
 	for m := r.inbound >> mesh.NumDirs; m != 0; m &= m - 1 {
 		d := mesh.Dir(bits.TrailingZeros16(m))
-		for tok := r.downCredit[d].Recv(now); tok != nil; tok = r.downCredit[d].Recv(now) {
-			if r.handler == nil || r.fault != nil && r.fault.DropUndo(r.id, tok, now) {
+		for tok, ok := r.downCredit[d].Recv(now); ok; tok, ok = r.downCredit[d].Recv(now) {
+			r.undo = tok
+			if r.handler == nil || r.fault != nil && r.fault.DropUndo(r.id, &r.undo, now) {
 				continue // no circuit layer, or an injected fault: the walk ends here
 			}
-			if fwd, ok := r.handler.OnUndo(r.id, tok, d, now); ok && fwd != mesh.Local {
-				r.SendUndoCredit(fwd, tok, now)
+			if fwd, ok := r.handler.OnUndo(r.id, &r.undo, d, now); ok && fwd != mesh.Local {
+				r.SendUndoCredit(fwd, r.undo, now)
 			}
 		}
 	}

@@ -133,7 +133,7 @@ func TestUndoCreditWalkThroughRouters(t *testing.T) {
 	h := newHarness(func() NetConfig { c := BaselineConfig(m); return c }(), walker, nil)
 	// Start a walk from router 2 toward router 0: emit on router 2's
 	// West input credit wire.
-	h.net.Router(2).SendUndoCredit(mesh.West, &UndoToken{Dest: 0, Block: 0x40}, h.kernel.Now())
+	h.net.Router(2).SendUndoCredit(mesh.West, UndoToken{Dest: 0, Block: 0x40}, h.kernel.Now())
 	h.kernel.Run(10)
 	if len(walker.undos) != 2 {
 		t.Fatalf("undo visited %d routers, want 2 (router 1 then 0)", len(walker.undos))
