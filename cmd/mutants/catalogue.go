@@ -362,4 +362,41 @@ var catalogue = []Mutant{
 		New:  "\tcase true:\n",
 		Pkg:  "./internal/chip", Run: "^TestRecyclingAfterFailedRuns$", PR: 39,
 	},
+
+	// A cache hit is a byte copy: encoded once, spliced in by one writer.
+	{
+		Name: "complete keeps the old entry's encoded bytes when replacing its Results",
+		File: "internal/serve/cache.go",
+		Old:  "el.Value.(*cacheEntry).res = res",
+		New:  "el.Value.(*cacheEntry).res.res = res.res",
+		Pkg:  "./internal/serve", Run: "^TestRecompletedFingerprintServesNewResult$", PR: 40,
+	},
+	{
+		Name: "the worker encodes the result ahead of the next queued run",
+		File: "internal/serve/server.go",
+		Old:  "\t\tr := &result{res: res}\n",
+		New:  "\t\tr := &result{res: res}\n\t\t_, _ = r.encoded()\n",
+		Pkg:  "./internal/serve", Run: "^TestConcurrentFirstFetchesShareOneEncoding$", PR: 40,
+	},
+	{
+		Name: "the status writer drops \"cached\"",
+		File: "internal/serve/http.go",
+		Old:  "\thead, err := json.Marshal(st)\n",
+		New:  "\tst.Cached = false\n\thead, err := json.Marshal(st)\n",
+		Pkg:  "./internal/serve", Run: "^TestDoneStatusBodyMatchesEncoder$", PR: 40,
+	},
+	{
+		Name: "the status writer puts the result ahead of the other fields",
+		File: "internal/serve/http.go",
+		Old:  "\t_, _ = w.Write(head)\n\t_, _ = io.WriteString(w, key)\n\t_, _ = w.Write(js)\n",
+		New:  "\t_, _ = io.WriteString(w, `{\"result\":`)\n\t_, _ = w.Write(js)\n\t_, _ = io.WriteString(w, \",\")\n\t_, _ = w.Write(head[1:])\n",
+		Pkg:  "./internal/serve", Run: "^TestDoneStatusBodyMatchesEncoder$", PR: 40,
+	},
+	{
+		Name: "a histogram's buckets travel under another key",
+		File: "internal/stats/stats.go",
+		Old:  "`json:\"buckets\"`",
+		New:  "`json:\"bucket\"`",
+		Pkg:  "./internal/stats", Run: "^TestHistogramJSONRoundTrip$", PR: 40,
+	},
 }

@@ -68,39 +68,6 @@ func TestArbiterMatchesRoundRobin(t *testing.T) {
 	}
 }
 
-// TestVAPhase2VisitsFromPointer pins the property stage2VA's phase 2 is
-// built on: arbitrating n requests round-robin, each granted or refused and
-// then withdrawn, visits all of them once in rank order from the pointer
-// (or from 0 when the pointer is past n) and leaves the pointer unchanged.
-func TestVAPhase2VisitsFromPointer(t *testing.T) {
-	for n := 1; n <= 8; n++ {
-		for ptr := 0; ptr <= n+1; ptr++ {
-			req := make([]bool, n)
-			for i := range req {
-				req[i] = true
-			}
-			p := ptr
-			var order []int
-			for idx := roundRobin(req, &p); idx >= 0; idx = roundRobin(req, &p) {
-				req[idx] = false
-				order = append(order, idx)
-			}
-			start := ptr
-			if start >= n {
-				start = 0
-			}
-			for k, idx := range order {
-				if want := (start + k) % n; idx != want {
-					t.Fatalf("n=%d ptr=%d: visit %d went to %d, want %d (order %v)", n, ptr, k, idx, want, order)
-				}
-			}
-			if len(order) != n || p != start {
-				t.Fatalf("n=%d ptr=%d: visited %d, pointer left at %d, want %d and %d", n, ptr, len(order), p, n, start)
-			}
-		}
-	}
-}
-
 func TestRoundRobinFairness(t *testing.T) {
 	ptr := 0
 	order := []int{}

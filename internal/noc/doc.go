@@ -13,7 +13,7 @@
 // head flit crosses a router in four stages plus the link:
 //
 //	cycle t     BW+RC   flit written into its input VC, route computed
-//	cycle t+1   VA      two-phase round-robin VC allocation
+//	cycle t+1   VA      two-phase VC allocation, in input-port order
 //	                    (circuit reservation happens here, in parallel)
 //	cycle t+2   SA      two-phase round-robin switch allocation
 //	cycle t+3   ST      crossbar traversal, flit put on the link

@@ -127,7 +127,6 @@ type Router struct {
 	fault   FaultHook
 
 	// Round-robin arbiter pointers.
-	vaPtr    [mesh.NumDirs]int // per output port, over requesting input VCs
 	saInPtr  [mesh.NumDirs]int // per input port, over its VCs
 	saOutPtr [mesh.NumDirs]int // per output port, over input ports
 	byPtr    int               // over input ports, for bypass priority
@@ -532,17 +531,17 @@ func (r *Router) runBypass(usedIn, usedOut *uint8, now sim.Cycle) {
 	r.byPtr = (r.byPtr + 1) % int(mesh.NumDirs)
 }
 
-// stage2VA runs the two-phase round-robin VC allocator; circuit
-// reservation happens "in parallel with VC allocation" via OnRequestVA —
-// the switching policy's Reserve hook fires here, and its table write
-// becomes visible to the next cycle's bypass checks, never this one's.
+// stage2VA runs the two-phase VC allocator: requests, then grants in
+// (input port, slot) order. Circuit reservation happens "in parallel with
+// VC allocation" via OnRequestVA — the switching policy's Reserve hook
+// fires here, and its table write becomes visible to the next cycle's
+// bypass checks, never this one's.
 func (r *Router) stage2VA(now sim.Cycle) {
 	if r.waitVA == [mesh.NumDirs]uint16{} {
 		return
 	}
 	var reqs [mesh.NumDirs][mesh.NumDirs]uint16 // [out][in] requesting slots
 	var reqIns [mesh.NumDirs]uint8              // per output: requesting input ports
-	var reqN [mesh.NumDirs]int                  // per output: number of requests
 	var reqOuts uint8                           // outputs with a request
 
 	// Phase 1: each routed head requests the free allocatable output VC
@@ -578,34 +577,19 @@ func (r *Router) stage2VA(now sim.Cycle) {
 			v.cand = uint8(cand)
 			reqs[v.route][d] |= 1 << s
 			reqIns[v.route] |= 1 << d
-			reqN[v.route]++
 			reqOuts |= 1 << v.route
 		}
 	}
 
-	// Phase 2: per output port, grant contenders round-robin; at most one
-	// grant per output VC per cycle. The contenders form a list ordered by
-	// (input port, slot). Each is granted or refused in turn, so the
-	// arbiter visits all n of them once, from the pointer's rank, and ends
-	// where it began: the pointer only restarts at 0 when n shrinks below
-	// it. The first pass takes the ranks from the pointer on, the second
-	// wraps to those before it.
+	// Phase 2: per output port, grant contenders in (input port, slot)
+	// order; at most one grant per output VC per cycle.
 	for ; reqOuts != 0; reqOuts &= reqOuts - 1 {
 		o := mesh.Dir(bits.TrailingZeros8(reqOuts))
-		if r.vaPtr[o] >= reqN[o] {
-			r.vaPtr[o] = 0
-		}
 		var taken uint16 // output VC slots granted this cycle
-		for pass := 0; pass < 2; pass++ {
-			rank := 0
-			for ins := reqIns[o]; ins != 0; ins &= ins - 1 {
-				d := mesh.Dir(bits.TrailingZeros8(ins))
-				for m := reqs[o][d]; m != 0; m &= m - 1 {
-					if (rank >= r.vaPtr[o]) == (pass == 0) {
-						r.grantVC(o, d, bits.TrailingZeros16(m), &taken, now)
-					}
-					rank++
-				}
+		for ins := reqIns[o]; ins != 0; ins &= ins - 1 {
+			d := mesh.Dir(bits.TrailingZeros8(ins))
+			for m := reqs[o][d]; m != 0; m &= m - 1 {
+				r.grantVC(o, d, bits.TrailingZeros16(m), &taken, now)
 			}
 		}
 	}

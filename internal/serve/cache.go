@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,7 +33,28 @@ type resultCache struct {
 
 type cacheEntry struct {
 	fp  string
+	res *result
+}
+
+// result is a finished run's Results with their JSON, shared by the cache
+// entry and every job served from it. The JSON is encoded once, by the
+// first HTTP handler that needs it (the miss's own GET or the first hit),
+// and never on a worker, where it would delay the next queued run. A
+// stored result is never changed: replacing an entry's Results replaces
+// its result, so the bytes always match the Results they were encoded
+// from. Each one holds about 6.5 KB of JSON for a 16-core run.
+type result struct {
 	res *chip.Results
+
+	once sync.Once
+	js   []byte
+	err  error
+}
+
+// encoded returns the Results' encoding, as json.Marshal writes it.
+func (r *result) encoded() ([]byte, error) {
+	r.once.Do(func() { r.js, r.err = json.Marshal(r.res) })
+	return r.js, r.err
 }
 
 // newResultCache builds a cache holding capacity entries (<= 0: 512).
@@ -60,7 +82,7 @@ const (
 // admit decides a submission's fate atomically: a cached result wins, an
 // in-flight twin is joined, otherwise the caller's fresh job is registered
 // as the fingerprint's in-flight owner.
-func (c *resultCache) admit(fp string, fresh *job) (admitOutcome, *chip.Results, *job) {
+func (c *resultCache) admit(fp string, fresh *job) (admitOutcome, *result, *job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byF[fp]; ok {
@@ -76,9 +98,9 @@ func (c *resultCache) admit(fp string, fresh *job) (admitOutcome, *chip.Results,
 	return admitNew, nil, nil
 }
 
-// complete stores a finished run's results (nil res for failures) and
+// complete stores a finished run's result (nil res for failures) and
 // releases the fingerprint's in-flight slot.
-func (c *resultCache) complete(fp string, res *chip.Results) {
+func (c *resultCache) complete(fp string, res *result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.inflight, fp)

@@ -115,8 +115,14 @@ func open(ctx context.Context, hc *http.Client, method, url string, body any) (*
 	return nil, &StatusError{Code: resp.StatusCode, Msg: fmt.Sprintf("%s %s: %s", method, req.URL.Path, ae.Error)}
 }
 
+// maxBodyHint caps how much call reserves up front from a Content-Length
+// header; a larger body still reads, growing the buffer as it goes.
+const maxBodyHint = 16 << 20
+
 // call sends one request through open and decodes a JSON answer into out
-// (a 204 carries nothing to read).
+// (a 204 carries nothing to read). The body is read once, into a buffer
+// sized from Content-Length when the server sent one, and decoded from
+// there.
 func call(ctx context.Context, hc *http.Client, method, url string, body, out any) error {
 	resp, err := open(ctx, hc, method, url, body)
 	if err != nil {
@@ -126,7 +132,16 @@ func call(ctx context.Context, hc *http.Client, method, url string, body, out an
 	if resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxBodyHint {
+		// ReadFrom asks for MinRead bytes of room before every read,
+		// the one that finds EOF included.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), out)
 }
 
 // Submit posts one spec; backpressure surfaces as a retryable error that

@@ -15,9 +15,11 @@
 //
 // One wire layer carries all of it. Requests: open builds, sends and
 // judges every request (2xx, 429/503 backpressure with Retry-After,
-// *StatusError for the rest); call is open plus a JSON decode;
-// Client.Submit/Job/Follow/Metrics sit on them. Responses: writeJSON
-// (compact — pipe through `jq .` to read), writeError and writeMetrics.
+// *StatusError for the rest); call is open plus one sized body read and a
+// JSON decode; Client.Submit/Job/Follow/Metrics sit on them. Responses:
+// writeJSON (compact — pipe through `jq .` to read), writeError,
+// writeMetrics, and writeStatus for a JobStatus, which writes a done job's
+// Results as the bytes encoded once for them.
 // The cluster package reaches nodes only through Client. Client.Wait
 // learns that a job ended the way a browser would: it follows the job's
 // event stream to the terminal event and fetches the record once. There is

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -41,6 +42,41 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v) // a failed write is the client hanging up
 }
 
+// writeStatus is the one writer of a JobStatus: st as job.status returns
+// it, without its Results, and r, the job's result or nil. A status
+// without a result goes through writeJSON. A done job's Results are
+// written as the bytes encoded once for them (result.encoded), spliced in
+// as the trailing "result" field, so a cache hit encodes only the small
+// header. The body equals json.NewEncoder(w).Encode(st) with st.Result
+// set, byte for byte: Result is JobStatus's last field, and the header
+// always has fields before it.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus, r *result) {
+	if r == nil {
+		writeJSON(w, code, st)
+		return
+	}
+	js, err := r.encoded()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode result: "+err.Error())
+		return
+	}
+	head, err := json.Marshal(st)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode status: "+err.Error())
+		return
+	}
+	head = head[:len(head)-1] // reopen the object after its last field
+	const key, tail = `,"result":`, "}\n"
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(key)+len(js)+len(tail)))
+	w.WriteHeader(code)
+	// A failed write is the client hanging up.
+	_, _ = w.Write(head)
+	_, _ = io.WriteString(w, key)
+	_, _ = w.Write(js)
+	_, _ = io.WriteString(w, tail)
+}
+
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -67,7 +103,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
-	st, err := s.Submit(spec.Spec)
+	st, res, err := s.submit(spec.Spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Backpressure, not failure: the queue is bounded by design and
@@ -80,9 +116,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())
 	case st.Cached || st.Deduped:
-		writeJSON(w, http.StatusOK, st)
+		writeStatus(w, http.StatusOK, st, res)
 	default:
-		writeJSON(w, http.StatusAccepted, st)
+		writeStatus(w, http.StatusAccepted, st, res)
 	}
 }
 
@@ -92,7 +128,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status(true))
+	st, res := j.status()
+	writeStatus(w, http.StatusOK, st, res)
 }
 
 // handleEvents streams a job's progress as server-sent events. The stream

@@ -64,7 +64,8 @@ type JobStatus struct {
 	// Error and RetryError are the structured run failures (failed jobs).
 	Error      *chip.RunError `json:"error,omitempty"`
 	RetryError *chip.RunError `json:"retry_error,omitempty"`
-	// Result is attached when the job is done.
+	// Result is attached when the job is done. It stays the last field:
+	// writeStatus writes it after the others.
 	Result *chip.Results `json:"result,omitempty"`
 }
 
@@ -82,7 +83,7 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	result    *chip.Results
+	result    *result
 	runErr    *chip.RunError
 	retryErr  *chip.RunError
 
@@ -150,19 +151,16 @@ func (j *job) eventsAfter(seq int) ([]Event, <-chan struct{}) {
 	return tail, j.changed
 }
 
-// status snapshots the wire view. includeResult controls whether the full
-// Results payload rides along (GET yes; event frames no).
-func (j *job) status(includeResult bool) JobStatus {
+// status snapshots the wire view without its Results, and returns the
+// job's result alongside (nil until the job is done). The HTTP handlers
+// write the two through writeStatus; in-process callers set Result.
+func (j *job) status() (JobStatus, *result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	return JobStatus{
 		ID: j.id, State: j.state, Fingerprint: j.fingerprint,
 		Cached: j.cached, Retried: j.retried, Windows: j.windows,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
 		Error: j.runErr, RetryError: j.retryErr,
-	}
-	if includeResult {
-		st.Result = j.result
-	}
-	return st
+	}, j.result
 }

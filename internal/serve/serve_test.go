@@ -45,11 +45,17 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// jobState reads a job's state.
+func jobState(j *job) JobState {
+	st, _ := j.status()
+	return st.State
+}
+
 // TestCacheLRUEviction: the LRU must evict the least recently used
 // fingerprint and count the eviction — and nothing before it is full.
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	r := &chip.Results{}
+	r := &result{res: &chip.Results{}}
 	for _, fp := range []string{"a", "b"} {
 		if out, _, _ := c.admit(fp, nil); out != admitNew {
 			t.Fatalf("admit(%s) = %v, want new", fp, out)
@@ -103,7 +109,7 @@ func TestCacheDedupCoalesces(t *testing.T) {
 	if out != admitJoin || twin != owner {
 		t.Fatalf("second admission = %v/%v, want join onto j-1", out, twin)
 	}
-	c.complete("fp", &chip.Results{})
+	c.complete("fp", &result{res: &chip.Results{}})
 	if out, res, _ := c.admit("fp", nil); out != admitHit || res == nil {
 		t.Fatalf("post-completion admission = %v, want cache hit", out)
 	}
@@ -173,7 +179,7 @@ func TestJobTableBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if j, _ := s.Job(running.ID); j.status(false).State == StateRunning {
+		if j, _ := s.Job(running.ID); jobState(j) == StateRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -184,7 +190,7 @@ func TestJobTableBounded(t *testing.T) {
 	// Plant one result, then ask for it more often than the table is deep.
 	hit := smallSpec(42)
 	s.cache.admit(hit.Fingerprint(), nil)
-	s.cache.complete(hit.Fingerprint(), &chip.Results{})
+	s.cache.complete(hit.Fingerprint(), &result{res: &chip.Results{}})
 	const extra = 50
 	var first, last JobStatus
 	for i := 0; i < terminalJobsKept+extra; i++ {
@@ -201,7 +207,7 @@ func TestJobTableBounded(t *testing.T) {
 	s.jobsMu.Lock()
 	terminal := 0
 	for _, j := range s.jobs {
-		if j.status(false).State.Terminal() {
+		if jobState(j).Terminal() {
 			terminal++
 		}
 	}
@@ -213,7 +219,7 @@ func TestJobTableBounded(t *testing.T) {
 		t.Fatalf("newest job %s was evicted", last.ID)
 	}
 	for _, st := range []JobStatus{running, queued} {
-		if j, ok := s.Job(st.ID); !ok || j.status(false).State.Terminal() {
+		if j, ok := s.Job(st.ID); !ok || jobState(j).Terminal() {
 			t.Fatalf("unfinished job %s was evicted or finished (found=%v)", st.ID, ok)
 		}
 	}

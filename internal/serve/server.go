@@ -212,11 +212,21 @@ func (s *Server) newID() string { return fmt.Sprintf("j-%d", s.nextID.Add(1)) }
 // otherwise the job joins the bounded queue — or is rejected with
 // ErrQueueFull, which callers should surface as backpressure, not failure.
 func (s *Server) Submit(spec chip.Spec) (JobStatus, error) {
+	st, r, err := s.submit(spec)
+	if r != nil {
+		st.Result = r.res
+	}
+	return st, err
+}
+
+// submit is Submit with a cache hit's result returned beside the status,
+// so the HTTP handler can write its stored encoding.
+func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 	if s.draining.Load() {
-		return JobStatus{}, ErrDraining
+		return JobStatus{}, nil, ErrDraining
 	}
 	if err := spec.Validate(); err != nil {
-		return JobStatus{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+		return JobStatus{}, nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	spec.OnSample = nil // observers are server-side only
 	fp := spec.Fingerprint()
@@ -233,14 +243,15 @@ func (s *Server) Submit(spec chip.Spec) (JobStatus, error) {
 		s.register(j)
 		s.finish(j, StateDone)
 		s.submitted.Add(1)
-		return j.status(true), nil
+		st, _ := j.status()
+		return st, cached, nil
 
 	case admitJoin:
 		s.submitted.Add(1)
 		s.deduped.Add(1)
-		st := twin.status(false)
+		st, _ := twin.status()
 		st.Deduped = true
-		return st, nil
+		return st, nil, nil
 
 	default:
 		select {
@@ -248,11 +259,12 @@ func (s *Server) Submit(spec chip.Spec) (JobStatus, error) {
 		default:
 			s.cache.release(fp)
 			s.rejected.Add(1)
-			return JobStatus{}, ErrQueueFull
+			return JobStatus{}, nil, ErrQueueFull
 		}
 		s.register(j)
 		s.submitted.Add(1)
-		return j.status(false), nil
+		st, _ := j.status()
+		return st, nil, nil
 	}
 }
 
@@ -330,10 +342,11 @@ func (s *Server) runJob(j *job) {
 
 	switch {
 	case res != nil:
+		r := &result{res: res}
 		j.mu.Lock()
-		j.result = res
+		j.result = r
 		j.mu.Unlock()
-		s.cache.complete(j.fingerprint, res)
+		s.cache.complete(j.fingerprint, r)
 		s.finish(j, StateDone)
 		s.jobsDone.Add(1)
 

@@ -7,52 +7,65 @@ package stats
 import "math"
 
 // Sample accumulates a stream of float64 observations.
-type Sample struct {
-	n          int64
-	sum, sumSq float64
-	min, max   float64
+//
+// Its state travels as plain JSON fields (chip.Results crosses the wire
+// between rcsweep -remote and rcserved), so encoding/json reads and writes
+// them directly. The methods N, Sum, Min and Max shadow the promoted
+// fields of the same names, so code outside this package cannot write
+// them; SumSq stays reachable, and nothing outside this package writes it.
+type Sample struct{ moments }
+
+// moments is Sample's state, exported field by field for encoding/json.
+type moments struct {
+	N     int64   `json:"n"`
+	Sum   float64 `json:"sum"`
+	SumSq float64 `json:"sum_sq"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
+	m := &s.moments
+	if m.N == 0 || v < m.Min {
+		m.Min = v
 	}
-	if s.n == 0 || v > s.max {
-		s.max = v
+	if m.N == 0 || v > m.Max {
+		m.Max = v
 	}
-	s.n++
-	s.sum += v
-	s.sumSq += v * v
+	m.N++
+	m.Sum += v
+	m.SumSq += v * v
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int64 { return s.n }
+func (s *Sample) N() int64 { return s.moments.N }
 
 // Sum returns the total of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
+func (s *Sample) Sum() float64 { return s.moments.Sum }
 
 // Mean returns the sample mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	if s.n == 0 {
+	if s.moments.N == 0 {
 		return 0
 	}
-	return s.sum / float64(s.n)
+	return s.moments.Sum / float64(s.moments.N)
 }
 
 // Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 { return s.min }
+func (s *Sample) Min() float64 { return s.moments.Min }
 
 // Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 { return s.max }
+func (s *Sample) Max() float64 { return s.moments.Max }
 
 // Variance returns the unbiased sample variance.
 func (s *Sample) Variance() float64 {
-	if s.n < 2 {
+	m := &s.moments
+	if m.N < 2 {
 		return 0
 	}
 	mean := s.Mean()
-	v := (s.sumSq - float64(s.n)*mean*mean) / float64(s.n-1)
+	v := (m.SumSq - float64(m.N)*mean*mean) / float64(m.N-1)
 	if v < 0 { // numeric noise
 		return 0
 	}
@@ -65,10 +78,10 @@ func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 // StdErr returns the standard error of the mean, as plotted in the paper's
 // Figures 8 and 9 error bars.
 func (s *Sample) StdErr() float64 {
-	if s.n == 0 {
+	if s.moments.N == 0 {
 		return 0
 	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
+	return s.StdDev() / math.Sqrt(float64(s.moments.N))
 }
 
 // CI95 returns the half-width of a 95% confidence interval on the mean
@@ -77,31 +90,39 @@ func (s *Sample) CI95() float64 { return 1.96 * s.StdErr() }
 
 // Merge folds other into s.
 func (s *Sample) Merge(other *Sample) {
-	if other.n == 0 {
+	m, o := &s.moments, &other.moments
+	if o.N == 0 {
 		return
 	}
-	if s.n == 0 {
-		*s = *other
+	if m.N == 0 {
+		*m = *o
 		return
 	}
-	if other.min < s.min {
-		s.min = other.min
+	if o.Min < m.Min {
+		m.Min = o.Min
 	}
-	if other.max > s.max {
-		s.max = other.max
+	if o.Max > m.Max {
+		m.Max = o.Max
 	}
-	s.n += other.n
-	s.sum += other.sum
-	s.sumSq += other.sumSq
+	m.N += o.N
+	m.Sum += o.Sum
+	m.SumSq += o.SumSq
 }
 
 // Histogram counts integer observations in fixed-width buckets with an
 // overflow bucket, used for latency distributions.
-type Histogram struct {
-	BucketWidth int64
-	buckets     []int64
-	overflow    int64
-	sample      Sample
+//
+// Like Sample's, its state is plain JSON fields. The Overflow method
+// shadows the promoted field; BucketWidth, Buckets and Sample stay
+// reachable, and nothing outside this package writes them.
+type Histogram struct{ hist }
+
+// hist is Histogram's state, exported field by field for encoding/json.
+type hist struct {
+	BucketWidth int64   `json:"bucket_width"`
+	Buckets     []int64 `json:"buckets"`
+	Overflow    int64   `json:"overflow"`
+	Sample      Sample  `json:"sample"`
 }
 
 // NewHistogram creates a histogram with n buckets of the given width.
@@ -109,51 +130,51 @@ func NewHistogram(bucketWidth int64, n int) *Histogram {
 	if bucketWidth <= 0 || n <= 0 {
 		panic("stats: invalid histogram shape")
 	}
-	return &Histogram{BucketWidth: bucketWidth, buckets: make([]int64, n)}
+	return &Histogram{hist{BucketWidth: bucketWidth, Buckets: make([]int64, n)}}
 }
 
 // Add records v. Negative values clamp to bucket 0.
 func (h *Histogram) Add(v int64) {
-	h.sample.Add(float64(v))
+	h.Sample.Add(float64(v))
 	if v < 0 {
 		v = 0
 	}
 	b := v / h.BucketWidth
-	if int(b) >= len(h.buckets) {
-		h.overflow++
+	if int(b) >= len(h.Buckets) {
+		h.hist.Overflow++
 		return
 	}
-	h.buckets[b]++
+	h.Buckets[b]++
 }
 
 // Count returns total observations.
-func (h *Histogram) Count() int64 { return h.sample.N() }
+func (h *Histogram) Count() int64 { return h.Sample.N() }
 
 // Mean returns the mean of all observations (exact, not bucketed).
-func (h *Histogram) Mean() float64 { return h.sample.Mean() }
+func (h *Histogram) Mean() float64 { return h.Sample.Mean() }
 
 // Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
+func (h *Histogram) Bucket(i int) int64 { return h.Buckets[i] }
 
 // Overflow returns observations beyond the last bucket.
-func (h *Histogram) Overflow() int64 { return h.overflow }
+func (h *Histogram) Overflow() int64 { return h.hist.Overflow }
 
 // Percentile returns an upper bound on the p-quantile (0 < p <= 1) from the
 // bucketed data: the upper edge of the bucket containing the quantile.
 func (h *Histogram) Percentile(p float64) int64 {
-	total := h.sample.N()
+	total := h.Sample.N()
 	if total == 0 {
 		return 0
 	}
 	target := int64(math.Ceil(p * float64(total)))
 	var cum int64
-	for i, c := range h.buckets {
+	for i, c := range h.Buckets {
 		cum += c
 		if cum >= target {
 			return int64(i+1) * h.BucketWidth
 		}
 	}
-	return int64(len(h.buckets)) * h.BucketWidth
+	return int64(len(h.Buckets)) * h.BucketWidth
 }
 
 // LatencyRecord accumulates the paper's Figure-7 latency anatomy for one
