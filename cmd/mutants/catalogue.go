@@ -15,6 +15,20 @@ var catalogue = []Mutant{
 		New:  "Mech: MechComplete, Reuse: true, NoAck: true, Lanes:",
 		Pkg:  "./internal/core", Run: "^TestPolicyTraits$", PR: 10,
 	},
+	{
+		Name: "sdm offers NoAck (the delivery-order oracle sees the overtaking)",
+		File: "internal/core/policy_sdm.go",
+		Old:  "Mech: MechComplete, Reuse: true, Lanes:",
+		New:  "Mech: MechComplete, Reuse: true, NoAck: true, Lanes:",
+		Pkg:  "./internal/verify/differ", Run: "^TestNoAckDeliveryOrder$", PR: 42,
+	},
+	{
+		Name: "the delivery-order oracle lets a later message overtake",
+		File: "internal/coherence/verify.go",
+		Old:  "case r.id < msg.ID && o.err == nil:",
+		New:  "case r.id > msg.ID && o.err == nil:",
+		Pkg:  "./internal/fault", Run: "^TestChaosReorderReply$", PR: 42,
+	},
 
 	// The cluster client hands a dead node's jobs to its successor.
 	{
@@ -96,14 +110,14 @@ var catalogue = []Mutant{
 	// A run starts from a prefilled image.
 	{
 		Name: "an image restore skips the PLRU words",
-		File: "internal/cache/image.go",
+		File: "internal/cache/cache.go",
 		Old:  "\tcopy(s.plru, img.plru)\n",
 		New:  "",
 		Pkg:  "./internal/chip", Run: "^TestImageReproducesPrefill$", PR: 30,
 	},
 	{
 		Name: "an image restore skips the hit, miss and eviction counters",
-		File: "internal/cache/image.go",
+		File: "internal/cache/group.go",
 		Old:  "c.Hits, c.Misses, c.Evictions = st.hits, st.misses, st.evictions",
 		New:  "_, _ = c, st",
 		Pkg:  "./internal/chip", Run: "^TestImageReproducesPrefill$", PR: 30,
@@ -204,7 +218,7 @@ var catalogue = []Mutant{
 	},
 	{
 		Name: "an image restore skips the spill words",
-		File: "internal/cache/image.go",
+		File: "internal/cache/cache.go",
 		Old:  "\t\tcopy(s.spill[int(slot)*w:], img.spill[i*w:(i+1)*w])\n",
 		New:  "\t\t_ = w\n",
 		Pkg:  "./internal/cache", Run: "^TestSharers$", PR: 34,
@@ -227,10 +241,10 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/cache", Run: "^TestRecycledSetsAreCleared$", PR: 35,
 	},
 	{
-		Name: "an image restore does not mark the image's sets dirty",
-		File: "internal/cache/image.go",
-		Old:  "\t\ts.dirty[i] |= d\n",
-		New:  "\t\t_, _ = i, d\n",
+		Name: "a slab leaving its image does not clear the image's sets",
+		File: "internal/cache/group.go",
+		Old:  "\t\th.img.addDirty(h.dirty)\n",
+		New:  "",
 		Pkg:  "./internal/cache", Run: "^TestRecycledSetsAreCleared$", PR: 35,
 	},
 	{
@@ -398,5 +412,50 @@ var catalogue = []Mutant{
 		Old:  "`json:\"buckets\"`",
 		New:  "`json:\"bucket\"`",
 		Pkg:  "./internal/stats", Run: "^TestHistogramJSONRoundTrip$", PR: 40,
+	},
+
+	// A recycled slab remembers the image it holds outside its dirty sets,
+	// and a rebuild in that image rewrites only the dirty sets.
+	{
+		Name: "a Lookup hit does not mark its set",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tc.mark(plru)\n\t\t\tc.Hits++\n",
+		New:  "\t\t\tc.Hits++\n",
+		Pkg:  "./internal/cache", Run: "^TestRebuildMatchesFresh$", PR: 42,
+	},
+	{
+		Name: "a Lookup hit does not mark its set (a store hit's E to M in a rebuilt L1)",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tc.mark(plru)\n\t\t\tc.Hits++\n",
+		New:  "\t\t\tc.Hits++\n",
+		Pkg:  "./internal/chip", Run: "^TestRebuiltImagesMatchNoPool$", PR: 42,
+	},
+	{
+		Name: "a Peek hit does not mark its set",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tc.mark(plru)\n\t\t\treturn &lines[w], true\n",
+		New:  "\t\t\t_ = plru\n\t\t\treturn &lines[w], true\n",
+		Pkg:  "./internal/cache", Run: "^TestRebuildMatchesFresh$", PR: 42,
+	},
+	{
+		Name: "a dirty-set restore skips the PLRU words",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\tcopy(s.plru[i:j], img.plru[i:j])\n",
+		New:  "",
+		Pkg:  "./internal/cache", Run: "^TestRebuildMatchesFresh$", PR: 42,
+	},
+	{
+		Name: "a dirty-set restore skips the spill words",
+		File: "internal/cache/cache.go",
+		Old:  "\t\t\t\tcopy(s.spill[slot*g.words:(slot+1)*g.words], img.spill[x*g.words:(x+1)*g.words])\n",
+		New:  "",
+		Pkg:  "./internal/cache", Run: "^TestRebuildMatchesFresh$", PR: 42,
+	},
+	{
+		Name: "a slab holding another image is rebuilt as if it held the wanted one",
+		File: "internal/cache/group.go",
+		Old:  "\tif h.img == img {\n",
+		New:  "\tif h.img == img || h.img != nil {\n",
+		Pkg:  "./internal/chip", Run: "^TestRebuiltImagesMatchNoPool$", PR: 42,
 	},
 }

@@ -136,7 +136,11 @@ func runFaultMatrix(ctx context.Context) bool {
 		for c := fault.Class(0); c < fault.NumClasses; c++ {
 			spec, applies := differ.FaultScenario(c, fabric.variant)
 			if !applies {
-				fmt.Printf("  %-18s %s n/a (untimed circuits; no window to truncate)\n", c, fabric.tag)
+				why := "untimed circuits; no window to truncate"
+				if c == fault.ReorderReply {
+					why = "no eliminated acks; no NoAck reply to reorder"
+				}
+				fmt.Printf("  %-18s %s n/a (%s)\n", c, fabric.tag, why)
 				continue
 			}
 			re, err := differ.Detect(ctx, spec)

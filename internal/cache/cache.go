@@ -6,17 +6,17 @@
 // in the L2 cache bank").
 //
 // Storage is a slab — one array of lines, one PLRU word per set and, for a
-// directory wider than 64 tiles, each line's spill words — built or reset by
-// slab.reset alone. New gives a cache its own; NewGroup lays a
-// chip's N caches over one (set-major, bank-minor when line-interleaved),
-// Group.Release recycles it through a free list (group.go, DESIGN.md §5b),
-// and Group.Capture/Restore copy a group's state as a sparse Image
-// (image.go).
+// directory wider than 64 tiles, each line's spill words. New gives a cache
+// its own; Group.Build lays a chip's N caches over one (set-major,
+// bank-minor when line-interleaved) holding an Image or empty, and
+// Group.Release recycles it through a free list (group.go, DESIGN.md §5b);
+// Group.Capture copies a group's state as a sparse Image (image.go).
 package cache
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"reactivenoc/internal/sim"
@@ -105,8 +105,9 @@ type Line struct {
 // every set's tree-PLRU bit vector in another (bit i is the direction flag
 // of internal node i, 0 = left subtree is older), and the directory's spill
 // words in a third: with w = len(spill)/len(lines), line i's are
-// spill[i*w : (i+1)*w]. dirty holds one bit per set, set before anything
-// in the set is written, so a reset clears only the sets a run touched.
+// spill[i*w : (i+1)*w]. dirty holds one bit per set, set as soon as the
+// cache hands out a pointer into the set, so a rebuild rewrites only the
+// sets written since the last one (held.restore).
 type slab struct {
 	lines []Line
 	plru  []uint64
@@ -119,23 +120,27 @@ func (s *slab) shape() geometry {
 	return geometry{len(s.plru), len(s.lines) / len(s.plru), len(s.spill) / len(s.lines)}
 }
 
-// reset puts the slab in the empty-cache state — every line Line{Owner:
-// -1}, every PLRU word and spill word zero. A slab without arrays gets
-// them, and every line is set; a recycled one clears only its dirty sets,
-// since nothing else was written. A fresh slab and a recycled one leave
-// here indistinguishable (TestRecycledSetsAreCleared).
-func (s *slab) reset(g geometry) *slab {
-	if s.lines == nil {
-		s.lines = make([]Line, g.sets*g.ways)
-		s.plru = make([]uint64, g.sets)
-		s.spill = make([]uint64, g.sets*g.ways*g.words)
-		s.dirty = make([]uint64, (g.sets+63)/64)
-		fill(s.lines)
-		return s
-	}
+// alloc gives s new arrays of geometry g, every line Line{Owner: -1}, every
+// PLRU and spill word zero and no set dirty.
+func (s *slab) alloc(g geometry) *slab {
+	s.lines = make([]Line, g.sets*g.ways)
+	s.plru = make([]uint64, g.sets)
+	s.spill = make([]uint64, g.sets*g.ways*g.words)
+	s.dirty = make([]uint64, (g.sets+63)/64)
+	fill(s.lines)
+	return s
+}
+
+// rewrite puts every set marked in mask in img's state, or in the empty
+// state when img is nil: the set's lines become img's lines of the set and
+// Line{Owner: -1} elsewhere, its spill words img's or zero, its PLRU word
+// img's or zero. An image's lines are found by binary search in its
+// ascending slot list, once per run of consecutive marked sets.
+func (s *slab) rewrite(mask []uint64, img *Image) {
+	g := s.shape()
 	lw := g.ways * g.words
-	for k, m := range s.dirty {
-		// One run of consecutive dirty sets [i, j) at a time.
+	for k, m := range mask {
+		// One run of consecutive marked sets [i, j) at a time.
 		for m != 0 {
 			lo := bits.TrailingZeros64(m)
 			n := bits.TrailingZeros64(^(m >> lo))
@@ -144,10 +149,33 @@ func (s *slab) reset(g geometry) *slab {
 			fill(s.lines[i*g.ways : j*g.ways])
 			clear(s.plru[i:j])
 			clear(s.spill[i*lw : j*lw])
+			if img == nil {
+				continue
+			}
+			copy(s.plru[i:j], img.plru[i:j])
+			end := uint32(j * g.ways)
+			x, _ := slices.BinarySearch(img.slots, uint32(i*g.ways))
+			for ; x < len(img.slots) && img.slots[x] < end; x++ {
+				slot := int(img.slots[x])
+				s.lines[slot] = img.lines[x]
+				copy(s.spill[slot*g.words:(slot+1)*g.words], img.spill[x*g.words:(x+1)*g.words])
+			}
 		}
 	}
-	clear(s.dirty)
-	return s
+}
+
+// put copies img's lines, spill words and PLRU words into s, which must be
+// empty; a nil image, the empty state, copies nothing.
+func (s *slab) put(img *Image) {
+	if img == nil {
+		return
+	}
+	w := img.words
+	for i, slot := range img.slots {
+		s.lines[slot] = img.lines[i]
+		copy(s.spill[int(slot)*w:], img.spill[i*w:(i+1)*w])
+	}
+	copy(s.plru, img.plru)
 }
 
 // fill sets every line to Line{Owner: -1} by doubling copies: memmove
@@ -188,7 +216,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{}
-	c.bind(cfg, new(slab).reset(geometry{cfg.Sets(), cfg.Ways, 0}), 1, 0)
+	c.bind(cfg, new(slab).alloc(geometry{cfg.Sets(), cfg.Ways, 0}), 1, 0)
 	return c
 }
 
@@ -222,10 +250,12 @@ func (c *Cache) set(a Addr) ([]Line, *uint64, uint64) {
 }
 
 // Lookup returns the line holding a, touching PLRU state and hit counters.
+// A hit hands out the line, so its set counts as written.
 func (c *Cache) Lookup(a Addr) (*Line, bool) {
 	lines, plru, t := c.set(a)
 	for w := range lines {
 		if lines[w].Valid && lines[w].Tag == t {
+			c.mark(plru)
 			c.Hits++
 			touch(plru, w, len(lines))
 			return &lines[w], true
@@ -236,11 +266,13 @@ func (c *Cache) Lookup(a Addr) (*Line, bool) {
 }
 
 // Peek returns the line holding a without touching replacement state or
-// counters (used by snoop-style lookups: invalidations, forwards).
+// counters (used by snoop-style lookups: invalidations, forwards). A hit
+// hands out the line, so its set counts as written.
 func (c *Cache) Peek(a Addr) (*Line, bool) {
-	lines, _, t := c.set(a)
+	lines, plru, t := c.set(a)
 	for w := range lines {
 		if lines[w].Valid && lines[w].Tag == t {
+			c.mark(plru)
 			return &lines[w], true
 		}
 	}

@@ -18,6 +18,9 @@ func TestLineSize(t *testing.T) {
 	}
 }
 
+// newGroup builds an empty group.
+func newGroup(cfg Config, n int, fresh bool) *Group { return new(Group).Build(cfg, n, fresh, nil) }
+
 // bankAddr returns the address of local line number local in cache b of a
 // group of geometry cfg.
 func bankAddr(cfg Config, b, local int) Addr {
@@ -61,7 +64,7 @@ func TestGroupMatchesStandalone(t *testing.T) {
 				if banked {
 					cfg.Interleave = n
 				}
-				g := NewGroup(cfg, n, true)
+				g := newGroup(cfg, n, true)
 				refs := make([]*Cache, n)
 				for b := range refs {
 					rc := cfg
@@ -170,7 +173,7 @@ func TestGroupMatchesStandalone(t *testing.T) {
 func TestBanksInterleaveLikeAddresses(t *testing.T) {
 	for _, n := range []int{4, 9, 64} {
 		cfg := Config{SizeBytes: 1024, Ways: 4, LineBytes: 64, Interleave: n}
-		g := NewGroup(cfg, n, true)
+		g := newGroup(cfg, n, true)
 		for line := 0; line < n*cfg.Sets(); line++ {
 			lines, plru, _ := g.Cache(line % n).set(Addr(line * 64))
 			if &lines[0] != &g.slab.lines[line*cfg.Ways] || plru != &g.slab.plru[line] {
@@ -178,7 +181,7 @@ func TestBanksInterleaveLikeAddresses(t *testing.T) {
 			}
 		}
 		cfg.Interleave = 0
-		p := NewGroup(cfg, n, true)
+		p := newGroup(cfg, n, true)
 		for b := 0; b < n; b++ {
 			lines, _, _ := p.Cache(b).set(0)
 			if &lines[0] != &p.slab.lines[b*cfg.Sets()*cfg.Ways] {
@@ -196,7 +199,7 @@ func TestNewGroupRejectsMismatchedInterleave(t *testing.T) {
 					t.Errorf("NewGroup accepted %d caches over interleave %d", tc.n, tc.interleave)
 				}
 			}()
-			NewGroup(Config{SizeBytes: 1024, Ways: 4, LineBytes: 64, Interleave: tc.interleave}, tc.n, true)
+			newGroup(Config{SizeBytes: 1024, Ways: 4, LineBytes: 64, Interleave: tc.interleave}, tc.n, true)
 		}()
 	}
 }
@@ -251,7 +254,7 @@ func mustBeEmpty(t *testing.T, g *Group) {
 // being tested — indistinguishable from a fresh build, under either layout.
 func TestRecycledGroupIsFresh(t *testing.T) {
 	cfg := Config{SizeBytes: 2048, Ways: 8, LineBytes: 64, Interleave: 6}
-	g := NewGroup(cfg, 6, false)
+	g := newGroup(cfg, 6, false)
 	mustBeEmpty(t, g)
 	dirty(g, cfg)
 	for i, p := range g.slab.plru {
@@ -262,7 +265,7 @@ func TestRecycledGroupIsFresh(t *testing.T) {
 	lines, plru := &g.slab.lines[0], &g.slab.plru[0]
 	g.Release()
 
-	again := NewGroup(cfg, 6, false)
+	again := newGroup(cfg, 6, false)
 	if &again.slab.lines[0] != lines || &again.slab.plru[0] != plru {
 		t.Fatal("the released arrays did not come back: the free list missed")
 	}
@@ -272,7 +275,7 @@ func TestRecycledGroupIsFresh(t *testing.T) {
 
 	// The same totals under the private layout draw the same slab.
 	cfg.Interleave = 0
-	private := NewGroup(cfg, 6, false)
+	private := newGroup(cfg, 6, false)
 	if &private.slab.lines[0] != lines {
 		t.Fatal("equal geometry under the other layout missed the free list")
 	}
@@ -281,7 +284,7 @@ func TestRecycledGroupIsFresh(t *testing.T) {
 	// The reference behaviour neither draws from the list nor feeds it.
 	private.Release()
 	idle := Idle()
-	fresh := NewGroup(cfg, 6, true)
+	fresh := newGroup(cfg, 6, true)
 	if &fresh.slab.lines[0] == lines || Idle() != idle {
 		t.Fatal("a fresh group drew from the free list")
 	}
@@ -292,12 +295,13 @@ func TestRecycledGroupIsFresh(t *testing.T) {
 	}
 }
 
-// TestRecycledSetsAreCleared gives the dirty-set reset its teeth: a group
-// written in only a few sets, through every path a run writes by, comes
-// back from the free list as empty as a fresh build.
+// TestRecycledSetsAreCleared gives the dirty-set clear its teeth: a group
+// built over an image and then written in only a few sets, through every
+// path a run writes by, marks exactly those sets and comes back from the
+// free list as empty as a fresh build — the image's own sets included.
 func TestRecycledSetsAreCleared(t *testing.T) {
 	cfg := Config{SizeBytes: 512, Ways: 2, LineBytes: 64, Interleave: 128} // 4 sets a bank, one spill word a line
-	src := NewGroup(cfg, 128, true)
+	src := newGroup(cfg, 128, true)
 	sc := src.Cache(9)
 	a := bankAddr(cfg, 9, 1)
 	for _, x := range []Addr{a, bankAddr(cfg, 9, 5)} { // one set; way 1 last, so its PLRU word is 0
@@ -311,8 +315,7 @@ func TestRecycledSetsAreCleared(t *testing.T) {
 	sc.Invalidate(a) // the line is empty again, its PLRU word is not
 	img := src.Capture(1 << 30)
 
-	g := NewGroup(cfg, 128, false)
-	g.Restore(img)
+	g := new(Group).Build(cfg, 128, false, img)
 	c := g.Cache(0)
 	a = bankAddr(cfg, 0, 0)
 	c.Fill(c.Victim(a), a, 2)
@@ -327,19 +330,18 @@ func TestRecycledSetsAreCleared(t *testing.T) {
 	c.Victim(bankAddr(cfg, 2, 1)).Busy = true // pinned, never filled: an aborted run
 	c = g.Cache(3)
 	a = bankAddr(cfg, 3, 2)
-	c.Fill(&c.Lines(a)[1], a, 2) // a way Victim did not pick
-	c.Lookup(a)
+	c.Fill(&c.Lines(a)[1], a, 2) // a way Victim did not pick, so only Fill marks the set
 
 	marked := 0
 	for _, w := range g.slab.dirty {
 		marked += bits.OnesCount64(w)
 	}
-	if sets := len(g.slab.plru); marked != 6 {
-		t.Errorf("%d of %d sets marked dirty, want the 6 written", marked, sets)
+	if sets := len(g.slab.plru); marked != 4 {
+		t.Errorf("%d of %d sets marked dirty, want the 4 written since the restore", marked, sets)
 	}
 	lines := &g.slab.lines[0]
 	g.Release()
-	again := NewGroup(cfg, 128, false)
+	again := newGroup(cfg, 128, false)
 	if &again.slab.lines[0] != lines {
 		t.Fatal("the released arrays did not come back: the free list missed")
 	}
@@ -353,7 +355,7 @@ func TestRecycledSetsAreCleared(t *testing.T) {
 func TestGroupUseAfterReleasePanics(t *testing.T) {
 	cfg := Config{SizeBytes: 1024, Ways: 4, LineBytes: 64, Interleave: 2}
 	for _, fresh := range []bool{false, true} {
-		g := NewGroup(cfg, 2, fresh)
+		g := newGroup(cfg, 2, fresh)
 		c := g.Cache(1)
 		v := c.Victim(0x40)
 		c.Fill(v, 0x40, 1)
@@ -386,10 +388,10 @@ func TestRecyclingListIsBounded(t *testing.T) {
 	limit := runtime.GOMAXPROCS(0)
 	groups := make([]*Group, limit+1)
 	for i := range groups {
-		groups[i] = NewGroup(cfg, 3, false)
+		groups[i] = newGroup(cfg, 3, false)
 	}
 	before := Idle()
-	slabs := make([]*slab, len(groups))
+	slabs := make([]*held, len(groups))
 	for i, g := range groups {
 		slabs[i] = g.slab
 		g.Release()
@@ -398,7 +400,7 @@ func TestRecyclingListIsBounded(t *testing.T) {
 		t.Fatalf("releasing %d groups kept %d, want GOMAXPROCS = %d", limit+1, got, limit)
 	}
 	// LIFO: the last slab kept is the first one drawn.
-	if g := NewGroup(cfg, 3, false); g.slab != slabs[limit-1] {
+	if g := newGroup(cfg, 3, false); g.slab != slabs[limit-1] {
 		t.Fatal("the free list is not LIFO")
 	}
 }

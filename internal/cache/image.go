@@ -7,16 +7,16 @@ import (
 
 // Image is a sparse, immutable copy of a group's state: every line that
 // differs from Line{Owner: -1} with its slot in the slab and its spill
-// words, every PLRU word, the captured slab's dirty sets, and each cache's
-// counters. Nothing writes an image after Capture returns it, so any
-// number of groups may restore one at the same time.
+// words, every PLRU word, the sets that may differ from an empty slab, and
+// each cache's counters. Nothing writes an image after Capture returns it,
+// so any number of groups may hold one at the same time (Group.Build).
 type Image struct {
 	geometry          // of the captured slab
 	slots    []uint32 // slab slot of each captured line, ascending
 	lines    []Line
 	spill    []uint64 // each captured line's spill words, in slot order
 	plru     []uint64
-	dirty    []uint64 // a superset of the sets Restore writes
+	dirty    []uint64 // a superset of the sets that differ from empty
 	stats    []counters
 }
 
@@ -52,7 +52,10 @@ func (g *Group) Capture(limit int) *Image {
 		}
 	}
 	img.plru = append([]uint64(nil), s.plru...)
+	// The slab differs from empty where it was written since it held its
+	// image, and where that image did.
 	img.dirty = append([]uint64(nil), s.dirty...)
+	s.img.addDirty(img.dirty)
 	img.stats = make([]counters, len(g.caches))
 	for i := range g.caches {
 		c := &g.caches[i]
@@ -61,27 +64,14 @@ func (g *Group) Capture(limit int) *Image {
 	return img
 }
 
-// Restore puts img's state into g, which must be as NewGroup left it (every
-// line empty) and of the captured group's geometry; it panics on a geometry
-// mismatch. The result is indistinguishable from the captured group.
-func (g *Group) Restore(img *Image) {
-	s := g.slab
-	if s.shape() != img.geometry || len(g.caches) != len(img.stats) {
-		panic(fmt.Sprintf("cache: restoring an image of %+v/%d caches over %+v/%d",
-			img.geometry, len(img.stats), s.shape(), len(g.caches)))
+// addDirty marks in mask the sets img may differ from empty in; a nil
+// image, the empty state, adds none.
+func (img *Image) addDirty(mask []uint64) {
+	if img == nil {
+		return
 	}
 	for i, d := range img.dirty {
-		s.dirty[i] |= d
-	}
-	w := img.words
-	for i, slot := range img.slots {
-		s.lines[slot] = img.lines[i]
-		copy(s.spill[int(slot)*w:], img.spill[i*w:(i+1)*w])
-	}
-	copy(s.plru, img.plru)
-	for i := range g.caches {
-		c, st := &g.caches[i], img.stats[i]
-		c.Hits, c.Misses, c.Evictions = st.hits, st.misses, st.evictions
+		mask[i] |= d
 	}
 }
 

@@ -19,7 +19,7 @@ func tiles(s Sharers) []int {
 // A 64-bank directory has no spill words, and naming tile 64 panics.
 func TestSharers(t *testing.T) {
 	cfg := Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Interleave: 256} // 2 sets per bank
-	g := NewGroup(cfg, 256, false)
+	g := newGroup(cfg, 256, false)
 	if w := g.slab.shape().words; w != 3 {
 		t.Fatalf("a 256-bank group has %d spill words per line, want 3", w)
 	}
@@ -67,8 +67,7 @@ func TestSharers(t *testing.T) {
 	dir.Add(80)
 	c.Dir(n).Add(255)
 	img := g.Capture(1 << 30)
-	back := NewGroup(cfg, 256, true)
-	back.Restore(img)
+	back := new(Group).Build(cfg, 256, true, img)
 	if err := g.Diff(back); err != nil {
 		t.Fatalf("restored group differs: %v", err)
 	}
@@ -111,7 +110,7 @@ func TestSharers(t *testing.T) {
 	}
 	spill := &g.slab.spill[0]
 	g.Release()
-	again := NewGroup(cfg, 256, false)
+	again := newGroup(cfg, 256, false)
 	if &again.slab.spill[0] != spill {
 		t.Fatal("the released spill words did not come back: the free list missed")
 	}
@@ -121,7 +120,7 @@ func TestSharers(t *testing.T) {
 		}
 	}
 
-	narrow := NewGroup(Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Interleave: 64}, 64, true)
+	narrow := newGroup(Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Interleave: 64}, 64, true)
 	if len(narrow.slab.spill) != 0 {
 		t.Fatalf("a 64-bank group has %d spill words", len(narrow.slab.spill))
 	}

@@ -18,9 +18,10 @@ func allocatedBy(f func()) uint64 {
 
 // TestRunAllocationBudget keeps the set-up budget from rotting: once one
 // run of a spec has left its cache arrays and its shell (network, circuit
-// manager, controllers) on the free lists, every later run allocates only
-// its cores, kernel, registry, messages and results — 56 KB for this
-// 16-core spec, pinned at twice that, where the arrays alone are 6.6 MB —
+// manager, controllers, the caches' views) on the free lists, every later
+// run allocates only its cores, kernel, registry, messages and results —
+// 46 KB for this 16-core spec, pinned at twice that, where the arrays alone
+// are 6.6 MB —
 // and the same spec with NoPool set still pays for the arrays, so the
 // reference the cross-checks compare against really is fresh. Sized on
 // bytes, not on pointer identity, so it holds under -race.
@@ -29,8 +30,8 @@ func TestRunAllocationBudget(t *testing.T) {
 	spec.WarmupOps, spec.MeasureOps = 200, 600
 	MustRun(spec)
 	for i := 0; i < 3; i++ {
-		if b := allocatedBy(func() { MustRun(spec) }); b >= 112<<10 {
-			t.Errorf("run %d on a recycled shell allocated %d bytes, want < 112 KB", i+2, b)
+		if b := allocatedBy(func() { MustRun(spec) }); b >= 94<<10 {
+			t.Errorf("run %d on a recycled shell allocated %d bytes, want < 94 KB", i+2, b)
 		}
 	}
 	spec.NoPool = true

@@ -2,6 +2,7 @@ package chip
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -154,7 +155,7 @@ func TestRejectsBadSpec(t *testing.T) {
 		"empty mesh":             func(s *Spec) { s.Chip.Width = 0 },
 		"no memory controllers":  func(s *Spec) { s.Chip.MCs = 0 },
 		"tile IDs past int16":    func(s *Spec) { s.Chip.Width, s.Chip.Height = 182, 182 },
-		"mesh size overflow":     func(s *Spec) { s.Chip.Width, s.Chip.Height = 2, 1<<62 },
+		"mesh size overflow":     func(s *Spec) { s.Chip.Width, s.Chip.Height = 2, math.MaxInt/2+1 },
 		"negative WarmupOps":     func(s *Spec) { s.WarmupOps = -1 },
 		"negative Horizon":       func(s *Spec) { s.Horizon = -5 },
 		"negative WatchdogStall": func(s *Spec) { s.WatchdogStall = -1 },

@@ -119,8 +119,6 @@ func (m *Machine) build() error {
 
 	opts := spec.Variant.Opts
 	opts.NoPool = opts.NoPool || spec.NoPool
-	m.Sys = coherence.NewSystem(geom, opts, spec.Chip.MCs)
-	sys := m.Sys
 	regions := make([][]workload.Region, n)
 	for i := range regions {
 		if feed != nil {
@@ -129,7 +127,8 @@ func (m *Machine) build() error {
 			regions[i] = spec.Workload.Regions(i)
 		}
 	}
-	images.prefill(sys, regions)
+	m.Sys = images.build(geom, opts, spec.Chip.MCs, regions)
+	sys := m.Sys
 
 	// A diagnostic tracer rides along whenever the caller asked for one or
 	// armed the fault injector, so failures carry a bounded trace tail.
@@ -147,6 +146,7 @@ func (m *Machine) build() error {
 
 	if spec.Fault != nil {
 		m.inj = fault.New(*spec.Fault)
+		sys.SetFaultHook(m.inj)
 		sys.Net.SetFaultHook(m.inj)
 		if sys.Mgr != nil {
 			sys.Mgr.SetFaultHook(m.inj)

@@ -7,6 +7,7 @@ import (
 
 	"reactivenoc/internal/cache"
 	"reactivenoc/internal/coherence"
+	"reactivenoc/internal/core"
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/workload"
 )
@@ -52,15 +53,15 @@ type imageEntry struct {
 }
 
 // imageKey is everything a prefill's result depends on, compared exactly.
+// The cache geometries are not in it: coherence builds Table 2's caches on
+// every mesh, so the mesh size fixes them.
 type imageKey struct {
 	width, height int
-	l1, l2        cache.Config
 	regions       [][]workload.Region
 }
 
 func (k *imageKey) equal(o *imageKey) bool {
-	if k.width != o.width || k.height != o.height || k.l1 != o.l1 || k.l2 != o.l2 ||
-		len(k.regions) != len(o.regions) {
+	if k.width != o.width || k.height != o.height || len(k.regions) != len(o.regions) {
 		return false
 	}
 	for i := range k.regions {
@@ -80,32 +81,31 @@ func (k *imageKey) bytes() int {
 	return n
 }
 
-// prefill warms sys's caches functionally, standing in for the paper's
-// 200M-cycle warm-up: every line of every region in regions[i] is installed
-// in its home L2 bank, and each region's first L1Lines lines in core i's L1
-// (Region.L1From is not consulted — see workload.Region).
+// build returns the system of m, opts and mcCount with its caches warmed
+// functionally, standing in for the paper's 200M-cycle warm-up: every line
+// of every region in regions[i] is installed in its home L2 bank, and each
+// region's first L1Lines lines in core i's L1 (Region.L1From is not
+// consulted — see workload.Region).
 //
-// The state this leaves depends only on the mesh size, the two cache
-// geometries and regions — never on the seed or the variant — so unless
-// sys.Opts.NoPool, an earlier identical prefill's image is restored in place
-// of the line-by-line walk, and a walk whose image fits st's budget
-// stores one (DESIGN.md §5b). NoPool, the reference, always walks.
-func (st *imageStore) prefill(sys *coherence.System, regions [][]workload.Region) {
-	if sys.Opts.NoPool {
+// The state this leaves depends only on the mesh size and regions — never
+// on the seed or the variant — so unless opts.NoPool, the system is built
+// in the image an earlier identical prefill stored, in place of the
+// line-by-line walk, and a walk whose image fits st's budget stores one
+// (DESIGN.md §5b). NoPool, the reference, always walks.
+func (st *imageStore) build(m mesh.Mesh, opts core.Options, mcCount int, regions [][]workload.Region) *coherence.System {
+	if opts.NoPool {
+		sys := coherence.NewSystem(m, opts, mcCount)
 		prefillLines(sys, regions)
-		return
+		return sys
 	}
-	key := imageKey{
-		width: sys.M.Width, height: sys.M.Height,
-		l1: sys.L1s[0].Cache().Config(), l2: sys.L2s[0].Cache().Config(),
-		regions: regions,
+	key := imageKey{width: m.Width, height: m.Height, regions: regions}
+	img := st.lookup(&key)
+	sys := coherence.NewSystemFrom(m, opts, mcCount, img)
+	if img == nil {
+		prefillLines(sys, regions)
+		st.store(key, sys)
 	}
-	if img := st.lookup(&key); img != nil {
-		sys.Restore(img)
-		return
-	}
-	prefillLines(sys, regions)
-	st.store(key, sys)
+	return sys
 }
 
 // lookup returns the image stored under k, or nil, counting the outcome.

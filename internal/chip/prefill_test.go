@@ -37,11 +37,13 @@ var nineCore = config.Chip{Name: "9-core", Width: 3, Height: 3, MCs: 2}
 // spill word per line.
 var chip81 = config.Chip{Name: "81-core", Width: 9, Height: 9, MCs: 4}
 
-func newSystem(t *testing.T, c config.Chip, noPool bool) *coherence.System {
+// prefilled builds a Baseline system of c through st with its caches
+// warmed for regions.
+func prefilled(t *testing.T, st *imageStore, c config.Chip, noPool bool, regions [][]workload.Region) *coherence.System {
 	t.Helper()
 	opts := variant(t, "Baseline").Opts
 	opts.NoPool = noPool
-	return coherence.NewSystem(mesh.New(c.Width, c.Height), opts, c.MCs)
+	return st.build(mesh.New(c.Width, c.Height), opts, c.MCs, regions)
 }
 
 func profileRegions(p workload.Profile, cores int) [][]workload.Region {
@@ -137,13 +139,10 @@ func TestImageReproducesPrefill(t *testing.T) {
 			{"shared", sharedRegions(n)},
 		} {
 			label := c.Name + "/" + wl.name
-			ref := newSystem(t, c, true)
-			images.prefill(ref, wl.regions)
-
+			ref := prefilled(t, images, c, true, wl.regions)
 			st := &imageStore{budget: imageBudget}
-			walked, restored := newSystem(t, c, false), newSystem(t, c, false)
-			st.prefill(walked, wl.regions)
-			st.prefill(restored, wl.regions)
+			walked := prefilled(t, st, c, false, wl.regions)
+			restored := prefilled(t, st, c, false, wl.regions)
 			if hits, misses := st.counts(); hits != 1 || misses != 1 || len(st.entries) != 1 {
 				t.Fatalf("%s: %d hits, %d misses, %d images; want the walk stored and the second build restored",
 					label, hits, misses, len(st.entries))
@@ -168,9 +167,7 @@ func TestImageReproducesPrefill(t *testing.T) {
 
 			tweaked := cloneRegions(wl.regions)
 			tweaked[0][0].L1Lines--
-			ref2, got2 := newSystem(t, c, true), newSystem(t, c, false)
-			images.prefill(ref2, tweaked)
-			st.prefill(got2, tweaked)
+			ref2, got2 := prefilled(t, images, c, true, tweaked), prefilled(t, st, c, false, tweaked)
 			if hits, _ := st.counts(); hits != 1 {
 				t.Fatalf("%s: regions differing in L1Lines hit the stored image", label)
 			}
@@ -262,9 +259,9 @@ func TestImageStoreKeepsItsBudget(t *testing.T) {
 
 	// Measure both entries in a store with room for them.
 	probe := &imageStore{budget: imageBudget}
-	probe.prefill(newSystem(t, c, false), a)
+	prefilled(t, probe, c, false, a)
 	sizeA := probe.bytes
-	probe.prefill(newSystem(t, c, false), b)
+	prefilled(t, probe, c, false, b)
 	sizeB := probe.bytes - sizeA
 	if sizeA == 0 || sizeB == 0 {
 		t.Fatalf("image sizes %d and %d bytes", sizeA, sizeB)
@@ -281,9 +278,7 @@ func TestImageStoreKeepsItsBudget(t *testing.T) {
 		st := &imageStore{budget: tc.budget}
 		for round := 0; round < 2; round++ {
 			for _, regions := range [][][]workload.Region{a, b} {
-				ref, got := newSystem(t, c, true), newSystem(t, c, false)
-				images.prefill(ref, regions)
-				st.prefill(got, regions)
+				ref, got := prefilled(t, images, c, true, regions), prefilled(t, st, c, false, regions)
 				if err := ref.DiffCaches(got); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -367,5 +368,66 @@ func TestBadTraceFailsBeforeBuild(t *testing.T) {
 		if got := cache.Idle(); got != idle {
 			t.Errorf("%s: free lists went from %d to %d slabs", tc.name, idle, got)
 		}
+	}
+}
+
+// runMachine runs a built machine to its Results as RunCtx does, and
+// releases it.
+func runMachine(t *testing.T, m *Machine) *Results {
+	t.Helper()
+	defer m.Release()
+	ctx := context.Background()
+	if err := m.RunPhase(ctx, "warm-up"); err != nil {
+		t.Fatal(err)
+	}
+	m.BeginMeasured()
+	if err := m.RunPhase(ctx, "measured"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return m.Harvest()
+}
+
+// TestRebuiltImagesMatchNoPool: one shell runs the prefills of two
+// workloads in the order A, B, A, A, B, A. The first A and B walk and store
+// their images; after that the shell's slabs leave an image for another, or
+// keep theirs and rewrite only the sets the run before wrote. Every build
+// must hold the caches a NoPool walk leaves, and every run must equal the
+// NoPool run of its spec.
+func TestRebuiltImagesMatchNoPool(t *testing.T) {
+	st := &imageStore{budget: imageBudget}
+	useStore(t, st)
+	a := quickSpec(t, config.Chip16(), "Complete_NoAck")
+	a.WarmupOps, a.MeasureOps = 200, 600
+	b := otherInput(t, a)
+	noPool := func(s Spec) Spec { s.NoPool = true; return s }
+	want := map[string]*Results{a.Workload.Name: MustRun(noPool(a)), b.Workload.Name: MustRun(noPool(b))}
+	skip := Legs()[slices.IndexFunc(Legs(), func(l Leg) bool { return l.Name == "no-pool" })].Skip
+	for i, spec := range []Spec{a, b, a, a, b, a} {
+		label := fmt.Sprintf("run %d (%s)", i+1, spec.Workload.Name)
+		m, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Build(noPool(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Sys.DiffCaches(m.Sys); err != nil {
+			t.Fatalf("%s: the built caches differ from the NoPool walk: %v", label, err)
+		}
+		ref.Release()
+		idle := coherence.IdleShells()
+		if err := Diff(want[spec.Workload.Name], runMachine(t, m), skip); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+		if i > 0 && coherence.IdleShells() != idle+1 {
+			t.Fatalf("%s: the run did not file its shell", label)
+		}
+	}
+	if hits, misses := st.counts(); hits != 4 || misses != 2 {
+		t.Errorf("%d hits and %d misses, want the first A and B walked and the rest restored", hits, misses)
 	}
 }

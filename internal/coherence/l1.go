@@ -99,7 +99,11 @@ func (l *L1Ctrl) issue(now sim.Cycle) {
 
 func (l *L1Ctrl) deliver(msg *noc.Message, now sim.Cycle) {
 	l.wake.Wake()
-	l.q.push(now+L1HitLatency, msg)
+	at := now + L1HitLatency
+	if l.sys.fault != nil && MsgType(msg.Type) == MsgL2Reply && UnpackPayload(msg.Payload).NoAck {
+		at += l.sys.fault.DelayReply(l.id, now)
+	}
+	l.q.push(at, msg)
 }
 
 // Quiescent reports whether the next Tick is a pure no-op: Tick only
@@ -119,6 +123,9 @@ func (l *L1Ctrl) Tick(now sim.Cycle) {
 }
 
 func (l *L1Ctrl) handle(msg *noc.Message, now sim.Cycle) {
+	if l.sys.order != nil {
+		l.sys.order.took(l.id, msg)
+	}
 	addr := cache.Addr(msg.Block)
 	pl := UnpackPayload(msg.Payload)
 	switch MsgType(msg.Type) {

@@ -102,7 +102,24 @@ type System struct {
 
 	// exclusiveTags is CheckSingleWriter's per-set scratch.
 	exclusiveTags []uint64
+	// order is the armed delivery-order oracle, or nil.
+	order *orderOracle
+	// fault is the armed fault injector's coherence seam, or nil.
+	fault FaultHook
 }
+
+// FaultHook corrupts coherence-layer events for chaos tests
+// (internal/fault).
+type FaultHook interface {
+	// DelayReply returns extra cycles L1 tile waits before taking a NoAck
+	// data reply off its queue (0 = none): messages queued behind it are
+	// taken first.
+	DelayReply(tile mesh.NodeID, now sim.Cycle) sim.Cycle
+}
+
+// SetFaultHook arms (or, with nil, disarms) a fault injector on the
+// controllers. A rebuilt system comes back disarmed.
+func (s *System) SetFaultHook(h FaultHook) { s.fault = h }
 
 // shellKey is everything a system is built from: Recycle files a shell
 // under it, and only a NewSystem of equal inputs draws that shell.
@@ -115,12 +132,19 @@ type shellKey struct {
 // shells holds the systems of cleanly finished runs (Recycle).
 var shells recycle.List[shellKey, *System]
 
-// NewSystem builds the chip: network (with the mechanism's router variant),
-// circuit manager, caches and controllers. mcCount memory controllers are
-// placed on the mesh edges (the paper uses 4 for both chip sizes). Unless
-// opts.NoPool, it builds over a shell a finished run recycled with the same
-// inputs when there is one, and over cache arrays a released system left.
+// NewSystem builds the chip with empty caches (NewSystemFrom).
 func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
+	return NewSystemFrom(m, opts, mcCount, nil)
+}
+
+// NewSystemFrom builds the chip: network (with the mechanism's router
+// variant), circuit manager, caches in img's state — empty when img is nil —
+// and controllers. mcCount memory controllers are placed on the mesh edges
+// (the paper uses 4 for both chip sizes). Unless opts.NoPool, it builds over
+// a shell a finished run recycled with the same inputs when there is one,
+// and over cache arrays a released system left, preferably arrays that hold
+// img already (cache.Group.Build). It panics when img is of another mesh.
+func NewSystemFrom(m mesh.Mesh, opts core.Options, mcCount int, img *Image) *System {
 	key := shellKey{m, mcCount, opts}
 	var s *System
 	if !opts.NoPool {
@@ -129,7 +153,7 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 	if s == nil {
 		s = new(System)
 	}
-	s.init(key)
+	s.init(key, img)
 	return s
 }
 
@@ -138,8 +162,9 @@ func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
 // the same, so statistics, histograms, wakers and whatever a run armed come
 // back zero; what a shell carries over is memory — the network's and
 // manager's (noc.Network.Init, core.Manager.Init), the controller objects,
-// their queues' slots and emptied maps, the L2s' transaction free lists.
-func (s *System) init(key shellKey) {
+// their queues' slots and emptied maps, the L2s' transaction free lists,
+// and the two cache groups, rebuilt over their slabs in img's state.
+func (s *System) init(key shellKey, img *Image) {
 	m, opts := key.m, key.opts
 	net, mgr := s.Net, s.Mgr
 	mcNodes := m.MemoryControllerNodes(key.mcCount)
@@ -151,6 +176,8 @@ func (s *System) init(key shellKey) {
 		mcNodes:       mcNodes,
 		mcByTile:      recycle.Map(s.mcByTile),
 		exclusiveTags: s.exclusiveTags,
+		l1Arrays:      recycle.Object(&s.l1Arrays),
+		l2Arrays:      recycle.Object(&s.l2Arrays),
 	}
 	s.Net = recycle.Object(&net)
 	cfg := core.NetConfigFor(m, opts)
@@ -166,8 +193,12 @@ func (s *System) init(key shellKey) {
 	// the bank-select bits before set indexing so it uses its whole array.
 	l2cfg := cache.L2BankConfig()
 	l2cfg.Interleave = m.Nodes()
-	s.l1Arrays = cache.NewGroup(cache.L1Config(), m.Nodes(), opts.NoPool)
-	s.l2Arrays = cache.NewGroup(l2cfg, m.Nodes(), opts.NoPool)
+	var l1img, l2img *cache.Image
+	if img != nil {
+		l1img, l2img = img.l1, img.l2
+	}
+	s.l1Arrays.Build(cache.L1Config(), m.Nodes(), opts.NoPool, l1img)
+	s.l2Arrays.Build(l2cfg, m.Nodes(), opts.NoPool, l2img)
 	for id := range s.L1s {
 		recycle.Object(&s.L1s[id]).init(s, mesh.NodeID(id))
 		recycle.Object(&s.L2s[id]).init(s, mesh.NodeID(id))
@@ -184,8 +215,9 @@ func (s *System) init(key shellKey) {
 	}
 }
 
-// Release hands the cache arrays to the next NewSystem; any later access to
-// a cache of s panics. Optional: an unreleased system is garbage-collected.
+// Release hands the cache arrays to the next NewSystemFrom; any later access
+// to a cache of s panics. Optional: an unreleased system is
+// garbage-collected.
 func (s *System) Release() {
 	s.l1Arrays.Release()
 	s.l2Arrays.Release()
@@ -208,7 +240,8 @@ func (s *System) Recycle() {
 func IdleShells() int { return shells.Idle() }
 
 // Image is the state of a system's two cache levels (cache.Image): what a
-// prefill leaves behind, restorable into any system of the same mesh size.
+// prefill leaves behind, which NewSystemFrom builds any system of the same
+// mesh size in.
 type Image struct{ l1, l2 *cache.Image }
 
 // Capture returns the image of s's caches, or nil when it would take more
@@ -223,12 +256,6 @@ func (s *System) Capture(limit int) *Image {
 		return nil
 	}
 	return &Image{l1, l2}
-}
-
-// Restore puts img's cache state into s, which must be freshly built.
-func (s *System) Restore(img *Image) {
-	s.l1Arrays.Restore(img.l1)
-	s.l2Arrays.Restore(img.l2)
 }
 
 // Bytes returns the memory the image holds.
@@ -338,6 +365,9 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 		s.Msgs.Network[t]++
 	}
 	s.Net.Send(msg, now)
+	if s.order != nil && pl.NoAck {
+		s.order.sent(src, dst, msg.ID)
+	}
 }
 
 // canEliminateAck implements the Section 4.6 decision: the L1_DATA_ACK for

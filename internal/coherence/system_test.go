@@ -528,8 +528,8 @@ func TestSystemReleaseRecyclesBanks(t *testing.T) {
 }
 
 // TestImageCarriesBothLevels: a system's image holds both cache levels. A
-// system dirtied by prefills and a protocol access, captured and restored
-// into a fresh one, is identical to it; DiffCaches names the level that
+// system dirtied by prefills and a protocol access, captured, and a fresh
+// one built in that image are identical; DiffCaches names the level that
 // differs; and a limit the L1 image or the whole image exceeds yields nil.
 func TestImageCarriesBothLevels(t *testing.T) {
 	b := newTB(t, 2, 2, core.Options{NoPool: true})
@@ -540,11 +540,11 @@ func TestImageCarriesBothLevels(t *testing.T) {
 	b.drain()
 	img := b.sys.Capture(1 << 30)
 
-	fresh := NewSystem(mesh.New(2, 2), core.Options{NoPool: true}, 4)
-	if err := fresh.DiffCaches(b.sys); err == nil || !strings.HasPrefix(err.Error(), "L1s") {
+	empty := NewSystem(mesh.New(2, 2), core.Options{NoPool: true}, 4)
+	if err := empty.DiffCaches(b.sys); err == nil || !strings.HasPrefix(err.Error(), "L1s") {
 		t.Fatalf("an empty system against a warm one: %v, want an L1 difference", err)
 	}
-	fresh.Restore(img)
+	fresh := NewSystemFrom(mesh.New(2, 2), core.Options{NoPool: true}, 4, img)
 	if err := fresh.DiffCaches(b.sys); err != nil {
 		t.Fatalf("restored system differs: %v", err)
 	}

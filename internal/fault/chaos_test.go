@@ -60,6 +60,7 @@ func TestChaosDropUndoToken(t *testing.T)  { chaosCell(t, fault.DropUndoToken, "
 func TestChaosTruncateWindow(t *testing.T) { chaosCell(t, fault.TruncateWindow, "") }
 func TestChaosWithholdCredit(t *testing.T) { chaosCell(t, fault.WithholdCredit, "") }
 func TestChaosStallLink(t *testing.T)      { chaosCell(t, fault.StallLink, "") }
+func TestChaosReorderReply(t *testing.T)   { chaosCell(t, fault.ReorderReply, "") }
 
 // TestChaosEveryClassDetected sweeps the whole enumeration so a future
 // class cannot be added without a detection story.
@@ -74,13 +75,15 @@ func TestChaosEveryClassDetected(t *testing.T) {
 
 // TestChaosSDM re-runs the fault classes with the SDM policy's lane-sliced
 // fabric active: the detection story must survive per-lane circuit tables,
-// lane-paced bypass and lane-releasing teardown. TruncateWindow is the one
-// class that cannot apply — sdm circuits are untimed, so there is no window
-// to truncate — and the catalogue must say so rather than omit it.
+// lane-paced bypass and lane-releasing teardown. TruncateWindow and
+// ReorderReply are the classes that cannot apply — sdm circuits are
+// untimed, so there is no window to truncate, and sdm never eliminates an
+// ack, so there is no NoAck reply to reorder — and the catalogue must say
+// so rather than omit them.
 func TestChaosSDM(t *testing.T) {
 	for c := fault.Class(0); c < fault.NumClasses; c++ {
 		if _, ok := differ.FaultScenario(c, "SDM"); !ok {
-			if c != fault.TruncateWindow {
+			if c != fault.TruncateWindow && c != fault.ReorderReply {
 				t.Errorf("fault class %v has no SDM chaos scenario", c)
 			}
 			continue

@@ -10,6 +10,7 @@ package fault
 import (
 	"fmt"
 
+	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
@@ -36,6 +37,9 @@ const (
 	// StallLink freezes one flit on a link; FIFO delivery stalls every
 	// later flit behind it, starving the consumers downstream.
 	StallLink
+	// ReorderReply holds a NoAck data reply in its L1's input queue, so
+	// that a message its bank sent the L1 afterwards is taken first.
+	ReorderReply
 
 	// NumClasses bounds the enumeration.
 	NumClasses
@@ -54,6 +58,8 @@ func (c Class) String() string {
 		return "withhold-credit"
 	case StallLink:
 		return "stall-link"
+	case ReorderReply:
+		return "reorder-reply"
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
@@ -92,8 +98,9 @@ func (e Event) String() string {
 }
 
 // Injector deterministically corrupts hardware events per its Plan. It
-// implements both noc.FaultHook and core.FaultHook; wire it with
-// Network.SetFaultHook and Manager.SetFaultHook.
+// implements noc.FaultHook, core.FaultHook and coherence.FaultHook; wire
+// it with Network.SetFaultHook, Manager.SetFaultHook and
+// System.SetFaultHook.
 type Injector struct {
 	plan   Plan
 	left   int
@@ -102,8 +109,9 @@ type Injector struct {
 }
 
 var (
-	_ noc.FaultHook  = (*Injector)(nil)
-	_ core.FaultHook = (*Injector)(nil)
+	_ noc.FaultHook       = (*Injector)(nil)
+	_ core.FaultHook      = (*Injector)(nil)
+	_ coherence.FaultHook = (*Injector)(nil)
 )
 
 // New builds an injector for the plan.
@@ -177,4 +185,16 @@ func (j *Injector) TruncateWindow(id mesh.NodeID, start, end, now sim.Cycle) (si
 		return 0, false
 	}
 	return now, true // the entry expires before its reply can arrive
+}
+
+// replyHold is a ReorderReply fault's extra queueing: long enough for the
+// bank to send the held reply's L1 something else meanwhile.
+const replyHold = 2000
+
+// DelayReply implements coherence.FaultHook.
+func (j *Injector) DelayReply(tile mesh.NodeID, now sim.Cycle) sim.Cycle {
+	if !j.fire(ReorderReply, tile, now, "NoAck data reply held in the L1 queue") {
+		return 0
+	}
+	return replyHold
 }

@@ -14,6 +14,7 @@ func TestClassStrings(t *testing.T) {
 		TruncateWindow: "truncate-window",
 		WithholdCredit: "withhold-credit",
 		StallLink:      "stall-link",
+		ReorderReply:   "reorder-reply",
 	}
 	for c := Class(0); c < NumClasses; c++ {
 		if c.String() != want[c] {

@@ -22,14 +22,27 @@ type List[K comparable, V any] struct {
 }
 
 // Get pops the value released last under k, if any.
-func (l *List[K, V]) Get(k K) (v V, ok bool) {
+func (l *List[K, V]) Get(k K) (v V, ok bool) { return l.Prefer(k, nil) }
+
+// Prefer pops the value released last under k that match accepts or, when
+// none does (or match is nil), the value released last, if any. The others
+// keep their order.
+func (l *List[K, V]) Prefer(k K, match func(V) bool) (v V, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.idle[k]
 	if len(s) == 0 {
 		return v, false
 	}
-	v = s[len(s)-1]
+	i := len(s) - 1
+	for j := i; match != nil && j >= 0; j-- {
+		if match(s[j]) {
+			i = j
+			break
+		}
+	}
+	v = s[i]
+	copy(s[i:], s[i+1:])
 	var zero V
 	s[len(s)-1] = zero
 	l.idle[k] = s[:len(s)-1]

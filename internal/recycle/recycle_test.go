@@ -33,6 +33,26 @@ func TestListIsLIFOPerKeyAndCapped(t *testing.T) {
 	}
 }
 
+// TestListPrefer: Prefer pops the last value put that match accepts, and
+// falls back to the last value put when match accepts none.
+func TestListPrefer(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a list keeps one value a key at GOMAXPROCS=1")
+	}
+	var l List[string, int]
+	l.Put("a", 1)
+	l.Put("a", 2)
+	odd := func(v int) bool { return v%2 == 1 }
+	for _, want := range []int{1, 2} {
+		if v, ok := l.Prefer("a", odd); !ok || v != want {
+			t.Fatalf("Prefer(a, odd) = %d, %v; want %d", v, ok, want)
+		}
+	}
+	if _, ok := l.Prefer("a", odd); ok {
+		t.Fatal("an empty list handed out a value")
+	}
+}
+
 // TestListConcurrentUse: every value put is got at most once, whatever the
 // interleaving (run under -race in CI).
 func TestListConcurrentUse(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
+	"reactivenoc/internal/core"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/verify"
 	"reactivenoc/internal/workload"
@@ -32,7 +33,10 @@ func PolicySpec(v config.Variant) chip.Spec {
 // oracles checking every cycle so a corruption is attributed to its
 // detector on the boundary it becomes observable; "" picks the class's
 // canonical variant. ok is false when the class cannot apply: TruncateWindow
-// needs a timed reservation, which an untimed variant such as SDM never makes.
+// needs a timed reservation, which an untimed variant such as SDM never
+// makes, and ReorderReply an eliminated ack, which a policy without
+// core.Traits.NoAck never grants; a variant of a policy that can grant one
+// has NoAck switched on.
 func FaultScenario(c fault.Class, variant string) (spec chip.Spec, ok bool) {
 	if variant == "" {
 		switch c {
@@ -48,8 +52,13 @@ func FaultScenario(c fault.Class, variant string) (spec chip.Spec, ok bool) {
 	if !found {
 		panic(fmt.Sprintf("differ: unknown variant %q", variant))
 	}
-	if c == fault.TruncateWindow && !v.Opts.Timed {
+	switch {
+	case c == fault.TruncateWindow && !v.Opts.Timed:
 		return chip.Spec{}, false
+	case c == fault.ReorderReply && !core.TraitsFor(v.Opts).NoAck:
+		return chip.Spec{}, false
+	case c == fault.ReorderReply:
+		v.Opts.NoAck = true
 	}
 	spec = PolicySpec(v)
 	spec.VerifyEvery = 1
@@ -63,6 +72,11 @@ func FaultScenario(c fault.Class, variant string) (spec chip.Spec, ok bool) {
 	case fault.StallLink:
 		spec.Fault.After = 2000
 		spec.WatchdogStall = 3000 // don't wait the production 50k cycles
+	case fault.ReorderReply:
+		// Few lines every core shares: while a held reply waits, its bank
+		// soon forwards or invalidates a line the reply's L1 holds.
+		spec.Workload.SharedFraction, spec.Workload.SharedLines = 0.05, 64
+		spec.Fault.Count = 4
 	}
 	return spec, true
 }

@@ -64,7 +64,8 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // TestCatalogue: every class has a canonical scenario and only
-// TruncateWindow lacks one under the untimed SDM fabric; Detect refuses a
+// TruncateWindow and ReorderReply lack one under the SDM fabric, whose
+// circuits are untimed and which never eliminates an ack; Detect refuses a
 // cell whose fault never fires instead of passing it vacuously, and with
 // the oracles disarmed it accepts only an unattributed detection — a
 // withheld credit is still caught, by the end-of-run audit.
@@ -74,7 +75,7 @@ func TestCatalogue(t *testing.T) {
 		if !ok || spec.Fault.Class != c || spec.VerifyEvery != 1 || !spec.Audit {
 			t.Errorf("%v: canonical scenario ok=%v %+v", c, ok, spec.Fault)
 		}
-		if _, ok := FaultScenario(c, "SDM"); ok != (c != fault.TruncateWindow) {
+		if _, ok := FaultScenario(c, "SDM"); ok != (c != fault.TruncateWindow && c != fault.ReorderReply) {
 			t.Errorf("%v: SDM scenario ok=%v", c, ok)
 		}
 	}

@@ -43,7 +43,8 @@ func TestPolicyConformance(t *testing.T) {
 // policyFaultExpectations derives, from a policy's own Traits, which fault
 // classes its armed oracles promise to catch: credit conservation is
 // variant-independent, the registry cross-check applies when the policy
-// advertises RegistryChecked, and the online leak oracle when LeakChecked.
+// advertises RegistryChecked, the online leak oracle when LeakChecked, and
+// the delivery-order oracle when it can eliminate acks (NoAck).
 // Deriving from the traits (instead of a hand-kept table) means a new
 // policy is automatically held to exactly the oracles it claims.
 func policyFaultExpectations(tr core.Traits) []fault.Class {
@@ -53,6 +54,9 @@ func policyFaultExpectations(tr core.Traits) []fault.Class {
 	}
 	if tr.LeakChecked {
 		expect = append(expect, fault.DropUndoToken)
+	}
+	if tr.NoAck {
+		expect = append(expect, fault.ReorderReply)
 	}
 	return expect
 }
@@ -163,6 +167,34 @@ func TestPolicyConformanceQuiesce(t *testing.T) {
 			s.NoPool = true
 			if _, err := chip.RunCtx(context.Background(), s); err != nil {
 				t.Fatalf("policy %q unpooled audit run: %v", name, err)
+			}
+		})
+	}
+}
+
+// TestNoAckDeliveryOrder holds every sweep column whose policy can
+// eliminate acks (core.Traits.NoAck) to DESIGN.md §5's NoAck soundness
+// rule with no fault injected: its conformance cell, NoAck switched on and
+// the delivery-order oracle armed, on a workload whose cores share a few
+// lines (so banks forward and invalidate around the replies they send),
+// must run clean. TestPolicyConformanceOracles gives the oracle its teeth
+// (fault.ReorderReply); this test is the rule it guards.
+func TestNoAckDeliveryOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("policy conformance runs full simulations")
+	}
+	for _, v := range config.SweepVariants() {
+		if !core.TraitsFor(v.Opts).NoAck {
+			continue
+		}
+		v := v
+		t.Run(v.Name, func(t *testing.T) {
+			t.Parallel()
+			v.Opts.NoAck = true
+			s := PolicySpec(v)
+			s.Workload.SharedFraction, s.Workload.SharedLines = 0.05, 64
+			if _, err := chip.RunCtx(context.Background(), s); err != nil {
+				t.Fatalf("variant %s with NoAck: %v", v.Name, err)
 			}
 		})
 	}

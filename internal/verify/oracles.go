@@ -23,6 +23,10 @@ func OraclesFor(c fault.Class) []string {
 		// A vanished credit breaks the per-link conservation sum on the
 		// next check boundary.
 		return []string{"credit-conservation"}
+	case fault.ReorderReply:
+		// A message the bank sent after a NoAck data reply reaches the L1
+		// first: the delivery-order oracle compares the two per pair.
+		return []string{"noack-order"}
 	case fault.StallLink:
 		// A frozen link starves the fabric: zero flit movement with
 		// traffic in flight trips the progress oracle, or the deadlock

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"reactivenoc/internal/coherence"
+	"reactivenoc/internal/core"
 	"reactivenoc/internal/sim"
 )
 
@@ -45,8 +46,12 @@ type Suite struct {
 	lastMoveAt   sim.Cycle
 }
 
-// NewSuite builds a suite for sys.
+// NewSuite builds a suite for cfg.Sys, arming the system's delivery-order
+// oracle when its policy can eliminate acks (core.Traits.NoAck).
 func NewSuite(cfg Config) *Suite {
+	if core.TraitsFor(cfg.Sys.Opts).NoAck {
+		cfg.Sys.ArmDeliveryOrder()
+	}
 	return &Suite{cfg: cfg}
 }
 
@@ -74,6 +79,9 @@ func (s *Suite) Check(now sim.Cycle) *Violation {
 		if err := mg.CheckLeaks(now); err != nil {
 			return &Violation{Oracle: "circuit-leak", Cycle: now, Msg: err.Error()}
 		}
+	}
+	if err := sys.CheckDeliveryOrder(); err != nil {
+		return &Violation{Oracle: "noack-order", Cycle: now, Msg: err.Error()}
 	}
 	if err := sys.CheckSingleWriter(); err != nil {
 		return &Violation{Oracle: "coherence", Cycle: now, Msg: err.Error()}
