@@ -2,6 +2,7 @@ package chip
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -177,6 +178,26 @@ func TestRejectsBadSpec(t *testing.T) {
 	s.Horizon = 10 // absurdly short
 	if _, err := Run(s); err == nil {
 		t.Fatal("impossible horizon should error, not hang")
+	}
+}
+
+// TestRetiredPolicyFailsClosed: a spec written for a policy that is no
+// longer registered — here profiled-hybrid, with one of its old knobs, which
+// JSON decoding drops — is refused by Validate with the registered policies
+// named, never run as some other policy.
+func TestRetiredPolicyFailsClosed(t *testing.T) {
+	s := quickSpec(t, config.Chip16(), "Complete_NoAck")
+	if err := json.Unmarshal([]byte(`{"Policy":"profiled-hybrid","ProfileWindow":4}`), &s.Variant.Opts); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Validate()
+	if err == nil {
+		t.Fatal("Validate accepted the retired profiled-hybrid policy")
+	}
+	for _, name := range core.PolicyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list registered policy %s", err, name)
+		}
 	}
 }
 

@@ -193,14 +193,11 @@ func TestPolicyVariantFingerprintsDistinct(t *testing.T) {
 		// value that hashed like the default would silently reuse the
 		// default's cached results.
 		knobs := map[string]func(*Spec){
-			"Policy":              func(s *Spec) { s.Variant.Opts.Policy += "x" },
-			"ProfileWindow":       func(s *Spec) { s.Variant.Opts.ProfileWindow++ },
-			"ProfileThresholdPct": func(s *Spec) { s.Variant.Opts.ProfileThresholdPct++ },
-			"ProfileBackoff":      func(s *Spec) { s.Variant.Opts.ProfileBackoff++ },
-			"DynVCMin":            func(s *Spec) { s.Variant.Opts.DynVCMin++ },
-			"DynVCMax":            func(s *Spec) { s.Variant.Opts.DynVCMax++ },
-			"DynVCWindow":         func(s *Spec) { s.Variant.Opts.DynVCWindow++ },
-			"SDMLanes":            func(s *Spec) { s.Variant.Opts.SDMLanes++ },
+			"Policy":      func(s *Spec) { s.Variant.Opts.Policy += "x" },
+			"DynVCMin":    func(s *Spec) { s.Variant.Opts.DynVCMin++ },
+			"DynVCMax":    func(s *Spec) { s.Variant.Opts.DynVCMax++ },
+			"DynVCWindow": func(s *Spec) { s.Variant.Opts.DynVCWindow++ },
+			"SDMLanes":    func(s *Spec) { s.Variant.Opts.SDMLanes++ },
 		}
 		for knob, mut := range knobs {
 			spec := DefaultSpec(config.Chip16(), v, workload.Micro())

@@ -97,16 +97,11 @@ func Variants() []Variant {
 
 // PolicyVariants returns the post-paper switching-policy presets from the
 // related work, built on the first-class policy seam (core.Policy): the
-// profiled hybrid of "Energy-Efficient On-Chip Networks through Profiled
-// Hybrid Switching" and the load-adaptive VC partitioning of Onsori &
-// Safaei. They ride every sweep as comparable columns next to the paper's
-// variants (SweepVariants) but stay out of Variants(), which remains the
-// paper's exact inventory.
+// load-adaptive VC partitioning of Onsori & Safaei. They ride every sweep
+// as comparable columns next to the paper's variants (SweepVariants) but
+// stay out of Variants(), which remains the paper's exact inventory.
 func PolicyVariants() []Variant {
-	profiled := completeNoAck()
-	profiled.Policy = "profiled-hybrid"
 	return []Variant{
-		mustVariant("ProfiledHybrid", profiled),
 		mustVariant("DynamicVC", core.Options{
 			Mechanism:          core.MechFragmented,
 			MaxCircuitsPerPort: 3,

@@ -11,8 +11,7 @@ import (
 func TestPolicyVariantsValidAndSeparate(t *testing.T) {
 	pvs := PolicyVariants()
 	want := map[string]string{
-		"ProfiledHybrid": "profiled-hybrid",
-		"DynamicVC":      "dynamic-vc",
+		"DynamicVC": "dynamic-vc",
 	}
 	if len(pvs) != len(want) {
 		t.Fatalf("PolicyVariants has %d entries, want %d", len(pvs), len(want))
@@ -74,7 +73,7 @@ func TestRegistry(t *testing.T) {
 		idx[n] = i
 	}
 	// Every family is reachable through ByName.
-	for _, want := range []string{"Baseline", "ProfiledHybrid", "DynamicVC", "Speculative", "Probe_DejaVu"} {
+	for _, want := range []string{"Baseline", "DynamicVC", "Speculative", "Probe_DejaVu"} {
 		v, ok := ByName(want)
 		if !ok || v.Name != want {
 			t.Errorf("ByName(%q) = (%v, %v)", want, v.Name, ok)
@@ -114,12 +113,11 @@ func TestVariantForPolicy(t *testing.T) {
 // (its preset is a comparator, not a sweep variant).
 func TestVariantsForPolicy(t *testing.T) {
 	for policy, wantNames := range map[string][]string{
-		"baseline":        {"Baseline"},
-		"fragmented":      {"Fragmented"},
-		"profiled-hybrid": {"ProfiledHybrid"},
-		"dynamic-vc":      {"DynamicVC"},
-		"sdm":             {"SDM", "SDM_2", "SDM_8"},
-		"probe-setup":     nil,
+		"baseline":    {"Baseline"},
+		"fragmented":  {"Fragmented"},
+		"dynamic-vc":  {"DynamicVC"},
+		"sdm":         {"SDM", "SDM_2", "SDM_8"},
+		"probe-setup": nil,
 	} {
 		got := VariantsForPolicy(policy)
 		if len(got) != len(wantNames) {

@@ -110,16 +110,6 @@ type Options struct {
 	// that true for the new knobs too.
 	Policy string `json:",omitempty"`
 
-	// ProfileWindow, ProfileThresholdPct and ProfileBackoff tune the
-	// profiled-hybrid policy: a flow is profiled over ProfileWindow
-	// replies and demoted to packet switching when fewer than
-	// ProfileThresholdPct percent of them rode a circuit; a demoted flow
-	// re-enters profiling after ProfileBackoff packet requests. Zero
-	// means the policy's default (32 / 50 / 128).
-	ProfileWindow       int `json:",omitempty"`
-	ProfileThresholdPct int `json:",omitempty"`
-	ProfileBackoff      int `json:",omitempty"`
-
 	// DynVCMin, DynVCMax and DynVCWindow tune the dynamic-vc policy:
 	// each router's usable reserved-VC partition floats between DynVCMin
 	// and DynVCMax (the hardware provisions DynVCMax), adapting once per

@@ -612,7 +612,6 @@ func (mg *Manager) classify(msg *noc.Message, o Outcome) {
 	}
 	msg.Classified = true
 	mg.Stats.Replies[o]++
-	mg.pol.Observe(mg, msg, o)
 }
 
 // OnDeliver finalizes a request's circuit record at the NI where its reply

@@ -241,7 +241,6 @@ func TestUndoForwardedRequest(t *testing.T) {
 		{"fragmented", fragmentedOpts(), forwarded, 1},
 		{"ideal", Options{Mechanism: MechIdeal}, instant, 1},
 		{"probe-setup", probeOpts(), probeConflict, 0},
-		{"profiled-hybrid", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, Policy: "profiled-hybrid"}, forwarded, 1},
 		{"dynamic-vc", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"}, forwarded, 1},
 		{"sdm", sdmOpts(0), forwarded, 1},
 	} {

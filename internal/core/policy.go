@@ -30,13 +30,11 @@ import (
 //     wait for a timed slot, scrounge, or fall back to packet switching.
 //   - Deliver intercepts message arrival before the generic paths (the
 //     probe comparator consumes its setup flits here).
-//   - Observe learns from reply outcomes.
 //
 // Hook ordering follows the double-buffered simulation phases: Arbitrate
 // fires during the router phase (compute on the current cycle's state);
-// Inject, Deliver and Observe fire during the NI phase, after every router
-// of the cycle, so what they change is first read by the next cycle's
-// Arbitrate.
+// Inject and Deliver fire during the NI phase, after every router of the
+// cycle, so what they change is first read by the next cycle's Arbitrate.
 type Policy interface {
 	// Traits states the policy's facts for the given options.
 	Traits(o *Options) Traits
@@ -64,9 +62,6 @@ type Policy interface {
 	// the message to the shared record/scrounger logic; handled=true makes
 	// deliver the final verdict (false consumes the message).
 	Deliver(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.Cycle) (handled, deliver bool)
-	// Observe feeds every reply's final outcome back to the policy
-	// (profiling policies learn from it; most ignore it).
-	Observe(mg *Manager, msg *noc.Message, o Outcome)
 }
 
 // Traits are the facts a policy states once. NewManager resolves them into
@@ -156,7 +151,6 @@ func init() {
 	RegisterPolicy("complete", func() Policy { return completePolicy{} })
 	RegisterPolicy("ideal", func() Policy { return idealPolicy{} })
 	RegisterPolicy("probe-setup", func() Policy { return probePolicy{} })
-	RegisterPolicy("profiled-hybrid", func() Policy { return &profiledPolicy{} })
 	RegisterPolicy("dynamic-vc", func() Policy { return &dynVCPolicy{} })
 	RegisterPolicy("sdm", func() Policy { return sdmPolicy{} })
 }
@@ -241,9 +235,9 @@ func (o *Options) Validate() error {
 // ---------------------------------------------------------------------------
 
 // basePolicy supplies the default of every hook but Traits: reserve nothing
-// unless the policy arbitrates, ride the reply on whatever its request
-// reserved, and learn nothing. Concrete policies embed it and override only
-// the steps where they differ.
+// unless the policy arbitrates, and ride the reply on whatever its request
+// reserved. Concrete policies embed it and override only the steps where
+// they differ.
 type basePolicy struct{}
 
 func (basePolicy) Validate(*Options) error            { return nil }
@@ -306,8 +300,6 @@ func (basePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim.
 func (basePolicy) Deliver(*Manager, mesh.NodeID, *noc.Message, sim.Cycle) (bool, bool) {
 	return false, true
 }
-
-func (basePolicy) Observe(*Manager, *noc.Message, Outcome) {}
 
 // portRule is the paper's construction rule for untimed circuits: the
 // candidate may not share its output port with a live entry of another

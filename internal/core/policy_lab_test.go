@@ -8,94 +8,6 @@ import (
 	"reactivenoc/internal/sim"
 )
 
-// TestProfiledDemotionAndReadmission drives the profiled-hybrid decision
-// logic directly: a flow whose replies keep missing their circuits is
-// demoted after one full window, its requests travel as packets for the
-// backoff period, and it is then re-admitted with a clean window.
-func TestProfiledDemotionAndReadmission(t *testing.T) {
-	p := &profiledPolicy{}
-	mg := NewManager(Options{
-		Mechanism: MechComplete, MaxCircuitsPerPort: 5,
-		Policy:         "profiled-hybrid",
-		ProfileWindow:  4,
-		ProfileBackoff: 3,
-	}, mesh.New(4, 4))
-	p.Attach(mg)
-
-	req := &noc.Message{Src: 1, Dst: 6}
-	rep := &noc.Message{Src: 6, Dst: 1} // the reply's endpoints are swapped
-
-	// A window of failures demotes the flow.
-	for i := 0; i < 4; i++ {
-		if !p.admit(req) {
-			t.Fatalf("request %d: flow demoted before its window closed", i)
-		}
-		p.Observe(mg, rep, OutcomeFailed)
-	}
-	if p.demotions != 1 {
-		t.Fatalf("demotions = %d, want 1", p.demotions)
-	}
-
-	// Demoted requests are packets for exactly the backoff period.
-	for i := 0; i < 3; i++ {
-		if p.admit(req) {
-			t.Fatalf("request %d during backoff admitted", i)
-		}
-	}
-	if !p.admit(req) {
-		t.Fatal("flow not re-admitted after backoff")
-	}
-	if p.circuitReqs != 5 || p.packetReqs != 3 {
-		t.Fatalf("circuit/packet requests = %d/%d, want 5/3", p.circuitReqs, p.packetReqs)
-	}
-
-	// A winning window keeps the re-admitted flow on circuits.
-	p.Observe(mg, rep, OutcomeCircuit)
-	for i := 0; i < 3; i++ {
-		p.Observe(mg, rep, OutcomeCircuit)
-	}
-	if p.demotions != 1 || !p.admit(req) {
-		t.Fatal("winning flow was demoted")
-	}
-
-	// Outcomes that say nothing about the flow leave the window alone.
-	p.Observe(mg, rep, OutcomeScrounger)
-	p.Observe(mg, rep, OutcomeEliminated)
-	if f := p.flows[flowKey{src: 1, dst: 6}]; f.winDone != 0 {
-		t.Fatalf("neutral outcomes advanced the window: winDone = %d", f.winDone)
-	}
-}
-
-// TestProfiledThreshold checks the demotion boundary: a flow at exactly
-// the threshold percentage survives; one reply short is demoted.
-func TestProfiledThreshold(t *testing.T) {
-	for _, tc := range []struct {
-		wins    int
-		demoted bool
-	}{{2, false}, {1, true}} {
-		p := &profiledPolicy{}
-		mg := NewManager(Options{
-			Mechanism: MechComplete, MaxCircuitsPerPort: 5,
-			Policy:        "profiled-hybrid",
-			ProfileWindow: 4, ProfileThresholdPct: 50,
-		}, mesh.New(4, 4))
-		p.Attach(mg)
-		req := &noc.Message{Src: 0, Dst: 5}
-		rep := &noc.Message{Src: 5, Dst: 0}
-		p.admit(req)
-		for i := 0; i < 4; i++ {
-			o := OutcomeFailed
-			if i < tc.wins {
-				o = OutcomeCircuit
-			}
-			p.Observe(mg, rep, o)
-		}
-		if got := !p.admit(req); got != tc.demoted {
-			t.Errorf("wins=%d: demoted=%v, want %v", tc.wins, got, tc.demoted)
-		}
-	}
-}
-
 // TestDynVCAdaptation drives the per-router partition controller: windows
 // with failures grow the usable VC count to the maximum, clean windows
 // shrink it back to the minimum, and both bounds hold.
@@ -156,21 +68,10 @@ func TestDynVCAdaptation(t *testing.T) {
 	}
 }
 
-// TestPolicyNetConfigs pins the network each new policy provisions:
-// profiled-hybrid inherits the complete mechanism's unbuffered circuit VC
-// and YX replies; dynamic-vc provisions its maximum partition in hardware.
+// TestPolicyNetConfigs pins the network dynamic-vc provisions: its maximum
+// partition, in hardware.
 func TestPolicyNetConfigs(t *testing.T) {
-	m := mesh.New(4, 4)
-
-	cfg := NetConfigFor(m, Options{
-		Mechanism: MechComplete, MaxCircuitsPerPort: 5, NoAck: true,
-		Policy: "profiled-hybrid",
-	})
-	if cfg.ReplyCircuitVCs != 1 || !cfg.CircuitVCUnbuffered || cfg.RepRouting != mesh.RouteYX {
-		t.Fatalf("profiled-hybrid network = %+v, want the complete mechanism's", cfg)
-	}
-
-	cfg = NetConfigFor(m, Options{
+	cfg := NetConfigFor(mesh.New(4, 4), Options{
 		Mechanism: MechFragmented, MaxCircuitsPerPort: 4,
 		Policy: "dynamic-vc", DynVCMax: 4,
 	})
@@ -199,12 +100,11 @@ func TestPolicyTraits(t *testing.T) {
 		opts Options
 		want Traits
 	}{
-		"baseline":        {Options{}, Traits{Mech: MechNone}},
-		"fragmented":      {fragmentedOpts(), Traits{Mech: MechFragmented, Partial: true}},
-		"complete":        {completeOpts(), complete},
-		"ideal":           {Options{Mechanism: MechIdeal}, Traits{Mech: MechIdeal, NoAck: true, Unbounded: true}},
-		"probe-setup":     {probeOpts(), Traits{Mech: MechProbe, Forward: true}},
-		"profiled-hybrid": {Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, Policy: "profiled-hybrid"}, complete},
+		"baseline":    {Options{}, Traits{Mech: MechNone}},
+		"fragmented":  {fragmentedOpts(), Traits{Mech: MechFragmented, Partial: true}},
+		"complete":    {completeOpts(), complete},
+		"ideal":       {Options{Mechanism: MechIdeal}, Traits{Mech: MechIdeal, NoAck: true, Unbounded: true}},
+		"probe-setup": {probeOpts(), Traits{Mech: MechProbe, Forward: true}},
 		"dynamic-vc": {Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"},
 			Traits{Mech: MechFragmented, Partial: true}},
 		"sdm": {sdmOpts(0), Traits{
@@ -231,7 +131,7 @@ func TestPolicyTraits(t *testing.T) {
 			if got, want := r.mgr.BypassBuffered(), !NetConfigFor(r.m, tc.opts).CircuitVCUnbuffered; got != want {
 				t.Errorf("%s: BypassBuffered = %v, want %v (the circuit VC's buffer)", name, got, want)
 			}
-			if wantBuffered := name != "complete" && name != "profiled-hybrid"; r.mgr.BypassBuffered() != wantBuffered {
+			if wantBuffered := name != "complete"; r.mgr.BypassBuffered() != wantBuffered {
 				t.Errorf("%s: BypassBuffered = %v, want %v", name, !wantBuffered, wantBuffered)
 			}
 		}
@@ -265,9 +165,6 @@ func TestPolicyValidateErrors(t *testing.T) {
 		name string
 		o    Options
 	}{
-		{"profiled wrong mechanism", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 4, Policy: "profiled-hybrid"}},
-		{"profiled negative window", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "profiled-hybrid", ProfileWindow: -1}},
-		{"profiled pct over 100", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "profiled-hybrid", ProfileThresholdPct: 150}},
 		{"dynvc wrong mechanism", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "dynamic-vc"}},
 		{"dynvc negative min", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMin: -1}},
 		{"dynvc min over max", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMin: 4, DynVCMax: 2}},
@@ -285,27 +182,19 @@ func TestPolicyValidateErrors(t *testing.T) {
 	}
 }
 
-// TestPolicyDescribeMetrics: the lab policies export their counters under
-// the circ/ namespace so sweeps and the service surface them.
+// TestPolicyDescribeMetrics: a lab policy's counters reach the registry
+// scope the manager exports, under the circ/ namespace, so sweeps and the
+// service surface them.
 func TestPolicyDescribeMetrics(t *testing.T) {
-	p := &profiledPolicy{circuitReqs: 7, packetReqs: 3, demotions: 1}
+	mg := NewManager(Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"}, mesh.New(4, 4))
+	d := mg.pol.(*dynVCPolicy)
+	d.grows, d.shrinks = 5, 2
 	reg := sim.NewRegistry()
-	p.DescribeMetrics(reg)
+	mg.DescribeMetrics(reg)
 	snap := reg.Snapshot(0)
-	for name, want := range map[string]int64{
-		"circ/profiled_circuit_requests": 7,
-		"circ/profiled_packet_requests":  3,
-		"circ/profiled_demotions":        1,
-	} {
+	for name, want := range map[string]int64{"circ/dynvc_grows": 5, "circ/dynvc_shrinks": 2} {
 		if got := snap.Value(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-	}
-
-	d := &dynVCPolicy{grows: 5, shrinks: 2}
-	rd := sim.NewRegistry()
-	d.DescribeMetrics(rd)
-	if ds := rd.Snapshot(0); ds.Value("circ/dynvc_grows") != 5 || ds.Value("circ/dynvc_shrinks") != 2 {
-		t.Errorf("dynvc counters = %d/%d, want 5/2", ds.Value("circ/dynvc_grows"), ds.Value("circ/dynvc_shrinks"))
 	}
 }

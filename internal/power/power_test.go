@@ -188,11 +188,9 @@ func TestRouterInventories(t *testing.T) {
 		"dynamic-vc max 4": {core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMax: 4},
 			7, 7, 4, 0},
 		"complete": {opts(core.MechComplete, 5, false, 0), 4, 3, 5, 0},
-		"profiled-hybrid": {core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "profiled-hybrid"},
-			4, 3, 5, 0},
-		"sdm":   {core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "sdm"}, 4, 4, 5, 4},
-		"ideal": {core.Options{Mechanism: core.MechIdeal}, 4, 4, 5, 0},
-		"probe": {opts(core.MechProbe, 5, false, 0), 4, 4, 5, 0},
+		"sdm":      {core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "sdm"}, 4, 4, 5, 4},
+		"ideal":    {core.Options{Mechanism: core.MechIdeal}, 4, 4, 5, 0},
+		"probe":    {opts(core.MechProbe, 5, false, 0), 4, 4, 5, 0},
 	} {
 		rc := ConfigFor(16, tc.o)
 		if rc.TotalVCs != tc.total || rc.BufferedVCs != tc.buffered || rc.CircEntries != tc.entries || rc.LinkLanes != tc.lan {

@@ -150,12 +150,21 @@ func TestSubmitValidation(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	done := s.Metrics().Value("serve/jobs_done")
-	spec = smallSpec(1)
-	spec.Variant.Opts = core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true}
-	_, err := NewClient(hs.URL).Submit(context.Background(), spec)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("inconsistent variant over HTTP: err = %v, want a 400 StatusError", err)
+	for name, opts := range map[string]core.Options{
+		"inconsistent variant": {Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true},
+		// A retired policy fails closed: the 400 names the registered ones.
+		"unregistered policy": {Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "profiled-hybrid"},
+	} {
+		spec = smallSpec(1)
+		spec.Variant.Opts = opts
+		_, err := NewClient(hs.URL).Submit(context.Background(), spec)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("%s over HTTP: err = %v, want a 400 StatusError", name, err)
+		}
+		if opts.Policy != "" && !strings.Contains(se.Msg, "registered: "+strings.Join(core.PolicyNames(), ", ")) {
+			t.Errorf("%s: 400 body %q does not list the registered policies", name, se.Msg)
+		}
 	}
 	if got := s.Metrics().Value("serve/jobs_done"); got != done || len(s.queue) != 0 {
 		t.Fatalf("rejected spec was queued: serve/jobs_done %d -> %d, queue depth %d", done, got, len(s.queue))

@@ -31,13 +31,16 @@ func SpecFromSeed(seed uint64) chip.Spec {
 	rng := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
 
 	// The variant pool freezes the pre-SDM composition explicitly — the
-	// paper's variants, the two policy-lab presets, then comparators [1:3]
-	// — so the first draw's modulus never changes and every committed
-	// corpus seed keeps deriving the spec it always did. New variant
-	// families join via draws appended at the end, never by widening this
-	// pool (SweepVariants grows with each family and must not be used here).
-	variants := append(append(config.Variants(), config.PolicyVariants()...),
-		config.Comparators()[1:3]...)
+	// paper's variants, two policy-lab slots, then comparators [1:3] — so
+	// the first draw's modulus never changes and every committed corpus
+	// seed keeps deriving the spec it always did. The first policy-lab slot
+	// held a retired preset that filtered Complete_NoAck's requests, and now
+	// draws Complete_NoAck itself. New variant families join via
+	// draws appended at the end, never by widening this pool (SweepVariants
+	// grows with each family and must not be used here).
+	completeNoAck, _ := config.ByName("Complete_NoAck")
+	variants := append(append(append(config.Variants(), completeNoAck),
+		config.PolicyVariants()...), config.Comparators()[1:3]...)
 	v := variants[rng.Intn(len(variants))]
 
 	var w workload.Profile

@@ -23,7 +23,7 @@ func TestPolicyConformance(t *testing.T) {
 	}
 	names := config.PolicyNames()
 	if len(names) < 7 {
-		t.Fatalf("expected at least 7 registered policies (5 paper mechanisms + profiled-hybrid + dynamic-vc), got %d: %v", len(names), names)
+		t.Fatalf("expected at least 7 registered policies (5 mechanisms + dynamic-vc + sdm), got %d: %v", len(names), names)
 	}
 	for _, name := range names {
 		name := name
