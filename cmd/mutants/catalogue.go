@@ -29,6 +29,13 @@ var catalogue = []Mutant{
 		New:  "case r.id > msg.ID && o.err == nil:",
 		Pkg:  "./internal/fault", Run: "^TestChaosReorderReply$", PR: 42,
 	},
+	{
+		Name: "an untimed NoAck decision ignores replies queued at the bank's NI",
+		File: "internal/coherence/system.go",
+		Old:  "return complete && timedOK && s.Net.NI(bank).ReplyIdle()",
+		New:  "return complete && timedOK && (!s.Opts.Timed || s.Net.NI(bank).ReplyIdle())",
+		Pkg:  "./internal/verify/differ", Run: "^TestNoAckDeliveryOrder$/^64-core$", PR: 45,
+	},
 
 	// The cluster client hands a dead node's jobs to its successor.
 	{

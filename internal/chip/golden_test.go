@@ -34,8 +34,8 @@ var goldenMatrix = []goldenRow{
 	{"16-core", "micro", "Baseline", 4008, 670, 247, 247, 5303, 193, 4862, 230, 5029, 6016},
 	{"16-core", "micro", "Fragmented", 3836, 670, 247, 247, 5393, 193, 2639, 230, 5119, 6022},
 	{"16-core", "micro", "Complete", 3833, 670, 247, 247, 5366, 193, 2896, 230, 5090, 6022},
-	{"16-core", "micro", "Complete_NoAck", 3829, 514, 247, 247, 5362, 193, 2884, 230, 1734, 5424},
-	{"16-core", "micro", "Reuse_NoAck", 3829, 514, 247, 247, 5362, 193, 2884, 230, 1734, 5429},
+	{"16-core", "micro", "Complete_NoAck", 3829, 516, 247, 247, 5362, 193, 2884, 230, 1773, 5431},
+	{"16-core", "micro", "Reuse_NoAck", 3829, 516, 247, 247, 5362, 193, 2884, 230, 1773, 5436},
 	{"16-core", "micro", "Timed_NoAck", 3839, 670, 247, 247, 5385, 193, 3052, 230, 5087, 6022},
 	{"16-core", "micro", "Slack_1_NoAck", 3847, 521, 247, 247, 5357, 193, 2850, 230, 1787, 5433},
 	{"16-core", "micro", "Slack_2_NoAck", 3847, 515, 247, 247, 5345, 193, 2811, 230, 1700, 5416},
@@ -46,8 +46,8 @@ var goldenMatrix = []goldenRow{
 	{"16-core", "canneal", "Baseline", 4586, 938, 340, 340, 7167, 310, 7462, 288, 6015, 8311},
 	{"16-core", "canneal", "Fragmented", 4308, 938, 340, 340, 7302, 310, 4094, 288, 6085, 8311},
 	{"16-core", "canneal", "Complete", 4350, 938, 340, 340, 7273, 310, 4733, 288, 6115, 8311},
-	{"16-core", "canneal", "Complete_NoAck", 4350, 729, 340, 340, 7258, 310, 4733, 288, 1822, 7554},
-	{"16-core", "canneal", "Reuse_NoAck", 4335, 728, 340, 340, 7224, 310, 4710, 288, 1803, 7570},
+	{"16-core", "canneal", "Complete_NoAck", 4350, 734, 340, 340, 7258, 310, 4733, 288, 1917, 7571},
+	{"16-core", "canneal", "Reuse_NoAck", 4335, 734, 340, 340, 7224, 310, 4710, 288, 1915, 7590},
 	{"16-core", "canneal", "Timed_NoAck", 4387, 938, 340, 340, 7267, 310, 4702, 288, 6124, 8311},
 	{"16-core", "canneal", "Slack_1_NoAck", 4380, 726, 340, 340, 7237, 310, 4565, 288, 1691, 7523},
 	{"16-core", "canneal", "Slack_2_NoAck", 4370, 721, 340, 340, 7277, 310, 4453, 288, 1581, 7506},
@@ -58,8 +58,8 @@ var goldenMatrix = []goldenRow{
 	{"64-core", "micro", "Baseline", 4752, 2990, 1176, 1176, 39527, 710, 26143, 1104, 37606, 40466},
 	{"64-core", "micro", "Fragmented", 4369, 2991, 1176, 1176, 40003, 711, 13656, 1104, 38343, 40478},
 	{"64-core", "micro", "Complete", 4516, 2993, 1177, 1177, 39979, 711, 17199, 1105, 38353, 40498},
-	{"64-core", "micro", "Complete_NoAck", 4422, 2539, 1179, 1179, 40006, 713, 17033, 1107, 23351, 37848},
-	{"64-core", "micro", "Reuse_NoAck", 4479, 2541, 1179, 1179, 39984, 713, 17038, 1107, 23357, 37994},
+	{"64-core", "micro", "Complete_NoAck", 4422, 2554, 1179, 1179, 40006, 713, 17033, 1107, 23783, 37928},
+	{"64-core", "micro", "Reuse_NoAck", 4479, 2551, 1179, 1179, 40004, 713, 17057, 1107, 23694, 38057},
 	{"64-core", "micro", "Timed_NoAck", 4462, 2994, 1177, 1177, 40052, 712, 16968, 1105, 38272, 40489},
 	{"64-core", "micro", "Slack_1_NoAck", 4452, 2510, 1177, 1177, 39989, 712, 15874, 1105, 22232, 37590},
 	{"64-core", "micro", "Slack_2_NoAck", 4449, 2522, 1176, 1176, 39896, 711, 16306, 1104, 22715, 37620},
@@ -70,8 +70,8 @@ var goldenMatrix = []goldenRow{
 	{"64-core", "canneal", "Baseline", 6018, 3747, 1443, 1443, 48392, 1021, 38075, 1283, 43008, 53824},
 	{"64-core", "canneal", "Fragmented", 5513, 3753, 1446, 1446, 49388, 1020, 20558, 1287, 44170, 53782},
 	{"64-core", "canneal", "Complete", 5582, 3751, 1445, 1445, 49033, 1020, 26441, 1286, 43964, 53755},
-	{"64-core", "canneal", "Complete_NoAck", 5454, 3194, 1445, 1445, 49000, 1019, 26104, 1286, 25528, 50392},
-	{"64-core", "canneal", "Reuse_NoAck", 5470, 3180, 1445, 1445, 49033, 1018, 26037, 1286, 25360, 50517},
+	{"64-core", "canneal", "Complete_NoAck", 5454, 3204, 1445, 1445, 49002, 1019, 26104, 1286, 25773, 50437},
+	{"64-core", "canneal", "Reuse_NoAck", 5474, 3190, 1445, 1445, 49035, 1018, 26046, 1286, 25684, 50576},
 	{"64-core", "canneal", "Timed_NoAck", 5480, 3752, 1446, 1446, 49065, 1019, 25211, 1287, 44067, 53791},
 	{"64-core", "canneal", "Slack_1_NoAck", 5537, 3113, 1444, 1444, 49192, 1019, 22760, 1285, 22268, 49773},
 	{"64-core", "canneal", "Slack_2_NoAck", 5551, 3143, 1444, 1444, 48990, 1019, 23657, 1285, 23470, 50003},
@@ -81,14 +81,14 @@ var goldenMatrix = []goldenRow{
 	{"64-core", "canneal", "Ideal", 5395, 3748, 1444, 1444, 49316, 1019, 18850, 1285, 44131, 53757},
 	// The 256-core rows run armed (goldenSpec): audit and oracles on.
 	{"256-core", "micro", "Baseline", 9962, 13010, 5179, 5179, 325778, 2922, 191418, 4909, 307173, 320511},
-	{"256-core", "micro", "Complete_NoAck", 9007, 11944, 5170, 5170, 327585, 2908, 154568, 4903, 252562, 308491},
-	{"256-core", "micro", "Reuse_NoAck", 9107, 11959, 5172, 5172, 327432, 2902, 154514, 4904, 252811, 309111},
+	{"256-core", "micro", "Complete_NoAck", 9429, 11986, 5181, 5181, 327849, 2909, 154559, 4916, 254406, 308871},
+	{"256-core", "micro", "Reuse_NoAck", 9193, 11949, 5169, 5169, 326969, 2906, 153124, 4902, 251500, 308764},
 	// Adversarial-generator rows (internal/tracefeed): single-tile hotspot
 	// traffic on the small chip. Note the ordering flip vs the stationary
 	// profiles — Timed_NoAck loses to Baseline here (the contended tile's
 	// windows keep expiring) while Reuse wins big.
 	{"16-core", "hotspot", "Baseline", 5262, 1982, 791, 791, 14427, 443, 9492, 748, 13901, 13147},
-	{"16-core", "hotspot", "Reuse_NoAck", 4939, 1621, 792, 792, 15229, 444, 5646, 747, 7575, 12085},
+	{"16-core", "hotspot", "Reuse_NoAck", 5017, 1752, 792, 792, 15095, 445, 5859, 748, 10042, 12499},
 	{"16-core", "hotspot", "Timed_NoAck", 5321, 1973, 787, 787, 14594, 442, 8335, 744, 14320, 13093},
 	// SDM rows (internal/core policy_sdm): the lane sweep under uniform
 	// traffic pins the serialization model — per-hop latency grows with the

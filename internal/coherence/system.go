@@ -371,22 +371,18 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 }
 
 // canEliminateAck implements the Section 4.6 decision: the L1_DATA_ACK for
-// this data reply may be removed only when the reply is guaranteed to ride
-// a complete circuit — the circuit is fully built and, for timed variants,
-// the injection (which starts within two cycles because the reply VN is
-// idle) still falls inside the reserved window.
+// this data reply may be removed only when the reply is guaranteed to reach
+// its L1 ahead of anything the bank sends it later — it rides a fully built
+// circuit, and the bank's reply VN is idle, so its injection starts within
+// two cycles (inside the reserved window, for timed variants). A reply
+// queued behind others could be overtaken by a later Fwd or Inv on another
+// VN, timed or not.
 func (s *System) canEliminateAck(bank, requestor mesh.NodeID, addr cache.Addr, now sim.Cycle) bool {
 	if s.Mgr == nil || !s.Opts.NoAck || bank == requestor {
 		return false
 	}
 	complete, timedOK := s.Mgr.HasCircuit(bank, requestor, uint64(addr), now+2)
-	if !complete || !timedOK {
-		return false
-	}
-	if s.Opts.Timed && !s.Net.NI(bank).ReplyIdle() {
-		return false // queueing could push the reply past its window
-	}
-	return true
+	return complete && timedOK && s.Net.NI(bank).ReplyIdle()
 }
 
 // Register adds the network and every controller to k as individually

@@ -146,8 +146,7 @@ func (ni *NI) SendFront(m *Message, now sim.Cycle) {
 
 // ReplyIdle reports whether the reply virtual network has nothing queued or
 // draining at this NI — a reply enqueued now will start injecting within
-// two cycles. The coherence layer uses this to decide when eliminating an
-// acknowledgement is safe for timed circuits.
+// two cycles. The coherence layer eliminates an acknowledgement only then.
 func (ni *NI) ReplyIdle() bool {
 	return ni.queues[VNReply].Len() == 0 && ni.open[VNReply].msg == nil
 }

@@ -2,6 +2,7 @@ package differ
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"reactivenoc/internal/chip"
@@ -9,6 +10,7 @@ import (
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/trace"
+	"reactivenoc/internal/workload"
 )
 
 // TestPolicyConformance enumerates every registered switching policy and
@@ -179,6 +181,12 @@ func TestPolicyConformanceQuiesce(t *testing.T) {
 // lines (so banks forward and invalidate around the replies they send),
 // must run clean. TestPolicyConformanceOracles gives the oracle its teeth
 // (fault.ReorderReply); this test is the rule it guards.
+//
+// The hotspot cases hold the untimed NoAck variants to the same rule where
+// it bites: on the 64-core chip a hot bank's NI queues data replies behind
+// each other, and a reply whose ack was eliminated while it waited could be
+// overtaken by a Fwd the bank sent later (the oracle caught one at cycle
+// 128 of seed 1).
 func TestNoAckDeliveryOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("policy conformance runs full simulations")
@@ -197,5 +205,23 @@ func TestNoAckDeliveryOrder(t *testing.T) {
 				t.Fatalf("variant %s with NoAck: %v", v.Name, err)
 			}
 		})
+	}
+	hotspot, ok := workload.ByName("hotspot")
+	if !ok {
+		t.Fatal("hotspot generator not registered")
+	}
+	for _, name := range []string{"Complete_NoAck", "Reuse_NoAck"} {
+		v, _ := config.ByName(name)
+		for seed := uint64(1); seed <= 3; seed++ {
+			s := chip.DefaultSpec(config.Chip64(), v, hotspot)
+			s.WarmupOps, s.MeasureOps, s.Seed = 200, 400, seed
+			s.Verify = true
+			t.Run(fmt.Sprintf("64-core/hotspot/%s/seed%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				if _, err := chip.RunCtx(context.Background(), s); err != nil {
+					t.Fatalf("%v", err)
+				}
+			})
+		}
 	}
 }
