@@ -36,6 +36,13 @@ var catalogue = []Mutant{
 		New:  "return complete && timedOK && (!s.Opts.Timed || s.Net.NI(bank).ReplyIdle())",
 		Pkg:  "./internal/verify/differ", Run: "^TestNoAckDeliveryOrder$/^64-core$", PR: 45,
 	},
+	{
+		Name: "an untimed NoAck decision ignores queued replies (FuzzSpec's hotspot seed)",
+		File: "internal/coherence/system.go",
+		Old:  "return complete && timedOK && s.Net.NI(bank).ReplyIdle()",
+		New:  "return complete && timedOK && (!s.Opts.Timed || s.Net.NI(bank).ReplyIdle())",
+		Pkg:  "./internal/chip", Run: "^FuzzSpec$", PR: 45,
+	},
 
 	// The cluster client hands a dead node's jobs to its successor.
 	{
@@ -215,6 +222,13 @@ var catalogue = []Mutant{
 		Old:  "\tw, b := s.word(tile)\n\t*w |= b\n",
 		New:  "\tif w, b := s.word(tile); tile < 64 {\n\t\t*w |= b\n\t}\n",
 		Pkg:  "./internal/chip", Run: "^TestVerifyPast64Tiles$", PR: 34,
+	},
+	{
+		Name: "Sharers.Add drops its spill write (FuzzSpec's 9x8 seeds)",
+		File: "internal/cache/sharers.go",
+		Old:  "\tw, b := s.word(tile)\n\t*w |= b\n",
+		New:  "\tif w, b := s.word(tile); tile < 64 {\n\t\t*w |= b\n\t}\n",
+		Pkg:  "./internal/chip", Run: "^FuzzSpec$", PR: 45,
 	},
 	{
 		Name: "Sharers.Each skips the spill words",

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/sim"
@@ -72,5 +73,17 @@ func TestInjectionDoesNotAllocate(t *testing.T) {
 	roundTrip() // prime the pools and the NI staging queues
 	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
 		t.Errorf("pooled round trip allocates %.2f objects, want 0", avg)
+	}
+}
+
+// TestMessageSize pins Message's layout on 64-bit hosts: a run allocates its
+// peak of in-flight messages afresh, so a one-byte field placed between two
+// words (padding it to eight) moves every message to the 256-byte class.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit words")
+	}
+	if got := unsafe.Sizeof(Message{}); got > 208 {
+		t.Errorf("Message is %d bytes, want <= 208: keep the one-byte fields together", got)
 	}
 }

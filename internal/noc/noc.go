@@ -34,7 +34,10 @@ type Message struct {
 	// heap-allocated on every protocol send.
 	Payload uint64
 
-	// Circuit-reservation state (written by internal/core hooks).
+	// Circuit-reservation state (written by internal/core hooks) and
+	// per-message flags. The one-byte fields sit together: spread between
+	// the words they would pad a Message from 208 bytes to the 256-byte
+	// allocation class, and a run allocates its peak of in-flight messages.
 
 	// WantCircuit marks a request that should reserve a reactive circuit
 	// for its reply as it traverses the network.
@@ -43,12 +46,28 @@ type Message struct {
 	// reply-class message that builds a forward circuit for the data
 	// reply travelling right behind it.
 	SetupProbe bool
-	// Block is the cache-line address identifying the circuit; together
-	// with the requestor id it names the circuit at every router.
-	Block uint64
 	// BuildFailed is set by the circuit handler when a reservation could
 	// not be (completely) made; the destination NI reads it on delivery.
 	BuildFailed bool
+	// UseCircuit marks a reply that rides its reactive circuit.
+	UseCircuit bool
+	// Scrounging marks a reply riding a circuit built for another message
+	// to the intermediate node Dst; FinalDst is its true destination.
+	Scrounging bool
+	// OutcomeHint lets the coherence layer pre-classify a reply for the
+	// Figure-6 breakdown (e.g. an L1-to-L1 transfer whose circuit was
+	// undone by the forward). Zero means "classify normally".
+	OutcomeHint uint8
+	// Classified guards against double-counting a reply that re-enters
+	// the network (scrounger continuation legs).
+	Classified bool
+	// LocalHop marks a message whose source and destination tile
+	// coincide: it never traversed the network.
+	LocalHop bool
+
+	// Block is the cache-line address identifying the circuit; together
+	// with the requestor id it names the circuit at every router.
+	Block uint64
 	// ReservedHops counts routers where this request successfully
 	// installed a reservation (fragmented circuits keep partial paths).
 	ReservedHops int
@@ -63,8 +82,6 @@ type Message struct {
 	// sets the duration of a timed reservation window.
 	ExpectedReplySize int
 
-	// UseCircuit marks a reply that rides its reactive circuit.
-	UseCircuit bool
 	// InjectVC forces the virtual channel used at the source NI when > 0
 	// (circuit VCs are always index >= 1); <= 0 lets the NI choose among
 	// the allocatable VCs.
@@ -74,17 +91,8 @@ type Message struct {
 	// they name the borrowed circuit.
 	CircDest  mesh.NodeID
 	CircBlock uint64
-	// Scrounging marks a reply riding a circuit built for another message
-	// to the intermediate node Dst; FinalDst is its true destination.
-	Scrounging bool
-	FinalDst   mesh.NodeID
-	// OutcomeHint lets the coherence layer pre-classify a reply for the
-	// Figure-6 breakdown (e.g. an L1-to-L1 transfer whose circuit was
-	// undone by the forward). Zero means "classify normally".
-	OutcomeHint uint8
-	// Classified guards against double-counting a reply that re-enters
-	// the network (scrounger continuation legs).
-	Classified bool
+	// FinalDst is a scrounging reply's true destination (see Scrounging).
+	FinalDst mesh.NodeID
 
 	// Walk and Ride carry the circuit layer's per-message context (the
 	// reservation walk a request is building; the borrowed record a
@@ -95,10 +103,6 @@ type Message struct {
 	// NoC.
 	Walk any
 	Ride any
-
-	// LocalHop marks a message whose source and destination tile
-	// coincide: it never traversed the network.
-	LocalHop bool
 
 	// Latency bookkeeping (cycles).
 	EnqueuedAt  sim.Cycle // entered the source NI queue
