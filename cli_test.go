@@ -26,11 +26,11 @@ import (
 // against it.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs ten binaries")
+		t.Skip("builds and runs nine binaries")
 	}
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin,
-		"./cmd/rcsim", "./cmd/rcsweep", "./cmd/rctune", "./cmd/rcverify", "./cmd/goldengen",
+		"./cmd/rcsim", "./cmd/rcsweep", "./cmd/rcverify", "./cmd/goldengen",
 		"./cmd/rcserved", "./examples/anatomy", "./examples/trafficmap", "./examples/quickstart",
 		"./examples/tailviz")
 	if out, err := build.CombinedOutput(); err != nil {
@@ -79,12 +79,12 @@ func TestCLISmoke(t *testing.T) {
 			},
 		},
 		{
-			name: "rctune", bin: "rctune",
-			args: []string{"-chip", "16", "-ops", "200", "-workloads", "micro", "-variants", "Baseline,Complete_NoAck"},
+			name: "rcsweep tune experiment", bin: "rcsweep",
+			args: []string{"-chip", "16", "-exp", "tune", "-ops", "200", "-workloads", "micro,hotspot"},
 			stdout: []string{
-				`\A==== 16-core chip, 200 ops/core, seed 1 ====\n`,
-				`^workload +best +cycles +speedup `,
-				`^micro +\S+ +\d+ +\d+\.\d+x `,
+				`\ATuning \(16-core\): each workload's fastest variant of the tuning grid\n`,
+				`^workload +best +cycles +speedup +Timed vs Baseline +hit \(best\) +hit \(Timed\)$`,
+				`^micro +\S+ +\d+ +\d\.\d{3}x +[+-]\d+\.\d% +\d+\.\d% +\d+\.\d% *$`,
 			},
 		},
 		{
@@ -143,7 +143,7 @@ func TestCLISmoke(t *testing.T) {
 			// shape ready to paste.
 			name: "goldengen", bin: "goldengen",
 			args:   []string{"-only", "16-core/micro/Probe"},
-			stdout: []string{`\A\{"16-core", "micro", "Probe_DejaVu", (\d+, ){9}\d+\},\n\z`},
+			stdout: []string{`\A\{"16-core", "micro", "Probe_DejaVu", (\d+, ){10}\[6\]int64\{(\d+, ){5}\d+\}, (\d+, ){3}\[10\]int64\{(\d+, ){9}\d+\}\},\n\z`},
 			inFile: "internal/chip/golden_test.go",
 		},
 		{
@@ -192,7 +192,7 @@ func TestCLISmoke(t *testing.T) {
 			name: "rcsweep rejects an unknown -exp before simulating", bin: "rcsweep",
 			args:   []string{"-chip", "16", "-exp", "bogus"},
 			exit:   2,
-			stderr: `\Arcsweep: unknown -exp "bogus" \(valid: all, table1, .*, tail, ci\)\n\z`,
+			stderr: `\Arcsweep: unknown -exp "bogus" \(valid: all, table1, .*, tail, ci, tune\)\n\z`,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,10 +11,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
+	"reactivenoc/internal/core"
 	_ "reactivenoc/internal/tracefeed" // registers the adversarial generators
 	"reactivenoc/internal/workload"
 )
@@ -31,6 +33,11 @@ var bigVariants = map[string]bool{
 // small chip.
 var hotspotVariants = map[string]bool{
 	"Baseline": true, "Reuse_NoAck": true, "Timed_NoAck": true,
+}
+
+// list renders counters as the body of a Go array literal.
+func list(xs []int64) string {
+	return strings.Join(strings.Fields(strings.Trim(fmt.Sprint(xs), "[]")), ", ")
 }
 
 func main() {
@@ -54,13 +61,26 @@ func main() {
 			panic(err)
 		}
 		total, reqs := r.Msgs.Totals()
-		fmt.Printf("{%q, %q, %q, %d, %d, %d, %d, %.0f, %d, %.0f, %d, %.0f, %d},\n",
+		circ := core.Stats{}
+		if r.Circ != nil {
+			circ = *r.Circ
+		}
+		outcomes := circ.Replies[core.OutcomeCircuit:]
+		var power []int64
+		ev := reflect.ValueOf(r.Events)
+		for i := 0; i < ev.NumField(); i++ {
+			power = append(power, ev.Field(i).Int())
+		}
+		fmt.Printf("{%q, %q, %q, %d, %d, %d, %d, %.0f, %d, %.0f, %d, %.0f, %d, [%d]int64{%s}, %d, %d, %d, [%d]int64{%s}},\n",
 			c.Name, wn, v.Name,
 			r.Cycles, total, reqs,
 			r.Lat.Requests.Network.N(), r.Lat.Requests.Network.Sum(),
 			r.Lat.CircuitReplies.Network.N(), r.Lat.CircuitReplies.Network.Sum(),
 			r.Lat.OtherReplies.Network.N(), r.Lat.OtherReplies.Network.Sum(),
-			r.Events.LinkFlits)
+			r.Events.LinkFlits,
+			len(outcomes), list(outcomes),
+			circ.CircuitsBuilt, circ.CircuitsUndone, circ.EliminatedAcks,
+			len(power), list(power))
 	}
 
 	for _, c := range []config.Chip{config.Chip16(), config.Chip64(), config.Chip256()} {

@@ -44,6 +44,25 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/chip", Run: "^FuzzSpec$", PR: 45,
 	},
 
+	// The golden rows pin every power-event counter, the circuit-table
+	// writes included.
+	{
+		Name: "clearEntry charges a table write when nothing was cleared",
+		File: "internal/core/manager.go",
+		Old:  "if e != nil {",
+		New:  "if e == nil {",
+		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$",
+	},
+
+	// A served result is the run of the spec it is filed under.
+	{
+		Name: "the server files a timeout-capped run as the submitted spec's",
+		File: "internal/serve/server.go",
+		Old:  "res.Spec = j.spec",
+		New:  "_ = j.spec",
+		Pkg:  "./internal/serve", Run: "^TestE2EResultIsItsSpec$",
+	},
+
 	// The cluster client hands a dead node's jobs to its successor.
 	{
 		Name: "the client ignores suspicion and re-dispatches to the dead owner",

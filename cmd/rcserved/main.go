@@ -1,6 +1,6 @@
 // Command rcserved runs the simulation service: an HTTP/JSON server that
 // accepts chip.Spec submissions, simulates them on a bounded worker pool
-// with the sweep harness's retry/timeout policy, memoizes results in an
+// through the sweep harness's run path, memoizes results in an
 // LRU keyed by spec fingerprint, and streams per-window progress over
 // server-sent events.
 //
@@ -61,17 +61,15 @@ func run() int {
 	queue := flag.Int("queue", 256, "max queued jobs before submissions get 429 + Retry-After")
 	cacheN := flag.Int("cache", 512, "result-cache capacity (entries, LRU)")
 	journal := flag.String("journal", "", "journal path: unfinished jobs are drained here on shutdown and replayed on restart")
-	retry := flag.Bool("retry", true, "retry failed runs once under the alternate seed")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock cap (0 = none)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace for in-flight runs before cancellation")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "rcserved: ", log.LstdFlags)
 
-	pol := exp.Policy{Retry: *retry, Timeout: *runTimeout}
 	srv, err := serve.New(serve.Config{
 		Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
-		Policy: pol, Journal: *journal, Logf: logger.Printf,
+		RunTimeout: *runTimeout, Journal: *journal, Logf: logger.Printf,
 	})
 	if err != nil {
 		logger.Printf("startup failed: %v", err)

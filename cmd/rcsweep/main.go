@@ -1,19 +1,21 @@
 // Command rcsweep regenerates the paper's evaluation: every table and
 // figure, for the 16- and 64-core chips, across the workload suite, plus
 // the extension experiments (load threshold, ablations, scalability,
-// related-work comparison, tail latency, confidence intervals).
+// related-work comparison, tail latency, confidence intervals, per-workload
+// tuning).
 //
 // Individual simulation runs that fail (invariant panic, deadlock
 // watchdog, audit failure, wall-clock timeout) do not abort the sweep:
-// they are recorded, retried once under an alternate seed, and summarized
-// at the end, and rcsweep exits non-zero. Use -failfast to stop at the
-// first failure instead, and -timeout to cap each run's wall-clock time.
+// they are recorded and summarized at the end, their cells stay empty,
+// and rcsweep exits non-zero. Use -failfast to stop at the first failure
+// instead, and -timeout to cap each run's wall-clock time.
 //
 // Every -exp, the extension experiments included, builds a list of run
 // specs and hands it to the one cell runner in internal/exp, so -workers,
 // -seed, -ops, -timeout, -failfast, -verify and -remote apply to all of
 // them alike (-full, -policy and -workloads choose the rows and columns of
-// the paper's sweep; the extensions fix their own).
+// the paper's sweep; the extensions fix their own, except that -workloads
+// replaces -exp tune's rows).
 //
 // Usage:
 //
@@ -24,14 +26,14 @@
 //	rcsweep -json           # machine-readable output
 //	rcsweep -timeout 5m     # per-run wall-clock cap
 //	rcsweep -failfast       # stop scheduling runs after the first failure
+//	rcsweep -exp tune -chip 16 -seed 7   # each workload's best knob setting
 //	rcsweep -remote http://host:8134   # submit cells to a running rcserved
 //	rcsweep -remote http://a:8134,http://b:8134,http://c:8134   # or a cluster
 //
 // With -remote, every sweep cell is submitted to rcserved instead of being
 // simulated locally: results come back over HTTP (cache hits never burn a
-// server worker), failures come back as the same structured run errors the
-// local path produces, and the server owns retry — so the client-side
-// retry is disabled to avoid running every failing spec four times.
+// server worker), and failures come back as the same structured run errors
+// the local path produces.
 //
 // -remote takes a comma-separated list of base URLs, and one address is a
 // one-node cluster: each cell is routed by spec fingerprint to its
@@ -68,7 +70,7 @@ type formatter interface{ Format() string }
 
 // experiments are the valid -exp values.
 var experiments = []string{"all", "table1", "table5", "table6", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"load", "ablate", "scale", "compare", "tail", "ci"}
+	"load", "ablate", "scale", "compare", "tail", "ci", "tune"}
 
 func main() { os.Exit(run()) }
 
@@ -156,14 +158,11 @@ func run() int {
 		}
 	}
 
-	pol := exp.DefaultPolicy()
-	pol.Timeout = *timeout
-	pol.FailFast = *failFast
-	pol.Verify = *verifyRuns
+	pol := exp.Policy{Timeout: *timeout, FailFast: *failFast, Verify: *verifyRuns}
 	if *remote != "" {
-		// The nodes execute (and retry) each cell; rcsweep's workers become
-		// concurrent HTTP clients of them. -timeout still rides along on
-		// each submitted spec.
+		// The nodes execute each cell; rcsweep's workers become concurrent
+		// HTTP clients of them. -timeout still rides along on each
+		// submitted spec.
 		cl, err := cluster.NewClient(strings.Split(*remote, ","),
 			func(format string, args ...any) { fmt.Fprintf(os.Stderr, "rcsweep: "+format+"\n", args...) })
 		if err != nil {
@@ -171,7 +170,6 @@ func run() int {
 			return 2
 		}
 		pol.Run = cl.Run
-		pol.Retry = false
 	}
 	ctx := context.Background()
 
@@ -290,6 +288,20 @@ func run() int {
 		for _, c := range chips {
 			ci := exp.CIRun(ctx, c, []string{"Complete_NoAck", "SlackDelay_1_NoAck"}, 5, scale, pol)
 			ext("ci_"+c.Name, ci, ci.Failures)
+		}
+		return finish()
+	case "tune":
+		if len(scale.Profiles) == 0 {
+			scale.Profiles = exp.TuneWorkloads()
+		}
+		for _, c := range chips {
+			sweep := exp.RunSweepCtx(ctx, c, config.TuneGrid(), scale, pol)
+			t, err := exp.TuneFrom(sweep)
+			emitErr("tune_"+c.Name, t, err)
+			if *jsonOut && len(sweep.Failures) > 0 {
+				report["failures_"+c.Name] = sweep.Failures
+			}
+			note(sweep.FailureSummary())
 		}
 		return finish()
 	}

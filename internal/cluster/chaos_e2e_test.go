@@ -106,13 +106,12 @@ func sweepSpecs(scale exp.Scale) []chip.Spec {
 }
 
 // clusterPolicy plugs the cluster client into the sweep harness the way
-// rcsweep -remote does: the nodes own retry, the client owns handoff. Run
+// rcsweep -remote does: the nodes run each cell, the client owns handoff. Run
 // is wrapped to tally returns by fingerprint; the returned check requires
 // exactly one return per cell of the sweep — none lost, none reported
 // twice — and none for anything else.
 func clusterPolicy(cl *cluster.Client) (exp.Policy, func(*testing.T, []chip.Spec)) {
-	pol := exp.DefaultPolicy()
-	pol.Retry = false
+	var pol exp.Policy
 	var mu sync.Mutex
 	returns := map[string]int{}
 	pol.Run = func(ctx context.Context, spec chip.Spec) (*chip.Results, error) {
@@ -152,7 +151,7 @@ func killMidSweep(t *testing.T, urls []string, kill func()) {
 	ctx := context.Background()
 	scale := chaosScale()
 	specs := sweepSpecs(scale)
-	ref := exp.RunSweepCtx(ctx, config.Chip16(), config.Variants(), scale, exp.DefaultPolicy())
+	ref := exp.RunSweepCtx(ctx, config.Chip16(), config.Variants(), scale, exp.Policy{})
 	if len(ref.Failures) > 0 {
 		t.Fatalf("local reference sweep failed: %v", ref.Failures)
 	}
@@ -254,7 +253,7 @@ func scrapeCache(t *testing.T, base string) []string {
 
 // TestClusterKillNodeMidSweep runs killMidSweep on three in-process nodes.
 func TestClusterKillNodeMidSweep(t *testing.T) {
-	nodes, urls := startNodes(t, 3, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
+	nodes, urls := startNodes(t, 3, serve.Config{Workers: 2, QueueDepth: 64})
 	killMidSweep(t, urls, nodes[0].kill)
 }
 
@@ -262,7 +261,7 @@ func TestClusterKillNodeMidSweep(t *testing.T) {
 // job owned by a dead node MUST fail its first dispatch, be handed off,
 // and complete on the deterministic ring successor.
 func TestClusterHandoffToSuccessor(t *testing.T) {
-	nodes, urls := startNodes(t, 2, serve.Config{Workers: 2, QueueDepth: 64, Policy: exp.Policy{Retry: true}})
+	nodes, urls := startNodes(t, 2, serve.Config{Workers: 2, QueueDepth: 64})
 	ctx := context.Background()
 	ring := cluster.NewRing(urls)
 
@@ -318,7 +317,7 @@ func TestClusterHandoffToSuccessor(t *testing.T) {
 // completes, none is handed off to another node (backpressure is not
 // death).
 func TestClusterBackpressure429(t *testing.T) {
-	nodes, urls := startNodes(t, 1, serve.Config{Workers: 1, QueueDepth: 1, Policy: exp.Policy{Retry: true}})
+	nodes, urls := startNodes(t, 1, serve.Config{Workers: 1, QueueDepth: 1})
 
 	cl := newClient(t, urls)
 	specs := sweepSpecs(exp.Scale{MeasureOps: 2000, Apps: 2, Seed: 1})[:8]

@@ -142,8 +142,8 @@ func SweepVariants() []Variant {
 	return append(append(Variants(), PolicyVariants()...), SDMVariants()...)
 }
 
-// TuneGrid returns the candidate grid the closed-loop tuner (cmd/rctune)
-// sweeps per workload: the Baseline and Reuse anchors plus the timed
+// TuneGrid returns the candidate grid `rcsweep -exp tune` sweeps per
+// workload: the Baseline and Reuse anchors plus the timed
 // family across its Slack/Postponed knob range — including Slack_8 and
 // Postponed_2 points beyond the paper's figures, so the per-app optimum
 // can land outside the published inventory — and the SDM lane sweep, the
@@ -161,7 +161,7 @@ func TuneGrid() []Variant {
 		timedNoAck(0, 0, 1),
 		timedNoAck(0, 0, 2),
 	}
-	// The SDM lane sweep joins after the timed family so tuner reports
+	// The SDM lane sweep joins after the timed family so tuning reports
 	// keep their historical column order.
 	return append(grid, SDMVariants()...)
 }

@@ -117,3 +117,27 @@ func TestComparators(t *testing.T) {
 		t.Fatal("the speculative comparator must be a circuit-less baseline router")
 	}
 }
+
+func TestTuneGridValid(t *testing.T) {
+	grid := TuneGrid()
+	if len(grid) < 8 {
+		t.Fatalf("tuning grid has only %d variants", len(grid))
+	}
+	seen := map[string]bool{}
+	for _, v := range grid {
+		if seen[v.Name] {
+			t.Errorf("duplicate grid variant %s", v.Name)
+		}
+		seen[v.Name] = true
+	}
+	for _, want := range []string{"Baseline", "Timed_NoAck", "Slack_8_NoAck", "Postponed_2_NoAck"} {
+		if !seen[want] {
+			t.Errorf("grid missing %s", want)
+		}
+	}
+	// The beyond-the-paper grid points resolve through the registry too
+	// (rcsim -variant Slack_8_NoAck).
+	if _, ok := ByName("Slack_8_NoAck"); !ok {
+		t.Error("Slack_8_NoAck not in the variant registry")
+	}
+}

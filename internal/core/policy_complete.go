@@ -53,10 +53,8 @@ func (mg *Manager) timedWindow(id mesh.NodeID, msg *noc.Message, inUnit, outPort
 	}
 	H := sim.Cycle(mg.m.Hops(msg.Src, msg.Dst))
 	slackTot := sim.Cycle(mg.opts.SlackPerHop) * H
-	delayTot := sim.Cycle(mg.opts.DelayPerHop) * H
-	if delayTot > slackTot {
-		delayTot = slackTot // delays must stay inside downstream slack
-	}
+	// Delays must stay inside downstream slack.
+	delayTot := min(sim.Cycle(mg.opts.DelayPerHop)*H, slackTot)
 	postTot := sim.Cycle(mg.opts.PostponePerHop) * H
 
 	var base sim.Cycle

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
-	"reactivenoc/internal/fault"
 )
 
 func tinyScale() Scale { return Scale{MeasureOps: 2000, Apps: 3, Seed: 1} }
@@ -21,7 +21,7 @@ func tinySweep(t *testing.T, names ...string) *Sweep {
 		}
 		vs = append(vs, v)
 	}
-	return RunSweepCtx(context.Background(), config.Chip16(), vs, tinyScale(), DefaultPolicy())
+	return RunSweepCtx(context.Background(), config.Chip16(), vs, tinyScale(), Policy{})
 }
 
 func TestScaleWorkloads(t *testing.T) {
@@ -238,7 +238,7 @@ func TestMarkdownReport(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant sweeps: poisoned runs are contained, reported, retried.
+// Fault-tolerant sweeps: poisoned runs are contained and reported.
 // ---------------------------------------------------------------------------
 
 func TestPoisonedSweepCompletesWithPartialResults(t *testing.T) {
@@ -247,17 +247,11 @@ func TestPoisonedSweepCompletesWithPartialResults(t *testing.T) {
 		v, _ := config.ByName(n)
 		vs = append(vs, v)
 	}
-	pol := DefaultPolicy()
 	// Poison exactly one cell: Complete_NoAck on the first app dies from a
 	// flipped built bit; everything else must still produce results.
 	apps := tinyScale().Workloads()
 	poisoned := apps[0].Name
-	pol.FaultFor = func(variant, workload string) *fault.Plan {
-		if variant == "Complete_NoAck" && workload == poisoned {
-			return &fault.Plan{Class: fault.FlipBuiltBit}
-		}
-		return nil
-	}
+	pol := Policy{Run: poisonCells(chip.RunCtx, FailureReport{Variant: "Complete_NoAck", Workload: poisoned})}
 	s := RunSweepCtx(context.Background(), config.Chip16(), vs, tinyScale(), pol)
 
 	if len(s.Failures) != 1 {
@@ -273,10 +267,8 @@ func TestPoisonedSweepCompletesWithPartialResults(t *testing.T) {
 	if f.Err.Diag == "" {
 		t.Fatal("failure lacks the diagnostic dump")
 	}
-	// The injected plan is spec-deterministic, so the alternate-seed retry
-	// must reproduce it and be classified as a deterministic bug.
-	if !f.Retried || !f.Deterministic() {
-		t.Fatalf("deterministic fault not classified as such: %s", f.String())
+	if f.Seed != tinyScale().Seed || f.Err.Seed != f.Seed {
+		t.Fatalf("failure names seed %d (error %d), want the spec's %d", f.Seed, f.Err.Seed, tinyScale().Seed)
 	}
 	// Every other cell completed.
 	for _, v := range s.Variants {

@@ -12,7 +12,7 @@ import (
 func opsScale(ops int64) Scale { return Scale{MeasureOps: ops, Seed: 1} }
 
 func TestLoadSweepShape(t *testing.T) {
-	ls := LoadSweepRun(context.Background(), config.Chip16(), []float64{1, 8}, opsScale(2500), DefaultPolicy())
+	ls := LoadSweepRun(context.Background(), config.Chip16(), []float64{1, 8}, opsScale(2500), Policy{})
 	if len(ls.Rows) != 2 {
 		t.Fatalf("%d rows", len(ls.Rows))
 	}
@@ -37,7 +37,7 @@ func TestLoadSweepShape(t *testing.T) {
 }
 
 func TestAblateCircuitsPerPortShape(t *testing.T) {
-	ab := AblateCircuitsPerPort(context.Background(), config.Chip16(), []int{1, 5}, opsScale(2500), DefaultPolicy())
+	ab := AblateCircuitsPerPort(context.Background(), config.Chip16(), []int{1, 5}, opsScale(2500), Policy{})
 	if len(ab.Rows) != 2 {
 		t.Fatalf("%d rows", len(ab.Rows))
 	}
@@ -63,7 +63,7 @@ func TestAblateCircuitsPerPortShape(t *testing.T) {
 }
 
 func TestAblateSlackShape(t *testing.T) {
-	ab := AblateSlack(context.Background(), config.Chip16(), []int{0, 1, 8}, opsScale(2500), DefaultPolicy())
+	ab := AblateSlack(context.Background(), config.Chip16(), []int{0, 1, 8}, opsScale(2500), Policy{})
 	if len(ab.Rows) != 3 {
 		t.Fatalf("%d rows", len(ab.Rows))
 	}
@@ -80,7 +80,7 @@ func TestAblateSlackShape(t *testing.T) {
 }
 
 func TestScaleSweepShape(t *testing.T) {
-	ss := ScaleSweepRun(context.Background(), []int{4, 8}, opsScale(2500), DefaultPolicy())
+	ss := ScaleSweepRun(context.Background(), []int{4, 8}, opsScale(2500), Policy{})
 	small, big := ss.Rows[0], ss.Rows[1]
 	if small.Nodes != 16 || big.Nodes != 64 {
 		t.Fatalf("sizes %d/%d", small.Nodes, big.Nodes)
@@ -100,7 +100,7 @@ func TestScaleSweepShape(t *testing.T) {
 }
 
 func TestTailRun(t *testing.T) {
-	tl := TailRun(context.Background(), config.Chip16(), opsScale(2500), DefaultPolicy())
+	tl := TailRun(context.Background(), config.Chip16(), opsScale(2500), Policy{})
 	if len(tl.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -125,7 +125,7 @@ func TestTailRun(t *testing.T) {
 }
 
 func TestCIRun(t *testing.T) {
-	ci := CIRun(context.Background(), config.Chip16(), []string{"Complete_NoAck"}, 2, opsScale(2000), DefaultPolicy())
+	ci := CIRun(context.Background(), config.Chip16(), []string{"Complete_NoAck"}, 2, opsScale(2000), Policy{})
 	if len(ci.Rows) != 1 {
 		t.Fatalf("%d rows", len(ci.Rows))
 	}
@@ -142,7 +142,7 @@ func TestCIRun(t *testing.T) {
 }
 
 func TestCompareRun(t *testing.T) {
-	cmp := CompareRun(context.Background(), config.Chip16(), opsScale(2000), DefaultPolicy())
+	cmp := CompareRun(context.Background(), config.Chip16(), opsScale(2000), Policy{})
 	if len(cmp.Rows) != 5 {
 		t.Fatalf("%d rows", len(cmp.Rows))
 	}
@@ -167,7 +167,7 @@ func TestCompareRun(t *testing.T) {
 // TestScaleSweepRejectsHugeChips: a mesh whose tile IDs a directory cannot
 // name fails every cell closed, as a failure report rather than a panic.
 func TestScaleSweepRejectsHugeChips(t *testing.T) {
-	ss := ScaleSweepRun(context.Background(), []int{182}, opsScale(100), DefaultPolicy())
+	ss := ScaleSweepRun(context.Background(), []int{182}, opsScale(100), Policy{})
 	if len(ss.Rows) != 0 || len(ss.Failures) == 0 {
 		t.Fatalf("182x182 sweep: %d rows, %d failures; want no rows and every cell failed", len(ss.Rows), len(ss.Failures))
 	}

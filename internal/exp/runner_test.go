@@ -24,7 +24,7 @@ type outcome struct {
 }
 
 // runners drives every experiment of the package through the one cell
-// runner at a small size: the paper's sweep plus the seven extensions.
+// runner at a small size: the paper's sweep plus the eight extensions.
 var runners = []struct {
 	name string
 	run  func(ctx context.Context, scale Scale, pol Policy) outcome
@@ -68,6 +68,15 @@ var runners = []struct {
 		r := CIRun(ctx, config.Chip16(), []string{"Complete_NoAck", "SlackDelay_1_NoAck"}, 2, scale, pol)
 		return outcome{r.Format(), r, len(r.Rows), r.Failures}
 	}},
+	{"tune", func(ctx context.Context, scale Scale, pol Policy) outcome {
+		scale.Profiles = TuneWorkloads()[2:4] // mix, hotspot
+		s := RunSweepCtx(ctx, config.Chip16(), config.TuneGrid()[:3], scale, pol)
+		r, err := TuneFrom(s)
+		if err != nil {
+			panic(err)
+		}
+		return outcome{r.Format(), r, len(r.Rows), s.Failures}
+	}},
 }
 
 func runnerScale(workers int) Scale { return Scale{MeasureOps: 300, Seed: 1, Workers: workers} }
@@ -83,8 +92,8 @@ func marshal(t *testing.T, v any) string {
 
 // memo simulates each distinct spec once and replays it afterwards, so
 // tests that rerun an experiment many times pay for one pass. calls counts
-// executor invocations; poisoned (when set) decides what a cell armed
-// through Policy.FaultFor does instead of running.
+// executor invocations; poisoned (when set) decides what a cell armed by
+// poisonCells does instead of running.
 type memo struct {
 	mu       sync.Mutex
 	done     map[string]*chip.Results
@@ -126,15 +135,24 @@ func specOrder(run func(context.Context, Scale, Policy) outcome) []FailureReport
 	return run(context.Background(), runnerScale(1), refuse).failures
 }
 
-// poisonCells arms the cells named by (variant, workload) of picks.
-func poisonCells(picks ...FailureReport) func(variant, workload string) *fault.Plan {
-	return func(variant, workload string) *fault.Plan {
-		for _, p := range picks {
-			if p.Variant == variant && p.Workload == workload {
-				return &fault.Plan{Class: fault.FlipBuiltBit}
-			}
+// picked reports whether picks names the cell's (variant, workload).
+func picked(picks []FailureReport, variant, workload string) bool {
+	for _, p := range picks {
+		if p.Variant == variant && p.Workload == workload {
+			return true
 		}
-		return nil
+	}
+	return false
+}
+
+// poisonCells wraps an executor so that every cell picks names arms a
+// fault plan before it runs: the executor seam is where tests poison cells.
+func poisonCells(run func(context.Context, chip.Spec) (*chip.Results, error), picks ...FailureReport) func(context.Context, chip.Spec) (*chip.Results, error) {
+	return func(ctx context.Context, spec chip.Spec) (*chip.Results, error) {
+		if picked(picks, spec.Variant.Name, spec.Workload.Name) {
+			spec.Fault = &fault.Plan{Class: fault.FlipBuiltBit}
+		}
+		return run(ctx, spec)
 	}
 }
 
@@ -151,8 +169,8 @@ func cellKeys(fs []FailureReport) [][3]any {
 func TestWorkersDoNotMoveReports(t *testing.T) {
 	for _, tc := range runners {
 		t.Run(tc.name, func(t *testing.T) {
-			one := tc.run(context.Background(), runnerScale(1), DefaultPolicy())
-			two := tc.run(context.Background(), runnerScale(2), DefaultPolicy())
+			one := tc.run(context.Background(), runnerScale(1), Policy{})
+			two := tc.run(context.Background(), runnerScale(2), Policy{})
 			if one.rows == 0 || len(one.failures) != 0 {
 				t.Fatalf("%d rows, failures:\n%s", one.rows, FormatFailures(one.failures))
 			}
@@ -171,16 +189,14 @@ func TestWorkersDoNotMoveReports(t *testing.T) {
 func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := RunSweepCtx(ctx, config.Chip16(), []config.Variant{}, tinyScale(), DefaultPolicy())
+	s := RunSweepCtx(ctx, config.Chip16(), []config.Variant{}, tinyScale(), Policy{})
 	if len(s.Res) != 0 {
 		t.Fatal("cancelled sweep still has variant maps to fill")
 	}
 	for _, tc := range runners {
 		t.Run(tc.name, func(t *testing.T) {
 			var m memo
-			pol := DefaultPolicy()
-			pol.Run = m.run
-			got := tc.run(ctx, runnerScale(2), pol)
+			got := tc.run(ctx, runnerScale(2), Policy{Run: m.run})
 			if got.rows != 0 || m.calls.Load() != 0 {
 				t.Fatalf("cancelled run folded %d rows from %d executed cells", got.rows, m.calls.Load())
 			}
@@ -194,15 +210,15 @@ func TestFailuresInSpecOrder(t *testing.T) {
 	for _, tc := range runners {
 		t.Run(tc.name, func(t *testing.T) {
 			order := specOrder(tc.run)
-			pol := Policy{FaultFor: poisonCells(order[1], order[len(order)-1])}
+			picks := []FailureReport{order[1], order[len(order)-1]}
 			var want []FailureReport
 			for _, f := range order {
-				if pol.FaultFor(f.Variant, f.Workload) != nil {
+				if picked(picks, f.Variant, f.Workload) {
 					want = append(want, f)
 				}
 			}
 			var m memo
-			pol.Run = m.run
+			pol := Policy{Run: poisonCells(m.run, picks...)}
 			for rep := 0; rep < 10; rep++ {
 				var first sync.Once
 				second := make(chan struct{})
@@ -233,10 +249,10 @@ func TestFailFastStopsScheduling(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			order := specOrder(tc.run)
 			m := memo{poisoned: func() error { return errors.New("poisoned") }}
-			pol := Policy{FailFast: true, FaultFor: poisonCells(order[1]), Run: m.run}
+			pol := Policy{FailFast: true, Run: poisonCells(m.run, order[1])}
 			got := tc.run(context.Background(), runnerScale(1), pol)
 			started := int64(1) // cells up to and including the first armed one
-			for pol.FaultFor(order[started-1].Variant, order[started-1].Workload) == nil {
+			for !picked(order[1:2], order[started-1].Variant, order[started-1].Workload) {
 				started++
 			}
 			if len(got.failures) != 1 || m.calls.Load() != started {
@@ -251,8 +267,7 @@ func TestFailFastStopsScheduling(t *testing.T) {
 // Fig 6/7 once summed floats in map order and CIRun in completion order.
 func TestReportsBitStable(t *testing.T) {
 	var m memo
-	pol := DefaultPolicy()
-	pol.Run = m.run
+	pol := Policy{Run: m.run}
 	vs := []config.Variant{mustVariant("Baseline"), mustVariant("Complete_NoAck"), mustVariant("SlackDelay_1_NoAck")}
 	s := RunSweepCtx(context.Background(), config.Chip16(), vs, Scale{MeasureOps: 300, Apps: 6, Seed: 1}, pol)
 	fold := func() string {

@@ -28,9 +28,9 @@ type Scale struct {
 	// Workers caps the concurrent runs (0 = runtime.GOMAXPROCS(0)).
 	Workers int
 	// Profiles, when non-empty, replaces the evaluation's workload list
-	// entirely (Apps is ignored): the seam the closed-loop tuner and
-	// rcsweep -workloads use to sweep adversarial generators or trace
-	// replays instead of the paper's apps.
+	// entirely (Apps is ignored): the seam rcsweep -workloads and -exp tune
+	// use to sweep adversarial generators or trace replays instead of the
+	// paper's apps.
 	Profiles []workload.Profile
 }
 
@@ -91,7 +91,7 @@ func (s Scale) spec(c config.Chip, v config.Variant, w workload.Profile) chip.Sp
 
 // RunSweepCtx executes every (variant, workload) pair, Scale.Workers at a
 // time; each run itself is deterministic. Failed runs are handled per the
-// policy (recorded, retried once under an alternate seed, survived).
+// policy: recorded in Failures, their cells left absent.
 // Cancelling the context stops scheduling new runs; results gathered so
 // far are returned.
 func RunSweepCtx(ctx context.Context, c config.Chip, variants []config.Variant, scale Scale, pol Policy) *Sweep {

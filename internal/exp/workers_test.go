@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"reactivenoc/internal/chip"
@@ -43,36 +44,40 @@ func TestSweepSurvivesNonPositiveWorkers(t *testing.T) {
 	}
 }
 
-// TestPolicyRunOverride: a Policy.Run executor replaces chip.RunCtx for
-// both the original attempt and the retry, and the retry uses the
-// alternate seed — the contract rcsweep -remote depends on.
+// TestPolicyRunOverride: a Policy.Run executor replaces chip.RunCtx — the
+// contract rcsweep -remote depends on. Its result is returned as is, and
+// its failure is reported once, for the spec it was given, with no result
+// standing in for it.
 func TestPolicyRunOverride(t *testing.T) {
 	v, _ := config.ByName("Baseline")
 	spec := chip.DefaultSpec(config.Chip16(), v, workload.Micro())
 
-	var seeds []uint64
+	var seen []chip.Spec
+	fail := true
 	pol := Policy{
-		Retry: true,
 		Run: func(_ context.Context, s chip.Spec) (*chip.Results, error) {
-			seeds = append(seeds, s.Seed)
-			if len(seeds) == 1 {
+			seen = append(seen, s)
+			if fail {
 				return nil, errors.New("injected transport failure")
 			}
 			return &chip.Results{Spec: s, Cycles: 1}, nil
 		},
 	}
 	res, rep := pol.RunOne(context.Background(), spec)
-	if res == nil || rep == nil {
-		t.Fatalf("want recovered result + failure report, got res=%v rep=%v", res, rep)
+	if res != nil || rep == nil {
+		t.Fatalf("want a failure report and no result, got res=%v rep=%v", res, rep)
 	}
-	if !rep.Retried || rep.RetryErr != nil {
-		t.Fatalf("retry outcome wrong: %+v", rep)
+	if len(seen) != 1 || seen[0].Fingerprint() != spec.Fingerprint() {
+		t.Fatalf("executor ran %d specs, want exactly the submitted one", len(seen))
 	}
-	if len(seeds) != 2 || seeds[0] == seeds[1] {
-		t.Fatalf("executor saw seeds %v, want two attempts under distinct seeds", seeds)
+	if rep.Seed != spec.Seed || rep.Err == nil || !strings.Contains(rep.Err.Msg, "injected transport failure") {
+		t.Fatalf("report does not name the failed spec: %+v", rep)
 	}
-	if seeds[1] != retrySeed(spec.Seed) {
-		t.Fatalf("retry seed = %d, want %d", seeds[1], retrySeed(spec.Seed))
+
+	fail = false
+	res, rep = pol.RunOne(context.Background(), spec)
+	if rep != nil || res == nil || res.Cycles != 1 || res.Spec.Fingerprint() != spec.Fingerprint() {
+		t.Fatalf("executor result not returned as is: res=%+v rep=%v", res, rep)
 	}
 }
 

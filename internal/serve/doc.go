@@ -1,7 +1,7 @@
 // Package serve turns the one-shot simulation harness into a long-lived
 // HTTP/JSON service: rcserved accepts chip.Spec submissions, runs them on
-// a bounded worker pool with the same exp.Policy retry/timeout semantics
-// the CLI sweeps use, deduplicates and memoizes results through an LRU
+// a bounded worker pool through the same exp.Policy.RunOne path the CLI
+// sweeps use, deduplicates and memoizes results through an LRU
 // cache keyed by chip.Spec.Fingerprint, and streams per-window progress
 // (Spec.SampleEvery metrics deltas) over server-sent events.
 //

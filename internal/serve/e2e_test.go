@@ -2,9 +2,9 @@
 // HTTP listener, driven through the same Client rcsweep -remote uses. These
 // encode the PR's acceptance criteria — duplicate submissions are served
 // from the cache without a second simulation, shutdown journals unfinished
-// jobs and a restarted server replays them, and a fault-injected run is
-// retried per policy and surfaces as a structured error rather than a
-// server crash.
+// jobs and a restarted server replays them, a fault-injected run surfaces
+// as a structured error rather than a server crash, and every result served
+// is the run of the spec its job is filed under.
 package serve_test
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
-	"reactivenoc/internal/exp"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/serve"
 	"reactivenoc/internal/workload"
@@ -104,6 +103,70 @@ func TestE2ECacheHitSkipsSimulation(t *testing.T) {
 	if after["serve/cache_hits"] != before["serve/cache_hits"]+1 {
 		t.Fatalf("serve/cache_hits %d -> %d, want +1",
 			before["serve/cache_hits"], after["serve/cache_hits"])
+	}
+}
+
+// TestE2EResultIsItsSpec: the result a job serves is the run of exactly the
+// spec it is filed under — on a miss, on a job deduplicated onto it, and on
+// a later cache hit — also when the server caps each run's wall clock.
+func TestE2EResultIsItsSpec(t *testing.T) {
+	// Workers start only after both submissions, so the second is
+	// coalesced onto the first while it is still queued.
+	srv, err := serve.New(serve.Config{Workers: 1, RunTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		hs.Close()
+	})
+	cl := serve.NewClient(hs.URL)
+	ctx := context.Background()
+	spec := quickSpec(t, "Complete_NoAck", 5)
+
+	miss, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Deduped || dup.ID != miss.ID {
+		t.Fatalf("second submission not deduplicated onto %s: %+v", miss.ID, dup)
+	}
+	srv.Start()
+	var done [2]serve.JobStatus
+	for i, id := range []string{miss.ID, dup.ID} {
+		if done[i], err = cl.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatalf("third submission not served from the cache: %+v", hit)
+	}
+	for _, tc := range []struct {
+		name string
+		st   serve.JobStatus
+	}{{"miss", done[0]}, {"dedup", done[1]}, {"hit", hit}} {
+		if tc.st.Fingerprint != spec.Fingerprint() {
+			t.Errorf("%s: filed under %s, want the submitted %s", tc.name, tc.st.Fingerprint, spec.Fingerprint())
+		}
+		if tc.st.Result == nil {
+			t.Fatalf("%s: no result", tc.name)
+		}
+		if got := tc.st.Result.Spec.Fingerprint(); got != tc.st.Fingerprint {
+			t.Errorf("%s: result is the run of %s, filed under %s", tc.name, got, tc.st.Fingerprint)
+		}
 	}
 }
 
@@ -210,11 +273,12 @@ func TestE2EJournalReplay(t *testing.T) {
 	}
 }
 
-// TestE2EFaultRetrySurfacesStructuredError: a deterministically failing
-// run (stalled link caught by the watchdog, both seeds) is retried per the
-// policy and lands as a structured job error; the server keeps serving.
+// TestE2EFaultRetrySurfacesStructuredError: a failing run (stalled link
+// caught by the watchdog) is not re-run under another seed: it lands as a
+// structured job error naming the submitted spec, with no result, and the
+// server keeps serving.
 func TestE2EFaultRetrySurfacesStructuredError(t *testing.T) {
-	_, cl := testService(t, serve.Config{Workers: 2, Policy: exp.Policy{Retry: true}})
+	_, cl := testService(t, serve.Config{Workers: 2})
 	ctx := context.Background()
 
 	spec := quickSpec(t, "Complete_NoAck", 1)
@@ -235,14 +299,11 @@ func TestE2EFaultRetrySurfacesStructuredError(t *testing.T) {
 	if st.State != serve.StateFailed {
 		t.Fatalf("fault-injected job finished %s, want failed", st.State)
 	}
-	if !st.Retried {
-		t.Fatal("failed job was not retried under the alternate seed")
-	}
 	if st.Error == nil || st.Error.Phase == "" || st.Error.Msg == "" {
 		t.Fatalf("failure is not a structured run error: %+v", st.Error)
 	}
-	if st.RetryError == nil {
-		t.Fatal("retry outcome missing from the job status")
+	if st.Error.Seed != spec.Seed || st.Fingerprint != spec.Fingerprint() || st.Result != nil {
+		t.Fatalf("failed job does not stand for the submitted spec: seed %d, result %v", st.Error.Seed, st.Result != nil)
 	}
 
 	// The client path surfaces the same structured error type.
@@ -256,8 +317,8 @@ func TestE2EFaultRetrySurfacesStructuredError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["serve/jobs_failed"] == 0 || m["serve/jobs_retried"] == 0 {
-		t.Fatalf("failure metrics not recorded: %v", m)
+	if m["serve/jobs_failed"] == 0 || m["serve/runs"] != m["serve/jobs_failed"] {
+		t.Fatalf("failure metrics not recorded, or a failed spec ran twice: %v", m)
 	}
 
 	// Not a crash: a healthy spec still runs to completion.

@@ -18,7 +18,7 @@ const (
 	StateRunning JobState = "running"
 	// StateDone: results available (from a run or the cache).
 	StateDone JobState = "done"
-	// StateFailed: the run (and any retry) died; Error is structured.
+	// StateFailed: the run died; Error is structured.
 	StateFailed JobState = "failed"
 	// StateCanceled: shutdown drained the job before it produced a
 	// result; it is journaled for replay on restart.
@@ -51,9 +51,6 @@ type JobStatus struct {
 	// simulation; Deduped marks one coalesced onto an in-flight job.
 	Cached  bool `json:"cached,omitempty"`
 	Deduped bool `json:"deduped,omitempty"`
-	// Retried reports that the first attempt failed and the policy re-ran
-	// the spec under the alternate seed.
-	Retried bool `json:"retried,omitempty"`
 	// Windows counts progress windows streamed so far.
 	Windows int `json:"windows"`
 
@@ -61,9 +58,8 @@ type JobStatus struct {
 	Started   time.Time `json:"started"`
 	Finished  time.Time `json:"finished"`
 
-	// Error and RetryError are the structured run failures (failed jobs).
-	Error      *chip.RunError `json:"error,omitempty"`
-	RetryError *chip.RunError `json:"retry_error,omitempty"`
+	// Error is the structured run failure (failed jobs).
+	Error *chip.RunError `json:"error,omitempty"`
 	// Result is attached when the job is done. It stays the last field:
 	// writeStatus writes it after the others.
 	Result *chip.Results `json:"result,omitempty"`
@@ -78,14 +74,12 @@ type job struct {
 	mu        sync.Mutex
 	state     JobState
 	cached    bool
-	retried   bool
 	windows   int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 	result    *result
 	runErr    *chip.RunError
-	retryErr  *chip.RunError
 
 	events  []Event
 	changed chan struct{} // closed and replaced on every event append
@@ -159,8 +153,8 @@ func (j *job) status() (JobStatus, *result) {
 	defer j.mu.Unlock()
 	return JobStatus{
 		ID: j.id, State: j.state, Fingerprint: j.fingerprint,
-		Cached: j.cached, Retried: j.retried, Windows: j.windows,
+		Cached: j.cached, Windows: j.windows,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
-		Error: j.runErr, RetryError: j.retryErr,
+		Error: j.runErr,
 	}, j.result
 }

@@ -16,7 +16,6 @@ import (
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
-	"reactivenoc/internal/exp"
 	"reactivenoc/internal/workload"
 )
 
@@ -439,16 +438,5 @@ func TestRunBackpressureCappedByDeadline(t *testing.T) {
 	// soon as it sees the sleep cannot fit — well before the hint.
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("Run slept %v past a %v deadline", elapsed, 250*time.Millisecond)
-	}
-}
-
-// TestPolicyRunRejected: the server is the executor; a policy with a Run
-// override is a misconfiguration.
-func TestPolicyRunRejected(t *testing.T) {
-	_, err := New(Config{Policy: exp.Policy{
-		Run: func(context.Context, chip.Spec) (*chip.Results, error) { return nil, nil },
-	}})
-	if err == nil {
-		t.Fatal("New accepted a Policy.Run override")
 	}
 }

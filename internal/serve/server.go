@@ -26,10 +26,9 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the result cache (<= 0: 512).
 	CacheEntries int
-	// Policy supplies the per-run retry/timeout/fault semantics — the
-	// exact semantics exp sweeps apply locally. Policy.Run must be nil:
-	// this server is the executor.
-	Policy exp.Policy
+	// RunTimeout is the per-run wall-clock cap (0 = none), applied through
+	// the same exp.Policy.RunOne path every sweep cell takes.
+	RunTimeout time.Duration
 	// Journal, when non-empty, is where shutdown drains jobs that never
 	// produced a result, and where New looks for jobs to replay.
 	Journal string
@@ -86,7 +85,6 @@ type Server struct {
 	runs         atomic.Int64
 	jobsDone     atomic.Int64
 	jobsFailed   atomic.Int64
-	jobsRetried  atomic.Int64
 	jobsCanceled atomic.Int64
 	replayed     atomic.Int64
 	busy         atomic.Int64
@@ -96,9 +94,6 @@ type Server struct {
 // consumes it — the journaled jobs are enqueued for replay when Start
 // brings the worker pool up.
 func New(cfg Config) (*Server, error) {
-	if cfg.Policy.Run != nil {
-		return nil, errors.New("serve: Config.Policy.Run must be nil — the server executes specs itself")
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
@@ -153,7 +148,6 @@ func (s *Server) describeMetrics() *sim.Registry {
 	reg.Gauge("serve/runs", s.runs.Load)
 	reg.Gauge("serve/jobs_done", s.jobsDone.Load)
 	reg.Gauge("serve/jobs_failed", s.jobsFailed.Load)
-	reg.Gauge("serve/jobs_retried", s.jobsRetried.Load)
 	reg.Gauge("serve/jobs_canceled", s.jobsCanceled.Load)
 	reg.Gauge("serve/journal_replayed", s.replayed.Load)
 	reg.Gauge("serve/cache_hits", s.cache.hits.Load)
@@ -321,8 +315,8 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job through the policy path shared with the CLI
-// sweeps: retry under the alternate seed, timeout decoration, structured
-// failures. Every progress window the simulation records is appended to
+// sweeps: timeout decoration and structured failures. The result is the
+// run of exactly the spec the job is filed under. Every progress window the simulation records is appended to
 // the job's event stream as it closes.
 func (s *Server) runJob(j *job) {
 	s.busy.Add(1)
@@ -332,16 +326,13 @@ func (s *Server) runJob(j *job) {
 	spec := j.spec
 	spec.OnSample = j.window
 	s.runs.Add(1)
-	res, rep := s.cfg.Policy.RunOne(s.runCtx, spec)
-	if rep != nil && rep.Retried {
-		j.mu.Lock()
-		j.retried = true
-		j.mu.Unlock()
-		s.jobsRetried.Add(1)
-	}
+	res, rep := exp.Policy{Timeout: s.cfg.RunTimeout}.RunOne(s.runCtx, spec)
 
 	switch {
 	case res != nil:
+		// RunTimeout capped the run's wall clock, not its simulation: the
+		// result is filed as the run of the spec that was submitted.
+		res.Spec = j.spec
 		r := &result{res: res}
 		j.mu.Lock()
 		j.result = r
@@ -358,7 +349,6 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.mu.Lock()
 		j.runErr = rep.Err
-		j.retryErr = rep.RetryErr
 		j.mu.Unlock()
 		s.cache.release(j.fingerprint)
 		s.finish(j, StateFailed)

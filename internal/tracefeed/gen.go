@@ -86,7 +86,7 @@ func phasedQuiet() workload.Profile {
 }
 
 // Generators lists the adversarial suite in its canonical order (the
-// order -list-workloads and the tuner report them).
+// order -list-workloads and rcsweep -exp tune report them).
 func Generators() []workload.Profile {
 	return []workload.Profile{
 		Hotspot(), Transpose(), Tornado(), OnOff(), Phased(),
