@@ -54,6 +54,25 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$",
 	},
 
+	// The audited books: every data reply needs exactly one ack, sent or
+	// eliminated.
+	{
+		Name: "an eliminated ack goes uncounted",
+		File: "internal/core/manager.go",
+		Old:  "\tmg.Stats.EliminatedAcks++\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+
+	// Every name is declared once, and a phase successor resolves.
+	{
+		Name: "phased hands over to a workload no table declares",
+		File: "internal/workload/workload.go",
+		Old:  `p.PhaseNext = "phased_quiet"`,
+		New:  `p.PhaseNext = "phased_calm"`,
+		Pkg:  ".", Run: "^TestNamesDeclaredOnce$",
+	},
+
 	// A served result is the run of the spec it is filed under.
 	{
 		Name: "the server files a timeout-capped run as the submitted spec's",

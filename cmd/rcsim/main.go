@@ -29,8 +29,6 @@ func main() {
 	chipSize := flag.Int("chip", 16, "chip size: 16, 64 or 256 cores")
 	variantName := flag.String("variant", "Complete_NoAck",
 		"mechanism variant: "+strings.Join(config.RegisteredNames(), ", "))
-	policyName := flag.String("policy", "",
-		"run the named switching policy's representative variant instead of -variant (see -list-policies)")
 	listPolicies := flag.Bool("list-policies", false, "list every registered switching policy and exit")
 	workloadName := flag.String("workload", "micro",
 		"workload: a built-in profile, an adversarial generator, or trace:<path> (see -list-workloads)")
@@ -76,11 +74,6 @@ func main() {
 	if !ok {
 		fatal("unknown variant %q (have: %s)", *variantName, strings.Join(config.RegisteredNames(), ", "))
 	}
-	if *policyName != "" {
-		if v, ok = config.VariantForPolicy(*policyName); !ok {
-			fatal("unknown policy %q (have: %s)", *policyName, strings.Join(config.PolicyNames(), ", "))
-		}
-	}
 	w, werr := tracefeed.ResolveWorkload(*workloadName)
 	if werr != nil {
 		fatal("%v", werr)
@@ -104,6 +97,13 @@ func main() {
 		fatalRun(err)
 	}
 	report(r)
+	if *audit {
+		ids, verb := chip.Identities(), "identities balance"
+		if len(ids) == 1 {
+			verb = "identity balances"
+		}
+		fmt.Printf("books: %d %s\n  %s\n", len(ids), verb, strings.Join(ids, "\n  "))
+	}
 	if *record != "" {
 		fmt.Printf("trace:     written to %s (replay with -workload trace:%s)\n", *record, *record)
 	}
@@ -134,16 +134,13 @@ func main() {
 // representative variant and the sweep columns that exercise it.
 func printPolicies() {
 	for _, name := range config.PolicyNames() {
-		rep := "(no registered variant)"
-		if v, ok := config.VariantForPolicy(name); ok {
-			rep = v.Name
-		}
+		rep, _ := config.VariantForPolicy(name) // every policy has one
 		var cols []string
 		for _, v := range config.VariantsForPolicy(name) {
 			cols = append(cols, v.Name)
 		}
 		fmt.Printf("%-16s representative %-18s sweep columns: %s\n",
-			name, rep, strings.Join(cols, ", "))
+			name, rep.Name, strings.Join(cols, ", "))
 	}
 }
 

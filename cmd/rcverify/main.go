@@ -13,18 +13,20 @@
 //     results with the oracles armed on every leg.
 //
 // A failing differential seed is a complete reproducer: it is printed, and
-// written to -corpus in `go test` fuzz-corpus format so
-// `go test -run=FuzzDifferential ./internal/verify/differ` replays it.
+// with -corpus its spec is written as <dir>/seed-<n>.json, the format of
+// internal/verify/differ/testdata/regress, which TestRegressionSpecs
+// replays once the file is added to its table.
 //
 // Usage:
 //
 //	rcverify -n 200
 //	rcverify -n 50 -seed 1000 -remote http://host:8134
-//	rcverify -faults=false -n 20 -corpus internal/verify/differ/testdata/fuzz/FuzzDifferential
+//	rcverify -faults=false -n 20 -corpus rcverify-failures
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +48,7 @@ func run() int {
 	faults := flag.Bool("faults", true, "run the fault-detection matrix first")
 	policies := flag.Bool("policies", true, "run the per-policy differential gauntlet (every registered switching policy)")
 	remote := flag.String("remote", "", "base URL of a running rcserved to add as a differential leg")
-	corpus := flag.String("corpus", "", "directory to write failing seeds to as go-fuzz corpus entries")
+	corpus := flag.String("corpus", "", "directory to write a failing seed's spec to, as seed-<n>.json")
 	verbose := flag.Bool("v", false, "print every seed as it runs")
 	flag.Parse()
 
@@ -89,8 +91,8 @@ func run() int {
 		if err := differ.RunDifferential(ctx, spec, remoteRun); err != nil {
 			fmt.Fprintf(os.Stderr, "rcverify: seed %d FAILED: %v\n", s, err)
 			if *corpus != "" {
-				if path, werr := writeCorpusEntry(*corpus, s); werr != nil {
-					fmt.Fprintf(os.Stderr, "rcverify: writing corpus entry: %v\n", werr)
+				if path, werr := writeSpec(*corpus, s, spec); werr != nil {
+					fmt.Fprintf(os.Stderr, "rcverify: writing reproducer: %v\n", werr)
 				} else {
 					fmt.Fprintf(os.Stderr, "rcverify: reproducer written to %s\n", path)
 				}
@@ -155,13 +157,12 @@ func runFaultMatrix(ctx context.Context) bool {
 	return ok
 }
 
-// writeCorpusEntry persists a failing seed in `go test` fuzz-corpus format
-// for FuzzDifferential.
-func writeCorpusEntry(dir string, seed uint64) (string, error) {
+// writeSpec persists a failing seed's spec as <dir>/seed-<n>.json.
+func writeSpec(dir string, seed uint64, spec chip.Spec) (string, error) {
+	body, _ := json.MarshalIndent(spec, "", "  ") // a Spec always encodes (chip.Spec.Fingerprint)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("rcverify-seed-%d", seed))
-	body := fmt.Sprintf("go test fuzz v1\nuint64(%d)\n", seed)
-	return path, os.WriteFile(path, []byte(body), 0o644)
+	path := filepath.Join(dir, fmt.Sprintf("seed-%d.json", seed))
+	return path, os.WriteFile(path, append(body, '\n'), 0o644)
 }

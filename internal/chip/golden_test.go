@@ -187,6 +187,9 @@ func checkGolden(t *testing.T, row goldenRow, r *Results) {
 	if r.Circ != nil {
 		circ = *r.Circ
 	}
+	if err := balance(&r.Msgs, &circ); err != nil {
+		t.Error(err)
+	}
 	if got := circ.Replies[core.OutcomeCircuit:]; !slices.Equal(got, row.outcomes[:]) {
 		t.Errorf("Figure-6 outcomes = %v, golden %v", got, row.outcomes)
 	}

@@ -1,11 +1,13 @@
 package chip
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
 
 	"reactivenoc/internal/coherence"
+	"reactivenoc/internal/core"
 	"reactivenoc/internal/cpu"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/mesh"
@@ -354,11 +356,53 @@ func (m *Machine) Finish() error {
 	}
 	if m.spec.Audit {
 		m.phase = "audit"
-		if err := m.Sys.AuditQuiescent(now); err != nil {
+		var circ core.Stats
+		if m.Sys.Mgr != nil {
+			circ = m.Sys.Mgr.Stats
+		}
+		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(&m.Sys.Msgs, &circ)); err != nil {
 			return m.runErr("post-run audit failed: "+err.Error(), false)
 		}
 	}
 	m.clean = true
+	return nil
+}
+
+// identities are the books: exact accounting identities every audited run
+// balances over its counters. The warm-up runs until the machine is idle,
+// so no transaction straddles BeginMeasured and no side needs an
+// in-flight term.
+var identities = []struct {
+	name  string
+	sides func(msgs *coherence.MsgStats, circ *core.Stats) (int64, int64)
+}{
+	// An L1-to-L1 reply to a requestor on the line's home tile is acked
+	// without crossing the network, so both sides count local messages.
+	{"every data reply needs exactly one ack, sent or eliminated",
+		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
+			sent := func(t coherence.MsgType) int64 { return m.Network[t] + m.Local[t] }
+			return sent(coherence.MsgL2Reply) + sent(coherence.MsgL1ToL1),
+				sent(coherence.MsgDataAck) + circ.EliminatedAcks
+		}},
+}
+
+// Identities names every identity an audited run balances.
+func Identities() []string {
+	names := make([]string, len(identities))
+	for i, id := range identities {
+		names[i] = id.name
+	}
+	return names
+}
+
+// balance checks every identity over a run's message counts and circuit
+// statistics (zero without circuits), naming the first that does not hold.
+func balance(msgs *coherence.MsgStats, circ *core.Stats) error {
+	for _, id := range identities {
+		if lhs, rhs := id.sides(msgs, circ); lhs != rhs {
+			return fmt.Errorf("books: %s: %d != %d", id.name, lhs, rhs)
+		}
+	}
 	return nil
 }
 

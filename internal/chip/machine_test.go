@@ -1,6 +1,13 @@
 package chip
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"reactivenoc/internal/coherence"
+	"reactivenoc/internal/config"
+	"reactivenoc/internal/workload"
+)
 
 // stepUntilDone advances m with Step alone until Done, failing the test on
 // an oracle violation or if the phase outlasts limit cycles.
@@ -73,5 +80,26 @@ func TestKernelWorkPinned(t *testing.T) {
 	checkGolden(t, row, m.Harvest())
 	if got := m.kernel.Ticks(); got != want {
 		t.Errorf("%s/%s/%s took %d component ticks, pinned %d", row.chip, row.workload, row.variant, got, want)
+	}
+}
+
+// TestBooksBalance: the audited 64-core canneal Complete_NoAck run, whose
+// network counts alone miss an L1-to-L1 reply acked on its home tile,
+// balances every identity, and one data reply too many does not.
+func TestBooksBalance(t *testing.T) {
+	canneal, _ := workload.ByName("canneal")
+	spec := DefaultSpec(config.Chip64(), variant(t, "Complete_NoAck"), canneal)
+	spec.WarmupOps, spec.MeasureOps, spec.Audit = 3000, 1000, true
+	r, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Circ.EliminatedAcks == 0 || r.Msgs.Local[coherence.MsgDataAck] == 0 {
+		t.Fatalf("no eliminated or local acks to balance: %d, %d",
+			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck])
+	}
+	r.Msgs.Network[coherence.MsgL2Reply]++
+	if err := balance(&r.Msgs, r.Circ); err == nil || !strings.Contains(err.Error(), Identities()[0]) {
+		t.Fatalf("an unacked reply balanced the books: %v", err)
 	}
 }

@@ -119,11 +119,12 @@ func l1Valid(sys *coherence.System) int {
 // the stored image and walk to its own reference.
 func TestImageReproducesPrefill(t *testing.T) {
 	canneal, _ := workload.ByName("canneal")
+	transpose, _ := workload.ByName("transpose")
 	overflow := workload.Micro()
 	overflow.StreamLines = 1 << 14
 	for _, c := range []config.Chip{config.Chip16(), config.Chip64(), nineCore, chip81} {
 		n := c.Width * c.Height
-		traced := recordTrace(t, c, tracefeed.Transpose())
+		traced := recordTrace(t, c, transpose)
 		feed, _, err := tracefeed.Load(traced.Workload.TracePath)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +195,8 @@ func TestImageHitsOnlyEqualKeys(t *testing.T) {
 		return s
 	}
 	canneal, _ := workload.ByName("canneal")
-	traced := recordTrace(t, config.Chip16(), tracefeed.Hotspot())
+	hotspot, _ := workload.ByName("hotspot")
+	traced := recordTrace(t, config.Chip16(), hotspot)
 
 	// The same trace with core 0 warming one fewer L1 line.
 	feed, _, err := tracefeed.Load(traced.Workload.TracePath)

@@ -48,13 +48,14 @@ func sameResults(t *testing.T, label string, a, b *Results) {
 // bit-identical Results — and the recorder itself is invisible (the
 // recorded run equals the plain run).
 func TestRecordReplayBitIdentity(t *testing.T) {
+	hotspot, _ := workload.ByName("hotspot")
 	for _, tc := range []struct {
 		name     string
 		workload workload.Profile
 		variant  string
 	}{
 		{"micro/Reuse", workload.Micro(), "Reuse_NoAck"},
-		{"hotspot/Timed", tracefeed.Hotspot(), "Timed_NoAck"},
+		{"hotspot/Timed", hotspot, "Timed_NoAck"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,6 @@ package config
 
 import (
 	"fmt"
-	"sync"
 
 	"reactivenoc/internal/core"
 )
@@ -51,13 +50,6 @@ func completeNoAck() core.Options {
 	return core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true}
 }
 
-// reuseNoAck adds scrounger reuse (Section 4.5).
-func reuseNoAck() Variant {
-	o := completeNoAck()
-	o.Reuse = true
-	return mustVariant("Reuse_NoAck", o)
-}
-
 // timedNoAck is one member of Section 4.7's timed family on Complete_NoAck,
 // named as in Figure 6 after the knob that distinguishes it.
 func timedNoAck(slack, delay, postpone int) Variant {
@@ -76,65 +68,107 @@ func timedNoAck(slack, delay, postpone int) Variant {
 	return mustVariant(name, o)
 }
 
-// Variants returns every configuration evaluated in the paper, in the
-// order of Figure 6's bars.
-func Variants() []Variant {
-	return []Variant{
-		mustVariant("Baseline", core.Options{}),
-		mustVariant("Fragmented", core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2}),
-		mustVariant("Complete", core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5}),
-		mustVariant("Complete_NoAck", completeNoAck()),
-		reuseNoAck(),
-		timedNoAck(0, 0, 0),
-		timedNoAck(1, 0, 0),
-		timedNoAck(2, 0, 0),
-		timedNoAck(4, 0, 0),
-		timedNoAck(1, 1, 0),
-		timedNoAck(0, 0, 1),
-		mustVariant("Ideal", core.Options{Mechanism: core.MechIdeal}),
-	}
+// sdmLanes is the complete mechanism with every mesh link split into
+// lanes. No NoAck: lane-paced circuit flits may stall, so the ack
+// elimination's delivery guarantee (Section 4.6) does not hold — the sdm
+// policy rejects the combination outright.
+func sdmLanes(name string, lanes int) Variant {
+	return mustVariant(name, core.Options{
+		Mechanism:          core.MechComplete,
+		MaxCircuitsPerPort: 5,
+		Policy:             "sdm",
+		SDMLanes:           lanes,
+	})
 }
 
-// PolicyVariants returns the post-paper switching-policy presets from the
-// related work, built on the first-class policy seam (core.Policy): the
-// load-adaptive VC partitioning of Onsori & Safaei. They ride every sweep
-// as comparable columns next to the paper's variants (SweepVariants) but
-// stay out of Variants(), which remains the paper's exact inventory.
-func PolicyVariants() []Variant {
-	return []Variant{
-		mustVariant("DynamicVC", core.Options{
-			Mechanism:          core.MechFragmented,
-			MaxCircuitsPerPort: 3,
-			Policy:             "dynamic-vc",
-		}),
-	}
+// The sweep families: which of Variants, PolicyVariants and SDMVariants
+// lists a preset, if any.
+const (
+	paper     = iota // Figure 6's bars, the paper's exact inventory
+	policyLab        // the post-paper policies from the related work
+	sdm              // the spatial-division presets
+	noSweep          // comparators and tuning points no sweep has a column for
+)
+
+// presets is every named configuration, each declared once, in listing
+// order: Figure 6's bars, the policy-lab and SDM presets (the sweep
+// columns, in sweep order), the related-work comparators, then the tuning
+// grid's points beyond the paper's figures.
+var presets = []struct {
+	Variant
+	family int
+}{
+	{mustVariant("Baseline", core.Options{}), paper},
+	{mustVariant("Fragmented", core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2}), paper},
+	{mustVariant("Complete", core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5}), paper},
+	{mustVariant("Complete_NoAck", completeNoAck()), paper},
+	{mustVariant("Reuse_NoAck", core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Reuse: true}), paper},
+	{timedNoAck(0, 0, 0), paper},
+	{timedNoAck(1, 0, 0), paper},
+	{timedNoAck(2, 0, 0), paper},
+	{timedNoAck(4, 0, 0), paper},
+	{timedNoAck(1, 1, 0), paper},
+	{timedNoAck(0, 0, 1), paper},
+	{mustVariant("Ideal", core.Options{Mechanism: core.MechIdeal}), paper},
+	// The load-adaptive VC partitioning of Onsori & Safaei.
+	{mustVariant("DynamicVC", core.Options{
+		Mechanism:          core.MechFragmented,
+		MaxCircuitsPerPort: 3,
+		Policy:             "dynamic-vc",
+	}), policyLab},
+	// Zaeemi & Modarressi's lanes: SDM is the 4-lane default; SDM_2 and
+	// SDM_8 bracket the serialization/parallelism trade-off.
+	{sdmLanes("SDM", 4), sdm},
+	{sdmLanes("SDM_2", 2), sdm},
+	{sdmLanes("SDM_8", 8), sdm},
+	// A speculative single-cycle router (references [16-19]) and
+	// probe-based setup at reply time (Déjà-Vu switching, reference [7]).
+	{mustVariant("Speculative", core.Options{SpeculativeRouter: true}), noSweep},
+	{mustVariant("Probe_DejaVu", core.Options{Mechanism: core.MechProbe, MaxCircuitsPerPort: 5}), noSweep},
+	{timedNoAck(8, 0, 0), noSweep},
+	{timedNoAck(0, 0, 2), noSweep},
 }
+
+// inFamily returns the family's presets in table order.
+func inFamily(f int) []Variant {
+	var out []Variant
+	for _, p := range presets {
+		if p.family == f {
+			out = append(out, p.Variant)
+		}
+	}
+	return out
+}
+
+// pick returns the named presets in the order given.
+func pick(names ...string) []Variant {
+	out := make([]Variant, len(names))
+	for i, name := range names {
+		v, ok := ByName(name)
+		if !ok {
+			panic("config: no preset " + name)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// Variants returns every configuration evaluated in the paper, in the
+// order of Figure 6's bars.
+func Variants() []Variant { return inFamily(paper) }
+
+// PolicyVariants returns the post-paper switching-policy presets from the
+// related work, built on the first-class policy seam (core.Policy). They
+// ride every sweep as comparable columns next to the paper's variants
+// (SweepVariants) but stay out of Variants(), the paper's exact inventory.
+func PolicyVariants() []Variant { return inFamily(policyLab) }
 
 // SDMVariants returns the spatial-division multiplexing presets (PAPERS.md:
 // Zaeemi & Modarressi): the complete mechanism with every mesh link split
 // into lanes, one reserved for packet traffic and the rest held
-// one-per-circuit. SDM is the 4-lane default; SDM_2 and SDM_8 bracket the
-// serialization/parallelism trade-off. Like the policy-lab variants they
-// ride every sweep (SweepVariants) but stay out of Variants(), the paper's
-// exact inventory.
-func SDMVariants() []Variant {
-	mk := func(name string, lanes int) Variant {
-		// No NoAck: lane-paced circuit flits may stall, so the ack
-		// elimination's delivery guarantee (Section 4.6) does not hold —
-		// the sdm policy rejects the combination outright.
-		return mustVariant(name, core.Options{
-			Mechanism:          core.MechComplete,
-			MaxCircuitsPerPort: 5,
-			Policy:             "sdm",
-			SDMLanes:           lanes,
-		})
-	}
-	return []Variant{
-		mk("SDM", 4),
-		mk("SDM_2", 2),
-		mk("SDM_8", 8),
-	}
-}
+// one-per-circuit. Like the policy-lab variants they ride every sweep but
+// stay out of Variants().
+func SDMVariants() []Variant { return inFamily(sdm) }
 
 // SweepVariants returns every comparable sweep column: the paper's
 // variants followed by the policy-lab variants and the SDM presets.
@@ -143,84 +177,49 @@ func SweepVariants() []Variant {
 }
 
 // TuneGrid returns the candidate grid `rcsweep -exp tune` sweeps per
-// workload: the Baseline and Reuse anchors plus the timed
-// family across its Slack/Postponed knob range — including Slack_8 and
-// Postponed_2 points beyond the paper's figures, so the per-app optimum
-// can land outside the published inventory — and the SDM lane sweep, the
-// spatial alternative to every timed knob.
+// workload: the Baseline and Reuse anchors plus the timed family across its
+// Slack/Postponed knob range — including Slack_8 and Postponed_2 points
+// beyond the paper's figures, so the per-app optimum can land outside the
+// published inventory — and, last, the SDM lane sweep, the spatial
+// alternative to every timed knob.
 func TuneGrid() []Variant {
-	grid := []Variant{
-		mustVariant("Baseline", core.Options{}),
-		reuseNoAck(),
-		timedNoAck(0, 0, 0),
-		timedNoAck(1, 0, 0),
-		timedNoAck(2, 0, 0),
-		timedNoAck(4, 0, 0),
-		timedNoAck(8, 0, 0),
-		timedNoAck(1, 1, 0),
-		timedNoAck(0, 0, 1),
-		timedNoAck(0, 0, 2),
-	}
-	// The SDM lane sweep joins after the timed family so tuning reports
-	// keep their historical column order.
-	return append(grid, SDMVariants()...)
+	return append(pick("Baseline", "Reuse_NoAck", "Timed_NoAck",
+		"Slack_1_NoAck", "Slack_2_NoAck", "Slack_4_NoAck", "Slack_8_NoAck",
+		"SlackDelay_1_NoAck", "Postponed_1_NoAck", "Postponed_2_NoAck"),
+		SDMVariants()...)
 }
 
-// The variant registry is built once: every preset from Variants,
-// PolicyVariants and Comparators, keyed by name (first registration wins
-// for the duplicated entries).
-var (
-	regOnce  sync.Once
-	regMap   map[string]Variant
-	regOrder []string
-)
-
-func registry() map[string]Variant {
-	regOnce.Do(func() {
-		regMap = map[string]Variant{}
-		all := append(append(Variants(), PolicyVariants()...), SDMVariants()...)
-		all = append(all, Comparators()...)
-		all = append(all, TuneGrid()...)
-		for _, v := range all {
-			if _, dup := regMap[v.Name]; dup {
-				continue
-			}
-			regMap[v.Name] = v
-			regOrder = append(regOrder, v.Name)
-		}
-	})
-	return regMap
-}
-
-// ByName returns the named variant from the once-built registry (paper
-// variants, policy-lab variants and comparators alike).
+// ByName returns the named preset.
 func ByName(name string) (Variant, bool) {
-	v, ok := registry()[name]
-	return v, ok
+	for _, p := range presets {
+		if p.Name == name {
+			return p.Variant, true
+		}
+	}
+	return Variant{}, false
 }
 
-// RegisteredNames lists every registry entry in registration order:
-// Variants, then PolicyVariants, then the comparators not already listed.
+// RegisteredNames lists every preset in table order.
 func RegisteredNames() []string {
-	registry()
-	return append([]string(nil), regOrder...)
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.Name
+	}
+	return names
 }
 
-// PolicyNames lists every switching policy registered in core, in
-// registration order.
+// PolicyNames lists every switching policy in core's table order.
 func PolicyNames() []string { return core.PolicyNames() }
 
-// VariantForPolicy returns the first registered variant whose options
-// resolve to the named switching policy — the representative preset the
-// conformance suite runs for each policy. ok is false when no registered
-// variant exercises the policy, which is exactly what the conformance
-// suite fails on: a policy without a runnable preset cannot be gauntleted.
+// VariantForPolicy returns the first preset whose options resolve to the
+// named switching policy — the representative preset the conformance suite
+// runs for each policy. ok is false when no preset exercises the policy,
+// which is exactly what the conformance suite fails on: a policy without a
+// runnable preset cannot be gauntleted.
 func VariantForPolicy(policy string) (Variant, bool) {
-	registry()
-	for _, name := range regOrder {
-		v := regMap[name]
-		if core.PolicyName(v.Opts) == policy {
-			return v, true
+	for _, p := range presets {
+		if core.PolicyName(p.Opts) == policy {
+			return p.Variant, true
 		}
 	}
 	return Variant{}, false
@@ -242,43 +241,15 @@ func VariantsForPolicy(policy string) []Variant {
 // Comparators returns the related-work alternatives the paper positions
 // Reactive Circuits against: the baseline, a speculative single-cycle
 // router (references [16-19]) and probe-based setup at reply time
-// (Déjà-Vu switching, reference [7]).
+// (Déjà-Vu switching, reference [7]), next to the paper's two best.
 func Comparators() []Variant {
-	// This runs inside the registry build, so it must not call ByName
-	// (re-entering the sync.Once would deadlock): look the two paper
-	// variants up with a plain scan instead.
-	fromPaper := func(name string) Variant {
-		for _, v := range Variants() {
-			if v.Name == name {
-				return v
-			}
-		}
-		panic("config: missing paper variant " + name)
-	}
-	return []Variant{
-		mustVariant("Baseline", core.Options{}),
-		mustVariant("Speculative", core.Options{SpeculativeRouter: true}),
-		mustVariant("Probe_DejaVu", core.Options{Mechanism: core.MechProbe, MaxCircuitsPerPort: 5}),
-		fromPaper("Complete_NoAck"),
-		fromPaper("SlackDelay_1_NoAck"),
-	}
+	return pick("Baseline", "Speculative", "Probe_DejaVu", "Complete_NoAck", "SlackDelay_1_NoAck")
 }
 
 // KeyVariants returns the "most relevant versions" the paper uses in
 // Figures 7-9: baseline, fragmented, the complete family, timed variants
 // and the ideal bound.
 func KeyVariants() []Variant {
-	keys := []string{
-		"Baseline", "Fragmented", "Complete", "Complete_NoAck", "Reuse_NoAck",
-		"Timed_NoAck", "SlackDelay_1_NoAck", "Postponed_1_NoAck", "Ideal",
-	}
-	out := make([]Variant, 0, len(keys))
-	for _, k := range keys {
-		v, ok := ByName(k)
-		if !ok {
-			panic("config: missing key variant " + k)
-		}
-		out = append(out, v)
-	}
-	return out
+	return pick("Baseline", "Fragmented", "Complete", "Complete_NoAck", "Reuse_NoAck",
+		"Timed_NoAck", "SlackDelay_1_NoAck", "Postponed_1_NoAck", "Ideal")
 }

@@ -135,9 +135,9 @@ func TestTuneGridValid(t *testing.T) {
 			t.Errorf("grid missing %s", want)
 		}
 	}
-	// The beyond-the-paper grid points resolve through the registry too
+	// The beyond-the-paper grid points resolve through the preset table too
 	// (rcsim -variant Slack_8_NoAck).
 	if _, ok := ByName("Slack_8_NoAck"); !ok {
-		t.Error("Slack_8_NoAck not in the variant registry")
+		t.Error("Slack_8_NoAck not in the preset table")
 	}
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"slices"
 	"testing"
 
 	"reactivenoc/internal/core"
@@ -58,8 +59,8 @@ func TestSweepVariantsOrder(t *testing.T) {
 	}
 }
 
-// TestRegistry: the once-built registry serves every preset family by
-// name, first registration winning for duplicated names.
+// TestRegistry: the preset table lists every name once, in its pinned
+// order, and serves every family by name.
 func TestRegistry(t *testing.T) {
 	names := RegisteredNames()
 	if len(names) == 0 {
@@ -82,17 +83,25 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByName("NoSuchVariant"); ok {
 		t.Error("ByName invented a variant")
 	}
-	// "Baseline" is duplicated between Variants and Comparators; the
-	// paper-inventory registration must win (same Opts either way, but the
-	// order contract matters for RegisteredNames).
-	if idx["Baseline"] != 0 {
-		t.Errorf("Baseline registered at %d, want 0", idx["Baseline"])
+	// The listing order: Figure 6's bars, the sweep's policy-lab and SDM
+	// columns, the comparators, then the tuning grid's extra points.
+	want := []string{"Baseline", "Fragmented", "Complete", "Complete_NoAck", "Reuse_NoAck",
+		"Timed_NoAck", "Slack_1_NoAck", "Slack_2_NoAck", "Slack_4_NoAck", "SlackDelay_1_NoAck",
+		"Postponed_1_NoAck", "Ideal", "DynamicVC", "SDM", "SDM_2", "SDM_8", "Speculative",
+		"Probe_DejaVu", "Slack_8_NoAck", "Postponed_2_NoAck"}
+	if !slices.Equal(names, want) {
+		t.Errorf("RegisteredNames = %v, want %v", names, want)
 	}
 }
 
-// TestVariantForPolicy: every registered policy has a representative
-// preset — the contract the conformance suite enforces at run time.
+// TestVariantForPolicy: every policy has a representative preset — the
+// contract the conformance suite enforces at run time — and it is the
+// first preset in table order that selects the policy.
 func TestVariantForPolicy(t *testing.T) {
+	reps := map[string]string{
+		"baseline": "Baseline", "fragmented": "Fragmented", "complete": "Complete", "ideal": "Ideal",
+		"probe-setup": "Probe_DejaVu", "dynamic-vc": "DynamicVC", "sdm": "SDM",
+	}
 	for _, name := range PolicyNames() {
 		v, ok := VariantForPolicy(name)
 		if !ok {
@@ -101,6 +110,9 @@ func TestVariantForPolicy(t *testing.T) {
 		}
 		if got := core.PolicyName(v.Opts); got != name {
 			t.Errorf("representative %s for %s resolves to %s", v.Name, name, got)
+		}
+		if v.Name != reps[name] {
+			t.Errorf("representative for %s is %s, want %s", name, v.Name, reps[name])
 		}
 	}
 	if _, ok := VariantForPolicy("no-such-policy"); ok {
@@ -135,9 +147,13 @@ func TestVariantsForPolicy(t *testing.T) {
 	}
 }
 
-// TestPolicyNamesForwarding: config re-exports core's registration order.
+// TestPolicyNamesForwarding: config re-exports core's table order.
 func TestPolicyNamesForwarding(t *testing.T) {
 	got, want := PolicyNames(), core.PolicyNames()
+	order := []string{"baseline", "fragmented", "complete", "ideal", "probe-setup", "dynamic-vc", "sdm"}
+	if !slices.Equal(want, order) {
+		t.Errorf("core.PolicyNames = %v, want %v", want, order)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("PolicyNames = %v, want %v", got, want)
 	}

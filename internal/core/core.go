@@ -103,11 +103,10 @@ type Options struct {
 	// MechNone — it is an alternative design, not an addition.
 	SpeculativeRouter bool
 
-	// Policy selects a registered switching policy by name (see
-	// RegisterPolicy); empty picks the Mechanism's default
-	// implementation, so every pre-policy Options encodes — and
-	// fingerprints — exactly as before. The omitempty tags below keep
-	// that true for the new knobs too.
+	// Policy selects a switching policy by name (see PolicyNames);
+	// empty picks the Mechanism's default implementation, so every
+	// pre-policy Options encodes — and fingerprints — exactly as before.
+	// The omitempty tags below keep that true for the new knobs too.
 	Policy string `json:",omitempty"`
 
 	// DynVCMin, DynVCMax and DynVCWindow tune the dynamic-vc policy:

@@ -12,15 +12,15 @@ import (
 
 // Policy is the switching-policy seam: every circuit mechanism — the
 // paper's variants and the post-paper policies from the related work — is
-// one implementation, registered by name. All of them share one mechanism:
-// a message reserves a circuit entry at every router it crosses, and the
-// circuit ends one of three ways — its reply rides it, an undo token walks
-// it on the credit wires, or, timed, it expires. The Manager owns the walk
-// (OnRequestVA), the record it leaves at the NI and every way a circuit
-// ends (OnUndo, teardown), together with the router tables, NI registries
-// and statistics; which shape each takes follows from the policy's Traits —
-// the facts the shared machinery, the invariant oracles and
-// Options.Validate read. A policy adds the steps where it departs from the
+// one implementation, named by a row of the policies table. All of them
+// share one mechanism: a message reserves a circuit entry at every router
+// it crosses, and the circuit ends one of three ways — its reply rides it,
+// an undo token walks it on the credit wires, or, timed, it expires. The
+// Manager owns the walk (OnRequestVA), the record it leaves at the NI and
+// every way a circuit ends (OnUndo, teardown), together with the router
+// tables, NI registries and statistics; which shape each takes follows
+// from the policy's Traits — the facts the shared machinery, the invariant
+// oracles and Options.Validate read. A policy adds the steps where it departs from the
 // defaults in basePolicy:
 //
 //   - Arbitrate answers the walk's one question at each router: may the
@@ -117,45 +117,32 @@ const (
 	noStorage
 )
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-var (
-	policyFactories = map[string]func() Policy{}
-	policyOrder     []string
-)
-
-// RegisterPolicy adds a switching policy under name. The factory returns a
-// fresh instance per manager so stateful policies never share state across
-// runs. Registration happens at init time; duplicates panic.
-func RegisterPolicy(name string, factory func() Policy) {
-	if name == "" || factory == nil {
-		panic("core: RegisterPolicy needs a name and a factory")
-	}
-	if _, dup := policyFactories[name]; dup {
-		panic("core: policy " + name + " registered twice")
-	}
-	policyFactories[name] = factory
-	policyOrder = append(policyOrder, name)
+// policies is every switching policy, in listing order: its name and a
+// constructor returning a fresh instance per manager, so stateful policies
+// never share state across runs.
+var policies = []struct {
+	name string
+	make func() Policy
+}{
+	{"baseline", func() Policy { return baselinePolicy{} }},
+	{"fragmented", func() Policy { return fragmentedPolicy{} }},
+	{"complete", func() Policy { return completePolicy{} }},
+	{"ideal", func() Policy { return idealPolicy{} }},
+	{"probe-setup", func() Policy { return probePolicy{} }},
+	{"dynamic-vc", func() Policy { return &dynVCPolicy{} }},
+	{"sdm", func() Policy { return sdmPolicy{} }},
 }
 
-// PolicyNames lists every registered policy in registration order.
+// PolicyNames lists every switching policy in table order.
 func PolicyNames() []string {
-	return append([]string(nil), policyOrder...)
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
+	}
+	return names
 }
 
-func init() {
-	RegisterPolicy("baseline", func() Policy { return baselinePolicy{} })
-	RegisterPolicy("fragmented", func() Policy { return fragmentedPolicy{} })
-	RegisterPolicy("complete", func() Policy { return completePolicy{} })
-	RegisterPolicy("ideal", func() Policy { return idealPolicy{} })
-	RegisterPolicy("probe-setup", func() Policy { return probePolicy{} })
-	RegisterPolicy("dynamic-vc", func() Policy { return &dynVCPolicy{} })
-	RegisterPolicy("sdm", func() Policy { return sdmPolicy{} })
-}
-
-// PolicyName returns the registry name an Options selects: the explicit
+// PolicyName returns the policy name an Options selects: the explicit
 // Policy when set, otherwise the mechanism's own name.
 func PolicyName(o Options) string {
 	if o.Policy != "" {
@@ -167,12 +154,13 @@ func PolicyName(o Options) string {
 // PolicyFor resolves the policy an Options selects.
 func PolicyFor(o Options) (Policy, error) {
 	name := PolicyName(o)
-	f := policyFactories[name]
-	if f == nil {
-		return nil, fmt.Errorf("core: unknown policy %q (registered: %s)",
-			name, strings.Join(PolicyNames(), ", "))
+	for _, p := range policies {
+		if p.name == name {
+			return p.make(), nil
+		}
 	}
-	return f(), nil
+	return nil, fmt.Errorf("core: unknown policy %q (registered: %s)",
+		name, strings.Join(PolicyNames(), ", "))
 }
 
 // mustPolicyFor resolves a policy for options that already validated.

@@ -6,7 +6,6 @@ import (
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/sim"
-	"reactivenoc/internal/tracefeed"
 	"reactivenoc/internal/workload"
 )
 
@@ -20,7 +19,7 @@ import (
 func TuneWorkloads() []workload.Profile {
 	canneal, _ := workload.ByName("canneal")
 	rows := []workload.Profile{workload.Micro(), canneal, workload.Multiprogrammed()}
-	return append(rows, tracefeed.Generators()...)
+	return append(rows, workload.Generators()...)
 }
 
 // Tune is each workload's optimum over a sweep of the tuning grid: which

@@ -98,7 +98,7 @@ func TestReplayMatchesRecordedStream(t *testing.T) {
 }
 
 func TestReplayPreservesAdversarialStreams(t *testing.T) {
-	for _, p := range Generators() {
+	for _, p := range workload.Generators() {
 		tr := sampleTrace(t, p, 2, 4000)
 		live := p.Stream(1, 7)
 		replay := tr.Stream(1)
@@ -204,7 +204,10 @@ func TestWorkloadNamesEnumeratesEverything(t *testing.T) {
 	want := map[string]bool{
 		"micro": false, "mix": false, "canneal": false,
 		"hotspot": false, "transpose": false, "tornado": false,
-		"onoff": false, "phased": false, "trace:<path>": false,
+		"onoff": false, "phased": false, "phased_quiet": false, "trace:<path>": false,
+	}
+	if names[0] != "micro" || names[len(names)-1] != "trace:<path>" {
+		t.Errorf("WorkloadNames runs %s..%s, want micro..trace:<path>", names[0], names[len(names)-1])
 	}
 	for _, n := range names {
 		if _, ok := want[n]; ok {
@@ -219,7 +222,7 @@ func TestWorkloadNamesEnumeratesEverything(t *testing.T) {
 }
 
 func TestGeneratorsAllValid(t *testing.T) {
-	for _, p := range Generators() {
+	for _, p := range workload.Generators() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}

@@ -73,7 +73,7 @@ func LoadWorkload(path string) (workload.Profile, *Trace, error) {
 }
 
 // ResolveWorkload turns a CLI workload name into a profile: built-in
-// profiles and registered generators by name, or "trace:<path>" for a
+// profiles and adversarial generators by name, or "trace:<path>" for a
 // recorded trace file.
 func ResolveWorkload(name string) (workload.Profile, error) {
 	if strings.HasPrefix(name, TracePrefix) {
@@ -87,11 +87,12 @@ func ResolveWorkload(name string) (workload.Profile, error) {
 }
 
 // WorkloadNames enumerates every resolvable workload name for
-// -list-workloads: the paper's built-ins, then the registered
-// adversarial generators, then the trace pseudo-entry.
+// -list-workloads: every profile workload.ByName resolves, then the trace
+// pseudo-entry.
 func WorkloadNames() []string {
-	names := []string{"micro"}
-	names = append(names, workload.Names()...)
-	names = append(names, workload.GeneratorNames()...)
+	var names []string
+	for _, p := range workload.All() {
+		names = append(names, p.Name)
+	}
 	return append(names, TracePrefix+"<path>")
 }

@@ -2,17 +2,22 @@ package differ
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/fault"
+	"reactivenoc/internal/workload"
 )
 
 // TestSpecFromSeedDeterministic pins the reproducer contract: a seed fully
 // determines its spec, so a failing seed reported by cmd/rcverify (or a
-// fuzz corpus entry) replays the exact same runs.
+// regression spec) replays the exact same runs.
 func TestSpecFromSeedDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
 		a, b := SpecFromSeed(seed), SpecFromSeed(seed)
@@ -41,6 +46,59 @@ func TestDifferentialSeeds(t *testing.T) {
 			t.Parallel()
 			if err := RunDifferential(context.Background(), spec, nil); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
+			}
+		})
+	}
+}
+
+// TestSpecFromSeedCoversTables: a thousand seeds draw every sweep column
+// and every adversarial generator, so no family hides behind a rare draw.
+func TestSpecFromSeedCoversTables(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := uint64(0); seed < 1000; seed++ {
+		spec := SpecFromSeed(seed)
+		seen[spec.Variant.Name], seen[spec.Workload.Name] = true, true
+	}
+	for _, v := range config.SweepVariants() {
+		if !seen[v.Name] {
+			t.Errorf("variant %s never drawn in seeds 0-999", v.Name)
+		}
+	}
+	for _, w := range workload.Generators() {
+		if !seen[w.Name] {
+			t.Errorf("generator %s never drawn in seeds 0-999", w.Name)
+		}
+	}
+}
+
+// TestRegressionSpecs replays the specs under testdata/regress, in the
+// format `rcverify -corpus` writes a failing spec in: seed 7 (Reuse_NoAck
+// on hotspot) and three SDM cells (seeds 24, 29 and 30) as FuzzDifferential
+// ran them, at 150 + 400 ops with the oracles every 8 cycles. The
+// fingerprints pin each file to that exact spec.
+func TestRegressionSpecs(t *testing.T) {
+	for _, tc := range []struct{ name, fingerprint string }{
+		{"rcverify-seed-7", "spec-1119122f91cc6119fb435c44444e6638"},
+		{"sdm-8lane-micro", "spec-0a9ac437b11d73e9affe64446094b293"},
+		{"sdm-2lane-hotspot", "spec-e2bbe2f95c609596f9c54eb547d87a69"},
+		{"sdm-4lane-mix", "spec-3fe02d8746eece48667b0284fbc7978a"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			b, err := os.ReadFile(filepath.Join("testdata", "regress", tc.name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec chip.Spec
+			if err := json.Unmarshal(b, &spec); err != nil {
+				t.Fatal(err)
+			}
+			if fp := spec.Fingerprint(); fp != tc.fingerprint {
+				t.Fatalf("spec fingerprint %s, want %s", fp, tc.fingerprint)
+			}
+			if err := RunDifferential(context.Background(), spec, nil); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

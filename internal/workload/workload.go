@@ -67,7 +67,7 @@ type Profile struct {
 	Locality float64
 
 	// The fields below parameterize the adversarial/bursty generators
-	// (internal/tracefeed) and trace replay. They are zero for the classic
+	// (Generators) and trace replay. They are zero for the classic
 	// stationary profiles, and every JSON tag carries omitempty so the
 	// encodings — and therefore the spec fingerprints — of pre-existing
 	// workloads are byte-identical to what they were before these knobs.
@@ -88,8 +88,8 @@ type Profile struct {
 	BurstOn  int64 `json:",omitempty"`
 	BurstOff int64 `json:",omitempty"`
 
-	// PhaseOps/PhaseNext switch the stream to the registered profile
-	// named PhaseNext after PhaseOps operations — the phase-changing mixes
+	// PhaseOps/PhaseNext switch the stream to the profile ByName resolves
+	// for PhaseNext after PhaseOps operations — the phase-changing mixes
 	// that stress the timed-window predictor. Chains may loop (A→B→A);
 	// cursors reset at each switch while the RNG carries over, so the
 	// whole run stays deterministic.
@@ -179,7 +179,7 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload %q: successor profile %q without a phase-switch point", p.Name, p.PhaseNext)
 	case p.PhaseNext != "" && p.PhaseNext != p.Name:
 		if _, ok := ByName(p.PhaseNext); !ok {
-			return fmt.Errorf("workload %q: phase successor %q is not a registered workload", p.Name, p.PhaseNext)
+			return fmt.Errorf("workload %q: phase successor %q names no workload", p.Name, p.PhaseNext)
 		}
 	}
 	return nil
@@ -354,13 +354,11 @@ func (s *stream) Next() cpu.Op {
 // carries over (one deterministic sequence across the whole run), and the
 // geometry stays, so a successor with a pattern aims correctly.
 func (s *stream) switchPhase() {
-	next, ok := ByName(s.p.PhaseNext)
-	if !ok {
-		// Validate checked resolvability at spec build; a registry that
-		// shrank since is a programming error.
-		panic(fmt.Sprintf("workload %q: phase successor %q vanished from the registry", s.p.Name, s.p.PhaseNext))
+	// Validate checked that the successor resolves or is the profile
+	// itself.
+	if next, ok := ByName(s.p.PhaseNext); ok {
+		s.p = next
 	}
-	s.p = next
 	s.ops = 0
 	s.hotCursor, s.strCursor = 0, 0
 }
@@ -486,31 +484,23 @@ func Multiprogrammed() Profile {
 	}
 }
 
-// ByName returns the named profile: "micro", "mix", any parallel app, or
-// any registered generator (Register).
+// All returns every profile ByName resolves, in listing order: the
+// microbenchmark, the paper's 21 parallel apps and its multiprogrammed mix,
+// the adversarial generators, then phased's quiet half.
+func All() []Profile {
+	ps := append([]Profile{Micro()}, Parallel()...)
+	ps = append(append(ps, Multiprogrammed()), Generators()...)
+	return append(ps, phasedQuiet())
+}
+
+// ByName returns the named profile from All.
 func ByName(name string) (Profile, bool) {
-	switch name {
-	case "micro":
-		return Micro(), true
-	case "mix":
-		return Multiprogrammed(), true
-	}
-	for _, p := range Parallel() {
+	for _, p := range All() {
 		if p.Name == name {
 			return p, true
 		}
 	}
-	return registered(name)
-}
-
-// Names lists every workload the evaluation runs: the 21 parallel apps
-// plus the multiprogrammed mix.
-func Names() []string {
-	var out []string
-	for _, p := range Parallel() {
-		out = append(out, p.Name)
-	}
-	return append(out, "mix")
+	return Profile{}, false
 }
 
 // Micro returns a uniform microbenchmark profile used by tests and the
@@ -530,4 +520,87 @@ func Micro() Profile {
 		ColdLines:      1 << 16,
 		ColdFraction:   0.0005,
 	}
+}
+
+// Generators returns the adversarial suite, in the order -list-workloads
+// and rcsweep -exp tune report it: traffic the stationary evaluation
+// profiles never produce — a single contended tile, permutation traffic
+// with no reuse locality across destinations, duty-cycled bursts that
+// defeat window averaging, and phase changes that invalidate whatever a
+// timed window learned. ByName also resolves phased's quiet half, which is
+// not a row of its own.
+func Generators() []Profile {
+	return []Profile{hotspot(), transpose(), tornado(), onOff(), phased()}
+}
+
+// hotspot funnels every shared access to lines homed on the central
+// tile. The elevated shared fraction keeps the hotspot's queue full.
+func hotspot() Profile {
+	p := Micro()
+	p.Name = "hotspot"
+	p.Pattern = PatternHotspot
+	p.SharedLines = 1024
+	p.SharedFraction = 0.030
+	return p
+}
+
+// transpose sends core (x,y)'s shared accesses to lines homed on tile
+// (y,x) — the classic bit-permutation worst case for dimension-ordered
+// routing.
+func transpose() Profile {
+	p := Micro()
+	p.Name = "transpose"
+	p.Pattern = PatternTranspose
+	p.SharedLines = 1024
+	p.SharedFraction = 0.020
+	return p
+}
+
+// tornado targets the tile halfway around the row, maximizing average
+// hop distance in the X dimension.
+func tornado() Profile {
+	p := Micro()
+	p.Name = "tornado"
+	p.Pattern = PatternTornado
+	p.SharedLines = 1024
+	p.SharedFraction = 0.020
+	return p
+}
+
+// onOff chops the micro profile into bursts: heavy traffic for 400 ops,
+// silence for 1200 (duty cycle 1/4). The timed-window predictor sees
+// circuits go cold mid-window.
+func onOff() Profile {
+	p := Micro()
+	p.Name = "onoff"
+	p.BurstOn = 400
+	p.BurstOff = 1200
+	p.StreamFraction = 0.040
+	p.SharedFraction = 0.020
+	return p
+}
+
+// phased ping-pongs between a communication-heavy phase and a
+// compute-quiet one every 1500 ops: the phase-changing mix that
+// invalidates per-app tuning. phasedQuiet is its other half.
+func phased() Profile {
+	p := Micro()
+	p.Name = "phased"
+	p.StreamFraction = 0.040
+	p.SharedFraction = 0.020
+	p.PhaseOps = 1500
+	p.PhaseNext = "phased_quiet"
+	return p
+}
+
+func phasedQuiet() Profile {
+	p := Micro()
+	p.Name = "phased_quiet"
+	p.MemFraction = 0.10
+	p.StreamFraction = 0.004
+	p.SharedFraction = 0.002
+	p.ColdFraction = 0.0002
+	p.PhaseOps = 1500
+	p.PhaseNext = "phased"
+	return p
 }

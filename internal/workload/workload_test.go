@@ -30,8 +30,8 @@ func TestParallelCountMatchesPaper(t *testing.T) {
 	if n := len(Parallel()); n != 21 {
 		t.Fatalf("%d parallel profiles, want 21", n)
 	}
-	if n := len(Names()); n != 22 {
-		t.Fatalf("%d workload names, want 22 (21 apps + mix)", n)
+	if n := len(All()); n != 29 {
+		t.Fatalf("%d workload names, want 29 (micro, 21 apps, mix, 5 generators, phased_quiet)", n)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestSharedRegionSharedAcrossCores(t *testing.T) {
 }
 
 func TestHotRegionWarmsWholeL1(t *testing.T) {
-	for _, name := range Names() {
-		p, _ := ByName(name)
+	for _, p := range All() {
+		name := p.Name
 		var l1 int
 		for _, r := range p.Regions(0) {
 			l1 += r.L1Lines
@@ -273,44 +273,6 @@ func TestValidateAcceptsGeneratorConfigs(t *testing.T) {
 	}
 }
 
-func TestRegisterAndResolveGenerators(t *testing.T) {
-	p := Micro()
-	p.Name = "test_gen_profile"
-	p.Pattern = PatternTornado
-	Register(p)
-	got, ok := ByName("test_gen_profile")
-	if !ok {
-		t.Fatal("registered generator not resolvable via ByName")
-	}
-	if got.Pattern != PatternTornado {
-		t.Fatalf("resolved wrong profile: %+v", got)
-	}
-	found := false
-	for _, n := range GeneratorNames() {
-		if n == "test_gen_profile" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered generator missing from GeneratorNames")
-	}
-}
-
-func TestRegisterRejectsBuiltinCollisions(t *testing.T) {
-	for _, name := range []string{"", "micro", "mix", "canneal"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register(%q) did not panic", name)
-				}
-			}()
-			p := Micro()
-			p.Name = name
-			Register(p)
-		}()
-	}
-}
-
 func TestBurstDutyCycleObserved(t *testing.T) {
 	p := Micro()
 	p.BurstOn, p.BurstOff = 100, 300
@@ -353,13 +315,11 @@ func TestBurstOnWindowIndependentOfDuty(t *testing.T) {
 }
 
 func TestPhaseSwitchChangesBehaviour(t *testing.T) {
-	heavy := Micro()
-	heavy.Name = "test_phase_heavy"
-	Register(heavy)
 	p := Micro()
+	p.Name = "quiet"
 	p.MemFraction = 0.0 // first phase: pure compute
 	p.PhaseOps = 1000
-	p.PhaseNext = "test_phase_heavy"
+	p.PhaseNext = "micro"
 	st := p.Stream(0, 5)
 	for i := 0; i < 1000; i++ {
 		if op := st.Next(); op.Kind != cpu.OpCompute {
