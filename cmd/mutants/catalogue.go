@@ -64,6 +64,123 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
 	},
 
+	// Every reply that enters the network lands in exactly one Figure-6
+	// outcome: a reply its NI holds back and offers again is not counted
+	// twice.
+	{
+		Name: "a reply offered twice is classified twice",
+		File: "internal/core/manager.go",
+		Old:  "\tmsg.Classified = true\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+
+	// Cores sleep through compute runs and controllers until their next
+	// message is due, on the kernel's timed-wake wheel; the dense kernel
+	// and a stepper with no kernel must see the same machine.
+	{
+		Name: "a sleeping core reports Quiescent",
+		File: "internal/cpu/cpu.go",
+		Old:  "func (c *Core) Quiescent() bool { return c.done || c.stalled }",
+		New:  "func (c *Core) Quiescent() bool { return c.done || c.stalled || c.held.Kind != OpCompute }",
+		Pkg:  "./internal/chip", Run: "^TestKernelFreeStepperMatchesRunCtx$",
+	},
+	{
+		Name: "a core resumes one cycle late",
+		File: "internal/cpu/cpu.go",
+		Old:  "\tc.next = c.runEnd\n",
+		New:  "\tc.next = c.runEnd + 1\n",
+		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$",
+	},
+	{
+		Name: "ComputeRun ignores the retirement limit",
+		File: "internal/cpu/cpu.go",
+		Old:  "c.stream.ComputeRun(c.limit - c.Retired)",
+		New:  "c.stream.ComputeRun(c.limit)",
+		Pkg:  "./internal/cpu", Run: "^TestComputeRunSleeps$",
+	},
+	{
+		Name: "a controller sleeps past its due message",
+		File: "internal/coherence/system.go",
+		Old:  "w.SleepUntil(q.first)",
+		New:  "w.SleepUntil(q.first + 1)",
+		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$",
+	},
+	{
+		Name: "a sleeper wakes one cycle late",
+		File: "internal/sim/clock.go",
+		Old:  "\tat = max(at, k.now+1)\n",
+		New:  "\tat = max(at, k.now+1) + 1\n",
+		Pkg:  "./internal/sim", Run: "^FuzzKernelSchedule$",
+	},
+	{
+		Name: "a sleep until the current cycle waits a whole wheel turn",
+		File: "internal/sim/clock.go",
+		Old:  "\tat = max(at, k.now+1)\n",
+		New:  "",
+		Pkg:  "./internal/sim", Run: "^FuzzKernelSchedule$",
+	},
+	{
+		Name: "SleepUntil leaves the component awake",
+		File: "internal/sim/clock.go",
+		Old:  "\tk.active[w.idx>>6] &^= bit\n",
+		New:  "",
+		Pkg:  "./internal/cpu", Run: "^TestComputeRunSleeps$",
+	},
+	{
+		Name: "a drained wheel slot keeps its sleepers",
+		File: "internal/sim/clock.go",
+		Old:  "\t\t\t*due = 0\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestKernelWorkPinned$",
+	},
+
+	// A stream drawn in compute runs yields what Next alone yields.
+	{
+		Name: "Next redraws the kind ComputeRun already drew",
+		File: "internal/workload/workload.go",
+		Old:  "\ts.mem = false\n",
+		New:  "",
+		Pkg:  "./internal/workload", Run: "^TestComputeRunMatchesNext$",
+	},
+	{
+		Name: "a replayed compute record is taken whole past max",
+		File: "internal/tracefeed/replay.go",
+		Old:  "\t\tk := min(s.run, max-n)\n",
+		New:  "\t\tk := s.run\n",
+		Pkg:  "./internal/tracefeed", Run: "^TestReplayComputeRunMatchesNext$",
+	},
+
+	// The memory-operation path divides nothing, bit-exactly.
+	{
+		Name: "PLRU touch points every node the wrong way",
+		File: "internal/cache/cache.go",
+		Old:  "if w&span != 0 {",
+		New:  "if w&span == 0 {",
+		Pkg:  "./internal/cache", Run: "^TestPLRUEvictsColdLine$",
+	},
+	{
+		Name: "a bank shifts its set index by a bank count that is no power of two",
+		File: "internal/cache/cache.go",
+		Old:  "\tc.pow2 = c.div&(c.div-1) == 0\n",
+		New:  "\tc.pow2 = true\n",
+		Pkg:  "./internal/cache", Run: "^TestBanksInterleaveLikeAddresses$",
+	},
+	{
+		Name: "a home bank count that is no power of two is masked",
+		File: "internal/coherence/system.go",
+		Old:  "\tif n&(n-1) == 0 {\n",
+		New:  "\tif n&(n-1) != 1 {\n",
+		Pkg:  "./internal/chip", Run: "^FuzzSpec$",
+	},
+	{
+		Name: "a probability threshold rounds down",
+		File: "internal/sim/rng.go",
+		Old:  "math.Ceil(p * (1 << 53))",
+		New:  "math.Floor(p * (1 << 53))",
+		Pkg:  "./internal/sim", Run: "^TestThresholdIsBoolExactly$",
+	},
+
 	// Every name is declared once, and a phase successor resolves.
 	{
 		Name: "phased hands over to a workload no table declares",

@@ -199,12 +199,19 @@ type Cache struct {
 	cfg Config
 	slab
 	stride, off int
+	// words counts each line's spill words (Dir).
+	words int
 
-	setShift uint // log2 line bytes
-	tagShift uint // log2 sets
-	setMask  uint64
-	div      uint64 // interleave divisor (1 for private caches)
-	rem      uint64 // this bank's residue
+	setMask uint64
+	div     uint64 // interleave divisor (1 for private caches)
+	rem     uint64 // this bank's residue
+
+	setShift uint8 // log2 line bytes
+	tagShift uint8 // log2 sets
+	// lineShift, when div is a power of two (pow2), is setShift +
+	// log2(div): localLine is then one shift, not a division.
+	lineShift uint8
+	pow2      bool
 
 	// Access statistics.
 	Hits, Misses, Evictions int64
@@ -222,22 +229,29 @@ func New(cfg Config) *Cache {
 
 // bind makes c the cache of geometry cfg whose sets sit at stride/off in s.
 func (c *Cache) bind(cfg Config, s *slab, stride, off int) {
-	*c = Cache{cfg: cfg, slab: *s, stride: stride, off: off}
-	c.setShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
-	c.tagShift = uint(bits.TrailingZeros(uint(cfg.Sets())))
+	*c = Cache{cfg: cfg, slab: *s, stride: stride, off: off, words: len(s.spill) / len(s.lines)}
+	c.setShift = uint8(bits.TrailingZeros(uint(cfg.LineBytes)))
+	c.tagShift = uint8(bits.TrailingZeros(uint(cfg.Sets())))
 	c.setMask = uint64(cfg.Sets() - 1)
 	c.div = 1
 	if cfg.Interleave > 1 {
 		c.div = uint64(cfg.Interleave)
 		c.rem = uint64(cfg.InterleaveIndex)
 	}
+	c.pow2 = c.div&(c.div-1) == 0
+	c.lineShift = c.setShift + uint8(bits.TrailingZeros64(c.div))
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
 // localLine maps a global address to this bank's dense line number.
-func (c *Cache) localLine(a Addr) uint64 { return (a >> c.setShift) / c.div }
+func (c *Cache) localLine(a Addr) uint64 {
+	if c.pow2 {
+		return a >> c.lineShift
+	}
+	return (a >> c.setShift) / c.div
+}
 
 // set returns the lines and the PLRU word of the set holding a, and a's
 // tag. On a cache whose group was released the arrays are gone and this
@@ -352,7 +366,7 @@ func touch(plru *uint64, w, ways int) {
 	for span := ways; span > 1; {
 		span /= 2
 		var dir uint64
-		if w%(span*2) >= span {
+		if w&span != 0 { // w is in the node's upper half
 			dir = 1
 		}
 		// Point the node away from the touched side.

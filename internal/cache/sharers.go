@@ -19,7 +19,7 @@ type Sharers struct {
 // the slab names its spill words, none in a group of 64 tiles or fewer.
 func (c *Cache) Dir(l *Line) Sharers {
 	off := uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(c.lines)))
-	i, w := int(off/unsafe.Sizeof(Line{})), len(c.spill)/len(c.lines)
+	i, w := int(off/unsafe.Sizeof(Line{})), c.words
 	return Sharers{&l.sharers, c.spill[i*w : (i+1)*w : (i+1)*w]}
 }
 

@@ -183,6 +183,8 @@ func (m *Machine) build() error {
 	// the system (routers, NIs, per-tile L1/L2, MCs), then the cores.
 	m.kernel = sim.NewKernel()
 	m.kernel.SetDense(spec.DenseKernel)
+	// Each tile registers its router, NI, L1, L2 and core; then the MCs.
+	m.kernel.Reserve(5*n + len(sys.MCs))
 	sys.Register(m.kernel)
 	m.wakers = make([]sim.Waker, n)
 	for i, c := range m.cores {
@@ -301,7 +303,7 @@ func (m *Machine) RunPhase(ctx context.Context, name string) error {
 			}
 			var retired int64
 			for _, c := range m.cores {
-				retired += c.Retired
+				retired += c.RetiredAt(k.Now())
 			}
 			if retired != lastRetired {
 				lastRetired, lastProgress = retired, k.Now()
@@ -356,11 +358,11 @@ func (m *Machine) Finish() error {
 	}
 	if m.spec.Audit {
 		m.phase = "audit"
-		var circ core.Stats
+		var circ *core.Stats
 		if m.Sys.Mgr != nil {
-			circ = m.Sys.Mgr.Stats
+			circ = &m.Sys.Mgr.Stats
 		}
-		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(&m.Sys.Msgs, &circ)); err != nil {
+		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(&m.Sys.Msgs, circ)); err != nil {
 			return m.runErr("post-run audit failed: "+err.Error(), false)
 		}
 	}
@@ -371,18 +373,43 @@ func (m *Machine) Finish() error {
 // identities are the books: exact accounting identities every audited run
 // balances over its counters. The warm-up runs until the machine is idle,
 // so no transaction straddles BeginMeasured and no side needs an
-// in-flight term.
+// in-flight term. An identity over the circuit layer's counts (circuits)
+// holds only in a run that has one.
 var identities = []struct {
-	name  string
-	sides func(msgs *coherence.MsgStats, circ *core.Stats) (int64, int64)
+	name     string
+	circuits bool
+	sides    func(msgs *coherence.MsgStats, circ *core.Stats) (int64, int64)
 }{
 	// An L1-to-L1 reply to a requestor on the line's home tile is acked
 	// without crossing the network, so both sides count local messages.
-	{"every data reply needs exactly one ack, sent or eliminated",
+	{"every data reply needs exactly one ack, sent or eliminated", false,
 		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
 			sent := func(t coherence.MsgType) int64 { return m.Network[t] + m.Local[t] }
 			return sent(coherence.MsgL2Reply) + sent(coherence.MsgL1ToL1),
 				sent(coherence.MsgDataAck) + circ.EliminatedAcks
+		}},
+	// The manager classifies a reply when its NI first lets it leave:
+	// its own circuit (circuit, failed, undone), a borrowed one
+	// (scrounger) or none (not-eligible). A reply the NI holds back and
+	// offers again, and a scrounger's continuation leg, arrive marked
+	// Classified and are not counted twice; local replies never reach an
+	// NI, and setup probes are not coherence messages.
+	{"every reply that enters the network lands in exactly one Figure-6 outcome", true,
+		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
+			var entered, landed int64
+			for t, n := range m.Network {
+				if coherence.MsgType(t).IsReply() {
+					entered += n
+				}
+			}
+			for o := core.OutcomeCircuit; o <= core.OutcomeNotEligible; o++ {
+				landed += circ.Replies[o]
+			}
+			return entered, landed
+		}},
+	{"every eliminated ack is the eliminated Figure-6 outcome", true,
+		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
+			return circ.EliminatedAcks, circ.Replies[core.OutcomeEliminated]
 		}},
 }
 
@@ -396,10 +423,19 @@ func Identities() []string {
 }
 
 // balance checks every identity over a run's message counts and circuit
-// statistics (zero without circuits), naming the first that does not hold.
+// statistics (nil without a circuit layer), naming the first that does not
+// hold.
 func balance(msgs *coherence.MsgStats, circ *core.Stats) error {
+	var none core.Stats
 	for _, id := range identities {
-		if lhs, rhs := id.sides(msgs, circ); lhs != rhs {
+		c := circ
+		if c == nil {
+			if id.circuits {
+				continue
+			}
+			c = &none
+		}
+		if lhs, rhs := id.sides(msgs, c); lhs != rhs {
 			return fmt.Errorf("books: %s: %d != %d", id.name, lhs, rhs)
 		}
 	}

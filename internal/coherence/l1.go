@@ -112,14 +112,15 @@ func (l *L1Ctrl) deliver(msg *noc.Message, now sim.Cycle) {
 // wakes the controller.
 func (l *L1Ctrl) Quiescent() bool { return l.q.empty() }
 
-// Tick processes messages whose L1 access latency has elapsed. The L1
-// never retains a message past handle, so every one retires to the
-// network's free-list here.
+// Tick processes messages whose L1 access latency has elapsed, then sleeps
+// until the next one is due. The L1 never retains a message past handle,
+// so every one retires to the network's free-list here.
 func (l *L1Ctrl) Tick(now sim.Cycle) {
 	for _, msg := range l.q.due(now) {
 		l.handle(msg, now)
 		l.sys.Net.FreeMessage(msg)
 	}
+	l.q.sleep(l.wake)
 }
 
 func (l *L1Ctrl) handle(msg *noc.Message, now sim.Cycle) {

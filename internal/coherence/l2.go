@@ -120,10 +120,11 @@ func (l *L2Ctrl) blockedAt(at sim.Cycle) int64 {
 	return l.BlockedCycles + int64(len(l.txns))*(at-1-l.tickedAt)
 }
 
-// Tick processes due messages and accounts blocked-line time. A message
-// handle reports as consumed retires to the network's free-list; requests
-// stay alive inside the transaction that serves them (txns, waiting, or a
-// requeue) and retire when that transaction completes.
+// Tick processes due messages, accounts blocked-line time and sleeps until
+// the next message is due. A message handle reports as consumed retires
+// to the network's free-list; requests stay alive inside the transaction
+// that serves them (txns, waiting, or a requeue) and retire when that
+// transaction completes.
 func (l *L2Ctrl) Tick(now sim.Cycle) {
 	l.BlockedCycles = l.blockedAt(now)
 	for _, msg := range l.q.due(now) {
@@ -133,6 +134,7 @@ func (l *L2Ctrl) Tick(now sim.Cycle) {
 	}
 	l.BlockedCycles += int64(len(l.txns))
 	l.tickedAt = now
+	l.q.sleep(l.wake)
 }
 
 // handle processes one due message and reports whether the bank is done

@@ -41,7 +41,8 @@ func (m *MemCtrl) deliver(msg *noc.Message, now sim.Cycle) {
 // Quiescent reports whether no request is waiting out its memory latency.
 func (m *MemCtrl) Quiescent() bool { return m.q.empty() }
 
-// Tick answers requests whose memory latency has elapsed.
+// Tick answers requests whose memory latency has elapsed, then sleeps
+// until the next one is due.
 func (m *MemCtrl) Tick(now sim.Cycle) {
 	for _, msg := range m.q.due(now) {
 		addr := cache.Addr(msg.Block)
@@ -57,6 +58,7 @@ func (m *MemCtrl) Tick(now sim.Cycle) {
 		}
 		m.sys.Net.FreeMessage(msg)
 	}
+	m.q.sleep(m.wake)
 }
 
 func (m *MemCtrl) busy() bool { return !m.q.empty() }

@@ -91,9 +91,10 @@ type System struct {
 	Msgs MsgStats
 	Lat  LatencyStats
 
-	mcNodes   []mesh.NodeID
-	mcByTile  map[mesh.NodeID]*MemCtrl
-	lineBytes uint64
+	mcNodes  []mesh.NodeID
+	mcByTile map[mesh.NodeID]*MemCtrl
+	// banks and mcs reduce a line number to its home bank and controller.
+	banks, mcs modulus
 	// shell is the free-list key Recycle files the system under.
 	shell shellKey
 
@@ -169,7 +170,9 @@ func (s *System) init(key shellKey, img *Image) {
 	net, mgr := s.Net, s.Mgr
 	mcNodes := m.MemoryControllerNodes(key.mcCount)
 	*s = System{
-		M: m, Opts: opts, lineBytes: 64, shell: key,
+		M: m, Opts: opts, shell: key,
+		banks:         modulusOf(m.Nodes()),
+		mcs:           modulusOf(len(mcNodes)),
 		L1s:           recycle.Slice(s.L1s, m.Nodes()),
 		L2s:           recycle.Slice(s.L2s, m.Nodes()),
 		MCs:           recycle.Slice(s.MCs, len(mcNodes)),
@@ -282,12 +285,33 @@ func (s *System) LatTotal() LatencyStats { return s.Lat }
 // HomeBank returns the tile whose L2 bank owns the line (addresses are
 // line-interleaved across all banks).
 func (s *System) HomeBank(a cache.Addr) mesh.NodeID {
-	return mesh.NodeID((a / s.lineBytes) % uint64(s.M.Nodes()))
+	return mesh.NodeID(s.banks.of(a / lineBytes))
 }
 
 // HomeMC returns the memory controller serving the line.
 func (s *System) HomeMC(a cache.Addr) mesh.NodeID {
-	return s.mcNodes[(a/s.lineBytes)%uint64(len(s.mcNodes))]
+	return s.mcNodes[s.mcs.of(a/lineBytes)]
+}
+
+// lineBytes is the line size of every cache in the system (Table 2).
+const lineBytes = 64
+
+// modulus reduces a line number modulo a bank or controller count: with a
+// mask when the count is a power of two (n == 0), by division otherwise.
+type modulus struct{ n, mask uint64 }
+
+func modulusOf(n int) modulus {
+	if n&(n-1) == 0 {
+		return modulus{mask: uint64(n - 1)}
+	}
+	return modulus{n: uint64(n)}
+}
+
+func (m modulus) of(x uint64) uint64 {
+	if m.n == 0 {
+		return x & m.mask
+	}
+	return x % m.n
 }
 
 // dispatch routes a delivered message to the tile's controller, recording
@@ -446,7 +470,7 @@ func (s *System) DescribeMetrics(reg *sim.Registry) {
 // it is also installed in that tile's L1 — exclusively (E, directory owner)
 // for private data, shared (S, directory bit) otherwise.
 func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
-	a = cache.Addr(uint64(a) &^ (s.lineBytes - 1))
+	a &^= lineBytes - 1
 	home := s.HomeBank(a)
 	l2 := s.L2s[home].c
 	line, ok := l2.Peek(a)
@@ -540,6 +564,9 @@ func (s *System) Busy() bool {
 // every delivered message is handled a fixed access latency after arrival.
 type procQueue struct {
 	items []procItem
+	// first is the earliest cycle an item is due, while there are items:
+	// the controller sleeps until then.
+	first sim.Cycle
 	// scratch is reused across due calls so the per-tick drain allocates
 	// nothing in steady state. Handlers may push while iterating the
 	// returned slice (pushes go to items), but must not call due again.
@@ -557,6 +584,9 @@ type procItem struct {
 }
 
 func (q *procQueue) push(at sim.Cycle, msg *noc.Message) {
+	if len(q.items) == 0 || at < q.first {
+		q.first = at
+	}
 	q.items = append(q.items, procItem{at: at, msg: msg})
 }
 
@@ -569,6 +599,9 @@ func (q *procQueue) due(now sim.Cycle) []*noc.Message {
 		if it.at <= now {
 			out = append(out, it.msg)
 		} else {
+			if len(rest) == 0 || it.at < q.first {
+				q.first = it.at
+			}
 			rest = append(rest, it)
 		}
 	}
@@ -578,3 +611,11 @@ func (q *procQueue) due(now sim.Cycle) []*noc.Message {
 }
 
 func (q *procQueue) empty() bool { return len(q.items) == 0 }
+
+// sleep puts the controller that owns q and w to sleep until its first
+// queued message is due; an empty queue sleeps by quiescence instead.
+func (q *procQueue) sleep(w sim.Waker) {
+	if !q.empty() {
+		w.SleepUntil(q.first)
+	}
+}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"reactivenoc/internal/cache"
@@ -23,6 +24,20 @@ func (s *scriptStream) Next() Op {
 		return op
 	}
 	return Op{Kind: OpCompute}
+}
+
+func (s *scriptStream) ComputeRun(max int64) int64 {
+	var n int64
+	for ; n < max; n++ {
+		if s.i == len(s.ops) {
+			return max // compute forever
+		}
+		if s.ops[s.i].Kind != OpCompute {
+			break
+		}
+		s.i++
+	}
+	return n
 }
 
 func testSystem(t *testing.T) (*coherence.System, *sim.Kernel) {
@@ -235,5 +250,60 @@ func TestStalledCoreSleeps(t *testing.T) {
 	}
 	if sparse.ticks >= every.ticks {
 		t.Fatalf("sparse run took %d ticks, every-cycle run %d: the stalled core did not sleep", sparse.ticks, every.ticks)
+	}
+}
+
+// TestComputeRunSleeps: a core sleeps through each compute run — one longer
+// than the kernel wheel's reach, and a last one that reaches the
+// retirement limit — and reads exactly as a core ticked every cycle: the
+// registry's core/retired after every cycle, FinishedAt and the counters,
+// for far fewer kernel ticks.
+func TestComputeRunSleeps(t *testing.T) {
+	type obs struct {
+		retired              []int64
+		finished             sim.Cycle
+		loads, stores, ticks int64
+	}
+	run := func(sparse bool) obs {
+		// Hits need no controller tick: the kernel holds the core alone.
+		sys, k := coherence.NewSystem(mesh.New(2, 2), core.Options{}, 4), sim.NewKernel()
+		sys.Prefill(cache.Addr(3*64), 0, true)
+		var ops []Op
+		for range 40 {
+			ops = append(ops, Op{Kind: OpCompute})
+		}
+		ops = append(ops, Op{Kind: OpLoad, Addr: 3 * 64}, Op{Kind: OpCompute}, Op{Kind: OpCompute},
+			Op{Kind: OpStore, Addr: 3 * 64})
+		c := New(0, sys.L1s[0], &scriptStream{ops: ops}, 50)
+		reg := sim.NewRegistry()
+		c.Describe(reg)
+		if sparse {
+			c.SetWaker(k.Add(c))
+		} else {
+			k.Add(tickOne{c})
+		}
+		var o obs
+		for !c.Done() && k.Now() < 100 {
+			k.Step()
+			o.retired = append(o.retired, reg.Snapshot(k.Now()).Value("core/retired"))
+		}
+		o.finished, o.loads, o.stores, o.ticks = c.FinishedAt, c.Loads, c.Stores, k.Ticks()
+		return o
+	}
+	sparse, every := run(true), run(false)
+	if !slices.Equal(sparse.retired, every.retired) {
+		t.Fatalf("core/retired after each cycle:\nsparse %v\nevery  %v", sparse.retired, every.retired)
+	}
+	if sparse.finished != 49 || every.finished != 49 || sparse.retired[len(sparse.retired)-1] != 50 {
+		t.Fatalf("finished at %d (sparse) and %d (every cycle) with %v retired, want 50 ops by cycle 49",
+			sparse.finished, every.finished, sparse.retired)
+	}
+	if sparse.loads != 1 || sparse.stores != 1 || every.loads != 1 || every.stores != 1 {
+		t.Fatalf("loads/stores %d/%d (sparse), %d/%d (every cycle)", sparse.loads, sparse.stores, every.loads, every.stores)
+	}
+	// Cycle 0 plans the first run, 32 re-sleeps at the wheel's reach, 40
+	// and 43 issue the hits and plan the next runs, 49 retires the last op.
+	if sparse.ticks != 5 || every.ticks != 50 {
+		t.Fatalf("the core took %d ticks asleep and %d ticked every cycle, want 5 and 50", sparse.ticks, every.ticks)
 	}
 }

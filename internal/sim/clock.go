@@ -7,8 +7,16 @@ import "math/bits"
 // deadlines can go transiently negative without wrapping.
 type Cycle = int64
 
-// Component is implemented by every clocked component. The kernel calls
-// Tick at most once per cycle, in registration order.
+// Component is implemented by every clocked component. A component is
+// driven by one of three steppers, and must behave identically under each:
+//
+//   - the sparse Kernel ticks a component while it is awake, in
+//     registration order, and skips it while it sleeps: from a quiescent
+//     tick until a Waker wakes it, or from a SleepUntil until that cycle
+//     comes round on the kernel's wheel;
+//   - the dense Kernel (SetDense) ticks every component every cycle;
+//   - a kernel-free stepper (rcbench's hand-stepped machine) ticks every
+//     component that is not Quiescent every cycle, with no wakers at all.
 //
 // Components must only *read* state written by other components in earlier
 // cycles: flit links and undo wires are one-cycle double-buffered
@@ -17,9 +25,12 @@ type Cycle = int64
 //
 // Quiescent's contract is strict: it may return true only when the next
 // Tick would be a pure no-op — no architectural state, statistic or counter
-// may change when a quiescent component ticks. Under that contract the
-// kernel may skip sleeping components without perturbing the simulation by
-// a single bit, which is exactly what the golden determinism suite asserts.
+// may change when a quiescent component ticks. A component that sleeps
+// until a future cycle is not quiescent: the kernel-free stepper has no
+// wheel, and must keep ticking it, so every Tick before the cycle it asked
+// for must be a no-op instead. Under that contract all three steppers tick
+// a component in every cycle it does work, and the simulation is the same
+// bit for bit, which is exactly what the golden determinism suite asserts.
 //
 // A component goes back to sleep on its own (the kernel re-checks
 // quiescence after every tick); it is revived by a Waker, which whoever
@@ -31,11 +42,11 @@ type Component interface {
 }
 
 // Waker revives one registered component. The zero Waker is a no-op, so
-// components wired outside a kernel (unit tests driving Tick by hand) need
-// no special casing. Waking an already-active component is free; waking a
-// component whose slot already passed this cycle takes effect next cycle —
-// identical to the dense engine, where that component's earlier tick was a
-// no-op by the quiescence contract.
+// components wired outside a kernel (unit tests driving Tick by hand, the
+// kernel-free stepper) need no special casing. Waking an already-active
+// component is free; waking a component whose slot already passed this
+// cycle takes effect next cycle — identical to the dense engine, where
+// that component's earlier tick was a no-op by the quiescence contract.
 type Waker struct {
 	k   *Kernel
 	idx int
@@ -48,8 +59,35 @@ func (w Waker) Wake() {
 	}
 }
 
+// SleepUntil, called from the component's own Tick, puts it to sleep until
+// cycle at: the sparse kernel skips it until then, or until an earlier
+// Wake. A cycle at or before this one means the next. A cycle past the
+// wheel's reach (wheelSlots cycles ahead) wakes it early, when its slot
+// first comes round: that tick is a no-op, and the component sleeps again.
+// The dense kernel ticks every component anyway, so there it does nothing.
+func (w Waker) SleepUntil(at Cycle) {
+	k := w.k
+	if k == nil || k.dense {
+		return
+	}
+	at = max(at, k.now+1)
+	bit := uint64(1) << (w.idx & 63)
+	k.wheel[w.idx>>6<<wheelBits|int(at&(wheelSlots-1))] |= bit
+	k.active[w.idx>>6] &^= bit
+}
+
+// wheelBits sizes the timed-wake wheel: 2^wheelBits slots, one per cycle
+// ahead. Its reach covers every cache latency and almost every compute
+// run; a memory controller's 160-cycle wait costs four early ticks, and a
+// wheel of 256 slots would save about 0.1% of a run's ticks.
+const (
+	wheelBits  = 5
+	wheelSlots = 1 << wheelBits
+)
+
 // Kernel drives a set of Components with a shared clock. It skips a
-// component while it is quiescent and revives it through its Waker.
+// component while it is quiescent or asleep and revives it through its
+// Waker or its wheel slot.
 type Kernel struct {
 	now Cycle
 	// comps tick in registration order.
@@ -57,6 +95,10 @@ type Kernel struct {
 	// active holds one bit per component, set while it is awake: bit i&63
 	// of word i>>6 for component i.
 	active []uint64
+	// wheel holds the sleepers, wheelSlots words per active word: bit
+	// i&63 of wheel[i>>6<<wheelBits | c&(wheelSlots-1)] wakes component i
+	// at cycle c. Step ORs the current cycle's slot into active.
+	wheel []uint64
 	// dense disables activity skipping: every component ticks every
 	// cycle, exactly like the original engine. The golden determinism
 	// suite cross-checks dense against sparse execution.
@@ -77,6 +119,16 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
+// Reserve sizes the kernel for n components in all, so that registering
+// them grows no array: a build that knows its component count allocates
+// the kernel once.
+func (k *Kernel) Reserve(n int) {
+	words := (n + 63) >> 6
+	k.comps = append(make([]Component, 0, n), k.comps...)
+	k.active = append(make([]uint64, 0, words), k.active...)
+	k.wheel = append(make([]uint64, 0, words<<wheelBits), k.wheel...)
+}
+
 // Add registers a component and returns its Waker. Components start active
 // and fall asleep after their first quiescent tick.
 func (k *Kernel) Add(c Component) Waker {
@@ -84,6 +136,7 @@ func (k *Kernel) Add(c Component) Waker {
 	k.comps = append(k.comps, c)
 	if i>>6 == len(k.active) {
 		k.active = append(k.active, 0)
+		k.wheel = append(k.wheel, make([]uint64, wheelSlots)...)
 	}
 	w := Waker{k: k, idx: i}
 	w.Wake()
@@ -116,24 +169,43 @@ func (k *Kernel) ActiveCount() int {
 // activity tracker achieved.
 func (k *Kernel) Ticks() int64 { return k.ticks }
 
-// Step advances the simulation by one cycle. It visits the awake
-// components in registration order, re-reading the active word after every
-// tick: a component woken during the step ticks this cycle if its slot is
-// still ahead, and next cycle if it has passed.
+// Step advances the simulation by one cycle. It wakes the sleepers due
+// this cycle, then visits the awake components in registration order,
+// re-reading the active word after every tick: a component woken during
+// the step ticks this cycle if its slot is still ahead, and next cycle if
+// it has passed. A component goes to sleep when its tick leaves it
+// quiescent or it called SleepUntil.
 func (k *Kernel) Step() {
 	now := k.now
 	if k.dense {
-		for i := range k.comps {
-			k.tick(i, now)
+		for i, c := range k.comps {
+			c.Tick(now)
+			k.ticks++
+			if bit := uint64(1) << (i & 63); c.Quiescent() {
+				k.active[i>>6] &^= bit
+			} else {
+				k.active[i>>6] |= bit
+			}
 		}
 	} else {
+		slot := int(now & (wheelSlots - 1))
 		for w := range k.active {
+			due := &k.wheel[w<<wheelBits|slot]
+			k.active[w] |= *due
+			*due = 0
 			// seen masks the bits at and below the last visited one.
 			var seen uint64
 			for m := k.active[w]; m != 0; m = k.active[w] &^ seen {
 				b := bits.TrailingZeros64(m)
 				seen = 2<<b - 1
-				k.tick(w<<6|b, now)
+				c := k.comps[w<<6|b]
+				c.Tick(now)
+				k.ticks++
+				// The bit is still set unless the tick called SleepUntil:
+				// nothing else clears it during a step.
+				if c.Quiescent() {
+					k.active[w] &^= 1 << b
+				}
 			}
 		}
 	}
@@ -141,21 +213,6 @@ func (k *Kernel) Step() {
 		f(now)
 	}
 	k.now++
-}
-
-// tick runs component i and re-evaluates its active bit: work it handed
-// itself keeps it awake; work handed to it by a later-ticking peer sets the
-// bit directly and survives this check because sends only happen after
-// this component's slot.
-func (k *Kernel) tick(i int, now Cycle) {
-	c := k.comps[i]
-	c.Tick(now)
-	k.ticks++
-	if bit := uint64(1) << (i & 63); c.Quiescent() {
-		k.active[i>>6] &^= bit
-	} else {
-		k.active[i>>6] |= bit
-	}
 }
 
 // Run advances n cycles.

@@ -7,8 +7,10 @@ import (
 )
 
 // scanKernel is the reference scheduler: one active flag per component and
-// a scan over every entry each cycle. Kernel's bitmask walk must tick
-// exactly the components this loop ticks, in the same order.
+// a scan over every entry each cycle, with no wheel. Kernel's bitmask walk
+// must do exactly the work this loop does, in the same order: a sleeper is
+// not quiescent, so the scan ticks it every cycle, and its early ticks are
+// no-ops.
 type scanKernel struct {
 	now    Cycle
 	comps  []Component
@@ -27,14 +29,18 @@ func (k *scanKernel) step() {
 	k.now++
 }
 
-// schedule is one fuzzed component set. Every tick is appended to trace,
-// and what a component does when it ticks depends only on the input, its
-// index and the cycle, so two schedulers that tick the same components
-// leave identical traces and identical work counts.
+// schedule is one fuzzed component set. Every tick that works is appended
+// to trace, and what a component does when it ticks depends only on the
+// input, its index and the cycle, so two schedulers that tick the same
+// components in every cycle they work leave identical traces.
 type schedule struct {
-	data  []byte
-	work  []int
+	data []byte
+	work []int
+	// due is a sleeper's wake cycle, 0 while it is awake: it works in no
+	// tick before due.
+	due   []Cycle
 	wake  func(i int)
+	sleep func(i int, at Cycle)
 	trace []string
 }
 
@@ -44,10 +50,26 @@ type comp struct {
 	i int
 }
 
-func (c comp) Quiescent() bool { return c.s.work[c.i] == 0 }
+func (c comp) Quiescent() bool { return c.s.work[c.i] == 0 && c.s.due[c.i] == 0 }
 
+// sleeps are the spans a component sleeps for: none (it asks to sleep
+// until the current cycle), short, and at, just past and far past the
+// wheel's reach.
+var sleeps = [...]Cycle{0, 1, 2, 5, wheelSlots - 1, wheelSlots, wheelSlots + 1, 3*wheelSlots + 7}
+
+// Tick works when the component has work or its sleep has run out. By
+// the quiescence contract a quiescent component's tick does nothing: the
+// sparse kernel ticks one when a stale wheel slot comes round.
 func (c comp) Tick(now Cycle) {
 	s, n := c.s, len(c.s.work)
+	if c.Quiescent() {
+		return
+	}
+	if at := s.due[c.i]; at > now {
+		s.sleep(c.i, at) // woken early, by the wheel's reach or a peer
+		return
+	}
+	s.due[c.i] = 0
 	s.trace = append(s.trace, fmt.Sprintf("%d:%d", now, c.i))
 	if s.work[c.i] > 0 {
 		s.work[c.i]--
@@ -61,6 +83,11 @@ func (c comp) Tick(now Cycle) {
 		}
 	}
 	switch b & 7 {
+	case 1: // sleep, with work or without; a span of 0 asks for this cycle, so the next
+		if d := sleeps[arg%len(sleeps)]; d > 0 {
+			s.due[c.i] = now + d
+		}
+		s.sleep(c.i, now+sleeps[arg%len(sleeps)])
 	case 2: // self-wake, with work or without
 		hand(c.i, arg&1)
 	case 3: // an earlier component: its slot has passed
@@ -69,7 +96,7 @@ func (c comp) Tick(now Cycle) {
 		hand(c.i+1+arg%8, 1)
 	case 5: // anywhere, possibly another word
 		hand(arg*7%n, 1)
-	case 6: // a later component, woken with no work: one no-op tick
+	case 6: // a later component, woken with no work: a no-op tick, or an early one
 		hand(c.i+1+arg%4, 0)
 	case 7:
 		s.work[c.i] += arg & 3
@@ -80,13 +107,13 @@ func (c comp) Tick(now Cycle) {
 var kernelSizes = [...]int{63, 64, 65, 130}
 
 // runSchedule builds the schedule data describes and runs it for a few
-// dozen cycles on the real kernel (or, with ref, on the scan reference),
-// waking a few components from outside between steps. It returns the tick
+// wheel turns on the real kernel (or, with ref, on the scan reference),
+// waking a few components from outside between steps. It returns the work
 // trace and the active count seen after each step.
 func runSchedule(data []byte, ref bool) ([]string, []int) {
 	n := kernelSizes[int(data[0])%len(kernelSizes)]
 	dense := data[1]&1 == 1
-	s := &schedule{data: data, work: make([]int, n)}
+	s := &schedule{data: data, work: make([]int, n), due: make([]Cycle, n)}
 	for i := range s.work {
 		s.work[i] = int(data[(i+2)%len(data)]>>6) & 1
 	}
@@ -99,6 +126,7 @@ func runSchedule(data []byte, ref bool) ([]string, []int) {
 			k.active[i] = true
 		}
 		s.wake = func(i int) { k.active[i] = true }
+		s.sleep = func(int, Cycle) {}
 		step = k.step
 		active = func() int {
 			c := 0
@@ -117,11 +145,12 @@ func runSchedule(data []byte, ref bool) ([]string, []int) {
 			wakers = append(wakers, k.Add(comp{s, i}))
 		}
 		s.wake = func(i int) { wakers[i].Wake() }
+		s.sleep = func(i int, at Cycle) { wakers[i].SleepUntil(at) }
 		step = k.Step
 		active = k.ActiveCount
 	}
 	var counts []int
-	for cyc := 0; cyc < 48; cyc++ {
+	for cyc := 0; cyc < 6*wheelSlots; cyc++ {
 		if b := data[(cyc*5+3)%len(data)]; b&3 == 0 {
 			t := int(b>>2) * 3 % n
 			s.work[t]++
@@ -130,16 +159,21 @@ func runSchedule(data []byte, ref bool) ([]string, []int) {
 		step()
 		counts = append(counts, active())
 	}
-	s.trace = append(s.trace, fmt.Sprint(s.work))
+	s.trace = append(s.trace, fmt.Sprint(s.work, s.due))
 	return s.trace, counts
 }
 
 // FuzzKernelSchedule holds the bitmask kernel to the scan reference over
 // random component sets: self-wakes, wakes of earlier and later components
-// during Step, wakes from outside between steps, and dense mode.
+// during Step, wakes from outside between steps, sleeps short of, at and
+// past the wheel's reach (and sleepers woken early by peers), and dense
+// mode.
 func FuzzKernelSchedule(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add([]byte{byte(i), byte(i >> 2), 0x2c, 0x94, 0x13, 0xfb, 0x44, 0x7a, 0x65, 0x0e, 0xc3})
+	}
+	for i := 0; i < 8; i++ { // mostly sleeps (b&7 == 1), across every span
+		f.Add([]byte{byte(i), byte(i >> 2), 0x09, 0x11, 0x19, 0x21, 0x29, 0x31, 0x39, 0x41, 0x0c, 0x6d})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -152,11 +186,16 @@ func FuzzKernelSchedule(f *testing.F) {
 			for i < len(gotTrace) && i < len(wantTrace) && gotTrace[i] == wantTrace[i] {
 				i++
 			}
-			t.Fatalf("tick trace diverges from the scan kernel at entry %d:\n got %v\nwant %v",
+			t.Fatalf("work trace diverges from the scan kernel at entry %d:\n got %v\nwant %v",
 				i, gotTrace[i:min(i+8, len(gotTrace))], wantTrace[i:min(i+8, len(wantTrace))])
 		}
-		if !reflect.DeepEqual(gotActive, wantActive) {
-			t.Fatalf("active counts %v, scan kernel %v", gotActive, wantActive)
+		// The sparse kernel's active set is the scan's less the sleepers,
+		// which the scan, with no wheel, counts as awake.
+		for i := range wantActive {
+			if gotActive[i] > wantActive[i] || data[1]&1 == 1 && gotActive[i] != wantActive[i] {
+				t.Fatalf("after step %d: %d components awake, scan kernel %d (dense=%v)",
+					i, gotActive[i], wantActive[i], data[1]&1 == 1)
+			}
 		}
 	})
 }

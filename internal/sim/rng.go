@@ -3,6 +3,8 @@
 // and the Component contract clocked models implement to advance one cycle.
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic xorshift64* generator.
 //
 // The simulator must be bit-reproducible across runs and platforms, so all
@@ -47,4 +49,25 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
+}
+
+// Threshold returns the integer form of probability p for Below:
+// r.Below(Threshold(p)) draws what r.Bool(p) draws, bit for bit, without
+// the float conversion. Float64 is k/2^53 for the draw's top 53 bits k, and
+// k/2^53 < p exactly when k < ⌈p·2^53⌉, a product that scaling by a power
+// of two leaves exact.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // NaN included: Float64() < NaN is false
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below reports whether the next draw's top 53 bits are below t: true
+// with probability t/2^53.
+func (r *RNG) Below(t uint64) bool {
+	return r.Uint64()>>11 < t
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -89,5 +90,32 @@ func TestBoolProbability(t *testing.T) {
 	frac := float64(hits) / n
 	if frac < 0.23 || frac > 0.27 {
 		t.Fatalf("Bool(0.25) frequency %v", frac)
+	}
+}
+
+// TestThresholdIsBoolExactly: Below(Threshold(p)) is Bool(p) bit for bit —
+// at the draws on either side of every threshold, where a rounding slip
+// would show, and over seeded streams at the workload profiles'
+// probabilities and the edge values.
+func TestThresholdIsBoolExactly(t *testing.T) {
+	ps := []float64{0, 1, 0.5, 0.24, 0.22, 0.003, 0.95, 0.022 * 0.006, 1e-300,
+		math.Nextafter(1, 0), math.Nextafter(0, 1), 1.5, -0.25, math.NaN(), math.Inf(1), math.Inf(-1)}
+	r := NewRNG(11)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, r.Float64(), r.Float64()*1e-6)
+	}
+	for _, p := range ps {
+		th := Threshold(p)
+		for k := th - min(th, 2); k <= th+1 && k < 1<<53; k++ {
+			if got, want := k < th, float64(k)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v: draw %d below threshold %d = %v, Float64 compare %v", p, k, th, got, want)
+			}
+		}
+		a, b := NewRNG(uint64(th)|1), NewRNG(uint64(th)|1)
+		for i := 0; i < 1000; i++ {
+			if got, want := a.Below(th), b.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: Below %v, Bool %v", p, i, got, want)
+			}
+		}
 	}
 }

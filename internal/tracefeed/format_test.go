@@ -238,3 +238,32 @@ func TestComputeRunsCompress(t *testing.T) {
 		t.Fatalf("%d records for 10000 ops at 5%% memory: compute runs not compressed", n)
 	}
 }
+
+// TestReplayComputeRunMatchesNext: a replay drawn in compute runs, as a
+// core does, yields exactly the recorded operations Next alone yields,
+// runs split across records and across the end of the trace included.
+func TestReplayComputeRunMatchesNext(t *testing.T) {
+	tr := sampleTrace(t, workload.Micro(), 2, 5000)
+	for c := 0; c < 2; c++ {
+		a, b := tr.Stream(c), tr.Stream(c)
+		var got []cpu.Op
+		for i := 0; len(got) < 5100; i++ {
+			max := int64(1 + i*7%40)
+			run := b.ComputeRun(max)
+			if run > max {
+				t.Fatalf("ComputeRun(%d) consumed %d", max, run)
+			}
+			for range run {
+				got = append(got, cpu.Op{Kind: cpu.OpCompute})
+			}
+			if run < max {
+				got = append(got, b.Next())
+			}
+		}
+		for i := 0; i < 5100; i++ {
+			if want := a.Next(); got[i] != want {
+				t.Fatalf("core %d op %d: drawn in runs %+v, by Next %+v", c, i, got[i], want)
+			}
+		}
+	}
+}

@@ -51,6 +51,29 @@ func (s *replayStream) Next() cpu.Op {
 	return cpu.Op{Kind: r.Kind, Addr: r.Addr}
 }
 
+// ComputeRun takes whole compute records, or the part of one that max
+// allows, so a run costs O(1) per record.
+func (s *replayStream) ComputeRun(max int64) int64 {
+	var n int64
+	for n < max {
+		if s.run == 0 {
+			if s.i >= len(s.recs) {
+				return max // the filler computes forever
+			}
+			if r := s.recs[s.i]; r.Kind == cpu.OpCompute {
+				s.run = r.N
+				s.i++
+			} else {
+				break
+			}
+		}
+		k := min(s.run, max-n)
+		s.run -= k
+		n += k
+	}
+	return n
+}
+
 // TracePrefix marks a workload name as a trace file reference:
 // "trace:<path>" loads and replays <path>.
 const TracePrefix = "trace:"

@@ -295,12 +295,31 @@ func (p Profile) Scaled(k float64) Profile {
 // stream implements cpu.Stream for one core.
 type stream struct {
 	p         Profile
-	rng       *sim.RNG
+	th        thresholds
+	rng       sim.RNG
 	core      int
 	w, h      int // mesh geometry (0 when unknown: patterns disabled)
 	ops       int64
 	hotCursor int
 	strCursor int
+	// mem is set when the head operation was drawn a memory op by
+	// ComputeRun and the rest of it is Next's to draw.
+	mem bool
+}
+
+// thresholds are a profile's probabilities in sim.Threshold form, so each
+// draw is an integer compare: rng.Below(th.mem) is rng.Bool(p.MemFraction).
+type thresholds struct {
+	mem, write, shared, hot, cold, stream, locality uint64
+}
+
+func thresholdsOf(p Profile) thresholds {
+	return thresholds{
+		mem: sim.Threshold(p.MemFraction), write: sim.Threshold(p.WriteFraction),
+		shared: sim.Threshold(p.SharedFraction), hot: sim.Threshold(p.HotFraction),
+		cold: sim.Threshold(p.ColdFraction), stream: sim.Threshold(p.StreamFraction),
+		locality: sim.Threshold(p.Locality),
+	}
 }
 
 // Stream returns core coreID's deterministic instruction stream. The mesh
@@ -322,14 +341,17 @@ func (p Profile) StreamGeom(coreID, width, height int, seed uint64) cpu.Stream {
 	}
 	return &stream{
 		p:    p,
-		rng:  sim.NewRNG(seed ^ (uint64(coreID)+1)*0x9E3779B97F4A7C15),
+		th:   thresholdsOf(p),
+		rng:  *sim.NewRNG(seed ^ (uint64(coreID)+1)*0x9E3779B97F4A7C15),
 		core: coreID,
 		w:    width,
 		h:    height,
 	}
 }
 
-func (s *stream) Next() cpu.Op {
+// step consumes the head operation's kind and reports whether it is a
+// memory operation, whose kind and address are still to draw.
+func (s *stream) step() bool {
 	if s.p.PhaseOps > 0 && s.ops >= s.p.PhaseOps {
 		s.switchPhase()
 	}
@@ -338,13 +360,28 @@ func (s *stream) Next() cpu.Op {
 		(s.ops-1)%(s.p.BurstOn+s.p.BurstOff) >= s.p.BurstOn {
 		// Off window: the pipeline computes, the network rests. No RNG
 		// draw, so the on-window sequence is independent of the duty cycle.
+		return false
+	}
+	return s.rng.Below(s.th.mem)
+}
+
+func (s *stream) ComputeRun(max int64) int64 {
+	var n int64
+	for n < max && !s.mem {
+		if s.mem = s.step(); !s.mem {
+			n++
+		}
+	}
+	return n
+}
+
+func (s *stream) Next() cpu.Op {
+	if !s.mem && !s.step() {
 		return cpu.Op{Kind: cpu.OpCompute}
 	}
-	if !s.rng.Bool(s.p.MemFraction) {
-		return cpu.Op{Kind: cpu.OpCompute}
-	}
+	s.mem = false
 	kind := cpu.OpLoad
-	if s.rng.Bool(s.p.WriteFraction) {
+	if s.rng.Below(s.th.write) {
 		kind = cpu.OpStore
 	}
 	return cpu.Op{Kind: kind, Addr: s.addr()}
@@ -357,7 +394,7 @@ func (s *stream) switchPhase() {
 	// Validate checked that the successor resolves or is the profile
 	// itself.
 	if next, ok := ByName(s.p.PhaseNext); ok {
-		s.p = next
+		s.p, s.th = next, thresholdsOf(next)
 	}
 	s.ops = 0
 	s.hotCursor, s.strCursor = 0, 0
@@ -396,12 +433,12 @@ func (s *stream) patternAddr() cache.Addr {
 }
 
 func (s *stream) addr() cache.Addr {
-	if s.p.SharedFraction > 0 && s.rng.Bool(s.p.SharedFraction) {
+	if s.p.SharedFraction > 0 && s.rng.Below(s.th.shared) {
 		if s.p.Pattern != "" && s.w > 0 && s.h > 0 {
 			return s.patternAddr()
 		}
 		n := s.p.SharedLines
-		if s.p.HotFraction > 0 && s.rng.Bool(s.p.HotFraction) {
+		if s.p.HotFraction > 0 && s.rng.Below(s.th.hot) {
 			hot := n / 8
 			if hot < 1 {
 				hot = 1
@@ -410,15 +447,19 @@ func (s *stream) addr() cache.Addr {
 		}
 		return sharedBase + cache.Addr(s.rng.Intn(n))*lineBytes
 	}
-	if s.p.ColdFraction > 0 && s.rng.Bool(s.p.ColdFraction) {
+	if s.p.ColdFraction > 0 && s.rng.Below(s.th.cold) {
 		return coldBase(s.core) + cache.Addr(s.rng.Intn(s.p.ColdLines))*lineBytes
 	}
-	if s.p.StreamFraction > 0 && s.rng.Bool(s.p.StreamFraction) {
-		s.strCursor = (s.strCursor + 1) % s.p.StreamLines
+	if s.p.StreamFraction > 0 && s.rng.Below(s.th.stream) {
+		if s.strCursor++; s.strCursor == s.p.StreamLines {
+			s.strCursor = 0
+		}
 		return streamBase(s.core) + cache.Addr(s.strCursor)*lineBytes
 	}
-	if s.rng.Bool(s.p.Locality) {
-		s.hotCursor = (s.hotCursor + 1) % s.p.HotLines
+	if s.rng.Below(s.th.locality) {
+		if s.hotCursor++; s.hotCursor == s.p.HotLines {
+			s.hotCursor = 0
+		}
 	} else {
 		s.hotCursor = s.rng.Intn(s.p.HotLines)
 	}

@@ -513,3 +513,50 @@ func TestClassifyTinySharedHotEighth(t *testing.T) {
 		t.Fatalf("second shared line = %v/%d, want shared/1", rc, hint)
 	}
 }
+
+// expand reads n operations from st as a core does: a compute run of at
+// most max (max cycling through short and long bounds), then the memory
+// operation that ended it, if one did.
+func expand(t *testing.T, st cpu.Stream, n int) []cpu.Op {
+	t.Helper()
+	var ops []cpu.Op
+	for i := 0; len(ops) < n; i++ {
+		max := int64(1 + i*7%40)
+		run := st.ComputeRun(max)
+		if run > max {
+			t.Fatalf("ComputeRun(%d) consumed %d", max, run)
+		}
+		for range run {
+			ops = append(ops, cpu.Op{Kind: cpu.OpCompute})
+		}
+		if run < max {
+			op := st.Next()
+			if op.Kind == cpu.OpCompute {
+				t.Fatalf("ComputeRun(%d) stopped at %d ahead of a compute op", max, run)
+			}
+			ops = append(ops, op)
+		}
+	}
+	return ops[:n]
+}
+
+// TestComputeRunMatchesNext: drawing a stream in compute runs, as a core
+// does, yields exactly the operations Next alone yields — for every
+// profile, the phase-changing and bursty generators included, across
+// phase switches and burst windows.
+func TestComputeRunMatchesNext(t *testing.T) {
+	const n = 20_000
+	for _, p := range All() {
+		a, b := p.StreamGeom(5, 8, 8, 3), p.StreamGeom(5, 8, 8, 3)
+		want := make([]cpu.Op, n)
+		for i := range want {
+			want[i] = a.Next()
+		}
+		got := expand(t, b, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: op %d drawn in runs is %+v, by Next %+v", p.Name, i, got[i], want[i])
+			}
+		}
+	}
+}
