@@ -64,18 +64,18 @@ func TestCLISmoke(t *testing.T) {
 			stdout: []string{
 				`\A==== 16-core chip \(\d+ runs x 200 ops/core\) ====\n`,
 				`^Figure 9 \(16-core\): speedup over baseline$`,
-				`^variant +speedup +stderr$`,
+				`^variant +speedup +stderr +paper *$`,
 				`^Complete_NoAck +[+-]\d+\.\d+% +\d+\.\d+ *$`,
 			},
 		},
 		{
 			name: "rcsweep extension experiment", bin: "rcsweep",
-			args: []string{"-chip", "16", "-exp", "tail", "-ops", "200", "-workers", "2"},
+			args: []string{"-chip", "16", "-exp", "compare", "-ops", "200", "-workers", "2"},
 			stdout: []string{
-				`\AData-reply network latency distribution \(16-core, cycles\)\n`,
-				`^variant +mean +p50 +p95 +p99$`,
-				`^Baseline +\d+\.\d +\d+ +\d+ +\d+ *$`,
-				`^Ideal +\d+\.\d +\d+ +\d+ +\d+ *$`,
+				`\ARelated-work comparison \(16-core\)\n`,
+				`^design +data-reply net \(cy\) +speedup +speedup @8x load +energy +router area$`,
+				`^Baseline +\d+\.\d +[+-]0\.00% +[+-]0\.00% +1\.000 +[+-]0\.00% *$`,
+				`^SlackDelay_1_NoAck +\d+\.\d +[+-]\d+\.\d+% `,
 			},
 		},
 		{
@@ -192,7 +192,7 @@ func TestCLISmoke(t *testing.T) {
 			name: "rcsweep rejects an unknown -exp before simulating", bin: "rcsweep",
 			args:   []string{"-chip", "16", "-exp", "bogus"},
 			exit:   2,
-			stderr: `\Arcsweep: unknown -exp "bogus" \(valid: all, table1, .*, tail, ci, tune\)\n\z`,
+			stderr: `\Arcsweep: unknown -exp "bogus" \(valid: all, table1, .*, compare, ci, tune\)\n\z`,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

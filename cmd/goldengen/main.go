@@ -17,7 +17,6 @@ import (
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
-	_ "reactivenoc/internal/tracefeed" // registers the adversarial generators
 	"reactivenoc/internal/workload"
 )
 

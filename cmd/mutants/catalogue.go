@@ -75,6 +75,55 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
 	},
 
+	// Every built circuit carries its own reply or is undone: a circuit
+	// the protocol undoes and the books do not count leaves one built
+	// circuit unaccounted for.
+	{
+		Name: "a protocol undo goes uncounted",
+		File: "internal/core/manager.go",
+		Old:  "\tmg.Stats.CircuitsUndone++\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+
+	// NI.Send rejects a message no router could carry with its own panic,
+	// at both ends of the VN range.
+	{
+		Name: "Send accepts a zero-flit message",
+		File: "internal/noc/ni.go",
+		Old:  "if m.Size <= 0 {",
+		New:  "if m.Size < 0 {",
+		Pkg:  "./internal/noc", Run: "^TestSendRejectsMalformed$",
+	},
+	{
+		Name: "Send's VN range check needs both ends out of range",
+		File: "internal/noc/ni.go",
+		Old:  "if m.VN < 0 || m.VN >= NumVNs {",
+		New:  "if m.VN < 0 && m.VN >= NumVNs {",
+		Pkg:  "./internal/noc", Run: "^TestSendRejectsMalformed$",
+	},
+
+	// Every report renders one table as text and as markdown: a text
+	// rendering that drops the notes no longer agrees with the markdown.
+	{
+		Name: "Format drops a report's notes",
+		File: "internal/exp/table.go",
+		Old:  "\tfor _, n := range t.notes {\n\t\tb.WriteString(n + \"\\n\")\n\t}\n",
+		New:  "",
+		Pkg:  "./internal/exp", Run: "^TestTextAndMarkdownAgree$",
+	},
+
+	// The docs name only live code: a flag the docs show, renamed in its
+	// binary, is a dead name. The test parses the sources through the
+	// overlay the runner plants the mutant with.
+	{
+		Name: "rcsim's -audit flag is renamed under the docs",
+		File: "cmd/rcsim/main.go",
+		Old:  `flag.Bool("audit",`,
+		New:  `flag.Bool("audits",`,
+		Pkg:  ".", Run: "^TestDocsNameLiveCode$",
+	},
+
 	// Cores sleep through compute runs and controllers until their next
 	// message is due, on the kernel's timed-wake wheel; the dense kernel
 	// and a stepper with no kernel must see the same machine.

@@ -6,9 +6,11 @@
 // For every entry the runner checks that the snippet occurs exactly once,
 // writes the mutated file to a temporary directory and runs
 //
-//	go test -overlay=<json> -count=1 -run <regexp> <pkg>
+//	GOFLAGS=-overlay=<json> go test -count=1 -run <regexp> <pkg>
 //
-// so the working tree is never edited. An entry passes only when a test
+// so the working tree is never edited. The overlay rides in GOFLAGS, which
+// the test binary inherits, so a test that parses the repository's sources
+// itself (the root package's docs test) reads the mutant too. An entry passes only when a test
 // fails or panics ("killed"). The run exits 1 when any entry's tests pass
 // ("survived"), its package does not build or test ("broken"), or its
 // snippet no longer occurs exactly once ("stale"). Each verdict is printed
@@ -27,6 +29,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"time"
 )
 
@@ -105,8 +108,9 @@ func (m Mutant) try(root, dir string) (verdict, []byte) {
 	if err := errors.Join(os.WriteFile(mutant, src, 0o644), os.WriteFile(overlay, js, 0o644)); err != nil {
 		return broken, []byte(err.Error())
 	}
-	cmd := exec.Command("go", "test", "-overlay="+overlay, "-count=1", "-run", m.Run, m.Pkg)
+	cmd := exec.Command("go", "test", "-count=1", "-run", m.Run, m.Pkg)
 	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "GOFLAGS="+strings.TrimSpace(os.Getenv("GOFLAGS")+" -overlay="+overlay))
 	out, err := cmd.CombinedOutput()
 	return classify(out, err), out
 }

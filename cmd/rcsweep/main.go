@@ -1,8 +1,7 @@
 // Command rcsweep regenerates the paper's evaluation: every table and
 // figure, for the 16- and 64-core chips, across the workload suite, plus
 // the extension experiments (load threshold, ablations, scalability,
-// related-work comparison, tail latency, confidence intervals, per-workload
-// tuning).
+// related-work comparison, confidence intervals, per-workload tuning).
 //
 // Individual simulation runs that fail (invariant panic, deadlock
 // watchdog, audit failure, wall-clock timeout) do not abort the sweep:
@@ -70,7 +69,7 @@ type formatter interface{ Format() string }
 
 // experiments are the valid -exp values.
 var experiments = []string{"all", "table1", "table5", "table6", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"load", "ablate", "scale", "compare", "tail", "ci", "tune"}
+	"load", "ablate", "scale", "compare", "ci", "tune"}
 
 func main() { os.Exit(run()) }
 
@@ -208,20 +207,17 @@ func run() int {
 	}
 
 	report := map[string]any{}
-	emit := func(key string, v formatter) {
-		if *jsonOut {
+	// emit prints or files a report, and surfaces an unavailable one
+	// without killing the sweep.
+	emit := func(key string, v formatter, err error) {
+		switch {
+		case err != nil:
+			fmt.Fprintf(os.Stderr, "rcsweep: %s unavailable: %v\n", key, err)
+		case *jsonOut:
 			report[key] = v
-		} else {
+		default:
 			fmt.Println(v.Format())
 		}
-	}
-	// emitErr surfaces an unavailable report without killing the sweep.
-	emitErr := func(key string, v formatter, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcsweep: %s unavailable: %v\n", key, err)
-			return
-		}
-		emit(key, v)
 	}
 	finish := func() int {
 		if *jsonOut {
@@ -242,7 +238,7 @@ func run() int {
 
 	// Table 6 needs no simulation.
 	if want("table6") {
-		emit("table6", exp.Table6Compute())
+		emit("table6", exp.Table6Compute(), nil)
 	}
 	if *which == "table6" {
 		return finish()
@@ -250,7 +246,7 @@ func run() int {
 
 	// The extension experiments run their own cell lists.
 	ext := func(key string, v formatter, failures []exp.FailureReport) {
-		emit(key, v)
+		emit(key, v, nil)
 		note(exp.FormatFailures(failures))
 	}
 	switch *which {
@@ -278,12 +274,6 @@ func run() int {
 			ext("compare_"+c.Name, cr, cr.Failures)
 		}
 		return finish()
-	case "tail":
-		for _, c := range chips {
-			tl := exp.TailRun(ctx, c, scale, pol)
-			ext("tail_"+c.Name, tl, tl.Failures)
-		}
-		return finish()
 	case "ci":
 		for _, c := range chips {
 			ci := exp.CIRun(ctx, c, []string{"Complete_NoAck", "SlackDelay_1_NoAck"}, 5, scale, pol)
@@ -297,7 +287,7 @@ func run() int {
 		for _, c := range chips {
 			sweep := exp.RunSweepCtx(ctx, c, config.TuneGrid(), scale, pol)
 			t, err := exp.TuneFrom(sweep)
-			emitErr("tune_"+c.Name, t, err)
+			emit("tune_"+c.Name, t, err)
 			if *jsonOut && len(sweep.Failures) > 0 {
 				report["failures_"+c.Name] = sweep.Failures
 			}
@@ -317,31 +307,10 @@ func run() int {
 			fmt.Printf("sweep finished in %v\n\n", time.Since(t0).Round(time.Millisecond))
 		}
 
-		big := c.Nodes() == 64 || len(chips) == 1
-		if want("table1") && big {
-			t1, err := exp.Table1From(sweep)
-			emitErr("table1", t1, err)
-		}
-		if want("table5") && big {
-			emit("table5", exp.Table5From(sweep, "Complete_NoAck"))
-		}
-		if want("fig6") {
-			emit("fig6_"+c.Name, exp.Fig6From(sweep))
-		}
-		if want("fig7") {
-			emit("fig7_"+c.Name, exp.Fig7From(sweep))
-		}
-		if want("fig8") {
-			f8, err := exp.Fig8From(sweep)
-			emitErr("fig8_"+c.Name, f8, err)
-		}
-		if want("fig9") {
-			f9, err := exp.Fig9From(sweep)
-			emitErr("fig9_"+c.Name, f9, err)
-		}
-		if want("fig10") && big {
-			f10, err := exp.Fig10From(sweep, "SlackDelay_1_NoAck")
-			emitErr("fig10", f10, err)
+		for _, r := range exp.Reports(sweep, c.Nodes() == 64 || len(chips) == 1) {
+			if want(r.Exp) {
+				emit(r.Key, r.Value, r.Err)
+			}
 		}
 		if *jsonOut && len(sweep.Failures) > 0 {
 			report["failures_"+c.Name] = sweep.Failures

@@ -8,7 +8,7 @@
 // EXPERIMENTS.md for paper-vs-measured results. internal/core is the
 // mechanism: one reservation walk, with each switching policy — the paper's
 // variants and the related work's — its Traits plus the steps where it
-// departs (DESIGN.md §5f). cmd/rcsweep regenerates
+// departs (DESIGN.md §4.3). cmd/rcsweep regenerates
 // every table and figure (internal/exp: each experiment is a list of run
 // specs and a fold over their results); benchmark/ holds rcbench, the
 // repository's benchmark.

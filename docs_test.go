@@ -2,6 +2,8 @@ package reactivenoc_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -12,6 +14,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"reactivenoc/internal/coherence"
@@ -26,11 +29,6 @@ import (
 // it is deleted here. A flag is keyed "<binary> -<flag>".
 var deadNames = map[string]bool{
 	"Pin": true, "Pout": true, // the paper's port notation
-	"coherence.Prefill": true,
-	"Reset":             true,
-	"pol.Run":           true,
-	"Observe":           true,
-	"rcsim -nopool":     true,
 }
 
 // TestDocsNameLiveCode: every exported name README.md, DESIGN.md and
@@ -120,11 +118,10 @@ var (
 // docRefs scans a markdown file for backticked identifiers and for flags
 // after a binary name, in code spans and fenced blocks alike.
 func docRefs(t *testing.T, doc string) []docRef {
-	f, err := os.Open(doc)
+	src, err := readSource(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	var (
 		refs      []docRef
 		fenced    bool
@@ -132,7 +129,7 @@ func docRefs(t *testing.T, doc string) []docRef {
 		decBullet bool // inside a "* **Decision record…" bullet
 		cont      string
 	)
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(bytes.NewReader(src))
 	for n := 1; sc.Scan(); n++ {
 		line := sc.Text()
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
@@ -260,9 +257,7 @@ func binaryFlags(t *testing.T) map[string]map[string]bool {
 }
 
 func collectFlags(t *testing.T, dir string, set, profFlags map[string]bool) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	pkgs, err := parseDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +268,12 @@ func collectFlags(t *testing.T, dir string, set, profFlags map[string]bool) {
 		}
 		return "", false
 	}
-	for _, pkg := range pkgs {
-		ast.Inspect(pkg, func(n ast.Node) bool {
+	var files []*ast.File
+	for _, pf := range pkgs {
+		files = append(files, pf...)
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -359,13 +358,13 @@ func indexRepo(t *testing.T) *repoIndex {
 		t.Fatal(err)
 	}
 	for dir := range dirs {
-		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
+		pkgs, err := parseDir(dir, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, pkg := range pkgs {
-			idx.add(strings.TrimSuffix(name, "_test"), pkg)
-			for _, f := range pkg.Files {
+		for name, files := range pkgs {
+			idx.add(strings.TrimSuffix(name, "_test"), files)
+			for _, f := range files {
 				for _, imp := range f.Imports {
 					path, _ := strconv.Unquote(imp.Path.Value)
 					if !strings.Contains(strings.Split(path, "/")[0], ".") && !strings.HasPrefix(path, "reactivenoc") {
@@ -378,8 +377,8 @@ func indexRepo(t *testing.T) *repoIndex {
 	return idx
 }
 
-// add indexes one parsed package under name.
-func (idx *repoIndex) add(name string, pkg *ast.Package) {
+// add indexes one parsed package's files under name.
+func (idx *repoIndex) add(name string, files []*ast.File) {
 	p := &pkgIndex{top: map[string]bool{}, types: map[string]*typeIndex{}}
 	idx.pkgs[name] = append(idx.pkgs[name], p)
 	typ := func(n string) *typeIndex {
@@ -392,7 +391,7 @@ func (idx *repoIndex) add(name string, pkg *ast.Package) {
 		ti.members[n] = typeName
 		idx.members[n] = true
 	}
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -523,13 +522,66 @@ func (idx *repoIndex) memberChain(p *pkgIndex, typeName string, parts []string) 
 
 // parseStd indexes one standard library package.
 func (idx *repoIndex) parseStd(path string) *repoIndex {
-	dir := filepath.Join(build.Default.GOROOT, "src", path)
-	pkgs, _ := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	pkgs, _ := parseDir(filepath.Join(build.Default.GOROOT, "src", path), false)
 	std := &repoIndex{pkgs: map[string][]*pkgIndex{}, top: map[string]bool{}, members: map[string]bool{}}
-	for name, pkg := range pkgs {
-		std.add(name, pkg)
+	for name, files := range pkgs {
+		std.add(name, files)
 	}
 	return std
+}
+
+// overlay is the file map of the -overlay the go command builds this test
+// with when it is given through GOFLAGS, as cmd/mutants gives it: the
+// sources this test parses must be the ones its binary was built from.
+var overlay = sync.OnceValues(func() (map[string]string, error) {
+	for _, f := range strings.Fields(os.Getenv("GOFLAGS")) {
+		if path, ok := strings.CutPrefix(f, "-overlay="); ok {
+			js, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			var o struct{ Replace map[string]string }
+			return o.Replace, json.Unmarshal(js, &o)
+		}
+	}
+	return nil, nil
+})
+
+// readSource reads a file of the repository, or its overlay replacement.
+func readSource(path string) ([]byte, error) {
+	repl, err := overlay()
+	if err != nil {
+		return nil, err
+	}
+	if abs, err := filepath.Abs(path); err == nil && repl[abs] != "" {
+		path = repl[abs]
+	}
+	return os.ReadFile(path)
+}
+
+// parseDir parses dir's Go files, test files too when tests is set, through
+// readSource, by package name.
+func parseDir(dir string, tests bool) (map[string][]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset, pkgs := token.NewFileSet(), map[string][]*ast.File{}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || (!tests && strings.HasSuffix(name, "_test.go")) {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		src, err := readSource(path)
+		if err != nil {
+			return nil, err
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[f.Name.Name] = append(pkgs[f.Name.Name], f)
+	}
+	return pkgs, nil
 }

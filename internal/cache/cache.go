@@ -9,7 +9,7 @@
 // directory wider than 64 tiles, each line's spill words. New gives a cache
 // its own; Group.Build lays a chip's N caches over one (set-major,
 // bank-minor when line-interleaved) holding an Image or empty, and
-// Group.Release recycles it through a free list (group.go, DESIGN.md §5b);
+// Group.Release recycles it through a free list (group.go, DESIGN.md §4.11);
 // Group.Capture copies a group's state as a sparse Image (image.go).
 package cache
 

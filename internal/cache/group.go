@@ -8,7 +8,7 @@ import (
 
 // Group is the n caches of one level of a chip laid over a single slab.
 //
-// Lifetime rules (DESIGN.md §5b): whoever built the group releases it, once,
+// Lifetime rules (DESIGN.md §4.11): whoever built the group releases it, once,
 // when nothing will touch its caches again — chip.RunCtx does as it returns,
 // on every path. Releasing is optional (an unreleased group is garbage), but
 // a released group's caches panic on any further use, as does a second

@@ -230,8 +230,8 @@ func TestKernelFreeStepperMatchesRunCtx(t *testing.T) {
 // TestBooksBalance: the audited 64-core canneal Complete_NoAck run, whose
 // network counts alone miss an L1-to-L1 reply acked on its home tile and
 // whose NIs hold replies back and offer them again, balances every
-// identity; one data reply too many, one Figure-6 outcome too many or one
-// eliminated outcome too many does not.
+// identity; one data reply too many, one Figure-6 outcome too many, one
+// eliminated outcome too many or one built circuit too many does not.
 func TestBooksBalance(t *testing.T) {
 	canneal, _ := workload.ByName("canneal")
 	spec := DefaultSpec(config.Chip64(), variant(t, "Complete_NoAck"), canneal)
@@ -240,18 +240,19 @@ func TestBooksBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Circ.EliminatedAcks == 0 || r.Msgs.Local[coherence.MsgDataAck] == 0 {
-		t.Fatalf("no eliminated or local acks to balance: %d, %d",
-			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck])
+	if r.Circ.EliminatedAcks == 0 || r.Msgs.Local[coherence.MsgDataAck] == 0 || r.Circ.CircuitsUndone == 0 {
+		t.Fatalf("no eliminated acks, local acks or undone circuits to balance: %d, %d, %d",
+			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck], r.Circ.CircuitsUndone)
 	}
 	for i, bump := range []func(m *coherence.MsgStats, c *core.Stats){
 		func(m *coherence.MsgStats, _ *core.Stats) { m.Network[coherence.MsgL2Reply]++ },
 		func(_ *coherence.MsgStats, c *core.Stats) { c.Replies[core.OutcomeUndone]++ },
 		func(_ *coherence.MsgStats, c *core.Stats) { c.Replies[core.OutcomeEliminated]++ },
+		func(_ *coherence.MsgStats, c *core.Stats) { c.CircuitsBuilt++ },
 	} {
 		msgs, circ := r.Msgs, *r.Circ
 		bump(&msgs, &circ)
-		if err := balance(&msgs, &circ); err == nil || !strings.Contains(err.Error(), Identities()[i]) {
+		if err := balance(&msgs, &circ, false); err == nil || !strings.Contains(err.Error(), Identities()[i]) {
 			t.Errorf("bump %d balanced the books, or not only identity %d failed: %v", i, i, err)
 		}
 	}

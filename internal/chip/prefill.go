@@ -91,7 +91,7 @@ func (k *imageKey) bytes() int {
 // on the seed or the variant — so unless opts.NoPool, the system is built
 // in the image an earlier identical prefill stored, in place of the
 // line-by-line walk, and a walk whose image fits st's budget stores one
-// (DESIGN.md §5b). NoPool, the reference, always walks.
+// (DESIGN.md §4.11). NoPool, the reference, always walks.
 func (st *imageStore) build(m mesh.Mesh, opts core.Options, mcCount int, regions [][]workload.Region) *coherence.System {
 	if opts.NoPool {
 		sys := coherence.NewSystem(m, opts, mcCount)

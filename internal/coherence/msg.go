@@ -136,7 +136,7 @@ func (t MsgType) CircuitEligibleReply() bool {
 
 // ReservesCircuit reports whether a request of this type reserves a
 // reactive circuit for its reply (Section 4.1: L2_Replies, L2_WB_ACK and
-// MEMORY replies, 53.2% of replies).
+// MEMORY replies; Table 1's circuit-eligible share).
 func (t MsgType) ReservesCircuit() bool {
 	switch t {
 	case MsgGetS, MsgGetX, MsgWBData, MsgMemFetch, MsgMemWB:

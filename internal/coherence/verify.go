@@ -59,8 +59,8 @@ func (s *System) doubleWriter(a cache.Addr) error {
 	return fmt.Errorf("coherence: %#x held exclusively by both tile %d and tile %d", a, tiles[0], tiles[1])
 }
 
-// orderOracle is the NoAck delivery-order oracle (DESIGN.md §5, "NoAck
-// soundness"): a data reply whose L1_DATA_ACK the bank eliminated must
+// orderOracle is the NoAck delivery-order oracle (DESIGN.md §4.6): a data
+// reply whose L1_DATA_ACK the bank eliminated must
 // reach its L1 before any message the same bank sent that L1 after it, or
 // the line the bank unblocked at send time could be invalidated, forwarded
 // or written back around the data. It compares message ids, which the

@@ -157,7 +157,7 @@ var (
 func NewManager(opts Options, m mesh.Mesh) *Manager { return new(Manager).Init(opts, m) }
 
 // Init builds the mechanism state in mg and returns mg. mg is either zero
-// or a manager a finished run left (DESIGN.md §5b): the rebuild names every
+// or a manager a finished run left (DESIGN.md §4.11): the rebuild names every
 // field it sets, so statistics, live counts, the tracer and the fault hook
 // come back zero and the policy is resolved afresh. What carries over is
 // memory: the tables' entry objects (emptied), the registries (cleared) and

@@ -79,7 +79,10 @@ func TestTable1Shape(t *testing.T) {
 
 func TestTable5Shape(t *testing.T) {
 	s := tinySweep(t, "Complete_NoAck")
-	t5 := Table5From(s, "Complete_NoAck")
+	t5, err := Table5From(s, "Complete_NoAck")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sum float64
 	for _, v := range t5.Ordinals {
 		sum += v
@@ -223,12 +226,19 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
+// TestMarkdownReport: the document carries Table 6 and every report of
+// the sweep, each exactly as its table renders to markdown.
 func TestMarkdownReport(t *testing.T) {
 	s := tinySweep(t, "Baseline", "Complete_NoAck", "SlackDelay_1_NoAck")
 	md := Markdown(s, nil)
-	for _, want := range []string{"# Reproduction results", "Table 6", "Figure 6", "Figure 7", "Complete_NoAck"} {
+	for _, want := range []string{"## 16-core chip: 3 variants x 3 workloads", "Table 6", "Figure 6", "Figure 7", "Complete_NoAck"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown misses %q", want)
+		}
+	}
+	for _, r := range Reports(s, false) {
+		if r.Err != nil || !strings.Contains(md, r.Value.table().markdown()) {
+			t.Errorf("markdown misses %s (%v)", r.Key, r.Err)
 		}
 	}
 	// Nil sweeps are tolerated.

@@ -8,6 +8,7 @@ import (
 	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
+	"reactivenoc/internal/stats"
 	"reactivenoc/internal/workload"
 )
 
@@ -151,15 +152,17 @@ func injectedFlitsPerNodeCycle(r *chip.Results) float64 {
 }
 
 // Format renders the sweep.
-func (ls *LoadSweep) Format() string {
-	tb := &table{header: pairHeader("load", "flits/node/100cy")}
+func (ls *LoadSweep) Format() string { return ls.table().text() + FormatFailures(ls.Failures) }
+
+func (ls *LoadSweep) table() *table {
+	tb := &table{title: fmt.Sprintf("Load threshold (%s): circuit construction vs offered load", ls.Chip.Name),
+		header: pairHeader("load", "flits/node/100cy"), notes: []string{
+			"the paper (Section 5.5): heavy loads make conflicts frequent and prevent complete circuits;",
+			"timed circuits hold ports only for their windows, raising the congestion threshold"}}
 	for _, r := range ls.Rows {
 		tb.add(r.cells(fmt.Sprintf("x%g", r.Factor), fmt.Sprintf("%.2f", r.InjRate*100))...)
 	}
-	return fmt.Sprintf("Load threshold (%s): circuit construction vs offered load\n%s", ls.Chip.Name, tb.String()) +
-		"the paper (Section 5.5): heavy loads make conflicts frequent and prevent complete circuits;\n" +
-		"timed circuits hold ports only for their windows, raising the congestion threshold\n" +
-		FormatFailures(ls.Failures)
+	return tb
 }
 
 // ScaleSweep measures the mechanism across chip sizes (the paper's Section
@@ -196,16 +199,18 @@ func ScaleSweepRun(ctx context.Context, dims []int, scale Scale, pol Policy) *Sc
 }
 
 // Format renders the scalability sweep.
-func (ss *ScaleSweep) Format() string {
-	tb := &table{header: pairHeader("cores")}
+func (ss *ScaleSweep) Format() string { return ss.table().text() + FormatFailures(ss.Failures) }
+
+func (ss *ScaleSweep) table() *table {
+	tb := &table{title: "Scalability: circuit construction vs chip size", header: pairHeader("cores"),
+		notes: []string{
+			"the paper (Section 5.2/5.5): bigger chips mean longer paths and more conflicts,",
+			"so fewer circuits build; timed reservations are 'very useful to guarantee the",
+			"scalability of the mechanism'"}}
 	for _, r := range ss.Rows {
 		tb.add(r.cells(fmt.Sprintf("%d", r.Nodes))...)
 	}
-	return "Scalability: circuit construction vs chip size\n" + tb.String() +
-		"the paper (Section 5.2/5.5): bigger chips mean longer paths and more conflicts,\n" +
-		"so fewer circuits build; timed reservations are 'very useful to guarantee the\n" +
-		"scalability of the mechanism'\n" +
-		FormatFailures(ss.Failures)
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -288,14 +293,16 @@ func AblateSlack(ctx context.Context, c config.Chip, values []int, scale Scale, 
 }
 
 // Format renders the ablation.
-func (ab *Ablation) Format() string {
-	tb := &table{header: []string{ab.Param, "circuit", "storage-fail", "conflict-fail", "undone", "speedup", "area"}}
+func (ab *Ablation) Format() string { return ab.table().text() + FormatFailures(ab.Failures) }
+
+func (ab *Ablation) table() *table {
+	tb := &table{title: fmt.Sprintf("Ablation (%s, %s)", ab.Chip.Name, ab.Param),
+		header: []string{ab.Param, "circuit", "storage-fail", "conflict-fail", "undone", "speedup", "area"}}
 	for _, r := range ab.Rows {
 		tb.add(fmt.Sprintf("%d", r.Value), pct(r.CircuitFrac), pct(r.StorageFailed),
 			pct(r.ConflictFailed), pct(r.Undone), speedupPct(r.Speedup), pct2(r.AreaSavings))
 	}
-	return fmt.Sprintf("Ablation (%s, %s)\n%s", ab.Chip.Name, ab.Param, tb.String()) +
-		FormatFailures(ab.Failures)
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -359,17 +366,89 @@ func CompareRun(ctx context.Context, c config.Chip, scale Scale, pol Policy) *Co
 }
 
 // Format renders the comparison.
-func (cmp *Compare) Format() string {
-	tb := &table{header: []string{"design", "data-reply net (cy)", "speedup", "speedup @8x load", "energy", "router area"}}
+func (cmp *Compare) Format() string { return cmp.table().text() + FormatFailures(cmp.Failures) }
+
+func (cmp *Compare) table() *table {
+	tb := &table{title: fmt.Sprintf("Related-work comparison (%s)", cmp.Chip.Name),
+		header: []string{"design", "data-reply net (cy)", "speedup", "speedup @8x load", "energy", "router area"},
+		notes: []string{
+			"speculative routers [16-19] are modelled WITHOUT their complexity/frequency penalty",
+			"(an optimistic bound) and only win while uncontended; probe setup at reply time [7]",
+			"cannot hide the traversal when the L2 answers in 7 cycles; reserving with the",
+			"request gets circuit latency plus the area and NoAck benefits"}}
 	for _, r := range cmp.Rows {
 		tb.add(r.Name, fmt.Sprintf("%.1f", r.ReplyNet),
 			speedupPct(r.Speedup), speedupPct(r.SpeedupHeavy),
 			fmt.Sprintf("%.3f", r.EnergyRatio), pct2(r.AreaSavings))
 	}
-	return fmt.Sprintf("Related-work comparison (%s)\n%s", cmp.Chip.Name, tb.String()) +
-		"speculative routers [16-19] are modelled WITHOUT their complexity/frequency penalty\n" +
-		"(an optimistic bound) and only win while uncontended; probe setup at reply time [7]\n" +
-		"cannot hide the traversal when the L2 answers in 7 cycles; reserving with the\n" +
-		"request gets circuit latency plus the area and NoAck benefits\n" +
-		FormatFailures(cmp.Failures)
+	return tb
+}
+
+// ---------------------------------------------------------------------------
+// Confidence intervals across seeds (the paper quotes 95% margins under 2%
+// at 64 cores and under 5% at 16 cores).
+// ---------------------------------------------------------------------------
+
+// CI reports speedup means with 95% confidence half-widths, measured
+// across (workload x seed) replicas.
+type CI struct {
+	Chip     config.Chip
+	Seeds    int
+	Rows     []CIRow
+	Failures []FailureReport
+}
+
+// CIRow is one variant's aggregate.
+type CIRow struct {
+	Variant string
+	Mean    float64
+	CI95    float64 // half-width, absolute speedup units
+}
+
+// CIRun measures speedups across seeds for the given variants: replica k
+// runs under scale.Seed+k, and each (workload, seed) replica's baseline
+// run is shared by every variant.
+func CIRun(ctx context.Context, c config.Chip, variants []string, seeds int, scale Scale, pol Policy) *CI {
+	ci := &CI{Chip: c, Seeds: seeds}
+	apps := []workload.Profile{workload.Micro(), workload.Multiprogrammed()}
+	// One block of len(apps)*seeds replicas per variant, the baseline's first.
+	var specs []chip.Spec
+	for _, name := range append([]string{"Baseline"}, variants...) {
+		v := mustVariant(name)
+		for _, w := range apps {
+			for k := 0; k < seeds; k++ {
+				spec := scale.spec(c, v, w)
+				spec.Seed += uint64(k)
+				specs = append(specs, spec)
+			}
+		}
+	}
+	var res []*chip.Results
+	res, ci.Failures = runCells(ctx, pol, scale.Workers, specs)
+	block := len(apps) * seeds
+	for i, name := range variants {
+		var sample stats.Sample
+		for j, b := range res[:block] {
+			if r := res[(1+i)*block+j]; r != nil && b != nil {
+				sample.Add(r.Speedup(b))
+			}
+		}
+		// Like ratioRows: no surviving (variant, baseline) replica, no row.
+		if sample.N() > 0 {
+			ci.Rows = append(ci.Rows, CIRow{Variant: name, Mean: sample.Mean(), CI95: sample.CI95()})
+		}
+	}
+	return ci
+}
+
+// Format renders the confidence table.
+func (ci *CI) Format() string { return ci.table().text() + FormatFailures(ci.Failures) }
+
+func (ci *CI) table() *table {
+	tb := &table{title: fmt.Sprintf("Speedup confidence (%s, %d seeds x 2 workloads)", ci.Chip.Name, ci.Seeds),
+		header: []string{"variant", "speedup", "95% CI"}, notes: []string{paperCI}}
+	for _, r := range ci.Rows {
+		tb.add(r.Variant, speedupPct(r.Mean), fmt.Sprintf("±%.2f%%", r.CI95*100))
+	}
+	return tb
 }

@@ -99,31 +99,6 @@ func TestScaleSweepShape(t *testing.T) {
 	}
 }
 
-func TestTailRun(t *testing.T) {
-	tl := TailRun(context.Background(), config.Chip16(), opsScale(2500), Policy{})
-	if len(tl.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	var base, circ TailRow
-	for _, r := range tl.Rows {
-		switch r.Variant {
-		case "Baseline":
-			base = r
-		case "Complete_NoAck":
-			circ = r
-		}
-		if !(r.P50 <= r.P95 && r.P95 <= r.P99) {
-			t.Fatalf("%s: percentiles not monotonic: %d %d %d", r.Variant, r.P50, r.P95, r.P99)
-		}
-	}
-	if circ.P95 >= base.P95 {
-		t.Fatalf("circuits should cut the tail: p95 %d vs baseline %d", circ.P95, base.P95)
-	}
-	if !strings.Contains(tl.Format(), "p99") {
-		t.Fatal("format misses percentiles")
-	}
-}
-
 func TestCIRun(t *testing.T) {
 	ci := CIRun(context.Background(), config.Chip16(), []string{"Complete_NoAck"}, 2, opsScale(2000), Policy{})
 	if len(ci.Rows) != 1 {

@@ -46,7 +46,8 @@ func FormatFailures(fs []FailureReport) string {
 	if len(fs) == 0 {
 		return ""
 	}
-	tb := &table{header: []string{"variant", "workload", "seed", "phase", "cycle", "kind"}}
+	tb := &table{title: fmt.Sprintf("%d failed runs", len(fs)),
+		header: []string{"variant", "workload", "seed", "phase", "cycle", "kind"}}
 	for _, f := range fs {
 		kind := "error"
 		if f.Err.Panicked {
@@ -55,7 +56,7 @@ func FormatFailures(fs []FailureReport) string {
 		tb.add(f.Variant, f.Workload, fmt.Sprintf("%d", f.Seed), f.Err.Phase,
 			fmt.Sprintf("%d", f.Err.Cycle), kind)
 	}
-	out := fmt.Sprintf("%d failed runs\n%s", len(fs), tb.String())
+	out := tb.text()
 	for _, f := range fs {
 		out += "\n" + f.Err.Error() + "\n"
 	}

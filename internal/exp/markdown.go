@@ -5,109 +5,73 @@ import (
 	"strings"
 )
 
+// Report is one of the paper's tables or figures over a sweep: the -exp
+// name that selects it, the key rcsweep -json files it under, and the
+// report, or the reason it is unavailable.
+type Report struct {
+	Exp, Key string
+	Value    interface {
+		Format() string
+		table() *table
+	}
+	Err error
+}
+
+// Reports are the paper's reports over one chip's sweep, in print order.
+// Table 1, Table 5 and Figure 10 come only with big: the paper shows them
+// for its 64-core chip.
+func Reports(s *Sweep, big bool) []Report {
+	var out []Report
+	add := func(exp string, perChip bool, v Report) {
+		v.Exp, v.Key = exp, exp
+		if perChip {
+			v.Key += "_" + s.Chip.Name
+		}
+		out = append(out, v)
+	}
+	if big {
+		t1, err := Table1From(s)
+		add("table1", false, Report{Value: t1, Err: err})
+		t5, err := Table5From(s, "Complete_NoAck")
+		add("table5", false, Report{Value: t5, Err: err})
+	}
+	add("fig6", true, Report{Value: Fig6From(s)})
+	add("fig7", true, Report{Value: Fig7From(s)})
+	f8, err := Fig8From(s)
+	add("fig8", true, Report{Value: f8, Err: err})
+	f9, err := Fig9From(s)
+	add("fig9", true, Report{Value: f9, Err: err})
+	if big {
+		f10, err := Fig10From(s, "SlackDelay_1_NoAck")
+		add("fig10", false, Report{Value: f10, Err: err})
+	}
+	return out
+}
+
 // Markdown renders a pair of sweeps (16- and 64-core) as a self-contained
-// results document with the paper's reference values inline — the
-// regenerable core of EXPERIMENTS.md. Either sweep may be nil.
+// results document: Table 6, then each chip's Reports, each the same table
+// Format prints, and any failed runs. Either sweep may be nil.
+// EXPERIMENTS.md embeds its output for the full suite verbatim.
 func Markdown(s16, s64 *Sweep) string {
 	var b strings.Builder
-	b.WriteString("# Reproduction results\n\n")
-	b.WriteString("Generated by `rcsweep`; see EXPERIMENTS.md for commentary.\n\n")
-
-	b.WriteString("## Table 6 — router area savings\n\n")
-	t6 := Table6Compute()
-	b.WriteString("| version | 16 cores | 64 cores | paper 16 | paper 64 |\n|---|---|---|---|---|\n")
-	ref := map[string][2]string{
-		"Fragmented":     {"-19.28%", "-18.96%"},
-		"Complete":       {"+6.21%", "+5.77%"},
-		"Complete Timed": {"+3.38%", "+1.09%"},
-	}
-	for _, r := range t6.Rows {
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-			r.Version, pct2(r.Savings16), pct2(r.Savings64), ref[r.Version][0], ref[r.Version][1])
-	}
-	b.WriteString("\n")
-
-	if s64 != nil {
-		if t1, err := Table1From(s64); err != nil {
-			fmt.Fprintf(&b, "## Table 1 — message mix\n\n_unavailable: %v_\n\n", err)
-		} else {
-			fmt.Fprintf(&b, "## Table 1 — message mix (64-core baseline, %d messages)\n\n", t1.Total)
-			b.WriteString("| class | share |\n|---|---|\n")
-			fmt.Fprintf(&b, "| Requests | %s |\n| Replies | %s |\n", pct(t1.RequestFrac), pct(t1.ReplyFrac))
-			for _, name := range sortedKeys(t1.ByType) {
-				fmt.Fprintf(&b, "| %s | %s |\n", name, pct(t1.ByType[name]))
-			}
-			fmt.Fprintf(&b, "\nCircuit-eligible replies: %s (paper: 53.2%% of replies)\n\n", pct(t1.EligibleFrac))
-		}
-
-		t5 := Table5From(s64, "Complete_NoAck")
-		b.WriteString("## Table 5 — reservation ordinals (Complete_NoAck, 64 cores)\n\n")
-		b.WriteString("| | 1st | 2nd | 3rd | 4th | 5th | failed |\n|---|---|---|---|---|---|---|\n")
-		fmt.Fprintf(&b, "| measured | %s | %s | %s | %s | %s | %s |\n",
-			pct(t5.Ordinals[0]), pct(t5.Ordinals[1]), pct(t5.Ordinals[2]),
-			pct(t5.Ordinals[3]), pct(t5.Ordinals[4]), pct(t5.Failed))
-		b.WriteString("| paper | 48% | 24% | 7% | 6% | 6% | 9% |\n\n")
-	}
-
+	b.WriteString("Generated by `rcsweep -md`.\n\n")
+	b.WriteString(Table6Compute().table().markdown())
 	for _, s := range []*Sweep{s16, s64} {
 		if s == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "## Figure 6 — reply outcomes (%s)\n\n", s.Chip.Name)
-		b.WriteString("| variant | circuit | failed | undone | scrounger | not-eligible | eliminated |\n")
-		b.WriteString("|---|---|---|---|---|---|---|\n")
-		for _, r := range Fig6From(s).Rows {
-			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s |\n",
-				r.Variant, pct(r.Circuit), pct(r.Failed), pct(r.Undone),
-				pct(r.Scrounger), pct(r.NotEligible), pct(r.Eliminated))
-		}
-		b.WriteString("\n")
-
-		fmt.Fprintf(&b, "## Figure 7 — latency anatomy (%s, net+queue cycles)\n\n", s.Chip.Name)
-		b.WriteString("| variant | requests | circuit replies | other replies |\n|---|---|---|---|\n")
-		for _, r := range Fig7From(s).Rows {
-			fmt.Fprintf(&b, "| %s | %.1f+%.1f | %.1f+%.1f | %.1f+%.1f |\n",
-				r.Variant, r.ReqNet, r.ReqQ, r.CircRepNet, r.CircRepQ, r.OtherRepNet, r.OtherRepQ)
-		}
-		b.WriteString("\n")
-
-		fmt.Fprintf(&b, "## Figures 8 and 9 — energy and speedup (%s)\n\n", s.Chip.Name)
-		f8, err8 := Fig8From(s)
-		f9, err9 := Fig9From(s)
-		if err8 != nil || err9 != nil {
-			err := err8
-			if err == nil {
-				err = err9
+		fmt.Fprintf(&b, "## %s chip: %d variants x %d workloads, %d measured ops/core, seed %d\n\n",
+			s.Chip.Name, len(s.Variants), len(s.Apps), s.Scale.MeasureOps, s.Scale.Seed)
+		for _, r := range Reports(s, s == s64) {
+			if r.Err != nil {
+				fmt.Fprintf(&b, "### %s\n\n_unavailable: %v_\n\n", r.Key, r.Err)
+				continue
 			}
-			fmt.Fprintf(&b, "_unavailable: %v_\n\n", err)
-		} else {
-			b.WriteString("| variant | energy vs baseline | speedup |\n|---|---|---|\n")
-			for i, r := range f8.Rows {
-				fmt.Fprintf(&b, "| %s | %.3f ± %.3f | %+.2f%% ± %.2f%% |\n",
-					r.Variant, r.Mean, r.StdErr, (f9.Rows[i].Mean-1)*100, f9.Rows[i].StdErr*100)
-			}
-			b.WriteString("\n")
+			b.WriteString(r.Value.table().markdown())
 		}
-	}
-
-	if s64 != nil {
-		b.WriteString("## Figure 10 — per-application speedup (SlackDelay_1_NoAck, 64 cores)\n\n")
-		if f10, err := Fig10From(s64, "SlackDelay_1_NoAck"); err != nil {
-			fmt.Fprintf(&b, "_unavailable: %v_\n\n", err)
-		} else {
-			b.WriteString("| application | speedup |\n|---|---|\n")
-			for i, app := range f10.Apps {
-				fmt.Fprintf(&b, "| %s | %+.2f%% |\n", app, (f10.Speedup[i]-1)*100)
-			}
-			b.WriteString("\n")
+		if len(s.Failures) > 0 {
+			fmt.Fprintf(&b, "### Run failures (%s)\n\n```\n%s```\n\n", s.Chip.Name, s.FailureSummary())
 		}
-	}
-
-	for _, s := range []*Sweep{s16, s64} {
-		if s == nil || len(s.Failures) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "## Run failures (%s)\n\n```\n%s```\n\n", s.Chip.Name, s.FailureSummary())
 	}
 	return b.String()
 }

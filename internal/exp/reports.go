@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/coherence"
@@ -66,20 +65,24 @@ func Table1From(s *Sweep) (*Table1, error) {
 	return t1, nil
 }
 
+// eligibleRow is Table 1's last row: the share of replies that can ride
+// circuits.
+const eligibleRow = "circuit-eligible (of replies)"
+
 // Format renders the table with the paper's reference values.
-func (t *Table1) Format() string {
-	tb := &table{header: []string{"class", "share", "paper (64-core)"}}
-	tb.add("Requests", pct(t.RequestFrac), "47.0%")
-	tb.add("Replies", pct(t.ReplyFrac), "53.0%")
-	ref := map[string]string{
-		"L2_Reply": "22.6%", "L1_DATA_ACK": "23.0%", "L2_WB_ACK": "4.7%",
-		"L1_INV_ACK": "1.1%", "MEMORY_Data": "0.9% (with acks)", "L1_to_L1": "0.7%",
-	}
+func (t *Table1) Format() string { return t.table().text() }
+
+func (t *Table1) table() *table {
+	tb := &table{title: fmt.Sprintf("Table 1: message mix (%d network messages)", t.Total),
+		header: []string{"class", "share"}}
+	tb.add("Requests", pct(t.RequestFrac))
+	tb.add("Replies", pct(t.ReplyFrac))
 	for _, name := range sortedKeys(t.ByType) {
-		tb.add("  "+name, pct(t.ByType[name]), ref[name])
+		tb.add(name, pct(t.ByType[name]))
 	}
-	return fmt.Sprintf("Table 1: message mix (%d network messages)\n%s\nCircuit-eligible replies: %s (paper: 53.2%% of replies)\n",
-		t.Total, tb.String(), pct(t.EligibleFrac))
+	tb.add(eligibleRow, pct(t.EligibleFrac))
+	tb.paperColumn("paper (64-core)", paperTable1)
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -94,11 +97,12 @@ type Table5 struct {
 	Failed   float64
 }
 
-// Table5From computes the distribution from the given variant's runs.
-func Table5From(s *Sweep, variant string) *Table5 {
+// Table5From computes the distribution from the given variant's runs; it
+// fails when the sweep has no such variant.
+func Table5From(s *Sweep, variant string) (*Table5, error) {
 	res, ok := s.Res[variant]
 	if !ok {
-		panic("exp: variant missing from sweep: " + variant)
+		return nil, fmt.Errorf("exp: variant missing from sweep: %s", variant)
 	}
 	var ord [8]int64
 	var failed int64
@@ -117,32 +121,29 @@ func Table5From(s *Sweep, variant string) *Table5 {
 	}
 	t5 := &Table5{Variant: variant, Ordinals: make([]float64, 5)}
 	if total == 0 {
-		return t5
+		return t5, nil
 	}
-	for i := 0; i < 5; i++ {
-		n := ord[i]
-		if i == 4 { // fold deeper ordinals into the 5th bucket
-			for j := 5; j < len(ord); j++ {
-				n += ord[j]
-			}
-		}
-		t5.Ordinals[i] = float64(n) / float64(total)
+	for _, n := range ord[5:] { // fold deeper ordinals into the 5th bucket
+		ord[4] += n
+	}
+	for i := range t5.Ordinals {
+		t5.Ordinals[i] = float64(ord[i]) / float64(total)
 	}
 	t5.Failed = float64(failed) / float64(total)
-	return t5
+	return t5, nil
 }
 
-// Format renders the table with the paper's reference row.
-func (t *Table5) Format() string {
-	tb := &table{header: []string{"", "1st", "2nd", "3rd", "4th", "5th", "failed"}}
-	row := []string{t.Variant}
-	for _, v := range t.Ordinals {
-		row = append(row, pct(v))
+// Format renders the table with the paper's reference column.
+func (t *Table5) Format() string { return t.table().text() }
+
+func (t *Table5) table() *table {
+	tb := &table{title: "Table 5: circuit reservations by input-port ordinal",
+		header: []string{"ordinal", t.Variant, "paper (Complete_NoAck)"}}
+	for i, v := range t.Ordinals {
+		tb.add([]string{"1st", "2nd", "3rd", "4th", "5th"}[i], pct(v), paperTable5[i])
 	}
-	row = append(row, pct(t.Failed))
-	tb.add(row...)
-	tb.add("paper", "48%", "24%", "7%", "6%", "6%", "9%")
-	return "Table 5: circuit reservations by input-port ordinal\n" + tb.String()
+	tb.add("failed", pct(t.Failed), paperTable5[5])
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -162,38 +163,25 @@ type Table6Row struct {
 
 // Table6Compute evaluates the analytical area model (no simulation).
 func Table6Compute() *Table6 {
-	rows := []struct {
-		name    string
-		variant string
-	}{
-		{"Fragmented", "Fragmented"},
-		{"Complete", "Complete"},
-		{"Complete Timed", "Slack_1_NoAck"},
-	}
 	t6 := &Table6{}
-	for _, r := range rows {
-		v := mustVariant(r.variant)
-		t6.Rows = append(t6.Rows, Table6Row{
-			Version:   r.name,
-			Savings16: power.AreaSavings(16, v.Opts),
-			Savings64: power.AreaSavings(64, v.Opts),
-		})
+	for _, r := range [][2]string{{"Fragmented", "Fragmented"}, {"Complete", "Complete"}, {"Complete Timed", "Slack_1_NoAck"}} {
+		v := mustVariant(r[1])
+		t6.Rows = append(t6.Rows, Table6Row{r[0], power.AreaSavings(16, v.Opts), power.AreaSavings(64, v.Opts)})
 	}
 	return t6
 }
 
 // Format renders the table with the paper's reference values.
-func (t *Table6) Format() string {
-	ref := map[string][2]string{
-		"Fragmented":     {"-19.28%", "-18.96%"},
-		"Complete":       {"+6.21%", "+5.77%"},
-		"Complete Timed": {"+3.38%", "+1.09%"},
-	}
-	tb := &table{header: []string{"version", "16 cores", "64 cores", "paper 16", "paper 64"}}
+func (t *Table6) Format() string { return t.table().text() }
+
+func (t *Table6) table() *table {
+	tb := &table{title: "Table 6: router area savings (positive = smaller router)",
+		header: []string{"version", "16 cores", "64 cores", "paper 16", "paper 64"}}
 	for _, r := range t.Rows {
-		tb.add(r.Version, pct2(r.Savings16), pct2(r.Savings64), ref[r.Version][0], ref[r.Version][1])
+		ref := paperTable6[r.Version]
+		tb.add(r.Version, pct2(r.Savings16), pct2(r.Savings64), ref[0], ref[1])
 	}
-	return "Table 6: router area savings (positive = smaller router)\n" + tb.String()
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -224,43 +212,35 @@ func Fig6From(s *Sweep) *Fig6 {
 		if v.Name == "Baseline" {
 			continue
 		}
-		var row Fig6Row
-		row.Variant = v.Name
+		var sum [6]float64 // circuit .. eliminated
 		n := 0
 		for _, r := range s.runs(v.Name) {
 			if r.Circ == nil {
 				continue
 			}
-			row.Circuit += r.Circ.OutcomeFraction(core.OutcomeCircuit)
-			row.Failed += r.Circ.OutcomeFraction(core.OutcomeFailed)
-			row.Undone += r.Circ.OutcomeFraction(core.OutcomeUndone)
-			row.Scrounger += r.Circ.OutcomeFraction(core.OutcomeScrounger)
-			row.NotEligible += r.Circ.OutcomeFraction(core.OutcomeNotEligible)
-			row.Eliminated += r.Circ.OutcomeFraction(core.OutcomeEliminated)
+			for i := range sum {
+				sum[i] += r.Circ.OutcomeFraction(core.OutcomeCircuit + core.Outcome(i))
+			}
 			n++
 		}
-		if n > 0 {
-			k := float64(n)
-			row.Circuit /= k
-			row.Failed /= k
-			row.Undone /= k
-			row.Scrounger /= k
-			row.NotEligible /= k
-			row.Eliminated /= k
-		}
-		f.Rows = append(f.Rows, row)
+		mean(sum[:], n)
+		f.Rows = append(f.Rows, Fig6Row{v.Name, sum[0], sum[1], sum[2], sum[3], sum[4], sum[5]})
 	}
 	return f
 }
 
 // Format renders the breakdown.
-func (f *Fig6) Format() string {
-	tb := &table{header: []string{"variant", "circuit", "failed", "undone", "scrounger", "not-elig", "eliminated"}}
+func (f *Fig6) Format() string { return f.table().text() }
+
+func (f *Fig6) table() *table {
+	tb := &table{title: fmt.Sprintf("Figure 6 (%s): reply outcomes per mechanism version", f.Chip),
+		header: []string{"variant", "circuit", "failed", "undone", "scrounger", "not-elig", "eliminated"},
+		notes:  []string{paperFig6}}
 	for _, r := range f.Rows {
 		tb.add(r.Variant, pct(r.Circuit), pct(r.Failed), pct(r.Undone),
 			pct(r.Scrounger), pct(r.NotEligible), pct(r.Eliminated))
 	}
-	return fmt.Sprintf("Figure 6 (%s): reply outcomes per mechanism version\n%s", f.Chip, tb.String())
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -281,46 +261,44 @@ type Fig7Row struct {
 	OtherRepNet, OtherRepQ float64
 }
 
+// mean divides each of sums by n, when there were any.
+func mean(sums []float64, n int) {
+	for i := 0; n > 0 && i < len(sums); i++ {
+		sums[i] /= float64(n)
+	}
+}
+
 // Fig7From averages latency means across workloads.
 func Fig7From(s *Sweep) *Fig7 {
 	f := &Fig7{Chip: s.Chip.Name}
 	for _, v := range s.Variants {
-		var row Fig7Row
-		row.Variant = v.Name
-		n := 0
-		for _, r := range s.runs(v.Name) {
-			row.ReqNet += r.Lat.Requests.Network.Mean()
-			row.ReqQ += r.Lat.Requests.Queueing.Mean()
-			row.CircRepNet += r.Lat.CircuitReplies.Network.Mean()
-			row.CircRepQ += r.Lat.CircuitReplies.Queueing.Mean()
-			row.OtherRepNet += r.Lat.OtherReplies.Network.Mean()
-			row.OtherRepQ += r.Lat.OtherReplies.Queueing.Mean()
-			n++
+		var sum [6]float64 // network, queueing: requests, circuit replies, other replies
+		runs := s.runs(v.Name)
+		for _, r := range runs {
+			for i, c := range []*stats.LatencyRecord{&r.Lat.Requests, &r.Lat.CircuitReplies, &r.Lat.OtherReplies} {
+				sum[2*i] += c.Network.Mean()
+				sum[2*i+1] += c.Queueing.Mean()
+			}
 		}
-		if n > 0 {
-			k := float64(n)
-			row.ReqNet /= k
-			row.ReqQ /= k
-			row.CircRepNet /= k
-			row.CircRepQ /= k
-			row.OtherRepNet /= k
-			row.OtherRepQ /= k
-		}
-		f.Rows = append(f.Rows, row)
+		mean(sum[:], len(runs))
+		f.Rows = append(f.Rows, Fig7Row{v.Name, sum[0], sum[1], sum[2], sum[3], sum[4], sum[5]})
 	}
 	return f
 }
 
 // Format renders the latency table.
-func (f *Fig7) Format() string {
-	tb := &table{header: []string{"variant", "req net+q", "circuit-rep net+q", "other-rep net+q"}}
+func (f *Fig7) Format() string { return f.table().text() }
+
+func (f *Fig7) table() *table {
+	tb := &table{title: fmt.Sprintf("Figure 7 (%s): message latency, cycles (network + queueing)", f.Chip),
+		header: []string{"variant", "req net+q", "circuit-rep net+q", "other-rep net+q"}}
 	for _, r := range f.Rows {
 		tb.add(r.Variant,
 			fmt.Sprintf("%.1f+%.1f", r.ReqNet, r.ReqQ),
 			fmt.Sprintf("%.1f+%.1f", r.CircRepNet, r.CircRepQ),
 			fmt.Sprintf("%.1f+%.1f", r.OtherRepNet, r.OtherRepQ))
 	}
-	return fmt.Sprintf("Figure 7 (%s): message latency, cycles (network + queueing)\n%s", f.Chip, tb.String())
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -382,15 +360,9 @@ func ratioRows(s *Sweep, f func(r, b *chip.Results) float64) ([]RatioRow, error)
 		}
 		var sample stats.Sample
 		for _, app := range s.AppNames() {
-			r, ok := s.Res[v.Name][app]
-			if !ok {
-				continue
+			if r, b := s.Res[v.Name][app], base[app]; r != nil && b != nil {
+				sample.Add(f(r, b))
 			}
-			b, ok := base[app]
-			if !ok {
-				continue
-			}
-			sample.Add(f(r, b))
 		}
 		// A variant with no surviving (variant, baseline) pairs — every run
 		// failed or the sweep halted early — has no ratio to report.
@@ -399,36 +371,33 @@ func ratioRows(s *Sweep, f func(r, b *chip.Results) float64) ([]RatioRow, error)
 		}
 		rows = append(rows, RatioRow{Variant: v.Name, Mean: sample.Mean(), StdErr: sample.StdErr()})
 	}
-	// Preserve the sweep's variant order.
-	ordered := make([]RatioRow, 0, len(rows))
-	for _, v := range s.Variants {
-		for _, r := range rows {
-			if r.Variant == v.Name {
-				ordered = append(ordered, r)
-			}
-		}
-	}
-	return ordered, nil
+	return rows, nil
 }
 
 // Format renders normalized energy (lower is better).
-func (f *Fig8) Format() string {
-	tb := &table{header: []string{"variant", "energy vs baseline", "stderr"}}
+func (f *Fig8) Format() string { return f.table().text() }
+
+func (f *Fig8) table() *table {
+	tb := &table{title: fmt.Sprintf("Figure 8 (%s): network energy normalized to baseline", f.Chip),
+		header: []string{"variant", "energy vs baseline", "stderr"}}
 	for _, r := range f.Rows {
 		tb.add(r.Variant, fmt.Sprintf("%.3f", r.Mean), fmt.Sprintf("%.3f", r.StdErr))
 	}
-	return fmt.Sprintf("Figure 8 (%s): network energy normalized to baseline\n%s", f.Chip, tb.String()) +
-		"paper: Complete_NoAck reaches 0.848 at 16 cores and 0.792 at 64 cores; Fragmented increases energy\n"
+	tb.paperColumn("paper", paperFig8[f.Chip])
+	return tb
 }
 
 // Format renders speedups.
-func (f *Fig9) Format() string {
-	tb := &table{header: []string{"variant", "speedup", "stderr"}}
+func (f *Fig9) Format() string { return f.table().text() }
+
+func (f *Fig9) table() *table {
+	tb := &table{title: fmt.Sprintf("Figure 9 (%s): speedup over baseline", f.Chip),
+		header: []string{"variant", "speedup", "stderr"}}
 	for _, r := range f.Rows {
 		tb.add(r.Variant, speedupPct(r.Mean), fmt.Sprintf("%.3f", r.StdErr))
 	}
-	return fmt.Sprintf("Figure 9 (%s): speedup over baseline\n%s", f.Chip, tb.String()) +
-		"paper: Complete 3.8%/4.8%, SlackDelay_1 4.4%/6.0% (16/64 cores), ideal slightly above\n"
+	tb.paperColumn("paper", paperFig9[f.Chip])
+	return tb
 }
 
 // ---------------------------------------------------------------------------
@@ -455,26 +424,22 @@ func Fig10From(s *Sweep, variant string) (*Fig10, error) {
 	}
 	f := &Fig10{Chip: s.Chip.Name, Variant: variant}
 	for _, app := range s.AppNames() {
-		r, ok := res[app]
-		if !ok {
-			continue
+		if r, b := res[app], base[app]; r != nil && b != nil {
+			f.Apps = append(f.Apps, app)
+			f.Speedup = append(f.Speedup, r.Speedup(b))
 		}
-		b, ok := base[app]
-		if !ok {
-			continue
-		}
-		f.Apps = append(f.Apps, app)
-		f.Speedup = append(f.Speedup, r.Speedup(b))
 	}
 	return f, nil
 }
 
-// Format renders the per-app bars.
-func (f *Fig10) Format() string {
-	tb := &table{header: []string{"application", "speedup"}}
+// Format renders the per-app speedups.
+func (f *Fig10) Format() string { return f.table().text() }
+
+func (f *Fig10) table() *table {
+	tb := &table{title: fmt.Sprintf("Figure 10 (%s, %s): per-application speedup", f.Chip, f.Variant),
+		header: []string{"application", "speedup"}, notes: []string{paperFig10}}
 	for i, app := range f.Apps {
-		bar := strings.Repeat("#", int((f.Speedup[i]-1)*400+0.5))
-		tb.add(app, fmt.Sprintf("%+.2f%%  %s", (f.Speedup[i]-1)*100, bar))
+		tb.add(app, speedupPct(f.Speedup[i]))
 	}
-	return fmt.Sprintf("Figure 10 (%s, %s): per-application speedup\n%s", f.Chip, f.Variant, tb.String())
+	return tb
 }

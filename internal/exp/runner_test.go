@@ -60,10 +60,6 @@ var runners = []struct {
 		r := CompareRun(ctx, config.Chip16(), scale, pol)
 		return outcome{r.Format(), r, len(r.Rows), r.Failures}
 	}},
-	{"tail", func(ctx context.Context, scale Scale, pol Policy) outcome {
-		r := TailRun(ctx, config.Chip16(), scale, pol)
-		return outcome{r.Format(), r, len(r.Rows), r.Failures}
-	}},
 	{"ci", func(ctx context.Context, scale Scale, pol Policy) outcome {
 		r := CIRun(ctx, config.Chip16(), []string{"Complete_NoAck", "SlackDelay_1_NoAck"}, 2, scale, pol)
 		return outcome{r.Format(), r, len(r.Rows), r.Failures}

@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
@@ -148,61 +146,4 @@ func (s *Sweep) runs(variant string) []*chip.Results {
 		}
 	}
 	return out
-}
-
-// table is a tiny fixed-width text-table builder shared by the reports.
-type table struct {
-	header []string
-	rows   [][]string
-}
-
-func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.header)
-	sep := make([]string, len(t.header))
-	for i, w := range widths {
-		sep[i] = strings.Repeat("-", w)
-	}
-	line(sep)
-	for _, r := range t.rows {
-		line(r)
-	}
-	return b.String()
-}
-
-func pct(v float64) string  { return fmt.Sprintf("%.1f%%", v*100) }
-func pct2(v float64) string { return fmt.Sprintf("%+.2f%%", v*100) }
-
-// speedupPct renders a ratio over baseline as its signed percentage gain.
-func speedupPct(ratio float64) string { return pct2(ratio - 1) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -91,11 +91,14 @@ func TuneFrom(s *Sweep) (*Tune, error) {
 }
 
 // Format renders one row per workload.
-func (t *Tune) Format() string {
-	tb := &table{header: []string{"workload", "best", "cycles", "speedup", "Timed vs Baseline", "hit (best)", "hit (Timed)"}}
+func (t *Tune) Format() string { return t.table().text() }
+
+func (t *Tune) table() *table {
+	tb := &table{title: fmt.Sprintf("Tuning (%s): each workload's fastest variant of the tuning grid", t.Chip),
+		header: []string{"workload", "best", "cycles", "speedup", "Timed vs Baseline", "hit (best)", "hit (Timed)"}}
 	for _, r := range t.Rows {
 		tb.add(r.Workload, r.Best, fmt.Sprintf("%d", r.BestCycles), fmt.Sprintf("%.3fx", r.Speedup),
 			fmt.Sprintf("%+.1f%%", r.TimedDelta*100), pct(r.BestCircuitHit), pct(r.TimedCircuitHit))
 	}
-	return fmt.Sprintf("Tuning (%s): each workload's fastest variant of the tuning grid\n%s", t.Chip, tb.String())
+	return tb
 }

@@ -41,7 +41,7 @@ func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 
 // Init builds the network in n and returns n. n is either zero or a
 // network a finished run left (coherence.NewSystem's recycled shells,
-// DESIGN.md §5b): the rebuild names every field it sets, so the message
+// DESIGN.md §4.11): the rebuild names every field it sets, so the message
 // counter, power events, free-list counters and everything a run armed
 // (tracer, fault hook) come back zero. Only memory carries over — the
 // routers' and NIs' arrays, every wire's and queue's slots, the sequence

@@ -173,7 +173,7 @@ func (ni *NI) Tick(now sim.Cycle) {
 			ni.deliverTail(f, now)
 		}
 		// The flit's journey ends here; nothing downstream of the NI may
-		// hold it (DESIGN.md §5b), so it returns to the free-list.
+		// hold it (DESIGN.md §4.10), so it returns to the free-list.
 		ni.pool.putFlit(f)
 	}
 

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 
 	"reactivenoc/internal/mesh"
@@ -128,5 +129,43 @@ func TestInjectionRoundRobinBetweenVNs(t *testing.T) {
 	}
 	if gap > 5 {
 		t.Fatalf("VN starvation at injection: gap %d", gap)
+	}
+}
+
+// TestSendRejectsMalformed: Send panics with its own message on a size
+// below one flit and on a VN outside [0, NumVNs), at both ends of the
+// range, and accepts the smallest well-formed message on either end VN. A
+// panic from indexing the VN queues instead does not count.
+func TestSendRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		vn, size int
+		want     string // the panic's text; "" = no panic
+	}{
+		{"size 0", VNRequest, 0, "has size 0"},
+		{"size -1", VNRequest, -1, "has size -1"},
+		{"VN -1", -1, 1, "has VN -1"},
+		{"VN NumVNs", NumVNs, 1, "has VN"},
+		{"first VN, one flit", 0, 1, ""},
+		{"last VN, one flit", NumVNs - 1, 1, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(BaselineConfig(mesh.New(2, 1)), nil, nil)
+			got := func() (text string) {
+				defer func() {
+					if r := recover(); r != nil {
+						text, _ = r.(string)
+						if text == "" {
+							text = "a panic that is not Send's own"
+						}
+					}
+				}()
+				h.net.NI(0).Send(msg(0, 1, tc.vn, tc.size), 0)
+				return ""
+			}()
+			if !strings.Contains(got, tc.want) || (tc.want == "") != (got == "") {
+				t.Errorf("Send panicked with %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ package noc
 // owned by each Network; the simulator is single-goroutine per network
 // (sweep workers each build their own), so no locking is needed.
 //
-// Lifetime rules (see DESIGN.md §5b):
+// Lifetime rules (see DESIGN.md §4.10):
 //   - A *Flit is born at NI injection and dies at the destination NI the
 //     cycle its ejection is processed; routers and links may hold it in
 //     between but never after the NI consumed it.

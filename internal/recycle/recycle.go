@@ -1,5 +1,5 @@
 // Package recycle holds what lets one run reuse the memory of the run
-// before it (DESIGN.md §5b): the process-wide keyed free list that cache
+// before it (DESIGN.md §4.11): the process-wide keyed free list that cache
 // slabs and chip shells return to, and the helpers a constructor uses to
 // rebuild an object in place over either its zero value or a recycled one.
 package recycle

@@ -1,9 +1,8 @@
 // Package tracefeed records, encodes and replays the memory-access
-// streams that drive the chip's cores, and registers the adversarial
-// workload generators (hotspot, transpose, tornado, on/off bursts,
-// phase-changing mixes) as first-class workload names.
+// streams that drive the chip's cores, and resolves workload names, the
+// trace:<path> form included.
 //
-// The trace format (DESIGN.md §5h) is a compact versioned binary: a
+// The trace format is a compact versioned binary: a
 // self-describing header (workload name, seed, phase budgets, core
 // count), a per-core region table for functional cache prefill, one
 // varint-encoded record sequence per core ({cycle-gap, op,

@@ -175,7 +175,7 @@ func TestPolicyConformanceQuiesce(t *testing.T) {
 }
 
 // TestNoAckDeliveryOrder holds every sweep column whose policy can
-// eliminate acks (core.Traits.NoAck) to DESIGN.md §5's NoAck soundness
+// eliminate acks (core.Traits.NoAck) to DESIGN.md §4.6's NoAck soundness
 // rule with no fault injected: its conformance cell, NoAck switched on and
 // the delivery-order oracle armed, on a workload whose cores share a few
 // lines (so banks forward and invalidate around the replies they send),

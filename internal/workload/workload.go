@@ -231,8 +231,8 @@ type Region struct {
 	// [L1From, L1From+L1Lines) — and is serialised in .rctf, but no
 	// prefiller reads it: chip.Build's (every chip.Machine's, so RunCtx's
 	// and examples/trafficmap's) and rcbench's stepper both install from
-	// line 0, and the goldens and rcbench's digests pin that (DESIGN.md §2,
-	// substitution notes).
+	// line 0, and the goldens and rcbench's digests pin that (DESIGN.md §4.1,
+	// substitutions).
 	L1From  int
 	L1Lines int
 	// Exclusive marks private data, prefilled in E state.
