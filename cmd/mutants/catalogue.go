@@ -75,6 +75,24 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
 	},
 
+	// Every core stall cycle is an L1 miss waiting for its data: a core
+	// credited a cycle short, or an L1 that dates its miss a cycle late,
+	// unbalances the books.
+	{
+		Name: "a completed miss credits one stall cycle too few",
+		File: "internal/cpu/cpu.go",
+		Old:  "\tc.StallCycles += now - c.stallFrom\n",
+		New:  "\tc.StallCycles += now - c.stallFrom - 1\n",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$", PR: 52,
+	},
+	{
+		Name: "an L1 dates its miss a cycle after the access",
+		File: "internal/coherence/l1.go",
+		Old:  "start: now}",
+		New:  "start: now + 1}",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$", PR: 52,
+	},
+
 	// Every built circuit carries its own reply or is undone: a circuit
 	// the protocol undoes and the books do not count leaves one built
 	// circuit unaccounted for.
@@ -182,6 +200,20 @@ var catalogue = []Mutant{
 		Old:  "\t\t\t*due = 0\n",
 		New:  "",
 		Pkg:  "./internal/chip", Run: "^TestKernelWorkPinned$",
+	},
+	{
+		Name: "a timed wake lands a cycle late",
+		File: "internal/sim/clock.go",
+		Old:  "k.wheel[w.idx>>6<<wheelBits|int(at&(wheelSlots-1))] |= 1 << (w.idx & 63)",
+		New:  "k.wheel[w.idx>>6<<wheelBits|int((at+1)&(wheelSlots-1))] |= 1 << (w.idx & 63)",
+		Pkg:  "./internal/sim", Run: "^FuzzKernelSchedule$", PR: 52,
+	},
+	{
+		Name: "a delivered message wakes its controller at once again",
+		File: "internal/coherence/l2.go",
+		Old:  "\tl.wake.WakeAt(now + L2HitLatency)\n",
+		New:  "\tl.wake.Wake()\n",
+		Pkg:  "./internal/chip", Run: "^TestKernelWorkPinned$", PR: 52,
 	},
 
 	// A stream drawn in compute runs yields what Next alone yields.
@@ -637,6 +669,82 @@ var catalogue = []Mutant{
 		Old:  "`json:\"buckets\"`",
 		New:  "`json:\"bucket\"`",
 		Pkg:  "./internal/stats", Run: "^TestHistogramJSONRoundTrip$", PR: 40,
+	},
+
+	// Go clients read a finished Results in the binary form: it carries
+	// every leaf JSON carries, decodes to what JSON decodes, refuses what
+	// it did not write, and is sent only to a client that asked for it.
+	{
+		Name: "a float loses its sign bit in the binary form",
+		File: "internal/serve/codec.go",
+		Old:  "math.Float64bits(v.Float())",
+		New:  "math.Float64bits(math.Abs(v.Float()))",
+		Pkg:  "./internal/serve", Run: "^TestResultsCodecCarriesEveryLeaf$", PR: 52,
+	},
+	{
+		Name: "the binary decoder accepts trailing bytes",
+		File: "internal/serve/codec.go",
+		Old:  "\tif len(d.b) != 0 {\n",
+		New:  "\tif len(d.b) < 0 {\n",
+		Pkg:  "./internal/serve", Run: "^TestResultDecodeRejectsMalformed$", PR: 52,
+	},
+	{
+		Name: "a nil slice decodes as an empty one",
+		File: "internal/serve/codec.go",
+		Old:  "return 0, err == nil, err",
+		New:  "return 0, false, err",
+		Pkg:  "./internal/serve", Run: "^TestBinaryAndJSONAgree$", PR: 52,
+	},
+	{
+		Name: "the status writer answers binary to a request that did not ask",
+		File: "internal/serve/http.go",
+		Old:  "bin := resultsMediaType != \"\" && req.Header.Get(\"Accept\") == resultsMediaType",
+		New:  "bin := resultsMediaType != \"\"",
+		Pkg:  "./internal/serve", Run: "^TestClientReadsEitherForm$", PR: 52,
+	},
+	// The service's front doors fail closed: a refused submission leaves
+	// nothing behind, and a journal no server wrote is not half replayed.
+	{
+		Name: "a submission refused by a full queue keeps its in-flight slot",
+		File: "internal/serve/server.go",
+		Old:  "\t\t\ts.cache.release(fp)\n",
+		New:  "",
+		Pkg:  "./internal/serve", Run: "^FuzzSubmit$", PR: 52,
+	},
+	{
+		Name: "a submission refused by a full queue stays registered",
+		File: "internal/serve/server.go",
+		Old:  "\t\t\ts.unregister(j)\n\t\t\ts.rejected.Add(1)\n",
+		New:  "\t\t\ts.rejected.Add(1)\n",
+		Pkg:  "./internal/serve", Run: "^FuzzSubmit$", PR: 52,
+	},
+	{
+		Name: "a submission that joins a twin leaves its own job registered",
+		File: "internal/serve/server.go",
+		Old:  "\t\ts.unregister(j)\n\t\ts.submitted.Add(1)\n",
+		New:  "\t\ts.submitted.Add(1)\n",
+		Pkg:  "./internal/serve", Run: "^FuzzSubmit$", PR: 52,
+	},
+	{
+		Name: "a fresh job is registered after a twin can join it",
+		File: "internal/serve/server.go",
+		Old:  "\ts.register(j)\n\toutcome, cached, twin := s.cache.admit(fp, j)\n",
+		New:  "\toutcome, cached, twin := s.cache.admit(fp, j)\n\tdefer s.register(j)\n",
+		Pkg:  "./internal/serve", Run: "^TestInFlightJobsAreAddressable$", PR: 52,
+	},
+	{
+		Name: "a journal that reuses a job id is replayed",
+		File: "internal/serve/journal.go",
+		Old:  "if e.ID == \"\" || ids[e.ID] {",
+		New:  "if e.ID == \"\" {",
+		Pkg:  "./internal/serve", Run: "^FuzzJournal$", PR: 52,
+	},
+	{
+		Name: "the client never asks for the binary form",
+		File: "internal/serve/client.go",
+		Old:  "\t\treq.Header.Set(\"Accept\", resultsMediaType)\n",
+		New:  "",
+		Pkg:  "./internal/serve", Run: "^TestClientReadsEitherForm$", PR: 52,
 	},
 
 	// A recycled slab remembers the image it holds outside its dirty sets,

@@ -187,7 +187,7 @@ func checkGolden(t *testing.T, row goldenRow, r *Results) {
 	if r.Circ != nil {
 		circ = *r.Circ
 	}
-	if err := balance(&r.Msgs, r.Circ, core.TraitsFor(r.Spec.Variant.Opts).Partial); err != nil {
+	if err := balance(booksOf(r), core.TraitsFor(r.Spec.Variant.Opts).Partial); err != nil {
 		t.Error(err)
 	}
 	if got := circ.Replies[core.OutcomeCircuit:]; !slices.Equal(got, row.outcomes[:]) {

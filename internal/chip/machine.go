@@ -358,17 +358,41 @@ func (m *Machine) Finish() error {
 	}
 	if m.spec.Audit {
 		m.phase = "audit"
-		var circ *core.Stats
+		b := books{msgs: &m.Sys.Msgs}
 		if m.Sys.Mgr != nil {
-			circ = &m.Sys.Mgr.Stats
+			b.circ = &m.Sys.Mgr.Stats
+		}
+		for _, c := range m.cores {
+			b.stalls += c.StallCycles
+		}
+		for _, l1 := range m.Sys.L1s {
+			b.missCycles += l1.MissCycles
 		}
 		partial := core.TraitsFor(m.spec.Variant.Opts).Partial
-		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(&m.Sys.Msgs, circ, partial)); err != nil {
+		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(b, partial)); err != nil {
 			return m.runErr("post-run audit failed: "+err.Error(), false)
 		}
 	}
 	m.clean = true
 	return nil
+}
+
+// books are the counters the identities read: the message mix, the
+// circuit statistics (nil without a circuit layer), Σ core StallCycles and
+// Σ L1 MissCycles.
+type books struct {
+	msgs               *coherence.MsgStats
+	circ               *core.Stats
+	stalls, missCycles int64
+}
+
+// booksOf reads a finished run's books from its Results.
+func booksOf(r *Results) books {
+	b := books{msgs: &r.Msgs, circ: r.Circ, missCycles: r.Metrics.Value("l1/miss_cycles")}
+	for _, c := range r.Cores {
+		b.stalls += c.StallCycles
+	}
+	return b
 }
 
 // identities are the books: exact accounting identities every audited run
@@ -380,15 +404,15 @@ func (m *Machine) Finish() error {
 var identities = []struct {
 	name            string
 	circuits, whole bool
-	sides           func(msgs *coherence.MsgStats, circ *core.Stats) (int64, int64)
+	sides           func(b books) (int64, int64)
 }{
 	// An L1-to-L1 reply to a requestor on the line's home tile is acked
 	// without crossing the network, so both sides count local messages.
 	{"every data reply needs exactly one ack, sent or eliminated", false, false,
-		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
-			sent := func(t coherence.MsgType) int64 { return m.Network[t] + m.Local[t] }
+		func(b books) (int64, int64) {
+			sent := func(t coherence.MsgType) int64 { return b.msgs.Network[t] + b.msgs.Local[t] }
 			return sent(coherence.MsgL2Reply) + sent(coherence.MsgL1ToL1),
-				sent(coherence.MsgDataAck) + circ.EliminatedAcks
+				sent(coherence.MsgDataAck) + b.circ.EliminatedAcks
 		}},
 	// The manager classifies a reply when its NI first lets it leave:
 	// its own circuit (circuit, failed, undone), a borrowed one
@@ -397,21 +421,21 @@ var identities = []struct {
 	// Classified and are not counted twice; local replies never reach an
 	// NI, and setup probes are not coherence messages.
 	{"every reply that enters the network lands in exactly one Figure-6 outcome", true, false,
-		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
+		func(b books) (int64, int64) {
 			var entered, landed int64
-			for t, n := range m.Network {
+			for t, n := range b.msgs.Network {
 				if coherence.MsgType(t).IsReply() {
 					entered += n
 				}
 			}
 			for o := core.OutcomeCircuit; o <= core.OutcomeNotEligible; o++ {
-				landed += circ.Replies[o]
+				landed += b.circ.Replies[o]
 			}
 			return entered, landed
 		}},
 	{"every eliminated ack is the eliminated Figure-6 outcome", true, false,
-		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
-			return circ.EliminatedAcks, circ.Replies[core.OutcomeEliminated]
+		func(b books) (int64, int64) {
+			return b.circ.EliminatedAcks, b.circ.Replies[core.OutcomeEliminated]
 		}},
 	// A built circuit ends carrying its own reply (the circuit outcome)
 	// or undone: by the protocol (Manager.Undo) or past its timed window.
@@ -419,9 +443,18 @@ var identities = []struct {
 	// term. Under Partial policies Undo also counts a fragment set that
 	// never completed, which CircuitsBuilt does not, so they are exempt.
 	{"every built circuit is used or undone, none left live", true, true,
-		func(m *coherence.MsgStats, circ *core.Stats) (int64, int64) {
-			return circ.CircuitsBuilt, circ.Replies[core.OutcomeCircuit] + circ.CircuitsUndone
+		func(b books) (int64, int64) {
+			return b.circ.CircuitsBuilt, b.circ.Replies[core.OutcomeCircuit] + b.circ.CircuitsUndone
 		}},
+	// A core stalls from its miss's access to the cycle its L1 completes
+	// the miss, and those are the L1's own access and fill cycles, so the
+	// core's StallCycles and an L1 access-to-fill sum would be one
+	// variable. The L1 side is instead taken when the data reply is
+	// delivered: the access-latency cycle it is scheduled for, less the
+	// access. It balances only if every data reply is handled in exactly
+	// the cycle it was scheduled for and the core is credited to the cycle.
+	{"every core stall cycle is an L1 miss waiting for its data", false, false,
+		func(b books) (int64, int64) { return b.stalls, b.missCycles }},
 }
 
 // Identities names every identity an audited run balances.
@@ -433,23 +466,18 @@ func Identities() []string {
 	return names
 }
 
-// balance checks every identity over a run's message counts and circuit
-// statistics (nil without a circuit layer), naming the first that does not
-// hold; partial reports a policy whose circuits may be fragments.
-func balance(msgs *coherence.MsgStats, circ *core.Stats, partial bool) error {
-	var none core.Stats
+// balance checks every identity over a run's books, naming the first that
+// does not hold; partial reports a policy whose circuits may be fragments.
+func balance(b books, partial bool) error {
+	circuits := b.circ != nil
+	if !circuits {
+		b.circ = &core.Stats{}
+	}
 	for _, id := range identities {
-		if id.whole && partial {
+		if id.whole && partial || id.circuits && !circuits {
 			continue
 		}
-		c := circ
-		if c == nil {
-			if id.circuits {
-				continue
-			}
-			c = &none
-		}
-		if lhs, rhs := id.sides(msgs, c); lhs != rhs {
+		if lhs, rhs := id.sides(b); lhs != rhs {
 			return fmt.Errorf("books: %s: %d != %d", id.name, lhs, rhs)
 		}
 	}

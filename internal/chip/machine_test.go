@@ -68,42 +68,42 @@ func TestHandSteppedMachineMatchesRunCtx(t *testing.T) {
 // component ticks the sparse kernel spends on the row's warm-up and
 // measured phases.
 var kernelTicks = map[string]int64{
-	"micro/Baseline":             39_521,
-	"micro/Fragmented":           37_791,
-	"micro/Complete":             37_995,
-	"micro/Complete_NoAck":       33_862,
-	"micro/Reuse_NoAck":          33_888,
-	"micro/Timed_NoAck":          38_045,
-	"micro/Slack_1_NoAck":        33_945,
-	"micro/Slack_2_NoAck":        33_701,
-	"micro/Slack_4_NoAck":        33_778,
-	"micro/SlackDelay_1_NoAck":   33_945,
-	"micro/Postponed_1_NoAck":    34_467,
-	"micro/Ideal":                37_688,
-	"canneal/Baseline":           48_298,
-	"canneal/Fragmented":         45_766,
-	"canneal/Complete":           46_420,
-	"canneal/Complete_NoAck":     41_673,
-	"canneal/Reuse_NoAck":        41_798,
-	"canneal/Timed_NoAck":        46_035,
-	"canneal/Slack_1_NoAck":      41_019,
-	"canneal/Slack_2_NoAck":      40_725,
-	"canneal/Slack_4_NoAck":      40_923,
-	"canneal/SlackDelay_1_NoAck": 41_014,
-	"canneal/Postponed_1_NoAck":  41_746,
-	"canneal/Ideal":              45_452,
-	"hotspot/Baseline":           64_356,
-	"hotspot/Reuse_NoAck":        59_293,
-	"hotspot/Timed_NoAck":        63_979,
-	"micro/SDM":                  53_735,
-	"micro/SDM_2":                43_807,
-	"micro/SDM_8":                70_233,
-	"hotspot/SDM":                94_942,
-	"micro/DynamicVC":            37_843,
-	"hotspot/DynamicVC":          63_019,
-	"micro/Speculative":          32_066,
-	"micro/Probe_DejaVu":         47_185,
-	"canneal/Probe_DejaVu":       59_172,
+	"micro/Baseline":             38_688,
+	"micro/Fragmented":           36_959,
+	"micro/Complete":             37_162,
+	"micro/Complete_NoAck":       33_211,
+	"micro/Reuse_NoAck":          33_237,
+	"micro/Timed_NoAck":          37_215,
+	"micro/Slack_1_NoAck":        33_287,
+	"micro/Slack_2_NoAck":        33_052,
+	"micro/Slack_4_NoAck":        33_120,
+	"micro/SlackDelay_1_NoAck":   33_287,
+	"micro/Postponed_1_NoAck":    33_806,
+	"micro/Ideal":                36_856,
+	"canneal/Baseline":           47_210,
+	"canneal/Fragmented":         44_682,
+	"canneal/Complete":           45_334,
+	"canneal/Complete_NoAck":     40_818,
+	"canneal/Reuse_NoAck":        40_942,
+	"canneal/Timed_NoAck":        44_944,
+	"canneal/Slack_1_NoAck":      40_172,
+	"canneal/Slack_2_NoAck":      39_886,
+	"canneal/Slack_4_NoAck":      40_086,
+	"canneal/SlackDelay_1_NoAck": 40_168,
+	"canneal/Postponed_1_NoAck":  40_902,
+	"canneal/Ideal":              44_365,
+	"hotspot/Baseline":           62_322,
+	"hotspot/Reuse_NoAck":        57_415,
+	"hotspot/Timed_NoAck":        61_937,
+	"micro/SDM":                  52_898,
+	"micro/SDM_2":                42_973,
+	"micro/SDM_8":                69_393,
+	"hotspot/SDM":                92_742,
+	"micro/DynamicVC":            37_014,
+	"hotspot/DynamicVC":          60_987,
+	"micro/Speculative":          31_235,
+	"micro/Probe_DejaVu":         46_349,
+	"canneal/Probe_DejaVu":       58_083,
 }
 
 // TestKernelWorkPinned pins the component ticks the sparse kernel spends on
@@ -231,7 +231,8 @@ func TestKernelFreeStepperMatchesRunCtx(t *testing.T) {
 // network counts alone miss an L1-to-L1 reply acked on its home tile and
 // whose NIs hold replies back and offer them again, balances every
 // identity; one data reply too many, one Figure-6 outcome too many, one
-// eliminated outcome too many or one built circuit too many does not.
+// eliminated outcome too many, one built circuit too many or one stall
+// cycle too many does not.
 func TestBooksBalance(t *testing.T) {
 	canneal, _ := workload.ByName("canneal")
 	spec := DefaultSpec(config.Chip64(), variant(t, "Complete_NoAck"), canneal)
@@ -244,15 +245,21 @@ func TestBooksBalance(t *testing.T) {
 		t.Fatalf("no eliminated acks, local acks or undone circuits to balance: %d, %d, %d",
 			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck], r.Circ.CircuitsUndone)
 	}
-	for i, bump := range []func(m *coherence.MsgStats, c *core.Stats){
-		func(m *coherence.MsgStats, _ *core.Stats) { m.Network[coherence.MsgL2Reply]++ },
-		func(_ *coherence.MsgStats, c *core.Stats) { c.Replies[core.OutcomeUndone]++ },
-		func(_ *coherence.MsgStats, c *core.Stats) { c.Replies[core.OutcomeEliminated]++ },
-		func(_ *coherence.MsgStats, c *core.Stats) { c.CircuitsBuilt++ },
+	if b := booksOf(r); b.stalls == 0 {
+		t.Fatal("no stall cycles to balance")
+	}
+	for i, bump := range []func(b *books){
+		func(b *books) { b.msgs.Network[coherence.MsgL2Reply]++ },
+		func(b *books) { b.circ.Replies[core.OutcomeUndone]++ },
+		func(b *books) { b.circ.Replies[core.OutcomeEliminated]++ },
+		func(b *books) { b.circ.CircuitsBuilt++ },
+		func(b *books) { b.stalls++ },
 	} {
 		msgs, circ := r.Msgs, *r.Circ
-		bump(&msgs, &circ)
-		if err := balance(&msgs, &circ, false); err == nil || !strings.Contains(err.Error(), Identities()[i]) {
+		b := booksOf(r)
+		b.msgs, b.circ = &msgs, &circ
+		bump(&b)
+		if err := balance(b, false); err == nil || !strings.Contains(err.Error(), Identities()[i]) {
 			t.Errorf("bump %d balanced the books, or not only identity %d failed: %v", i, i, err)
 		}
 	}

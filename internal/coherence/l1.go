@@ -37,13 +37,21 @@ type L1Ctrl struct {
 	// onDone resumes the core when the outstanding miss completes.
 	onDone func(now sim.Cycle)
 
+	// MissCycles sums, over the misses whose data has arrived, the cycles
+	// from the access to the cycle the L1 schedules the data for: taken
+	// when the data reply is delivered, not when the miss completes, so
+	// it is the books' own side of the core's StallCycles (chip's
+	// identities) rather than the same two cycles read twice.
+	MissCycles int64
+
 	wake sim.Waker
 }
 
 type l1Txn struct {
 	addr   cache.Addr
 	write  bool
-	waitWB bool // the target line is draining through the wb buffer
+	waitWB bool      // the target line is draining through the wb buffer
+	start  sim.Cycle // the access's cycle
 }
 
 // init builds l in place over a zero or recycled controller; only its
@@ -78,7 +86,7 @@ func (l *L1Ctrl) Access(a cache.Addr, write bool, now sim.Cycle) bool {
 		}
 		// Write to a shared line: upgrade through a GetX miss.
 	}
-	l.txnBuf = l1Txn{addr: addr, write: write}
+	l.txnBuf = l1Txn{addr: addr, write: write, start: now}
 	l.txn = &l.txnBuf
 	if _, pending := l.wb[addr]; pending {
 		l.txn.waitWB = true // reissue after the write-back drains
@@ -97,13 +105,18 @@ func (l *L1Ctrl) issue(now sim.Cycle) {
 		Payload{Requestor: int(l.id), Write: l.txn.write}, now)
 }
 
+// deliver queues msg behind the access latency and wakes the controller
+// in the cycle it is due.
 func (l *L1Ctrl) deliver(msg *noc.Message, now sim.Cycle) {
-	l.wake.Wake()
 	at := now + L1HitLatency
 	if l.sys.fault != nil && MsgType(msg.Type) == MsgL2Reply && UnpackPayload(msg.Payload).NoAck {
 		at += l.sys.fault.DelayReply(l.id, now)
 	}
+	if t := MsgType(msg.Type); (t == MsgL2Reply || t == MsgL1ToL1) && l.txn != nil {
+		l.MissCycles += at - l.txn.start
+	}
 	l.q.push(at, msg)
+	l.wake.WakeAt(at)
 }
 
 // Quiescent reports whether the next Tick is a pure no-op: Tick only

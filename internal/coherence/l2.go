@@ -104,9 +104,11 @@ func (l *L2Ctrl) retire(t *l2Txn) {
 // Cache exposes the underlying array.
 func (l *L2Ctrl) Cache() *cache.Cache { return l.c }
 
+// deliver queues msg behind the bank's access latency and wakes the bank
+// in the cycle it is due.
 func (l *L2Ctrl) deliver(msg *noc.Message, now sim.Cycle) {
-	l.wake.Wake()
 	l.q.push(now+L2HitLatency, msg)
+	l.wake.WakeAt(now + L2HitLatency)
 }
 
 // Quiescent reports whether the next Tick is a pure no-op: with no message

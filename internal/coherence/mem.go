@@ -33,9 +33,11 @@ func (m *MemCtrl) init(sys *System, id mesh.NodeID) {
 // ID returns the tile hosting this controller.
 func (m *MemCtrl) ID() mesh.NodeID { return m.id }
 
+// deliver queues msg behind the memory latency and wakes the controller
+// when it is due (or early, past the kernel wheel's reach).
 func (m *MemCtrl) deliver(msg *noc.Message, now sim.Cycle) {
-	m.wake.Wake()
 	m.q.push(now+MemLatency, msg)
+	m.wake.WakeAt(now + MemLatency)
 }
 
 // Quiescent reports whether no request is waiting out its memory latency.

@@ -444,6 +444,13 @@ func (s *System) DescribeMetrics(reg *sim.Registry) {
 		reg.Counter("l2/misses", &c2.Misses)
 		reg.Counter("l2/evictions", &c2.Evictions)
 	}
+	reg.CounterAt("l1/miss_cycles", func(sim.Cycle) int64 {
+		var n int64
+		for _, l1 := range s.L1s {
+			n += l1.MissCycles
+		}
+		return n
+	})
 	reg.CounterAt("l2/blocked_cycles", func(at sim.Cycle) int64 {
 		var n int64
 		for i := range s.L2s {
@@ -533,6 +540,7 @@ func (s *System) ResetStats() {
 	for i := range s.L1s {
 		c := s.L1s[i].Cache()
 		c.Hits, c.Misses, c.Evictions = 0, 0, 0
+		s.L1s[i].MissCycles = 0
 		c2 := s.L2s[i].Cache()
 		c2.Hits, c2.Misses, c2.Evictions = 0, 0, 0
 		s.L2s[i].BlockedCycles = 0

@@ -43,12 +43,18 @@ func (t *table) text() string {
 	}
 	var b strings.Builder
 	b.WriteString(t.title + "\n")
+	// The last cell is not padded, so a line ends in spaces only where
+	// its last cell is empty.
 	line := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			if i == len(cells)-1 {
+				b.WriteString(c)
+			} else {
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
+			}
 		}
 		b.WriteByte('\n')
 	}

@@ -36,25 +36,36 @@ type cacheEntry struct {
 	res *result
 }
 
-// result is a finished run's Results with their JSON, shared by the cache
-// entry and every job served from it. The JSON is encoded once, by the
-// first HTTP handler that needs it (the miss's own GET or the first hit),
-// and never on a worker, where it would delay the next queued run. A
-// stored result is never changed: replacing an entry's Results replaces
-// its result, so the bytes always match the Results they were encoded
-// from. Each one holds about 6.5 KB of JSON for a 16-core run.
+// result is a finished run's Results with their JSON and binary forms,
+// shared by the cache entry and every job served from it. Each form is
+// encoded once, by the first HTTP handler that asks for it (the miss's own
+// GET or the first hit), and never on a worker, where it would delay the
+// next queued run. A stored result is never changed: replacing an entry's
+// Results replaces its result, so the bytes always match the Results they
+// were encoded from. A 16-core run's forms are about 6.5 KB of JSON and
+// 2.6 KB of binary.
 type result struct {
 	res *chip.Results
 
 	once sync.Once
 	js   []byte
 	err  error
+
+	binOnce sync.Once
+	bin     []byte
+	binErr  error
 }
 
 // encoded returns the Results' encoding, as json.Marshal writes it.
 func (r *result) encoded() ([]byte, error) {
 	r.once.Do(func() { r.js, r.err = json.Marshal(r.res) })
 	return r.js, r.err
+}
+
+// binary returns the Results in the binary result form (codec.go).
+func (r *result) binary() ([]byte, error) {
+	r.binOnce.Do(func() { r.bin, r.binErr = encodeResults(r.res) })
+	return r.bin, r.binErr
 }
 
 // newResultCache builds a cache holding capacity entries (<= 0: 512).

@@ -92,6 +92,9 @@ func open(ctx context.Context, hc *http.Client, method, url string, body any) (*
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if resultsMediaType != "" {
+		req.Header.Set("Accept", resultsMediaType)
+	}
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -122,7 +125,9 @@ const maxBodyHint = 16 << 20
 // call sends one request through open and decodes a JSON answer into out
 // (a 204 carries nothing to read). The body is read once, into a buffer
 // sized from Content-Length when the server sent one, and decoded from
-// there.
+// there. A JobStatus the server sent with its Results in the binary form
+// (writeStatus) is split at the header's newline and decoded in two parts;
+// a server that answers JSON, an older one included, is decoded as JSON.
 func call(ctx context.Context, hc *http.Client, method, url string, body, out any) error {
 	resp, err := open(ctx, hc, method, url, body)
 	if err != nil {
@@ -141,7 +146,28 @@ func call(ctx context.Context, hc *http.Client, method, url string, body, out an
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
+	if st, ok := out.(*JobStatus); ok && resultsMediaType != "" && resp.Header.Get("Content-Type") == resultsMediaType {
+		return unmarshalStatus(buf.Bytes(), st)
+	}
 	return json.Unmarshal(buf.Bytes(), out)
+}
+
+// unmarshalStatus reads a JobStatus written as a JSON header, a newline and
+// the binary Results.
+func unmarshalStatus(b []byte, st *JobStatus) error {
+	head, bin, ok := bytes.Cut(b, []byte("\n"))
+	if !ok {
+		return errors.New("serve: binary status without its header's newline")
+	}
+	if err := json.Unmarshal(head, st); err != nil {
+		return fmt.Errorf("serve: binary status header: %w", err)
+	}
+	res, err := decodeResults(bin)
+	if err != nil {
+		return err
+	}
+	st.Result = res
+	return nil
 }
 
 // Submit posts one spec; backpressure surfaces as a retryable error that

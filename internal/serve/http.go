@@ -45,17 +45,26 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeStatus is the one writer of a JobStatus: st as job.status returns
 // it, without its Results, and r, the job's result or nil. A status
 // without a result goes through writeJSON. A done job's Results are
-// written as the bytes encoded once for them (result.encoded), spliced in
-// as the trailing "result" field, so a cache hit encodes only the small
-// header. The body equals json.NewEncoder(w).Encode(st) with st.Result
-// set, byte for byte: Result is JobStatus's last field, and the header
-// always has fields before it.
-func writeStatus(w http.ResponseWriter, code int, st JobStatus, r *result) {
+// written as the bytes encoded once for them (result.encoded or
+// result.binary), so a cache hit encodes only the small header.
+//
+// By default the Results are spliced in as the trailing "result" field:
+// the body equals json.NewEncoder(w).Encode(st) with st.Result set, byte
+// for byte, since Result is JobStatus's last field and the header always
+// has fields before it. A request whose Accept is resultsMediaType (every
+// Client's) gets the header, a newline and the binary Results instead;
+// compact JSON holds no raw newline, so the first one ends the header.
+func writeStatus(w http.ResponseWriter, req *http.Request, code int, st JobStatus, r *result) {
 	if r == nil {
 		writeJSON(w, code, st)
 		return
 	}
-	js, err := r.encoded()
+	bin := resultsMediaType != "" && req.Header.Get("Accept") == resultsMediaType
+	encode := r.encoded
+	if bin {
+		encode = r.binary
+	}
+	js, err := encode()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode result: "+err.Error())
 		return
@@ -63,6 +72,14 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus, r *result) {
 	head, err := json.Marshal(st)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode status: "+err.Error())
+		return
+	}
+	if bin {
+		w.Header().Set("Content-Type", resultsMediaType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(head)+1+len(js)))
+		w.WriteHeader(code)
+		_, _ = w.Write(append(head, '\n'))
+		_, _ = w.Write(js)
 		return
 	}
 	head = head[:len(head)-1] // reopen the object after its last field
@@ -116,9 +133,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())
 	case st.Cached || st.Deduped:
-		writeStatus(w, http.StatusOK, st, res)
+		writeStatus(w, r, http.StatusOK, st, res)
 	default:
-		writeStatus(w, http.StatusAccepted, st, res)
+		writeStatus(w, r, http.StatusAccepted, st, res)
 	}
 }
 
@@ -129,7 +146,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, res := j.status()
-	writeStatus(w, http.StatusOK, st, res)
+	writeStatus(w, r, http.StatusOK, st, res)
 }
 
 // handleEvents streams a job's progress as server-sent events. The stream

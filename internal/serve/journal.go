@@ -67,7 +67,10 @@ func writeJournal(path string, entries []journalEntry) error {
 // skipped with a warning through warn, and every intact record before it
 // still replays. Corruption anywhere else in the file cannot be explained
 // by a torn write and aborts the load — replaying a journal whose middle
-// is garbage risks silently dropping an unknown number of jobs.
+// is garbage risks silently dropping an unknown number of jobs. So does a
+// record no server writes, one with an empty id or an id an earlier record
+// holds: replaying it would leave a job no id reaches. A load that aborts
+// leaves the file where it was.
 func readJournal(path string, warn func(format string, args ...any)) ([]journalEntry, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -85,6 +88,7 @@ func readJournal(path string, warn func(format string, args ...any)) ([]journalE
 		}
 	}
 	var entries []journalEntry
+	ids := map[string]bool{}
 	for i, line := range lines {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -98,6 +102,10 @@ func readJournal(path string, warn func(format string, args ...any)) ([]journalE
 			}
 			return nil, fmt.Errorf("serve: corrupt journal %s: record %d: %w", filepath.Base(path), i+1, err)
 		}
+		if e.ID == "" || ids[e.ID] {
+			return nil, fmt.Errorf("serve: corrupt journal %s: record %d: job id %q is empty or taken", filepath.Base(path), i+1, e.ID)
+		}
+		ids[e.ID] = true
 		entries = append(entries, e)
 	}
 	if err := os.Remove(path); err != nil {

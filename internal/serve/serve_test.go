@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,47 @@ func TestDedupReturnsSameJob(t *testing.T) {
 	}
 	if got := s.Metrics().Value("serve/deduped"); got != 1 {
 		t.Fatalf("serve/deduped = %d, want 1", got)
+	}
+}
+
+// TestInFlightJobsAreAddressable: a job the in-flight index holds, which a
+// twin submission joins and whose id it hands to its client, is always
+// already registered: a client that follows the id at once never meets a
+// 404. A checker reads the index while fresh specs are submitted; the
+// window a late registration leaves is a few hundred nanoseconds, which
+// it hits thousands of times in this many submissions.
+func TestInFlightJobsAreAddressable(t *testing.T) {
+	const n = 5000
+	s := newTestServer(t, Config{QueueDepth: n})
+	var stop atomic.Bool
+	lost := make(chan string, 1)
+	go func() {
+		defer close(lost)
+		for !stop.Load() {
+			s.cache.mu.Lock()
+			var held []*job
+			for _, j := range s.cache.inflight {
+				held = append(held, j)
+			}
+			s.cache.mu.Unlock()
+			for _, j := range held {
+				if _, ok := s.Job(j.id); !ok {
+					lost <- j.id
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		spec := smallSpec(uint64(i))
+		if _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		s.cache.release(spec.Fingerprint()) // keep the index to one job
+	}
+	stop.Store(true)
+	if id, ok := <-lost; ok {
+		t.Fatalf("job %s was in flight, and so joinable, before it was registered", id)
 	}
 }
 

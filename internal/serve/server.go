@@ -227,6 +227,10 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 	now := time.Now()
 	j := newJob(s.newID(), fp, spec, now)
 
+	// The job is addressable before admit can hand its id to a twin
+	// submission that joins it; one that joins or is refused itself is
+	// dropped again, its id never having left this call.
+	s.register(j)
 	outcome, cached, twin := s.cache.admit(fp, j)
 	switch outcome {
 	case admitHit:
@@ -234,13 +238,13 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 		j.cached = true
 		j.result = cached
 		j.mu.Unlock()
-		s.register(j)
 		s.finish(j, StateDone)
 		s.submitted.Add(1)
 		st, _ := j.status()
 		return st, cached, nil
 
 	case admitJoin:
+		s.unregister(j)
 		s.submitted.Add(1)
 		s.deduped.Add(1)
 		st, _ := twin.status()
@@ -252,10 +256,10 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 		case s.queue <- j:
 		default:
 			s.cache.release(fp)
+			s.unregister(j)
 			s.rejected.Add(1)
 			return JobStatus{}, nil, ErrQueueFull
 		}
-		s.register(j)
 		s.submitted.Add(1)
 		st, _ := j.status()
 		return st, nil, nil
@@ -265,6 +269,12 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 func (s *Server) register(j *job) {
 	s.jobsMu.Lock()
 	s.jobs[j.id] = j
+	s.jobsMu.Unlock()
+}
+
+func (s *Server) unregister(j *job) {
+	s.jobsMu.Lock()
+	delete(s.jobs, j.id)
 	s.jobsMu.Unlock()
 }
 

@@ -59,6 +59,27 @@ func (w Waker) Wake() {
 	}
 }
 
+// WakeAt schedules the component to tick at cycle at, whoever calls it and
+// whatever the component is doing: it sets only the component's wheel bit,
+// so a sleeper sleeps on until then and an awake component is untouched.
+// Whoever hands a component work that is not due before a known cycle — a
+// controller's access latency — wakes it so, instead of waking it now to
+// find nothing due and sleep until then. A cycle at or before this one is
+// Wake, and so is any cycle under the dense kernel, which has no wheel. A
+// cycle past the wheel's reach wakes the component early, as SleepUntil
+// does, and its no-op tick puts it back to sleep.
+func (w Waker) WakeAt(at Cycle) {
+	k := w.k
+	if k == nil {
+		return
+	}
+	if k.dense || at <= k.now {
+		w.Wake()
+		return
+	}
+	k.wheel[w.idx>>6<<wheelBits|int(at&(wheelSlots-1))] |= 1 << (w.idx & 63)
+}
+
 // SleepUntil, called from the component's own Tick, puts it to sleep until
 // cycle at: the sparse kernel skips it until then, or until an earlier
 // Wake. A cycle at or before this one means the next. A cycle past the

@@ -38,10 +38,11 @@ type schedule struct {
 	work []int
 	// due is a sleeper's wake cycle, 0 while it is awake: it works in no
 	// tick before due.
-	due   []Cycle
-	wake  func(i int)
-	sleep func(i int, at Cycle)
-	trace []string
+	due    []Cycle
+	wake   func(i int)
+	wakeAt func(i int, at Cycle)
+	sleep  func(i int, at Cycle)
+	trace  []string
 }
 
 // comp is component i of a schedule.
@@ -83,6 +84,13 @@ func (c comp) Tick(now Cycle) {
 		}
 	}
 	switch b & 7 {
+	case 0: // work for anyone, due after a span: it is woken then, not now
+		t, d := arg*5%n, sleeps[(arg>>2)%len(sleeps)]
+		s.work[t]++
+		if at := now + d; d > 0 && (s.due[t] == 0 || at < s.due[t]) {
+			s.due[t] = at
+		}
+		s.wakeAt(t, now+d)
 	case 1: // sleep, with work or without; a span of 0 asks for this cycle, so the next
 		if d := sleeps[arg%len(sleeps)]; d > 0 {
 			s.due[c.i] = now + d
@@ -126,6 +134,7 @@ func runSchedule(data []byte, ref bool) ([]string, []int) {
 			k.active[i] = true
 		}
 		s.wake = func(i int) { k.active[i] = true }
+		s.wakeAt = func(i int, _ Cycle) { k.active[i] = true }
 		s.sleep = func(int, Cycle) {}
 		step = k.step
 		active = func() int {
@@ -145,6 +154,7 @@ func runSchedule(data []byte, ref bool) ([]string, []int) {
 			wakers = append(wakers, k.Add(comp{s, i}))
 		}
 		s.wake = func(i int) { wakers[i].Wake() }
+		s.wakeAt = func(i int, at Cycle) { wakers[i].WakeAt(at) }
 		s.sleep = func(i int, at Cycle) { wakers[i].SleepUntil(at) }
 		step = k.Step
 		active = k.ActiveCount
@@ -165,7 +175,8 @@ func runSchedule(data []byte, ref bool) ([]string, []int) {
 
 // FuzzKernelSchedule holds the bitmask kernel to the scan reference over
 // random component sets: self-wakes, wakes of earlier and later components
-// during Step, wakes from outside between steps, sleeps short of, at and
+// during Step, timed wakes (WakeAt) of work not due yet, wakes from outside
+// between steps, sleeps short of, at and
 // past the wheel's reach (and sleepers woken early by peers), and dense
 // mode.
 func FuzzKernelSchedule(f *testing.F) {
@@ -174,6 +185,9 @@ func FuzzKernelSchedule(f *testing.F) {
 	}
 	for i := 0; i < 8; i++ { // mostly sleeps (b&7 == 1), across every span
 		f.Add([]byte{byte(i), byte(i >> 2), 0x09, 0x11, 0x19, 0x21, 0x29, 0x31, 0x39, 0x41, 0x0c, 0x6d})
+	}
+	for i := 0; i < 8; i++ { // mostly timed hand-offs (b&7 == 0), across every span
+		f.Add([]byte{byte(i), byte(i >> 2), 0x08, 0x28, 0x48, 0x68, 0x88, 0xa8, 0xc8, 0xe8, 0x10, 0x31})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
