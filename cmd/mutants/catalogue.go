@@ -103,6 +103,32 @@ var catalogue = []Mutant{
 		New:  "",
 		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
 	},
+	{
+		Name: "an undo of a Partial policy's unfinished fragments counts as an undone circuit",
+		File: "internal/core/manager.go",
+		Old:  "\tif rec.complete {\n\t\tmg.Stats.CircuitsUndone++",
+		New:  "\tif true {\n\t\tmg.Stats.CircuitsUndone++",
+		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$",
+	},
+
+	// Figure 8's dynamic energy is every network event at its unit cost:
+	// an energy model that stops charging an event breaks the books.
+	{
+		Name: "switch-allocator grants cost no energy",
+		File: "internal/power/power.go",
+		Old:  "float64(ev.VAActivity+ev.SAActivity) * eArb",
+		New:  "float64(ev.VAActivity) * eArb",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+
+	// A tail flit frees only the circuit entry its own message rides.
+	{
+		Name: "a tail frees an entry it does not ride",
+		File: "internal/core/manager.go",
+		Old:  "if e == nil || e.inUse != f.Msg {",
+		New:  "if e == nil && e.inUse != f.Msg {",
+		Pkg:  "./internal/core", Run: "^TestReleaseFreesOnlyItsOwnClaim$",
+	},
 
 	// NI.Send rejects a message no router could carry with its own panic,
 	// at both ends of the VN range.
@@ -684,8 +710,8 @@ var catalogue = []Mutant{
 	{
 		Name: "the binary decoder accepts trailing bytes",
 		File: "internal/serve/codec.go",
-		Old:  "\tif len(d.b) != 0 {\n",
-		New:  "\tif len(d.b) < 0 {\n",
+		Old:  "\tif d.left() != 0 {\n",
+		New:  "\tif d.left() < 0 {\n",
 		Pkg:  "./internal/serve", Run: "^TestResultDecodeRejectsMalformed$", PR: 52,
 	},
 	{
@@ -702,6 +728,53 @@ var catalogue = []Mutant{
 		New:  "bin := resultsMediaType != \"\"",
 		Pkg:  "./internal/serve", Run: "^TestClientReadsEitherForm$", PR: 52,
 	},
+	// A cache hit is recognised by its bytes only when they are exactly a
+	// Client's framing of the cached spec, and it is answered, refused
+	// and counted as the decoded path answers, refuses and counts it; the
+	// offset plan stores every leaf at its own width and place.
+	{
+		Name: "the byte path answers a draining server's submission",
+		File: "internal/serve/server.go",
+		Old:  "if !framed || !closed || s.draining.Load() {",
+		New:  "if !framed || !closed {",
+		Pkg:  "./internal/serve", Run: "^TestHitByBytesHonoursDraining$",
+	},
+	{
+		Name: "the byte path accepts a trailing newline",
+		File: "internal/serve/server.go",
+		Old:  "x, closed := bytes.CutSuffix(x, []byte(`}`))",
+		New:  "x, closed := bytes.CutSuffix(bytes.TrimSuffix(x, []byte(\"\\n\")), []byte(`}`))",
+		Pkg:  "./internal/serve", Run: "^TestHitByBytesFallsBack$",
+	},
+	{
+		Name: "a cache hit goes uncounted",
+		File: "internal/serve/cache.go",
+		Old:  "\tc.lru.MoveToFront(el)\n\tc.hits.Add(1)\n\treturn el.Value.(*cacheEntry).res",
+		New:  "\tc.lru.MoveToFront(el)\n\treturn el.Value.(*cacheEntry).res",
+		Pkg:  "./internal/serve", Run: "^TestHitByBytesAnswersAsDecoded$",
+	},
+	{
+		Name: "an empty slice decodes as nil",
+		File: "internal/serve/codec.go",
+		Old:  "v.Set(reflect.MakeSlice(t, 0, 0)) // empty, not nil: JSON's []",
+		New:  "v.SetZero()",
+		Pkg:  "./internal/serve", Run: "^TestCodecCarriesOtherShapes$",
+	},
+	{
+		Name: "a narrow integer takes a varint it cannot hold",
+		File: "internal/serve/codec.go",
+		Old:  "if err == nil && int64(T(x)) != x {",
+		New:  "if false {",
+		Pkg:  "./internal/serve", Run: "^TestCodecCarriesOtherShapes$",
+	},
+	{
+		Name: "a metric name is cut from the wrong end of the keys",
+		File: "internal/serve/codec.go",
+		Old:  "(*m)[all[len(all)-int(k):]]",
+		New:  "(*m)[all[:int(k)]]",
+		Pkg:  "./internal/serve", Run: "^TestBinaryAndJSONAgree$",
+	},
+
 	// The service's front doors fail closed: a refused submission leaves
 	// nothing behind, and a journal no server wrote is not half replayed.
 	{

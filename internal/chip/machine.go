@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"reactivenoc/internal/coherence"
@@ -11,6 +12,7 @@ import (
 	"reactivenoc/internal/cpu"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/noc"
 	"reactivenoc/internal/power"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/trace"
@@ -368,8 +370,9 @@ func (m *Machine) Finish() error {
 		for _, l1 := range m.Sys.L1s {
 			b.missCycles += l1.MissCycles
 		}
-		partial := core.TraitsFor(m.spec.Variant.Opts).Partial
-		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(b, partial)); err != nil {
+		b.events = m.Sys.Net.Events()
+		b.dynamic = power.NetworkEnergy(b.events, len(m.cores), m.spec.Variant.Opts, 0).Dynamic
+		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(b)); err != nil {
 			return m.runErr("post-run audit failed: "+err.Error(), false)
 		}
 	}
@@ -378,17 +381,21 @@ func (m *Machine) Finish() error {
 }
 
 // books are the counters the identities read: the message mix, the
-// circuit statistics (nil without a circuit layer), Σ core StallCycles and
-// Σ L1 MissCycles.
+// circuit statistics (nil without a circuit layer), Σ core StallCycles,
+// Σ L1 MissCycles, the network's power events and the dynamic energy
+// charged for them (picojoules).
 type books struct {
 	msgs               *coherence.MsgStats
 	circ               *core.Stats
 	stalls, missCycles int64
+	events             *noc.PowerEvents
+	dynamic            float64
 }
 
 // booksOf reads a finished run's books from its Results.
 func booksOf(r *Results) books {
-	b := books{msgs: &r.Msgs, circ: r.Circ, missCycles: r.Metrics.Value("l1/miss_cycles")}
+	b := books{msgs: &r.Msgs, circ: r.Circ, missCycles: r.Metrics.Value("l1/miss_cycles"),
+		events: &r.Events, dynamic: r.Energy.Dynamic}
 	for _, c := range r.Cores {
 		b.stalls += c.StallCycles
 	}
@@ -399,16 +406,15 @@ func booksOf(r *Results) books {
 // balances over its counters. The warm-up runs until the machine is idle,
 // so no transaction straddles BeginMeasured and no side needs an
 // in-flight term. An identity over the circuit layer's counts (circuits)
-// holds only in a run that has one, and one over whole circuits (whole)
-// only where a circuit is all-or-nothing (not core.Traits.Partial).
+// holds only in a run that has one.
 var identities = []struct {
-	name            string
-	circuits, whole bool
-	sides           func(b books) (int64, int64)
+	name     string
+	circuits bool
+	sides    func(b books) (int64, int64)
 }{
 	// An L1-to-L1 reply to a requestor on the line's home tile is acked
 	// without crossing the network, so both sides count local messages.
-	{"every data reply needs exactly one ack, sent or eliminated", false, false,
+	{"every data reply needs exactly one ack, sent or eliminated", false,
 		func(b books) (int64, int64) {
 			sent := func(t coherence.MsgType) int64 { return b.msgs.Network[t] + b.msgs.Local[t] }
 			return sent(coherence.MsgL2Reply) + sent(coherence.MsgL1ToL1),
@@ -420,7 +426,7 @@ var identities = []struct {
 	// offers again, and a scrounger's continuation leg, arrive marked
 	// Classified and are not counted twice; local replies never reach an
 	// NI, and setup probes are not coherence messages.
-	{"every reply that enters the network lands in exactly one Figure-6 outcome", true, false,
+	{"every reply that enters the network lands in exactly one Figure-6 outcome", true,
 		func(b books) (int64, int64) {
 			var entered, landed int64
 			for t, n := range b.msgs.Network {
@@ -433,16 +439,15 @@ var identities = []struct {
 			}
 			return entered, landed
 		}},
-	{"every eliminated ack is the eliminated Figure-6 outcome", true, false,
+	{"every eliminated ack is the eliminated Figure-6 outcome", true,
 		func(b books) (int64, int64) {
 			return b.circ.EliminatedAcks, b.circ.Replies[core.OutcomeEliminated]
 		}},
 	// A built circuit ends carrying its own reply (the circuit outcome)
 	// or undone: by the protocol (Manager.Undo) or past its timed window.
 	// The audit finds no record live at quiescence, so there is no third
-	// term. Under Partial policies Undo also counts a fragment set that
-	// never completed, which CircuitsBuilt does not, so they are exempt.
-	{"every built circuit is used or undone, none left live", true, true,
+	// term. A Partial policy's fragments that never completed are neither.
+	{"every built circuit is used or undone, none left live", true,
 		func(b books) (int64, int64) {
 			return b.circ.CircuitsBuilt, b.circ.Replies[core.OutcomeCircuit] + b.circ.CircuitsUndone
 		}},
@@ -453,8 +458,25 @@ var identities = []struct {
 	// delivered: the access-latency cycle it is scheduled for, less the
 	// access. It balances only if every data reply is handled in exactly
 	// the cycle it was scheduled for and the core is credited to the cycle.
-	{"every core stall cycle is an L1 miss waiting for its data", false, false,
+	{"every core stall cycle is an L1 miss waiting for its data", false,
 		func(b books) (int64, int64) { return b.stalls, b.missCycles }},
+	// Figure 8's dynamic energy, as power.NetworkEnergy groups it into
+	// components, against every event counter charged its own unit cost
+	// (power.EventCosts), in hundredths of a picojoule: every cost is a
+	// whole number of them, so rounding leaves both sides exact.
+	{"dynamic energy is every network event at its unit cost", false,
+		func(b books) (int64, int64) {
+			return centiPJ(b.dynamic), centiPJ(power.EventEnergy(b.events))
+		}},
+}
+
+// centiPJ rounds picojoules to hundredths; NaN (an event counter without
+// a cost) is -1, which no energy is.
+func centiPJ(pj float64) int64 {
+	if math.IsNaN(pj) {
+		return -1
+	}
+	return int64(math.Round(pj * 100))
 }
 
 // Identities names every identity an audited run balances.
@@ -467,14 +489,14 @@ func Identities() []string {
 }
 
 // balance checks every identity over a run's books, naming the first that
-// does not hold; partial reports a policy whose circuits may be fragments.
-func balance(b books, partial bool) error {
+// does not hold.
+func balance(b books) error {
 	circuits := b.circ != nil
 	if !circuits {
 		b.circ = &core.Stats{}
 	}
 	for _, id := range identities {
-		if id.whole && partial || id.circuits && !circuits {
+		if id.circuits && !circuits {
 			continue
 		}
 		if lhs, rhs := id.sides(b); lhs != rhs {

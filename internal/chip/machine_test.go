@@ -254,12 +254,13 @@ func TestBooksBalance(t *testing.T) {
 		func(b *books) { b.circ.Replies[core.OutcomeEliminated]++ },
 		func(b *books) { b.circ.CircuitsBuilt++ },
 		func(b *books) { b.stalls++ },
+		func(b *books) { b.events.CreditsSent++ },
 	} {
-		msgs, circ := r.Msgs, *r.Circ
+		msgs, circ, events := r.Msgs, *r.Circ, r.Events
 		b := booksOf(r)
-		b.msgs, b.circ = &msgs, &circ
+		b.msgs, b.circ, b.events = &msgs, &circ, &events
 		bump(&b)
-		if err := balance(b, false); err == nil || !strings.Contains(err.Error(), Identities()[i]) {
+		if err := balance(b); err == nil || !strings.Contains(err.Error(), Identities()[i]) {
 			t.Errorf("bump %d balanced the books, or not only identity %d failed: %v", i, i, err)
 		}
 	}

@@ -67,7 +67,7 @@ func (r *record) empty() bool { return r.failed && r.reserved == 0 }
 type walk struct {
 	routers int
 	// prevVC is the VC reserved at the previous router (fragmented circuits
-	// chain them), or -1 when that router left a gap.
+	// chain them), or noVC when that router left a gap.
 	prevVC int
 	// injLo/injHi is the running intersection of per-router injection
 	// constraints for timed circuits; an empty intersection means the
@@ -263,7 +263,7 @@ func (mg *Manager) newWalk() *walk {
 		w = new(walk)
 	}
 	mg.walksLive++
-	*w = walk{prevVC: -1, injLo: -1 << 60, injHi: 1 << 60}
+	*w = walk{prevVC: noVC, injLo: -1 << 60, injHi: 1 << 60}
 	return w
 }
 
@@ -395,7 +395,7 @@ func (mg *Manager) refuse(v verdict, id mesh.NodeID, msg *noc.Message, in mesh.D
 		mg.Stats.ReserveFailedConflict++
 	}
 	if mg.traits.Partial {
-		w.prevVC = -1
+		w.prevVC = noVC
 		return
 	}
 	msg.BuildFailed = true
@@ -434,7 +434,7 @@ func (mg *Manager) Bypass(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cycl
 	} else if e.inUse != msg {
 		panic(fmt.Sprintf("core: body flit of msg %d on unclaimed circuit at router %d", msg.ID, id))
 	}
-	if mg.traits.Partial && e.outVC < 0 && e.out != mesh.Local {
+	if mg.traits.Partial && e.outVC == noVC && e.out != mesh.Local {
 		// The next hop is not reserved: the flits re-enter the normal
 		// pipeline from this reserved VC's buffer; the entry frees when
 		// the tail has arrived.
@@ -446,7 +446,7 @@ func (mg *Manager) Bypass(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cycl
 		return 0, 0, false
 	}
 	outVC := e.outVC
-	if outVC < 0 {
+	if outVC == noVC {
 		outVC = 0
 	}
 	// The flit inherits the circuit's SDM lane for its next link traversal
@@ -677,7 +677,7 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 	if mg.traits.Partial {
 		rec.reserved = msg.ReservedHops
 		rec.complete = msg.ReservedHops == rec.path
-		if w.prevVC >= 0 {
+		if w.prevVC != noVC {
 			rec.injectVC = w.prevVC
 		}
 	} else {
@@ -714,7 +714,9 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 // Undo tears down the circuit starting at NI ni for (dest, block) before
 // use — the coherence protocol calls this when an L2 forwards a request to
 // an owning L1 and the L2→requestor circuit will never carry data. It
-// reports whether a built circuit was actually undone.
+// reports whether anything reserved was torn down: a built circuit or, under
+// a Partial policy, the fragments of one. Only a built circuit, one that
+// CircuitsBuilt counted, is counted as undone.
 func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.Cycle) bool {
 	key := circKey{dest: dest, block: block}
 	rec := mg.regs[ni][key]
@@ -726,10 +728,12 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		mg.retire(rec)
 		return false // nothing built to undo
 	}
-	mg.Stats.CircuitsUndone++
-	if mg.tracer != nil {
-		mg.tracer.Record(now, trace.CircuitUndone, 0, ni,
-			fmt.Sprintf("dest=%d block=%#x (forwarded request)", dest, block))
+	if rec.complete {
+		mg.Stats.CircuitsUndone++
+		if mg.tracer != nil {
+			mg.tracer.Record(now, trace.CircuitUndone, 0, ni,
+				fmt.Sprintf("dest=%d block=%#x (forwarded request)", dest, block))
+		}
 	}
 	if rec.inUse {
 		rec.pendingUndo = true // a scrounger is riding; tear down after it

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/noc"
 )
 
 func TestCompleteCircuitEndToEnd(t *testing.T) {
@@ -755,4 +756,58 @@ func TestManagerAccessors(t *testing.T) {
 		t.Fatal("live circuit not dumped")
 	}
 	r2.runQuiet(4000)
+}
+
+// TestReleaseFreesOnlyItsOwnClaim: a tail flit frees the entry its own
+// message rides; a tail that finds no live entry for its circuit, or one
+// another message rides, leaves the table as it was.
+func TestReleaseFreesOnlyItsOwnClaim(t *testing.T) {
+	r := newRig(t, 2, 2, completeOpts(), 7)
+	mg, id, in := r.mgr, r.m.Node(0, 0), mesh.East
+	owner, other := &noc.Message{CircDest: 3, CircBlock: 64}, &noc.Message{CircDest: 3, CircBlock: 64}
+	e, _ := mg.tables[id].insert(in, entry{built: true, dest: 3, block: 64, out: mesh.Local, winEnd: noWindow}, 0, 0)
+	e.inUse = other
+	stray := &noc.Message{CircDest: 3, CircBlock: 128}
+	mg.Release(id, &noc.Flit{Msg: stray, Tail: true}, in, 0)
+	mg.Release(id, &noc.Flit{Msg: owner, Tail: true}, in, 0)
+	if !e.built || e.inUse != other {
+		t.Fatalf("tails of messages not riding the entry changed it: built %v, in use by %p (rider %p)", e.built, e.inUse, other)
+	}
+	e.inUse = owner
+	mg.Release(id, &noc.Flit{Msg: owner, Tail: true}, in, 0)
+	if e.built || e.inUse != nil {
+		t.Fatalf("the rider's tail left the entry built %v, in use by %p", e.built, e.inUse)
+	}
+}
+
+// TestReservedVCsAreNeverZero: the Partial policies (fragmented and
+// dynamic-vc, at every size the presets use and beyond) reserve reply VCs
+// above a packet VC, so a reserved VC is never 0 and noVC alone marks a
+// fragmented gap; a configuration that reserved every reply VC is refused.
+func TestReservedVCsAreNeverZero(t *testing.T) {
+	m := mesh.New(4, 4)
+	for _, policy := range []string{"", "dynamic-vc"} {
+		valid := 0
+		for n := 1; n <= 8; n++ {
+			o := Options{Mechanism: MechFragmented, MaxCircuitsPerPort: n, Policy: policy}
+			if err := o.Validate(); err != nil {
+				continue
+			}
+			valid++
+			if !TraitsFor(o).Partial {
+				t.Fatalf("%+v is not a Partial policy", o)
+			}
+			if cfg := NetConfigFor(m, o); cfg.CircuitVC() < 1 {
+				t.Errorf("%+v reserves reply VCs from VC %d", o, cfg.CircuitVC())
+			}
+		}
+		if valid == 0 {
+			t.Fatalf("no circuit count validates for policy %q", policy)
+		}
+	}
+	cfg := NetConfigFor(m, fragmentedOpts())
+	cfg.ReplyCircuitVCs = cfg.VCsPerVN[noc.VNReply]
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("a configuration reserving every reply VC validated")
+	}
 }

@@ -8,6 +8,13 @@ import (
 	"reactivenoc/internal/sim"
 )
 
+// noVC is an outVC (and a walk's prevVC) with no VC reserved on the next
+// link: a fragmented gap, or the NI past the path's end. A reserved VC is
+// never 0, since noc.NetConfig.Validate keeps a packet VC below the
+// circuit VCs (TestReservedVCsAreNeverZero), so noVC is the only value
+// that means "none".
+const noVC = -1
+
 // noWindow marks a non-timed reservation, which holds its ports from
 // construction until use or teardown.
 const noWindow = sim.Cycle(math.MaxInt64)
@@ -21,7 +28,7 @@ type entry struct {
 	block uint64
 	out   mesh.Dir
 	// outVC is the virtual channel the reply occupies on the next link
-	// (the VC reserved at the next reply-path router); -1 marks a
+	// (the VC reserved at the next reply-path router); noVC marks a
 	// fragmented gap where the reply must re-enter the normal pipeline.
 	outVC int
 	// vc is the VC reserved at this input port (fragmented circuits).

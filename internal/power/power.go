@@ -15,6 +15,7 @@ package power
 import (
 	"math"
 	"math/bits"
+	"reflect"
 
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/mesh"
@@ -188,6 +189,39 @@ const (
 	// VC costly, as in Figure 8.
 	leakPerAreaPerCycle = 7.0e-5
 )
+
+// EventCosts is the dynamic energy, in picojoules, of one of each
+// noc.PowerEvents counter, every counter named once. NetworkEnergy groups
+// the same charges into components; the books (chip's identities) check
+// that the two agree, and a counter with no entry fails them.
+var EventCosts = map[string]float64{
+	"BufWrites":      eBufWrite,
+	"BufReads":       eBufRead,
+	"XbarTraversals": eXbar,
+	"LinkFlits":      eLink,
+	"VAActivity":     eArb,
+	"SAActivity":     eArb,
+	"CreditsSent":    eCredit,
+	"CircuitChecks":  eCircCheck,
+	"CircuitWrites":  eCircWrite,
+	"Retries":        0, // a cancelled grant moves no flit
+}
+
+// EventEnergy charges every counter of ev its EventCosts entry: the dynamic
+// energy recomputed from the raw counts. A counter with no entry makes it
+// NaN, which no energy equals.
+func EventEnergy(ev *noc.PowerEvents) float64 {
+	v := reflect.ValueOf(ev).Elem()
+	var pj float64
+	for i := 0; i < v.NumField(); i++ {
+		cost, ok := EventCosts[v.Type().Field(i).Name]
+		if !ok {
+			return math.NaN()
+		}
+		pj += float64(v.Field(i).Int()) * cost
+	}
+	return pj
+}
 
 // Energy is a network-energy breakdown in picojoules.
 type Energy struct {

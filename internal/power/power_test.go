@@ -1,6 +1,8 @@
 package power
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"reactivenoc/internal/core"
@@ -283,5 +285,26 @@ func TestDynamicVCRouterInventory(t *testing.T) {
 	frag := ConfigFor(16, core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2})
 	if frag.TotalVCs != 5 {
 		t.Fatalf("plain fragmented VCs = %d, want 5 (policy leak?)", frag.TotalVCs)
+	}
+}
+
+// TestEveryEventHasACost: every noc.PowerEvents counter has exactly one
+// EventCosts entry, and charging each its cost gives NetworkEnergy's
+// dynamic energy, counter by counter.
+func TestEveryEventHasACost(t *testing.T) {
+	v := reflect.ValueOf(&noc.PowerEvents{}).Elem()
+	if v.NumField() != len(EventCosts) {
+		t.Fatalf("%d event counters, %d costs", v.NumField(), len(EventCosts))
+	}
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if _, ok := EventCosts[name]; !ok {
+			t.Fatalf("event counter %s has no cost", name)
+		}
+		var ev noc.PowerEvents
+		reflect.ValueOf(&ev).Elem().Field(i).SetInt(1000)
+		if got, want := EventEnergy(&ev), NetworkEnergy(&ev, 16, core.Options{}, 0).Dynamic; math.Abs(got-want) > 1e-9 {
+			t.Errorf("1000 × %s: %v pJ from its cost, %v pJ from NetworkEnergy", name, got, want)
+		}
 	}
 }

@@ -96,10 +96,8 @@ const (
 func (c *resultCache) admit(fp string, fresh *job) (admitOutcome, *result, *job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byF[fp]; ok {
-		c.lru.MoveToFront(el)
-		c.hits.Add(1)
-		return admitHit, el.Value.(*cacheEntry).res, nil
+	if r := c.hitLocked(fp); r != nil {
+		return admitHit, r, nil
 	}
 	if twin, ok := c.inflight[fp]; ok {
 		return admitJoin, nil, twin
@@ -107,6 +105,24 @@ func (c *resultCache) admit(fp string, fresh *job) (admitOutcome, *result, *job)
 	c.misses.Add(1)
 	c.inflight[fp] = fresh
 	return admitNew, nil, nil
+}
+
+// hit returns fp's cached result, counted as a hit, or nil without
+// counting anything.
+func (c *resultCache) hit(fp string) *result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hitLocked(fp)
+}
+
+func (c *resultCache) hitLocked(fp string) *result {
+	el, ok := c.byF[fp]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	c.hits.Add(1)
+	return el.Value.(*cacheEntry).res
 }
 
 // complete stores a finished run's result (nil res for failures) and

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"reactivenoc/internal/chip"
 )
@@ -41,13 +42,88 @@ import (
 // array lengths), so a client and a server built from different Results
 // fall back to JSON instead of misreading each other.
 
-// codec carries one Go type in the binary form.
+// codec carries one Go type in the binary form. The encoder walks
+// reflect.Values. The decoder writes through p, the address of the value
+// it fills: planning resolved every struct field to its offset and every
+// leaf to a store of its kind and width (an op), and flattened structs and
+// arrays held by value into one list of ops, so decoding takes no
+// reflect.Value per leaf.
+//
+// The stores are safe because offsets and widths come from the type alone,
+// never from the input: a value's ops address only bytes inside it (its
+// fields, or its array's elements), and a slice's elements are written only
+// into a backing array just allocated, at the count read, for its type.
+// Reflection stays where the runtime must allocate: slices, maps and
+// pointers.
 type codec struct {
 	// min is the fewest bytes one value takes: the decoder refuses a count
 	// the remaining bytes cannot hold, so an absurd length costs nothing.
 	min int
 	enc func(b []byte, v reflect.Value) []byte
-	dec func(d *decoder, v reflect.Value) error
+	// ops decode one value. A slice, map or pointer is one opCall to dec;
+	// every other codec's dec runs its ops.
+	ops  []op
+	dec  func(d *decoder, p unsafe.Pointer) error
+	done bool // ops is final: a struct or array holding this type copies it
+}
+
+// op decodes one leaf at off bytes into the value being filled, or, as
+// opCall, hands that address to c.dec.
+type op struct {
+	off  uintptr
+	kind opKind
+	c    *codec
+	t    reflect.Type // the leaf's type, for an overflow's error
+}
+
+type opKind uint8
+
+const (
+	opCall opKind = iota
+	opBool
+	opInt8
+	opInt16
+	opInt32
+	opInt64
+	opUint8
+	opUint16
+	opUint32
+	opUint64
+	opFloat64
+	opString
+)
+
+// leafOp returns the op that stores a leaf of t's kind and width (int and
+// uint are as wide as the platform's), or false for a type that is not a
+// leaf.
+func leafOp(t reflect.Type) (opKind, bool) {
+	switch t.Kind() {
+	case reflect.Bool:
+		return opBool, true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return [...]opKind{1: opInt8, 2: opInt16, 4: opInt32, 8: opInt64}[t.Size()], true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return [...]opKind{1: opUint8, 2: opUint16, 4: opUint32, 8: opUint64}[t.Size()], true
+	case reflect.Float64:
+		return opFloat64, true
+	case reflect.String:
+		return opString, true
+	}
+	return 0, false
+}
+
+// appendOps appends the ops that decode a value of c's type at off.
+func appendOps(ops []op, c *codec, off uintptr) []op {
+	if !c.done {
+		// A type still being planned, reached again through a pointer,
+		// slice or map of itself: its ops are not known yet.
+		return append(ops, op{off: off, kind: opCall, c: c})
+	}
+	for _, o := range c.ops {
+		o.off += off
+		ops = append(ops, o)
+	}
+	return ops
 }
 
 // resultsCodec carries chip.Results; resultsPlanErr says why it cannot,
@@ -85,9 +161,13 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 		}
 	}
 	c := &codec{}
+	c.dec = func(d *decoder, p unsafe.Pointer) error { return d.run(c.ops, p, 1, 0) }
 	seen[t] = c
 	fmt.Fprintf(schema, "%s(", t.Kind())
 	defer schema.WriteString(")")
+	if k, ok := leafOp(t); ok {
+		c.ops = []op{{kind: k, t: t}}
+	}
 	switch t.Kind() {
 	case reflect.Bool:
 		c.min = 1
@@ -97,57 +177,21 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 			}
 			return append(b, 0)
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
-			x, err := d.byte()
-			if err == nil && x > 1 {
-				err = fmt.Errorf("bool byte %d", x)
-			}
-			v.SetBool(x == 1)
-			return err
-		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		c.min = 1
 		c.enc = func(b []byte, v reflect.Value) []byte { return binary.AppendVarint(b, v.Int()) }
-		c.dec = func(d *decoder, v reflect.Value) error {
-			x, err := d.varint()
-			if err == nil && v.OverflowInt(x) {
-				err = fmt.Errorf("%d overflows %s", x, v.Type())
-			}
-			v.SetInt(x)
-			return err
-		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		c.min = 1
 		c.enc = func(b []byte, v reflect.Value) []byte { return binary.AppendUvarint(b, v.Uint()) }
-		c.dec = func(d *decoder, v reflect.Value) error {
-			x, err := d.uvarint()
-			if err == nil && v.OverflowUint(x) {
-				err = fmt.Errorf("%d overflows %s", x, v.Type())
-			}
-			v.SetUint(x)
-			return err
-		}
 	case reflect.Float64:
 		c.min = 8
 		c.enc = func(b []byte, v reflect.Value) []byte {
 			return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
-			p, err := d.take(8)
-			if err == nil {
-				v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(p)))
-			}
-			return err
-		}
 	case reflect.String:
 		c.min = 1
 		c.enc = func(b []byte, v reflect.Value) []byte {
 			return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
-		}
-		c.dec = func(d *decoder, v reflect.Value) error {
-			s, err := d.string()
-			v.SetString(s)
-			return err
 		}
 	case reflect.Array:
 		fmt.Fprintf(schema, "%d,", t.Len())
@@ -155,7 +199,7 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 		if err != nil {
 			return nil, err
 		}
-		n := t.Len()
+		n, size := t.Len(), t.Elem().Size()
 		c.min = n * e.min
 		c.enc = func(b []byte, v reflect.Value) []byte {
 			for i := 0; i < n; i++ {
@@ -163,13 +207,8 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 			}
 			return b
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
-			for i := 0; i < n; i++ {
-				if err := e.dec(d, v.Index(i)); err != nil {
-					return err
-				}
-			}
-			return nil
+		for i := 0; i < n; i++ {
+			c.ops = appendOps(c.ops, e, uintptr(i)*size)
 		}
 	case reflect.Slice:
 		e, err := plan(t.Elem(), seen, schema)
@@ -190,21 +229,23 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 			}
 			return b
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
+		size := t.Elem().Size()
+		c.dec = func(d *decoder, p unsafe.Pointer) error {
+			v := reflect.NewAt(t, p).Elem()
+			v.SetZero() // Grow must allocate afresh, not extend what p holds
 			n, null, err := d.count(e.min)
 			if err != nil || null {
-				v.SetZero()
 				return err
 			}
-			s := reflect.MakeSlice(t, n, n)
-			for i := 0; i < n; i++ {
-				if err := e.dec(d, s.Index(i)); err != nil {
-					return err
-				}
+			if n == 0 {
+				v.Set(reflect.MakeSlice(t, 0, 0)) // empty, not nil: JSON's []
+				return nil
 			}
-			v.Set(s)
-			return nil
+			v.Grow(n) // in place at p: no slice header allocated for a Value
+			v.SetLen(n)
+			return d.run(e.ops, v.UnsafePointer(), n, size)
 		}
+		c.ops = []op{{kind: opCall, c: c}}
 	case reflect.Map:
 		if t.Key().Kind() != reflect.String {
 			return nil, fmt.Errorf("serve: %s is keyed by %s; the binary result form carries string keys only", t, t.Key())
@@ -231,24 +272,31 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 			}
 			return b
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
+		c.ops = []op{{kind: opCall, c: c}}
+		if t == reflect.TypeFor[map[string]int64]() {
+			c.dec = decodeCounters
+			break
+		}
+		c.dec = func(d *decoder, p unsafe.Pointer) error {
+			v := reflect.NewAt(t, p).Elem()
 			n, null, err := d.count(k.min + e.min)
 			if err != nil || null {
 				v.SetZero()
 				return err
 			}
 			m := reflect.MakeMapWithSize(t, n)
+			v.Set(m)
 			key, val := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+			kp, vp := key.Addr().UnsafePointer(), val.Addr().UnsafePointer()
 			for i := 0; i < n; i++ {
-				if err := k.dec(d, key); err != nil {
+				if err := k.dec(d, kp); err != nil {
 					return err
 				}
-				if err := e.dec(d, val); err != nil {
+				if err := e.dec(d, vp); err != nil {
 					return err
 				}
 				m.SetMapIndex(key, val)
 			}
-			v.Set(m)
 			return nil
 		}
 	case reflect.Pointer:
@@ -263,27 +311,28 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 			}
 			return e.enc(append(b, 1), v.Elem())
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
+		c.dec = func(d *decoder, p unsafe.Pointer) error {
 			x, err := d.byte()
 			if err != nil || x == 0 {
-				v.SetZero()
+				*(*unsafe.Pointer)(p) = nil
 				return err
 			}
 			if x != 1 {
 				return fmt.Errorf("pointer byte %d", x)
 			}
-			p := reflect.New(t.Elem())
-			v.Set(p)
-			return e.dec(d, p.Elem())
+			elem := reflect.New(t.Elem()).UnsafePointer()
+			*(*unsafe.Pointer)(p) = elem
+			return e.dec(d, elem)
 		}
+		c.ops = []op{{kind: opCall, c: c}}
 	case reflect.Struct:
 		type field struct {
 			index []int
 			c     *codec
 		}
 		var fields []field
-		var walk func(t reflect.Type, index []int) error
-		walk = func(t reflect.Type, index []int) error {
+		var walk func(t reflect.Type, index []int, off uintptr) error
+		walk = func(t reflect.Type, index []int, off uintptr) error {
 			for i := 0; i < t.NumField(); i++ {
 				f := t.Field(i)
 				at := append(slices.Clip(index), i)
@@ -298,7 +347,7 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 				case embedded && name == "":
 					// JSON promotes an untagged embedded struct's fields,
 					// an unexported one's included.
-					if err := walk(f.Type, at); err != nil {
+					if err := walk(f.Type, at, off+f.Offset); err != nil {
 						return err
 					}
 					continue
@@ -311,11 +360,12 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 					return err
 				}
 				fields = append(fields, field{at, fc})
+				c.ops = appendOps(c.ops, fc, off+f.Offset)
 				c.min += fc.min
 			}
 			return nil
 		}
-		if err := walk(t, nil); err != nil {
+		if err := walk(t, nil, 0); err != nil {
 			return nil, err
 		}
 		c.enc = func(b []byte, v reflect.Value) []byte {
@@ -324,17 +374,10 @@ func plan(t reflect.Type, seen map[reflect.Type]*codec, schema *strings.Builder)
 			}
 			return b
 		}
-		c.dec = func(d *decoder, v reflect.Value) error {
-			for _, f := range fields {
-				if err := f.c.dec(d, v.FieldByIndex(f.index)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 	default:
 		return nil, fmt.Errorf("serve: the binary result form cannot carry %s (%s)", t, t.Kind())
 	}
+	c.done = true
 	return c, nil
 }
 
@@ -355,48 +398,175 @@ func decodeResults(b []byte) (*chip.Results, error) {
 	}
 	r := new(chip.Results)
 	d := &decoder{b: b}
-	if err := resultsCodec.dec(d, reflect.ValueOf(r).Elem()); err != nil {
-		return nil, fmt.Errorf("serve: bad binary result at byte %d: %w", len(b)-len(d.b), err)
+	if err := resultsCodec.dec(d, unsafe.Pointer(r)); err != nil {
+		return nil, fmt.Errorf("serve: bad binary result at byte %d: %w", d.at, err)
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("serve: bad binary result: %d bytes past its end", len(d.b))
+	if d.left() != 0 {
+		return nil, fmt.Errorf("serve: bad binary result: %d bytes past its end", d.left())
 	}
 	return r, nil
 }
 
-// decoder reads the binary form from the bytes not yet consumed.
-type decoder struct{ b []byte }
+// run decodes n values, each by ops, the first at p and the rest size
+// bytes apart: one value, or a slice's elements.
+func (d *decoder) run(ops []op, p unsafe.Pointer, n int, size uintptr) error {
+	for k := 0; k < n; k++ {
+		v := unsafe.Add(p, uintptr(k)*size)
+		for i := range ops {
+			o := &ops[i]
+			q := unsafe.Add(v, o.off)
+			var err error
+			switch o.kind {
+			case opCall:
+				err = o.c.dec(d, q)
+			case opBool:
+				var x byte
+				if x, err = d.byte(); err == nil && x > 1 {
+					err = fmt.Errorf("bool byte %d", x)
+				}
+				*(*bool)(q) = x == 1
+			case opInt8:
+				err = storeInt[int8](d, q, o.t)
+			case opInt16:
+				err = storeInt[int16](d, q, o.t)
+			case opInt32:
+				err = storeInt[int32](d, q, o.t)
+			case opInt64:
+				*(*int64)(q), err = d.varint()
+			case opUint8:
+				err = storeUint[uint8](d, q, o.t)
+			case opUint16:
+				err = storeUint[uint16](d, q, o.t)
+			case opUint32:
+				err = storeUint[uint32](d, q, o.t)
+			case opUint64:
+				*(*uint64)(q), err = d.uvarint()
+			case opFloat64:
+				var x []byte
+				if x, err = d.take(8); err == nil {
+					*(*float64)(q) = math.Float64frombits(binary.LittleEndian.Uint64(x))
+				}
+			case opString:
+				*(*string)(q), err = d.string()
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// storeInt and storeUint store a varint into an integer of T's width,
+// refusing one it cannot hold.
+func storeInt[T int8 | int16 | int32](d *decoder, p unsafe.Pointer, t reflect.Type) error {
+	x, err := d.varint()
+	if err == nil && int64(T(x)) != x {
+		return fmt.Errorf("%d overflows %s", x, t)
+	}
+	*(*T)(p) = T(x)
+	return err
+}
+
+func storeUint[T uint8 | uint16 | uint32](d *decoder, p unsafe.Pointer, t reflect.Type) error {
+	x, err := d.uvarint()
+	if err == nil && uint64(T(x)) != x {
+		return fmt.Errorf("%d overflows %s", x, t)
+	}
+	*(*T)(p) = T(x)
+	return err
+}
+
+// decodeCounters decodes a map[string]int64 — every sim.Snapshot's Vals,
+// dozens of metric names a result — without reflection, and cuts its keys
+// from one string: a first pass checks the entries and sums their key
+// bytes, and the second, reading without checks, fills the map, each key
+// a substring of what the builder, grown once to the sum, holds so far.
+func decodeCounters(d *decoder, p unsafe.Pointer) error {
+	m := (*map[string]int64)(p)
+	n, null, err := d.count(2)
+	if err != nil || null {
+		*m = nil
+		return err
+	}
+	b, at, total := d.b, d.at, 0
+	for i := 0; i < n; i++ {
+		k, w := binary.Uvarint(b[at:])
+		if w > 0 && k > uint64(len(b)-at-w) {
+			w = 0 // a key longer than the bytes left: truncated
+		}
+		if w > 0 {
+			at += w + int(k)
+			total += int(k)
+			_, w = binary.Uvarint(b[at:])
+		}
+		if w <= 0 {
+			d.at = at
+			return uvarintError(w)
+		}
+		at += w
+	}
+	var keys strings.Builder
+	keys.Grow(total)
+	*m = make(map[string]int64, n)
+	for at = d.at; n > 0; n-- {
+		k, w := binary.Uvarint(b[at:])
+		at += w
+		keys.Write(b[at : at+int(k)]) // within the grown capacity: earlier keys stay put
+		at += int(k)
+		v, w := binary.Uvarint(b[at:])
+		at += w
+		all := keys.String()
+		(*m)[all[len(all)-int(k):]] = int64(v>>1) ^ -int64(v&1)
+	}
+	d.at = at
+	return nil
+}
+
+// decoder reads the binary form from b[at:]. Only the int at moves as it
+// reads, so a read stores no pointer.
+type decoder struct {
+	b  []byte
+	at int
+}
+
+// left is the count of bytes not yet read.
+func (d *decoder) left() int { return len(d.b) - d.at }
 
 var errTruncated = errors.New("truncated")
 
 func (d *decoder) take(n int) ([]byte, error) {
-	if n > len(d.b) {
+	if n > d.left() {
 		return nil, errTruncated
 	}
-	p := d.b[:n]
-	d.b = d.b[n:]
+	p := d.b[d.at : d.at+n]
+	d.at += n
 	return p, nil
 }
 
 func (d *decoder) byte() (byte, error) {
-	if len(d.b) == 0 {
+	if d.at >= len(d.b) {
 		return 0, errTruncated
 	}
-	x := d.b[0]
-	d.b = d.b[1:]
-	return x, nil
+	d.at++
+	return d.b[d.at-1], nil
 }
 
 func (d *decoder) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(d.b)
+	x, n := binary.Uvarint(d.b[d.at:])
 	if n <= 0 {
-		if n == 0 {
-			return 0, errTruncated
-		}
-		return 0, errors.New("varint overflows 64 bits")
+		return 0, uvarintError(n)
 	}
-	d.b = d.b[n:]
+	d.at += n
 	return x, nil
+}
+
+// uvarintError is the error for binary.Uvarint's byte count n <= 0.
+func uvarintError(n int) error {
+	if n == 0 {
+		return errTruncated
+	}
+	return errors.New("varint overflows 64 bits")
 }
 
 // varint undoes binary.AppendVarint's zigzag mapping.
@@ -406,16 +576,20 @@ func (d *decoder) varint() (int64, error) {
 }
 
 func (d *decoder) string() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// bytes reads a string's bytes without copying them out of the input.
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if n > uint64(len(d.b)) {
-		return "", fmt.Errorf("string of %d bytes with %d left", n, len(d.b))
+	if n > uint64(d.left()) {
+		return nil, fmt.Errorf("string of %d bytes with %d left", n, d.left())
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, nil
+	return d.take(int(n))
 }
 
 // count reads a slice or map count whose elements take at least min bytes
@@ -426,8 +600,8 @@ func (d *decoder) count(min int) (n int, null bool, err error) {
 		return 0, err == nil, err
 	}
 	x--
-	if x > uint64(len(d.b)/min) {
-		return 0, false, fmt.Errorf("count %d with %d bytes left", x, len(d.b))
+	if x > uint64(d.left()/min) {
+		return 0, false, fmt.Errorf("count %d with %d bytes left", x, d.left())
 	}
 	return int(x), false, nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
@@ -479,5 +482,96 @@ func TestConcurrentBinaryFetchesShareOneEncoding(t *testing.T) {
 		if len(b) == 0 || !bytes.Equal(b, r.bin) {
 			t.Fatalf("fetch %d wrote %d bytes, not the stored %d-byte encoding", i, len(b), len(r.bin))
 		}
+	}
+}
+
+// shapes is a type with every leaf width, nesting and recursion the codec
+// plans, beyond what chip.Results holds today.
+type shapes struct {
+	I8    int8
+	I16   int16
+	I32   int32
+	I     int
+	U8    uint8
+	U16   uint16
+	U32   uint32
+	U     uint
+	U64   uint64
+	B     bool
+	F     float64
+	S     string
+	A     [3]int64
+	Mixed [2]struct {
+		N int64
+		F float64
+		S string
+	}
+	Words  []int64
+	Floats []float64
+	Empty  []float64
+	Nested []shapes
+	Next   *shapes
+	Counts map[string]int64
+	Named  map[string][2]int16
+	embeddedShape
+}
+
+type embeddedShape struct {
+	E1     int64
+	hidden int64 // JSON skips it: E2 is decoded at its own offset, not the next word
+	E2     int64
+}
+
+// TestCodecCarriesOtherShapes: every leaf width (int and uint at the
+// platform's), arrays, nested and embedded structs, recursion through a
+// pointer and a slice, empty and nil slices, and maps other than counters
+// survive the round trip; a varint wider than its field is an error, not a
+// truncation.
+func TestCodecCarriesOtherShapes(t *testing.T) {
+	c, _, err := planResults(reflect.TypeOf(shapes{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(b []byte, out *shapes) error {
+		d := &decoder{b: b}
+		if err := c.dec(d, unsafe.Pointer(out)); err != nil {
+			return err
+		}
+		if d.left() != 0 {
+			return fmt.Errorf("%d bytes past the end", d.left())
+		}
+		return nil
+	}
+	var want shapes
+	var n int
+	for i := 0; i < reflect.TypeOf(want).NumField(); i++ {
+		if f := reflect.TypeOf(want).Field(i); f.Name != "Nested" && f.Name != "Next" {
+			fill(t, reflect.ValueOf(&want).Elem().Field(i), f.Name, &n)
+		}
+	}
+	want.I8, want.I16, want.I32 = math.MinInt8, math.MaxInt16, math.MinInt32
+	want.U8, want.U16, want.U32, want.U64 = math.MaxUint8, math.MaxUint16, math.MaxUint32, math.MaxUint64
+	want.hidden = 0
+	want.Empty = []float64{} // empty is not nil, as in JSON
+	inner := want
+	want.Next = &inner
+	want.Nested = []shapes{inner, {}}
+	var got shapes
+	bin := c.enc(nil, reflect.ValueOf(want))
+	if err := decode(bin, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the round trip changed %v", diffPaths(reflect.ValueOf(got), reflect.ValueOf(want), "shapes"))
+	}
+	for i := range bin {
+		if err := decode(bin[:i], new(shapes)); err == nil {
+			t.Fatalf("a %d-byte truncation of %d bytes decoded", i, len(bin))
+		}
+	}
+	// I8 is the first field: 200 is a varint an int8 cannot hold.
+	wide := append(binary.AppendVarint(nil, 200), bin[1:]...)
+	if err := decode(wide, new(shapes)); err == nil || !strings.Contains(err.Error(), "overflows int8") {
+		t.Fatalf("200 into an int8 decoded with error %v", err)
 	}
 }

@@ -87,34 +87,45 @@ func weight(v reflect.Value) int {
 }
 
 // FuzzSubmit feeds arbitrary bodies to POST /v1/jobs through
-// Server.Handler, on a server with no workers and a one-slot queue, empty
-// and then holding another job. Every body must end in a 2xx carrying the
-// admitted or joined job, or a 4xx carrying the JSON error (a full queue's
-// 429 among them), and leave the server whole: an admitted job is
-// registered, queued and owns its fingerprint's in-flight slot; a joined
-// or refused submission adds no job, queue entry or in-flight slot.
+// Server.Handler, on a server with no workers, a one-slot queue and one
+// cached result, its queue empty and then holding another job. Every body
+// must end in a 2xx carrying the admitted or joined job or the cached
+// result, or a 4xx carrying the JSON error (a full queue's 429 among
+// them), and leave the server whole: an admitted job is registered, queued
+// and owns its fingerprint's in-flight slot; a cache hit is registered and
+// done, and is the cached spec's; a joined or refused submission adds no
+// job, queue entry or in-flight slot. The seeds hold the cached spec's
+// exact body, which is answered by its bytes, and one-byte changes of it,
+// which are not.
 func FuzzSubmit(f *testing.F) {
 	valid, err := json.Marshal(specEnvelope{Spec: smallSpec(1)})
 	if err != nil {
 		f.Fatal(err)
 	}
 	queued, _ := json.Marshal(specEnvelope{Spec: smallSpec(2)})
+	cachedSpec := smallSpec(3)
+	cached, _ := json.Marshal(specEnvelope{Spec: cachedSpec})
 	for _, seed := range []string{string(valid), string(queued), `{}`, `{"spec":{}}`, `{"spec":null}`, `[]`, ``,
-		`{"spec":{"Chip":{"Width":-1}}}`, strings.Replace(string(valid), `"MeasureOps":500`, `"MeasureOps":-5`, 1)} {
+		`{"spec":{"Chip":{"Width":-1}}}`, strings.Replace(string(valid), `"MeasureOps":500`, `"MeasureOps":-5`, 1),
+		string(cached), string(cached) + " ", " " + string(cached), string(cached[:len(cached)-1]),
+		strings.Replace(string(cached), `"Seed":3`, `"Seed":4`, 1), strings.Replace(string(cached), `{"spec":`, `{"Spec":`, 1)} {
 		f.Add([]byte(seed))
 	}
+	cachedResult := &result{res: &chip.Results{Spec: cachedSpec, Cycles: 1234}}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, full := range []bool{false, true} {
 			s, err := New(Config{QueueDepth: 1, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.cache.admit(cachedSpec.Fingerprint(), nil)
+			s.cache.complete(cachedSpec.Fingerprint(), cachedResult)
 			if full {
 				if _, err := s.Submit(smallSpec(2)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			jobs, inflight := len(s.jobs), len(s.cache.inflight)
+			jobs, inflight, queued := len(s.jobs), len(s.cache.inflight), len(s.queue)
 			rec := serveHTTP(s.Handler(), http.MethodPost, "/v1/jobs", body)
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("HTTP %d answered %q", rec.Code, ct)
@@ -126,6 +137,14 @@ func FuzzSubmit(f *testing.F) {
 					t.Fatalf("HTTP %d: %v", rec.Code, err)
 				}
 				j, ok := s.Job(st.ID)
+				if st.Cached {
+					if rec.Code != http.StatusOK || !ok || st.State != StateDone || st.Fingerprint != cachedSpec.Fingerprint() ||
+						st.Result == nil || st.Result.Cycles != 1234 || len(s.jobs) != jobs+1 || len(s.queue) != queued || len(s.cache.inflight) != inflight {
+						t.Fatalf("HTTP %d (full queue: %v) answered a hit %+v half: registered %v, %d jobs, queue %d, in-flight %v",
+							rec.Code, full, st, ok, len(s.jobs), len(s.queue), s.cache.inflight)
+					}
+					continue
+				}
 				added := 1
 				if st.Deduped {
 					added = 0
@@ -140,7 +159,7 @@ func FuzzSubmit(f *testing.F) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil || ae.Error == "" {
 					t.Fatalf("HTTP %d body %q is not the JSON error (%v)", rec.Code, rec.Body.Bytes(), err)
 				}
-				if len(s.jobs) != jobs || len(s.queue) != jobs || len(s.cache.inflight) != inflight {
+				if len(s.jobs) != jobs || len(s.queue) != queued || len(s.cache.inflight) != inflight {
 					t.Fatalf("HTTP %d (%s, full queue: %v) left %d jobs, %d queued, %d in flight",
 						rec.Code, ae.Error, full, len(s.jobs), len(s.queue), len(s.cache.inflight))
 				}

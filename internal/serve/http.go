@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,9 +114,23 @@ func writeMetrics(w http.ResponseWriter, snap sim.Snapshot) {
 	}
 }
 
+// handleSubmit admits one POST /v1/jobs body. A body framed exactly as a
+// Client sends it, {"spec":X} with X the spec's canonical encoding, is
+// first looked up by its bytes (Server.hitByBytes); anything that is not a
+// cache hit that way is decoded and admitted by submit, as it always was.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body := http.MaxBytesReader(w, r.Body, maxSpecBody)
+	buf, readErr := readBody(body, r.ContentLength)
+	if readErr == nil {
+		if st, res, ok := s.hitByBytes(buf); ok {
+			writeStatus(w, r, http.StatusOK, st, res)
+			return
+		}
+	}
+	// The decoder sees the bytes read so far and then the read's own end,
+	// which is the stream it would have read from the body.
 	var spec specEnvelope
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody))
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(buf), endReader{readErr}))
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
@@ -137,6 +152,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeStatus(w, r, http.StatusAccepted, st, res)
 	}
+}
+
+// readBody reads a whole request body into one buffer, sized from its
+// Content-Length when that is within the body limit, and returns what it
+// read with the read's error (nil at EOF).
+func readBody(body io.Reader, contentLength int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if contentLength > 0 && contentLength <= maxSpecBody {
+		buf.Grow(int(contentLength) + bytes.MinRead) // ReadFrom keeps MinRead free
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
+}
+
+// endReader ends a stream with err, or with io.EOF when err is nil.
+type endReader struct{ err error }
+
+func (e endReader) Read([]byte) (int, error) {
+	if e.err == nil {
+		return 0, io.EOF
+	}
+	return 0, e.err
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -234,14 +235,7 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 	outcome, cached, twin := s.cache.admit(fp, j)
 	switch outcome {
 	case admitHit:
-		j.mu.Lock()
-		j.cached = true
-		j.result = cached
-		j.mu.Unlock()
-		s.finish(j, StateDone)
-		s.submitted.Add(1)
-		st, _ := j.status()
-		return st, cached, nil
+		return s.answerHit(j, cached), cached, nil
 
 	case admitJoin:
 		s.unregister(j)
@@ -264,6 +258,42 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 		st, _ := j.status()
 		return st, nil, nil
 	}
+}
+
+// answerHit completes a registered job from the cached result r.
+func (s *Server) answerHit(j *job, r *result) JobStatus {
+	j.mu.Lock()
+	j.cached = true
+	j.result = r
+	j.mu.Unlock()
+	s.finish(j, StateDone)
+	s.submitted.Add(1)
+	st, _ := j.status()
+	return st
+}
+
+// hitByBytes answers a submission body from the result cache without
+// decoding it. A Client's body is {"spec":X} with X = json.Marshal(spec),
+// and a fingerprint is the hash of those same canonical bytes, so when the
+// body has exactly that framing and the cache holds the hash of X, X is
+// the encoding of the spec whose result is cached — a spec validated when
+// it was admitted. ok is false for every other body and every fingerprint
+// not in the cache; the caller then decodes the body and admits it through
+// submit, which also answers a draining server's 503.
+func (s *Server) hitByBytes(body []byte) (JobStatus, *result, bool) {
+	x, framed := bytes.CutPrefix(body, []byte(`{"spec":`))
+	x, closed := bytes.CutSuffix(x, []byte(`}`))
+	if !framed || !closed || s.draining.Load() {
+		return JobStatus{}, nil, false
+	}
+	fp := chip.FingerprintOf(x)
+	cached := s.cache.hit(fp)
+	if cached == nil {
+		return JobStatus{}, nil, false
+	}
+	j := newJob(s.newID(), fp, cached.res.Spec, time.Now())
+	s.register(j)
+	return s.answerHit(j, cached), cached, true
 }
 
 func (s *Server) register(j *job) {
