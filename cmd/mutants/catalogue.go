@@ -11,15 +11,15 @@ var catalogue = []Mutant{
 	{
 		Name: "sdm offers NoAck",
 		File: "internal/core/policy_sdm.go",
-		Old:  "Mech: MechComplete, Reuse: true, Lanes:",
-		New:  "Mech: MechComplete, Reuse: true, NoAck: true, Lanes:",
+		Old:  "\t\tReuse: true, Lanes:",
+		New:  "\t\tReuse: true, NoAck: true, Lanes:",
 		Pkg:  "./internal/core", Run: "^TestPolicyTraits$", PR: 10,
 	},
 	{
 		Name: "sdm offers NoAck (the delivery-order oracle sees the overtaking)",
 		File: "internal/core/policy_sdm.go",
-		Old:  "Mech: MechComplete, Reuse: true, Lanes:",
-		New:  "Mech: MechComplete, Reuse: true, NoAck: true, Lanes:",
+		Old:  "\t\tReuse: true, Lanes:",
+		New:  "\t\tReuse: true, NoAck: true, Lanes:",
 		Pkg:  "./internal/verify/differ", Run: "^TestNoAckDeliveryOrder$", PR: 42,
 	},
 	{
@@ -106,9 +106,52 @@ var catalogue = []Mutant{
 	{
 		Name: "an undo of a Partial policy's unfinished fragments counts as an undone circuit",
 		File: "internal/core/manager.go",
-		Old:  "\tif rec.complete {\n\t\tmg.Stats.CircuitsUndone++",
-		New:  "\tif true {\n\t\tmg.Stats.CircuitsUndone++",
+		Old:  "\tbuilt := rec.complete\n",
+		New:  "\tbuilt := true\n",
 		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$",
+	},
+
+	// Every undone circuit is one undone reply: an undo that tags the
+	// forwarded reply for fragments that never completed counts an undone
+	// outcome no circuit matches, and a reply that lost its own circuit
+	// and then scrounged, or never left its tile, must still be counted.
+	{
+		Name: "an undo of a Partial policy's unfinished fragments tags the reply undone",
+		File: "internal/core/manager.go",
+		Old:  "\treturn built\n",
+		New:  "\treturn true\n",
+		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$/^hotspot$/^DynamicVC$",
+	},
+	{
+		Name: "a scrounger whose own circuit was undone goes uncounted",
+		File: "internal/core/manager.go",
+		Old:  "\t\tmg.Stats.UndoneElsewhere++\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$/^hotspot$/^Reuse_NoAck$",
+	},
+	{
+		Name: "a local reply whose circuit was undone goes uncounted",
+		File: "internal/coherence/system.go",
+		Old:  "\t\t\ts.Mgr.Stats.UndoneElsewhere++ // no NI classifies a local reply\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+
+	// Every buffered departure returns one credit, and the credit wires
+	// carry nothing else but undo tokens.
+	{
+		Name: "a buffer slot returns upstream uncounted",
+		File: "internal/noc/router.go",
+		Old:  "\tr.credits.cur = append(r.credits.cur, r.creditTo[int(in)*r.nslots+s])\n\tr.ev.CreditsSent++\n",
+		New:  "\tr.credits.cur = append(r.credits.cur, r.creditTo[int(in)*r.nslots+s])\n",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+	{
+		Name: "an undo token reaches the manager uncounted",
+		File: "internal/core/manager.go",
+		Old:  "\tmg.Stats.UndoTokens++\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
 	},
 
 	// Figure 8's dynamic energy is every network event at its unit cost:
@@ -856,6 +899,32 @@ var catalogue = []Mutant{
 		Old:  "\t\t\t\tcopy(s.spill[slot*g.words:(slot+1)*g.words], img.spill[x*g.words:(x+1)*g.words])\n",
 		New:  "",
 		Pkg:  "./internal/cache", Run: "^TestRebuildMatchesFresh$", PR: 42,
+	},
+	// A spec or journal record written for an older Options fails closed
+	// instead of running whatever design its known fields describe.
+	{
+		Name: "a submitted spec's unknown fields are dropped",
+		File: "internal/serve/http.go",
+		Old:  "\tdec.DisallowUnknownFields()\n",
+		New:  "",
+		Pkg:  "./internal/serve", Run: "^TestStaleSpecFailsClosed$",
+	},
+	{
+		Name: "a journal record's unknown fields are dropped",
+		File: "internal/serve/journal.go",
+		Old:  "\t\tdec.DisallowUnknownFields()\n",
+		New:  "",
+		Pkg:  "./internal/serve", Run: "^TestStaleSpecFailsClosed$",
+	},
+
+	// A speculating message's route lives on its input VC until its tail
+	// arrives; one left behind would steer the VC's next message.
+	{
+		Name: "a speculating tail leaves its route on the input VC",
+		File: "internal/noc/router.go",
+		Old:  "\t\tv.spec = !f.Tail\n",
+		New:  "",
+		Pkg:  "./internal/noc", Run: "^TestSpecTableEmptyAfterDrain$",
 	},
 	{
 		Name: "a slab holding another image is rebuilt as if it held the wanted one",

@@ -34,7 +34,7 @@ func TestRunAllocationBudget(t *testing.T) {
 			t.Errorf("run %d on a recycled shell allocated %d bytes, want < 94 KB", i+2, b)
 		}
 	}
-	spec.NoPool = true
+	spec.Variant.Opts.NoPool = true
 	if b := allocatedBy(func() { MustRun(spec) }); b < 6<<20 {
 		t.Errorf("a NoPool run allocated %d bytes, want the full arrays (> 6 MB)", b)
 	}

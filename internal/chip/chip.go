@@ -81,13 +81,10 @@ type Spec struct {
 	OnSample func(sim.Snapshot) `json:"-"`
 	// DenseKernel disables the activity tracker, ticking every component
 	// every cycle — the reference scheduling the golden determinism suite
-	// cross-checks against.
-	DenseKernel bool
-	// NoPool disables flit/message recycling and builds the cache arrays
-	// fresh, releasing nothing (see core.Options.NoPool): the reference
-	// allocation behaviour the pooled hot path and the recycled arrays are
-	// cross-checked against. Results are bit-identical either way.
-	NoPool bool
+	// cross-checks against. Results are bit-identical either way, so like
+	// core.Options.NoPool it is an engine switch, excluded from Fingerprint
+	// (json:"-").
+	DenseKernel bool `json:"-"`
 
 	// RecordTrace, when set, dumps the run's per-core instruction streams
 	// to this path as a replayable binary trace (internal/tracefeed). The

@@ -3,6 +3,7 @@ package chip
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -152,7 +153,7 @@ func TestRejectsBadSpec(t *testing.T) {
 		"inconsistent variant": func(s *Spec) {
 			s.Variant.Opts = core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true}
 		},
-		"unknown policy":         func(s *Spec) { s.Variant.Opts = core.Options{Policy: "nope"} },
+		"unknown policy":         func(s *Spec) { s.Variant.Opts = core.Options{Mechanism: 200} },
 		"empty mesh":             func(s *Spec) { s.Chip.Width = 0 },
 		"no memory controllers":  func(s *Spec) { s.Chip.MCs = 0 },
 		"tile IDs past int16":    func(s *Spec) { s.Chip.Width, s.Chip.Height = 182, 182 },
@@ -181,18 +182,18 @@ func TestRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// TestRetiredPolicyFailsClosed: a spec written for a policy that is no
-// longer registered — here profiled-hybrid, with one of its old knobs, which
-// JSON decoding drops — is refused by Validate with the registered policies
-// named, never run as some other policy.
+// TestRetiredPolicyFailsClosed: a spec naming a Mechanism past the policies
+// table — the value a retired policy would hold — is refused by Validate
+// with the registered policies named, never run as some other policy.
 func TestRetiredPolicyFailsClosed(t *testing.T) {
 	s := quickSpec(t, config.Chip16(), "Complete_NoAck")
-	if err := json.Unmarshal([]byte(`{"Policy":"profiled-hybrid","ProfileWindow":4}`), &s.Variant.Opts); err != nil {
+	retired := fmt.Sprintf(`{"Mechanism":%d,"MaxCircuitsPerPort":5}`, len(core.PolicyNames()))
+	if err := json.Unmarshal([]byte(retired), &s.Variant.Opts); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Validate()
 	if err == nil {
-		t.Fatal("Validate accepted the retired profiled-hybrid policy")
+		t.Fatal("Validate accepted a mechanism no policy implements")
 	}
 	for _, name := range core.PolicyNames() {
 		if !strings.Contains(err.Error(), name) {

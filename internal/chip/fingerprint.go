@@ -9,15 +9,18 @@ import (
 
 // Fingerprint returns a stable content hash of the spec: every
 // result-affecting field (chip geometry, variant options, workload
-// profile, operation counts, seed, horizon, fault plan, sampling and
-// kernel/pool switches) feeds a SHA-256 over the spec's canonical JSON
-// encoding. Two specs compare equal exactly when their fingerprints do,
-// which is what lets a result cache return a stored Results for a
-// re-submitted spec without re-simulating it.
+// profile, operation counts, seed, horizon, fault plan and sampling) feeds
+// a SHA-256 over the spec's canonical JSON encoding. Two specs compare
+// equal exactly when their fingerprints do, which is what lets a result
+// cache return a stored Results for a re-submitted spec without
+// re-simulating it.
 //
-// Runtime-only observers (Spec.OnSample) are excluded: they cannot change
-// the simulation's outcome, only who watches it. Fields added to Spec in
-// the future are picked up automatically because the hash covers the full
+// Fields tagged json:"-" are excluded because they cannot change a
+// simulated number: the observers (OnSample, RecordTrace) only watch the
+// run, and the engine switches (DenseKernel, core.Options.NoPool) only
+// choose how the same machine is stepped and allocated, which the golden
+// and differential suites check bit for bit. Fields added to Spec in the
+// future are picked up automatically because the hash covers the full
 // JSON encoding; the mutation-coverage test in fingerprint_test.go keeps
 // that claim honest.
 func (s Spec) Fingerprint() string {

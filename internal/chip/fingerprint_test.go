@@ -1,7 +1,10 @@
 package chip
 
 import (
+	"encoding/json"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"reactivenoc/internal/config"
@@ -34,13 +37,28 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresObservers: OnSample is a runtime observer, not an
-// input — attaching one must not move the cache key.
+// TestFingerprintIgnoresObservers: OnSample and RecordTrace are runtime
+// observers and DenseKernel and Options.NoPool engine switches, not inputs:
+// setting them must not move the cache key, and the two switches never
+// reach a spec's JSON.
 func TestFingerprintIgnoresObservers(t *testing.T) {
 	a, b := testSpec(), testSpec()
 	b.OnSample = func(sim.Snapshot) {}
+	b.RecordTrace = "trace.bin"
+	b.DenseKernel = true
+	b.Variant.Opts.NoPool = true
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("OnSample leaked into the fingerprint")
+		t.Fatalf("an observer or engine switch leaked into the fingerprint")
+	}
+	b.OnSample = nil
+	enc, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"DenseKernel", "NoPool"} {
+		if strings.Contains(string(enc), name) {
+			t.Errorf("the spec's JSON names %s: %s", name, enc)
+		}
 	}
 }
 
@@ -69,8 +87,9 @@ func mutate(t *testing.T, v reflect.Value, path string) bool {
 
 // leafFields walks every addressable leaf of a struct value, descending
 // into nested structs and allocating nil pointers so pointed-to fields
-// (the fault plan) are exercised too.
-func leafFields(t *testing.T, v reflect.Value, path string, visit func(reflect.Value, string)) {
+// (the fault plan) are exercised too. Fields tagged json:"-" are passed to
+// skip instead of walked.
+func leafFields(t *testing.T, v reflect.Value, path string, visit, skip func(reflect.Value, string)) {
 	t.Helper()
 	switch v.Kind() {
 	case reflect.Struct:
@@ -80,23 +99,32 @@ func leafFields(t *testing.T, v reflect.Value, path string, visit func(reflect.V
 				t.Fatalf("field %s.%s is unexported: JSON fingerprinting would miss it", path, f.Name)
 			}
 			if f.Tag.Get("json") == "-" {
-				continue // deliberately unfingerprinted (observers, engine knobs)
+				skip(v.Field(i), path+"."+f.Name)
+				continue
 			}
-			leafFields(t, v.Field(i), path+"."+f.Name, visit)
+			leafFields(t, v.Field(i), path+"."+f.Name, visit, skip)
 		}
 	case reflect.Ptr:
 		if v.IsNil() {
 			v.Set(reflect.New(v.Type().Elem()))
 		}
-		leafFields(t, v.Elem(), path, visit)
+		leafFields(t, v.Elem(), path, visit, skip)
 	default:
 		visit(v, path)
 	}
 }
 
+// unfingerprinted is every spec field excluded from the fingerprint: the
+// observers and the engine switches, none of which can change a simulated
+// number (Spec.Fingerprint).
+var unfingerprinted = []string{
+	"Spec.Variant.Opts.NoPool", "Spec.OnSample", "Spec.DenseKernel", "Spec.RecordTrace",
+}
+
 // TestFingerprintCoversEveryField mutates each leaf field of the spec in
 // turn and demands a fingerprint change — so nobody can add a
-// result-affecting knob that the result cache silently ignores.
+// result-affecting knob that the result cache silently ignores — and holds
+// the excluded fields to exactly unfingerprinted.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	// Baseline includes an allocated fault plan so pointer leaves compare
 	// against a populated baseline rather than nil-vs-zero.
@@ -104,12 +132,15 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	base.Fault = &fault.Plan{}
 	baseFP := base.Fingerprint()
 
-	var paths []string
-	leafFields(t, reflect.ValueOf(&base).Elem(), "Spec", func(_ reflect.Value, p string) {
-		paths = append(paths, p)
-	})
+	var paths, skipped []string
+	leafFields(t, reflect.ValueOf(&base).Elem(), "Spec",
+		func(_ reflect.Value, p string) { paths = append(paths, p) },
+		func(_ reflect.Value, p string) { skipped = append(skipped, p) })
 	if len(paths) < 15 {
 		t.Fatalf("suspiciously few spec leaves (%d): walker broken?", len(paths))
+	}
+	if !slices.Equal(skipped, unfingerprinted) {
+		t.Fatalf("fields excluded from the fingerprint: %v, want %v", skipped, unfingerprinted)
 	}
 
 	for _, target := range paths {
@@ -120,7 +151,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 			if p == target && !changed {
 				changed = mutate(t, v, p)
 			}
-		})
+		}, func(reflect.Value, string) {})
 		if !changed {
 			continue // non-fingerprinting kind (funcs), covered above
 		}
@@ -130,81 +161,67 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	}
 }
 
-// prePolicyFingerprints pins the fingerprint of every pre-existing variant
-// (the paper's inventory plus the related-work comparators) to the value it
-// had before the switching-policy refactor, all under
-// DefaultSpec(Chip16, v, Micro). The refactor added Options knobs; their
-// omitempty JSON tags must keep every old encoding — and therefore every
-// cached result — byte-identical.
-var prePolicyFingerprints = map[string]string{
-	"Baseline":           "spec-b154dcfc590eabec22d8aae0e2c2abbd",
-	"Fragmented":         "spec-d4cecc44b69fa5bfa99641c265f2e7f5",
-	"Complete":           "spec-badaf5d66f3dd63d948aec9318bc8a47",
-	"Complete_NoAck":     "spec-da4735e809b6bceb3df68423e37e5561",
-	"Reuse_NoAck":        "spec-5442271bc48fb0d6217740ed61cf8116",
-	"Timed_NoAck":        "spec-3ca5fc5be14a24ad0a96c7e907ef28af",
-	"Slack_1_NoAck":      "spec-db85d35b48a22d3c1e24d0a9a2c39b14",
-	"Slack_2_NoAck":      "spec-4c8cd3d83341a77b4a6f1ed7074b3c28",
-	"Slack_4_NoAck":      "spec-2792917b236cae93d443d2b7e0abb920",
-	"SlackDelay_1_NoAck": "spec-77ba827cd27e6c5a065449080f6c08fe",
-	"Postponed_1_NoAck":  "spec-d81fae2cfb7f82d022683246c2addce9",
-	"Ideal":              "spec-34a5fdf7b3d14aab3a9125549f13b8a5",
-	"Speculative":        "spec-559344353dfbe661418dfea01406414f",
-	"Probe_DejaVu":       "spec-b96b17336729a9a29a3d2d944d6ece59",
+// presetFingerprints pins the fingerprint of every preset under
+// DefaultSpec(Chip16, v, Micro): a change to the spec's encoding moves
+// them, and with them every cached result, so it must be made on purpose.
+var presetFingerprints = map[string]string{
+	"Baseline":           "spec-34bb7380e586fb0613f8e21a54ad947c",
+	"Fragmented":         "spec-fcad091a4279ce84e2885c7a184a2ad6",
+	"Complete":           "spec-8c33a260cc7b8351b862f46ff8e5811a",
+	"Complete_NoAck":     "spec-b349423c096539cb6a0c17a76444699c",
+	"Reuse_NoAck":        "spec-d664ef5e08fc81727c18955188fd7c98",
+	"Timed_NoAck":        "spec-af8b24136919be1331bf6fa5b104beea",
+	"Slack_1_NoAck":      "spec-7747ba736dff1b112a6796e9c3be760d",
+	"Slack_2_NoAck":      "spec-a295a8c82e5f074cd8e3438d14312322",
+	"Slack_4_NoAck":      "spec-51fb1fd914bc6e5aeee60710f15ed8dd",
+	"SlackDelay_1_NoAck": "spec-7de932be2f8eef1270f6a98c8c7b7649",
+	"Postponed_1_NoAck":  "spec-c62f19ba4edc87be8e7413cea0a8f6a1",
+	"Ideal":              "spec-87251ff9f1ff7f7f21c64cee07b1e95a",
+	"DynamicVC":          "spec-3827eff4cd6fd3381d26a6845156f9c2",
+	"SDM":                "spec-9f0f6d726d34f9381c1ffd771eff7d7f",
+	"SDM_2":              "spec-2dc3a6f84c0aa4940a7efb796c0b934a",
+	"SDM_8":              "spec-edf94d37dd46e75db7940801858f1ab8",
+	"Speculative":        "spec-a54664cd04fe93b6812a932986d613cf",
+	"Probe_DejaVu":       "spec-119900bac693dcccb9a5943b6ea08e93",
+	"Slack_8_NoAck":      "spec-d41ef9e6ba92ea46f2c8f807da7043aa",
+	"Postponed_2_NoAck":  "spec-9fc1537e5fa5efe3840b7cd10e92d4ed",
 }
 
-// TestFingerprintsPinnedAcrossPolicyRefactor asserts every pre-refactor
-// variant still fingerprints to its captured value: result caches survive
-// the policy seam unchanged.
-func TestFingerprintsPinnedAcrossPolicyRefactor(t *testing.T) {
-	for name, want := range prePolicyFingerprints {
-		v, ok := config.ByName(name)
-		if !ok {
-			t.Errorf("variant %s no longer registered", name)
-			continue
-		}
+// TestPresetFingerprintsPinned asserts every preset fingerprints to its
+// pinned value.
+func TestPresetFingerprintsPinned(t *testing.T) {
+	if len(presetFingerprints) != len(config.RegisteredNames()) {
+		t.Errorf("%d pinned fingerprints, %d presets", len(presetFingerprints), len(config.RegisteredNames()))
+	}
+	for _, name := range config.RegisteredNames() {
+		v, _ := config.ByName(name)
 		spec := DefaultSpec(config.Chip16(), v, workload.Micro())
-		if got := spec.Fingerprint(); got != want {
-			t.Errorf("variant %s: fingerprint %s, want pinned %s (cached results invalidated)", name, got, want)
+		if got, want := spec.Fingerprint(), presetFingerprints[name]; got != want {
+			t.Errorf("%q: %q, // want pinned %q (cached results invalidated)", name, got, want)
 		}
 	}
 }
 
-// TestPolicyVariantFingerprintsDistinct: the policy-lab and SDM variants
-// and each of their tuning knobs land in distinct cache slots — never
-// colliding with a pinned legacy fingerprint or with each other.
+// TestPolicyVariantFingerprintsDistinct: every preset and the SDM lane
+// knob land in distinct cache slots — never colliding with each other.
 func TestPolicyVariantFingerprintsDistinct(t *testing.T) {
 	seen := map[string]string{}
-	for name, fp := range prePolicyFingerprints {
-		seen[fp] = name
-	}
 	note := func(label, fp string) {
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("%s fingerprints identically to %s (%s)", label, prev, fp)
 		}
 		seen[fp] = label
 	}
-	variants := append(config.PolicyVariants(), config.SDMVariants()...)
-	for _, v := range variants {
-		base := DefaultSpec(config.Chip16(), v, workload.Micro())
-		note(v.Name, base.Fingerprint())
-
-		// Every policy knob must perturb the fingerprint: a swept tuning
-		// value that hashed like the default would silently reuse the
-		// default's cached results.
-		knobs := map[string]func(*Spec){
-			"Policy":      func(s *Spec) { s.Variant.Opts.Policy += "x" },
-			"DynVCMin":    func(s *Spec) { s.Variant.Opts.DynVCMin++ },
-			"DynVCMax":    func(s *Spec) { s.Variant.Opts.DynVCMax++ },
-			"DynVCWindow": func(s *Spec) { s.Variant.Opts.DynVCWindow++ },
-			"SDMLanes":    func(s *Spec) { s.Variant.Opts.SDMLanes++ },
-		}
-		for knob, mut := range knobs {
-			spec := DefaultSpec(config.Chip16(), v, workload.Micro())
-			mut(&spec)
-			if spec.Fingerprint() == base.Fingerprint() {
-				t.Errorf("%s: mutating %s did not change the fingerprint", v.Name, knob)
-			}
-		}
+	for _, name := range config.RegisteredNames() {
+		v, _ := config.ByName(name)
+		note(name, DefaultSpec(config.Chip16(), v, workload.Micro()).Fingerprint())
+	}
+	// A swept tuning value that hashed like the default would silently
+	// reuse the default's cached results.
+	for _, v := range config.SDMVariants() {
+		spec := DefaultSpec(config.Chip16(), v, workload.Micro())
+		spec.Variant.Opts.SDMLanes++
+		spec.Variant.Name += "+1 lane"
+		note(spec.Variant.Name, spec.Fingerprint())
 	}
 }

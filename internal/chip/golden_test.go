@@ -67,7 +67,7 @@ var goldenMatrix = []goldenRow{
 	{"16-core", "canneal", "Postponed_1_NoAck", 4422, 724, 340, 340, 7269, 310, 4438, 288, 1650, 7520, [6]int64{272, 5, 48, 0, 59, 214}, 320, 48, 214, [10]int64{2900, 2900, 7520, 7520, 1680, 3058, 2900, 5750, 2209, 158}},
 	{"16-core", "canneal", "Ideal", 4310, 938, 340, 340, 7300, 310, 4024, 288, 6107, 8311, [6]int64{310, 0, 15, 0, 273, 0}, 325, 15, 0, [10]int64{3089, 3089, 8311, 8311, 2337, 3296, 8311, 6541, 2408, 207}},
 	{"64-core", "micro", "Baseline", 4752, 2990, 1176, 1176, 39527, 710, 26143, 1104, 37606, 40466, [6]int64{0, 0, 0, 0, 0, 0}, 0, 0, 0, [10]int64{40466, 40466, 40466, 40466, 18658, 40466, 40466, 0, 0, 0}},
-	{"64-core", "micro", "Fragmented", 4369, 2991, 1176, 1176, 40003, 711, 13656, 1104, 38343, 40478, [6]int64{633, 76, 165, 0, 941, 0}, 785, 152, 0, [10]int64{20811, 20811, 40478, 40478, 14479, 21979, 41400, 31884, 10608, 1168}},
+	{"64-core", "micro", "Fragmented", 4369, 2991, 1176, 1176, 40003, 711, 13656, 1104, 38343, 40478, [6]int64{633, 76, 152, 0, 954, 0}, 785, 152, 0, [10]int64{20811, 20811, 40478, 40478, 14479, 21979, 41400, 31884, 10608, 1168}},
 	{"64-core", "micro", "Complete", 4516, 2993, 1177, 1177, 39979, 711, 17199, 1105, 38353, 40498, [6]int64{501, 208, 106, 0, 1001, 0}, 607, 106, 0, [10]int64{26351, 26351, 40498, 40498, 15671, 27303, 27859, 31894, 9234, 952}},
 	{"64-core", "micro", "Complete_NoAck", 4422, 2554, 1179, 1179, 40006, 713, 17033, 1107, 23783, 37928, [6]int64{509, 202, 109, 0, 555, 445}, 618, 109, 445, [10]int64{23410, 23410, 37928, 37928, 12974, 24274, 24890, 29310, 9326, 864}},
 	{"64-core", "micro", "Reuse_NoAck", 4479, 2551, 1179, 1179, 40004, 713, 17057, 1107, 23694, 38057, [6]int64{509, 202, 102, 19, 540, 448}, 616, 107, 448, [10]int64{23322, 23322, 38057, 38057, 12898, 24134, 24768, 29439, 9268, 812}},
@@ -79,7 +79,7 @@ var goldenMatrix = []goldenRow{
 	{"64-core", "micro", "Postponed_1_NoAck", 4486, 2477, 1175, 1175, 39864, 710, 15281, 1103, 21150, 37300, [6]int64{586, 36, 242, 0, 438, 511}, 828, 242, 511, [10]int64{20388, 20388, 37300, 37300, 11896, 21168, 20388, 28713, 8970, 780}},
 	{"64-core", "micro", "Ideal", 4353, 2994, 1177, 1177, 40091, 712, 13037, 1105, 38340, 40488, [6]int64{710, 0, 164, 0, 943, 0}, 874, 164, 0, [10]int64{19859, 19859, 40488, 40488, 14291, 21027, 40488, 31888, 10922, 1168}},
 	{"64-core", "canneal", "Baseline", 6018, 3747, 1443, 1443, 48392, 1021, 38075, 1283, 43008, 53824, [6]int64{0, 0, 0, 0, 0, 0}, 0, 0, 0, [10]int64{53824, 53824, 53824, 53824, 23316, 53824, 53824, 0, 0, 0}},
-	{"64-core", "canneal", "Fragmented", 5513, 3753, 1446, 1446, 49388, 1020, 20558, 1287, 44170, 53782, [6]int64{830, 184, 199, 0, 1094, 0}, 993, 163, 0, [10]int64{27054, 27054, 53782, 53782, 17510, 28988, 54786, 42225, 14286, 1934}},
+	{"64-core", "canneal", "Fragmented", 5513, 3753, 1446, 1446, 49388, 1020, 20558, 1287, 44170, 53782, [6]int64{830, 184, 163, 0, 1130, 0}, 993, 163, 0, [10]int64{27054, 27054, 53782, 53782, 17510, 28988, 54786, 42225, 14286, 1934}},
 	{"64-core", "canneal", "Complete", 5582, 3751, 1445, 1445, 49033, 1020, 26441, 1286, 43964, 53755, [6]int64{645, 368, 134, 0, 1159, 0}, 779, 134, 0, [10]int64{35894, 35894, 53755, 53755, 19426, 37396, 37962, 42204, 12206, 1502}},
 	{"64-core", "canneal", "Complete_NoAck", 5454, 3204, 1445, 1445, 49002, 1019, 26104, 1286, 25773, 50437, [6]int64{658, 355, 134, 0, 612, 546}, 792, 134, 546, [10]int64{32170, 32170, 50437, 50437, 15994, 33527, 34161, 38884, 12248, 1357}},
 	{"64-core", "canneal", "Reuse_NoAck", 5474, 3190, 1445, 1445, 49035, 1018, 26046, 1286, 25684, 50576, [6]int64{666, 347, 130, 19, 583, 559}, 800, 134, 559, [10]int64{32089, 32089, 50576, 50576, 15937, 33416, 34065, 39023, 12186, 1327}},
@@ -112,8 +112,8 @@ var goldenMatrix = []goldenRow{
 	// Policy-lab and comparator rows: the registered presets outside
 	// Variants() and the SDM sweep. Hotspot grows DynamicVC's partitions
 	// (27 grows / 18 shrinks); canneal fails probe setups.
-	{"16-core", "micro", "DynamicVC", 3815, 670, 247, 247, 5375, 193, 2779, 230, 5093, 6022, [6]int64{168, 23, 27, 0, 205, 0}, 191, 23, 0, [10]int64{2753, 2753, 6022, 6022, 1897, 2880, 6088, 4847, 1608, 127}},
-	{"16-core", "hotspot", "DynamicVC", 5109, 1981, 791, 791, 14952, 445, 6565, 745, 14455, 13147, [6]int64{266, 178, 95, 0, 651, 0}, 326, 60, 0, [10]int64{8144, 8144, 13147, 13147, 5116, 8693, 13355, 10068, 2830, 549}},
+	{"16-core", "micro", "DynamicVC", 3815, 670, 247, 247, 5375, 193, 2779, 230, 5093, 6022, [6]int64{168, 23, 23, 0, 209, 0}, 191, 23, 0, [10]int64{2753, 2753, 6022, 6022, 1897, 2880, 6088, 4847, 1608, 127}},
+	{"16-core", "hotspot", "DynamicVC", 5109, 1981, 791, 791, 14952, 445, 6565, 745, 14455, 13147, [6]int64{266, 178, 60, 0, 686, 0}, 326, 60, 0, [10]int64{8144, 8144, 13147, 13147, 5116, 8693, 13355, 10068, 2830, 549}},
 	{"16-core", "micro", "Speculative", 3493, 670, 247, 247, 2473, 193, 2625, 230, 2355, 6022, [6]int64{0, 0, 0, 0, 0, 0}, 0, 0, 0, [10]int64{0, 0, 6022, 6022, 0, 0, 6022, 0, 0, 0}},
 	{"16-core", "micro", "Probe_DejaVu", 4230, 675, 249, 249, 5402, 194, 2732, 232, 5117, 6764, [6]int64{185, 9, 0, 0, 232, 0}, 185, 0, 0, [10]int64{3399, 3399, 6764, 6764, 2635, 3543, 6770, 5586, 1438, 144}},
 	{"16-core", "canneal", "Probe_DejaVu", 4953, 938, 340, 340, 7257, 310, 4389, 288, 6128, 9457, [6]int64{280, 30, 0, 0, 288, 0}, 280, 0, 0, [10]int64{4778, 4778, 9457, 9457, 3606, 5044, 9494, 7687, 2120, 266}},

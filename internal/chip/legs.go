@@ -26,7 +26,7 @@ func Legs() []Leg {
 	return []Leg{
 		{Name: "dense-kernel", Apply: func(s *Spec) { s.DenseKernel = true },
 			Skip: func(name string) bool { return name == "kernel/active" }},
-		{Name: "no-pool", Apply: func(s *Spec) { s.NoPool = true },
+		{Name: "no-pool", Apply: func(s *Spec) { s.Variant.Opts.NoPool = true },
 			Skip: func(name string) bool { return strings.HasPrefix(name, "noc/pool_") }},
 	}
 }

@@ -122,7 +122,6 @@ func (m *Machine) build() error {
 	}
 
 	opts := spec.Variant.Opts
-	opts.NoPool = opts.NoPool || spec.NoPool
 	regions := make([][]workload.Region, n)
 	for i := range regions {
 		if feed != nil {
@@ -371,6 +370,7 @@ func (m *Machine) Finish() error {
 			b.missCycles += l1.MissCycles
 		}
 		b.events = m.Sys.Net.Events()
+		b.unbufferedCircuits = m.Sys.Net.Config().CircuitVCUnbuffered
 		b.dynamic = power.NetworkEnergy(b.events, len(m.cores), m.spec.Variant.Opts, 0).Dynamic
 		if err := cmp.Or(m.Sys.AuditQuiescent(now), balance(b)); err != nil {
 			return m.runErr("post-run audit failed: "+err.Error(), false)
@@ -382,20 +382,22 @@ func (m *Machine) Finish() error {
 
 // books are the counters the identities read: the message mix, the
 // circuit statistics (nil without a circuit layer), Σ core StallCycles,
-// Σ L1 MissCycles, the network's power events and the dynamic energy
-// charged for them (picojoules).
+// Σ L1 MissCycles, the network's power events, the dynamic energy charged
+// for them (picojoules), and whether the circuit VC has no buffer.
 type books struct {
 	msgs               *coherence.MsgStats
 	circ               *core.Stats
 	stalls, missCycles int64
 	events             *noc.PowerEvents
 	dynamic            float64
+	unbufferedCircuits bool
 }
 
 // booksOf reads a finished run's books from its Results.
 func booksOf(r *Results) books {
 	b := books{msgs: &r.Msgs, circ: r.Circ, missCycles: r.Metrics.Value("l1/miss_cycles"),
-		events: &r.Events, dynamic: r.Energy.Dynamic}
+		events: &r.Events, dynamic: r.Energy.Dynamic,
+		unbufferedCircuits: core.NetConfigFor(mesh.Mesh{}, r.Spec.Variant.Opts).CircuitVCUnbuffered}
 	for _, c := range r.Cores {
 		b.stalls += c.StallCycles
 	}
@@ -443,10 +445,21 @@ var identities = []struct {
 		func(b books) (int64, int64) {
 			return b.circ.EliminatedAcks, b.circ.Replies[core.OutcomeEliminated]
 		}},
+	// A built circuit is undone past its timed window, where its own reply
+	// lands as the undone outcome, or by the protocol (Manager.Undo), which
+	// tags the forwarded request so that the owner's reply does: its
+	// L1-to-L1 data or, when the owner had dropped the line, its Fwd_Miss.
+	// That reply lands elsewhere when it scrounges another circuit or stays
+	// on its tile (an owner on the line's home tile). A Partial policy's
+	// fragments that never completed are not a circuit, so neither side
+	// counts them.
+	{"every undone circuit is one undone reply", true,
+		func(b books) (int64, int64) {
+			return b.circ.CircuitsUndone, b.circ.Replies[core.OutcomeUndone] + b.circ.UndoneElsewhere
+		}},
 	// A built circuit ends carrying its own reply (the circuit outcome)
-	// or undone: by the protocol (Manager.Undo) or past its timed window.
-	// The audit finds no record live at quiescence, so there is no third
-	// term. A Partial policy's fragments that never completed are neither.
+	// or undone. The audit finds no record live at quiescence, so there
+	// is no third term.
 	{"every built circuit is used or undone, none left live", true,
 		func(b books) (int64, int64) {
 			return b.circ.CircuitsBuilt, b.circ.Replies[core.OutcomeCircuit] + b.circ.CircuitsUndone
@@ -467,6 +480,20 @@ var identities = []struct {
 	{"dynamic energy is every network event at its unit cost", false,
 		func(b books) (int64, int64) {
 			return centiPJ(b.dynamic), centiPJ(power.EventEnergy(b.events))
+		}},
+	// A flit that leaves an input VC with a buffer returns its slot to the
+	// upstream counter: every buffer read, and every bypass departure
+	// unless it arrived on the complete mechanism's unbuffered circuit VC,
+	// the only unbuffered VC a flit can arrive on. The credit wires also
+	// carry the undo tokens, each counted where a router hands it to the
+	// manager. Nothing is in flight at quiescence.
+	{"every buffered departure returns one credit", false,
+		func(b books) (int64, int64) {
+			departures := b.events.XbarTraversals
+			if b.unbufferedCircuits {
+				departures = b.events.BufReads
+			}
+			return departures + b.circ.UndoTokens, b.events.CreditsSent
 		}},
 }
 

@@ -228,22 +228,25 @@ func TestKernelFreeStepperMatchesRunCtx(t *testing.T) {
 }
 
 // TestBooksBalance: the audited 64-core canneal Complete_NoAck run, whose
-// network counts alone miss an L1-to-L1 reply acked on its home tile and
-// whose NIs hold replies back and offer them again, balances every
+// network counts alone miss an L1-to-L1 reply acked on its home tile, whose
+// NIs hold replies back and offer them again, and whose owner on a line's
+// home tile answers a forward for an undone circuit locally, balances every
 // identity; one data reply too many, one Figure-6 outcome too many, one
-// eliminated outcome too many, one built circuit too many or one stall
-// cycle too many does not.
+// eliminated outcome too many, one undone circuit too many, one built
+// circuit too many, one stall cycle too many, one credit too many or one
+// undo token too many does not.
 func TestBooksBalance(t *testing.T) {
 	canneal, _ := workload.ByName("canneal")
 	spec := DefaultSpec(config.Chip64(), variant(t, "Complete_NoAck"), canneal)
-	spec.WarmupOps, spec.MeasureOps, spec.Audit = 3000, 1000, true
+	spec.WarmupOps, spec.MeasureOps, spec.Audit = 3000, 3000, true
 	r, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Circ.EliminatedAcks == 0 || r.Msgs.Local[coherence.MsgDataAck] == 0 || r.Circ.CircuitsUndone == 0 {
-		t.Fatalf("no eliminated acks, local acks or undone circuits to balance: %d, %d, %d",
-			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck], r.Circ.CircuitsUndone)
+	if r.Circ.EliminatedAcks == 0 || r.Msgs.Local[coherence.MsgDataAck] == 0 || r.Circ.CircuitsUndone == 0 ||
+		r.Circ.UndoneElsewhere == 0 || r.Circ.UndoTokens == 0 {
+		t.Fatalf("no eliminated acks, local acks, undone circuits, local undone replies or undo tokens to balance: %d, %d, %d, %d, %d",
+			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck], r.Circ.CircuitsUndone, r.Circ.UndoneElsewhere, r.Circ.UndoTokens)
 	}
 	if b := booksOf(r); b.stalls == 0 {
 		t.Fatal("no stall cycles to balance")
@@ -252,9 +255,11 @@ func TestBooksBalance(t *testing.T) {
 		func(b *books) { b.msgs.Network[coherence.MsgL2Reply]++ },
 		func(b *books) { b.circ.Replies[core.OutcomeUndone]++ },
 		func(b *books) { b.circ.Replies[core.OutcomeEliminated]++ },
+		func(b *books) { b.circ.CircuitsUndone++ },
 		func(b *books) { b.circ.CircuitsBuilt++ },
 		func(b *books) { b.stalls++ },
 		func(b *books) { b.events.CreditsSent++ },
+		func(b *books) { b.circ.UndoTokens++ },
 	} {
 		msgs, circ, events := r.Msgs, *r.Circ, r.Events
 		b := booksOf(r)

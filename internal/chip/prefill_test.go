@@ -240,7 +240,7 @@ func TestImageHitsOnlyEqualKeys(t *testing.T) {
 	h0, m0 := st.counts()
 	entries, bytes := len(st.entries), st.bytes
 	spec := small(config.Chip16(), "Baseline", workload.Micro(), 1)
-	spec.NoPool = true
+	spec.Variant.Opts.NoPool = true
 	if _, err := Run(spec); err != nil {
 		t.Fatal(err)
 	}

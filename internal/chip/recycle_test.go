@@ -179,7 +179,7 @@ func TestNoPoolRunsNeverRecycle(t *testing.T) {
 	spec.WarmupOps, spec.MeasureOps = 200, 600
 	MustRun(spec)
 	idle := coherence.IdleShells()
-	spec.NoPool = true
+	spec.Variant.Opts.NoPool = true
 	for i := 0; i < 2; i++ {
 		MustRun(spec)
 		if got := coherence.IdleShells(); got != idle {
@@ -402,7 +402,7 @@ func TestRebuiltImagesMatchNoPool(t *testing.T) {
 	a := quickSpec(t, config.Chip16(), "Complete_NoAck")
 	a.WarmupOps, a.MeasureOps = 200, 600
 	b := otherInput(t, a)
-	noPool := func(s Spec) Spec { s.NoPool = true; return s }
+	noPool := func(s Spec) Spec { s.Variant.Opts.NoPool = true; return s }
 	want := map[string]*Results{a.Workload.Name: MustRun(noPool(a)), b.Workload.Name: MustRun(noPool(b))}
 	skip := Legs()[slices.IndexFunc(Legs(), func(l Leg) bool { return l.Name == "no-pool" })].Skip
 	for i, spec := range []Spec{a, b, a, a, b, a} {

@@ -385,6 +385,9 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 	}
 	if src == dst {
 		s.Msgs.Local[t]++
+		if pl.CircuitUndone && t.IsReply() && s.Mgr != nil {
+			s.Mgr.Stats.UndoneElsewhere++ // no NI classifies a local reply
+		}
 	} else {
 		s.Msgs.Network[t]++
 	}

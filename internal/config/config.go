@@ -74,9 +74,8 @@ func timedNoAck(slack, delay, postpone int) Variant {
 // policy rejects the combination outright.
 func sdmLanes(name string, lanes int) Variant {
 	return mustVariant(name, core.Options{
-		Mechanism:          core.MechComplete,
+		Mechanism:          core.MechSDM,
 		MaxCircuitsPerPort: 5,
-		Policy:             "sdm",
 		SDMLanes:           lanes,
 	})
 }
@@ -112,9 +111,8 @@ var presets = []struct {
 	{mustVariant("Ideal", core.Options{Mechanism: core.MechIdeal}), paper},
 	// The load-adaptive VC partitioning of Onsori & Safaei.
 	{mustVariant("DynamicVC", core.Options{
-		Mechanism:          core.MechFragmented,
+		Mechanism:          core.MechDynamicVC,
 		MaxCircuitsPerPort: 3,
-		Policy:             "dynamic-vc",
 	}), policyLab},
 	// Zaeemi & Modarressi's lanes: SDM is the 4-lane default; SDM_2 and
 	// SDM_8 bracket the serialization/parallelism trade-off.
@@ -123,7 +121,7 @@ var presets = []struct {
 	{sdmLanes("SDM_8", 8), sdm},
 	// A speculative single-cycle router (references [16-19]) and
 	// probe-based setup at reply time (Déjà-Vu switching, reference [7]).
-	{mustVariant("Speculative", core.Options{SpeculativeRouter: true}), noSweep},
+	{mustVariant("Speculative", core.Options{Mechanism: core.MechSpeculative}), noSweep},
 	{mustVariant("Probe_DejaVu", core.Options{Mechanism: core.MechProbe, MaxCircuitsPerPort: 5}), noSweep},
 	{timedNoAck(8, 0, 0), noSweep},
 	{timedNoAck(0, 0, 2), noSweep},
@@ -218,7 +216,7 @@ func PolicyNames() []string { return core.PolicyNames() }
 // runnable preset cannot be gauntleted.
 func VariantForPolicy(policy string) (Variant, bool) {
 	for _, p := range presets {
-		if core.PolicyName(p.Opts) == policy {
+		if p.Opts.Mechanism.String() == policy {
 			return p.Variant, true
 		}
 	}
@@ -231,7 +229,7 @@ func VariantForPolicy(policy string) (Variant, bool) {
 func VariantsForPolicy(policy string) []Variant {
 	var out []Variant
 	for _, v := range SweepVariants() {
-		if core.PolicyName(v.Opts) == policy {
+		if v.Opts.Mechanism.String() == policy {
 			out = append(out, v)
 		}
 	}

@@ -113,7 +113,7 @@ func TestComparators(t *testing.T) {
 		}
 		return Variant{}, false
 	}()
-	if !spec.Opts.SpeculativeRouter || spec.Opts.Enabled() {
+	if spec.Opts.Mechanism != core.MechSpeculative || spec.Opts.Enabled() {
 		t.Fatal("the speculative comparator must be a circuit-less baseline router")
 	}
 }

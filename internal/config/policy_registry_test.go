@@ -26,7 +26,7 @@ func TestPolicyVariantsValidAndSeparate(t *testing.T) {
 		if err := v.Opts.Validate(); err != nil {
 			t.Errorf("%s invalid: %v", v.Name, err)
 		}
-		if got := core.PolicyName(v.Opts); got != policy {
+		if got := v.Opts.Mechanism.String(); got != policy {
 			t.Errorf("%s resolves to policy %s, want %s", v.Name, got, policy)
 		}
 		for _, pv := range Variants() {
@@ -100,7 +100,7 @@ func TestRegistry(t *testing.T) {
 func TestVariantForPolicy(t *testing.T) {
 	reps := map[string]string{
 		"baseline": "Baseline", "fragmented": "Fragmented", "complete": "Complete", "ideal": "Ideal",
-		"probe-setup": "Probe_DejaVu", "dynamic-vc": "DynamicVC", "sdm": "SDM",
+		"probe-setup": "Probe_DejaVu", "dynamic-vc": "DynamicVC", "sdm": "SDM", "speculative": "Speculative",
 	}
 	for _, name := range PolicyNames() {
 		v, ok := VariantForPolicy(name)
@@ -108,7 +108,7 @@ func TestVariantForPolicy(t *testing.T) {
 			t.Errorf("policy %s has no representative variant", name)
 			continue
 		}
-		if got := core.PolicyName(v.Opts); got != name {
+		if got := v.Opts.Mechanism.String(); got != name {
 			t.Errorf("representative %s for %s resolves to %s", v.Name, name, got)
 		}
 		if v.Name != reps[name] {
@@ -121,8 +121,8 @@ func TestVariantForPolicy(t *testing.T) {
 }
 
 // TestVariantsForPolicy: the complete family owns most paper columns, the
-// new policies own exactly their own, and probe-setup has no sweep column
-// (its preset is a comparator, not a sweep variant).
+// new policies own exactly their own, and probe-setup and speculative have
+// no sweep column (their presets are comparators, not sweep variants).
 func TestVariantsForPolicy(t *testing.T) {
 	for policy, wantNames := range map[string][]string{
 		"baseline":    {"Baseline"},
@@ -130,6 +130,7 @@ func TestVariantsForPolicy(t *testing.T) {
 		"dynamic-vc":  {"DynamicVC"},
 		"sdm":         {"SDM", "SDM_2", "SDM_8"},
 		"probe-setup": nil,
+		"speculative": nil,
 	} {
 		got := VariantsForPolicy(policy)
 		if len(got) != len(wantNames) {
@@ -150,7 +151,7 @@ func TestVariantsForPolicy(t *testing.T) {
 // TestPolicyNamesForwarding: config re-exports core's table order.
 func TestPolicyNamesForwarding(t *testing.T) {
 	got, want := PolicyNames(), core.PolicyNames()
-	order := []string{"baseline", "fragmented", "complete", "ideal", "probe-setup", "dynamic-vc", "sdm"}
+	order := []string{"baseline", "fragmented", "complete", "ideal", "probe-setup", "dynamic-vc", "sdm", "speculative"}
 	if !slices.Equal(want, order) {
 		t.Errorf("core.PolicyNames = %v, want %v", want, order)
 	}

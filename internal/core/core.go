@@ -20,7 +20,9 @@ package core
 
 import "fmt"
 
-// Mechanism selects the circuit-construction policy.
+// Mechanism selects a variant's design: one of the paper's circuit
+// mechanisms, a related-work comparator or a post-paper policy. It indexes
+// the policies table, so each value names exactly one switching policy.
 type Mechanism uint8
 
 const (
@@ -42,21 +44,22 @@ const (
 	// approach the paper rejects because a fast L2 hit cannot hide the
 	// setup traversal.
 	MechProbe
+	// MechDynamicVC is fragmented circuits over a load-adaptive reply-VC
+	// partition (PAPERS.md: Onsori & Safaei).
+	MechDynamicVC
+	// MechSDM claims one lane of every lane-divided link per circuit
+	// (PAPERS.md: Zaeemi & Modarressi).
+	MechSDM
+	// MechSpeculative is the related-work comparator of the paper's
+	// references [16-19]: no circuits at all, but head flits may cross an
+	// uncontended router in a single cycle.
+	MechSpeculative
 )
 
-// String names the mechanism.
+// String names the mechanism's switching policy (see PolicyNames).
 func (m Mechanism) String() string {
-	switch m {
-	case MechNone:
-		return "baseline"
-	case MechFragmented:
-		return "fragmented"
-	case MechComplete:
-		return "complete"
-	case MechIdeal:
-		return "ideal"
-	case MechProbe:
-		return "probe-setup"
+	if int(m) < len(policies) {
+		return policies[m].name
 	}
 	return fmt.Sprintf("Mechanism(%d)", uint8(m))
 }
@@ -94,40 +97,24 @@ type Options struct {
 	// NoPool disables flit/message recycling in the network, and makes
 	// coherence.NewSystem build its cache arrays fresh and release nothing.
 	// Pooled and unpooled runs are bit-identical — this exists only to
-	// bisect pooling bugs and to cross-check that claim in tests.
-	NoPool bool
-
-	// SpeculativeRouter enables the related-work comparator of the
-	// paper's references [16-19]: no circuits at all, but head flits may
-	// cross an uncontended router in a single cycle. Only valid with
-	// MechNone — it is an alternative design, not an addition.
-	SpeculativeRouter bool
-
-	// Policy selects a switching policy by name (see PolicyNames);
-	// empty picks the Mechanism's default implementation, so every
-	// pre-policy Options encodes — and fingerprints — exactly as before.
-	// The omitempty tags below keep that true for the new knobs too.
-	Policy string `json:",omitempty"`
-
-	// DynVCMin, DynVCMax and DynVCWindow tune the dynamic-vc policy:
-	// each router's usable reserved-VC partition floats between DynVCMin
-	// and DynVCMax (the hardware provisions DynVCMax), adapting once per
-	// DynVCWindow reservation attempts. Zero means the policy's default
-	// (1 / 3 / 16).
-	DynVCMin    int `json:",omitempty"`
-	DynVCMax    int `json:",omitempty"`
-	DynVCWindow int `json:",omitempty"`
+	// bisect pooling bugs and to cross-check that claim in tests — so it is
+	// an engine switch, not part of the design: it never reaches the JSON
+	// a spec is fingerprinted by.
+	NoPool bool `json:"-"`
 
 	// SDMLanes tunes the sdm policy: every mesh link splits into this many
 	// equal-width lanes — lane 0 reserved for packet traffic, the rest held
 	// one-per-circuit — and per-flit link serialization stretches by the
 	// lane fraction. Zero means the policy's default (4); valid values are
 	// 2..8.
-	SDMLanes int `json:",omitempty"`
+	SDMLanes int
 }
 
-// Enabled reports whether any circuit machinery is active.
-func (o *Options) Enabled() bool { return o.Mechanism != MechNone }
+// Enabled reports whether any circuit machinery is active: every design but
+// the two packet-switched ones.
+func (o *Options) Enabled() bool {
+	return o.Mechanism != MechNone && o.Mechanism != MechSpeculative
+}
 
 // Outcome classifies each reply for the paper's Figure 6 breakdown.
 type Outcome uint8
@@ -191,8 +178,12 @@ type Stats struct {
 
 	// CircuitsBuilt counts complete end-to-end reservations;
 	// CircuitsUndone counts built circuits torn down unused.
-	CircuitsBuilt  int64
-	CircuitsUndone int64
+	// UndoneElsewhere counts the replies tagged for an undone circuit that
+	// Figure 6 does not count as undone: one that rode another's circuit
+	// (a scrounger) and one that never left its tile.
+	CircuitsBuilt   int64
+	CircuitsUndone  int64
+	UndoneElsewhere int64
 
 	// ScroungerRides counts circuit borrowings; EliminatedAcks counts
 	// L1_DATA_ACK messages removed by NoAck.
@@ -201,6 +192,10 @@ type Stats struct {
 
 	// ProbesSent counts the Déjà-Vu comparator's setup flits.
 	ProbesSent int64
+
+	// UndoTokens counts the undo tokens routers hand the manager: one per
+	// hop of every teardown and failed-reservation walk.
+	UndoTokens int64
 
 	// WaitedForWindow accumulates cycles replies waited for a timed slot.
 	WaitedForWindow int64

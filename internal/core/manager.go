@@ -477,6 +477,7 @@ func (mg *Manager) Release(id mesh.NodeID, f *noc.Flit, in mesh.Dir, now sim.Cyc
 // the cleared entry's output port toward the circuit destination and stops
 // where no entry is found.
 func (mg *Manager) OnUndo(id mesh.NodeID, tok *noc.UndoToken, in mesh.Dir, now sim.Cycle) (mesh.Dir, bool) {
+	mg.Stats.UndoTokens++
 	switch {
 	case mg.traits.Forward:
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
@@ -612,6 +613,9 @@ func (mg *Manager) classify(msg *noc.Message, o Outcome) {
 	}
 	msg.Classified = true
 	mg.Stats.Replies[o]++
+	if o == OutcomeScrounger && msg.OutcomeHint == uint8(OutcomeUndone) {
+		mg.Stats.UndoneElsewhere++
+	}
 }
 
 // OnDeliver finalizes a request's circuit record at the NI where its reply
@@ -714,9 +718,10 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 // Undo tears down the circuit starting at NI ni for (dest, block) before
 // use — the coherence protocol calls this when an L2 forwards a request to
 // an owning L1 and the L2→requestor circuit will never carry data. It
-// reports whether anything reserved was torn down: a built circuit or, under
-// a Partial policy, the fragments of one. Only a built circuit, one that
-// CircuitsBuilt counted, is counted as undone.
+// reports whether a built circuit, one that CircuitsBuilt counted, was
+// undone: that is the circuit the forwarded reply's Figure-6 "undone"
+// outcome names. A Partial policy's fragments that never completed are torn
+// down too, but were never a circuit.
 func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.Cycle) bool {
 	key := circKey{dest: dest, block: block}
 	rec := mg.regs[ni][key]
@@ -728,7 +733,8 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		mg.retire(rec)
 		return false // nothing built to undo
 	}
-	if rec.complete {
+	built := rec.complete
+	if built {
 		mg.Stats.CircuitsUndone++
 		if mg.tracer != nil {
 			mg.tracer.Record(now, trace.CircuitUndone, 0, ni,
@@ -741,7 +747,7 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		mg.teardown(rec, now)
 	}
 	mg.retire(rec)
-	return true
+	return built
 }
 
 // teardown reclaims the router entries of a circuit the coherence protocol

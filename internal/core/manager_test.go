@@ -242,7 +242,7 @@ func TestUndoForwardedRequest(t *testing.T) {
 		{"fragmented", fragmentedOpts(), forwarded, 1},
 		{"ideal", Options{Mechanism: MechIdeal}, instant, 1},
 		{"probe-setup", probeOpts(), probeConflict, 0},
-		{"dynamic-vc", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"}, forwarded, 1},
+		{"dynamic-vc", Options{Mechanism: MechDynamicVC, MaxCircuitsPerPort: 3}, forwarded, 1},
 		{"sdm", sdmOpts(0), forwarded, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -786,10 +786,10 @@ func TestReleaseFreesOnlyItsOwnClaim(t *testing.T) {
 // fragmented gap; a configuration that reserved every reply VC is refused.
 func TestReservedVCsAreNeverZero(t *testing.T) {
 	m := mesh.New(4, 4)
-	for _, policy := range []string{"", "dynamic-vc"} {
+	for _, mech := range []Mechanism{MechFragmented, MechDynamicVC} {
 		valid := 0
 		for n := 1; n <= 8; n++ {
-			o := Options{Mechanism: MechFragmented, MaxCircuitsPerPort: n, Policy: policy}
+			o := Options{Mechanism: mech, MaxCircuitsPerPort: n}
 			if err := o.Validate(); err != nil {
 				continue
 			}
@@ -802,7 +802,7 @@ func TestReservedVCsAreNeverZero(t *testing.T) {
 			}
 		}
 		if valid == 0 {
-			t.Fatalf("no circuit count validates for policy %q", policy)
+			t.Fatalf("no circuit count validates for policy %v", mech)
 		}
 	}
 	cfg := NetConfigFor(m, fragmentedOpts())

@@ -39,7 +39,7 @@ type Policy interface {
 	// Traits states the policy's facts for the given options.
 	Traits(o *Options) Traits
 	// Validate checks the policy's own knobs; the rules every policy
-	// shares (mechanism, optimizations, storage, Section 4.7) are
+	// shares (optimizations, storage, Section 4.7) are
 	// Options.Validate's, driven by Traits.
 	Validate(o *Options) error
 	// NetConfig applies the policy's router microarchitecture (VC
@@ -67,9 +67,6 @@ type Policy interface {
 // Traits are the facts a policy states once. NewManager resolves them into
 // a plain field, so the per-flit paths never ask the policy anything.
 type Traits struct {
-	// Mech is the mechanism the policy implements or builds on;
-	// Options.Mechanism must name it.
-	Mech Mechanism
 	// Timed, Reuse and NoAck say which of the paper's optimizations the
 	// policy can honour. Under Options.Timed a circuit's entries
 	// self-expire, so nothing tears it down.
@@ -117,20 +114,21 @@ const (
 	noStorage
 )
 
-// policies is every switching policy, in listing order: its name and a
-// constructor returning a fresh instance per manager, so stateful policies
-// never share state across runs.
-var policies = []struct {
+// policies is every switching policy, indexed by the Mechanism that
+// selects it: its name and a constructor returning a fresh instance per
+// manager, so stateful policies never share state across runs.
+var policies = [...]struct {
 	name string
 	make func() Policy
 }{
-	{"baseline", func() Policy { return baselinePolicy{} }},
-	{"fragmented", func() Policy { return fragmentedPolicy{} }},
-	{"complete", func() Policy { return completePolicy{} }},
-	{"ideal", func() Policy { return idealPolicy{} }},
-	{"probe-setup", func() Policy { return probePolicy{} }},
-	{"dynamic-vc", func() Policy { return &dynVCPolicy{} }},
-	{"sdm", func() Policy { return sdmPolicy{} }},
+	MechNone:        {"baseline", func() Policy { return baselinePolicy{} }},
+	MechFragmented:  {"fragmented", func() Policy { return fragmentedPolicy{} }},
+	MechComplete:    {"complete", func() Policy { return completePolicy{} }},
+	MechIdeal:       {"ideal", func() Policy { return idealPolicy{} }},
+	MechProbe:       {"probe-setup", func() Policy { return probePolicy{} }},
+	MechDynamicVC:   {"dynamic-vc", func() Policy { return &dynVCPolicy{} }},
+	MechSDM:         {"sdm", func() Policy { return sdmPolicy{} }},
+	MechSpeculative: {"speculative", func() Policy { return speculativePolicy{} }},
 }
 
 // PolicyNames lists every switching policy in table order.
@@ -142,25 +140,13 @@ func PolicyNames() []string {
 	return names
 }
 
-// PolicyName returns the policy name an Options selects: the explicit
-// Policy when set, otherwise the mechanism's own name.
-func PolicyName(o Options) string {
-	if o.Policy != "" {
-		return o.Policy
-	}
-	return o.Mechanism.String()
-}
-
 // PolicyFor resolves the policy an Options selects.
 func PolicyFor(o Options) (Policy, error) {
-	name := PolicyName(o)
-	for _, p := range policies {
-		if p.name == name {
-			return p.make(), nil
-		}
+	if int(o.Mechanism) >= len(policies) {
+		return nil, fmt.Errorf("core: unknown policy %v (registered: %s)",
+			o.Mechanism, strings.Join(PolicyNames(), ", "))
 	}
-	return nil, fmt.Errorf("core: unknown policy %q (registered: %s)",
-		name, strings.Join(PolicyNames(), ", "))
+	return policies[o.Mechanism].make(), nil
 }
 
 // mustPolicyFor resolves a policy for options that already validated.
@@ -183,13 +169,7 @@ func (o *Options) Validate() error {
 	if err != nil {
 		return err
 	}
-	tr, name := pol.Traits(o), PolicyName(*o)
-	if o.Mechanism != tr.Mech {
-		return fmt.Errorf("core: policy %q builds on the %v mechanism (Options.Mechanism is %v)", name, tr.Mech, o.Mechanism)
-	}
-	if o.SpeculativeRouter && o.Enabled() {
-		return fmt.Errorf("core: speculative routers and circuits are alternative designs")
-	}
+	tr, name := pol.Traits(o), o.Mechanism.String()
 	for _, opt := range []struct {
 		name     string
 		set, can bool

@@ -15,7 +15,7 @@ type completePolicy struct{ basePolicy }
 
 func (completePolicy) Traits(o *Options) Traits {
 	return Traits{
-		Mech: MechComplete, Timed: true, Reuse: true, NoAck: true,
+		Timed: true, Reuse: true, NoAck: true,
 		ConflictChecked: true, RegistryChecked: true, LeakChecked: !o.Timed,
 	}
 }

@@ -11,14 +11,13 @@ import (
 // dynVCPolicy implements load-adaptive VC partitioning (PAPERS.md: Onsori
 // & Safaei): the fragmented mechanism with a per-router *adaptive* count
 // of reply VCs usable for reservations. The router hardware provisions
-// DynVCMax reserved VCs, but each router only hands out its current limit;
-// a window with reservation failures grows the limit toward DynVCMax, a
-// clean window shrinks it toward DynVCMin, returning buffer bandwidth to
-// ordinary packet traffic under light circuit load.
+// dynVCMax reserved VCs, but each router only hands out its current limit;
+// a window of dynVCWindow reservation attempts with failures grows the
+// limit toward dynVCMax, a clean window shrinks it toward dynVCMin,
+// returning buffer bandwidth to ordinary packet traffic under light
+// circuit load.
 type dynVCPolicy struct {
 	fragmentedPolicy
-
-	min, max, window int
 
 	// Per-router adaptation state, indexed by NodeID.
 	limit    []int
@@ -29,44 +28,35 @@ type dynVCPolicy struct {
 	shrinks int64
 }
 
-// Validate checks the partition knobs (the fragmented rules are shared).
+// The partition's bounds and adaptation window.
+const (
+	dynVCMin    = 1
+	dynVCMax    = 3
+	dynVCWindow = 16
+)
+
+// Validate keeps one table entry per reserved VC (the fragmented rules are
+// shared).
 func (p *dynVCPolicy) Validate(o *Options) error {
-	if o.DynVCMin < 0 || o.DynVCMax < 0 || o.DynVCWindow < 0 {
-		return fmt.Errorf("core: negative dynamic-vc parameters")
-	}
-	min, max := orDefault(o.DynVCMin, 1), dynVCMax(o)
-	if min > max {
-		return fmt.Errorf("core: dynamic-vc needs DynVCMin <= DynVCMax")
-	}
-	if max > 6 {
-		return fmt.Errorf("core: dynamic-vc supports at most 6 reserved reply VCs")
-	}
-	if o.MaxCircuitsPerPort < max {
-		return fmt.Errorf("core: dynamic-vc needs MaxCircuitsPerPort >= DynVCMax (one entry per reserved VC)")
+	if o.MaxCircuitsPerPort < dynVCMax {
+		return fmt.Errorf("core: dynamic-vc needs MaxCircuitsPerPort >= %d (one entry per reserved VC)", dynVCMax)
 	}
 	return nil
 }
 
-// dynVCMax is the partition the hardware provisions.
-func dynVCMax(o *Options) int { return orDefault(o.DynVCMax, 3) }
-
 // NetConfig provisions the maximum partition in hardware; the policy's
 // per-router limit decides how much of it is usable each window.
 func (p *dynVCPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
-	max := dynVCMax(o)
-	cfg.VCsPerVN[noc.VNReply] = 1 + max
-	cfg.ReplyCircuitVCs = max
+	cfg.VCsPerVN[noc.VNReply] = 1 + dynVCMax
+	cfg.ReplyCircuitVCs = dynVCMax
 	cfg.RepRouting = mesh.RouteYX
 }
 
 func (p *dynVCPolicy) Attach(mg *Manager) {
-	p.min = orDefault(mg.opts.DynVCMin, 1)
-	p.max = dynVCMax(&mg.opts)
-	p.window = orDefault(mg.opts.DynVCWindow, 16)
 	n := mg.m.Nodes()
 	p.limit = make([]int, n)
 	for i := range p.limit {
-		p.limit[i] = p.min
+		p.limit[i] = dynVCMin
 	}
 	p.attempts = make([]int, n)
 	p.fails = make([]int, n)
@@ -79,7 +69,7 @@ func (p *dynVCPolicy) DescribeMetrics(reg *sim.Registry) {
 
 // Arbitrate is the fragmented per-hop reservation restricted to this
 // router's current VC limit, feeding the adaptation window. (A granted VC
-// always finds an entry: Validate keeps MaxCircuitsPerPort >= DynVCMax.)
+// always finds an entry: Validate keeps MaxCircuitsPerPort >= dynVCMax.)
 func (p *dynVCPolicy) Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, port mesh.Dir, e *entry, w *walk, now sim.Cycle) verdict {
 	p.attempts[id]++
 	v := reservedVC(mg, id, port, e, w, p.limit[id], now)
@@ -91,17 +81,18 @@ func (p *dynVCPolicy) Arbitrate(mg *Manager, id mesh.NodeID, msg *noc.Message, p
 }
 
 // adapt closes a router's observation window: any failure grows the
-// usable partition (up to max), a clean window shrinks it (down to min).
+// usable partition (up to dynVCMax), a clean window shrinks it (down to
+// dynVCMin).
 func (p *dynVCPolicy) adapt(id mesh.NodeID) {
-	if p.attempts[id] < p.window {
+	if p.attempts[id] < dynVCWindow {
 		return
 	}
 	if p.fails[id] > 0 {
-		if p.limit[id] < p.max {
+		if p.limit[id] < dynVCMax {
 			p.limit[id]++
 			p.grows++
 		}
-	} else if p.limit[id] > p.min {
+	} else if p.limit[id] > dynVCMin {
 		p.limit[id]--
 		p.shrinks++
 	}

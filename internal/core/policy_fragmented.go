@@ -15,7 +15,7 @@ import (
 type fragmentedPolicy struct{ basePolicy }
 
 func (fragmentedPolicy) Traits(*Options) Traits {
-	return Traits{Mech: MechFragmented, Partial: true}
+	return Traits{Partial: true}
 }
 
 func (fragmentedPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {

@@ -15,7 +15,7 @@ import (
 type idealPolicy struct{ basePolicy }
 
 func (idealPolicy) Traits(*Options) Traits {
-	return Traits{Mech: MechIdeal, NoAck: true, Unbounded: true}
+	return Traits{NoAck: true, Unbounded: true}
 }
 
 func (idealPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {

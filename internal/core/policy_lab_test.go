@@ -13,24 +13,20 @@ import (
 // shrink it back to the minimum, and both bounds hold.
 func TestDynVCAdaptation(t *testing.T) {
 	p := &dynVCPolicy{}
-	mg := NewManager(Options{
-		Mechanism: MechFragmented, MaxCircuitsPerPort: 4,
-		Policy:   "dynamic-vc",
-		DynVCMin: 1, DynVCMax: 4, DynVCWindow: 2,
-	}, mesh.New(4, 4))
+	mg := NewManager(Options{Mechanism: MechDynamicVC, MaxCircuitsPerPort: 3}, mesh.New(4, 4))
 	p.Attach(mg)
 
 	const id = 3
-	if p.limit[id] != 1 {
-		t.Fatalf("initial limit = %d, want DynVCMin = 1", p.limit[id])
+	if p.limit[id] != dynVCMin {
+		t.Fatalf("initial limit = %d, want dynVCMin = %d", p.limit[id], dynVCMin)
 	}
 	failWindow := func() {
-		p.attempts[id] = 2
+		p.attempts[id] = dynVCWindow
 		p.fails[id] = 1
 		p.adapt(id)
 	}
 	cleanWindow := func() {
-		p.attempts[id] = 2
+		p.attempts[id] = dynVCWindow
 		p.fails[id] = 0
 		p.adapt(id)
 	}
@@ -38,32 +34,32 @@ func TestDynVCAdaptation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		failWindow()
 	}
-	if p.limit[id] != 4 {
-		t.Fatalf("limit after failing windows = %d, want capped at DynVCMax = 4", p.limit[id])
+	if p.limit[id] != dynVCMax {
+		t.Fatalf("limit after failing windows = %d, want capped at dynVCMax = %d", p.limit[id], dynVCMax)
 	}
-	if p.grows != 3 {
-		t.Fatalf("grows = %d, want 3 (1 -> 4)", p.grows)
+	if p.grows != dynVCMax-dynVCMin {
+		t.Fatalf("grows = %d, want %d", p.grows, dynVCMax-dynVCMin)
 	}
 
 	for i := 0; i < 5; i++ {
 		cleanWindow()
 	}
-	if p.limit[id] != 1 {
-		t.Fatalf("limit after clean windows = %d, want floored at DynVCMin = 1", p.limit[id])
+	if p.limit[id] != dynVCMin {
+		t.Fatalf("limit after clean windows = %d, want floored at dynVCMin = %d", p.limit[id], dynVCMin)
 	}
-	if p.shrinks != 3 {
-		t.Fatalf("shrinks = %d, want 3 (4 -> 1)", p.shrinks)
+	if p.shrinks != dynVCMax-dynVCMin {
+		t.Fatalf("shrinks = %d, want %d", p.shrinks, dynVCMax-dynVCMin)
 	}
 
 	// A half-open window adapts nothing.
-	p.attempts[id], p.fails[id] = 1, 1
+	p.attempts[id], p.fails[id] = dynVCWindow-1, 1
 	p.adapt(id)
-	if p.limit[id] != 1 || p.attempts[id] != 1 {
+	if p.limit[id] != dynVCMin || p.attempts[id] != dynVCWindow-1 {
 		t.Fatal("adapt fired before the window closed")
 	}
 
 	// Other routers are independent.
-	if p.limit[0] != 1 || p.attempts[0] != 0 {
+	if p.limit[0] != dynVCMin || p.attempts[0] != 0 {
 		t.Fatal("adaptation leaked to another router")
 	}
 }
@@ -71,12 +67,9 @@ func TestDynVCAdaptation(t *testing.T) {
 // TestPolicyNetConfigs pins the network dynamic-vc provisions: its maximum
 // partition, in hardware.
 func TestPolicyNetConfigs(t *testing.T) {
-	cfg := NetConfigFor(mesh.New(4, 4), Options{
-		Mechanism: MechFragmented, MaxCircuitsPerPort: 4,
-		Policy: "dynamic-vc", DynVCMax: 4,
-	})
-	if cfg.VCsPerVN[noc.VNReply] != 5 || cfg.ReplyCircuitVCs != 4 {
-		t.Fatalf("dynamic-vc network = %+v, want 1+DynVCMax reply VCs with DynVCMax reserved", cfg)
+	cfg := NetConfigFor(mesh.New(4, 4), Options{Mechanism: MechDynamicVC, MaxCircuitsPerPort: 3})
+	if cfg.VCsPerVN[noc.VNReply] != 1+dynVCMax || cfg.ReplyCircuitVCs != dynVCMax {
+		t.Fatalf("dynamic-vc network = %+v, want 1+dynVCMax reply VCs with dynVCMax reserved", cfg)
 	}
 	if cfg.CircuitVCUnbuffered {
 		t.Fatal("dynamic-vc partition must stay buffered (fragmented family)")
@@ -93,23 +86,21 @@ func TestPolicyNetConfigs(t *testing.T) {
 // trait is off.
 func TestPolicyTraits(t *testing.T) {
 	complete := Traits{
-		Mech: MechComplete, Timed: true, Reuse: true, NoAck: true,
+		Timed: true, Reuse: true, NoAck: true,
 		ConflictChecked: true, RegistryChecked: true, LeakChecked: true,
 	}
 	cases := map[string]struct {
 		opts Options
 		want Traits
 	}{
-		"baseline":    {Options{}, Traits{Mech: MechNone}},
-		"fragmented":  {fragmentedOpts(), Traits{Mech: MechFragmented, Partial: true}},
+		"baseline":    {Options{}, Traits{}},
+		"fragmented":  {fragmentedOpts(), Traits{Partial: true}},
 		"complete":    {completeOpts(), complete},
-		"ideal":       {Options{Mechanism: MechIdeal}, Traits{Mech: MechIdeal, NoAck: true, Unbounded: true}},
-		"probe-setup": {probeOpts(), Traits{Mech: MechProbe, Forward: true}},
-		"dynamic-vc": {Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"},
-			Traits{Mech: MechFragmented, Partial: true}},
-		"sdm": {sdmOpts(0), Traits{
-			Mech: MechComplete, Reuse: true, Lanes: 4, RegistryChecked: true, LeakChecked: true,
-		}},
+		"ideal":       {Options{Mechanism: MechIdeal}, Traits{NoAck: true, Unbounded: true}},
+		"probe-setup": {probeOpts(), Traits{Forward: true}},
+		"dynamic-vc":  {Options{Mechanism: MechDynamicVC, MaxCircuitsPerPort: 3}, Traits{Partial: true}},
+		"sdm":         {sdmOpts(0), Traits{Reuse: true, Lanes: 4, RegistryChecked: true, LeakChecked: true}},
+		"speculative": {Options{Mechanism: MechSpeculative}, Traits{}},
 	}
 	for _, name := range PolicyNames() {
 		tc, ok := cases[name]
@@ -117,7 +108,7 @@ func TestPolicyTraits(t *testing.T) {
 			t.Errorf("policy %q has no pinned traits", name)
 			continue
 		}
-		if got := PolicyName(tc.opts); got != name {
+		if got := tc.opts.Mechanism.String(); got != name {
 			t.Fatalf("%s: options resolve to policy %q", name, got)
 		}
 		if err := tc.opts.Validate(); err != nil {
@@ -157,27 +148,23 @@ func TestPolicyTraits(t *testing.T) {
 	}
 }
 
-// TestPolicyValidateErrors: every knob misconfiguration for the lab
-// policies is rejected with a specific error, and PolicyFor refuses
-// unregistered names.
+// TestPolicyValidateErrors: a dynamic-vc table too small for its partition
+// is rejected, and Validate and PolicyFor refuse a Mechanism past the
+// policies table.
 func TestPolicyValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		o    Options
 	}{
-		{"dynvc wrong mechanism", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "dynamic-vc"}},
-		{"dynvc negative min", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMin: -1}},
-		{"dynvc min over max", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMin: 4, DynVCMax: 2}},
-		{"dynvc max over 6", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 8, Policy: "dynamic-vc", DynVCMax: 7}},
-		{"dynvc too few table entries", Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 2, Policy: "dynamic-vc", DynVCMax: 4}},
-		{"unregistered policy", Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "no-such-policy"}},
+		{"dynvc too few table entries", Options{Mechanism: MechDynamicVC, MaxCircuitsPerPort: dynVCMax - 1}},
+		{"unregistered policy", Options{Mechanism: MechSpeculative + 1, MaxCircuitsPerPort: 5}},
 	}
 	for _, c := range cases {
 		if err := c.o.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", c.name, c.o)
 		}
 	}
-	if _, err := PolicyFor(Options{Policy: "no-such-policy"}); err == nil {
+	if _, err := PolicyFor(Options{Mechanism: MechSpeculative + 1}); err == nil {
 		t.Error("PolicyFor accepted an unregistered policy")
 	}
 }
@@ -186,7 +173,7 @@ func TestPolicyValidateErrors(t *testing.T) {
 // scope the manager exports, under the circ/ namespace, so sweeps and the
 // service surface them.
 func TestPolicyDescribeMetrics(t *testing.T) {
-	mg := NewManager(Options{Mechanism: MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"}, mesh.New(4, 4))
+	mg := NewManager(Options{Mechanism: MechDynamicVC, MaxCircuitsPerPort: 3}, mesh.New(4, 4))
 	d := mg.pol.(*dynVCPolicy)
 	d.grows, d.shrinks = 5, 2
 	reg := sim.NewRegistry()

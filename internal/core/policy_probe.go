@@ -16,7 +16,7 @@ type probePolicy struct{ basePolicy }
 // Traits: the comparator supports none of the paper's optimizations, and
 // its forward entries are structurally outside the reversed-circuit oracles.
 func (probePolicy) Traits(*Options) Traits {
-	return Traits{Mech: MechProbe, Forward: true}
+	return Traits{Forward: true}
 }
 
 func (probePolicy) NetConfig(cfg *noc.NetConfig, o *Options) {

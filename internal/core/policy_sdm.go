@@ -32,7 +32,7 @@ type sdmPolicy struct{ basePolicy }
 // (armed by Lanes) replaces the window-conflict rule.
 func (sdmPolicy) Traits(o *Options) Traits {
 	return Traits{
-		Mech: MechComplete, Reuse: true, Lanes: orDefault(o.SDMLanes, 4),
+		Reuse: true, Lanes: orDefault(o.SDMLanes, 4),
 		RegistryChecked: true, LeakChecked: true,
 	}
 }

@@ -10,10 +10,7 @@ import (
 // sdmOpts is the sdm policy's plain configuration at a given lane count
 // (0 = the default of 4).
 func sdmOpts(lanes int) Options {
-	return Options{
-		Mechanism: MechComplete, MaxCircuitsPerPort: 5,
-		Policy: "sdm", SDMLanes: lanes,
-	}
+	return Options{Mechanism: MechSDM, MaxCircuitsPerPort: 5, SDMLanes: lanes}
 }
 
 // TestSDMValidateErrors: every structurally incompatible knob combination
@@ -25,9 +22,7 @@ func TestSDMValidateErrors(t *testing.T) {
 		name string
 		mut  func(*Options)
 	}{
-		{"wrong mechanism", func(o *Options) { o.Mechanism = MechFragmented }},
 		{"no table entries", func(o *Options) { o.MaxCircuitsPerPort = 0 }},
-		{"speculative router", func(o *Options) { o.SpeculativeRouter = true }},
 		{"one lane", func(o *Options) { o.SDMLanes = 1 }},
 		{"nine lanes", func(o *Options) { o.SDMLanes = 9 }},
 	}

@@ -135,7 +135,7 @@ func TestProbeStressNoCorruption(t *testing.T) {
 func TestProbeOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Mechanism: MechProbe},
-		{Mechanism: MechProbe, MaxCircuitsPerPort: 5, SpeculativeRouter: true},
+		{Mechanism: MechProbe, MaxCircuitsPerPort: 5, Timed: true},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -152,11 +152,14 @@ func TestProbeOptionsValidation(t *testing.T) {
 }
 
 func TestSpeculativeRouterOptionValidation(t *testing.T) {
-	good := Options{SpeculativeRouter: true}
+	good := Options{Mechanism: MechSpeculative}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("speculative baseline rejected: %v", err)
 	}
-	bad := Options{Mechanism: MechComplete, MaxCircuitsPerPort: 5, SpeculativeRouter: true}
+	if good.Enabled() {
+		t.Fatal("the speculative router builds circuits")
+	}
+	bad := Options{Mechanism: MechSpeculative, MaxCircuitsPerPort: 5, NoAck: true}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("speculation + circuits accepted")
 	}

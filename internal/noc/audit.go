@@ -80,13 +80,13 @@ func (r *Router) audit() error {
 		if r.byQ[d].Len() != 0 {
 			return fmt.Errorf("noc: router %d port %v retains %d bypass flits", r.id, d, r.byQ[d].Len())
 		}
-		if r.spec[d].live() != 0 {
-			return fmt.Errorf("noc: router %d port %v retains %d speculative routes", r.id, d, r.spec[d].live())
-		}
 		for s, sl := range r.slots {
 			if v := r.vcs[int(d)*r.nslots+s]; v.n != 0 {
 				return fmt.Errorf("noc: router %d port %v vn%d vc%d retains %d flits",
 					r.id, d, sl.vn, sl.vc, v.n)
+			} else if v.spec {
+				return fmt.Errorf("noc: router %d port %v vn%d vc%d retains a speculative route",
+					r.id, d, sl.vn, sl.vc)
 			} else if v.state != vcIdle {
 				return fmt.Errorf("noc: router %d port %v vn%d vc%d stuck in state %d",
 					r.id, d, sl.vn, sl.vc, v.state)

@@ -40,53 +40,3 @@ func FuzzRing(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSpecTable interprets the input as put/del opcodes against a map model.
-// Each pair of bytes is one op: low bit of the first byte selects put/del,
-// the second byte (plus one, keys are never zero) is the message ID. The
-// small ID space forces long probe chains, which is where backward-shift
-// deletion can orphan or duplicate entries.
-func FuzzSpecTable(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 9, 0, 17, 1, 9, 0, 25, 1, 1}) // colliding chain, delete middle
-	f.Add([]byte{0, 1, 1, 1, 1, 1})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		var tab specTable
-		model := map[uint64]specRoute{}
-		for i := 0; i+1 < len(ops); i += 2 {
-			id := uint64(ops[i+1]%64) + 1
-			if ops[i]%2 == 0 {
-				v := specRoute{outVC: int(ops[i] % 8)}
-				tab.put(id, v)
-				model[id] = v
-			} else {
-				tab.del(id)
-				delete(model, id)
-			}
-		}
-		if tab.live() != len(model) {
-			t.Fatalf("live=%d, model=%d", tab.live(), len(model))
-		}
-		for id, want := range model {
-			got, ok := tab.get(id)
-			if !ok {
-				t.Fatalf("key %d orphaned", id)
-			}
-			if got != want {
-				t.Fatalf("key %d: got %+v, want %+v", id, got, want)
-			}
-		}
-		seen := map[uint64]bool{}
-		for _, k := range tab.keys {
-			if k == 0 {
-				continue
-			}
-			if seen[k] {
-				t.Fatalf("key %d duplicated", k)
-			}
-			seen[k] = true
-			if _, ok := model[k]; !ok {
-				t.Fatalf("key %d survives deletion", k)
-			}
-		}
-	})
-}

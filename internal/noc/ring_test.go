@@ -138,86 +138,3 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Run(tc.name, tc.run)
 	}
 }
-
-// TestSpecTableRandomInsertDelete is the backward-shift-deletion property
-// test: after any sequence of put/del, every key inserted and not deleted is
-// findable exactly once, every deleted key is absent, and the live count
-// matches the model. Orphaning (a key stranded past an empty slot) shows up
-// as a failed get; duplication shows up in the slot scan.
-func TestSpecTableRandomInsertDelete(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var tab specTable
-		model := map[uint64]specRoute{}
-		var keys []uint64
-		for step := 0; step < 5_000; step++ {
-			if rng.Intn(3) != 0 || len(keys) == 0 {
-				// Small key range maximizes probe-chain collisions.
-				id := uint64(rng.Intn(64) + 1)
-				v := specRoute{outVC: rng.Intn(4)}
-				if _, exists := model[id]; !exists {
-					keys = append(keys, id)
-				}
-				model[id] = v
-				tab.put(id, v)
-			} else {
-				i := rng.Intn(len(keys))
-				id := keys[i]
-				keys[i] = keys[len(keys)-1]
-				keys = keys[:len(keys)-1]
-				delete(model, id)
-				tab.del(id)
-			}
-			checkSpecTable(t, &tab, model, seed, step)
-			if t.Failed() {
-				return
-			}
-		}
-		// Drain completely: an emptied table must hold nothing.
-		for _, id := range keys {
-			tab.del(id)
-			delete(model, id)
-		}
-		checkSpecTable(t, &tab, model, seed, -1)
-		if tab.live() != 0 {
-			t.Fatalf("seed %d: drained table has %d live entries", seed, tab.live())
-		}
-	}
-}
-
-// checkSpecTable asserts table-vs-model agreement and scans the raw slots
-// for duplicates or keys missing from the model.
-func checkSpecTable(t *testing.T, tab *specTable, model map[uint64]specRoute, seed int64, step int) {
-	t.Helper()
-	if tab.live() != len(model) {
-		t.Errorf("seed %d step %d: live=%d, model=%d", seed, step, tab.live(), len(model))
-		return
-	}
-	for id, want := range model {
-		got, ok := tab.get(id)
-		if !ok {
-			t.Errorf("seed %d step %d: key %d orphaned (in model, not findable)", seed, step, id)
-			return
-		}
-		if got != want {
-			t.Errorf("seed %d step %d: key %d: got %+v, want %+v", seed, step, id, got, want)
-			return
-		}
-	}
-	seen := map[uint64]int{}
-	for _, k := range tab.keys {
-		if k != 0 {
-			seen[k]++
-		}
-	}
-	for k, n := range seen {
-		if n > 1 {
-			t.Errorf("seed %d step %d: key %d duplicated in %d slots", seed, step, k, n)
-			return
-		}
-		if _, ok := model[k]; !ok {
-			t.Errorf("seed %d step %d: key %d present in table but deleted", seed, step, k)
-			return
-		}
-	}
-}

@@ -22,9 +22,14 @@ const (
 
 // inVC is the per-virtual-channel state at an input unit: global state (G),
 // route (R) and output VC (O) — the fields of Figure 2 — plus the head and
-// length of the VC's buffer in the router's flit store.
+// length of the VC's buffer in the router's flit store. In the speculative
+// comparator, spec marks a message crossing the VC speculatively: its body
+// flits follow route and outVC, the ones its head grabbed, and the tail
+// clears it. A VC carries one message from head to tail, so one route per
+// VC suffices.
 type inVC struct {
 	state        vcState
+	spec         bool
 	route        mesh.Dir
 	outVC        uint8
 	cand         uint8 // output VC requested in VA phase 1, read by phase 2
@@ -54,13 +59,6 @@ type bypassEntry struct {
 	outVC int
 	arrVC int // VC the flit arrived on, for the credit return
 	spec  bool
-}
-
-// specRoute is the ephemeral per-message state of a speculative traversal:
-// the output the head grabbed, followed by its body flits.
-type specRoute struct {
-	out   mesh.Dir
-	outVC int
 }
 
 // grant is one switch-allocator decision for an output port, executed by
@@ -134,8 +132,7 @@ type Router struct {
 	// flitsOut counts flits sent per output port, for utilization maps.
 	flitsOut [mesh.NumDirs]int64
 
-	byQ  [mesh.NumDirs]ring[bypassEntry]
-	spec [mesh.NumDirs]specTable // routes of messages speculating through each input, by msg ID
+	byQ [mesh.NumDirs]ring[bypassEntry]
 
 	// undo holds the token recvUndo is handling: the hooks take it by
 	// pointer, and a pointer to a local would escape, one allocation per
@@ -348,18 +345,20 @@ func (r *Router) recvFlits(now sim.Cycle) {
 // trySpeculate attempts the single-cycle comparator path: a head flit
 // whose input VC is idle grabs a free output VC and crosses the router
 // this cycle with lowest crossbar priority; its body flits follow through
-// the same ephemeral route. On any missing resource the flit takes the
-// normal pipeline.
+// the route it leaves on the input VC. On any missing resource the flit
+// takes the normal pipeline.
 func (r *Router) trySpeculate(d mesh.Dir, f *Flit, now sim.Cycle) bool {
 	msg := f.Msg
-	if sr, ok := r.spec[d].get(msg.ID); ok { // body/tail of a speculating message
-		r.latch(d, bypassEntry{f: f, vn: msg.VN, out: sr.out, outVC: sr.outVC, arrVC: f.VC, spec: true})
+	v := &r.vcs[r.vcAt(d, msg.VN, f.VC)]
+	if v.spec { // body/tail of a speculating message
+		v.spec = !f.Tail
+		r.latch(d, bypassEntry{f: f, vn: msg.VN, out: v.route, outVC: int(v.outVC), arrVC: f.VC, spec: true})
 		return true
 	}
 	if !f.Head {
 		return false
 	}
-	if v := &r.vcs[r.vcAt(d, msg.VN, f.VC)]; v.state != vcIdle || v.n > 0 {
+	if v.state != vcIdle || v.n > 0 {
 		return false // older flits queued: keep FIFO order
 	}
 	out := r.cfg.Mesh.NextDir(r.cfg.Routing(msg.VN), r.id, msg.Dst)
@@ -372,7 +371,7 @@ func (r *Router) trySpeculate(d mesh.Dir, f *Flit, now sim.Cycle) bool {
 			continue
 		}
 		o.owned, o.in, o.inSlot = true, d, uint8(r.slot(msg.VN, f.VC))
-		r.spec[d].put(msg.ID, specRoute{out: out, outVC: ov})
+		v.spec, v.route, v.outVC = !f.Tail, out, uint8(ov)
 		r.latch(d, bypassEntry{f: f, vn: msg.VN, out: out, outVC: ov, arrVC: f.VC, spec: true})
 		return true
 	}
@@ -522,7 +521,6 @@ func (r *Router) runBypass(usedIn, usedOut *uint8, now sim.Cycle) {
 		if e.f.Tail {
 			if e.spec {
 				o.owned = false
-				r.spec[d].del(e.f.Msg.ID)
 			} else if r.handler != nil {
 				r.handler.Release(r.id, e.f, d, now)
 			}

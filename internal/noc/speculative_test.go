@@ -122,24 +122,23 @@ func TestSpeculativeRejectsCircuitHandler(t *testing.T) {
 	NewNetwork(specConfig(mesh.New(2, 2)), &spyHandler{}, nil)
 }
 
-// specLiveRoutes sums the live speculative-route entries across every input
-// port of every router.
+// specLiveRoutes counts the input VCs of every router still holding a
+// speculative route.
 func specLiveRoutes(n *Network) int {
 	total := 0
 	for _, r := range n.routers {
-		for d := range r.spec {
-			total += r.spec[d].live()
+		for _, v := range r.vcs {
+			if v.spec {
+				total++
+			}
 		}
 	}
 	return total
 }
 
-// TestSpecTableEmptyAfterDrain is the regression test for the open-addressed
-// route table that replaced a map[*Message]specRoute: once every message has
-// delivered, no port may retain a route. A leaked entry would silently poison
-// a later message whose pooled ID collides after wraparound, and — unlike the
-// map version — backward-shift deletion means a correct table is exactly
-// empty, not merely logically empty.
+// TestSpecTableEmptyAfterDrain: once every message has delivered, no input
+// VC may retain a speculative route. A leaked one would send the next
+// message's body flits along its head's predecessor's route.
 func TestSpecTableEmptyAfterDrain(t *testing.T) {
 	m := mesh.New(4, 4)
 	rng := sim.NewRNG(97)

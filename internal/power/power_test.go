@@ -183,16 +183,13 @@ func TestRouterInventories(t *testing.T) {
 		total, buffered, entries, lan int
 	}{
 		"baseline":    {core.Options{}, 4, 4, 0, 0},
-		"speculative": {core.Options{SpeculativeRouter: true}, 4, 4, 0, 0},
+		"speculative": {core.Options{Mechanism: core.MechSpeculative}, 4, 4, 0, 0},
 		"fragmented":  {opts(core.MechFragmented, 2, false, 0), 5, 5, 2, 0},
-		"dynamic-vc": {core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 3, Policy: "dynamic-vc"},
-			6, 6, 3, 0},
-		"dynamic-vc max 4": {core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc", DynVCMax: 4},
-			7, 7, 4, 0},
-		"complete": {opts(core.MechComplete, 5, false, 0), 4, 3, 5, 0},
-		"sdm":      {core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "sdm"}, 4, 4, 5, 4},
-		"ideal":    {core.Options{Mechanism: core.MechIdeal}, 4, 4, 5, 0},
-		"probe":    {opts(core.MechProbe, 5, false, 0), 4, 4, 5, 0},
+		"dynamic-vc":  {opts(core.MechDynamicVC, 3, false, 0), 6, 6, 3, 0},
+		"complete":    {opts(core.MechComplete, 5, false, 0), 4, 3, 5, 0},
+		"sdm":         {opts(core.MechSDM, 5, false, 0), 4, 4, 5, 4},
+		"ideal":       {core.Options{Mechanism: core.MechIdeal}, 4, 4, 5, 0},
+		"probe":       {opts(core.MechProbe, 5, false, 0), 4, 4, 5, 0},
 	} {
 		rc := ConfigFor(16, tc.o)
 		if rc.TotalVCs != tc.total || rc.BufferedVCs != tc.buffered || rc.CircEntries != tc.entries || rc.LinkLanes != tc.lan {
@@ -217,7 +214,7 @@ func TestRouterInventories(t *testing.T) {
 // extra lane per mesh port plus a lane-index field in every circuit
 // entry — so more lanes must cost strictly more area.
 func TestSDMRouterInventory(t *testing.T) {
-	base := core.Options{Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, Policy: "sdm"}
+	base := core.Options{Mechanism: core.MechSDM, MaxCircuitsPerPort: 5}
 
 	rc := ConfigFor(16, base)
 	if rc.BufferedVCs != 4 {
@@ -262,29 +259,20 @@ func TestSDMRouterInventory(t *testing.T) {
 
 // TestDynamicVCRouterInventory: the dynamic-vc policy provisions its
 // maximum reserved-VC partition in hardware — the area model must charge
-// for DynVCMax buffered VCs (plus 2 request VCs and 1 ordinary reply VC),
-// defaulting to 3 when the knob is unset, and more VCs must cost area.
+// for its 3 buffered reserved VCs (plus 2 request VCs and 1 ordinary reply
+// VC), and the wider partition must cost more area than fragmented's 2.
 func TestDynamicVCRouterInventory(t *testing.T) {
-	base := core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 4, Policy: "dynamic-vc"}
-
-	rc := ConfigFor(16, base)
+	rc := ConfigFor(16, core.Options{Mechanism: core.MechDynamicVC, MaxCircuitsPerPort: 4})
 	if rc.TotalVCs != 6 || rc.BufferedVCs != 6 {
-		t.Fatalf("default dynamic-vc VCs = %d/%d, want 6/6 (3 + DynVCMax default 3)", rc.TotalVCs, rc.BufferedVCs)
+		t.Fatalf("dynamic-vc VCs = %d/%d, want 6/6 (3 + a 3-VC partition)", rc.TotalVCs, rc.BufferedVCs)
 	}
 
-	wide := base
-	wide.DynVCMax = 5
-	rcWide := ConfigFor(16, wide)
-	if rcWide.TotalVCs != 8 || rcWide.BufferedVCs != 8 {
-		t.Fatalf("DynVCMax=5 VCs = %d/%d, want 8/8", rcWide.TotalVCs, rcWide.BufferedVCs)
-	}
-	if rcWide.RouterArea() <= rc.RouterArea() {
-		t.Fatal("a wider provisioned partition must cost router area")
-	}
-
-	frag := ConfigFor(16, core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2})
+	frag := ConfigFor(16, core.Options{Mechanism: core.MechFragmented, MaxCircuitsPerPort: 4})
 	if frag.TotalVCs != 5 {
 		t.Fatalf("plain fragmented VCs = %d, want 5 (policy leak?)", frag.TotalVCs)
+	}
+	if rc.RouterArea() <= frag.RouterArea() {
+		t.Fatal("a wider provisioned partition must cost router area")
 	}
 }
 

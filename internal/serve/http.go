@@ -128,9 +128,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// The decoder sees the bytes read so far and then the read's own end,
-	// which is the stream it would have read from the body.
+	// which is the stream it would have read from the body. A field the
+	// spec does not have fails closed: a spec written for an older Options
+	// would otherwise run another design.
 	var spec specEnvelope
 	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(buf), endReader{readErr}))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return

@@ -65,7 +65,10 @@ func writeJournal(path string, entries []journalEntry) error {
 // A truncated or otherwise unparseable *final* record is the signature of
 // a crash mid-write (the process died between appending and fsync): it is
 // skipped with a warning through warn, and every intact record before it
-// still replays. Corruption anywhere else in the file cannot be explained
+// still replays. A whole record that names a field chip.Spec no longer has
+// was written for an older spec format; it is skipped with a warning too,
+// since replaying it would run a different design. Corruption anywhere else
+// in the file cannot be explained
 // by a torn write and aborts the load — replaying a journal whose middle
 // is garbage risks silently dropping an unknown number of jobs. So does a
 // record no server writes, one with an empty id or an id an earlier record
@@ -101,6 +104,15 @@ func readJournal(path string, warn func(format string, args ...any)) ([]journalE
 				break
 			}
 			return nil, fmt.Errorf("serve: corrupt journal %s: record %d: %w", filepath.Base(path), i+1, err)
+		}
+		// Whole, but with a field chip.Spec no longer has: an older server
+		// wrote it, and replaying it would run another design.
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(new(journalEntry)); err != nil {
+			warn("serve: journal %s: skipping stale record %d (job %q): %v",
+				filepath.Base(path), i+1, e.ID, err)
+			continue
 		}
 		if e.ID == "" || ids[e.ID] {
 			return nil, fmt.Errorf("serve: corrupt journal %s: record %d: job id %q is empty or taken", filepath.Base(path), i+1, e.ID)

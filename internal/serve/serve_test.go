@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -152,8 +153,9 @@ func TestSubmitValidation(t *testing.T) {
 	done := s.Metrics().Value("serve/jobs_done")
 	for name, opts := range map[string]core.Options{
 		"inconsistent variant": {Mechanism: core.MechFragmented, MaxCircuitsPerPort: 2, Timed: true},
-		// A retired policy fails closed: the 400 names the registered ones.
-		"unregistered policy": {Mechanism: core.MechComplete, MaxCircuitsPerPort: 5, NoAck: true, Policy: "profiled-hybrid"},
+		// A mechanism past the policies table fails closed: the 400 names
+		// the registered ones.
+		"unregistered policy": {Mechanism: core.Mechanism(len(core.PolicyNames())), MaxCircuitsPerPort: 5},
 	} {
 		spec = smallSpec(1)
 		spec.Variant.Opts = opts
@@ -162,7 +164,7 @@ func TestSubmitValidation(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 			t.Fatalf("%s over HTTP: err = %v, want a 400 StatusError", name, err)
 		}
-		if opts.Policy != "" && !strings.Contains(se.Msg, "registered: "+strings.Join(core.PolicyNames(), ", ")) {
+		if name == "unregistered policy" && !strings.Contains(se.Msg, "registered: "+strings.Join(core.PolicyNames(), ", ")) {
 			t.Errorf("%s: 400 body %q does not list the registered policies", name, se.Msg)
 		}
 	}
@@ -480,5 +482,56 @@ func TestRunBackpressureCappedByDeadline(t *testing.T) {
 	// soon as it sees the sleep cannot fit — well before the hint.
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("Run slept %v past a %v deadline", elapsed, 250*time.Millisecond)
+	}
+}
+
+// TestStaleSpecFailsClosed: a spec written for an older core.Options —
+// here an SDM variant as it was once spelled, the complete mechanism plus
+// "Policy":"sdm" — is refused with a 400 naming the field, not run as a
+// Complete circuit; a journal record of one is skipped with a warning while
+// the records around it replay.
+func TestStaleSpecFailsClosed(t *testing.T) {
+	body, err := json.Marshal(specEnvelope{Spec: smallSpec(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Replace(body, []byte(`"Opts":{`), []byte(`"Opts":{"Policy":"sdm",`), 1)
+	if bytes.Equal(stale, body) {
+		t.Fatal("no Opts object in the encoded spec")
+	}
+
+	s := newTestServer(t, Config{Workers: 1})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(stale)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"Policy\"`) {
+		t.Fatalf("stale spec: HTTP %d %s, want a 400 naming Policy", rec.Code, rec.Body.Bytes())
+	}
+	if len(s.jobs) != 0 {
+		t.Fatalf("a stale spec registered %d jobs", len(s.jobs))
+	}
+
+	path := filepath.Join(t.TempDir(), "j.journal")
+	if err := writeJournal(path, []journalEntry{{ID: "j-1", Spec: smallSpec(1)}, {ID: "j-2", Spec: smallSpec(2)}, {ID: "j-3", Spec: smallSpec(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitN(raw, []byte("\n"), 3)
+	lines[1] = bytes.Replace(lines[1], []byte(`"Opts":{`), []byte(`"Opts":{"Policy":"sdm",`), 1)
+	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warned []string
+	out, err := readJournal(path, func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) })
+	if err != nil {
+		t.Fatalf("a stale record aborted replay: %v", err)
+	}
+	if len(out) != 2 || out[0].ID != "j-1" || out[1].ID != "j-3" {
+		t.Fatalf("replayed %+v, want j-1 and j-3", out)
+	}
+	if len(warned) != 1 || !strings.Contains(warned[0], "stale record 2") || !strings.Contains(warned[0], `"j-2"`) || !strings.Contains(warned[0], `"Policy"`) {
+		t.Fatalf("the stale record was not logged by number, job and field: %v", warned)
 	}
 }

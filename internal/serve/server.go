@@ -223,7 +223,9 @@ func (s *Server) submit(spec chip.Spec) (JobStatus, *result, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	spec.OnSample = nil // observers are server-side only
+	// Observers are server-side only, and every job runs on the default
+	// engine: the engine switches are no part of the fingerprint.
+	spec.OnSample, spec.DenseKernel, spec.Variant.Opts.NoPool = nil, false, false
 	fp := spec.Fingerprint()
 	now := time.Now()
 	j := newJob(s.newID(), fp, spec, now)

@@ -1,6 +1,7 @@
 package differ
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -75,14 +76,15 @@ func TestSpecFromSeedCoversTables(t *testing.T) {
 // TestRegressionSpecs replays the specs under testdata/regress, in the
 // format `rcverify -corpus` writes a failing spec in: seed 7 (Reuse_NoAck
 // on hotspot) and three SDM cells (seeds 24, 29 and 30) as FuzzDifferential
-// ran them, at 150 + 400 ops with the oracles every 8 cycles. The
-// fingerprints pin each file to that exact spec.
+// ran them, at 150 + 400 ops with the oracles every 8 cycles. Each file
+// decodes strictly to its preset's design, and the fingerprints pin it to
+// that exact spec.
 func TestRegressionSpecs(t *testing.T) {
 	for _, tc := range []struct{ name, fingerprint string }{
-		{"rcverify-seed-7", "spec-1119122f91cc6119fb435c44444e6638"},
-		{"sdm-8lane-micro", "spec-0a9ac437b11d73e9affe64446094b293"},
-		{"sdm-2lane-hotspot", "spec-e2bbe2f95c609596f9c54eb547d87a69"},
-		{"sdm-4lane-mix", "spec-3fe02d8746eece48667b0284fbc7978a"},
+		{"rcverify-seed-7", "spec-0cf292dac8b6d652ba1a672a2cf04c7f"},
+		{"sdm-8lane-micro", "spec-ffe35db9b0900ff937ff591e90838f5e"},
+		{"sdm-2lane-hotspot", "spec-c4e3cc0c6f8b002569b5dbbb1fb55034"},
+		{"sdm-4lane-mix", "spec-45e4e92c1eb6960c7973f66128550cf3"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,9 +93,16 @@ func TestRegressionSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Strictly: a field Spec no longer has would be dropped, and
+			// the file would replay some other design.
 			var spec chip.Spec
-			if err := json.Unmarshal(b, &spec); err != nil {
+			dec := json.NewDecoder(bytes.NewReader(b))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
 				t.Fatal(err)
+			}
+			if v, ok := config.ByName(spec.Variant.Name); !ok || v.Opts != spec.Variant.Opts {
+				t.Fatalf("variant %s runs %+v, not its preset's design", spec.Variant.Name, spec.Variant.Opts)
 			}
 			if fp := spec.Fingerprint(); fp != tc.fingerprint {
 				t.Fatalf("spec fingerprint %s, want %s", fp, tc.fingerprint)

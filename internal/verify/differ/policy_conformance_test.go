@@ -166,7 +166,7 @@ func TestPolicyConformanceQuiesce(t *testing.T) {
 				t.Fatalf("policy %q has no registered representative variant", name)
 			}
 			s := PolicySpec(v)
-			s.NoPool = true
+			s.Variant.Opts.NoPool = true
 			if _, err := chip.RunCtx(context.Background(), s); err != nil {
 				t.Fatalf("policy %q unpooled audit run: %v", name, err)
 			}
