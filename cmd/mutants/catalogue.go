@@ -154,6 +154,16 @@ var catalogue = []Mutant{
 		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
 	},
 
+	// Every injected flit is ejected: a link flit counted at every hop
+	// but the injection leaves the NI's injections uncounted.
+	{
+		Name: "an NI injects a flit onto its link uncounted",
+		File: "internal/noc/ni.go",
+		Old:  "\tni.ev.LinkFlits++\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+
 	// Figure 8's dynamic energy is every network event at its unit cost:
 	// an energy model that stops charging an event breaks the books.
 	{
@@ -469,7 +479,7 @@ var catalogue = []Mutant{
 	{
 		Name: "Register does not make FlushBoundary the network's epilogue",
 		File: "internal/noc/network.go",
-		Old:  "\tk.AddEpilogue(n.FlushBoundary)\n",
+		Old:  "\tk.AddEpilogue(n.flush)\n",
 		New:  "",
 		Pkg:  "./internal/noc", Run: "^TestCreditLandsAfterLinkDelay$", PR: 31,
 	},
@@ -698,8 +708,8 @@ var catalogue = []Mutant{
 	{
 		Name: "a failed run returns its shell",
 		File: "internal/chip/machine.go",
-		Old:  "\tcase m.clean:\n",
-		New:  "\tcase true:\n",
+		Old:  "\tif m.clean && !m.spec.Variant.Opts.NoPool {\n",
+		New:  "\tif !m.spec.Variant.Opts.NoPool {\n",
 		Pkg:  "./internal/chip", Run: "^TestRecyclingAfterFailedRuns$", PR: 39,
 	},
 
@@ -925,6 +935,45 @@ var catalogue = []Mutant{
 		Old:  "\t\tv.spec = !f.Tail\n",
 		New:  "",
 		Pkg:  "./internal/noc", Run: "^TestSpecTableEmptyAfterDrain$",
+	},
+
+	// A cleanly finished machine is one recycled shell: the next build of
+	// its inputs rebuilds every part in place, and only its Results
+	// allocate.
+	{
+		Name: "a recycled core keeps its last run's Retired",
+		File: "internal/cpu/cpu.go",
+		Old:  "\t*c = Core{id: id, l1: l1, stream: stream, limit: limit, resume: c.resume}\n",
+		New:  "\t*c = Core{id: id, l1: l1, stream: stream, limit: limit, resume: c.resume, Retired: c.Retired}\n",
+		Pkg:  "./internal/chip", Run: "^TestRecycledShellsReproduceGolden$",
+	},
+	{
+		Name: "Network.Init empties the free lists again",
+		File: "internal/noc/network.go",
+		Old:  "pools{disabled: cfg.NoPool, flits: n.pool.flits, msgs: n.pool.msgs}",
+		New:  "pools{disabled: cfg.NoPool}",
+		Pkg:  "./internal/chip", Run: "^TestRunAllocationBudget$",
+	},
+	{
+		Name: "Network.Init empties the free lists again (the rebuilt network's own check)",
+		File: "internal/noc/network.go",
+		Old:  "pools{disabled: cfg.NoPool, flits: n.pool.flits, msgs: n.pool.msgs}",
+		New:  "pools{disabled: cfg.NoPool}",
+		Pkg:  "./internal/noc", Run: "^TestRecycledNetworkMatchesFresh$",
+	},
+	{
+		Name: "a recycled stream keeps its hot-region cursor",
+		File: "internal/workload/workload.go",
+		Old:  "\t\th:    height,\n",
+		New:  "\t\th:    height, hotCursor: s.hotCursor,\n",
+		Pkg:  "./internal/chip", Run: "^TestRecycledShellMatchesFresh$",
+	},
+	{
+		Name: "the cores tick in the memory controllers' class",
+		File: "internal/chip/machine.go",
+		Old:  "\tk.Class(\"core\")\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestKernelWorkPinned$",
 	},
 	{
 		Name: "a slab holding another image is rebuilt as if it held the wanted one",

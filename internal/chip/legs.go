@@ -20,16 +20,20 @@ type Leg struct {
 
 // Legs returns the local differential matrix. The reference is the pooled
 // sparse kernel; each leg flips exactly one switch: the dense kernel ticks
-// every component (its activity gauge differs), and NoPool allocates fresh
-// flits, messages and arrays (its pool bookkeeping differs).
+// every component (its kernel/ metrics, the stepper's own, differ), and
+// NoPool allocates fresh flits, messages, arrays and shells, which no
+// metric sees.
 func Legs() []Leg {
 	return []Leg{
-		{Name: "dense-kernel", Apply: func(s *Spec) { s.DenseKernel = true },
-			Skip: func(name string) bool { return name == "kernel/active" }},
-		{Name: "no-pool", Apply: func(s *Spec) { s.Variant.Opts.NoPool = true },
-			Skip: func(name string) bool { return strings.HasPrefix(name, "noc/pool_") }},
+		{Name: "dense-kernel", Apply: func(s *Spec) { s.DenseKernel = true }, Skip: kernelMetric},
+		{Name: "no-pool", Apply: func(s *Spec) { s.Variant.Opts.NoPool = true }},
 	}
 }
+
+// kernelMetric reports whether name is one of the stepper's own metrics
+// (kernel/active, kernel/work/ticks/<class>), which a comparison between
+// two steppers skips.
+func kernelMetric(name string) bool { return strings.HasPrefix(name, "kernel/") }
 
 // Diff compares two results of the same spec and returns a description of
 // every observable divergence (nil = bit-identical). skip, when not nil,

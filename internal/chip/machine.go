@@ -14,6 +14,7 @@ import (
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
 	"reactivenoc/internal/power"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/trace"
 	"reactivenoc/internal/tracefeed"
@@ -44,18 +45,10 @@ type Machine struct {
 	// Sys is the simulated system: network, circuit manager, caches,
 	// coherence and memory controllers.
 	Sys *coherence.System
+	// shell holds what the machine is built in: nil until build draws it.
+	*shell
 
-	spec   Spec
-	kernel *sim.Kernel
-	cores  []*cpu.Core
-	wakers []sim.Waker
-	// done counts done-transitions so the end-of-phase predicate is an
-	// integer compare instead of an O(cores) scan every cycle; Sys.Busy()
-	// (which walks the whole machine) only runs in the drain tail after
-	// the last core finishes.
-	done int
-
-	reg     *sim.Registry
+	spec    Spec
 	tr      *trace.Buffer
 	inj     *fault.Injector
 	rec     *tracefeed.Recorder
@@ -64,11 +57,59 @@ type Machine struct {
 
 	phase                       string
 	horizon, stall, verifyEvery sim.Cycle
-	// clean is set once Finish has returned nil: Release recycles the
-	// system's shell only then.
+	// clean is set once Finish has returned nil: Release files the shell
+	// only then.
 	clean        bool
 	wallDeadline time.Time
 	measureStart sim.Cycle
+}
+
+// shellKey is everything a machine shell is built from, compared exactly:
+// the mesh, which fixes the core count, the memory controllers, and the
+// variant's options.
+type shellKey struct {
+	m    mesh.Mesh
+	mcs  int
+	opts core.Options
+}
+
+// shell is the memory a machine that finished cleanly leaves to the next
+// build of its inputs (DESIGN.md §4.11): its system, kernel, cores, their
+// synthetic streams and prefill regions, and the metrics registry, whose
+// every counter and gauge is bound to the shell's objects, so it is
+// described once per shell. A build rebuilds each part in place.
+type shell struct {
+	key     shellKey
+	sys     *coherence.System
+	kernel  *sim.Kernel
+	cores   []*cpu.Core
+	streams []cpu.Stream
+	wakers  []sim.Waker
+	regions [][]workload.Region
+	reg     *sim.Registry
+	// done counts done-transitions so the end-of-phase predicate is an
+	// integer compare instead of an O(cores) scan every cycle; Sys.Busy()
+	// (which walks the whole machine) only runs in the drain tail after
+	// the last core finishes. onDone, every core's done sink, bumps it.
+	done   int
+	onDone func()
+}
+
+// shells holds the shells of cleanly finished machines, shared by every
+// RunCtx of the process like the cache free lists.
+var shells recycle.List[shellKey, *shell]
+
+// drawShell returns a shell of key's inputs a finished machine left or,
+// with none or under opts.NoPool, a new one.
+func drawShell(key shellKey) *shell {
+	if !key.opts.NoPool {
+		if sh, ok := shells.Get(key); ok {
+			return sh
+		}
+	}
+	sh := &shell{key: key}
+	sh.onDone = func() { sh.done++ }
+	return sh
 }
 
 // Build assembles the machine spec describes and leaves it at cycle 0,
@@ -122,15 +163,23 @@ func (m *Machine) build() error {
 	}
 
 	opts := spec.Variant.Opts
-	regions := make([][]workload.Region, n)
+	sh := drawShell(shellKey{geom, spec.Chip.MCs, opts})
+	m.shell = sh
+	sh.done = 0
+	sh.regions = recycle.Slice(sh.regions, n)
+	regions := sh.regions
+	if feed != nil {
+		// The trace owns its regions; the shell's slices stay its own.
+		regions = make([][]workload.Region, n)
+	}
 	for i := range regions {
 		if feed != nil {
 			regions[i] = feed.CoreRegions(i)
 		} else {
-			regions[i] = spec.Workload.Regions(i)
+			regions[i] = spec.Workload.AppendRegions(regions[i][:0], i)
 		}
 	}
-	m.Sys = images.build(geom, opts, spec.Chip.MCs, regions)
+	m.Sys = images.build(recycle.Object(&sh.sys), geom, opts, spec.Chip.MCs, regions)
 	sys := m.Sys
 
 	// A diagnostic tracer rides along whenever the caller asked for one or
@@ -164,44 +213,37 @@ func (m *Machine) build() error {
 	if limit <= 0 {
 		limit = spec.MeasureOps
 	}
-	m.cores = make([]*cpu.Core, n)
-	for i := range m.cores {
+	sh.cores = recycle.Slice(sh.cores, n)
+	sh.streams = recycle.Slice(sh.streams, n)
+	for i := range sh.cores {
 		var st cpu.Stream
 		if feed != nil {
 			st = feed.Stream(i)
 		} else {
-			st = spec.Workload.StreamGeom(i, geom.Width, geom.Height, spec.Seed)
+			sh.streams[i] = spec.Workload.StreamOver(sh.streams[i], i, geom.Width, geom.Height, spec.Seed)
+			st = sh.streams[i]
 		}
-		c := cpu.New(i, sys.L1s[i], st, limit)
+		c := recycle.Object(&sh.cores[i]).Init(i, sys.L1s[i], st, limit)
 		if m.rec != nil {
 			c.SetRecorder(m.rec)
 		}
-		c.SetDoneSink(func() { m.done++ })
-		m.cores[i] = c
+		c.SetDoneSink(sh.onDone)
 	}
 
 	// Registration order replicates the seed engine's tick order exactly:
 	// the system (routers, NIs, per-tile L1/L2, MCs), then the cores.
-	m.kernel = sim.NewKernel()
-	m.kernel.SetDense(spec.DenseKernel)
-	// Each tile registers its router, NI, L1, L2 and core; then the MCs.
-	m.kernel.Reserve(5*n + len(sys.MCs))
-	sys.Register(m.kernel)
-	m.wakers = make([]sim.Waker, n)
-	for i, c := range m.cores {
-		m.wakers[i] = m.kernel.Add(c)
-		c.SetWaker(m.wakers[i])
+	k := recycle.Object(&sh.kernel).Init()
+	k.SetDense(spec.DenseKernel)
+	sys.Register(k)
+	k.Class("core")
+	sh.wakers = recycle.Slice(sh.wakers, n)
+	for i, c := range sh.cores {
+		sh.wakers[i] = k.Add(c)
+		c.SetWaker(sh.wakers[i])
 	}
-
-	m.reg = sim.NewRegistry()
-	sys.DescribeMetrics(m.reg)
-	for _, c := range m.cores {
-		c.Describe(m.reg)
+	if sh.reg == nil {
+		sh.describe()
 	}
-	if sys.Mgr != nil {
-		m.reg.Gauge("circ/open", func() int64 { return sys.Mgr.OpenCircuits(m.kernel.Now()) })
-	}
-	m.reg.Gauge("kernel/active", func() int64 { return int64(m.kernel.ActiveCount()) })
 
 	m.horizon = spec.Horizon
 	if m.horizon == 0 {
@@ -228,6 +270,27 @@ func (m *Machine) build() error {
 	return nil
 }
 
+// describe builds the shell's registry: the system's and cores' counters,
+// the open-circuit and awake-component gauges, and each kernel tick class's
+// work as kernel/work/ticks/<class>. Every function it registers reads
+// through the shell, so the registry stays bound to whatever a rebuild
+// leaves in it.
+func (sh *shell) describe() {
+	reg := sim.NewRegistry()
+	sh.sys.DescribeMetrics(reg)
+	for _, c := range sh.cores {
+		c.Describe(reg)
+	}
+	if sh.sys.Mgr != nil {
+		reg.Gauge("circ/open", func() int64 { return sh.sys.Mgr.OpenCircuits(sh.kernel.Now()) })
+	}
+	reg.Gauge("kernel/active", func() int64 { return int64(sh.kernel.ActiveCount()) })
+	for _, class := range sh.kernel.Classes() {
+		reg.CounterAt("kernel/work/ticks/"+class, func(sim.Cycle) int64 { return sh.kernel.ClassTicks(class) })
+	}
+	sh.reg = reg
+}
+
 // runErr builds the structured failure for the current phase with the
 // diagnostic dump, trace tail and injected-fault log attached.
 func (m *Machine) runErr(msg string, panicked bool) *RunError {
@@ -237,7 +300,7 @@ func (m *Machine) runErr(msg string, panicked bool) *RunError {
 		Workload: s.Workload.Name, Seed: s.Seed,
 		Msg: msg, Panicked: panicked,
 	}
-	if m.kernel != nil {
+	if m.shell != nil && m.kernel != nil {
 		e.Cycle = m.kernel.Now()
 	}
 	if m.Sys != nil {
@@ -495,6 +558,12 @@ var identities = []struct {
 			}
 			return departures + b.circ.UndoTokens, b.events.CreditsSent
 		}},
+	// A flit crosses a link when its NI injects it and at every hop from
+	// router to router (LinkFlits), and a crossbar at every such hop and
+	// when its last router ejects it (XbarTraversals): with nothing in
+	// flight, every injection has its ejection.
+	{"every injected flit is ejected", false,
+		func(b books) (int64, int64) { return b.events.LinkFlits, b.events.XbarTraversals }},
 }
 
 // centiPJ rounds picojoules to hundredths; NaN (an event counter without
@@ -537,7 +606,7 @@ func balance(b books) error {
 // the measured phase starting where BeginMeasured left it.
 func (m *Machine) Harvest() *Results {
 	sys, spec, now, n := m.Sys, m.spec, m.kernel.Now(), len(m.cores)
-	res := &Results{Spec: spec}
+	res := &Results{Spec: spec, Cores: make([]CoreStats, 0, n)}
 	var lastFinish sim.Cycle
 	for _, c := range m.cores {
 		if c.FinishedAt > lastFinish {
@@ -595,17 +664,18 @@ func (m *Machine) Harvest() *Results {
 }
 
 // Release hands the machine's cache arrays to the next run and, when
-// Finish returned nil, the rest of its system too (coherence.System.Recycle);
-// a failed, cancelled or panicked run leaves its shell to the GC. The
-// machine must not be used afterwards. RunCtx calls it on every exit,
-// after a failure's diagnostic dump and a success's Harvest have read the
-// machine.
+// Finish returned nil and the variant is not NoPool, files its shell for
+// the next build of the same inputs; a failed, cancelled or panicked run
+// leaves its shell to the GC. The machine must not be used afterwards: a
+// Results harvested from it holds copies, never pointers into the shell.
+// RunCtx calls it on every exit, after a failure's diagnostic dump and a
+// success's Harvest have read the machine.
 func (m *Machine) Release() {
-	switch {
-	case m.Sys == nil:
-	case m.clean:
-		m.Sys.Recycle()
-	default:
-		m.Sys.Release()
+	if m.Sys == nil {
+		return
+	}
+	m.Sys.Release()
+	if m.clean && !m.spec.Variant.Opts.NoPool {
+		shells.Put(m.key, m.shell)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
 	"reactivenoc/internal/mesh"
+	"reactivenoc/internal/noc"
+	"reactivenoc/internal/power"
 	"reactivenoc/internal/sim"
 	"reactivenoc/internal/workload"
 )
@@ -64,54 +66,61 @@ func TestHandSteppedMachineMatchesRunCtx(t *testing.T) {
 	}
 }
 
-// kernelTicks pins, per 16-core golden row (workload/variant), the
-// component ticks the sparse kernel spends on the row's warm-up and
-// measured phases.
-var kernelTicks = map[string]int64{
-	"micro/Baseline":             38_688,
-	"micro/Fragmented":           36_959,
-	"micro/Complete":             37_162,
-	"micro/Complete_NoAck":       33_211,
-	"micro/Reuse_NoAck":          33_237,
-	"micro/Timed_NoAck":          37_215,
-	"micro/Slack_1_NoAck":        33_287,
-	"micro/Slack_2_NoAck":        33_052,
-	"micro/Slack_4_NoAck":        33_120,
-	"micro/SlackDelay_1_NoAck":   33_287,
-	"micro/Postponed_1_NoAck":    33_806,
-	"micro/Ideal":                36_856,
-	"canneal/Baseline":           47_210,
-	"canneal/Fragmented":         44_682,
-	"canneal/Complete":           45_334,
-	"canneal/Complete_NoAck":     40_818,
-	"canneal/Reuse_NoAck":        40_942,
-	"canneal/Timed_NoAck":        44_944,
-	"canneal/Slack_1_NoAck":      40_172,
-	"canneal/Slack_2_NoAck":      39_886,
-	"canneal/Slack_4_NoAck":      40_086,
-	"canneal/SlackDelay_1_NoAck": 40_168,
-	"canneal/Postponed_1_NoAck":  40_902,
-	"canneal/Ideal":              44_365,
-	"hotspot/Baseline":           62_322,
-	"hotspot/Reuse_NoAck":        57_415,
-	"hotspot/Timed_NoAck":        61_937,
-	"micro/SDM":                  52_898,
-	"micro/SDM_2":                42_973,
-	"micro/SDM_8":                69_393,
-	"hotspot/SDM":                92_742,
-	"micro/DynamicVC":            37_014,
-	"hotspot/DynamicVC":          60_987,
-	"micro/Speculative":          31_235,
-	"micro/Probe_DejaVu":         46_349,
-	"canneal/Probe_DejaVu":       58_083,
+// workClasses are the kernel's tick classes, in the order Build first
+// registers them: the routers, the NIs, each tile's L1 and L2, the memory
+// controllers, then the cores.
+var workClasses = [...]string{"router", "ni", "l1", "l2", "mc", "core"}
+
+// workBudget pins, per 16-core golden row (workload/variant), the component
+// ticks the sparse kernel spends in each class (workClasses) over the row's
+// warm-up and measured phases.
+var workBudget = map[string][len(workClasses)]int64{
+	"micro/Baseline":             {17754, 5158, 318, 551, 45, 14862},
+	"micro/Fragmented":           {16038, 5145, 319, 551, 44, 14862},
+	"micro/Complete":             {16239, 5146, 319, 551, 45, 14862},
+	"micro/Complete_NoAck":       {13165, 4452, 319, 368, 45, 14862},
+	"micro/Reuse_NoAck":          {13156, 4487, 319, 368, 45, 14862},
+	"micro/Timed_NoAck":          {16292, 5147, 319, 551, 44, 14862},
+	"micro/Slack_1_NoAck":        {13174, 4511, 319, 377, 44, 14862},
+	"micro/Slack_2_NoAck":        {12986, 4472, 319, 369, 44, 14862},
+	"micro/Slack_4_NoAck":        {13038, 4483, 319, 374, 44, 14862},
+	"micro/SlackDelay_1_NoAck":   {13174, 4511, 319, 377, 44, 14862},
+	"micro/Postponed_1_NoAck":    {13186, 5017, 319, 377, 45, 14862},
+	"micro/Ideal":                {15923, 5157, 319, 551, 44, 14862},
+	"canneal/Baseline":           {22249, 6916, 402, 725, 95, 16823},
+	"canneal/Fragmented":         {19729, 6909, 402, 725, 94, 16823},
+	"canneal/Complete":           {20353, 6938, 402, 724, 94, 16823},
+	"canneal/Complete_NoAck":     {16934, 6078, 402, 487, 94, 16823},
+	"canneal/Reuse_NoAck":        {17005, 6131, 402, 487, 94, 16823},
+	"canneal/Timed_NoAck":        {19967, 6933, 402, 725, 94, 16823},
+	"canneal/Slack_1_NoAck":      {16325, 6048, 402, 480, 94, 16823},
+	"canneal/Slack_2_NoAck":      {16085, 6008, 402, 474, 94, 16823},
+	"canneal/Slack_4_NoAck":      {16263, 6032, 402, 472, 94, 16823},
+	"canneal/SlackDelay_1_NoAck": {16311, 6058, 402, 480, 94, 16823},
+	"canneal/Postponed_1_NoAck":  {16329, 6776, 402, 478, 94, 16823},
+	"canneal/Ideal":              {19432, 6889, 402, 725, 94, 16823},
+	"hotspot/Baseline":           {32844, 11862, 981, 1467, 42, 15126},
+	"hotspot/Reuse_NoAck":        {28742, 11330, 983, 1190, 44, 15126},
+	"hotspot/Timed_NoAck":        {32317, 12011, 976, 1466, 44, 15123},
+	"micro/SDM":                  {29900, 7212, 321, 556, 46, 14863},
+	"micro/SDM_2":                {21143, 6052, 319, 551, 46, 14862},
+	"micro/SDM_8":                {46269, 7338, 321, 556, 46, 14863},
+	"hotspot/SDM":                {56113, 18970, 990, 1496, 43, 15130},
+	"micro/DynamicVC":            {16097, 5140, 319, 552, 44, 14862},
+	"hotspot/DynamicVC":          {31368, 11995, 980, 1475, 44, 15125},
+	"micro/Speculative":          {10360, 5103, 318, 550, 42, 14862},
+	"micro/Probe_DejaVu":         {19838, 10726, 321, 555, 46, 14863},
+	"canneal/Probe_DejaVu":       {25095, 14943, 402, 724, 96, 16823},
 }
 
-// TestKernelWorkPinned pins the component ticks the sparse kernel spends on
-// every 16-core golden row. The simulated results cannot see a component
-// that ticks when it need not; this count can, on any host. A change that
-// wakes stalled cores, blocked L2 banks, cores in a compute run or
-// controllers waiting out a latency again, or any other sleeper, moves it
-// up; one that sleeps more moves it down, and re-pins it.
+// TestKernelWorkPinned pins, class by class, the component ticks the sparse
+// kernel spends on every 16-core golden row, as a run publishes them
+// (kernel/work/ticks/<class>). The simulated results cannot see a component
+// that ticks when it need not; these counts can, on any host, and say
+// which class did. A change that wakes stalled cores, blocked L2 banks,
+// cores in a compute run or controllers waiting out a latency again, or any
+// other sleeper, moves its class up; one that sleeps more moves it down,
+// and re-pins it. Recycling what a run is built in moves none of them.
 func TestKernelWorkPinned(t *testing.T) {
 	for _, row := range goldenMatrix {
 		if row.chip != "16-core" {
@@ -120,21 +129,19 @@ func TestKernelWorkPinned(t *testing.T) {
 		name := row.workload + "/" + row.variant
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			want, ok := kernelTicks[name]
+			want, ok := workBudget[name]
 			if !ok {
-				t.Fatalf("no tick count pinned for %s", name)
+				t.Fatalf("no work budget pinned for %s", name)
 			}
-			m, err := Build(goldenSpec(row, t))
+			r, err := Run(goldenSpec(row, t))
 			if err != nil {
-				t.Fatalf("build: %v", err)
+				t.Fatalf("run: %v", err)
 			}
-			defer m.Release()
-			stepUntilDone(t, m, 1_000_000)
-			m.BeginMeasured()
-			stepUntilDone(t, m, 1_000_000)
-			checkGolden(t, row, m.Harvest())
-			if got := m.kernel.Ticks(); got != want {
-				t.Errorf("%s took %d component ticks, pinned %d", name, got, want)
+			checkGolden(t, row, r)
+			for i, class := range workClasses {
+				if got := r.Metrics.Value("kernel/work/ticks/" + class); got != want[i] {
+					t.Errorf("%s: %d %s ticks, pinned %d", name, got, class, want[i])
+				}
 			}
 		})
 	}
@@ -219,8 +226,8 @@ func TestKernelFreeStepperMatchesRunCtx(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunCtx: %v", err)
 			}
-			// The empty kernel has no component to count awake.
-			if err := Diff(want, got, func(name string) bool { return name == "kernel/active" }); err != nil {
+			// The empty kernel has no component to count awake, and ticks none.
+			if err := Diff(want, got, kernelMetric); err != nil {
 				t.Error(err)
 			}
 		})
@@ -233,8 +240,9 @@ func TestKernelFreeStepperMatchesRunCtx(t *testing.T) {
 // home tile answers a forward for an undone circuit locally, balances every
 // identity; one data reply too many, one Figure-6 outcome too many, one
 // eliminated outcome too many, one undone circuit too many, one built
-// circuit too many, one stall cycle too many, one credit too many or one
-// undo token too many does not.
+// circuit too many, one stall cycle too many, one credit too many, one
+// undo token too many or one link flit too many (charged its energy, so
+// that only the flit identity sees it) does not.
 func TestBooksBalance(t *testing.T) {
 	canneal, _ := workload.ByName("canneal")
 	spec := DefaultSpec(config.Chip64(), variant(t, "Complete_NoAck"), canneal)
@@ -260,6 +268,10 @@ func TestBooksBalance(t *testing.T) {
 		func(b *books) { b.stalls++ },
 		func(b *books) { b.events.CreditsSent++ },
 		func(b *books) { b.circ.UndoTokens++ },
+		func(b *books) {
+			b.events.LinkFlits++
+			b.dynamic += power.EventEnergy(&noc.PowerEvents{LinkFlits: 1})
+		},
 	} {
 		msgs, circ, events := r.Msgs, *r.Circ, r.Events
 		b := booksOf(r)

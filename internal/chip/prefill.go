@@ -81,26 +81,26 @@ func (k *imageKey) bytes() int {
 	return n
 }
 
-// build returns the system of m, opts and mcCount with its caches warmed
-// functionally, standing in for the paper's 200M-cycle warm-up: every line
-// of every region in regions[i] is installed in its home L2 bank, and each
-// region's first L1Lines lines in core i's L1 (Region.L1From is not
-// consulted — see workload.Region).
+// build builds the system of m, opts and mcCount in sys (zero or a
+// finished machine's) with its caches warmed functionally, standing in for
+// the paper's 200M-cycle warm-up: every line of every region in regions[i]
+// is installed in its home L2 bank, and each region's first L1Lines lines
+// in core i's L1 (Region.L1From is not consulted — see workload.Region).
 //
 // The state this leaves depends only on the mesh size and regions — never
 // on the seed or the variant — so unless opts.NoPool, the system is built
 // in the image an earlier identical prefill stored, in place of the
 // line-by-line walk, and a walk whose image fits st's budget stores one
 // (DESIGN.md §4.11). NoPool, the reference, always walks.
-func (st *imageStore) build(m mesh.Mesh, opts core.Options, mcCount int, regions [][]workload.Region) *coherence.System {
+func (st *imageStore) build(sys *coherence.System, m mesh.Mesh, opts core.Options, mcCount int, regions [][]workload.Region) *coherence.System {
 	if opts.NoPool {
-		sys := coherence.NewSystem(m, opts, mcCount)
+		sys.Init(m, opts, mcCount, nil)
 		prefillLines(sys, regions)
 		return sys
 	}
 	key := imageKey{width: m.Width, height: m.Height, regions: regions}
 	img := st.lookup(&key)
-	sys := coherence.NewSystemFrom(m, opts, mcCount, img)
+	sys.Init(m, opts, mcCount, img)
 	if img == nil {
 		prefillLines(sys, regions)
 		st.store(key, sys)

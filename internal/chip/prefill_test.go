@@ -43,7 +43,7 @@ func prefilled(t *testing.T, st *imageStore, c config.Chip, noPool bool, regions
 	t.Helper()
 	opts := variant(t, "Baseline").Opts
 	opts.NoPool = noPool
-	return st.build(mesh.New(c.Width, c.Height), opts, c.MCs, regions)
+	return st.build(new(coherence.System), mesh.New(c.Width, c.Height), opts, c.MCs, regions)
 }
 
 func profileRegions(p workload.Profile, cores int) [][]workload.Region {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"reactivenoc/internal/cache"
-	"reactivenoc/internal/coherence"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/fault"
 	"reactivenoc/internal/sim"
@@ -45,14 +44,14 @@ func runRecycled(t *testing.T, spec Spec) (*Results, error) {
 	return r, err
 }
 
-// runOnShell runs spec and requires that it drew a recycled shell and put it
-// back: the shell free list holds what it held before. (A run that found no
-// shell of its inputs would leave one more.)
+// runOnShell runs spec and requires that it drew a recycled machine shell
+// and put it back: the shell free list holds what it held before. (A run
+// that found no shell of its inputs would leave one more.)
 func runOnShell(t *testing.T, spec Spec) (*Results, error) {
 	t.Helper()
-	idle := coherence.IdleShells()
+	idle := shells.Idle()
 	r, err := Run(spec)
-	if got := coherence.IdleShells(); got != idle {
+	if got := shells.Idle(); got != idle {
 		t.Fatalf("%d shells idle after the run, %d before: it built its system new, or kept it", got, idle)
 	}
 	return r, err
@@ -80,22 +79,22 @@ func otherInput(t *testing.T, spec Spec) Spec {
 func drainShells(t *testing.T, spec Spec) {
 	t.Helper()
 	for {
-		idle := coherence.IdleShells()
+		idle := shells.Idle()
 		m, err := Build(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Release()
-		if coherence.IdleShells() == idle {
+		if shells.Idle() == idle {
 			return
 		}
 	}
 }
 
 // TestRecycledShellsReproduceGolden: every 16-core golden row reproduces
-// twice in a row on a recycled shell of its own variant — first on the
-// one a run of another workload and seed left, then on the one its own
-// first run left.
+// twice in a row on a recycled machine shell of its own variant — system,
+// kernel, cores, streams, regions and registry — first on the one a run of
+// another workload and seed left, then on the one its own first run left.
 func TestRecycledShellsReproduceGolden(t *testing.T) {
 	for _, row := range goldenMatrix {
 		if row.chip != "16-core" {
@@ -114,10 +113,13 @@ func TestRecycledShellsReproduceGolden(t *testing.T) {
 	}
 }
 
-// TestRecycledShellMatchesFresh: a run on a recycled shell is the run on a
-// new one, to the last metric of every sample window — noc/pool_* included,
-// since a rebuilt network starts its flit and message free lists empty —
-// for the 16-core cross-check cells.
+// TestRecycledShellMatchesFresh: a run on a recycled machine shell is the
+// run on a new one, to the last metric of every sample window, for the
+// 16-core cross-check cells, whichever kind of run left the shell: a run
+// of another workload and seed, a recorded run, a fault-armed run (its
+// injector never fires, so it files the shell with the hook and the
+// diagnostic tracer armed) or a replay of the recorded trace, whose
+// regions and streams are the trace's, not the shell's.
 func TestRecycledShellMatchesFresh(t *testing.T) {
 	for _, i := range crossCheckRows() {
 		row := goldenMatrix[i]
@@ -127,37 +129,52 @@ func TestRecycledShellMatchesFresh(t *testing.T) {
 		spec := goldenSpec(row, t)
 		spec.SampleEvery = 97
 		drainShells(t, spec)
-		idle := coherence.IdleShells()
+		idle := shells.Idle()
 		fresh, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := coherence.IdleShells(); got != idle+1 {
+		if got := shells.Idle(); got != idle+1 {
 			t.Fatalf("%s/%s: %d shells idle after a run on a new one, %d before", row.workload, row.variant, got, idle)
 		}
-		if _, err := runOnShell(t, otherInput(t, spec)); err != nil {
+		after := func(label string, prior Spec) {
+			if _, err := runOnShell(t, prior); err != nil {
+				t.Fatalf("%s/%s %s: %v", row.workload, row.variant, label, err)
+			}
+			recycled, err := runOnShell(t, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Diff(fresh, recycled, nil); err != nil {
+				t.Errorf("%s/%s after the %s: %v", row.workload, row.variant, label, err)
+			}
+		}
+		recorded, armed := spec, spec
+		recorded.RecordTrace = filepath.Join(t.TempDir(), "prior.rctf")
+		armed.Fault = &fault.Plan{Class: fault.StallLink, After: 1 << 40}
+		after("other input", otherInput(t, spec))
+		after("recorded run", recorded)
+		after("fault-armed run", armed)
+		replay := spec
+		if replay.Workload, _, err = tracefeed.LoadWorkload(recorded.RecordTrace); err != nil {
 			t.Fatal(err)
 		}
-		recycled, err := runOnShell(t, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Diff(fresh, recycled, nil); err != nil {
-			t.Errorf("%s/%s: %v", row.workload, row.variant, err)
-		}
+		after("replay", replay)
 	}
 }
 
 // TestResultsOutliveRecycledShell: a run's Results hold copies, never
-// pointers into the system that produced them — the latency histogram,
-// metrics, sample windows, circuit statistics and power events read the
-// same after the next run has rebuilt that system over the same shell.
+// pointers into the machine that produced them — the per-core statistics,
+// latency histogram, metrics, sample windows, trace tail, circuit
+// statistics and power events read the same after the next run has rebuilt
+// that machine over the same shell.
 func TestResultsOutliveRecycledShell(t *testing.T) {
 	spec := goldenSpec(goldenRowOf(t, "16-core", "micro", "Reuse_NoAck"), t)
 	spec.SampleEvery = 97
+	spec.TraceCap = 64
 	dump := func(r *Results) string {
-		return fmt.Sprintf("%#v\n%#v\n%#v\n%#v\n%#v\n%#v",
-			*r.Lat.CircuitReplyHist, r.Lat, r.Metrics, r.Series, *r.Circ, r.Events)
+		return fmt.Sprintf("%#v\n%#v\n%#v\n%#v\n%#v\n%#v\n%#v\n%#v",
+			r.Cores, *r.Lat.CircuitReplyHist, r.Lat, r.Metrics, r.Series, r.Trace, *r.Circ, r.Events)
 	}
 	r, err := Run(spec)
 	if err != nil {
@@ -178,11 +195,11 @@ func TestNoPoolRunsNeverRecycle(t *testing.T) {
 	spec := quickSpec(t, config.Chip16(), "Complete_NoAck")
 	spec.WarmupOps, spec.MeasureOps = 200, 600
 	MustRun(spec)
-	idle := coherence.IdleShells()
+	idle := shells.Idle()
 	spec.Variant.Opts.NoPool = true
 	for i := 0; i < 2; i++ {
 		MustRun(spec)
-		if got := coherence.IdleShells(); got != idle {
+		if got := shells.Idle(); got != idle {
 			t.Fatalf("NoPool run %d left %d shells idle, %d before", i+1, got, idle)
 		}
 	}
@@ -232,15 +249,15 @@ func TestRecyclingAfterFailedRuns(t *testing.T) {
 
 	panicking := quickSpec(t, config.Chip16(), "Complete_NoAck")
 	panicking.Fault = &fault.Plan{Class: fault.FlipBuiltBit}
-	shells := coherence.IdleShells()
+	idleShells := shells.Idle()
 	if _, err := runRecycled(t, panicking); err == nil {
 		t.Log("flip-built-bit absorbed in this configuration")
-		shells++
+		idleShells++
 	} else if re := AsRunError(err); re == nil || !re.Panicked {
 		t.Fatalf("expected a contained panic, got: %v", err)
 	}
-	if got := coherence.IdleShells(); got != shells-1 {
-		t.Fatalf("%d shells idle after the panicked run, %d before: a failed run returned its shell", got, shells)
+	if got := shells.Idle(); got != idleShells-1 {
+		t.Fatalf("%d shells idle after the panicked run, %d before: a failed run returned its shell", got, idleShells)
 	}
 	r, err := runRecycled(t, goldenSpec(row, t))
 	if err != nil {
@@ -254,7 +271,7 @@ func TestRecyclingAfterFailedRuns(t *testing.T) {
 	cancelled.MeasureOps = 40000 // long enough that a checkEvery poll follows the first window
 	cancelled.SampleEvery = 512
 	cancelled.OnSample = func(sim.Snapshot) { cancel() }
-	idle, shells := cache.Idle(), coherence.IdleShells()
+	idle, idleShells := cache.Idle(), shells.Idle()
 	_, err = RunCtx(ctx, cancelled)
 	if re := AsRunError(err); re == nil || re.Phase != "measured" || !strings.Contains(re.Msg, "canceled") {
 		t.Fatalf("expected a cancellation in the measured phase, got: %v", err)
@@ -262,8 +279,8 @@ func TestRecyclingAfterFailedRuns(t *testing.T) {
 	if got := cache.Idle(); got != idle {
 		t.Fatalf("the cancelled run left %d slabs idle, %d before", got, idle)
 	}
-	if got := coherence.IdleShells(); got != shells-1 {
-		t.Fatalf("%d shells idle after the cancelled run, %d before: it returned its shell", got, shells)
+	if got := shells.Idle(); got != idleShells-1 {
+		t.Fatalf("%d shells idle after the cancelled run, %d before: it returned its shell", got, idleShells)
 	}
 	r, err = runRecycled(t, goldenSpec(row, t))
 	if err != nil {
@@ -419,11 +436,11 @@ func TestRebuiltImagesMatchNoPool(t *testing.T) {
 			t.Fatalf("%s: the built caches differ from the NoPool walk: %v", label, err)
 		}
 		ref.Release()
-		idle := coherence.IdleShells()
+		idle := shells.Idle()
 		if err := Diff(want[spec.Workload.Name], runMachine(t, m), skip); err != nil {
 			t.Errorf("%s: %v", label, err)
 		}
-		if i > 0 && coherence.IdleShells() != idle+1 {
+		if i > 0 && shells.Idle() != idle+1 {
 			t.Fatalf("%s: the run did not file its shell", label)
 		}
 	}

@@ -51,9 +51,11 @@ type L2Ctrl struct {
 
 	txns    map[cache.Addr]*l2Txn
 	waiting map[cache.Addr][]*noc.Message
-	// free recycles transaction records: a deterministic LIFO list like
-	// the network's (noc/pool.go), so reuse follows simulation order.
-	free []*l2Txn
+	// free recycles transaction records, and queues the waiting lists'
+	// emptied arrays: deterministic LIFO lists like the network's
+	// (noc/pool.go), so reuse follows simulation order.
+	free   []*l2Txn
+	queues [][]*noc.Message
 
 	// BlockedCycles accumulates (transactions × cycles) of line blocking,
 	// an observability hook for the NoAck effect. A bank sleeps while its
@@ -67,13 +69,14 @@ type L2Ctrl struct {
 }
 
 // init builds l in place over a zero or recycled controller: its queue's
-// slots, emptied maps and transaction free list carry over.
+// slots, emptied maps and free lists carry over.
 func (l *L2Ctrl) init(sys *System, id mesh.NodeID) {
 	*l = L2Ctrl{
 		sys: sys, id: id, c: sys.l2Arrays.Cache(int(id)), q: l.q.emptied(),
 		txns:    recycle.Map(l.txns),
 		waiting: recycle.Map(l.waiting),
 		free:    l.free,
+		queues:  l.queues,
 	}
 }
 
@@ -147,7 +150,11 @@ func (l *L2Ctrl) handle(msg *noc.Message, now sim.Cycle) bool {
 	switch MsgType(msg.Type) {
 	case MsgGetS, MsgGetX, MsgWBData:
 		if _, blocked := l.txns[addr]; blocked {
-			l.waiting[addr] = append(l.waiting[addr], msg)
+			q, ok := l.waiting[addr]
+			if n := len(l.queues); !ok && n > 0 {
+				q, l.queues = l.queues[n-1], l.queues[:n-1]
+			}
+			l.waiting[addr] = append(q, msg)
 			return false
 		}
 		if MsgType(msg.Type) == MsgWBData {
@@ -460,6 +467,10 @@ func (l *L2Ctrl) drainWaiting(addr cache.Addr, now sim.Cycle) {
 	delete(l.waiting, addr)
 	for _, m := range queued {
 		l.q.push(now+1, m)
+	}
+	if !l.sys.Opts.NoPool {
+		clear(queued)
+		l.queues = append(l.queues, queued[:0])
 	}
 }
 

@@ -95,8 +95,9 @@ type System struct {
 	mcByTile map[mesh.NodeID]*MemCtrl
 	// banks and mcs reduce a line number to its home bank and controller.
 	banks, mcs modulus
-	// shell is the free-list key Recycle files the system under.
-	shell shellKey
+	// recv holds each tile's delivery callback, made once per System and
+	// kept by every rebuild: it points at s, which outlives the rebuild.
+	recv []noc.Receiver
 
 	// The two slabs under every controller's array.
 	l1Arrays, l2Arrays *cache.Group
@@ -122,55 +123,38 @@ type FaultHook interface {
 // controllers. A rebuilt system comes back disarmed.
 func (s *System) SetFaultHook(h FaultHook) { s.fault = h }
 
-// shellKey is everything a system is built from: Recycle files a shell
-// under it, and only a NewSystem of equal inputs draws that shell.
-type shellKey struct {
-	m       mesh.Mesh
-	mcCount int
-	opts    core.Options
-}
-
-// shells holds the systems of cleanly finished runs (Recycle).
-var shells recycle.List[shellKey, *System]
-
-// NewSystem builds the chip with empty caches (NewSystemFrom).
+// NewSystem builds the chip with empty caches (Init).
 func NewSystem(m mesh.Mesh, opts core.Options, mcCount int) *System {
-	return NewSystemFrom(m, opts, mcCount, nil)
+	return new(System).Init(m, opts, mcCount, nil)
 }
 
-// NewSystemFrom builds the chip: network (with the mechanism's router
-// variant), circuit manager, caches in img's state — empty when img is nil —
-// and controllers. mcCount memory controllers are placed on the mesh edges
-// (the paper uses 4 for both chip sizes). Unless opts.NoPool, it builds over
-// a shell a finished run recycled with the same inputs when there is one,
-// and over cache arrays a released system left, preferably arrays that hold
-// img already (cache.Group.Build). It panics when img is of another mesh.
-func NewSystemFrom(m mesh.Mesh, opts core.Options, mcCount int, img *Image) *System {
-	key := shellKey{m, mcCount, opts}
-	var s *System
-	if !opts.NoPool {
-		s, _ = shells.Get(key)
-	}
-	if s == nil {
-		s = new(System)
-	}
-	s.init(key, img)
-	return s
-}
-
-// init builds the system in s, which is zero or a recycled shell. The
-// rebuild names every field it sets, and every constructor it calls does
-// the same, so statistics, histograms, wakers and whatever a run armed come
-// back zero; what a shell carries over is memory — the network's and
+// Init builds the chip in s and returns s: network (with the mechanism's
+// router variant), circuit manager, caches in img's state — empty when img
+// is nil — and controllers. mcCount memory controllers are placed on the
+// mesh edges (the paper uses 4 for both chip sizes). Unless opts.NoPool,
+// the caches are built over arrays a released system left, preferably
+// arrays that hold img already (cache.Group.Build). It panics when img is
+// of another mesh.
+//
+// s is zero or a system a cleanly finished run left (chip's machine
+// shells, DESIGN.md §4.11), which only a build of the same inputs reuses.
+// The rebuild names every field it sets, and every constructor it calls
+// does the same, so statistics, histograms, wakers and whatever a run armed
+// come back zero; what a rebuild carries over is memory — the network's and
 // manager's (noc.Network.Init, core.Manager.Init), the controller objects,
 // their queues' slots and emptied maps, the L2s' transaction free lists,
-// and the two cache groups, rebuilt over their slabs in img's state.
-func (s *System) init(key shellKey, img *Image) {
-	m, opts := key.m, key.opts
+// the tiles' delivery callbacks, and the two cache groups, rebuilt over
+// their slabs in img's state.
+func (s *System) Init(m mesh.Mesh, opts core.Options, mcCount int, img *Image) *System {
 	net, mgr := s.Net, s.Mgr
-	mcNodes := m.MemoryControllerNodes(key.mcCount)
+	// The placement is a function of the mesh and the count: a rebuild of
+	// the same inputs keeps it.
+	mcNodes := s.mcNodes
+	if s.M != m || len(mcNodes) != mcCount {
+		mcNodes = m.MemoryControllerNodes(mcCount)
+	}
 	*s = System{
-		M: m, Opts: opts, shell: key,
+		M: m, Opts: opts,
 		banks:         modulusOf(m.Nodes()),
 		mcs:           modulusOf(len(mcNodes)),
 		L1s:           recycle.Slice(s.L1s, m.Nodes()),
@@ -181,6 +165,7 @@ func (s *System) init(key shellKey, img *Image) {
 		exclusiveTags: s.exclusiveTags,
 		l1Arrays:      recycle.Object(&s.l1Arrays),
 		l2Arrays:      recycle.Object(&s.l2Arrays),
+		recv:          recycle.Slice(s.recv, m.Nodes()),
 	}
 	s.Net = recycle.Object(&net)
 	cfg := core.NetConfigFor(m, opts)
@@ -210,41 +195,27 @@ func (s *System) init(key shellKey, img *Image) {
 		recycle.Object(&s.MCs[i]).init(s, id)
 		s.mcByTile[id] = s.MCs[i]
 	}
-	for id := mesh.NodeID(0); int(id) < m.Nodes(); id++ {
-		id := id
-		s.Net.NI(id).SetReceiver(func(msg *noc.Message, now sim.Cycle) {
-			s.dispatch(id, msg, now)
-		})
+	for id := range s.recv {
+		if s.recv[id] == nil {
+			tile := mesh.NodeID(id)
+			s.recv[id] = func(msg *noc.Message, now sim.Cycle) { s.dispatch(tile, msg, now) }
+		}
+		s.Net.NI(mesh.NodeID(id)).SetReceiver(s.recv[id])
 	}
+	return s
 }
 
-// Release hands the cache arrays to the next NewSystemFrom; any later access
-// to a cache of s panics. Optional: an unreleased system is
-// garbage-collected.
+// Release hands the cache arrays to the next Init; any later access to a
+// cache of s panics until s is built again. Optional: an unreleased system
+// is garbage-collected.
 func (s *System) Release() {
 	s.l1Arrays.Release()
 	s.l2Arrays.Release()
 }
 
-// Recycle is Release, then hands the rest of s — network, circuit manager,
-// controllers — to the next NewSystem of the same inputs, which rebuilds
-// over it. Only a run that finished cleanly may call it: s must be
-// drained, and nothing may use s afterwards — a Results harvested from it
-// holds copies, never pointers into it. With opts.NoPool it is Release.
-func (s *System) Recycle() {
-	s.Release()
-	if !s.Opts.NoPool {
-		shells.Put(s.shell, s)
-	}
-}
-
-// IdleShells returns how many recycled systems wait for a NewSystem
-// (tests, diagnostics).
-func IdleShells() int { return shells.Idle() }
-
 // Image is the state of a system's two cache levels (cache.Image): what a
-// prefill leaves behind, which NewSystemFrom builds any system of the same
-// mesh size in.
+// prefill leaves behind, which Init builds any system of the same mesh size
+// in.
 type Image struct{ l1, l2 *cache.Image }
 
 // Capture returns the image of s's caches, or nil when it would take more
@@ -414,20 +385,24 @@ func (s *System) canEliminateAck(bank, requestor mesh.NodeID, addr cache.Addr, n
 
 // Register adds the network and every controller to k as individually
 // activity-tracked components: routers and NIs first, then each tile's L1
-// and L2 interleaved, then the memory controllers; the circuit manager's
-// deferred operations drain in the cycle epilogue.
+// and L2 interleaved, then the memory controllers, each in its own tick
+// class ("l1", "l2", "mc"); the circuit manager's deferred operations drain
+// in the cycle epilogue.
 func (s *System) Register(k *sim.Kernel) {
 	s.Net.Register(k)
 	for i := range s.L1s {
+		k.Class("l1")
 		s.L1s[i].wake = k.Add(s.L1s[i])
+		k.Class("l2")
 		s.L2s[i].wake = k.Add(s.L2s[i])
 	}
+	k.Class("mc")
 	for _, mc := range s.MCs {
 		mc.wake = k.Add(mc)
 	}
 	// Cycle epilogue: the circuit manager's deferred cross-tile operations.
 	if s.Mgr != nil {
-		k.AddEpilogue(s.Mgr.FlushCycle)
+		s.Mgr.Register(k)
 	}
 }
 

@@ -544,7 +544,7 @@ func TestImageCarriesBothLevels(t *testing.T) {
 	if err := empty.DiffCaches(b.sys); err == nil || !strings.HasPrefix(err.Error(), "L1s") {
 		t.Fatalf("an empty system against a warm one: %v, want an L1 difference", err)
 	}
-	fresh := NewSystemFrom(mesh.New(2, 2), core.Options{NoPool: true}, 4, img)
+	fresh := new(System).Init(mesh.New(2, 2), core.Options{NoPool: true}, 4, img)
 	if err := fresh.DiffCaches(b.sys); err != nil {
 		t.Fatalf("restored system differs: %v", err)
 	}

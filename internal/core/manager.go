@@ -121,6 +121,9 @@ type Manager struct {
 	// Applying them at the end of the cycle, in enqueue order, is simulated
 	// behaviour the goldens pin. It is the only deferred queue.
 	ops []managerOp
+	// flush is FlushCycle bound to mg, the epilogue Register adds: made
+	// once per Manager and kept by every rebuild, since mg outlives it.
+	flush func(sim.Cycle)
 	// walksLive/ridesLive count outstanding walks and rides for the
 	// quiescence audit.
 	walksLive int64
@@ -159,12 +162,17 @@ func NewManager(opts Options, m mesh.Mesh) *Manager { return new(Manager).Init(o
 // Init builds the mechanism state in mg and returns mg. mg is either zero
 // or a manager a finished run left (DESIGN.md §4.11): the rebuild names every
 // field it sets, so statistics, live counts, the tracer and the fault hook
-// come back zero and the policy is resolved afresh. What carries over is
-// memory: the tables' entry objects (emptied), the registries (cleared) and
-// the walk and record free lists.
+// come back zero. What carries over is memory: the tables' entry objects
+// (emptied), the registries (cleared), the walk and record free lists, and
+// the policy instance when opts select the same one, which Attach rebuilds
+// in place — a metrics registry bound to its counters stays bound.
 func (mg *Manager) Init(opts Options, m mesh.Mesh) *Manager {
 	if err := opts.Validate(); err != nil {
 		panic(err)
+	}
+	pol := mg.pol
+	if pol != nil && mg.opts.Mechanism != opts.Mechanism {
+		pol = nil
 	}
 	*mg = Manager{
 		opts:     opts,
@@ -174,13 +182,20 @@ func (mg *Manager) Init(opts Options, m mesh.Mesh) *Manager {
 		walkFree: mg.walkFree,
 		recFree:  mg.recFree,
 		ops:      recycle.Slice(mg.ops, 0),
+		flush:    mg.flush,
+	}
+	if mg.flush == nil {
+		mg.flush = mg.FlushCycle
 	}
 	for i := range mg.tables {
 		recycle.Object(&mg.tables[i]).empty()
 		mg.regs[i] = recycle.Map(mg.regs[i])
 	}
-	mg.pol = mustPolicyFor(opts)
-	mg.traits = mg.pol.Traits(&opts)
+	mg.pol = pol
+	if pol == nil {
+		mg.pol = mustPolicyFor(opts)
+	}
+	mg.traits = mg.pol.Traits(opts)
 	if !mg.traits.Unbounded {
 		mg.capacity = opts.MaxCircuitsPerPort
 	}
@@ -194,6 +209,9 @@ func (mg *Manager) StatsTotal() Stats { return mg.Stats }
 // ResetStats zeroes the statistics (post-warm-up measurement reset;
 // architectural circuit state is untouched).
 func (mg *Manager) ResetStats() { mg.Stats = Stats{} }
+
+// Register makes FlushCycle a cycle epilogue of k.
+func (mg *Manager) Register(k *sim.Kernel) { k.AddEpilogue(mg.flush) }
 
 // FlushCycle applies the cycle's deferred cross-tile operations in enqueue
 // order — ascending NI order, the order the NI phase visits the raising
@@ -232,8 +250,7 @@ func (mg *Manager) FlushCycle(now sim.Cycle) {
 func NetConfigFor(m mesh.Mesh, opts Options) noc.NetConfig {
 	cfg := noc.BaselineConfig(m)
 	cfg.NoPool = opts.NoPool
-	mustPolicyFor(opts).NetConfig(&cfg, &opts)
-	return cfg
+	return mustPolicyFor(opts).NetConfig(cfg, opts)
 }
 
 // Bind attaches the manager to its network (needed for undo walks and

@@ -37,15 +37,19 @@ import (
 // cycle, so what they change is first read by the next cycle's Arbitrate.
 type Policy interface {
 	// Traits states the policy's facts for the given options.
-	Traits(o *Options) Traits
+	Traits(o Options) Traits
 	// Validate checks the policy's own knobs; the rules every policy
 	// shares (optimizations, storage, Section 4.7) are
 	// Options.Validate's, driven by Traits.
-	Validate(o *Options) error
-	// NetConfig applies the policy's router microarchitecture (VC
-	// inventory, routing, injection rules) to the baseline config.
-	NetConfig(cfg *noc.NetConfig, o *Options)
-	// Attach sizes per-manager policy state; called once from NewManager.
+	Validate(o Options) error
+	// NetConfig returns cfg, the baseline config, with the policy's router
+	// microarchitecture (VC inventory, routing, injection rules) applied.
+	// Options and configs travel by value, so resolving a policy's facts
+	// allocates nothing.
+	NetConfig(cfg noc.NetConfig, o Options) noc.NetConfig
+	// Attach builds per-manager policy state in place, over the state of
+	// the run before when the manager is rebuilt (Manager.Init), so that
+	// nothing a run learned or counted leaks into the next.
 	Attach(mg *Manager)
 	// DescribeMetrics registers policy-specific counters with the
 	// sim.Registry scope the manager exports.
@@ -159,7 +163,7 @@ func mustPolicyFor(o Options) Policy {
 }
 
 // TraitsFor returns the facts of the policy the (valid) options select.
-func TraitsFor(o Options) Traits { return mustPolicyFor(o).Traits(&o) }
+func TraitsFor(o Options) Traits { return mustPolicyFor(o).Traits(o) }
 
 // Validate rejects inconsistent option combinations: the rules every policy
 // shares are checked here against the selected policy's Traits, then the
@@ -169,7 +173,7 @@ func (o *Options) Validate() error {
 	if err != nil {
 		return err
 	}
-	tr, name := pol.Traits(o), o.Mechanism.String()
+	tr, name := pol.Traits(*o), o.Mechanism.String()
 	for _, opt := range []struct {
 		name     string
 		set, can bool
@@ -195,7 +199,7 @@ func (o *Options) Validate() error {
 	} else if o.Enabled() && (o.SlackPerHop > 0 || o.DelayPerHop > 0 || o.PostponePerHop > 0) {
 		return fmt.Errorf("core: slack/delay/postpone require Timed")
 	}
-	return pol.Validate(o)
+	return pol.Validate(*o)
 }
 
 // ---------------------------------------------------------------------------
@@ -208,10 +212,10 @@ func (o *Options) Validate() error {
 // they differ.
 type basePolicy struct{}
 
-func (basePolicy) Validate(*Options) error            { return nil }
-func (basePolicy) NetConfig(*noc.NetConfig, *Options) {}
-func (basePolicy) Attach(*Manager)                    {}
-func (basePolicy) DescribeMetrics(*sim.Registry)      {}
+func (basePolicy) Validate(Options) error                               { return nil }
+func (basePolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig { return cfg }
+func (basePolicy) Attach(*Manager)                                      {}
+func (basePolicy) DescribeMetrics(*sim.Registry)                        {}
 
 func (basePolicy) Arbitrate(*Manager, mesh.NodeID, *noc.Message, mesh.Dir, *entry, *walk, sim.Cycle) verdict {
 	return declined

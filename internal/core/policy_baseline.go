@@ -7,7 +7,7 @@ import "reactivenoc/internal/noc"
 // run.
 type baselinePolicy struct{ basePolicy }
 
-func (baselinePolicy) Traits(*Options) Traits { return Traits{} }
+func (baselinePolicy) Traits(Options) Traits { return Traits{} }
 
 // speculativePolicy is the related-work comparator of the paper's
 // references [16-19]: the baseline network, reserving nothing, whose head
@@ -15,6 +15,9 @@ func (baselinePolicy) Traits(*Options) Traits { return Traits{} }
 // baseline it builds no manager.
 type speculativePolicy struct{ basePolicy }
 
-func (speculativePolicy) Traits(*Options) Traits { return Traits{} }
+func (speculativePolicy) Traits(Options) Traits { return Traits{} }
 
-func (speculativePolicy) NetConfig(cfg *noc.NetConfig, _ *Options) { cfg.Speculative = true }
+func (speculativePolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig {
+	cfg.Speculative = true
+	return cfg
+}

@@ -13,17 +13,18 @@ import (
 // entries self-expire, so only untimed ones must be accounted for as leaks.
 type completePolicy struct{ basePolicy }
 
-func (completePolicy) Traits(o *Options) Traits {
+func (completePolicy) Traits(o Options) Traits {
 	return Traits{
 		Timed: true, Reuse: true, NoAck: true,
 		ConflictChecked: true, RegistryChecked: true, LeakChecked: !o.Timed,
 	}
 }
 
-func (completePolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
+func (completePolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig {
 	cfg.ReplyCircuitVCs = 1
 	cfg.CircuitVCUnbuffered = true
 	cfg.RepRouting = mesh.RouteYX
+	return cfg
 }
 
 // Arbitrate applies the output-port rule, over the reply's predicted time

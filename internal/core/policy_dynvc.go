@@ -5,6 +5,7 @@ import (
 
 	"reactivenoc/internal/mesh"
 	"reactivenoc/internal/noc"
+	"reactivenoc/internal/recycle"
 	"reactivenoc/internal/sim"
 )
 
@@ -37,7 +38,7 @@ const (
 
 // Validate keeps one table entry per reserved VC (the fragmented rules are
 // shared).
-func (p *dynVCPolicy) Validate(o *Options) error {
+func (p *dynVCPolicy) Validate(o Options) error {
 	if o.MaxCircuitsPerPort < dynVCMax {
 		return fmt.Errorf("core: dynamic-vc needs MaxCircuitsPerPort >= %d (one entry per reserved VC)", dynVCMax)
 	}
@@ -46,20 +47,23 @@ func (p *dynVCPolicy) Validate(o *Options) error {
 
 // NetConfig provisions the maximum partition in hardware; the policy's
 // per-router limit decides how much of it is usable each window.
-func (p *dynVCPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
+func (p *dynVCPolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig {
 	cfg.VCsPerVN[noc.VNReply] = 1 + dynVCMax
 	cfg.ReplyCircuitVCs = dynVCMax
 	cfg.RepRouting = mesh.RouteYX
+	return cfg
 }
 
 func (p *dynVCPolicy) Attach(mg *Manager) {
 	n := mg.m.Nodes()
-	p.limit = make([]int, n)
+	*p = dynVCPolicy{
+		limit:    recycle.Slice(p.limit, n),
+		attempts: recycle.Zeroed(p.attempts, n),
+		fails:    recycle.Zeroed(p.fails, n),
+	}
 	for i := range p.limit {
 		p.limit[i] = dynVCMin
 	}
-	p.attempts = make([]int, n)
-	p.fails = make([]int, n)
 }
 
 func (p *dynVCPolicy) DescribeMetrics(reg *sim.Registry) {

@@ -14,14 +14,15 @@ import (
 // NoAck needs; their legal gaps keep the feasible-router oracles off.
 type fragmentedPolicy struct{ basePolicy }
 
-func (fragmentedPolicy) Traits(*Options) Traits {
+func (fragmentedPolicy) Traits(Options) Traits {
 	return Traits{Partial: true}
 }
 
-func (fragmentedPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
+func (fragmentedPolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig {
 	cfg.VCsPerVN[noc.VNReply] = 3
 	cfg.ReplyCircuitVCs = 2
 	cfg.RepRouting = mesh.RouteYX
+	return cfg
 }
 
 // Arbitrate grabs any free reserved VC at this hop.

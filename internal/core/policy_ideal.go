@@ -14,13 +14,14 @@ import (
 // rules the complete mechanism obeys.
 type idealPolicy struct{ basePolicy }
 
-func (idealPolicy) Traits(*Options) Traits {
+func (idealPolicy) Traits(Options) Traits {
 	return Traits{NoAck: true, Unbounded: true}
 }
 
-func (idealPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
+func (idealPolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig {
 	cfg.ReplyCircuitVCs = 1 // keeps its buffer: ideal is not area-reduced
 	cfg.RepRouting = mesh.RouteYX
+	return cfg
 }
 
 // Arbitrate always grants: conflicts are ignored.

@@ -15,16 +15,17 @@ type probePolicy struct{ basePolicy }
 
 // Traits: the comparator supports none of the paper's optimizations, and
 // its forward entries are structurally outside the reversed-circuit oracles.
-func (probePolicy) Traits(*Options) Traits {
+func (probePolicy) Traits(Options) Traits {
 	return Traits{Forward: true}
 }
 
-func (probePolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
+func (probePolicy) NetConfig(cfg noc.NetConfig, _ Options) noc.NetConfig {
 	// Probe setup keeps a buffered circuit VC and baseline routing
 	// (probe and reply travel the same direction); replies waiting
 	// for their setup must not serialize the interface.
 	cfg.ReplyCircuitVCs = 1
 	cfg.AllowQueueOvertake = true
+	return cfg
 }
 
 // Arbitrate lets only setup flits reserve, under the output-port rule on

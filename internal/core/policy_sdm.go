@@ -30,14 +30,14 @@ type sdmPolicy struct{ basePolicy }
 // closes that race — so NoAck is off too. Entries from different inputs may
 // share an output port on different lanes: the lane-conservation oracle
 // (armed by Lanes) replaces the window-conflict rule.
-func (sdmPolicy) Traits(o *Options) Traits {
+func (sdmPolicy) Traits(o Options) Traits {
 	return Traits{
 		Reuse: true, Lanes: orDefault(o.SDMLanes, 4),
 		RegistryChecked: true, LeakChecked: true,
 	}
 }
 
-func (sdmPolicy) Validate(o *Options) error {
+func (sdmPolicy) Validate(o Options) error {
 	if o.SDMLanes != 0 && (o.SDMLanes < 2 || o.SDMLanes > 8) {
 		return fmt.Errorf("core: sdm needs 2..8 lanes (got %d)", o.SDMLanes)
 	}
@@ -47,10 +47,11 @@ func (sdmPolicy) Validate(o *Options) error {
 // NetConfig keeps the complete variants' single circuit VC but leaves it
 // buffered — lane-paced flits wait in the bypass queue under credit flow
 // control — and divides every mesh link into the configured lane count.
-func (p sdmPolicy) NetConfig(cfg *noc.NetConfig, o *Options) {
+func (p sdmPolicy) NetConfig(cfg noc.NetConfig, o Options) noc.NetConfig {
 	cfg.ReplyCircuitVCs = 1
 	cfg.RepRouting = mesh.RouteYX
 	cfg.LinkLanes = p.Traits(o).Lanes
+	return cfg
 }
 
 // Arbitrate claims a free circuit lane on the reply's output link (the port

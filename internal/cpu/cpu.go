@@ -85,6 +85,9 @@ type Core struct {
 	// chip layer counts completions there instead of scanning every core
 	// every cycle.
 	doneSink func()
+	// resume is onMissDone bound to c, the L1's miss handler: made once
+	// per Core and kept by every rebuild (Init), since c outlives it.
+	resume func(now sim.Cycle)
 
 	// Retired counts completed operations; Loads/Stores/Misses and
 	// StallCycles describe the memory behaviour; FinishedAt is the cycle
@@ -100,8 +103,19 @@ type Core struct {
 // New binds a core to its L1 and stream; the core halts after limit
 // retired operations.
 func New(id int, l1 *coherence.L1Ctrl, stream Stream, limit int64) *Core {
-	c := &Core{id: id, l1: l1, stream: stream, limit: limit}
-	l1.SetMissHandler(c.onMissDone)
+	return new(Core).Init(id, l1, stream, limit)
+}
+
+// Init builds the core of New in c and returns c. c is zero or a core a
+// finished run left (chip's machine shells, DESIGN.md §4.11): the rebuild
+// names every field it sets, so counters, the done sink, the waker and the
+// recorder come back zero, and only the bound miss handler carries over.
+func (c *Core) Init(id int, l1 *coherence.L1Ctrl, stream Stream, limit int64) *Core {
+	*c = Core{id: id, l1: l1, stream: stream, limit: limit, resume: c.resume}
+	if c.resume == nil {
+		c.resume = c.onMissDone
+	}
+	l1.SetMissHandler(c.resume)
 	return c
 }
 

@@ -307,3 +307,43 @@ func TestComputeRunSleeps(t *testing.T) {
 		t.Fatalf("the core took %d ticks asleep and %d ticked every cycle, want 5 and 50", sparse.ticks, every.ticks)
 	}
 }
+
+// TestRecycledCoreMatchesFresh: Init over a core abandoned mid-miss, with
+// a recorder, a done sink, a waker and counters of its own, builds one that
+// runs its new stream exactly as New's does, and reports to none of what
+// the old core was wired to.
+func TestRecycledCoreMatchesFresh(t *testing.T) {
+	script := func() *scriptStream {
+		return &scriptStream{ops: []Op{
+			{Kind: OpCompute}, {Kind: OpLoad, Addr: 3 * 64}, {Kind: OpCompute},
+			{Kind: OpStore, Addr: 3 * 64}, {Kind: OpLoad, Addr: 2 * 64},
+		}}
+	}
+	run := func(c *Core, k *sim.Kernel) [6]int64 {
+		c.SetWaker(k.Add(c))
+		k.Run(2000)
+		return [6]int64{c.Retired, c.Loads, c.Stores, c.Misses, c.StallCycles, c.FinishedAt}
+	}
+	sys, k := testSystem(t)
+	want := run(New(0, sys.L1s[0], script(), 6), k)
+
+	old, oldK := testSystem(t)
+	c := New(1, old.L1s[1], script(), 6)
+	rec, done := &opLog{}, 0
+	c.SetRecorder(rec)
+	c.SetDoneSink(func() { done++ })
+	c.SetWaker(oldK.Add(c))
+	oldK.Run(4)
+	if !c.stalled {
+		t.Fatal("the abandoned core is not mid-miss")
+	}
+	logged := len(rec.ops)
+
+	sys, k = testSystem(t)
+	if got := run(c.Init(0, sys.L1s[0], script(), 6), k); got != want {
+		t.Fatalf("rebuilt core ran to %v, a new one to %v", got, want)
+	}
+	if len(rec.ops) != logged || done != 0 {
+		t.Fatalf("the rebuilt core reported to its old recorder (%d ops, was %d) or done sink (%d)", len(rec.ops), logged, done)
+	}
+}

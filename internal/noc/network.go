@@ -26,6 +26,9 @@ type Network struct {
 	msgID   uint64
 	pool    pools
 	credits creditQueue
+	// flush is FlushBoundary bound to n, the epilogue Register adds: made
+	// once per Network and kept by every rebuild, since n outlives it.
+	flush func(sim.Cycle)
 }
 
 // creditQueue holds the buffer credits in flight as pointers to the
@@ -40,13 +43,13 @@ func NewNetwork(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 }
 
 // Init builds the network in n and returns n. n is either zero or a
-// network a finished run left (coherence.NewSystem's recycled shells,
-// DESIGN.md §4.11): the rebuild names every field it sets, so the message
-// counter, power events, free-list counters and everything a run armed
-// (tracer, fault hook) come back zero. Only memory carries over — the
-// routers' and NIs' arrays, every wire's and queue's slots, the sequence
-// maps — and the flit and message free lists start empty, so a rebuilt
-// network is indistinguishable from a new one.
+// network a finished run left (chip's recycled machine shells, DESIGN.md
+// §4.11): the rebuild names every field it sets, so the message counter,
+// power events and everything a run armed (tracer, fault hook) come back
+// zero. Only memory carries over — the routers' and NIs' arrays, every
+// wire's and queue's slots, the sequence maps, and the flits and messages
+// on the free lists, which are zeroed objects nothing else points to — so a
+// rebuilt network carries traffic exactly as a new one does.
 func (n *Network) Init(cfg NetConfig, handler CircuitHandler, hook NIHook) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -65,15 +68,15 @@ func (n *Network) Init(cfg NetConfig, handler CircuitHandler, hook NIHook) *Netw
 		nis:     recycle.Slice(n.nis, nodes),
 		links:   recycle.Slice(n.links, 2*nodes+adjacent),
 		undo:    recycle.Slice(n.undo, adjacent),
-		pool: pools{
-			disabled: cfg.NoPool,
-			flits:    recycle.Slice(n.pool.flits, 0),
-			msgs:     recycle.Slice(n.pool.msgs, 0),
-		},
+		pool:    pools{disabled: cfg.NoPool, flits: n.pool.flits, msgs: n.pool.msgs},
 		credits: creditQueue{
 			cur:  recycle.Slice(n.credits.cur, credits)[:0],
 			prev: recycle.Slice(n.credits.prev, credits)[:0],
 		},
+		flush: n.flush,
+	}
+	if n.flush == nil {
+		n.flush = n.FlushBoundary
 	}
 	for id := range n.routers {
 		recycle.Object(&n.routers[id]).init(mesh.NodeID(id), &n.cfg, handler, &n.ev, &n.credits)
@@ -169,10 +172,12 @@ func (n *Network) FlushBoundary(now sim.Cycle) {
 	q.prev, q.cur = q.cur, q.prev[:0]
 }
 
-// Register adds every router and then every NI to k, by id, gives each
-// wire its receiving component's waker, and makes FlushBoundary the
-// network's cycle epilogue. It is the only way a network is stepped.
+// Register adds every router and then every NI to k, by id, in the kernel's
+// "router" and "ni" tick classes, gives each wire its receiving component's
+// waker, and makes FlushBoundary the network's cycle epilogue. It is the
+// only way a network is stepped.
 func (n *Network) Register(k *sim.Kernel) {
+	k.Class("router")
 	for _, r := range n.routers {
 		w := k.Add(r)
 		for d := range r.inLink {
@@ -184,23 +189,17 @@ func (n *Network) Register(k *sim.Kernel) {
 			}
 		}
 	}
+	k.Class("ni")
 	for _, ni := range n.nis {
 		w := k.Add(ni)
 		ni.SetWaker(w)
 		ni.fromRouter.wake = w
 	}
-	k.AddEpilogue(n.FlushBoundary)
+	k.AddEpilogue(n.flush)
 }
 
-// DescribeMetrics registers the network's counters with reg, including the
-// free-list effectiveness gauges.
-func (n *Network) DescribeMetrics(reg *sim.Registry) {
-	n.ev.Describe(reg)
-	reg.Counter("noc/pool_flit_allocs", &n.pool.FlitAllocs)
-	reg.Counter("noc/pool_flit_reuses", &n.pool.FlitReuses)
-	reg.Counter("noc/pool_msg_allocs", &n.pool.MsgAllocs)
-	reg.Counter("noc/pool_msg_reuses", &n.pool.MsgReuses)
-}
+// DescribeMetrics registers the network's power-event counters with reg.
+func (n *Network) DescribeMetrics(reg *sim.Registry) { n.ev.Describe(reg) }
 
 // Quiescent reports whether no message is queued, buffered, or in flight
 // anywhere in the network. Credits and undo tokens in flight do not count.

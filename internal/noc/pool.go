@@ -7,6 +7,11 @@ package noc
 // owned by each Network; the simulator is single-goroutine per network
 // (sweep workers each build their own), so no locking is needed.
 //
+// A network rebuilt in place keeps its free lists (Network.Init): they hold
+// only zeroed objects nothing else points to, so which run allocated one
+// is invisible, and a warm network allocates a flit or message only past
+// the most that any run before it held at once.
+//
 // Lifetime rules (see DESIGN.md §4.10):
 //   - A *Flit is born at NI injection and dies at the destination NI the
 //     cycle its ejection is processed; routers and links may hold it in
@@ -20,13 +25,6 @@ type pools struct {
 
 	flits []*Flit
 	msgs  []*Message
-
-	// Recycling effectiveness counters, surfaced through the metrics
-	// registry as noc/pool_*.
-	FlitAllocs int64
-	FlitReuses int64
-	MsgAllocs  int64
-	MsgReuses  int64
 }
 
 func (p *pools) getFlit() *Flit {
@@ -34,10 +32,8 @@ func (p *pools) getFlit() *Flit {
 		f := p.flits[n-1]
 		p.flits[n-1] = nil
 		p.flits = p.flits[:n-1]
-		p.FlitReuses++
 		return f
 	}
-	p.FlitAllocs++
 	return &Flit{}
 }
 
@@ -54,10 +50,8 @@ func (p *pools) getMsg() *Message {
 		m := p.msgs[n-1]
 		p.msgs[n-1] = nil
 		p.msgs = p.msgs[:n-1]
-		p.MsgReuses++
 		return m
 	}
-	p.MsgAllocs++
 	return &Message{}
 }
 

@@ -44,8 +44,9 @@ func hotTraffic(net *Network, seed uint64) []*Message {
 // flits buffered, latched and on the wires, credits in flight, arbiter
 // pointers advanced, lanes busy, a fault hook armed — builds one that
 // carries the same traffic exactly as a new network does: the same
-// per-message timestamps, power events and free-list counters. Whatever
-// the rebuild does not name comes back zero, so no run leaks into the next.
+// per-message timestamps and power events. Whatever the rebuild does not
+// name comes back zero, so no run leaks into the next; the flit free list
+// is the one memory it keeps, and it holds only zeroed flits.
 func TestRecycledNetworkMatchesFresh(t *testing.T) {
 	m := mesh.New(4, 4)
 	laned := BaselineConfig(m)
@@ -63,7 +64,19 @@ func TestRecycledNetworkMatchesFresh(t *testing.T) {
 			t.Fatal("the abandoned network drained; rebuild over one in flight")
 		}
 
+		free := len(dirty.net.pool.flits)
+		if free == 0 {
+			t.Fatal("the abandoned network freed no flit; rebuild over one that did")
+		}
 		got := harnessOver(dirty.net.Init(cfg, nil, nil))
+		if len(got.net.pool.flits) != free {
+			t.Fatalf("lanes=%d: the rebuild left %d flits on the free list, want the %d it had", cfg.LinkLanes, len(got.net.pool.flits), free)
+		}
+		for _, f := range got.net.pool.flits {
+			if *f != (Flit{}) {
+				t.Fatalf("lanes=%d: a kept flit is not zero: %+v", cfg.LinkLanes, *f)
+			}
+		}
 		got.net.Register(got.kernel)
 		gotMsgs := hotTraffic(got.net, 42)
 		got.runUntilQuiet(t, 20000)
@@ -80,10 +93,6 @@ func TestRecycledNetworkMatchesFresh(t *testing.T) {
 		}
 		if *got.net.Events() != *ref.net.Events() {
 			t.Errorf("lanes=%d: power events\n got %+v\n new %+v", cfg.LinkLanes, *got.net.Events(), *ref.net.Events())
-		}
-		if g, r := got.net.pool, ref.net.pool; g.FlitAllocs != r.FlitAllocs || g.FlitReuses != r.FlitReuses {
-			t.Errorf("lanes=%d: flit free list %d allocs/%d reuses, a new network %d/%d",
-				cfg.LinkLanes, g.FlitAllocs, g.FlitReuses, r.FlitAllocs, r.FlitReuses)
 		}
 	}
 }

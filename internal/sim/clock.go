@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"reactivenoc/internal/recycle"
+)
 
 // Cycle is a simulation timestamp measured in core clock cycles (2 GHz in
 // the modelled chip). Cycles are int64 so arithmetic on windows and
@@ -124,9 +128,15 @@ type Kernel struct {
 	// cycle, exactly like the original engine. The golden determinism
 	// suite cross-checks dense against sparse execution.
 	dense bool
-	// ticks counts component ticks actually executed; with the component
-	// count and cycle count this yields the scheduler's skip ratio.
-	ticks int64
+	// class holds each component's tick class, an index into classNames
+	// and classTicks (Class); class 0 is the unnamed one.
+	class      []uint8
+	cur        uint8
+	classNames [maxClasses]string
+	// classTicks counts the component ticks actually executed, per class;
+	// with the component count and cycle count they yield the scheduler's
+	// skip ratio.
+	classTicks [maxClasses]int64
 	// epilogues run at the end of every Step — after every component,
 	// before the cycle counter advances. The network applies the cycle's
 	// credits and the circuit layer drains its deferred cross-tile
@@ -134,27 +144,73 @@ type Kernel struct {
 	epilogues []func(Cycle)
 }
 
+// maxClasses bounds a kernel's tick classes, the unnamed one included.
+const maxClasses = 8
+
 // NewKernel returns an empty kernel at cycle 0.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel { return new(Kernel).Init() }
+
+// Init empties k, a zero kernel or one an earlier run stepped, and returns
+// it at cycle 0 with nothing registered. Only the memory of its arrays
+// carries over, so a rebuilt kernel is a new one (DESIGN.md §4.11).
+func (k *Kernel) Init() *Kernel {
+	*k = Kernel{
+		comps:     recycle.Slice(k.comps, 0),
+		active:    recycle.Slice(k.active, 0),
+		wheel:     recycle.Slice(k.wheel, 0),
+		class:     recycle.Slice(k.class, 0),
+		epilogues: recycle.Slice(k.epilogues, 0),
+	}
+	return k
+}
 
 // Now returns the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
-// Reserve sizes the kernel for n components in all, so that registering
-// them grows no array: a build that knows its component count allocates
-// the kernel once.
-func (k *Kernel) Reserve(n int) {
-	words := (n + 63) >> 6
-	k.comps = append(make([]Component, 0, n), k.comps...)
-	k.active = append(make([]uint64, 0, words), k.active...)
-	k.wheel = append(make([]uint64, 0, words<<wheelBits), k.wheel...)
+// Class names the tick class of the components added from now on, whose
+// ticks ClassTicks counts together; components added before any Class, or
+// after Class(""), are in the unnamed class. A kernel holds at most seven
+// named classes.
+func (k *Kernel) Class(name string) {
+	for i := range k.classNames {
+		if k.classNames[i] == name || i > 0 && k.classNames[i] == "" {
+			k.classNames[i], k.cur = name, uint8(i)
+			return
+		}
+	}
+	panic("sim: more than seven component classes")
 }
 
-// Add registers a component and returns its Waker. Components start active
-// and fall asleep after their first quiescent tick.
+// Classes returns the named tick classes in the order Class first named
+// them.
+func (k *Kernel) Classes() []string {
+	var names []string
+	for _, name := range k.classNames[1:] {
+		if name != "" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// ClassTicks returns the component ticks executed in the named class since
+// Init (0 for a class the kernel does not hold).
+func (k *Kernel) ClassTicks(name string) int64 {
+	for i, n := range k.classNames {
+		if n == name {
+			return k.classTicks[i]
+		}
+	}
+	return 0
+}
+
+// Add registers a component in the current class and returns its Waker.
+// Components start active and fall asleep after their first quiescent
+// tick.
 func (k *Kernel) Add(c Component) Waker {
 	i := len(k.comps)
 	k.comps = append(k.comps, c)
+	k.class = append(k.class, k.cur)
 	if i>>6 == len(k.active) {
 		k.active = append(k.active, 0)
 		k.wheel = append(k.wheel, make([]uint64, wheelSlots)...)
@@ -185,10 +241,16 @@ func (k *Kernel) ActiveCount() int {
 	return n
 }
 
-// Ticks returns the number of component ticks executed since construction.
-// Comparing it against Components() × Now() gives the skip ratio the
-// activity tracker achieved.
-func (k *Kernel) Ticks() int64 { return k.ticks }
+// Ticks returns the number of component ticks executed since Init, in
+// every class. Comparing it against Components() × Now() gives the skip
+// ratio the activity tracker achieved.
+func (k *Kernel) Ticks() int64 {
+	var n int64
+	for _, t := range k.classTicks {
+		n += t
+	}
+	return n
+}
 
 // Step advances the simulation by one cycle. It wakes the sleepers due
 // this cycle, then visits the awake components in registration order,
@@ -201,7 +263,7 @@ func (k *Kernel) Step() {
 	if k.dense {
 		for i, c := range k.comps {
 			c.Tick(now)
-			k.ticks++
+			k.classTicks[k.class[i]&(maxClasses-1)]++
 			if bit := uint64(1) << (i & 63); c.Quiescent() {
 				k.active[i>>6] &^= bit
 			} else {
@@ -219,9 +281,10 @@ func (k *Kernel) Step() {
 			for m := k.active[w]; m != 0; m = k.active[w] &^ seen {
 				b := bits.TrailingZeros64(m)
 				seen = 2<<b - 1
-				c := k.comps[w<<6|b]
+				i := w<<6 | b
+				c := k.comps[i]
 				c.Tick(now)
-				k.ticks++
+				k.classTicks[k.class[i]&(maxClasses-1)]++
 				// The bit is still set unless the tick called SleepUntil:
 				// nothing else clears it during a step.
 				if c.Quiescent() {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 type countTicker struct {
 	n     int
@@ -222,5 +225,82 @@ func TestEpilogueRunsEveryCycleInAllModes(t *testing.T) {
 				t.Fatalf("%s: epilogue saw cycle %d at step %d", tc.name, c, i)
 			}
 		}
+	}
+}
+
+// TestKernelClassTicks: Class sorts the components added after it, and
+// ClassTicks counts each class's executed ticks apart, summing to Ticks,
+// under the sparse and the dense kernel alike.
+func TestKernelClassTicks(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		k := NewKernel()
+		k.SetDense(dense)
+		k.Add(&toggler{pending: 1})
+		k.Class("a")
+		k.Add(&toggler{pending: 2})
+		k.Class("b")
+		k.Add(&toggler{pending: 3})
+		k.Class("a")
+		k.Add(&toggler{pending: 4})
+		k.Run(10)
+		want := map[string]int64{"": 1, "a": 6, "b": 3}
+		if dense {
+			want = map[string]int64{"": 10, "a": 20, "b": 10}
+		}
+		for class, n := range want {
+			if got := k.ClassTicks(class); got != n {
+				t.Errorf("dense=%v: class %q ticked %d, want %d", dense, class, got, n)
+			}
+		}
+		if got, sum := k.Ticks(), want[""]+want["a"]+want["b"]; got != sum {
+			t.Errorf("dense=%v: Ticks = %d, want the classes' %d", dense, got, sum)
+		}
+		if got := k.Classes(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+			t.Errorf("Classes = %q, want [a b]", got)
+		}
+		if k.ClassTicks("c") != 0 {
+			t.Error("a class the kernel does not hold ticked")
+		}
+	}
+}
+
+// TestRecycledKernelIsNew: Init over a kernel that stepped dense, holds
+// sleepers on its wheel and counted ticks in classes returns a new one —
+// cycle 0, nothing registered, no class, no tick — that steps a fresh
+// registration exactly as NewKernel's does.
+func TestRecycledKernelIsNew(t *testing.T) {
+	trace := func(k *Kernel) []int {
+		a, b := &toggler{pending: 2}, &toggler{pending: 5}
+		k.Class("x")
+		wa := k.Add(a)
+		k.Add(b)
+		var ticks []int
+		for i := 0; i < 12; i++ {
+			if i == 6 {
+				wa.WakeAt(9)
+				a.pending = 1
+			}
+			k.Step()
+			ticks = append(ticks, a.ticks, b.ticks)
+		}
+		return ticks
+	}
+	want := trace(NewKernel())
+
+	used := NewKernel()
+	used.SetDense(true)
+	used.Class("y")
+	w := used.Add(&toggler{pending: 40})
+	used.Run(3)
+	w.WakeAt(used.Now() + 3)
+	used.SetDense(false)
+	used.Run(2)
+	k := used.Init()
+	if k.Now() != 0 || k.Components() != 0 || k.Ticks() != 0 || len(k.Classes()) != 0 || k.ActiveCount() != 0 {
+		t.Fatalf("rebuilt kernel: cycle %d, %d components, %d ticks, classes %q, %d awake",
+			k.Now(), k.Components(), k.Ticks(), k.Classes(), k.ActiveCount())
+	}
+	if got := trace(k); !slices.Equal(got, want) {
+		t.Fatalf("rebuilt kernel ticked %v, a new one %v", got, want)
 	}
 }

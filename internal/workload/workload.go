@@ -245,10 +245,14 @@ const l1Lines = 512
 // Regions returns the address ranges core coreID touches, for prefill.
 // The cold region is deliberately absent: its accesses must reach memory.
 func (p Profile) Regions(coreID int) []Region {
-	// One allocation per core: every run builds all its cores' regions to
-	// key its prefilled image (chip.Build).
-	rs := make([]Region, 1, 3)
-	rs[0] = Region{Start: hotBase(coreID), Lines: p.HotLines, L1Lines: p.HotLines, Exclusive: true}
+	return p.AppendRegions(make([]Region, 0, 3), coreID)
+}
+
+// AppendRegions appends core coreID's Regions to rs and returns the
+// extended slice: every run builds all its cores' regions to key its
+// prefilled image (chip.Build), over the slices of the run before.
+func (p Profile) AppendRegions(rs []Region, coreID int) []Region {
+	rs = append(rs, Region{Start: hotBase(coreID), Lines: p.HotLines, L1Lines: p.HotLines, Exclusive: true})
 	if p.StreamLines > 0 {
 		// Fill the rest of the L1 from the stream, so the L1 is completely
 		// full when the run starts. L1From records the stream's *tail* —
@@ -333,13 +337,25 @@ func (p Profile) Stream(coreID int, seed uint64) cpu.Stream {
 // adversarial destination patterns (hotspot, transpose, tornado) need to
 // aim shared-region accesses at specific home tiles.
 func (p Profile) StreamGeom(coreID, width, height int, seed uint64) cpu.Stream {
+	return p.StreamOver(nil, coreID, width, height, seed)
+}
+
+// StreamOver is StreamGeom built in place over old when old is a stream an
+// earlier StreamGeom or StreamOver returned, and new otherwise (nil, a
+// replayed trace's stream): the rebuild names every field, so nothing of
+// old's position or RNG carries over (DESIGN.md §4.11).
+func (p Profile) StreamOver(old cpu.Stream, coreID, width, height int, seed uint64) cpu.Stream {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	if p.TracePath != "" {
 		panic(fmt.Sprintf("workload %q: trace-driven profiles are replayed by internal/tracefeed, not synthesized", p.Name))
 	}
-	return &stream{
+	s, ok := old.(*stream)
+	if !ok {
+		s = new(stream)
+	}
+	*s = stream{
 		p:    p,
 		th:   thresholdsOf(p),
 		rng:  *sim.NewRNG(seed ^ (uint64(coreID)+1)*0x9E3779B97F4A7C15),
@@ -347,6 +363,7 @@ func (p Profile) StreamGeom(coreID, width, height int, seed uint64) cpu.Stream {
 		w:    width,
 		h:    height,
 	}
+	return s
 }
 
 // step consumes the head operation's kind and reports whether it is a

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -557,6 +558,43 @@ func TestComputeRunMatchesNext(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%s: op %d drawn in runs is %+v, by Next %+v", p.Name, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRecycledStreamMatchesFresh: StreamOver rebuilds a stream that has
+// run, switched phase and moved its cursors into the one StreamGeom would
+// make, in place; over anything but one of this package's streams it makes
+// a new one. AppendRegions over a used slice is Regions.
+func TestRecycledStreamMatchesFresh(t *testing.T) {
+	phased, ok := ByName("phased")
+	if !ok {
+		t.Fatal("no phased profile")
+	}
+	for _, p := range []Profile{Micro(), phased} {
+		old := p.StreamGeom(5, 4, 4, 99)
+		for i := 0; i < 3000; i++ {
+			old.Next()
+		}
+		old.ComputeRun(7)
+		got, want := p.StreamOver(old, 3, 4, 4, 42), p.StreamGeom(3, 4, 4, 42)
+		if got != old {
+			t.Fatalf("%s: StreamOver made a new stream over one of its own", p.Name)
+		}
+		for i := 0; i < 5000; i++ {
+			if i%97 == 0 && got.ComputeRun(int64(i%13)) != want.ComputeRun(int64(i%13)) {
+				t.Fatalf("%s: compute runs diverged at op %d", p.Name, i)
+			}
+			if x, y := got.Next(), want.Next(); x != y {
+				t.Fatalf("%s: rebuilt stream diverged at op %d: %+v vs %+v", p.Name, i, x, y)
+			}
+		}
+		if s := p.StreamOver(nil, 3, 4, 4, 42); s == nil || s == got {
+			t.Fatalf("%s: StreamOver(nil) did not make a new stream", p.Name)
+		}
+		used := p.Regions(9)
+		if got := p.AppendRegions(used[:0], 2); !slices.Equal(got, p.Regions(2)) {
+			t.Fatalf("%s: AppendRegions over a used slice = %+v, want %+v", p.Name, got, p.Regions(2))
 		}
 	}
 }
