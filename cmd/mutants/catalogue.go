@@ -106,35 +106,43 @@ var catalogue = []Mutant{
 	{
 		Name: "an undo of a Partial policy's unfinished fragments counts as an undone circuit",
 		File: "internal/core/manager.go",
-		Old:  "\tbuilt := rec.complete\n",
-		New:  "\tbuilt := true\n",
+		Old:  "\tif rec.complete {\n\t\tif mg.undone[dest] != 0 {\n",
+		New:  "\tif !rec.complete {\n\t\tmg.Stats.CircuitsUndone++\n\t}\n\tif rec.complete {\n\t\tif mg.undone[dest] != 0 {\n",
 		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$",
 	},
 
-	// Every undone circuit is one undone reply: an undo that tags the
-	// forwarded reply for fragments that never completed counts an undone
-	// outcome no circuit matches, and a reply that lost its own circuit
-	// and then scrounged, or never left its tile, must still be counted.
+	// Every undone circuit is one undone reply: the protocol's undo fills
+	// the requestor's slot, and the first reply to leave an NI for that
+	// request without a circuit of its own empties it as the undone
+	// outcome, scrounging or not. Fragments that never completed fill no
+	// slot.
 	{
-		Name: "an undo of a Partial policy's unfinished fragments tags the reply undone",
+		Name: "an undo of a Partial policy's unfinished fragments books the reply undone",
 		File: "internal/core/manager.go",
-		Old:  "\treturn built\n",
-		New:  "\treturn true\n",
+		Old:  "\tif rec.complete {\n\t\tif mg.undone[dest] != 0 {\n",
+		New:  "\tif !rec.complete {\n\t\tmg.undone[dest] = block + 1\n\t}\n\tif rec.complete {\n\t\tif mg.undone[dest] != 0 {\n",
 		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$/^hotspot$/^DynamicVC$",
 	},
 	{
-		Name: "a scrounger whose own circuit was undone goes uncounted",
+		Name: "a protocol undo fills no undone slot",
 		File: "internal/core/manager.go",
-		Old:  "\t\tmg.Stats.UndoneElsewhere++\n",
-		New:  "",
-		Pkg:  "./internal/chip", Run: "^TestGoldenDeterminism$/^16-core$/^hotspot$/^Reuse_NoAck$",
-	},
-	{
-		Name: "a local reply whose circuit was undone goes uncounted",
-		File: "internal/coherence/system.go",
-		Old:  "\t\t\ts.Mgr.Stats.UndoneElsewhere++ // no NI classifies a local reply\n",
+		Old:  "\t\tmg.undone[dest] = block + 1\n",
 		New:  "",
 		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+	{
+		Name: "a reply books its request's undone circuit but leaves the slot filled",
+		File: "internal/core/manager.go",
+		Old:  "\t\tmg.undone[msg.Dst] = 0\n",
+		New:  "",
+		Pkg:  "./internal/chip", Run: "^TestBooksBalance$",
+	},
+	{
+		Name: "an undone reply that scrounges books scrounger",
+		File: "internal/core/manager.go",
+		Old:  "\t\tmg.classify(msg, OutcomeUndone)\n\t}\n\tif mg.opts.Reuse {\n",
+		New:  "\t}\n\tif mg.opts.Reuse {\n",
+		Pkg:  "./internal/core", Run: "^TestUndoneReplyScroungesAsUndone$",
 	},
 
 	// Every buffered departure returns one credit, and the credit wires
@@ -981,5 +989,38 @@ var catalogue = []Mutant{
 		Old:  "\tif h.img == img {\n",
 		New:  "\tif h.img == img || h.img != nil {\n",
 		Pkg:  "./internal/chip", Run: "^TestRebuiltImagesMatchNoPool$", PR: 42,
+	},
+
+	// The warm-up's reply histogram is cleared in place at the measured
+	// phase, not dropped for a new one.
+	{
+		Name: "ResetStats drops the warm-up's reply histogram",
+		File: "internal/coherence/system.go",
+		Old:  "\ts.Lat = LatencyStats{CircuitReplyHist: s.Lat.CircuitReplyHist.Reset()}\n",
+		New:  "\ts.Lat = LatencyStats{}\n",
+		Pkg:  "./internal/chip", Run: "^TestRunAllocationBudget$",
+	},
+	{
+		Name: "a reset histogram keeps its overflow",
+		File: "internal/stats/stats.go",
+		Old:  "\t\th.hist = hist{BucketWidth: h.BucketWidth, Buckets: h.Buckets}\n",
+		New:  "\t\th.hist = hist{BucketWidth: h.BucketWidth, Buckets: h.Buckets, Overflow: h.hist.Overflow}\n",
+		Pkg:  "./internal/stats", Run: "^TestHistogramReset$",
+	},
+
+	// A job is counted, and its worker idle, before its waiters wake.
+	{
+		Name: "a finished job is counted after its waiters wake",
+		File: "internal/serve/server.go",
+		Old:  "\t\ts.jobsDone.Add(1)\n\t\ts.finish(j, StateDone)\n",
+		New:  "\t\ts.finish(j, StateDone)\n\t\ts.jobsDone.Add(1)\n",
+		Pkg:  "./internal/serve", Run: "^TestJobCountedBeforeWaitersWake$",
+	},
+	{
+		Name: "a worker counts itself idle after its job's waiters wake",
+		File: "internal/serve/server.go",
+		Old:  "\ts.busy.Add(-1)\n",
+		New:  "\tdefer s.busy.Add(-1)\n",
+		Pkg:  "./internal/serve", Run: "^TestJobCountedBeforeWaitersWake$",
 	},
 }

@@ -70,7 +70,7 @@ var goldenMatrix = []goldenRow{
 	{"64-core", "micro", "Fragmented", 4369, 2991, 1176, 1176, 40003, 711, 13656, 1104, 38343, 40478, [6]int64{633, 76, 152, 0, 954, 0}, 785, 152, 0, [10]int64{20811, 20811, 40478, 40478, 14479, 21979, 41400, 31884, 10608, 1168}},
 	{"64-core", "micro", "Complete", 4516, 2993, 1177, 1177, 39979, 711, 17199, 1105, 38353, 40498, [6]int64{501, 208, 106, 0, 1001, 0}, 607, 106, 0, [10]int64{26351, 26351, 40498, 40498, 15671, 27303, 27859, 31894, 9234, 952}},
 	{"64-core", "micro", "Complete_NoAck", 4422, 2554, 1179, 1179, 40006, 713, 17033, 1107, 23783, 37928, [6]int64{509, 202, 109, 0, 555, 445}, 618, 109, 445, [10]int64{23410, 23410, 37928, 37928, 12974, 24274, 24890, 29310, 9326, 864}},
-	{"64-core", "micro", "Reuse_NoAck", 4479, 2551, 1179, 1179, 40004, 713, 17057, 1107, 23694, 38057, [6]int64{509, 202, 102, 19, 540, 448}, 616, 107, 448, [10]int64{23322, 23322, 38057, 38057, 12898, 24134, 24768, 29439, 9268, 812}},
+	{"64-core", "micro", "Reuse_NoAck", 4479, 2551, 1179, 1179, 40004, 713, 17057, 1107, 23694, 38057, [6]int64{509, 202, 107, 14, 540, 448}, 616, 107, 448, [10]int64{23322, 23322, 38057, 38057, 12898, 24134, 24768, 29439, 9268, 812}},
 	{"64-core", "micro", "Timed_NoAck", 4462, 2994, 1177, 1177, 40052, 712, 16968, 1105, 38272, 40489, [6]int64{515, 82, 253, 0, 967, 0}, 768, 253, 0, [10]int64{25727, 25727, 40489, 40489, 15591, 26637, 25727, 31877, 8154, 910}},
 	{"64-core", "micro", "Slack_1_NoAck", 4452, 2510, 1177, 1177, 39989, 712, 15874, 1105, 22232, 37590, [6]int64{562, 78, 217, 0, 476, 484}, 779, 217, 484, [10]int64{21478, 21478, 37590, 37590, 12274, 22377, 21478, 28986, 8739, 899}},
 	{"64-core", "micro", "Slack_2_NoAck", 4449, 2522, 1176, 1176, 39896, 711, 16306, 1104, 22715, 37620, [6]int64{538, 109, 203, 0, 496, 469}, 741, 203, 469, [10]int64{22134, 22134, 37620, 37620, 12478, 23118, 22134, 29024, 8481, 984}},
@@ -82,7 +82,7 @@ var goldenMatrix = []goldenRow{
 	{"64-core", "canneal", "Fragmented", 5513, 3753, 1446, 1446, 49388, 1020, 20558, 1287, 44170, 53782, [6]int64{830, 184, 163, 0, 1130, 0}, 993, 163, 0, [10]int64{27054, 27054, 53782, 53782, 17510, 28988, 54786, 42225, 14286, 1934}},
 	{"64-core", "canneal", "Complete", 5582, 3751, 1445, 1445, 49033, 1020, 26441, 1286, 43964, 53755, [6]int64{645, 368, 134, 0, 1159, 0}, 779, 134, 0, [10]int64{35894, 35894, 53755, 53755, 19426, 37396, 37962, 42204, 12206, 1502}},
 	{"64-core", "canneal", "Complete_NoAck", 5454, 3204, 1445, 1445, 49002, 1019, 26104, 1286, 25773, 50437, [6]int64{658, 355, 134, 0, 612, 546}, 792, 134, 546, [10]int64{32170, 32170, 50437, 50437, 15994, 33527, 34161, 38884, 12248, 1357}},
-	{"64-core", "canneal", "Reuse_NoAck", 5474, 3190, 1445, 1445, 49035, 1018, 26046, 1286, 25684, 50576, [6]int64{666, 347, 130, 19, 583, 559}, 800, 134, 559, [10]int64{32089, 32089, 50576, 50576, 15937, 33416, 34065, 39023, 12186, 1327}},
+	{"64-core", "canneal", "Reuse_NoAck", 5474, 3190, 1445, 1445, 49035, 1018, 26046, 1286, 25684, 50576, [6]int64{666, 347, 134, 16, 582, 559}, 800, 134, 559, [10]int64{32089, 32089, 50576, 50576, 15937, 33416, 34065, 39023, 12186, 1327}},
 	{"64-core", "canneal", "Timed_NoAck", 5480, 3752, 1446, 1446, 49065, 1019, 25211, 1287, 44067, 53791, [6]int64{701, 179, 299, 0, 1127, 0}, 1000, 299, 0, [10]int64{33357, 33357, 53791, 53791, 19029, 34820, 33357, 42231, 11146, 1463}},
 	{"64-core", "canneal", "Slack_1_NoAck", 5537, 3113, 1444, 1444, 49192, 1019, 22760, 1285, 22268, 49773, [6]int64{798, 140, 239, 0, 492, 635}, 1037, 239, 635, [10]int64{26590, 26590, 49773, 49773, 14242, 28260, 26590, 38229, 12220, 1670}},
 	{"64-core", "canneal", "Slack_2_NoAck", 5551, 3143, 1444, 1444, 48990, 1019, 23657, 1285, 23470, 50003, [6]int64{754, 201, 218, 0, 526, 605}, 972, 218, 605, [10]int64{28320, 28320, 50003, 50003, 14764, 29792, 28320, 38459, 11724, 1472}},
@@ -93,13 +93,13 @@ var goldenMatrix = []goldenRow{
 	// The 256-core rows run armed (goldenSpec): audit and oracles on.
 	{"256-core", "micro", "Baseline", 9962, 13010, 5179, 5179, 325778, 2922, 191418, 4909, 307173, 320511, [6]int64{0, 0, 0, 0, 0, 0}, 0, 0, 0, [10]int64{320511, 320511, 320511, 320511, 156015, 320511, 320511, 0, 0, 0}},
 	{"256-core", "micro", "Complete_NoAck", 9429, 11986, 5181, 5181, 327849, 2909, 154559, 4916, 254406, 308871, [6]int64{1163, 1746, 213, 0, 3683, 1020}, 1376, 213, 1020, [10]int64{249437, 249437, 308871, 308871, 132533, 254484, 264614, 238423, 55872, 5047}},
-	{"256-core", "micro", "Reuse_NoAck", 9193, 11949, 5169, 5169, 326969, 2906, 153124, 4902, 251500, 308764, [6]int64{1175, 1731, 199, 118, 3557, 1029}, 1378, 203, 1029, [10]int64{246521, 246521, 308764, 308764, 130837, 251547, 261488, 238457, 56018, 5026}},
+	{"256-core", "micro", "Reuse_NoAck", 9193, 11949, 5169, 5169, 326969, 2906, 153124, 4902, 251500, 308764, [6]int64{1175, 1731, 203, 114, 3557, 1029}, 1378, 203, 1029, [10]int64{246521, 246521, 308764, 308764, 130837, 251547, 261488, 238457, 56018, 5026}},
 	// Adversarial-generator rows (internal/tracefeed): single-tile hotspot
 	// traffic on the small chip. Note the ordering flip vs the stationary
 	// profiles — Timed_NoAck loses to Baseline here (the contended tile's
 	// windows keep expiring) while Reuse wins big.
 	{"16-core", "hotspot", "Baseline", 5262, 1982, 791, 791, 14427, 443, 9492, 748, 13901, 13147, [6]int64{0, 0, 0, 0, 0, 0}, 0, 0, 0, [10]int64{13147, 13147, 13147, 13147, 6215, 13147, 13147, 0, 0, 0}},
-	{"16-core", "hotspot", "Reuse_NoAck", 5017, 1752, 792, 792, 15095, 445, 5859, 748, 10042, 12499, [6]int64{402, 42, 88, 8, 420, 234}, 492, 90, 234, [10]int64{6689, 6689, 12499, 12499, 4241, 7392, 6963, 9454, 3252, 703}},
+	{"16-core", "hotspot", "Reuse_NoAck", 5017, 1752, 792, 792, 15095, 445, 5859, 748, 10042, 12499, [6]int64{402, 42, 90, 6, 420, 234}, 492, 90, 234, [10]int64{6689, 6689, 12499, 12499, 4241, 7392, 6963, 9454, 3252, 703}},
 	{"16-core", "hotspot", "Timed_NoAck", 5321, 1973, 787, 787, 14594, 442, 8335, 744, 14320, 13093, [6]int64{157, 42, 328, 0, 659, 0}, 485, 328, 0, [10]int64{10694, 10694, 13093, 13093, 5694, 11044, 10694, 10079, 2109, 350}},
 	// SDM rows (internal/core policy_sdm): the lane sweep under uniform
 	// traffic pins the serialization model — per-hop latency grows with the

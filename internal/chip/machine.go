@@ -509,16 +509,14 @@ var identities = []struct {
 			return b.circ.EliminatedAcks, b.circ.Replies[core.OutcomeEliminated]
 		}},
 	// A built circuit is undone past its timed window, where its own reply
-	// lands as the undone outcome, or by the protocol (Manager.Undo), which
-	// tags the forwarded request so that the owner's reply does: its
-	// L1-to-L1 data or, when the owner had dropped the line, its Fwd_Miss.
-	// That reply lands elsewhere when it scrounges another circuit or stays
-	// on its tile (an owner on the line's home tile). A Partial policy's
-	// fragments that never completed are not a circuit, so neither side
-	// counts them.
+	// lands as the undone outcome, or by the protocol (Manager.Undo), where
+	// the first reply to leave an NI for that request without a circuit of
+	// its own does: the owner's L1-to-L1 data or, when the owner had
+	// dropped the line, the bank's L2_Reply. A Partial policy's fragments
+	// that never completed are not a circuit, so neither side counts them.
 	{"every undone circuit is one undone reply", true,
 		func(b books) (int64, int64) {
-			return b.circ.CircuitsUndone, b.circ.Replies[core.OutcomeUndone] + b.circ.UndoneElsewhere
+			return b.circ.CircuitsUndone, b.circ.Replies[core.OutcomeUndone]
 		}},
 	// A built circuit ends carrying its own reply (the circuit outcome)
 	// or undone. The audit finds no record live at quiescence, so there

@@ -237,7 +237,8 @@ func TestKernelFreeStepperMatchesRunCtx(t *testing.T) {
 // TestBooksBalance: the audited 64-core canneal Complete_NoAck run, whose
 // network counts alone miss an L1-to-L1 reply acked on its home tile, whose
 // NIs hold replies back and offer them again, and whose owner on a line's
-// home tile answers a forward for an undone circuit locally, balances every
+// home tile answers a forward for an undone circuit with a local Fwd_Miss
+// (the bank's L2_Reply books the undone outcome), balances every
 // identity; one data reply too many, one Figure-6 outcome too many, one
 // eliminated outcome too many, one undone circuit too many, one built
 // circuit too many, one stall cycle too many, one credit too many, one
@@ -252,9 +253,10 @@ func TestBooksBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Circ.EliminatedAcks == 0 || r.Msgs.Local[coherence.MsgDataAck] == 0 || r.Circ.CircuitsUndone == 0 ||
-		r.Circ.UndoneElsewhere == 0 || r.Circ.UndoTokens == 0 {
-		t.Fatalf("no eliminated acks, local acks, undone circuits, local undone replies or undo tokens to balance: %d, %d, %d, %d, %d",
-			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck], r.Circ.CircuitsUndone, r.Circ.UndoneElsewhere, r.Circ.UndoTokens)
+		r.Msgs.Local[coherence.MsgFwdMiss] == 0 || r.Circ.UndoTokens == 0 {
+		t.Fatalf("no eliminated acks, local acks, undone circuits, local Fwd_Misses or undo tokens to balance: %d, %d, %d, %d, %d",
+			r.Circ.EliminatedAcks, r.Msgs.Local[coherence.MsgDataAck], r.Circ.CircuitsUndone,
+			r.Msgs.Local[coherence.MsgFwdMiss], r.Circ.UndoTokens)
 	}
 	if b := booksOf(r); b.stalls == 0 {
 		t.Fatal("no stall cycles to balance")

@@ -217,11 +217,7 @@ func (l *L1Ctrl) fill(addr cache.Addr, state uint8, now sim.Cycle) {
 // write-back buffer) and sends it directly to the requestor. A forwarded
 // GetX migrates ownership; a forwarded GetS downgrades this L1 to shared.
 func (l *L1Ctrl) handleFwd(addr cache.Addr, pl Payload, now sim.Cycle) {
-	reply := Payload{
-		Requestor:     pl.Requestor,
-		Write:         pl.Write,
-		CircuitUndone: pl.CircuitUndone,
-	}
+	reply := Payload{Requestor: pl.Requestor, Write: pl.Write}
 	if line, ok := l.c.Peek(addr); ok {
 		if line.State == l1S {
 			panic(fmt.Sprintf("coherence: L1 %d forwarded for a shared line %#x", l.id, addr))

@@ -201,12 +201,10 @@ func (l *L2Ctrl) serve(msg *noc.Message, addr cache.Addr, now sim.Cycle) {
 		// requestor's circuit (built toward this bank) will never carry
 		// data, so undo it (Section 4.4).
 		owner := mesh.NodeID(line.Owner)
-		undone := false
 		if l.sys.Mgr != nil {
-			undone = l.sys.Mgr.Undo(l.id, requestor, uint64(addr), now)
+			l.sys.Mgr.Undo(l.id, requestor, uint64(addr), now)
 		}
-		l.sys.send(MsgFwd, l.id, owner, addr,
-			Payload{Requestor: pl.Requestor, Write: write, CircuitUndone: undone}, now)
+		l.sys.send(MsgFwd, l.id, owner, addr, Payload{Requestor: pl.Requestor, Write: write}, now)
 		line.Busy = true
 		l.open(l2Txn{addr: addr, phase: phFwd, req: msg})
 		return

@@ -193,9 +193,6 @@ type Payload struct {
 	OwnerKept bool
 	// NoAck marks a data reply whose L1_DATA_ACK was eliminated.
 	NoAck bool
-	// CircuitUndone tags the eventual L1-to-L1 reply for the Figure-6
-	// "undone" category when the L2 tore down the requestor's circuit.
-	CircuitUndone bool
 }
 
 // Payload bit layout: Requestor in the low 16 bits, one flag bit each above.
@@ -205,7 +202,6 @@ const (
 	plDirty
 	plOwnerKept
 	plNoAck
-	plCircuitUndone
 )
 
 // Pack encodes the payload into the word carried by noc.Message.
@@ -226,21 +222,17 @@ func (p Payload) Pack() uint64 {
 	if p.NoAck {
 		v |= plNoAck
 	}
-	if p.CircuitUndone {
-		v |= plCircuitUndone
-	}
 	return v
 }
 
 // UnpackPayload decodes a word packed by Pack.
 func UnpackPayload(v uint64) Payload {
 	return Payload{
-		Requestor:     int(uint16(v)),
-		Write:         v&plWrite != 0,
-		Exclusive:     v&plExclusive != 0,
-		Dirty:         v&plDirty != 0,
-		OwnerKept:     v&plOwnerKept != 0,
-		NoAck:         v&plNoAck != 0,
-		CircuitUndone: v&plCircuitUndone != 0,
+		Requestor: int(uint16(v)),
+		Write:     v&plWrite != 0,
+		Exclusive: v&plExclusive != 0,
+		Dirty:     v&plDirty != 0,
+		OwnerKept: v&plOwnerKept != 0,
+		NoAck:     v&plNoAck != 0,
 	}
 }

@@ -211,15 +211,14 @@ func TestSendRejectsNothing(t *testing.T) {
 // silently corrupt the protocol.
 func TestPayloadPackRoundTrip(t *testing.T) {
 	for _, req := range []int{0, 1, 15, 63, 1<<16 - 1} {
-		for bits := 0; bits < 1<<6; bits++ {
+		for bits := 0; bits < 1<<5; bits++ {
 			p := Payload{
-				Requestor:     req,
-				Write:         bits&1 != 0,
-				Exclusive:     bits&2 != 0,
-				Dirty:         bits&4 != 0,
-				OwnerKept:     bits&8 != 0,
-				NoAck:         bits&16 != 0,
-				CircuitUndone: bits&32 != 0,
+				Requestor: req,
+				Write:     bits&1 != 0,
+				Exclusive: bits&2 != 0,
+				Dirty:     bits&4 != 0,
+				OwnerKept: bits&8 != 0,
+				NoAck:     bits&16 != 0,
 			}
 			if got := UnpackPayload(p.Pack()); got != p {
 				t.Fatalf("round trip lost data: %+v -> %#x -> %+v", p, p.Pack(), got)

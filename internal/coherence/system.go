@@ -339,9 +339,6 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 	msg.VN, msg.Size = vn, t.SizeFlits()
 	msg.Block = uint64(addr)
 	msg.Payload = pl.Pack()
-	if pl.CircuitUndone {
-		msg.OutcomeHint = uint8(core.OutcomeUndone)
-	}
 	if s.Mgr != nil && src != dst {
 		if s.Mgr.RepliesReserve() {
 			// Déjà-Vu comparator: data replies announce themselves with
@@ -356,9 +353,6 @@ func (s *System) send(t MsgType, src, dst mesh.NodeID, addr cache.Addr, pl Paylo
 	}
 	if src == dst {
 		s.Msgs.Local[t]++
-		if pl.CircuitUndone && t.IsReply() && s.Mgr != nil {
-			s.Mgr.Stats.UndoneElsewhere++ // no NI classifies a local reply
-		}
 	} else {
 		s.Msgs.Network[t]++
 	}
@@ -510,7 +504,9 @@ func (s *System) Prefill(a cache.Addr, tile mesh.NodeID, exclusive bool) {
 // warm-up phase, without touching architectural state.
 func (s *System) ResetStats() {
 	s.Msgs = MsgStats{}
-	s.Lat = LatencyStats{}
+	// The warm-up's reply histogram is this run's own (Init drops the
+	// last run's, which its Results hold), so it is cleared in place.
+	s.Lat = LatencyStats{CircuitReplyHist: s.Lat.CircuitReplyHist.Reset()}
 	s.Net.ResetEvents()
 	if s.Mgr != nil {
 		s.Mgr.ResetStats()

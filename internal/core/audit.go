@@ -47,7 +47,8 @@ func (mg *Manager) DumpCircuits(now sim.Cycle) string {
 
 // AuditQuiescent verifies the mechanism leaked nothing once the chip is
 // idle: every circuit entry released or expired, every registry record
-// consumed, no reservation walk or scrounger ride outstanding.
+// consumed, every undone circuit booked at a reply, no reservation walk or
+// scrounger ride outstanding.
 func (mg *Manager) AuditQuiescent(now sim.Cycle) error {
 	for id, tb := range mg.tables {
 		for d := mesh.Dir(0); d < mesh.NumDirs; d++ {
@@ -66,6 +67,11 @@ func (mg *Manager) AuditQuiescent(now sim.Cycle) error {
 	for ni, regs := range mg.regs {
 		for k := range regs {
 			return fmt.Errorf("core: NI %d leaks circuit record (%d,%#x)", ni, k.dest, k.block)
+		}
+	}
+	for req, b := range mg.undone {
+		if b != 0 {
+			return fmt.Errorf("core: requestor %d's undone circuit for %#x booked no reply", req, b-1)
 		}
 	}
 	if mg.walksLive != 0 {

@@ -178,12 +178,8 @@ type Stats struct {
 
 	// CircuitsBuilt counts complete end-to-end reservations;
 	// CircuitsUndone counts built circuits torn down unused.
-	// UndoneElsewhere counts the replies tagged for an undone circuit that
-	// Figure 6 does not count as undone: one that rode another's circuit
-	// (a scrounger) and one that never left its tile.
-	CircuitsBuilt   int64
-	CircuitsUndone  int64
-	UndoneElsewhere int64
+	CircuitsBuilt  int64
+	CircuitsUndone int64
 
 	// ScroungerRides counts circuit borrowings; EliminatedAcks counts
 	// L1_DATA_ACK messages removed by NoAck.

@@ -85,13 +85,12 @@ func (r *rig) onDeliver(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) {
 			return // pure contention traffic
 		}
 		src := ni
-		hint := uint8(0)
 		if fwd, ok := r.forwardTo[msg.Block]; ok {
 			// The "L2 owns nothing" pattern: undo the circuit, the
-			// owner sends the data instead.
+			// owner sends the data instead, and its reply books the
+			// undone outcome.
 			if r.mgr != nil {
 				r.mgr.Undo(ni, msg.Src, msg.Block, now)
-				hint = uint8(OutcomeUndone)
 			}
 			src = fwd
 		}
@@ -99,8 +98,7 @@ func (r *rig) onDeliver(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) {
 			Type: msg.Type + 100,
 			Src:  src, Dst: msg.Src,
 			VN: noc.VNReply, Size: msg.ExpectedReplySize,
-			Block:       msg.Block,
-			OutcomeHint: hint,
+			Block: msg.Block,
 		}
 		if r.onReplyBuild != nil {
 			r.onReplyBuild(reply)

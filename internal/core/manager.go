@@ -98,6 +98,10 @@ type Manager struct {
 
 	tables []*table
 	regs   []map[circKey]*record
+	// undone is one slot per requestor (a core has one demand miss
+	// outstanding): 1 + the block of the built circuit Undo tore down for
+	// it, until injectFallback books the reply undone; 0 is empty.
+	undone []uint64
 	// walkFree recycles walk objects: a walk lives strictly between the
 	// first OnRequestVA on a path and recordCircuit/probe delivery, so a
 	// LIFO free-list is deterministic and keeps reservation
@@ -179,6 +183,7 @@ func (mg *Manager) Init(opts Options, m mesh.Mesh) *Manager {
 		m:        m,
 		tables:   recycle.Slice(mg.tables, m.Nodes()),
 		regs:     recycle.Slice(mg.regs, m.Nodes()),
+		undone:   recycle.Zeroed(mg.undone, m.Nodes()),
 		walkFree: mg.walkFree,
 		recFree:  mg.recFree,
 		ops:      recycle.Slice(mg.ops, 0),
@@ -564,11 +569,16 @@ func (mg *Manager) ride(ni mesh.NodeID, msg *noc.Message, rec *record, now sim.C
 }
 
 // injectFallback is the shared path for a reply with no circuit of its
-// own: try borrowing one (scrounger messages, when Reuse is on), then
-// classify by the coherence layer's hint.
+// own: book the undone outcome if the protocol undid its request's
+// circuit, try borrowing one (scrounger messages, when Reuse is on), and
+// book scrounger or not-eligible unless booked already.
 func (mg *Manager) injectFallback(ni mesh.NodeID, msg *noc.Message, now sim.Cycle) sim.Cycle {
 	if msg.Classified {
 		return now // a continuation leg already classified
+	}
+	if mg.undone[msg.Dst] == msg.Block+1 {
+		mg.undone[msg.Dst] = 0
+		mg.classify(msg, OutcomeUndone)
 	}
 	if mg.opts.Reuse {
 		if r := mg.scroungeTarget(ni, msg); r != nil {
@@ -591,11 +601,7 @@ func (mg *Manager) injectFallback(ni mesh.NodeID, msg *noc.Message, now sim.Cycl
 			return now
 		}
 	}
-	if msg.OutcomeHint != 0 {
-		mg.classify(msg, Outcome(msg.OutcomeHint))
-	} else {
-		mg.classify(msg, OutcomeNotEligible)
-	}
+	mg.classify(msg, OutcomeNotEligible)
 	return now
 }
 
@@ -630,9 +636,6 @@ func (mg *Manager) classify(msg *noc.Message, o Outcome) {
 	}
 	msg.Classified = true
 	mg.Stats.Replies[o]++
-	if o == OutcomeScrounger && msg.OutcomeHint == uint8(OutcomeUndone) {
-		mg.Stats.UndoneElsewhere++
-	}
 }
 
 // OnDeliver finalizes a request's circuit record at the NI where its reply
@@ -734,24 +737,28 @@ func (mg *Manager) recordCircuit(ni mesh.NodeID, msg *noc.Message) {
 
 // Undo tears down the circuit starting at NI ni for (dest, block) before
 // use — the coherence protocol calls this when an L2 forwards a request to
-// an owning L1 and the L2→requestor circuit will never carry data. It
-// reports whether a built circuit, one that CircuitsBuilt counted, was
-// undone: that is the circuit the forwarded reply's Figure-6 "undone"
-// outcome names. A Partial policy's fragments that never completed are torn
-// down too, but were never a circuit.
-func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.Cycle) bool {
+// an owning L1 and the L2→requestor circuit will never carry data. A built
+// circuit, one that CircuitsBuilt counted, fills the requestor's undone
+// slot: the reply that serves the request instead books the circuit's
+// Figure-6 "undone" outcome. A Partial policy's fragments that never
+// completed are torn down too, but were never a circuit.
+func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.Cycle) {
 	key := circKey{dest: dest, block: block}
 	rec := mg.regs[ni][key]
 	if rec == nil {
-		return false
+		return
 	}
 	delete(mg.regs[ni], key)
 	if rec.empty() {
 		mg.retire(rec)
-		return false // nothing built to undo
+		return // nothing built to undo
 	}
-	built := rec.complete
-	if built {
+	if rec.complete {
+		if mg.undone[dest] != 0 {
+			panic(fmt.Sprintf("core: requestor %d has undone circuits for %#x and %#x",
+				dest, mg.undone[dest]-1, block))
+		}
+		mg.undone[dest] = block + 1
 		mg.Stats.CircuitsUndone++
 		if mg.tracer != nil {
 			mg.tracer.Record(now, trace.CircuitUndone, 0, ni,
@@ -764,7 +771,6 @@ func (mg *Manager) Undo(ni mesh.NodeID, dest mesh.NodeID, block uint64, now sim.
 		mg.teardown(rec, now)
 	}
 	mg.retire(rec)
-	return built
 }
 
 // teardown reclaims the router entries of a circuit the coherence protocol

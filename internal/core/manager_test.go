@@ -188,13 +188,12 @@ func TestUndoForwardedRequest(t *testing.T) {
 			}
 			r.run(1)
 		}
+		// The request's own reply, still pending, leaves NI 0 with no
+		// record and books the undone outcome.
 		r.mgr.Undo(0, 2, req.Block, r.kernel.Now())
 		if !rec.pendingUndo {
 			t.Fatal("undo under a riding scrounger did not defer the teardown")
 		}
-		// The forward tags the eventual data reply as undone, as the
-		// coherence layer's CircuitUndone payload does.
-		r.pending[0].msg.OutcomeHint = uint8(OutcomeUndone)
 		return r
 	}
 	// The ideal bound charges no teardown walk: the cycle that undoes the
@@ -668,12 +667,64 @@ func TestAuditQuiescentCleanAndDirty(t *testing.T) {
 	if err := r.mgr.AuditQuiescent(r.kernel.Now()); err != nil {
 		t.Fatalf("clean run failed the audit: %v", err)
 	}
+	// Forge an undone circuit no reply booked: the audit must flag it.
+	r.mgr.undone[15] = 0x40 + 1
+	if err := r.mgr.AuditQuiescent(r.kernel.Now()); err == nil {
+		t.Fatal("unbooked undone circuit not detected")
+	}
+	r.mgr.undone[15] = 0
 	// Forge an orphan entry: the audit must flag it.
 	r.mgr.tables[3].insert(mesh.East,
 		entry{built: true, dest: 1, block: 0x40, out: mesh.West, winEnd: noWindow}, 5, 0)
 	if err := r.mgr.AuditQuiescent(r.kernel.Now()); err == nil {
 		t.Fatal("leaked entry not detected")
 	}
+}
+
+// TestUndoneReplyScroungesAsUndone: the owner's reply for a request whose
+// circuit the protocol undid books the undone outcome even when it then
+// borrows another circuit, which it still rides and counts as a ride.
+func TestUndoneReplyScroungesAsUndone(t *testing.T) {
+	opts := completeOpts()
+	opts.Reuse = true
+	r := newRig(t, 4, 1, opts, 200)
+	r.forwardTo[r.blockSeq+64] = 0
+	r.request(3, 2, 5) // circuit 2 -> 3, undone; owner 0 replies to 3
+	r.run(10)
+	r.request(1, 0, 5) // circuit 0 -> 1, idle when the owner's reply leaves 0
+	r.runQuiet(5000)
+	st := &r.mgr.Stats
+	if st.CircuitsUndone != 1 || st.Replies[OutcomeUndone] != 1 || st.Replies[OutcomeScrounger] != 0 ||
+		st.ScroungerRides != 1 || st.Replies[OutcomeCircuit] != 1 {
+		t.Fatalf("undone/undone replies/scrounger replies/rides/circuit replies = %d/%d/%d/%d/%d, want 1/1/0/1/1",
+			st.CircuitsUndone, st.Replies[OutcomeUndone], st.Replies[OutcomeScrounger],
+			st.ScroungerRides, st.Replies[OutcomeCircuit])
+	}
+	if err := r.mgr.AuditQuiescent(r.kernel.Now()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUndoWithFilledSlotPanics: a core has one demand miss outstanding, so
+// a second undone circuit for a requestor whose first booked no reply yet
+// is a protocol fault.
+func TestUndoWithFilledSlotPanics(t *testing.T) {
+	r := newRig(t, 4, 1, completeOpts(), 400) // the first reply is held back
+	first := r.request(3, 0, 5)
+	r.run(80)
+	r.mgr.Undo(0, 3, first.Block, r.kernel.Now())
+	r.run(80) // the teardown clears the path for the second circuit
+	second := r.request(3, 1, 5)
+	r.run(80)
+	if complete, _ := r.mgr.HasCircuit(1, 3, second.Block, r.kernel.Now()); !complete {
+		t.Fatal("the second circuit was not built")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second undo for one requestor did not panic")
+		}
+	}()
+	r.mgr.Undo(1, 3, second.Block, r.kernel.Now())
 }
 
 func TestFragmentedUndoClearsGappedCircuit(t *testing.T) {

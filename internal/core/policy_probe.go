@@ -51,9 +51,7 @@ func (probePolicy) Inject(mg *Manager, ni mesh.NodeID, msg *noc.Message, now sim
 		return now // probes leave immediately
 	}
 	if !msg.WantCircuit {
-		if !msg.Classified {
-			mg.classify(msg, OutcomeNotEligible)
-		}
+		mg.classify(msg, OutcomeNotEligible)
 		return now
 	}
 	key, rec := mg.ownRecord(ni, msg)

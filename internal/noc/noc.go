@@ -54,12 +54,9 @@ type Message struct {
 	// Scrounging marks a reply riding a circuit built for another message
 	// to the intermediate node Dst; FinalDst is its true destination.
 	Scrounging bool
-	// OutcomeHint lets the coherence layer pre-classify a reply for the
-	// Figure-6 breakdown (e.g. an L1-to-L1 transfer whose circuit was
-	// undone by the forward). Zero means "classify normally".
-	OutcomeHint uint8
-	// Classified guards against double-counting a reply that re-enters
-	// the network (scrounger continuation legs).
+	// Classified marks a reply whose Figure-6 outcome is booked: an NI
+	// offers a held-back reply to the injection hook again every cycle,
+	// and a scrounger's continuation leg re-enters the network.
 	Classified bool
 	// LocalHop marks a message whose source and destination tile
 	// coincide: it never traversed the network.

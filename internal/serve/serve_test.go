@@ -18,6 +18,7 @@ import (
 	"reactivenoc/internal/chip"
 	"reactivenoc/internal/config"
 	"reactivenoc/internal/core"
+	"reactivenoc/internal/fault"
 	"reactivenoc/internal/workload"
 )
 
@@ -533,5 +534,64 @@ func TestStaleSpecFailsClosed(t *testing.T) {
 	}
 	if len(warned) != 1 || !strings.Contains(warned[0], "stale record 2") || !strings.Contains(warned[0], `"j-2"`) || !strings.Contains(warned[0], `"Policy"`) {
 		t.Fatalf("the stale record was not logged by number, job and field: %v", warned)
+	}
+}
+
+// TestJobCountedBeforeWaitersWake: a waiter that its job's terminal event
+// wakes reads the job counted, done or failed, and the worker idle. The
+// test holds the job table's lock from while the job runs until it has
+// read the counters, and finish takes that lock after waking the waiters,
+// so a worker that counted after finish would still be short of its count
+// when they are read, on every run. A job that ends before the lock is
+// taken proves nothing and is submitted again under another seed.
+func TestJobCountedBeforeWaitersWake(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	s.Start()
+	failing := func(seed uint64) chip.Spec {
+		spec := smallSpec(seed)
+		spec.Fault = &fault.Plan{Class: fault.StallLink, After: 300}
+		spec.WatchdogStall = 2000
+		return spec
+	}
+	for _, tc := range []struct {
+		spec    func(seed uint64) chip.Spec
+		state   JobState
+		counter *atomic.Int64
+	}{
+		{smallSpec, StateDone, &s.jobsDone},
+		{failing, StateFailed, &s.jobsFailed},
+	} {
+		for seed := uint64(100); ; seed++ {
+			if seed == 110 {
+				t.Fatalf("every %s job ended before the test held the job table", tc.state)
+			}
+			before := tc.counter.Load()
+			st, err := s.Submit(tc.spec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, _ := s.Job(st.ID)
+			_, changed := j.eventsAfter(0)
+			for jobState(j) == StateQueued {
+				<-changed
+				_, changed = j.eventsAfter(0)
+			}
+			s.jobsMu.Lock()
+			if jobState(j).Terminal() {
+				s.jobsMu.Unlock()
+				continue
+			}
+			for !jobState(j).Terminal() {
+				<-changed
+				_, changed = j.eventsAfter(0)
+			}
+			counted, busy := tc.counter.Load()-before, s.busy.Load()
+			s.jobsMu.Unlock()
+			if got := jobState(j); got != tc.state || counted != 1 || busy != 0 {
+				t.Fatalf("a waiter woken by a %s job read it counted %d times and %d workers busy, want 1 and 0",
+					got, counted, busy)
+			}
+			break
+		}
 	}
 }

@@ -359,16 +359,18 @@ func (s *Server) worker() {
 // runJob executes one job through the policy path shared with the CLI
 // sweeps: timeout decoration and structured failures. The result is the
 // run of exactly the spec the job is filed under. Every progress window the simulation records is appended to
-// the job's event stream as it closes.
+// the job's event stream as it closes. The worker is counted idle and the
+// job counted done, failed or cancelled before finish wakes its waiters,
+// so a client that reads the metrics when its job ends sees it counted.
 func (s *Server) runJob(j *job) {
 	s.busy.Add(1)
-	defer s.busy.Add(-1)
 	j.transition(StateRunning, Event{Type: "started"}, time.Now())
 
 	spec := j.spec
 	spec.OnSample = j.window
 	s.runs.Add(1)
 	res, rep := exp.Policy{Timeout: s.cfg.RunTimeout}.RunOne(s.runCtx, spec)
+	s.busy.Add(-1)
 
 	switch {
 	case res != nil:
@@ -380,8 +382,8 @@ func (s *Server) runJob(j *job) {
 		j.result = r
 		j.mu.Unlock()
 		s.cache.complete(j.fingerprint, r)
-		s.finish(j, StateDone)
 		s.jobsDone.Add(1)
+		s.finish(j, StateDone)
 
 	case s.runCtx.Err() != nil:
 		// Shutdown cancelled the run mid-flight: the job goes back to the
@@ -393,16 +395,16 @@ func (s *Server) runJob(j *job) {
 		j.runErr = rep.Err
 		j.mu.Unlock()
 		s.cache.release(j.fingerprint)
-		s.finish(j, StateFailed)
 		s.jobsFailed.Add(1)
+		s.finish(j, StateFailed)
 	}
 }
 
 // cancelJob marks a job cancelled and queues it for the journal.
 func (s *Server) cancelJob(j *job) {
 	s.cache.release(j.fingerprint)
-	s.finish(j, StateCanceled)
 	s.jobsCanceled.Add(1)
+	s.finish(j, StateCanceled)
 	s.pendingMu.Lock()
 	s.pending = append(s.pending, journalEntry{ID: j.id, Spec: j.spec})
 	s.pendingMu.Unlock()

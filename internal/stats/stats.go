@@ -133,6 +133,16 @@ func NewHistogram(bucketWidth int64, n int) *Histogram {
 	return &Histogram{hist{BucketWidth: bucketWidth, Buckets: make([]int64, n)}}
 }
 
+// Reset clears every observation, keeping the shape and the buckets'
+// memory, and returns h (nil stays nil). It names what it keeps.
+func (h *Histogram) Reset() *Histogram {
+	if h != nil {
+		clear(h.Buckets)
+		h.hist = hist{BucketWidth: h.BucketWidth, Buckets: h.Buckets}
+	}
+	return h
+}
+
 // Add records v. Negative values clamp to bucket 0.
 func (h *Histogram) Add(v int64) {
 	h.Sample.Add(float64(v))

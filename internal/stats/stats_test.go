@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,22 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Overflow() != 2 {
 		t.Fatalf("overflow %d", h.Overflow())
+	}
+}
+
+// TestHistogramReset: a reset histogram reads as a new one of its shape,
+// over the same buckets, and a nil one stays nil.
+func TestHistogramReset(t *testing.T) {
+	h := NewHistogram(10, 5)
+	buckets := h.Buckets
+	for _, v := range []int64{3, 27, 1000} {
+		h.Add(v)
+	}
+	if h.Reset() != h || !reflect.DeepEqual(h, NewHistogram(10, 5)) || &h.Buckets[0] != &buckets[0] {
+		t.Fatalf("reset histogram = %+v, want a new one over the same buckets", h)
+	}
+	if (*Histogram)(nil).Reset() != nil {
+		t.Fatal("a nil histogram reset to non-nil")
 	}
 }
 
